@@ -11,6 +11,8 @@
 //	GET  /v1/availability/cdf    availability quantiles + headline stats
 //	                             (?q=0.25,0.5,… to pick quantiles)
 //	GET  /v1/bundling/summary    per-category bundling counters
+//	GET  /v1/availability/window trailing ?d= window of time-binned availability
+//	GET  /v1/state, /v1/window/state  mergeable wire forms (gateway scatter-gather)
 //	POST /v1/ingest              JSONL monitor records (ingest.Record)
 //	GET  /metrics                registry scrape (Prometheus text)
 //	GET  /debug/vars             same series as flat JSON
@@ -209,6 +211,9 @@ func newEngineFromOpts(opts options) (*ingest.Engine, error) {
 	fmt.Printf("availd: recovered %s in %v (checkpoint seq %d, %d swarms; replayed %d ops from %d frames)\n",
 		opts.dataDir, time.Since(start).Round(time.Millisecond),
 		rs.CheckpointSeq, rs.CheckpointSwarms, rs.ReplayedOps, rs.ReplayedFrames)
+	for _, skipped := range rs.SkippedCheckpoints {
+		fmt.Fprintf(os.Stderr, "availd: skipped unreadable checkpoint %s\n", skipped)
+	}
 	if opts.logger != nil {
 		opts.logger.Info("recovered",
 			"dir", opts.dataDir,
@@ -220,6 +225,7 @@ func newEngineFromOpts(opts options) (*ingest.Engine, error) {
 			"truncated_bytes", rs.TruncatedBytes,
 			"dropped_segments", rs.DroppedSegments,
 			"bad_frame_seq", rs.BadFrameSeq,
+			"skipped_checkpoints", rs.SkippedCheckpoints,
 			"elapsed", time.Since(start))
 		if rs.TruncatedBytes > 0 || rs.DroppedSegments > 0 || rs.BadFrameSeq != 0 {
 			opts.logger.Warn("journal repaired on open",
@@ -714,12 +720,8 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/swarm/{id}", s.handleSwarm)
 	mux.HandleFunc("GET /v1/swarm/{id}/timeline", s.handleTimeline)
-	mux.HandleFunc("GET /v1/summary", s.handleSummary)
-	mux.HandleFunc("GET /v1/availability/cdf", s.handleCDF)
-	mux.HandleFunc("GET /v1/availability/window", s.handleWindow)
-	mux.HandleFunc("GET /v1/bundling/summary", s.handleBundling)
-	mux.HandleFunc("GET /v1/state", s.handleState)
-	mux.HandleFunc("GET /v1/window/state", s.handleWindowState)
+	// The merged read endpoints are the handler set availgw serves too.
+	ingest.RegisterReadHandlers(mux, s.engine)
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	if s.dataDir != "" && s.engine.WAL() != nil {
 		// WAL shipping: a follower replicates this node's journal and
@@ -761,70 +763,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"state": "serving"})
 }
 
-// wantConsistent reports whether the request opted out of the lock-free
-// snapshot path with ?consistent=1 — a full queue barrier that observes
-// everything submitted before the call, at the cost of touching every
-// shard queue.
-func wantConsistent(r *http.Request) bool {
-	v := r.URL.Query().Get("consistent")
-	return v != "" && v != "0"
-}
-
-// summaryView resolves a read request to a Summary: the engine's
-// epoch-tagged lock-free snapshot by default (at most SnapshotMaxAge
-// stale, served without touching the shard queues), or a queue-barrier
-// read under ?consistent=1. Barrier answers carry no ETag — they are
-// read-your-writes by definition and must not validate a cache.
-func (s *server) summaryView(r *http.Request) (*ingest.Summary, string) {
-	if wantConsistent(r) {
-		return s.engine.Summary(), ""
-	}
-	snap := s.engine.Snapshot()
-	return snap.Summary, snap.ETag
-}
-
-// windowView is summaryView for the windowed aggregate.
-func (s *server) windowView(r *http.Request) (*ingest.WindowState, string) {
-	if wantConsistent(r) {
-		return s.engine.Window(), ""
-	}
-	snap := s.engine.Snapshot()
-	return snap.Window, snap.ETag
-}
-
-// handleState serves the summary's full mergeable wire form — the
-// cluster gateway's scatter-gather payload.
-func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
-	sum, etag := s.summaryView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteState(w, sum)
-}
-
-// handleWindowState serves the windowed aggregate's mergeable wire form
-// — the gateway's scatter-gather payload for windowed queries.
-func (s *server) handleWindowState(w http.ResponseWriter, r *http.Request) {
-	win, etag := s.windowView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	writeJSON(w, win)
-}
-
 func (s *server) handleSwarm(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, "bad swarm id", http.StatusBadRequest)
 		return
 	}
-	var st ingest.SwarmStats
-	var ok bool
-	if wantConsistent(r) {
-		st, ok = s.engine.Swarm(id)
-	} else {
-		st, ok = s.engine.SwarmSnapshot(id)
+	lookup := s.engine.SwarmSnapshot
+	if ingest.WantConsistent(r) {
+		lookup = s.engine.Swarm
 	}
+	st, ok := lookup(id)
 	if !ok {
 		http.Error(w, "unknown swarm", http.StatusNotFound)
 		return
@@ -847,92 +796,6 @@ func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ingest.NewTimelineResponse(id, win))
-}
-
-// handleSummary serves the merged engine-wide aggregate: population
-// gauges, headline §2 statistics, and event counters. The rendering
-// lives in internal/ingest's shared httpapi so the cluster gateway's
-// merged answer is byte-identical to this one.
-func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	sum, etag := s.summaryView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteSummary(w, sum)
-}
-
-func (s *server) handleCDF(w http.ResponseWriter, r *http.Request) {
-	qs, err := ingest.ParseQuantiles(r.URL.Query().Get("q"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sum, etag := s.summaryView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteCDF(w, sum, qs)
-}
-
-// handleWindow serves the trailing ?d= window of time-binned
-// availability (default 24h): per-bin availability fractions,
-// busy-period starts and event counts, downsampled when the span
-// exceeds the fine ring.
-func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	days, err := ingest.ParseWindowDays(r.URL.Query().Get("d"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	win, etag := s.windowView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteWindow(w, win, days)
-}
-
-type bundlingCategory struct {
-	Category             string  `json:"category"`
-	Swarms               int     `json:"swarms"`
-	Bundles              int     `json:"bundles"`
-	BundleFraction       float64 `json:"bundle_fraction"`
-	Collections          int     `json:"collections"`
-	SeedlessAll          float64 `json:"seedless_all"`
-	SeedlessBundles      float64 `json:"seedless_bundles"`
-	MeanDownloadsAll     float64 `json:"mean_downloads_all"`
-	MeanDownloadsBundles float64 `json:"mean_downloads_bundles"`
-}
-
-func (s *server) handleBundling(w http.ResponseWriter, r *http.Request) {
-	sum, etag := s.summaryView(r)
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	cats := make([]trace.Category, 0, len(sum.Categories))
-	for cat := range sum.Categories {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	out := struct {
-		CensusSwarms int                `json:"census_swarms"`
-		Categories   []bundlingCategory `json:"categories"`
-	}{CensusSwarms: sum.CensusSwarms}
-	for _, cat := range cats {
-		cc := sum.Categories[cat]
-		cmp := cc.Compare(cat)
-		out.Categories = append(out.Categories, bundlingCategory{
-			Category:             cat.String(),
-			Swarms:               cc.Swarms,
-			Bundles:              cc.Bundles,
-			BundleFraction:       cc.Extent(cat).BundleFraction(),
-			Collections:          cc.Collections,
-			SeedlessAll:          cmp.SeedlessAll,
-			SeedlessBundles:      cmp.SeedlessBundles,
-			MeanDownloadsAll:     cmp.MeanDownloadsAll,
-			MeanDownloadsBundles: cmp.MeanDownloadsBundles,
-		})
-	}
-	writeJSON(w, out)
 }
 
 // maxIngestBody bounds one /v1/ingest request (32 MiB ≈ 300k records);

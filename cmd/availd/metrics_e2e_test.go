@@ -133,9 +133,6 @@ func TestMetricsScrapeE2E(t *testing.T) {
 	if applied != first {
 		t.Errorf("sum of per-shard ingest_applied_total = %v, want %d", applied, first)
 	}
-	if got := series["ingest_shed_total"]; got != 0 {
-		t.Errorf("ingest_shed_total = %v, want 0", got)
-	}
 	if got := series["availd_swarms"]; got != first {
 		t.Errorf("availd_swarms = %v, want %d", got, first)
 	}

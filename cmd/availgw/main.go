@@ -2,8 +2,10 @@
 // availd nodes. It consistent-hashes swarms across the nodes (whole
 // swarms, never split — the same partitioning rule the engine's shards
 // use in-process), fans POST /v1/ingest out through per-node retrying
-// clients, scatter-gathers GET /v1/summary, /v1/availability/cdf and
-// /v1/state by merging every node's state, and — when followers are
+// clients, scatter-gathers availd's merged read endpoints (/v1/summary,
+// /v1/availability/cdf, /v1/availability/window, /v1/bundling/summary,
+// /v1/state, /v1/window/state — one shared handler set) by merging
+// every node's state, and — when followers are
 // configured — promotes a node's warm standby after consecutive failed
 // health checks.
 //

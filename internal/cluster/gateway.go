@@ -148,27 +148,7 @@ type gwNode struct {
 	// fenced it (stamped it with the successor epoch); "" once done.
 	retired atomic.Value // string
 
-	// stateCache/windowCache hold this node's last parsed snapshot-path
-	// answer with its ETag; refreshes send If-None-Match and a 304
-	// reuses the parsed copy without re-decoding. The node's ETag nonce
-	// changes with its engine incarnation, so a promoted follower can
-	// never validate the old leader's cache entry.
-	stateCache  atomic.Pointer[nodeState]
-	windowCache atomic.Pointer[nodeWindow]
-
 	unhealthy *obs.Gauge
-}
-
-// nodeState is one node's cached mergeable summary state.
-type nodeState struct {
-	etag string
-	sum  *ingest.Summary
-}
-
-// nodeWindow is one node's cached mergeable windowed aggregate.
-type nodeWindow struct {
-	etag string
-	win  *ingest.WindowState
 }
 
 func (n *gwNode) currentURL() string { return n.url.Load().(string) }
@@ -185,8 +165,8 @@ type pushJob struct {
 }
 
 // Gateway is the cluster front door. It speaks the same API as a
-// single availd — POST /v1/ingest, GET /v1/summary, /v1/availability/cdf,
-// /v1/state — over N nodes:
+// single availd — POST /v1/ingest and the merged read endpoints of
+// ingest.RegisterReadHandlers — over N nodes:
 //
 //   - Writes are partitioned by the consistent-hash ring (whole swarms,
 //     never split) and fanned out through per-node retrying clients,
@@ -194,9 +174,10 @@ type pushJob struct {
 //     when every node has journaled its share; a partial failure is
 //     reported as 503 and acknowledges nothing, so the monitor's
 //     retry preserves at-least-once delivery end to end.
-//   - Reads scatter-gather /v1/state from every node and merge with
-//     Summary.Merge. The merge algebra is exact (integer counters and
-//     sketch bin counts), the merge order is fixed (slot order), and
+//   - Reads scatter-gather /v1/state (or /v1/window/state) from every
+//     node and merge with Summary.Merge (WindowState.Merge). The merge
+//     algebra is exact (integer counters, sums and sketch bin counts),
+//     the merge order is fixed (slot order), and
 //     the rendering is the same code a single availd runs — so the
 //     merged responses are byte-identical to a lone node that saw the
 //     whole stream.
@@ -229,21 +210,11 @@ type Gateway struct {
 	readCacheHits  *obs.Counter
 	collapsedReads *obs.Counter
 
-	// flights holds the in-flight snapshot-path scatter-gathers by kind
-	// ("state"/"window"); concurrent identical reads wait for the leader
-	// instead of each hitting every node. Consistent reads never
-	// collapse — each must observe its own prior writes.
-	flightMu sync.Mutex
-	flights  map[string]*flight
-}
-
-// flight is one in-flight collapsed scatter-gather.
-type flight struct {
-	done chan struct{}
-	sum  *ingest.Summary
-	win  *ingest.WindowState
-	etag string
-	err  error
+	// The two scatter-gathered reads: every node's /v1/state merged with
+	// Summary.Merge, and every node's /v1/window/state merged with
+	// WindowState.Merge.
+	state  scatter[ingest.Summary]
+	window scatter[ingest.WindowState]
 }
 
 // NewGateway builds and starts a gateway: senders and the health loop
@@ -262,7 +233,26 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ring:         ring,
 		healthClient: cfg.HealthClient,
 		stop:         make(chan struct{}),
-		flights:      make(map[string]*flight),
+		state: scatter[ingest.Summary]{
+			fetch:     (*ingest.HTTPClient).FetchStateTagged,
+			newMerged: func(*ingest.Summary) *ingest.Summary { return ingest.NewSummary() },
+			mergeInto: func(dst, part *ingest.Summary) error { dst.Merge(part); return nil },
+			cache:     make([]atomic.Pointer[nodeAnswer[ingest.Summary]], len(cfg.Nodes)),
+		},
+		window: scatter[ingest.WindowState]{
+			fetch: (*ingest.HTTPClient).FetchWindowState,
+			// A fresh state carrying the cluster's shared geometry.
+			newMerged: func(first *ingest.WindowState) *ingest.WindowState {
+				return &ingest.WindowState{
+					BinDays:    first.BinDays,
+					FoldFactor: first.FoldFactor,
+					FineBins:   first.FineBins,
+					CoarseBins: first.CoarseBins,
+				}
+			},
+			mergeInto: (*ingest.WindowState).Merge,
+			cache:     make([]atomic.Pointer[nodeAnswer[ingest.WindowState]], len(cfg.Nodes)),
+		},
 	}
 	if reg := cfg.Metrics; reg != nil {
 		g.records = reg.Counter("gateway_ingest_records_total")
@@ -586,11 +576,9 @@ func (g *Gateway) Handler() http.Handler {
 		ingest.WriteJSON(w, map[string]string{"state": "serving"})
 	})
 	mux.HandleFunc("POST /v1/ingest", g.handleIngest)
-	mux.HandleFunc("GET /v1/summary", g.handleSummary)
-	mux.HandleFunc("GET /v1/availability/cdf", g.handleCDF)
-	mux.HandleFunc("GET /v1/state", g.handleState)
-	mux.HandleFunc("GET /v1/availability/window", g.handleWindow)
-	mux.HandleFunc("GET /v1/window/state", g.handleWindowState)
+	// The merged read endpoints are availd's own handler set, served
+	// over the scatter-gathered view.
+	ingest.RegisterReadHandlers(mux, g)
 	mux.HandleFunc("GET /v1/swarm/{id}", g.proxySwarm)
 	mux.HandleFunc("GET /v1/swarm/{id}/timeline", g.proxySwarm)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
@@ -690,24 +678,6 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ingest.WriteJSON(w, map[string]int{"accepted": n})
 }
 
-// wantConsistent mirrors availd's ?consistent=1 escape hatch: the
-// barrier read path on every node, bypassing snapshot caches,
-// conditional GETs and scatter-gather collapsing.
-func wantConsistent(r *http.Request) bool {
-	v := r.URL.Query().Get("consistent")
-	return v != "" && v != "0"
-}
-
-// learnEpoch folds an epoch-conflict verdict from node i into the slot
-// so the next read is stamped correctly.
-func (g *Gateway) learnEpoch(i int, err error) error {
-	var conflict *ingest.EpochConflictError
-	if errors.As(err, &conflict) && conflict.NodeEpoch > g.nodes[i].epoch.Load() {
-		g.adoptEpoch(g.nodes[i], conflict.NodeEpoch)
-	}
-	return fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)
-}
-
 // joinETags derives the gateway's validator from the per-node ones: the
 // merged answer is a pure function of the node states, so the
 // concatenation of their validators validates it. Empty when any node
@@ -723,60 +693,83 @@ func joinETags(etags []string) string {
 	return `"` + strings.Join(parts, "+") + `"`
 }
 
-// collapse runs fetch under the named singleflight: concurrent calls
-// with the same key wait for the leader's result instead of fanning out
-// themselves. A follower whose leader was cancelled retries as its own
-// leader (a cancelled leader must not fail an unrelated caller).
-func (g *Gateway) collapse(ctx context.Context, key string, fetch func() *flight) (*flight, error) {
+// nodeAnswer is one node's last parsed snapshot-path answer with its
+// ETag; refreshes send If-None-Match and a 304 reuses the parsed copy
+// without re-decoding. The node's ETag nonce changes with its engine
+// incarnation, so a promoted follower can never validate the old
+// leader's cache entry.
+type nodeAnswer[T any] struct {
+	etag string
+	val  *T
+}
+
+// flight is one in-flight collapsed scatter-gather.
+type flight[T any] struct {
+	done chan struct{}
+	val  *T
+	etag string
+	err  error
+}
+
+// scatter is one scatter-gathered read over a mergeable type: how to
+// fetch a node's part, how to merge the parts, the per-node
+// conditional-GET caches, and the in-flight snapshot-path read that
+// concurrent identical reads wait for instead of each hitting every
+// node.
+type scatter[T any] struct {
+	fetch     func(c *ingest.HTTPClient, ctx context.Context, consistent bool, inm string) (*T, string, bool, error)
+	newMerged func(first *T) *T
+	mergeInto func(dst, part *T) error
+	cache     []atomic.Pointer[nodeAnswer[T]]
+
+	mu       sync.Mutex
+	inflight *flight[T]
+}
+
+// read returns the merged answer. All-or-nothing: a partial merge would
+// silently undercount, so one unreachable node fails the read.
+// Snapshot-path reads (the default) ride the per-node conditional-GET
+// caches and collapse into one flight; the returned etag validates the
+// merged answer. Consistent reads do neither and carry no etag — each
+// must observe its own prior writes. A follower whose leader was
+// cancelled retries as its own leader (a cancelled leader must not fail
+// an unrelated caller).
+func (s *scatter[T]) read(ctx context.Context, g *Gateway, consistent bool) (*T, string, error) {
+	if consistent {
+		val, _, err := s.gather(ctx, g, true)
+		return val, "", err
+	}
 	for {
-		g.flightMu.Lock()
-		if f, ok := g.flights[key]; ok {
-			g.flightMu.Unlock()
+		s.mu.Lock()
+		if f := s.inflight; f != nil {
+			s.mu.Unlock()
 			select {
 			case <-f.done:
 				if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) && ctx.Err() == nil {
 					continue
 				}
 				g.collapsedReads.Inc()
-				return f, f.err
+				return f.val, f.etag, f.err
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, "", ctx.Err()
 			}
 		}
-		f := &flight{done: make(chan struct{})}
-		g.flights[key] = f
-		g.flightMu.Unlock()
-		res := fetch()
-		f.sum, f.win, f.etag, f.err = res.sum, res.win, res.etag, res.err
-		g.flightMu.Lock()
-		delete(g.flights, key)
-		g.flightMu.Unlock()
+		f := &flight[T]{done: make(chan struct{})}
+		s.inflight = f
+		s.mu.Unlock()
+		f.val, f.etag, f.err = s.gather(ctx, g, false)
+		s.mu.Lock()
+		s.inflight = nil
+		s.mu.Unlock()
 		close(f.done)
-		return f, f.err
+		return f.val, f.etag, f.err
 	}
 }
 
-// merged scatter-gathers every node's /v1/state and merges in slot
-// order. All-or-nothing: a partial merge would silently undercount, so
-// one unreachable node fails the read. Snapshot-path reads (the
-// default) ride the per-node conditional-GET caches — an unchanged node
-// answers 304 and its parsed state is reused — and concurrent identical
-// scatter-gathers collapse into one. The returned etag validates the
-// merged answer (empty on the consistent path).
-func (g *Gateway) merged(ctx context.Context, consistent bool) (*ingest.Summary, string, error) {
-	if consistent {
-		f := g.fetchState(ctx, true)
-		return f.sum, "", f.err
-	}
-	f, err := g.collapse(ctx, "state", func() *flight { return g.fetchState(ctx, false) })
-	if err != nil {
-		return nil, "", err
-	}
-	return f.sum, f.etag, nil
-}
-
-func (g *Gateway) fetchState(ctx context.Context, consistent bool) *flight {
-	sums := make([]*ingest.Summary, len(g.nodes))
+// gather fetches every node's part in parallel and merges them in slot
+// order into a fresh value — node caches are never mutated.
+func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*T, string, error) {
+	parts := make([]*T, len(g.nodes))
 	etags := make([]string, len(g.nodes))
 	errs := make([]error, len(g.nodes))
 	var wg sync.WaitGroup
@@ -786,28 +779,28 @@ func (g *Gateway) fetchState(ctx context.Context, consistent bool) *flight {
 			defer wg.Done()
 			c := n.client.Load()
 			if consistent {
-				sums[i], _, _, errs[i] = c.FetchStateTagged(ctx, true, "")
+				parts[i], _, _, errs[i] = s.fetch(c, ctx, true, "")
 				return
 			}
 			var inm string
-			cached := n.stateCache.Load()
+			cached := s.cache[i].Load()
 			if cached != nil {
 				inm = cached.etag
 			}
-			sum, etag, notModified, err := c.FetchStateTagged(ctx, false, inm)
+			val, etag, notModified, err := s.fetch(c, ctx, false, inm)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			if notModified {
 				g.readCacheHits.Inc()
-				sums[i], etags[i] = cached.sum, cached.etag
+				parts[i], etags[i] = cached.val, cached.etag
 				return
 			}
 			if etag != "" {
-				n.stateCache.Store(&nodeState{etag: etag, sum: sum})
+				s.cache[i].Store(&nodeAnswer[T]{etag: etag, val: val})
 			}
-			sums[i], etags[i] = sum, etag
+			parts[i], etags[i] = val, etag
 		}(i, n)
 	}
 	wg.Wait()
@@ -815,157 +808,32 @@ func (g *Gateway) fetchState(ctx context.Context, consistent bool) *flight {
 		if err != nil {
 			// A stale-epoch answer must never be merged — but learn the
 			// newer epoch so the next read is stamped correctly.
-			return &flight{err: g.learnEpoch(i, err)}
+			var conflict *ingest.EpochConflictError
+			if errors.As(err, &conflict) && conflict.NodeEpoch > g.nodes[i].epoch.Load() {
+				g.adoptEpoch(g.nodes[i], conflict.NodeEpoch)
+			}
+			return nil, "", fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)
 		}
 	}
-	merged := ingest.NewSummary()
-	for _, s := range sums {
-		merged.Merge(s)
-	}
-	return &flight{sum: merged, etag: joinETags(etags)}
-}
-
-// mergedWindow is merged for the windowed aggregate
-// (GET /v1/window/state on every node, WindowState.Merge — exact
-// integer algebra, so the answer is byte-identical to a single engine
-// over the whole stream).
-func (g *Gateway) mergedWindow(ctx context.Context, consistent bool) (*ingest.WindowState, string, error) {
-	if consistent {
-		f := g.fetchWindow(ctx, true)
-		return f.win, "", f.err
-	}
-	f, err := g.collapse(ctx, "window", func() *flight { return g.fetchWindow(ctx, false) })
-	if err != nil {
-		return nil, "", err
-	}
-	return f.win, f.etag, nil
-}
-
-func (g *Gateway) fetchWindow(ctx context.Context, consistent bool) *flight {
-	wins := make([]*ingest.WindowState, len(g.nodes))
-	etags := make([]string, len(g.nodes))
-	errs := make([]error, len(g.nodes))
-	var wg sync.WaitGroup
-	for i, n := range g.nodes {
-		wg.Add(1)
-		go func(i int, n *gwNode) {
-			defer wg.Done()
-			c := n.client.Load()
-			if consistent {
-				wins[i], _, _, errs[i] = c.FetchWindowState(ctx, true, "")
-				return
-			}
-			var inm string
-			cached := n.windowCache.Load()
-			if cached != nil {
-				inm = cached.etag
-			}
-			win, etag, notModified, err := c.FetchWindowState(ctx, false, inm)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if notModified {
-				g.readCacheHits.Inc()
-				wins[i], etags[i] = cached.win, cached.etag
-				return
-			}
-			if etag != "" {
-				n.windowCache.Store(&nodeWindow{etag: etag, win: win})
-			}
-			wins[i], etags[i] = win, etag
-		}(i, n)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return &flight{err: g.learnEpoch(i, err)}
+	merged := s.newMerged(parts[0])
+	for i, part := range parts {
+		if err := s.mergeInto(merged, part); err != nil {
+			return nil, "", fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)
 		}
 	}
-	// Merge into a fresh state carrying the cluster's shared geometry —
-	// node caches must never be mutated.
-	merged := &ingest.WindowState{
-		BinDays:    wins[0].BinDays,
-		FoldFactor: wins[0].FoldFactor,
-		FineBins:   wins[0].FineBins,
-		CoarseBins: wins[0].CoarseBins,
-	}
-	for i, win := range wins {
-		if err := merged.Merge(win); err != nil {
-			return &flight{err: fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)}
-		}
-	}
-	return &flight{win: merged, etag: joinETags(etags)}
+	return merged, joinETags(etags), nil
 }
 
-func (g *Gateway) handleSummary(w http.ResponseWriter, r *http.Request) {
-	sum, etag, err := g.merged(r.Context(), wantConsistent(r))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteSummary(w, sum)
+// ReadSummary and ReadWindow make the gateway an ingest.ReadView: the
+// merge algebra is exact integer arithmetic in a fixed (slot) order, so
+// the answers are byte-identical to a single engine over the whole
+// stream.
+func (g *Gateway) ReadSummary(ctx context.Context, consistent bool) (*ingest.Summary, string, error) {
+	return g.state.read(ctx, g, consistent)
 }
 
-func (g *Gateway) handleCDF(w http.ResponseWriter, r *http.Request) {
-	qs, err := ingest.ParseQuantiles(r.URL.Query().Get("q"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sum, etag, merr := g.merged(r.Context(), wantConsistent(r))
-	if merr != nil {
-		http.Error(w, merr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteCDF(w, sum, qs)
-}
-
-func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
-	sum, etag, err := g.merged(r.Context(), wantConsistent(r))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteState(w, sum)
-}
-
-func (g *Gateway) handleWindow(w http.ResponseWriter, r *http.Request) {
-	days, err := ingest.ParseWindowDays(r.URL.Query().Get("d"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	win, etag, merr := g.mergedWindow(r.Context(), wantConsistent(r))
-	if merr != nil {
-		http.Error(w, merr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteWindow(w, win, days)
-}
-
-func (g *Gateway) handleWindowState(w http.ResponseWriter, r *http.Request) {
-	win, etag, err := g.mergedWindow(r.Context(), wantConsistent(r))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ingest.NotModified(w, r, etag) {
-		return
-	}
-	ingest.WriteJSON(w, win)
+func (g *Gateway) ReadWindow(ctx context.Context, consistent bool) (*ingest.WindowState, string, error) {
+	return g.window.read(ctx, g, consistent)
 }
 
 // proxySwarm forwards a per-swarm read (GET /v1/swarm/{id} and its

@@ -55,40 +55,22 @@ func startTestNode(cfg ingest.Config) *testNode {
 		}
 		ingest.WriteJSON(w, map[string]int{"accepted": len(ops)})
 	})
-	// The read handlers mirror availd's: the default path serves the
-	// ETag-tagged lock-free snapshot, ?consistent=1 the queue barrier.
-	// The mock flushes up front so either path sees every acked push —
-	// the read-your-writes discipline the older gateway tests assume.
-	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
+	// The read endpoints are availd's real shared handlers, wrapped for
+	// the mock's hooks: an injectable delay, a flush up front so either
+	// path sees every acked push — the read-your-writes discipline the
+	// older gateway tests assume — and a count of full (non-304) bodies.
+	reads := http.NewServeMux()
+	ingest.RegisterReadHandlers(reads, n.e)
+	mux.HandleFunc("GET /v1/", func(w http.ResponseWriter, r *http.Request) {
 		if d := n.readDelay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
 		n.e.Flush()
-		if r.URL.Query().Get("consistent") != "" {
+		sw := &statusWriter{ResponseWriter: w}
+		reads.ServeHTTP(sw, r)
+		if sw.status != http.StatusNotModified {
 			n.reads.Add(1)
-			ingest.WriteState(w, n.e.Summary())
-			return
 		}
-		snap := n.e.Snapshot()
-		if ingest.NotModified(w, r, snap.ETag) {
-			return
-		}
-		n.reads.Add(1)
-		ingest.WriteState(w, snap.Summary)
-	})
-	mux.HandleFunc("GET /v1/window/state", func(w http.ResponseWriter, r *http.Request) {
-		n.e.Flush()
-		if r.URL.Query().Get("consistent") != "" {
-			n.reads.Add(1)
-			ingest.WriteJSON(w, n.e.Window())
-			return
-		}
-		snap := n.e.Snapshot()
-		if ingest.NotModified(w, r, snap.ETag) {
-			return
-		}
-		n.reads.Add(1)
-		ingest.WriteJSON(w, snap.Window)
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !n.healthy.Load() {
@@ -99,6 +81,17 @@ func startTestNode(cfg ingest.Config) *testNode {
 	})
 	n.srv = httptest.NewServer(mux)
 	return n
+}
+
+// statusWriter records the status a wrapped handler answers with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // fastClient is a retry-quick client template for tests.
@@ -154,6 +147,47 @@ func TestGatewayFanOutMergedReads(t *testing.T) {
 		c.BaseURL = gw.URL
 		return c
 	}())
+	fetch := func(base, path string) string {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) == 0 {
+			t.Fatalf("GET %s: 200 with an empty body", path)
+		}
+		return string(body)
+	}
+	// parity compares every merged rendering against the reference
+	// engine's. It runs on the empty cluster too: empty sketches have no
+	// quantiles, and the CDF must still be a well-formed body on both.
+	parity := func(stage string) {
+		t.Helper()
+		refSum := ref.Summary()
+		for _, c := range []struct {
+			path  string
+			write func(w http.ResponseWriter)
+		}{
+			{"/v1/summary", func(w http.ResponseWriter) { ingest.WriteSummary(w, refSum) }},
+			{"/v1/availability/cdf", func(w http.ResponseWriter) { ingest.WriteCDF(w, refSum, ingest.DefaultCDFQuantiles) }},
+			{"/v1/state", func(w http.ResponseWriter) { ingest.WriteState(w, refSum) }},
+		} {
+			rec := httptest.NewRecorder()
+			c.write(rec)
+			if got, want := fetch(gw.URL, c.path), rec.Body.String(); got != want {
+				t.Fatalf("%s: merged %s diverged from single-engine answer\n--- gateway ---\n%s--- reference ---\n%s", stage, c.path, got, want)
+			}
+		}
+	}
+	parity("empty cluster")
+
 	const swarms = 151
 	for batch := 0; batch < 12; batch++ {
 		recs := mkRecords(64, swarms, batch)
@@ -185,40 +219,7 @@ func TestGatewayFanOutMergedReads(t *testing.T) {
 		t.Fatalf("nodes hold %d swarms total, want %d (a swarm was split or lost)", total, swarms)
 	}
 
-	fetch := func(base, path string) string {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	render := func(write func(w http.ResponseWriter)) string {
-		rec := httptest.NewRecorder()
-		write(rec)
-		return rec.Body.String()
-	}
-
-	refSum := ref.Summary()
-	if got, want := fetch(gw.URL, "/v1/summary"),
-		render(func(w http.ResponseWriter) { ingest.WriteSummary(w, refSum) }); got != want {
-		t.Fatalf("merged /v1/summary diverged from single-engine answer\n--- gateway ---\n%s--- reference ---\n%s", got, want)
-	}
-	if got, want := fetch(gw.URL, "/v1/availability/cdf"),
-		render(func(w http.ResponseWriter) { ingest.WriteCDF(w, refSum, ingest.DefaultCDFQuantiles) }); got != want {
-		t.Fatalf("merged /v1/availability/cdf diverged\n--- gateway ---\n%s--- reference ---\n%s", got, want)
-	}
-	if got, want := fetch(gw.URL, "/v1/state"),
-		render(func(w http.ResponseWriter) { ingest.WriteState(w, refSum) }); got != want {
-		t.Fatalf("merged /v1/state diverged\n--- gateway ---\n%s--- reference ---\n%s", got, want)
-	}
+	parity("loaded cluster")
 }
 
 // TestGatewayPartialFailureNoAck: if any node cannot journal its share,

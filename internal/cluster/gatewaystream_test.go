@@ -12,10 +12,11 @@ import (
 
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
+	"swarmavail/internal/trace"
 )
 
 // streamNode is one in-memory availd stand-in: an engine serving both
-// the binary stream protocol and the /v1/state + /v1/healthz routes the
+// the binary stream protocol and the read + /v1/healthz routes the
 // gateway needs.
 type streamNode struct {
 	e       *ingest.Engine
@@ -31,9 +32,13 @@ func newStreamNode(t *testing.T) *streamNode {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		ingest.WriteJSON(w, map[string]string{"state": "serving"})
 	})
-	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
+	// availd's real read handlers, behind a flush so a snapshot-path read
+	// sees every acked frame.
+	reads := http.NewServeMux()
+	ingest.RegisterReadHandlers(reads, e)
+	mux.HandleFunc("GET /v1/", func(w http.ResponseWriter, r *http.Request) {
 		e.Flush()
-		ingest.WriteState(w, e.Summary())
+		reads.ServeHTTP(w, r)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -114,7 +119,8 @@ func fetchBody(t *testing.T, url string) []byte {
 // TestGatewayStreamParity pushes one op stream through the gateway's
 // binary stream front — frames straddling slots, so both the verbatim
 // single-slot path and the split-and-re-key path run — and requires the
-// gateway's merged /v1/summary and /v1/availability/cdf to be
+// gateway's merged /v1/summary, /v1/availability/cdf and — over the
+// census ops the same stream carries — /v1/bundling/summary to be
 // byte-identical to a lone engine that saw the whole stream.
 func TestGatewayStreamParity(t *testing.T) {
 	nodes := []*streamNode{newStreamNode(t), newStreamNode(t), newStreamNode(t)}
@@ -141,6 +147,14 @@ func TestGatewayStreamParity(t *testing.T) {
 			}
 		}
 	}
+	for _, sn := range trace.GenerateSnapshot(trace.SnapshotConfig{Seed: 17, NumSwarms: 120}) {
+		if err := c.Put(ingest.CensusOp(sn)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lone.ObserveCensus(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +176,26 @@ func TestGatewayStreamParity(t *testing.T) {
 	if got := fetchBody(t, gwSrv.URL+"/v1/availability/cdf"); !bytes.Equal(got, loneCDF.Body.Bytes()) {
 		t.Fatalf("merged cdf diverged from lone engine\n--- gateway ---\n%s\n--- lone ---\n%s",
 			got, loneCDF.Body.Bytes())
+	}
+
+	loneBundling := httptest.NewRecorder()
+	ingest.WriteBundling(loneBundling, lone.Summary())
+	if lone.Summary().CensusSwarms == 0 {
+		t.Fatal("reference engine holds no census swarms")
+	}
+	for _, q := range []string{"", "?consistent=1"} {
+		if got := fetchBody(t, gwSrv.URL+"/v1/bundling/summary"+q); !bytes.Equal(got, loneBundling.Body.Bytes()) {
+			t.Fatalf("merged bundling summary%s diverged from lone engine\n--- gateway ---\n%s\n--- lone ---\n%s",
+				q, got, loneBundling.Body.Bytes())
+		}
+	}
+	// ETag/304 like its siblings.
+	code, etag, _ := getTagged(t, gwSrv.URL+"/v1/bundling/summary", "")
+	if code != http.StatusOK || etag == "" {
+		t.Fatalf("bundling summary: status %d etag %q, want 200 with a validator", code, etag)
+	}
+	if code, _, body := getTagged(t, gwSrv.URL+"/v1/bundling/summary", etag); code != http.StatusNotModified || body != "" {
+		t.Fatalf("bundling revalidation: status %d with %d body bytes, want a bare 304", code, len(body))
 	}
 }
 

@@ -1,6 +1,10 @@
 package ingest
 
-import "sync"
+import (
+	"slices"
+	"strings"
+	"sync"
+)
 
 // Idempotency and epoch headers shared by the HTTP client, availd's
 // ingest handler, and the cluster gateway. They live here (not in
@@ -91,15 +95,6 @@ func (d *dedupState) window(source string) *sourceWindow {
 	return w
 }
 
-// observe marks (source, seq) as applied — the recovery-replay path,
-// where no duplicate check is needed (the journal already decided).
-func (d *dedupState) observe(source string, seq uint64) {
-	w := d.window(source)
-	w.mu.Lock()
-	w.mark(seq)
-	w.mu.Unlock()
-}
-
 // dedupRecord is one source's window in checkpoint wire form.
 type dedupRecord struct {
 	Source string   `json:"source"`
@@ -109,7 +104,7 @@ type dedupRecord struct {
 
 // records snapshots every window, sorted by source for deterministic
 // checkpoint bytes. Checkpoint calls it with the journal gate held
-// exclusively, so no keyed submit is concurrently marking.
+// exclusively, so no submit is concurrently marking.
 func (d *dedupState) records() []dedupRecord {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -121,10 +116,10 @@ func (d *dedupState) records() []dedupRecord {
 			rec.Seen = append(rec.Seen, s)
 		}
 		w.mu.Unlock()
-		sortUint64s(rec.Seen)
+		slices.Sort(rec.Seen)
 		out = append(out, rec)
 	}
-	sortDedupRecords(out)
+	slices.SortFunc(out, func(a, b dedupRecord) int { return strings.Compare(a.Source, b.Source) })
 	return out
 }
 
@@ -143,197 +138,5 @@ func (d *dedupState) install(recs []dedupRecord) {
 			}
 		}
 		d.sources[rec.Source] = w
-	}
-}
-
-// SubmitKeyed applies ops exactly once per (source, seq) idempotency
-// key: the first call delivers the batch, any retry of the same key is
-// acknowledged without re-applying (applied=false, err=nil, and the
-// duplicate is counted in ingest_deduped_total). An empty source
-// degrades to plain at-least-once Submit.
-//
-// On a durable engine the whole keyed batch is journaled as one frame —
-// key and ops together — before any shard sees it, so a crash can never
-// apply a batch while forgetting its key (or vice versa), and WAL
-// shipping carries the window to followers: a batch retried across a
-// failover is deduplicated by the promoted follower too.
-//
-// Keyed batches always use Block delivery regardless of cfg.OnFull:
-// shedding a journaled batch would resurrect at recovery exactly what
-// the shed dropped, breaking the exactly-once ledger.
-func (e *Engine) SubmitKeyed(source string, seq uint64, ops []Op) (applied bool, err error) {
-	if source == "" {
-		return true, e.Submit(ops)
-	}
-	if len(ops) == 0 {
-		return true, nil
-	}
-	if !e.enter() {
-		return false, ErrClosed
-	}
-	defer e.exit()
-	w := e.dedup.window(source)
-
-	if e.journal == nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.observed(seq) {
-			e.metrics.deduped.Add(uint64(len(ops)))
-			return false, nil
-		}
-		e.deliver(ops)
-		w.mark(seq)
-		return true, nil
-	}
-
-	frame, err := e.journal.encodeKeyed(source, seq, ops)
-	if err != nil {
-		return false, err
-	}
-	// Lock order: journal gate before window — Checkpoint holds the gate
-	// exclusively while snapshotting windows, so taking the window first
-	// here would deadlock. Holding the window across append+deliver also
-	// serialises retries of the same key: the loser of the race observes
-	// the winner's mark.
-	e.journal.gate.RLock()
-	defer e.journal.gate.RUnlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.observed(seq) {
-		e.journal.release(frame)
-		e.metrics.deduped.Add(uint64(len(ops)))
-		return false, nil
-	}
-	if err := e.journal.append(frame, len(ops)); err != nil {
-		return false, err
-	}
-	e.deliver(ops)
-	w.mark(seq)
-	return true, nil
-}
-
-// SubmitFrame applies one already-encoded wire frame (the v1/v2 ops
-// codec — exactly the bytes a binary stream DATA frame carries). This
-// is the streaming ingest hot path's whole point: the frame is decoded
-// once, and on a durable engine the received bytes are appended to the
-// journal verbatim — no intermediate structs, no re-encode — so the
-// wire format, the WAL format and the recovery format are one format.
-//
-// Keyed (v2) frames ride the same exactly-once windows as SubmitKeyed:
-// a replayed frame is acknowledged (applied=false, err=nil) without
-// re-applying and counted in ingest_deduped_total. A frame that fails
-// to decode is rejected before any state — journal or shards — is
-// touched.
-func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {
-	// Decode into a pooled scratch slice: deliver copies ops into the
-	// per-shard batches before returning, so the decode buffer is dead by
-	// the time the deferred put runs.
-	scratch := e.pool.get(0)
-	source, seq, ops, err := decodeFrameInto(scratch, frame)
-	if err != nil {
-		e.pool.put(scratch)
-		return false, err
-	}
-	defer e.pool.put(ops)
-	if len(ops) == 0 {
-		return true, nil
-	}
-	if !e.enter() {
-		return false, ErrClosed
-	}
-	defer e.exit()
-
-	if source == "" {
-		if e.journal == nil {
-			e.deliver(ops)
-			return true, nil
-		}
-		e.journal.gate.RLock()
-		defer e.journal.gate.RUnlock()
-		if err := e.journal.appendRaw(frame, len(ops)); err != nil {
-			return false, err
-		}
-		e.deliver(ops)
-		return true, nil
-	}
-
-	w := e.dedup.window(source)
-	if e.journal == nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.observed(seq) {
-			e.metrics.deduped.Add(uint64(len(ops)))
-			return false, nil
-		}
-		e.deliver(ops)
-		w.mark(seq)
-		return true, nil
-	}
-	// Same lock order as SubmitKeyed: journal gate before window.
-	e.journal.gate.RLock()
-	defer e.journal.gate.RUnlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.observed(seq) {
-		e.metrics.deduped.Add(uint64(len(ops)))
-		return false, nil
-	}
-	if err := e.journal.appendRaw(frame, len(ops)); err != nil {
-		return false, err
-	}
-	e.deliver(ops)
-	w.mark(seq)
-	return true, nil
-}
-
-// deliver partitions ops and block-sends one pooled batch per shard
-// touched, without journaling (the caller already has) and without
-// shedding (see SubmitKeyed). The caller must hold an enter()
-// registration.
-func (e *Engine) deliver(ops []Op) {
-	defer e.metrics.records.Add(uint64(len(ops)))
-	if len(e.shards) == 1 {
-		batch := e.pool.get(len(ops))
-		batch = append(batch, ops...)
-		e.shards[0].in <- shardMsg{ops: batch}
-		return
-	}
-	var parts [][]Op
-	if v := e.parts.Get(); v != nil {
-		parts = *(v.(*[][]Op))
-	} else {
-		parts = make([][]Op, len(e.shards))
-	}
-	// Same cold-start sizing rationale as Submit's fan-out.
-	hint := len(ops)/len(e.shards) + len(ops)/8 + 8
-	for _, op := range ops {
-		i := shardIndex(op.SwarmID(), len(e.shards))
-		if parts[i] == nil {
-			parts[i] = e.pool.get(hint)
-		}
-		parts[i] = append(parts[i], op)
-	}
-	for i, part := range parts {
-		if len(part) > 0 {
-			e.shards[i].in <- shardMsg{ops: part}
-		}
-		parts[i] = nil
-	}
-	e.parts.Put(&parts)
-}
-
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
-}
-
-func sortDedupRecords(recs []dedupRecord) {
-	for i := 1; i < len(recs); i++ {
-		for k := i; k > 0 && recs[k].Source < recs[k-1].Source; k-- {
-			recs[k], recs[k-1] = recs[k-1], recs[k]
-		}
 	}
 }

@@ -62,6 +62,10 @@ type RecoveryStats struct {
 	// payload failed to decode; the log was cut there (TruncateFrom) so
 	// every future boot sees the same prefix this one replayed.
 	BadFrameSeq uint64 `json:"bad_frame_seq,omitempty"`
+	// SkippedCheckpoints names each checkpoint file newer than the one
+	// loaded that could not be read, with the reason — recovery fell back
+	// past it to an older checkpoint or to WAL replay alone.
+	SkippedCheckpoints []string `json:"skipped_checkpoints,omitempty"`
 }
 
 // CheckpointStats reports one Engine.Checkpoint call.
@@ -83,13 +87,21 @@ type CheckpointStats struct {
 // journal (one built by New rather than OpenDurable).
 var ErrNotDurable = errors.New("ingest: engine has no durability layer")
 
-// checkpointHeader is frame 0 of a checkpoint file.
+// checkpointHeader is frame 0 of a checkpoint file. Shards counts the
+// shard frames that follow — one or more per shard, since a shard's
+// swarms are written in chunks of checkpointChunkSwarms.
 type checkpointHeader struct {
 	Version int    `json:"version"`
 	Seq     uint64 `json:"seq"`
 	Shards  int    `json:"shards"`
 	Swarms  int    `json:"swarms"`
 }
+
+// checkpointChunkSwarms is how many swarm records one shard frame
+// carries. A record with full window rings is a few KiB, so a chunk
+// stays far under wal.MaxFrameBytes however many swarms a shard owns
+// (one frame per shard hit the bound at ~25K swarms and would not load).
+const checkpointChunkSwarms = 1024
 
 // OpenDurable opens (or cold-starts) a durable engine rooted at
 // d.Dir: it loads the newest readable checkpoint, replays the WAL tail
@@ -109,11 +121,11 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	e := newEngine(cfg)
 
 	// 1. Newest readable checkpoint → shard maps (still single-threaded).
-	ckptSeq, swarms, dedupRecs, err := loadNewestCheckpoint(d.Dir, e.shards)
+	ckptSeq, swarms, dedupRecs, skipped, err := loadNewestCheckpoint(d.Dir, e.shards)
 	if err != nil {
 		return nil, rs, err
 	}
-	rs.CheckpointSeq, rs.CheckpointSwarms = ckptSeq, swarms
+	rs.CheckpointSeq, rs.CheckpointSwarms, rs.SkippedCheckpoints = ckptSeq, swarms, skipped
 	e.dedup.install(dedupRecs)
 
 	// 2. Open the journal, repairing any torn tail.
@@ -130,9 +142,11 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	}
 	rs.TruncatedBytes, rs.DroppedSegments = ws.TruncatedBytes, ws.DroppedSegments
 
-	// 3. Replay the tail through the ordinary apply path. The journal is
+	// 3. Replay the tail through the ordinary submit path. The journal is
 	// not attached yet, so replayed batches are not re-journaled — they
-	// are already in the log, at the sequences being read.
+	// are already in the log, at the sequences being read — and keyed
+	// frames re-mark their dedup windows exactly as they did live (the
+	// journal only ever holds first applications).
 	e.start()
 	replayed := reg.Counter("recovery_replayed_total")
 	var badSeq uint64
@@ -142,13 +156,8 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 			badSeq = seq
 			return derr
 		}
-		if serr := e.Submit(ops); serr != nil {
+		if _, serr := e.SubmitKeyed(source, batchSeq, ops); serr != nil {
 			return serr
-		}
-		if source != "" {
-			// The journal already arbitrated this key (SubmitKeyed only
-			// journals first applications), so replay just re-marks it.
-			e.dedup.observe(source, batchSeq)
 		}
 		rs.ReplayedFrames++
 		rs.ReplayedOps += uint64(len(ops))
@@ -228,8 +237,7 @@ func NewestCheckpoint(dir string) (path string, seq uint64, ok bool, err error) 
 // closed engine still works — the drained final state is captured —
 // provided the engine was closed by Close (which leaves checkpointing
 // to the caller) rather than crashed.
-func (e *Engine) Checkpoint() (CheckpointStats, error) {
-	var cs CheckpointStats
+func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	j := e.journal
 	if j == nil {
 		return cs, ErrNotDurable
@@ -240,7 +248,7 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 	j.gate.Lock()
 	defer j.gate.Unlock()
 	// With the gate held exclusively, every journaled batch has been
-	// sent to its shard queue (enqueue spans append+send under RLock),
+	// sent to its shard queues (submit spans append+send under RLock),
 	// so a persist message queued now observes everything ≤ seq.
 	seq := j.log.LastSeq()
 	if seq == j.lastCkpt {
@@ -273,8 +281,9 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 
 	// The gate is held exclusively, so no keyed submit is mid-mark: the
 	// windows captured here are exactly the ones the journaled prefix
-	// ≤ seq produced.
-	bytes, err := writeCheckpoint(j.log.Dir(), seq, len(e.shards), snaps, e.dedup.records())
+	// ≤ seq produced. writeCheckpoint refuses a file that would not load,
+	// so the truncation below never runs behind one.
+	bytes, err := writeCheckpoint(j.log.Dir(), seq, snaps, e.dedup.records())
 	if err != nil {
 		return cs, err
 	}
@@ -301,7 +310,7 @@ func checkpointPath(dir string, seq uint64) string {
 // writeCheckpoint renders the snapshot to checkpoint-<seq>.bin via a
 // fsynced temp file + atomic rename: the file either exists whole and
 // checksummed or not at all.
-func writeCheckpoint(dir string, seq uint64, shards int, snaps []*shardSnapshot, dedup []dedupRecord) (int64, error) {
+func writeCheckpoint(dir string, seq uint64, snaps []*shardSnapshot, dedup []dedupRecord) (int64, error) {
 	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
 	if err != nil {
 		return 0, err
@@ -313,17 +322,23 @@ func writeCheckpoint(dir string, seq uint64, shards int, snaps []*shardSnapshot,
 		}
 	}()
 
-	var swarms int
+	var swarms, frames int
 	for _, s := range snaps {
 		swarms += len(s.Swarms)
+		frames += max(1, (len(s.Swarms)+checkpointChunkSwarms-1)/checkpointChunkSwarms)
 	}
-	hdr, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Seq: seq, Shards: shards, Swarms: swarms})
+	hdr, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Seq: seq, Shards: frames, Swarms: swarms})
 	if err != nil {
 		return 0, err
 	}
 	w := bufio.NewWriterSize(tmp, 1<<20)
 	var scratch []byte
 	writeFrame := func(payload []byte) error {
+		if len(payload) > wal.MaxFrameBytes {
+			// The loader rejects such a frame as corruption; fail here,
+			// before the rename, rather than leave a file that cannot load.
+			return fmt.Errorf("ingest: checkpoint frame of %d bytes exceeds the %d-byte frame bound", len(payload), wal.MaxFrameBytes)
+		}
 		scratch = wal.AppendFrame(scratch[:0], payload)
 		_, werr := w.Write(scratch)
 		return werr
@@ -332,12 +347,23 @@ func writeCheckpoint(dir string, seq uint64, shards int, snaps []*shardSnapshot,
 		return 0, err
 	}
 	for _, s := range snaps {
-		payload, merr := json.Marshal(s)
-		if merr != nil {
-			return 0, merr
-		}
-		if err := writeFrame(payload); err != nil {
-			return 0, err
+		// One frame per chunk of swarms; the category counters ride on the
+		// first chunk only, since install adds them.
+		rest := s.Swarms
+		for first := true; first || len(rest) > 0; first = false {
+			n := min(len(rest), checkpointChunkSwarms)
+			chunk := shardSnapshot{Idx: s.Idx, Swarms: rest[:n]}
+			if first {
+				chunk.Cats = s.Cats
+			}
+			rest = rest[n:]
+			payload, merr := json.Marshal(&chunk)
+			if merr != nil {
+				return 0, merr
+			}
+			if err := writeFrame(payload); err != nil {
+				return 0, err
+			}
 		}
 	}
 	// v2: one mandatory dedup frame after the shard frames (an empty
@@ -401,17 +427,21 @@ func listCheckpoints(dir string) ([]uint64, error) {
 // loadNewestCheckpoint installs the newest readable checkpoint into the
 // shards and returns its sequence. A torn or corrupt checkpoint is
 // skipped in favour of the next older one — recovery degrades to a
-// longer WAL replay, never a refusal to start.
-func loadNewestCheckpoint(dir string, shards []*shard) (uint64, int, []dedupRecord, error) {
+// longer WAL replay, never a refusal to start — and reported in
+// the returned list (file: reason), so the fallback is never silent.
+func loadNewestCheckpoint(dir string, shards []*shard) (uint64, int, []dedupRecord, []string, error) {
+	var skipped []string
 	seqs, err := listCheckpoints(dir)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	for _, seq := range seqs {
-		swarms, dedup, lerr := loadCheckpoint(checkpointPath(dir, seq), seq, shards)
+		path := checkpointPath(dir, seq)
+		swarms, dedup, lerr := loadCheckpoint(path, seq, shards)
 		if lerr == nil {
-			return seq, swarms, dedup, nil
+			return seq, swarms, dedup, skipped, nil
 		}
+		skipped = append(skipped, fmt.Sprintf("%s: %v", filepath.Base(path), lerr))
 		// Reset any partial install and fall back to the next older
 		// checkpoint.
 		for _, s := range shards {
@@ -419,7 +449,7 @@ func loadNewestCheckpoint(dir string, shards []*shard) (uint64, int, []dedupReco
 			clear(s.cats)
 		}
 	}
-	return 0, 0, nil, nil
+	return 0, 0, nil, skipped, nil
 }
 
 // loadCheckpoint reads one checkpoint file into the shards, routing

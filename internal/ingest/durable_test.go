@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -116,6 +117,9 @@ func feedDurable(t *testing.T, e *Engine, traces []trace.SwarmTrace, snaps []tra
 		}
 		if cs.Skipped || cs.Seq == 0 {
 			t.Fatalf("checkpoint did nothing: %+v", cs)
+		}
+		if cs.Duration <= 0 {
+			t.Fatalf("checkpoint reports no duration: %+v", cs)
 		}
 	}
 	if _, err := ReplayTraces(e, &sliceSource[trace.SwarmTrace]{recs: traces[k:]}, 2); err != nil {
@@ -393,10 +397,68 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if rs.CheckpointSeq == cs.Seq || rs.CheckpointSeq == 0 {
 		t.Fatalf("fell back to checkpoint %d, want the older one", rs.CheckpointSeq)
 	}
+	if len(rs.SkippedCheckpoints) != 1 || !strings.HasPrefix(rs.SkippedCheckpoints[0], filepath.Base(checkpointPath(dir, cs.Seq))+": ") {
+		t.Fatalf("skipped checkpoints = %q, want the corrupt file and its reason", rs.SkippedCheckpoints)
+	}
 	if e2.Summary().Swarms == 0 {
 		t.Fatal("fallback recovery lost all state")
 	}
 	_ = want
+}
+
+// TestCheckpointChunksLargeShard: a shard holding more swarms than one
+// checkpoint frame carries is written as several frames (category
+// counters once) and loads back whole — taken on the open engine, so
+// the WAL behind it is truncated and the checkpoint alone must carry
+// the state.
+func TestCheckpointChunksLargeShard(t *testing.T) {
+	const swarms = 2*checkpointChunkSwarms + 7
+	dir := t.TempDir()
+	e, _, err := OpenDurable(Config{Shards: 1}, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := e.NewWriter()
+	for id := 0; id < swarms; id++ {
+		w.Observe(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: float64(id%50) / 10})
+	}
+	for _, sn := range trace.GenerateSnapshot(trace.SnapshotConfig{Seed: 3, NumSwarms: 30}) {
+		w.ObserveCensus(sn)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := stateBytes(e)
+	cs, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+
+	f, err := os.Open(checkpointPath(dir, cs.Seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var hdr checkpointHeader
+	if frame, err := wal.NewFrameReader(f).Next(); err != nil || json.Unmarshal(frame, &hdr) != nil {
+		t.Fatalf("checkpoint header unreadable: %v", err)
+	}
+	if hdr.Shards != 3 || hdr.Swarms != cs.Swarms {
+		t.Fatalf("header = %+v, want 3 shard frames covering %d swarms", hdr, cs.Swarms)
+	}
+
+	e2, rs, err := OpenDurable(Config{Shards: 1}, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if rs.CheckpointSwarms != cs.Swarms || rs.ReplayedFrames != 0 || len(rs.SkippedCheckpoints) != 0 {
+		t.Fatalf("recovered %+v, want %d swarms from the checkpoint alone", rs, cs.Swarms)
+	}
+	if got := stateBytes(e2); !bytes.Equal(got, want) {
+		t.Fatalf("chunked checkpoint did not round-trip\ngot:  %s\nwant: %s", got, want)
+	}
 }
 
 func TestCheckpointOnPlainEngineErrors(t *testing.T) {

@@ -98,13 +98,13 @@ type Engine struct {
 	wg      sync.WaitGroup
 
 	// journal, when non-nil, makes every accepted batch durable before
-	// (Block) or immediately after (Shed) it reaches a shard queue. Set
-	// only by OpenDurable, after recovery replay and before any
-	// producer exists, so the unsynchronised reads in enqueue are safe.
+	// it reaches a shard queue. Set only by OpenDurable, after recovery
+	// replay and before any producer exists, so the unsynchronised read
+	// in submit is safe.
 	journal *journal
 
 	// dedup holds the per-source exactly-once windows consulted by
-	// SubmitKeyed. On a durable engine its contents are recovered from
+	// submit. On a durable engine its contents are recovered from
 	// the checkpoint and keyed WAL frames before any producer exists.
 	dedup dedupState
 
@@ -129,7 +129,7 @@ type Engine struct {
 	// closeMu serialises Close (slow path only — never touched by
 	// writes or reads). stopped (under closeMu) records a completed
 	// drain; done is closed when the drain completes, and post-close
-	// readers block on it before touching shard state directly.
+	// flushes block on it so the final publish is what readers load.
 	closeMu sync.Mutex
 	stopped bool
 	done    chan struct{}
@@ -225,92 +225,97 @@ func (e *Engine) exit() {
 	}
 }
 
-// enqueue delivers one pool-owned batch to shard i under the configured
-// overflow policy. The caller must hold an enter() registration and
-// must not touch the batch afterwards: ownership transfers to the shard
-// (or back to the pool on shed/error) in every path.
+// submit is the engine's one write path — the exactly-once sequence of
+// DESIGN.md §11 lives here and nowhere else:
 //
-// With a journal attached, the batch is encoded before any send (the
-// shard may recycle the buffer the moment it is delivered), and the
-// journal append and queue send happen under one shared acquisition of
-// the journal gate. Under Block the frame is durable before the send,
-// so a batch whose Submit returned nil survives a crash; under Shed the
-// send is attempted first and only delivered batches are journaled —
-// journal-first would resurrect shed batches at recovery.
-func (e *Engine) enqueue(i int, batch []Op) error {
-	msg := shardMsg{ops: batch}
-	if e.journal == nil {
-		if e.cfg.OnFull == Shed {
-			select {
-			case e.shards[i].in <- msg:
-			default:
-				e.metrics.shed.Add(uint64(len(batch)))
-				e.pool.put(batch)
-				return nil
+//	enter → journal gate (shared) → per-source dedup check →
+//	journal append → partition-and-send → mark
+//
+// Submit, SubmitKeyed, SubmitFrame, Writer.flushShard and recovery
+// replay are thin adapters over it. source == "" is the degenerate
+// no-dedup case of the same path. wire, when non-nil, is the
+// already-verified encoding of exactly this batch and is journaled
+// verbatim (never re-encoded); otherwise the core encodes the frame
+// itself into a pooled buffer. shard >= 0 says ops is a pool-owned
+// batch wholly for that shard: ownership transfers to the shard (or
+// back to the pool on every path that does not send it); shard < 0
+// leaves ops with the caller and copies into pooled per-shard batches.
+//
+// With a journal attached the frame is durable before any shard sees
+// the batch, so a batch whose submit returned nil survives a crash. The
+// gate is held shared across append *and* send, so when Checkpoint
+// takes it exclusively every journaled batch is in its shard queues.
+// Lock order is gate → source window, because Checkpoint snapshots the
+// windows under the gate; holding the window across append+send also
+// serialises retries of one key — the loser observes the winner's mark.
+// A full shard queue stalls the caller (backpressure); nothing is ever
+// dropped.
+func (e *Engine) submit(source string, seq uint64, ops []Op, wire []byte, shard int) (applied bool, err error) {
+	sent := false
+	if shard >= 0 {
+		defer func() {
+			if !sent {
+				e.pool.put(ops)
 			}
-		} else {
-			e.shards[i].in <- msg
-		}
-		e.metrics.records.Add(uint64(len(batch)))
-		return nil
-	}
-
-	n := len(batch)
-	frame, err := e.journal.encode(batch)
-	if err != nil {
-		e.pool.put(batch)
-		return err
-	}
-	e.journal.gate.RLock()
-	defer e.journal.gate.RUnlock()
-	if e.cfg.OnFull == Shed {
-		select {
-		case e.shards[i].in <- msg:
-		default:
-			e.metrics.shed.Add(uint64(n))
-			e.pool.put(batch)
-			e.journal.release(frame)
-			return nil
-		}
-		if err := e.journal.append(frame, n); err != nil {
-			// The batch is already with the shard (applied in memory but
-			// not durable): surface the journal failure to the producer.
-			return err
-		}
-	} else {
-		if err := e.journal.append(frame, n); err != nil {
-			e.pool.put(batch)
-			return err
-		}
-		e.shards[i].in <- msg
-	}
-	e.metrics.records.Add(uint64(n))
-	return nil
-}
-
-// Submit partitions ops by owning shard and enqueues one batch per
-// shard touched. Safe for concurrent use; ops for the same swarm keep
-// their relative order within a call (and across calls from the same
-// goroutine). Under the default Block policy a full shard queue stalls
-// the caller (backpressure); under Shed the overflowing batch is
-// dropped and counted in Metrics().Shed. After Close, Submit returns
-// ErrClosed. The caller keeps ownership of ops: its contents are copied
-// into pool-recycled batch buffers.
-func (e *Engine) Submit(ops []Op) error {
-	if len(ops) == 0 {
-		return nil
+		}()
 	}
 	if !e.enter() {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	defer e.exit()
-	if len(e.shards) == 1 {
-		batch := e.pool.get(len(ops))
-		batch = append(batch, ops...)
-		return e.enqueue(0, batch)
+
+	j := e.journal
+	if j != nil {
+		if wire == nil {
+			// Encode before any send: the shard may recycle a pool-owned
+			// batch the moment it is delivered.
+			if wire, err = j.encode(source, seq, ops); err != nil {
+				return false, err
+			}
+			defer j.release(wire)
+		}
+		j.gate.RLock()
+		defer j.gate.RUnlock()
 	}
-	// Partition into pooled per-shard buffers. The [][]Op scratch is
-	// itself recycled, so a steady-state Submit allocates nothing.
+	var w *sourceWindow
+	if source != "" {
+		w = e.dedup.window(source)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if w.observed(seq) {
+			e.metrics.deduped.Add(uint64(len(ops)))
+			return false, nil
+		}
+	}
+	if j != nil {
+		if err := j.append(wire, len(ops)); err != nil {
+			return false, err
+		}
+	}
+	e.send(ops, shard)
+	sent = true
+	if w != nil {
+		w.mark(seq)
+	}
+	return true, nil
+}
+
+// send block-sends ops to their shard queues: a pool-owned batch for
+// one shard (shard >= 0) travels whole, anything else is partitioned
+// into one pooled batch per shard touched. Only submit calls it, with
+// an enter() registration held.
+func (e *Engine) send(ops []Op, shard int) {
+	e.metrics.records.Add(uint64(len(ops)))
+	if shard >= 0 {
+		e.shards[shard].in <- shardMsg{ops: ops}
+		return
+	}
+	if len(e.shards) == 1 {
+		e.shards[0].in <- shardMsg{ops: append(e.pool.get(len(ops)), ops...)}
+		return
+	}
+	// The [][]Op scratch is itself recycled, so a steady-state submit
+	// allocates nothing.
 	var parts [][]Op
 	if v := e.parts.Get(); v != nil {
 		parts = *(v.(*[][]Op))
@@ -328,22 +333,69 @@ func (e *Engine) Submit(ops []Op) error {
 		}
 		parts[i] = append(parts[i], op)
 	}
-	var firstErr error
 	for i, part := range parts {
 		if len(part) > 0 {
-			if firstErr != nil {
-				// A journal failure already poisoned this call: don't
-				// deliver the rest of a batch whose durability promise
-				// broke mid-way. enqueue consumed the earlier buffers.
-				e.pool.put(part)
-			} else if err := e.enqueue(i, part); err != nil {
-				firstErr = err
-			}
+			e.shards[i].in <- shardMsg{ops: part}
 		}
 		parts[i] = nil
 	}
 	e.parts.Put(&parts)
-	return firstErr
+}
+
+// Submit applies ops. Safe for concurrent use; ops for the same swarm
+// keep their relative order within a call (and across calls from the
+// same goroutine). A full shard queue stalls the caller (backpressure).
+// After Close, Submit returns ErrClosed. The caller keeps ownership of
+// ops: its contents are copied into pool-recycled batch buffers. On a
+// durable engine the call journals one frame.
+func (e *Engine) Submit(ops []Op) error {
+	_, err := e.SubmitKeyed("", 0, ops)
+	return err
+}
+
+// SubmitKeyed applies ops exactly once per (source, seq) idempotency
+// key: the first call delivers the batch, any retry of the same key is
+// acknowledged without re-applying (applied=false, err=nil, and the
+// duplicate is counted in ingest_deduped_total). An empty source is
+// plain at-least-once Submit.
+//
+// On a durable engine the whole keyed batch is journaled as one frame —
+// key and ops together — before any shard sees it, so a crash can never
+// apply a batch while forgetting its key (or vice versa), and WAL
+// shipping carries the window to followers: a batch retried across a
+// failover is deduplicated by the promoted follower too.
+func (e *Engine) SubmitKeyed(source string, seq uint64, ops []Op) (applied bool, err error) {
+	if len(ops) == 0 {
+		return true, nil
+	}
+	return e.submit(source, seq, ops, nil, -1)
+}
+
+// SubmitFrame applies one already-encoded wire frame (the v1/v2 ops
+// codec — exactly the bytes a binary stream DATA frame carries). This
+// is the streaming ingest hot path's whole point: the frame is decoded
+// once, and on a durable engine the received bytes are appended to the
+// journal verbatim — no intermediate structs, no re-encode — so the
+// wire format, the WAL format and the recovery format are one format.
+//
+// Keyed (v2) frames ride the same exactly-once windows as SubmitKeyed.
+// A frame that fails to decode is rejected before any state — journal
+// or shards — is touched.
+func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {
+	// Decode into a pooled scratch slice: submit copies ops into the
+	// per-shard batches before returning, so the decode buffer is dead by
+	// the time the deferred put runs.
+	scratch := e.pool.get(0)
+	source, seq, ops, err := decodeFrameInto(scratch, frame)
+	if err != nil {
+		e.pool.put(scratch)
+		return false, err
+	}
+	defer e.pool.put(ops)
+	if len(ops) == 0 {
+		return true, nil
+	}
+	return e.submit(source, seq, ops, frame, -1)
 }
 
 // Observe ingests a single monitor record (convenience; prefer a
@@ -361,19 +413,23 @@ func (e *Engine) ObserveCensus(snap trace.Snapshot) error {
 }
 
 // Flush blocks until every op submitted before the call has been
-// applied (a barrier through every shard queue). After Close it waits
-// for the drain to finish (the close applies everything) and returns.
-func (e *Engine) Flush() {
+// applied and published (a barrier through every shard queue; shards
+// publish their read snapshot before acknowledging). After Close it
+// waits for the drain to finish (the close applies everything).
+func (e *Engine) Flush() { e.flush(e.shards...) }
+
+// flush is Flush for the shards concerned.
+func (e *Engine) flush(shards ...*shard) {
 	if !e.enter() {
 		<-e.done
 		return
 	}
 	defer e.exit()
-	ack := make(chan struct{}, len(e.shards))
-	for _, s := range e.shards {
+	ack := make(chan struct{}, len(shards))
+	for _, s := range shards {
 		s.in <- shardMsg{ack: ack}
 	}
-	for range e.shards {
+	for range shards {
 		<-ack
 	}
 }
@@ -414,49 +470,26 @@ func (e *Engine) Close() {
 	close(e.done)
 }
 
-// Summary requests a consistent aggregate from every shard and merges
-// them. It observes everything the caller submitted before the call
-// (readers queue behind writes, never the other way around). After
-// Close it reads the shards' final state directly.
+// Summary is the barrier read of the engine-wide aggregate: a flush,
+// then a fresh merge of the published shard snapshots (the caller owns
+// the result). It observes everything the caller submitted before the
+// call; after Close the final publish is the complete state.
 func (e *Engine) Summary() *Summary {
+	e.Flush()
 	sum := NewSummary()
-	if !e.enter() {
-		// Shard goroutines have exited once done closes, so their
-		// state is safe to read in place.
-		<-e.done
-		for _, s := range e.shards {
-			sum.Merge(s.summarize())
-		}
-		return sum
-	}
-	defer e.exit()
-	ch := make(chan *Summary, len(e.shards))
 	for _, s := range e.shards {
-		s.in <- shardMsg{summary: ch}
-	}
-	for range e.shards {
-		sum.Merge(<-ch)
+		sum.Merge(s.snap.Load().sum)
 	}
 	return sum
 }
 
-// Swarm returns the current snapshot of one swarm.
+// Swarm is the barrier read of one swarm: a flush of its home shard,
+// then a lookup in that shard's published snapshot.
 func (e *Engine) Swarm(id int) (SwarmStats, bool) {
-	if !e.enter() {
-		<-e.done
-		if st, ok := e.shardFor(id).swarms[id]; ok {
-			return st.stats(), true
-		}
-		return SwarmStats{}, false
-	}
-	defer e.exit()
-	ch := make(chan *SwarmStats, 1)
-	e.shardFor(id).in <- shardMsg{swarmID: id, swarm: ch}
-	st := <-ch
-	if st == nil {
-		return SwarmStats{}, false
-	}
-	return *st, true
+	s := e.shardFor(id)
+	e.flush(s)
+	st, ok := s.snap.Load().swarms[id]
+	return st, ok
 }
 
 // Metrics snapshots the engine's operational counters.
@@ -465,7 +498,7 @@ func (e *Engine) Metrics() MetricsSnapshot {
 	for i, s := range e.shards {
 		depths[i] = len(s.in)
 	}
-	return e.metrics.snapshot(depths, e.cfg.OnFull)
+	return e.metrics.snapshot(depths)
 }
 
 // Writer is a per-producer batching front end: ops accumulate in
@@ -528,14 +561,13 @@ func (w *Writer) flushShard(i int) error {
 		return nil
 	}
 	w.bufs[i] = nil
-	if !w.e.enter() {
-		n := len(batch)
+	n := len(batch) // submit takes ownership of batch
+	_, err := w.e.submit("", 0, batch, nil, i)
+	if errors.Is(err, ErrClosed) {
 		w.e.metrics.writerDropped.Add(uint64(n))
-		w.e.pool.put(batch)
 		return &ClosedError{Dropped: n}
 	}
-	defer w.e.exit()
-	return w.e.enqueue(i, batch)
+	return err
 }
 
 // Flush pushes every buffered op to its shard. It does not wait for

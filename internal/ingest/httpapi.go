@@ -1,29 +1,126 @@
-// HTTP response rendering shared by cmd/availd (single node) and
-// cmd/availgw (cluster gateway). Keeping the encoding in one place is
-// what makes the gateway's merged answers byte-identical to a single
-// node's: both sides render the same structs with the same encoder
-// settings, so equality of the underlying Summary is equality of the
+// The merged read endpoints and their rendering, shared by cmd/availd
+// (single node) and cmd/availgw (cluster gateway). Keeping handlers and
+// encoding in one place is what makes the gateway's merged answers
+// byte-identical to a single node's: both sides run the same code over
+// a ReadView, so equality of the underlying Summary is equality of the
 // bytes on the wire.
 package ingest
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"swarmavail/internal/measure"
+	"swarmavail/internal/trace"
 )
 
 // WriteJSON renders v as indented JSON with the shared encoder settings.
+// It encodes into a buffer first, so a value that cannot be encoded
+// answers 500 rather than a 200 with no body.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes()) // a failed write is the client gone
+}
+
+// ReadView is the state behind the merged read endpoints: a node serves
+// its engine (*Engine), the cluster gateway its scatter-gathered merge.
+// consistent selects the barrier read (read-your-writes, untagged) over
+// the snapshot path, whose etag validates conditional GETs.
+type ReadView interface {
+	ReadSummary(ctx context.Context, consistent bool) (sum *Summary, etag string, err error)
+	ReadWindow(ctx context.Context, consistent bool) (win *WindowState, etag string, err error)
+}
+
+// WantConsistent reports whether the request opted out of the snapshot
+// path with ?consistent=1 — a full barrier that observes everything
+// submitted before the call, bypassing snapshot caches, conditional
+// GETs and scatter-gather collapsing.
+func WantConsistent(r *http.Request) bool {
+	v := r.URL.Query().Get("consistent")
+	return v != "" && v != "0"
+}
+
+// RegisterReadHandlers mounts the merged read endpoints over v — the
+// one handler set availd and availgw both serve, which is what keeps
+// the gateway's answers byte-identical to a single node's. Every route
+// takes ?consistent=1, revalidates If-None-Match against the view's
+// ETag (304), and answers 503 when the view cannot be read.
+func RegisterReadHandlers(mux *http.ServeMux, v ReadView) {
+	// resolved maps a view error to 503 and a validator hit to 304; true
+	// means the caller still owes the body.
+	resolved := func(w http.ResponseWriter, r *http.Request, etag string, err error) bool {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return false
+		}
+		return !NotModified(w, r, etag)
+	}
+	summary := func(w http.ResponseWriter, r *http.Request) (*Summary, bool) {
+		sum, etag, err := v.ReadSummary(r.Context(), WantConsistent(r))
+		return sum, resolved(w, r, etag, err)
+	}
+	window := func(w http.ResponseWriter, r *http.Request) (*WindowState, bool) {
+		win, etag, err := v.ReadWindow(r.Context(), WantConsistent(r))
+		return win, resolved(w, r, etag, err)
+	}
+	mux.HandleFunc("GET /v1/summary", func(w http.ResponseWriter, r *http.Request) {
+		if sum, ok := summary(w, r); ok {
+			WriteSummary(w, sum)
+		}
+	})
+	mux.HandleFunc("GET /v1/availability/cdf", func(w http.ResponseWriter, r *http.Request) {
+		qs, err := ParseQuantiles(r.URL.Query().Get("q"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if sum, ok := summary(w, r); ok {
+			WriteCDF(w, sum, qs)
+		}
+	})
+	mux.HandleFunc("GET /v1/bundling/summary", func(w http.ResponseWriter, r *http.Request) {
+		if sum, ok := summary(w, r); ok {
+			WriteBundling(w, sum)
+		}
+	})
+	// The mergeable wire forms: the gateway's scatter-gather payloads.
+	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
+		if sum, ok := summary(w, r); ok {
+			WriteState(w, sum)
+		}
+	})
+	mux.HandleFunc("GET /v1/window/state", func(w http.ResponseWriter, r *http.Request) {
+		if win, ok := window(w, r); ok {
+			WriteJSON(w, win)
+		}
+	})
+	// The trailing ?d= window of time-binned availability (default 24h),
+	// downsampled when the span exceeds the fine ring.
+	mux.HandleFunc("GET /v1/availability/window", func(w http.ResponseWriter, r *http.Request) {
+		days, err := ParseWindowDays(r.URL.Query().Get("d"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if win, ok := window(w, r); ok {
+			WriteWindow(w, win, days)
+		}
+	})
 }
 
 // SummaryResponse is the GET /v1/summary body: the summary's public
@@ -53,7 +150,9 @@ type CDFResponse struct {
 	Headlines    measure.StudyHeadlines `json:"headlines"`
 }
 
-// NewCDFResponse evaluates sum's availability sketches at qs.
+// NewCDFResponse evaluates sum's availability sketches at qs. While the
+// sketches hold no samples the quantile maps are empty (an empty
+// sketch's quantiles are NaN, which JSON cannot carry).
 func NewCDFResponse(sum *Summary, qs []float64) CDFResponse {
 	resp := CDFResponse{
 		Swarms:       sum.StudySwarms,
@@ -61,6 +160,9 @@ func NewCDFResponse(sum *Summary, qs []float64) CDFResponse {
 		Full:         make(map[string]float64, len(qs)),
 		ToleranceAbs: sum.Full.Resolution(),
 		Headlines:    sum.Headlines(),
+	}
+	if sum.Full.N() == 0 {
+		return resp
 	}
 	for _, q := range qs {
 		key := strconv.FormatFloat(q, 'g', -1, 64)
@@ -97,6 +199,51 @@ func ParseQuantiles(arg string) ([]float64, error) {
 // payload served on GET /v1/state.
 func WriteState(w http.ResponseWriter, sum *Summary) {
 	WriteJSON(w, sum.State())
+}
+
+// bundlingCategory is one content category's row of the
+// GET /v1/bundling/summary body (§2.3's bundling extent and the
+// seedless/demand comparison).
+type bundlingCategory struct {
+	Category             string  `json:"category"`
+	Swarms               int     `json:"swarms"`
+	Bundles              int     `json:"bundles"`
+	BundleFraction       float64 `json:"bundle_fraction"`
+	Collections          int     `json:"collections"`
+	SeedlessAll          float64 `json:"seedless_all"`
+	SeedlessBundles      float64 `json:"seedless_bundles"`
+	MeanDownloadsAll     float64 `json:"mean_downloads_all"`
+	MeanDownloadsBundles float64 `json:"mean_downloads_bundles"`
+}
+
+// WriteBundling renders sum's per-category census counters as a
+// /v1/bundling/summary response, categories in a fixed order.
+func WriteBundling(w http.ResponseWriter, sum *Summary) {
+	cats := make([]trace.Category, 0, len(sum.Categories))
+	for cat := range sum.Categories {
+		cats = append(cats, cat)
+	}
+	slices.Sort(cats)
+	out := struct {
+		CensusSwarms int                `json:"census_swarms"`
+		Categories   []bundlingCategory `json:"categories"`
+	}{CensusSwarms: sum.CensusSwarms}
+	for _, cat := range cats {
+		cc := sum.Categories[cat]
+		cmp := cc.Compare(cat)
+		out.Categories = append(out.Categories, bundlingCategory{
+			Category:             cat.String(),
+			Swarms:               cc.Swarms,
+			Bundles:              cc.Bundles,
+			BundleFraction:       cc.Extent(cat).BundleFraction(),
+			Collections:          cc.Collections,
+			SeedlessAll:          cmp.SeedlessAll,
+			SeedlessBundles:      cmp.SeedlessBundles,
+			MeanDownloadsAll:     cmp.MeanDownloadsAll,
+			MeanDownloadsBundles: cmp.MeanDownloadsBundles,
+		})
+	}
+	WriteJSON(w, out)
 }
 
 // ParseWindowDays parses a ?d= window length: a Go duration ("24h",

@@ -9,20 +9,20 @@
 //
 // # Architecture
 //
-//	producers ──Writer──▶ per-shard batch queues ──▶ shard goroutines
+//	producers ──submit──▶ per-shard batch queues ──▶ shard goroutines
 //	                                                   │ (own all state,
 //	                                                   │  no locks)
-//	readers ───Summary/Swarm──▶ request messages ──────┘
+//	readers ◀── published immutable snapshots ◀────────┘
 //
 // Swarm state is partitioned by swarm-id hash across N shard
 // goroutines, each owning its slice of the keyspace outright — the hot
 // path applies batches without taking any lock. Readers never block
-// writers: snapshot requests travel through the same per-shard queues
-// as batches and are answered with copies, so a slow reader costs at
-// most one queue slot; writers stall only on queue backpressure.
-// Per-shard sketches and counters merge losslessly (see
-// stats.QuantileSketch and stats.Accumulator), which is what makes the
-// sharded aggregate equal to the unsharded one.
+// writers: each shard publishes an immutable snapshot behind an atomic
+// pointer, and a barrier read is a flush through the queues followed by
+// a load of those snapshots; writers stall only on queue backpressure.
+// Per-shard sketches and counters merge losslessly (integer bin counts
+// and sums; see stats.QuantileSketch), which is what makes the sharded
+// aggregate equal to the unsharded one.
 //
 // # Exactness
 //
@@ -130,27 +130,6 @@ func (o Op) SwarmID() int {
 	}
 }
 
-// OverflowPolicy selects what Submit does when a shard queue is full.
-type OverflowPolicy uint8
-
-const (
-	// Block (the default) stalls the submitter until the shard drains —
-	// lossless backpressure.
-	Block OverflowPolicy = iota
-	// Shed drops the overflowing batch immediately and counts the lost
-	// ops in Metrics().Shed — bounded-latency, lossy degradation for
-	// producers that must never stall (e.g. a live monitor).
-	Shed
-)
-
-// String names the policy for metrics and logs.
-func (p OverflowPolicy) String() string {
-	if p == Shed {
-		return "shed"
-	}
-	return "block"
-}
-
 // Config parameterises the engine. The zero value selects sensible
 // defaults via New.
 type Config struct {
@@ -163,11 +142,9 @@ type Config struct {
 	// ops ≈ 24 KiB per pooled buffer.
 	BatchSize int
 	// QueueDepth is the per-shard queue capacity in batches
-	// (default 128). What happens when a queue fills is OnFull's call.
+	// (default 128). A full queue stalls the submitter until the shard
+	// drains — lossless backpressure.
 	QueueDepth int
-	// OnFull is the backpressure policy for a full shard queue:
-	// Block (default) or Shed.
-	OnFull OverflowPolicy
 	// Metrics is an optional observability registry the engine
 	// registers its instruments on (ingest_* series). Nil means a
 	// private registry — Engine.Metrics still works, nothing is

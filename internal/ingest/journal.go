@@ -250,11 +250,11 @@ func EncodeFrame(dst []byte, source string, seq uint64, ops []Op) ([]byte, error
 }
 
 // journal couples the engine's write path to a wal.Log. Its gate is the
-// checkpoint/append ordering lock: enqueue holds it shared across the
-// journal-append *and* the queue send, so when Checkpoint acquires it
-// exclusively, every journaled batch is also in its shard queue (Block)
-// or every delivered batch is journaled (Shed) — and a persist message
-// queued afterwards therefore observes everything the journal covers.
+// checkpoint/append ordering lock: submit holds it shared across the
+// journal-append *and* the queue sends, so when Checkpoint acquires it
+// exclusively, every journaled batch is also in its shard queues — and
+// a persist message queued afterwards therefore observes everything
+// the journal covers.
 type journal struct {
 	gate sync.RWMutex
 	log  *wal.Log
@@ -272,47 +272,25 @@ func newJournal(log *wal.Log, reg *obs.Registry) *journal {
 	return &journal{log: log, appended: reg.Counter("wal_appended_total")}
 }
 
-// encode renders ops into a pooled scratch buffer. The caller must hand
-// the buffer back via j.release after the append.
-func (j *journal) encode(ops []Op) ([]byte, error) {
+// encode renders a batch (keyed when source is non-empty) into a pooled
+// scratch buffer. The caller hands the buffer back via j.release.
+func (j *journal) encode(source string, seq uint64, ops []Op) ([]byte, error) {
 	var buf []byte
 	if v := j.bufs.Get(); v != nil {
 		buf = (*(v.(*[]byte)))[:0]
 	}
-	return encodeOps(buf, ops)
+	return EncodeFrame(buf, source, seq, ops)
 }
 
-// encodeKeyed renders a keyed batch into a pooled scratch buffer. The
-// caller must hand the buffer back via j.append or j.release.
-func (j *journal) encodeKeyed(source string, seq uint64, ops []Op) ([]byte, error) {
-	var buf []byte
-	if v := j.bufs.Get(); v != nil {
-		buf = (*(v.(*[]byte)))[:0]
-	}
-	return encodeKeyedOps(buf, source, seq, ops)
-}
+// release returns an encode buffer to the pool.
+func (j *journal) release(frame []byte) { j.bufs.Put(&frame) }
 
-// append journals one pre-encoded frame and releases the buffer.
+// append journals one encoded frame — the engine's only wal.Log.Append.
+// The log copies the bytes before returning, so the caller keeps frame.
 func (j *journal) append(frame []byte, nOps int) error {
 	_, err := j.log.Append(frame)
-	j.bufs.Put(&frame)
 	if err == nil {
 		j.appended.Add(uint64(nOps))
 	}
 	return err
 }
-
-// appendRaw journals one wire-received frame verbatim. Unlike append it
-// never pools the buffer: the bytes belong to the caller (a stream
-// reader's reusable frame buffer), and the wal.Log copies them into its
-// own scratch before Append returns.
-func (j *journal) appendRaw(frame []byte, nOps int) error {
-	_, err := j.log.Append(frame)
-	if err == nil {
-		j.appended.Add(uint64(nOps))
-	}
-	return err
-}
-
-// release returns an encode buffer without appending it (shed path).
-func (j *journal) release(frame []byte) { j.bufs.Put(&frame) }

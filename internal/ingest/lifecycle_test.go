@@ -125,47 +125,6 @@ func TestConcurrentSubmitRacingClose(t *testing.T) {
 	}
 }
 
-// Shed policy: when a shard queue is full the batch is dropped and
-// counted, and the submitter never blocks.
-func TestShedPolicyCountsDrops(t *testing.T) {
-	// One shard whose goroutine we wedge mid-request (a summary reply
-	// nobody receives yet) so the queue (depth 1) backs up
-	// deterministically.
-	e := New(Config{Shards: 1, QueueDepth: 1, OnFull: Shed})
-	defer e.Close()
-
-	wedge := make(chan *Summary) // unbuffered: the shard blocks sending the reply
-	e.shards[0].in <- shardMsg{summary: wedge}
-	for len(e.shards[0].in) != 0 { // dequeued ⇒ the shard is committed to the reply
-		time.Sleep(time.Millisecond)
-	}
-
-	if err := e.Observe(rec(1, 1, true, 0)); err != nil { // fills the queue
-		t.Fatalf("first observe: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- e.Submit([]Op{EventOp(rec(2, 1, true, 0)), EventOp(rec(2, 1, false, 1))}) }()
-	select {
-	case err := <-done: // must not block
-		if err != nil {
-			t.Fatalf("shed submit errored: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("Shed submit blocked on a full queue")
-	}
-	m := e.Metrics()
-	if m.Shed != 2 {
-		t.Fatalf("shed counter: %d, want 2", m.Shed)
-	}
-	if m.OverflowPolicy != "shed" {
-		t.Fatalf("overflow policy: %q, want shed", m.OverflowPolicy)
-	}
-	if m.Records != 1 {
-		t.Fatalf("records counts shed ops: %d, want 1", m.Records)
-	}
-	<-wedge // release the shard to drain the backlog
-}
-
 // HTTPClient retries a flaky ingest endpoint to success and reports
 // at-least-once delivery.
 func TestHTTPClientRetriesToSuccess(t *testing.T) {

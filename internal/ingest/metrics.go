@@ -8,7 +8,7 @@ import (
 )
 
 // Metrics owns the engine's operational instruments, all registered on
-// an obs.Registry: ingest volume, shed counts, per-shard applied
+// an obs.Registry: ingest volume, per-shard applied
 // counters, batch sizes and per-batch apply latency. Counter and
 // histogram updates are single atomic operations — nothing on the
 // per-record hot path takes a lock.
@@ -22,7 +22,6 @@ type Metrics struct {
 
 	records       *obs.Counter   // ops accepted by Submit/Writer
 	deduped       *obs.Counter   // keyed ops acked without re-applying (duplicates)
-	shed          *obs.Counter   // ops dropped by the Shed overflow policy
 	writerDropped *obs.Counter   // buffered Writer ops lost to Close (see ClosedError)
 	batches       *obs.Counter   // batches applied
 	applied       []*obs.Counter // ops applied, labeled shard="i"
@@ -50,7 +49,6 @@ func newMetrics(reg *obs.Registry, shards int) *Metrics {
 		reg:           reg,
 		records:       reg.Counter("ingest_records_total"),
 		deduped:       reg.Counter("ingest_deduped_total"),
-		shed:          reg.Counter("ingest_shed_total"),
 		writerDropped: reg.Counter("ingest_writer_dropped_total"),
 		batches:       reg.Counter("ingest_batches_total"),
 		batchLatency:  reg.Histogram("ingest_batch_apply_seconds", obs.LatencyBuckets),
@@ -90,15 +88,11 @@ type MetricsSnapshot struct {
 	// Deduped counts keyed ops acknowledged without re-applying because
 	// their (source, seq) batch was already journaled.
 	Deduped uint64 `json:"deduped"`
-	// Shed counts ops dropped by the Shed overflow policy; always 0
-	// under Block. OverflowPolicy names the active policy.
-	Shed           uint64  `json:"shed"`
-	OverflowPolicy string  `json:"overflow_policy"`
 	// ReadCacheHits counts Snapshot() reads served from the memoized
 	// merged snapshot (no per-shard re-merge).
-	ReadCacheHits uint64 `json:"read_cache_hits"`
-	MeanBatchSize  float64 `json:"mean_batch_size"`
-	MaxBatchSize   float64 `json:"max_batch_size"`
+	ReadCacheHits uint64  `json:"read_cache_hits"`
+	MeanBatchSize float64 `json:"mean_batch_size"`
+	MaxBatchSize  float64 `json:"max_batch_size"`
 	// Batch apply latency quantiles in seconds (histogram-accurate:
 	// exact to within one factor-2 bucket).
 	LatencyP50 float64 `json:"latency_p50_seconds"`
@@ -114,7 +108,7 @@ type MetricsSnapshot struct {
 // cannot skip a counter by copying fields themselves.
 // TestMetricsSnapshotComplete enforces (by reflection) that every
 // exported field is populated.
-func (m *Metrics) snapshot(depths []int, policy OverflowPolicy) MetricsSnapshot {
+func (m *Metrics) snapshot(depths []int) MetricsSnapshot {
 	up := time.Since(m.start).Seconds()
 	perShard := make([]uint64, len(m.applied))
 	var applied uint64
@@ -123,20 +117,18 @@ func (m *Metrics) snapshot(depths []int, policy OverflowPolicy) MetricsSnapshot 
 		applied += perShard[i]
 	}
 	snap := MetricsSnapshot{
-		UptimeSeconds:  up,
-		Records:        m.records.Value(),
-		Deduped:        m.deduped.Value(),
-		Applied:        applied,
-		Batches:        m.batches.Value(),
-		Shed:           m.shed.Value(),
-		OverflowPolicy: policy.String(),
-		ReadCacheHits:  m.readCacheHits.Value(),
-		MeanBatchSize:  m.batchSize.Mean(),
-		MaxBatchSize:   m.batchSizeMax.Value(),
-		LatencyP50:     m.batchLatency.Quantile(0.5),
-		LatencyP99:     m.batchLatency.Quantile(0.99),
-		ShardDepths:    depths,
-		ShardApplied:   perShard,
+		UptimeSeconds: up,
+		Records:       m.records.Value(),
+		Deduped:       m.deduped.Value(),
+		Applied:       applied,
+		Batches:       m.batches.Value(),
+		ReadCacheHits: m.readCacheHits.Value(),
+		MeanBatchSize: m.batchSize.Mean(),
+		MaxBatchSize:  m.batchSizeMax.Value(),
+		LatencyP50:    m.batchLatency.Quantile(0.5),
+		LatencyP99:    m.batchLatency.Quantile(0.99),
+		ShardDepths:   depths,
+		ShardApplied:  perShard,
 	}
 	if up > 0 {
 		snap.RecordsPerSecond = float64(applied) / up

@@ -10,24 +10,21 @@ import (
 )
 
 // shardMsg is the single message type flowing through a shard's queue.
-// Exactly one of the fields is set. Routing reads through the same
-// queue as writes keeps them ordered after every batch submitted before
-// them — and means a reader never takes a lock a writer could contend
-// on.
+// Exactly one of the four kinds is set: a batch, a flush barrier, a
+// per-swarm timeline request, or a checkpoint capture. Every other read
+// is a barrier followed by a load of the published snapshot, so reads
+// stay ordered after the writes submitted before them without a message
+// kind (or a second copy of buildSnap's arithmetic) per question asked.
 type shardMsg struct {
 	ops []Op // batch of work
 
-	ack chan<- struct{} // flush barrier: signalled once prior msgs applied
+	ack chan<- struct{} // flush barrier: publish, then signal
 
-	summary chan<- *Summary // aggregate snapshot request
-
-	swarmID int
-	swarm   chan<- *SwarmStats // per-swarm snapshot request (nil reply = unknown)
-
-	window chan<- *WindowState // windowed-aggregate request (consistent path)
-
+	// Per-swarm window ring (nil reply = unknown). Rings are not part of
+	// shardSnap — 66K ring copies per publish would dominate it — so
+	// this one read stays a message.
 	timelineID int
-	timeline   chan<- *WindowState // per-swarm window ring (nil reply = unknown)
+	timeline   chan<- *WindowState
 
 	persist chan<- *shardSnapshot // checkpoint state capture request
 }
@@ -119,17 +116,6 @@ func (s *shard) run() {
 				s.publish()
 			}
 			msg.ack <- struct{}{}
-		case msg.summary != nil:
-			msg.summary <- s.summarize()
-		case msg.swarm != nil:
-			if st, ok := s.swarms[msg.swarmID]; ok {
-				snap := st.stats()
-				msg.swarm <- &snap
-			} else {
-				msg.swarm <- nil
-			}
-		case msg.window != nil:
-			msg.window <- s.windowize()
 		case msg.timeline != nil:
 			msg.timeline <- s.timelineOf(msg.timelineID)
 		case msg.persist != nil:
@@ -197,7 +183,7 @@ func (s *shard) snapshot() *shardSnapshot {
 		snap.Swarms = append(snap.Swarms, st.record(id))
 	}
 	for cat, cc := range s.cats {
-		snap.Cats = append(snap.Cats, newCategoryRecord(cat, *cc))
+		snap.Cats = append(snap.Cats, categoryRecord{cat, *cc})
 	}
 	return snap
 }
@@ -218,48 +204,14 @@ func (s *shard) install(snap *shardSnapshot) {
 			cc = &CategoryCounters{}
 			s.cats[cr.Category] = cc
 		}
-		cc.merge(cr.counters())
+		cc.merge(cr.CategoryCounters)
 	}
-}
-
-// summarize folds the shard's swarms into a mergeable aggregate.
-func (s *shard) summarize() *Summary {
-	sum := NewSummary()
-	sum.Swarms = len(s.swarms)
-	for _, st := range s.swarms {
-		sum.SeedsOnline += st.seedsOnline
-		sum.LeechersOnline += st.leechersOnline
-		sum.BusyPeriods += st.busyPeriods
-		sum.Events += st.events
-		if st.events > 0 || st.hasMeta {
-			fm, full := st.availability()
-			sum.FirstMonth.Add(fm)
-			sum.Full.Add(full)
-			if measure.IsFullyAvailable(fm) {
-				sum.FullyAvailableFirstMonth++
-			}
-			if measure.IsMostlyUnavailable(full) {
-				sum.MostlyUnavailable++
-			}
-			sum.StudySwarms++
-		}
-		if st.hasCensus {
-			sum.CensusSwarms++
-		}
-	}
-	for cat, cc := range s.cats {
-		merged := sum.Categories[cat]
-		merged.merge(*cc)
-		sum.Categories[cat] = merged
-	}
-	return sum
 }
 
 // buildSnap captures the shard's complete read state in one pass:
-// the mergeable Summary (same arithmetic as summarize — integer sums
-// plus per-swarm availabilities computed deterministically here, on the
-// swarm's home shard), the per-swarm stats map, and the windowed
-// aggregate.
+// the mergeable Summary (integer sums plus per-swarm availabilities
+// computed deterministically here, on the swarm's home shard), the
+// per-swarm stats map, and the windowed aggregate.
 func (s *shard) buildSnap() *shardSnap {
 	sum := NewSummary()
 	sum.Swarms = len(s.swarms)
@@ -304,20 +256,6 @@ func (s *shard) buildSnap() *shardSnap {
 		win:    win,
 		swarms: swarms,
 	}
-}
-
-// windowize folds the shard's swarm rings into a mergeable windowed
-// aggregate (the consistent-path counterpart of the snapshot's win).
-func (s *shard) windowize() *WindowState {
-	fine := make(map[int64]*WindowBinState)
-	coarse := make(map[int64]*WindowBinState)
-	for _, st := range s.swarms {
-		st.win.fold(fine, coarse)
-	}
-	w := newWindowState(&s.wc)
-	w.Fine = sortedBins(fine)
-	w.Coarse = sortedBins(coarse)
-	return w
 }
 
 // timelineOf folds one swarm's ring into a WindowState of its own

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -67,17 +68,10 @@ func (e *Engine) freshSnap(s *shard) *shardSnap {
 	if s.applied.Load() == snap.epoch || time.Since(snap.built) <= e.cfg.SnapshotMaxAge {
 		return snap
 	}
-	if !e.enter() {
-		// Closed: the final publish after drain is the complete state.
-		<-e.done
-		return s.snap.Load()
-	}
-	defer e.exit()
-	ack := make(chan struct{}, 1)
-	s.in <- shardMsg{ack: ack}
-	<-ack
-	// The shard publishes before acknowledging, so this reload observes
+	// The shard publishes before acknowledging (and, once closed, the
+	// final publish is the complete state), so this reload observes
 	// everything applied before the barrier.
+	e.flush(s)
 	return s.snap.Load()
 }
 
@@ -125,28 +119,37 @@ func (e *Engine) SwarmSnapshot(id int) (SwarmStats, bool) {
 	return st, ok
 }
 
-// Window requests the windowed aggregate from every shard through the
-// queues and merges them — the barrier (?consistent=1) counterpart of
-// Snapshot().Window. It observes everything submitted before the call.
+// Window is the barrier (?consistent=1) counterpart of
+// Snapshot().Window: a flush, then a fresh merge of the published shard
+// windows. It observes everything submitted before the call.
 func (e *Engine) Window() *WindowState {
+	e.Flush()
 	wc := e.cfg.windowConfig()
 	win := newWindowState(&wc)
-	if !e.enter() {
-		<-e.done
-		for _, s := range e.shards {
-			_ = win.Merge(s.windowize())
-		}
-		return win
-	}
-	defer e.exit()
-	ch := make(chan *WindowState, len(e.shards))
 	for _, s := range e.shards {
-		s.in <- shardMsg{window: ch}
-	}
-	for range e.shards {
-		_ = win.Merge(<-ch)
+		_ = win.Merge(s.snap.Load().win) // same engine ⇒ same geometry
 	}
 	return win
+}
+
+// ReadSummary and ReadWindow make *Engine a ReadView (httpapi.go): the
+// epoch-tagged lock-free snapshot by default, or a barrier read under
+// consistent. Barrier answers carry no ETag — they are read-your-writes
+// by definition and must not validate a cache.
+func (e *Engine) ReadSummary(_ context.Context, consistent bool) (*Summary, string, error) {
+	if consistent {
+		return e.Summary(), "", nil
+	}
+	snap := e.Snapshot()
+	return snap.Summary, snap.ETag, nil
+}
+
+func (e *Engine) ReadWindow(_ context.Context, consistent bool) (*WindowState, string, error) {
+	if consistent {
+		return e.Window(), "", nil
+	}
+	snap := e.Snapshot()
+	return snap.Window, snap.ETag, nil
 }
 
 // Timeline returns one swarm's windowed history (per-bin observed and
@@ -155,6 +158,8 @@ func (e *Engine) Window() *WindowState {
 func (e *Engine) Timeline(id int) (*WindowState, bool) {
 	s := e.shardFor(id)
 	if !e.enter() {
+		// Shard goroutines have exited once done closes, so the rings are
+		// safe to read in place.
 		<-e.done
 		w := s.timelineOf(id)
 		return w, w != nil

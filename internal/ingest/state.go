@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"encoding/json"
+	"math"
+
 	"swarmavail/internal/measure"
 	"swarmavail/internal/stats"
 	"swarmavail/internal/trace"
@@ -208,43 +211,11 @@ func (r swarmRecord) state(wc *windowConfig) *swarmState {
 	return st
 }
 
-// categoryRecord is the checkpoint wire form of CategoryCounters; the
-// live type hides its accumulators from JSON (`json:"-"`), so the wire
-// form spells every field out, including the exact Welford state.
+// categoryRecord is the checkpoint and /v1/state wire form of one
+// category's counters.
 type categoryRecord struct {
-	Category        trace.Category    `json:"category"`
-	Swarms          int               `json:"swarms"`
-	Bundles         int               `json:"bundles,omitempty"`
-	Collections     int               `json:"collections,omitempty"`
-	Seedless        int               `json:"seedless,omitempty"`
-	SeedlessBundles int               `json:"seedless_bundles,omitempty"`
-	Downloads       stats.Accumulator `json:"downloads"`
-	BundleDownloads stats.Accumulator `json:"bundle_downloads"`
-}
-
-func newCategoryRecord(cat trace.Category, c CategoryCounters) categoryRecord {
-	return categoryRecord{
-		Category:        cat,
-		Swarms:          c.Swarms,
-		Bundles:         c.Bundles,
-		Collections:     c.Collections,
-		Seedless:        c.Seedless,
-		SeedlessBundles: c.SeedlessBundles,
-		Downloads:       c.Downloads,
-		BundleDownloads: c.BundleDownloads,
-	}
-}
-
-func (r categoryRecord) counters() CategoryCounters {
-	return CategoryCounters{
-		Swarms:          r.Swarms,
-		Bundles:         r.Bundles,
-		Collections:     r.Collections,
-		Seedless:        r.Seedless,
-		SeedlessBundles: r.SeedlessBundles,
-		Downloads:       r.Downloads,
-		BundleDownloads: r.BundleDownloads,
-	}
+	Category trace.Category `json:"category"`
+	CategoryCounters
 }
 
 // stats snapshots the swarm into its exported form.
@@ -300,7 +271,10 @@ type CensusStats struct {
 
 // CategoryCounters aggregates one content category's census: the online
 // form of measure.BundlingExtent plus the seedless/demand split of
-// measure.AvailabilityByBundling.
+// measure.AvailabilityByBundling. Every field is an integer sum, so a
+// merge is exact in any order and the bundling answers are
+// byte-identical however the census was partitioned across shards and
+// nodes.
 type CategoryCounters struct {
 	Swarms          int `json:"swarms"`
 	Bundles         int `json:"bundles"`
@@ -308,8 +282,30 @@ type CategoryCounters struct {
 	Seedless        int `json:"seedless"`
 	SeedlessBundles int `json:"seedless_bundles"`
 
-	Downloads       stats.Accumulator `json:"-"`
-	BundleDownloads stats.Accumulator `json:"-"`
+	// Downloads and BundleDownloads sum the census download counters
+	// over all swarms and over bundles; the means are derived at render
+	// time.
+	Downloads       downloadSum `json:"downloads"`
+	BundleDownloads downloadSum `json:"bundle_downloads"`
+}
+
+// downloadSum is a summed download counter.
+type downloadSum int64
+
+// UnmarshalJSON also accepts the Welford accumulator object checkpoints
+// and /v1/state bodies carried before the counters became sums (n·mean
+// recovers the sum, the downloads being integers), so an older
+// checkpoint or a not-yet-upgraded node still loads.
+func (d *downloadSum) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '{' {
+		var acc stats.Accumulator
+		if err := json.Unmarshal(data, &acc); err != nil {
+			return err
+		}
+		*d = downloadSum(math.Round(acc.Mean() * float64(acc.N())))
+		return nil
+	}
+	return json.Unmarshal(data, (*int64)(d))
 }
 
 // merge folds other into c.
@@ -319,8 +315,8 @@ func (c *CategoryCounters) merge(other CategoryCounters) {
 	c.Collections += other.Collections
 	c.Seedless += other.Seedless
 	c.SeedlessBundles += other.SeedlessBundles
-	c.Downloads.Merge(&other.Downloads)
-	c.BundleDownloads.Merge(&other.BundleDownloads)
+	c.Downloads += other.Downloads
+	c.BundleDownloads += other.BundleDownloads
 }
 
 // observe folds one census snapshot into the counters, applying the
@@ -340,9 +336,9 @@ func (c *CategoryCounters) observe(snap trace.Snapshot) {
 			c.SeedlessBundles++
 		}
 	}
-	c.Downloads.Add(float64(snap.Downloads))
+	c.Downloads += downloadSum(snap.Downloads)
 	if bundle {
-		c.BundleDownloads.Add(float64(snap.Downloads))
+		c.BundleDownloads += downloadSum(snap.Downloads)
 	}
 }
 
@@ -366,11 +362,11 @@ func (c CategoryCounters) Compare(cat trace.Category) measure.AvailabilityByBund
 	}
 	if c.Swarms > 0 {
 		out.SeedlessAll = float64(c.Seedless) / float64(c.Swarms)
-		out.MeanDownloadsAll = c.Downloads.Mean()
+		out.MeanDownloadsAll = float64(c.Downloads) / float64(c.Swarms)
 	}
 	if c.Bundles > 0 {
 		out.SeedlessBundles = float64(c.SeedlessBundles) / float64(c.Bundles)
-		out.MeanDownloadsBundles = c.BundleDownloads.Mean()
+		out.MeanDownloadsBundles = float64(c.BundleDownloads) / float64(c.Bundles)
 	}
 	return out
 }

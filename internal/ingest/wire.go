@@ -12,24 +12,24 @@ import (
 // plus the availability sketches and per-category bundling counters that
 // Summary hides from its (human-facing) JSON. It is what a cluster node
 // serves on GET /v1/state and what the gateway's scatter-gather read
-// path decodes, merges (Summary.Merge → QuantileSketch.Merge /
-// Accumulator.Merge) and re-renders. The round trip is exact: a merged
+// path decodes, merges (Summary.Merge → QuantileSketch.Merge and
+// integer sums) and re-renders. The round trip is exact: a merged
 // decoded state equals the merge of the live summaries, which is what
 // makes a gateway-served /v1/summary byte-identical to a single node
 // that saw the whole stream.
 type SummaryState struct {
-	Swarms                   int              `json:"swarms"`
-	StudySwarms              int              `json:"study_swarms"`
-	CensusSwarms             int              `json:"census_swarms"`
-	SeedsOnline              int              `json:"seeds_online"`
-	LeechersOnline           int              `json:"leechers_online"`
-	BusyPeriods              int              `json:"busy_periods"`
-	Events                   uint64           `json:"events"`
-	FullyAvailableFirstMonth int              `json:"fully_available_first_month"`
-	MostlyUnavailable        int              `json:"mostly_unavailable"`
+	Swarms                   int                   `json:"swarms"`
+	StudySwarms              int                   `json:"study_swarms"`
+	CensusSwarms             int                   `json:"census_swarms"`
+	SeedsOnline              int                   `json:"seeds_online"`
+	LeechersOnline           int                   `json:"leechers_online"`
+	BusyPeriods              int                   `json:"busy_periods"`
+	Events                   uint64                `json:"events"`
+	FullyAvailableFirstMonth int                   `json:"fully_available_first_month"`
+	MostlyUnavailable        int                   `json:"mostly_unavailable"`
 	FirstMonth               *stats.QuantileSketch `json:"first_month"`
 	Full                     *stats.QuantileSketch `json:"full"`
-	Categories               []categoryRecord `json:"categories,omitempty"`
+	Categories               []categoryRecord      `json:"categories,omitempty"`
 }
 
 // State converts the summary to its wire form. Categories are sorted so
@@ -54,7 +54,7 @@ func (s *Summary) State() *SummaryState {
 	}
 	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	for _, cat := range cats {
-		st.Categories = append(st.Categories, newCategoryRecord(cat, s.Categories[cat]))
+		st.Categories = append(st.Categories, categoryRecord{cat, s.Categories[cat]})
 	}
 	return st
 }
@@ -82,7 +82,7 @@ func (st *SummaryState) Summary() (*Summary, error) {
 	}
 	for _, cr := range st.Categories {
 		merged := s.Categories[cr.Category]
-		merged.merge(cr.counters())
+		merged.merge(cr.CategoryCounters)
 		s.Categories[cr.Category] = merged
 	}
 	return s, nil

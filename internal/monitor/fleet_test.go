@@ -170,6 +170,9 @@ func runFleetTest(t *testing.T, h *fleetHarness, cfg Config) Stats {
 		t.Fatalf("fleet run: %v", err)
 	}
 
+	// An ack means queued (and journaled), not yet applied: barrier
+	// before counting applied ops.
+	h.engine.Flush()
 	m := h.engine.Metrics()
 	wantApplied := stats.RecordsEmitted + 1 // + the MetaOp registration
 	if m.Applied != wantApplied {

@@ -130,16 +130,3 @@ func TestLogRequests(t *testing.T) {
 		t.Errorf("request log missing fields: %q", out)
 	}
 }
-
-func TestLogfAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	l := slog.New(slog.NewTextHandler(&buf, nil))
-	f := Logf(l)
-	f("dial %s failed after %d tries", "1.2.3.4:5", 3)
-	if !strings.Contains(buf.String(), "dial 1.2.3.4:5 failed after 3 tries") {
-		t.Errorf("Logf output: %q", buf.String())
-	}
-	if Logf(nil) != nil {
-		t.Error("Logf(nil) should be nil so hooks stay unset")
-	}
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -43,17 +42,4 @@ func NewLogger(w io.Writer, component string, level slog.Level, jsonFormat bool)
 		l = l.With("component", component)
 	}
 	return l
-}
-
-// Logf adapts a structured logger to the printf-style Logf hooks used
-// across the repository (peer.Config.Logf, ingest.HTTPClientConfig.Logf
-// and friends). Events land at Info with the formatted text as the
-// message. Returns nil for a nil logger, so the hook stays optional.
-func Logf(l *slog.Logger) func(format string, args ...any) {
-	if l == nil {
-		return nil
-	}
-	return func(format string, args ...any) {
-		l.Info(fmt.Sprintf(format, args...))
-	}
 }

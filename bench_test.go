@@ -626,25 +626,35 @@ func BenchmarkTraceDecode(b *testing.B) {
 // Sub-benchmark "sync" appends through a real fsync per append (the
 // default acked⇒durable policy); its absolute value is storage-bound
 // and noisy, but a large allocs/op jump still names itself.
+// "sync-group16" appends the same frames sixteen to a call — the group
+// commit the stream server does over its backlog — so the fsync
+// amortisation has a number that does not need the full stack.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := make([]byte, 256)
 	rand.New(rand.NewSource(9)).Read(payload)
-	run := func(b *testing.B, policy wal.SyncPolicy) {
+	run := func(b *testing.B, policy wal.SyncPolicy, group int) {
 		log, _, err := wal.Open(b.TempDir(), wal.Options{Policy: policy})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer log.Close()
+		frames := make([][]byte, group)
+		for i := range frames {
+			frames[i] = payload
+		}
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
-		for i := 0; i < b.N; i++ {
-			if _, err := log.Append(payload); err != nil {
+		// One op is one frame whatever the group size, so the cases
+		// compare directly: sync-group16 pays one fsync per 16 ops.
+		for i := 0; i < b.N; i += group {
+			if _, err := log.Append(frames[:min(group, b.N-i)]...); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("nosync", func(b *testing.B) { run(b, wal.SyncNone) })
-	b.Run("sync", func(b *testing.B) { run(b, wal.SyncEachAppend) })
+	b.Run("nosync", func(b *testing.B) { run(b, wal.SyncNone, 1) })
+	b.Run("sync", func(b *testing.B) { run(b, wal.SyncEachAppend, 1) })
+	b.Run("sync-group16", func(b *testing.B) { run(b, wal.SyncEachAppend, 16) })
 }
 
 func BenchmarkStudyGeneration(b *testing.B) {

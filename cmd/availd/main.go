@@ -121,7 +121,7 @@ func main() {
 	flag.BoolVar(&opts.verify, "verify", false, "check online statistics against the offline analysis")
 	flag.StringVar(&opts.push, "push", "", "push -replay records to a remote availd ingest URL (e.g. http://host:8647/v1/ingest) instead of the local engine")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durability directory for the WAL and checkpoints; empty = in-memory only")
-	flag.StringVar(&opts.fsync, "fsync", "batch", "WAL fsync policy: batch (acked = durable), interval, or off")
+	flag.StringVar(&opts.fsync, "fsync", "batch", "WAL fsync policy: batch (acked = durable: one fsync per committed group — a lone frame, or a stream's backlog of frames — before any ack), interval, or off")
 	flag.DurationVar(&opts.fsyncInterval, "fsync-interval", 100*time.Millisecond, "fsync cadence under -fsync interval")
 	flag.DurationVar(&opts.checkpointEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint cadence (0 = checkpoint only on shutdown)")
 	flag.StringVar(&opts.follow, "follow", "", "run as a warm standby shipping this leader's WAL (e.g. http://host:8647); requires -listen and -data-dir")

@@ -135,9 +135,14 @@ func TestStreamIngestHTTPParityE2E(t *testing.T) {
 func TestStreamMetricsE2E(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e := ingest.New(ingest.Config{Shards: 2})
+	// Durable, so the journal's wal_append_frames rides the same scrape.
+	dir := t.TempDir()
+	e, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	api, bin, served := startAvaild(t, ctx, e,
-		options{listen: "127.0.0.1:0", ingestBin: "127.0.0.1:0"})
+		options{listen: "127.0.0.1:0", ingestBin: "127.0.0.1:0", dataDir: dir})
 
 	const frames, per = 7, 20
 	c := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: bin.String(), BatchSize: per})
@@ -187,9 +192,21 @@ func TestStreamMetricsE2E(t *testing.T) {
 	if got := series["ingest_stream_bytes_total"]; got < minBytes {
 		t.Errorf("ingest_stream_bytes_total = %v, want > %v", got, minBytes)
 	}
+	// Every accepted frame was journaled, by at most one append (one
+	// fsync) each — fewer when the server found a backlog to group.
+	if got := series["wal_append_frames_sum"]; got != frames {
+		t.Errorf("wal_append_frames_sum = %v, want %d", got, frames)
+	}
+	if got := series["wal_append_frames_count"]; got < 1 || got > frames {
+		t.Errorf("wal_append_frames_count = %v, want 1..%d", got, frames)
+	}
+	if got, want := series["wal_fsync_seconds_count"], series["wal_append_frames_count"]; got < want {
+		t.Errorf("wal_fsync_seconds_count = %v, below the %v appends it must cover", got, want)
+	}
 	fams := metricFamilies(series)
 	for _, name := range []string{"ingest_stream_frames_total", "ingest_stream_bytes_total",
-		"ingest_stream_conns_total", "ingest_stream_errors_total", "ingest_stream_ack_window"} {
+		"ingest_stream_conns_total", "ingest_stream_errors_total", "ingest_stream_ack_window",
+		"wal_append_frames"} {
 		if !fams[name] {
 			t.Errorf("no %s family in scrape", name)
 		}
@@ -237,8 +254,11 @@ func TestStreamCrashRecoveryChild(t *testing.T) {
 }
 
 // TestStreamCrashRecoverySIGKILL extends the SIGKILL harness to the
-// binary stream: ONE StreamClient outlives three server crashes,
+// binary stream: ONE StreamClient outlives the server's crashes,
 // redialing each new incarnation and resending its unacked window. The
+// client keeps a full 32-frame window in flight and the first three
+// kills land while it is streaming, so they fall inside commit groups —
+// frames journaled but not yet acked, groups half written. The
 // recovered engine must hold exactly the acknowledged ledger — keyed
 // frames make the cross-crash resends exactly-once, so nothing is lost
 // and nothing is double-applied.
@@ -266,27 +286,44 @@ func TestStreamCrashRecoverySIGKILL(t *testing.T) {
 			return net.DialTimeout("tcp", addr, time.Second)
 		},
 		BatchSize:    40,
-		Window:       4,
+		Window:       32,
 		RetryBackoff: 20 * time.Millisecond,
-		MaxAttempts:  200,
+		MaxAttempts:  400,
 	})
 
-	var ledger []ingest.Record
-	mkBatch := func(round, seq int) []ingest.Record {
+	const frames = 4000
+	mkBatch := func(seq int) []ingest.Record {
 		recs := make([]ingest.Record, 40)
 		for i := range recs {
 			recs[i] = ingest.Record{
 				SwarmID: (seq*len(recs) + i) % 97,
-				PeerID:  uint64(round + 1),
+				PeerID:  uint64(seq%3 + 1),
 				Seed:    i%3 != 2,
 				Online:  (seq+i)%2 == 0,
-				Time:    float64(round*1000+seq*10+i) / 100,
+				Time:    float64(seq*10+i) / 100,
 			}
 		}
 		return recs
 	}
+	// The producer streams the whole ledger without pausing for the
+	// crashes; its final Flush returns once every frame is acknowledged,
+	// so the ledger is everything it sent.
+	var ledger []ingest.Record
+	for seq := 0; seq < frames; seq++ {
+		ledger = append(ledger, mkBatch(seq)...)
+	}
+	produced := make(chan error, 1)
+	go func() {
+		for _, rec := range ledger {
+			if err := c.Observe(rec); err != nil {
+				produced <- fmt.Errorf("observe: %w", err)
+				return
+			}
+		}
+		produced <- c.Flush()
+	}()
 
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 4; round++ {
 		cmd := exec.Command(exe, "-test.run=^TestStreamCrashRecoveryChild$", "-test.v")
 		cmd.Env = append(os.Environ(), "AVAILD_STREAM_CRASH_DIR="+dir)
 		stdout, err := cmd.StdoutPipe()
@@ -317,31 +354,38 @@ func TestStreamCrashRecoverySIGKILL(t *testing.T) {
 			t.Fatalf("round %d: child never reported its stream address", round)
 		}
 
-		// Acknowledged frames only enter the ledger: each Flush blocks
-		// until the server has journaled (and acked) every frame — across
-		// redials if the previous round's kill left a broken connection.
-		for seq := 0; seq < 8; seq++ {
-			recs := mkBatch(round, seq)
-			for _, rec := range recs {
-				if err := c.Observe(rec); err != nil {
-					t.Fatalf("round %d observe: %v", round, err)
+		if round < 3 {
+			// SIGKILL mid-stream, once this incarnation has acknowledged
+			// its quarter of the ledger.
+			deadline := time.Now().Add(30 * time.Second)
+			for c.Acked() < uint64((round+1)*frames/4) {
+				if time.Now().After(deadline) {
+					cmd.Process.Kill()
+					cmd.Wait()
+					t.Fatalf("round %d: only %d of %d frames acknowledged", round, c.Acked(), frames)
 				}
+				time.Sleep(time.Millisecond)
 			}
-			if err := c.Flush(); err != nil {
-				t.Fatalf("round %d flush %d: %v", round, seq, err)
+		} else {
+			// Last incarnation: everything acknowledged, dwell past a
+			// checkpoint tick, then SIGKILL mid-everything.
+			select {
+			case err := <-produced:
+				if err != nil {
+					t.Fatalf("producer: %v", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("producer never settled its window")
 			}
-			ledger = append(ledger, recs...)
+			time.Sleep(200 * time.Millisecond)
 		}
-		if r := c.Reconnects(); round > 0 && r == 0 {
-			t.Fatalf("round %d: client never reconnected across the crash", round)
-		}
-
-		// Dwell past checkpoint ticks, then SIGKILL mid-everything.
-		time.Sleep(200 * time.Millisecond)
 		if err := cmd.Process.Kill(); err != nil {
 			t.Fatal(err)
 		}
 		cmd.Wait()
+	}
+	if r := c.Reconnects(); r < 3 {
+		t.Fatalf("client reconnected %d times across 3 mid-stream crashes", r)
 	}
 
 	e, rs, err := ingest.OpenDurable(ingest.Config{Shards: 3}, ingest.DurabilityConfig{Dir: dir})
@@ -376,7 +420,7 @@ func TestStreamCrashRecoverySIGKILL(t *testing.T) {
 	got := engineFingerprint(t, e, ids)
 	want := engineFingerprint(t, ref, ids)
 	if got != want {
-		t.Fatalf("recovered state diverged from acked stream ledger after 3 SIGKILLs\n--- recovered ---\n%s--- reference ---\n%s", got, want)
+		t.Fatalf("recovered state diverged from acked stream ledger after 4 SIGKILLs\n--- recovered ---\n%s--- reference ---\n%s", got, want)
 	}
 	if e.Summary().Events != uint64(len(ledger)) {
 		t.Fatalf("recovered %d events, acked %d (lost or double-applied frames)", e.Summary().Events, len(ledger))

@@ -93,8 +93,9 @@ func fakeHaveOnlyPeer(t *testing.T, ih metainfo.InfoHash) (addr string) {
 	return ln.Addr().String()
 }
 
-// registerPeer announces addr to the tracker so a probe will find it.
-func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr string, idByte byte) {
+// registerPeer announces addr to the tracker so a probe will find it,
+// and returns what the tracker said about the swarm.
+func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr string, idByte byte) *tracker.AnnounceResponse {
 	t.Helper()
 	host, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
@@ -108,12 +109,14 @@ func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr stri
 	for i := range id {
 		id[i] = idByte
 	}
-	if _, err := tracker.Announce(nil, tracker.AnnounceRequest{
+	resp, err := tracker.Announce(nil, tracker.AnnounceRequest{
 		TrackerURL: announce, InfoHash: ih, PeerID: id,
 		Port: port, Left: 1 << 20, Event: "started", IP: host,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return resp
 }
 
 // TestProbeCountsQuietPeerAsLeecher is the zero-piece-leecher
@@ -133,7 +136,15 @@ func TestProbeCountsQuietPeerAsLeecher(t *testing.T) {
 	// One real seed and one quiet zero-piece leecher.
 	startNode(t, Config{Torrent: tor, Content: content})
 	quiet := fakeQuietLeecher(t, ih)
-	registerPeer(t, announce, ih, quiet, 'q')
+	// The seed's first announce runs on its own goroutine: probing before
+	// the tracker lists it would miss it. Re-announcing the quiet peer is
+	// idempotent, so it doubles as the poll.
+	for deadline := time.Now().Add(10 * time.Second); registerPeer(t, announce, ih, quiet, 'q').Seeders < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("tracker never listed the seed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	results, err := Probe(tor, ProbeConfig{
 		DialTimeout:  2 * time.Second,

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -94,7 +96,7 @@ type Engine struct {
 	shards  []*shard
 	metrics *Metrics
 	pool    batchPool
-	parts   sync.Pool // *[][]Op partition scratch for multi-shard Submit
+	commits sync.Pool // *commit: the submit core's per-call scratch
 	wg      sync.WaitGroup
 
 	// journal, when non-nil, makes every accepted batch durable before
@@ -225,121 +227,317 @@ func (e *Engine) exit() {
 	}
 }
 
+// batch is one element of a submit group: ops under an optional
+// idempotency key (source == "" is the degenerate no-dedup case), and
+// how they arrive.
+type batch struct {
+	source string
+	seq    uint64
+	// ops are the batch's decoded ops. Nil marks a wire-only batch: the
+	// core parses the key out of wire and decodes the ops itself, into
+	// one scratch reused across the group.
+	ops []Op
+	// wire, when non-nil, is the already-verified encoding of exactly
+	// this batch and is journaled verbatim (never re-encoded); otherwise
+	// the core encodes the frame itself into a pooled buffer.
+	wire []byte
+	body []byte // the v1 ops payload inside wire, set by the core
+	// pooled says ops is a pool-owned batch wholly for shard: ownership
+	// transfers to that shard (or back to the pool on every path that
+	// does not send it). Otherwise ops stays with the caller and is
+	// copied into pooled per-shard batches.
+	pooled bool
+	shard  int
+	// applied is the verdict, meaningful for the accepted prefix of the
+	// group: false means the key was a duplicate — acknowledged, not
+	// re-applied.
+	applied bool
+}
+
+// heldBatch is a per-shard batch the core has filled but not yet sent.
+type heldBatch struct {
+	shard int
+	ops   []Op
+}
+
+// lockedWindow is one of a group's distinct source windows, held locked.
+type lockedWindow struct {
+	source string
+	w      *sourceWindow
+}
+
+// pendingMark is a key to mark once its batch is journaled and sent.
+type pendingMark struct {
+	w   *sourceWindow
+	seq uint64
+}
+
+// commit is the submit core's per-call scratch, recycled through
+// Engine.commits so a steady-state submit allocates nothing.
+type commit struct {
+	parts   [][]Op      // per shard: the held batch still being filled
+	held    []heldBatch // filled batches, in send order
+	wires   [][]byte    // frames to journal, in group order
+	encoded [][]byte    // the wires the core encoded itself (pooled)
+	nOps    int         // ops behind wires/held
+	wins    []lockedWindow
+	marks   []pendingMark
+	scratch []Op // decode buffer for wire-only batches
+}
+
+func (e *Engine) getCommit() *commit {
+	if v := e.commits.Get(); v != nil {
+		return v.(*commit)
+	}
+	return &commit{parts: make([][]Op, len(e.shards))}
+}
+
+// putCommit recycles c, dropping every reference it holds to caller
+// memory. parts and held are already empty: the core releases them.
+func (e *Engine) putCommit(c *commit) {
+	for _, wire := range c.encoded {
+		e.journal.release(wire)
+	}
+	clear(c.encoded)
+	clear(c.wires)
+	clear(c.wins)
+	clear(c.marks)
+	c.encoded, c.wires, c.wins, c.marks = c.encoded[:0], c.wires[:0], c.wins[:0], c.marks[:0]
+	c.nOps = 0
+	e.commits.Put(c)
+}
+
+// lockWindows locks the group's distinct source windows in source
+// order — one global order, so two groups carrying the same sources in
+// opposite orders cannot deadlock.
+func (c *commit) lockWindows(d *dedupState, group []batch) {
+	for i := range group {
+		// Consecutive frames mostly share a source; skipping the repeats
+		// keeps the sort below to the sources, not the frames.
+		if s := group[i].source; s != "" && (len(c.wins) == 0 || c.wins[len(c.wins)-1].source != s) {
+			c.wins = append(c.wins, lockedWindow{source: s})
+		}
+	}
+	if len(c.wins) > 1 {
+		slices.SortFunc(c.wins, func(a, b lockedWindow) int { return strings.Compare(a.source, b.source) })
+		c.wins = slices.CompactFunc(c.wins, func(a, b lockedWindow) bool { return a.source == b.source })
+	}
+	for i := range c.wins {
+		c.wins[i].w = d.window(c.wins[i].source)
+		c.wins[i].w.mu.Lock()
+	}
+}
+
+func (c *commit) unlockWindows() {
+	for _, lw := range c.wins {
+		lw.w.mu.Unlock()
+	}
+}
+
+// seen reports whether (source, seq) was already applied, or is about to
+// be by an earlier batch of this group.
+func (c *commit) seen(source string, seq uint64) (*sourceWindow, bool) {
+	i, _ := slices.BinarySearchFunc(c.wins, source, func(lw lockedWindow, s string) int {
+		return strings.Compare(lw.source, s)
+	})
+	w := c.wins[i].w
+	if w.observed(seq) {
+		return w, true
+	}
+	for _, m := range c.marks {
+		if m.w == w && m.seq == seq {
+			return w, true
+		}
+	}
+	return w, false
+}
+
+// hold stages one batch for its shards without sending anything: a
+// pool-owned batch travels whole, anything else is copied into the
+// per-shard batches being filled, which are cut at BatchSize — so a
+// group's ops merge into full batches and no pooled buffer outgrows
+// BatchSize. hint sizes a buffer the pool could not supply.
+func (c *commit) hold(e *Engine, b *batch, ops []Op, hint int) {
+	if b.pooled {
+		c.cut(b.shard) // what the shard was already owed goes first
+		c.held = append(c.held, heldBatch{b.shard, ops})
+		return
+	}
+	n := len(e.shards)
+	for _, op := range ops {
+		i := 0
+		if n > 1 {
+			i = shardIndex(op.SwarmID(), n)
+		}
+		if c.parts[i] == nil {
+			c.parts[i] = e.pool.get(hint)
+		}
+		c.parts[i] = append(c.parts[i], op)
+		if len(c.parts[i]) >= e.cfg.BatchSize {
+			c.cut(i)
+		}
+	}
+}
+
+// cut moves shard i's partly filled batch to the send list.
+func (c *commit) cut(i int) {
+	if len(c.parts[i]) > 0 {
+		c.held = append(c.held, heldBatch{i, c.parts[i]})
+		c.parts[i] = nil
+	}
+}
+
+// release empties the hold: into the shard queues, in the order held (so
+// per-shard order is the group's order), when the group committed; back
+// to the pool when it did not. A full queue stalls the caller
+// (backpressure); nothing is ever dropped.
+func (c *commit) release(e *Engine, committed bool) {
+	for i := range c.parts {
+		c.cut(i)
+	}
+	for _, h := range c.held {
+		if committed {
+			e.shards[h.shard].in <- shardMsg{ops: h.ops}
+		} else {
+			e.pool.put(h.ops)
+		}
+	}
+	clear(c.held)
+	c.held = c.held[:0]
+}
+
 // submit is the engine's one write path — the exactly-once sequence of
-// DESIGN.md §11 lives here and nowhere else:
+// DESIGN.md §11 lives here and nowhere else. It commits an ordered
+// group of batches:
 //
-//	enter → journal gate (shared) → per-source dedup check →
-//	journal append → partition-and-send → mark
+//	enter → journal gate (shared) → lock the group's source windows →
+//	per batch: decode if wire-only, dedup check, hold for its shards →
+//	one journal append of the group's frames (one write, one fsync) →
+//	send the held batches in order → mark each key
 //
 // Submit, SubmitKeyed, SubmitFrame, Writer.flushShard and recovery
-// replay are thin adapters over it. source == "" is the degenerate
-// no-dedup case of the same path. wire, when non-nil, is the
-// already-verified encoding of exactly this batch and is journaled
-// verbatim (never re-encoded); otherwise the core encodes the frame
-// itself into a pooled buffer. shard >= 0 says ops is a pool-owned
-// batch wholly for that shard: ownership transfers to the shard (or
-// back to the pool on every path that does not send it); shard < 0
-// leaves ops with the caller and copies into pooled per-shard batches.
+// replay are thin adapters passing a group of one; the stream server
+// passes every complete DATA frame its read buffer holds, which is what
+// amortises the fsync.
 //
-// With a journal attached the frame is durable before any shard sees
-// the batch, so a batch whose submit returned nil survives a crash. The
-// gate is held shared across append *and* send, so when Checkpoint
-// takes it exclusively every journaled batch is in its shard queues.
-// Lock order is gate → source window, because Checkpoint snapshots the
-// windows under the gate; holding the window across append+send also
-// serialises retries of one key — the loser observes the winner's mark.
-// A full shard queue stalls the caller (backpressure); nothing is ever
-// dropped.
-func (e *Engine) submit(source string, seq uint64, ops []Op, wire []byte, shard int) (applied bool, err error) {
-	sent := false
-	if shard >= 0 {
-		defer func() {
-			if !sent {
-				e.pool.put(ops)
+// Verdicts are per batch, effects are per prefix: accepted counts the
+// leading batches that were acknowledged (applied or deduplicated). A
+// wire-only batch that fails to decode ends the group — the batches
+// before it are committed, it and everything after it touch neither
+// journal nor state, and err is its decode error. A journal or encode
+// failure commits nothing (accepted == 0). A key that appears twice in
+// one group is applied once and acknowledged twice.
+//
+// With a journal attached every frame of the group is durable before
+// any shard sees any of its batches, so a batch whose submit returned
+// nil survives a crash. The gate is held shared across the append *and*
+// the sends, so when Checkpoint takes it exclusively every journaled
+// batch is in its shard queues — a checkpoint never falls inside a
+// group. Lock order is gate → source windows (in source order), because
+// Checkpoint snapshots the windows under the gate; holding a window
+// across append+send also serialises retries of one key — the loser
+// observes the winner's mark.
+func (e *Engine) submit(group []batch) (accepted int, err error) {
+	all := group
+	defer func() {
+		for i := range all {
+			if b := &all[i]; b.pooled && !b.applied {
+				e.pool.put(b.ops)
 			}
-		}()
-	}
+		}
+	}()
 	if !e.enter() {
-		return false, ErrClosed
+		return 0, ErrClosed
 	}
 	defer e.exit()
 
+	// Keys first: the windows are locked in source order before any
+	// batch is judged.
+	for i := range group {
+		b := &group[i]
+		if b.ops != nil {
+			continue
+		}
+		if b.source, b.seq, b.body, err = splitFrame(b.wire); err != nil {
+			group = group[:i]
+			break
+		}
+	}
+	c := e.getCommit()
+	defer e.putCommit(c)
 	j := e.journal
 	if j != nil {
-		if wire == nil {
-			// Encode before any send: the shard may recycle a pool-owned
-			// batch the moment it is delivered.
-			if wire, err = j.encode(source, seq, ops); err != nil {
-				return false, err
-			}
-			defer j.release(wire)
-		}
 		j.gate.RLock()
 		defer j.gate.RUnlock()
 	}
-	var w *sourceWindow
-	if source != "" {
-		w = e.dedup.window(source)
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.observed(seq) {
-			e.metrics.deduped.Add(uint64(len(ops)))
-			return false, nil
-		}
-	}
-	if j != nil {
-		if err := j.append(wire, len(ops)); err != nil {
-			return false, err
-		}
-	}
-	e.send(ops, shard)
-	sent = true
-	if w != nil {
-		w.mark(seq)
-	}
-	return true, nil
-}
+	c.lockWindows(&e.dedup, group)
+	defer c.unlockWindows()
 
-// send block-sends ops to their shard queues: a pool-owned batch for
-// one shard (shard >= 0) travels whole, anything else is partitioned
-// into one pooled batch per shard touched. Only submit calls it, with
-// an enter() registration held.
-func (e *Engine) send(ops []Op, shard int) {
-	e.metrics.records.Add(uint64(len(ops)))
-	if shard >= 0 {
-		e.shards[shard].in <- shardMsg{ops: ops}
-		return
-	}
-	if len(e.shards) == 1 {
-		e.shards[0].in <- shardMsg{ops: append(e.pool.get(len(ops)), ops...)}
-		return
-	}
-	// The [][]Op scratch is itself recycled, so a steady-state submit
-	// allocates nothing.
-	var parts [][]Op
-	if v := e.parts.Get(); v != nil {
-		parts = *(v.(*[][]Op))
-	} else {
-		parts = make([][]Op, len(e.shards))
-	}
-	// Size cold-start buffers for this batch's per-shard share (with
-	// slack for skew), not the full BatchSize: a pool miss then costs
-	// what the batch needs, and append regrows the rare hot shard.
-	hint := len(ops)/len(e.shards) + len(ops)/8 + 8
-	for _, op := range ops {
-		i := shardIndex(op.SwarmID(), len(e.shards))
-		if parts[i] == nil {
-			parts[i] = e.pool.get(hint)
+	for i := range group {
+		b := &group[i]
+		ops := b.ops
+		if ops == nil {
+			var derr error
+			if ops, derr = decodeOpsInto(c.scratch, b.body); derr != nil {
+				group, err = group[:i], derr
+				break
+			}
+			c.scratch = ops[:0]
 		}
-		parts[i] = append(parts[i], op)
-	}
-	for i, part := range parts {
-		if len(part) > 0 {
-			e.shards[i].in <- shardMsg{ops: part}
+		var w *sourceWindow
+		dup := false
+		if b.source != "" {
+			w, dup = c.seen(b.source, b.seq)
 		}
-		parts[i] = nil
+		switch {
+		case len(ops) == 0:
+			b.applied = true
+		case dup:
+			e.metrics.deduped.Add(uint64(len(ops)))
+		default:
+			if j != nil {
+				wire := b.wire
+				if wire == nil {
+					// Encode before any send: the shard may recycle a
+					// pool-owned batch the moment it is delivered.
+					var eerr error
+					if wire, eerr = j.encode(b.source, b.seq, ops); eerr != nil {
+						c.release(e, false)
+						return 0, eerr
+					}
+					c.encoded = append(c.encoded, wire)
+				}
+				c.wires = append(c.wires, wire)
+			}
+			if w != nil {
+				c.marks = append(c.marks, pendingMark{w, b.seq})
+			}
+			c.nOps += len(ops)
+			// A lone batch sizes a cold-start buffer for its per-shard
+			// share (with slack for skew); a group fills whole batches.
+			hint := e.cfg.BatchSize
+			if len(group) == 1 {
+				hint = min(hint, len(ops)/len(e.shards)+len(ops)/8+8)
+			}
+			c.hold(e, b, ops, hint)
+			b.applied = true
+		}
+		if b.ops == nil {
+			clear(ops) // the scratch must not pin registration payloads
+		}
 	}
-	e.parts.Put(&parts)
+	if len(c.wires) > 0 {
+		if err := j.append(c.wires, c.nOps); err != nil {
+			c.release(e, false)
+			return 0, err
+		}
+	}
+	e.metrics.records.Add(uint64(c.nOps))
+	c.release(e, true)
+	for _, m := range c.marks {
+		m.w.mark(m.seq)
+	}
+	return len(group), err
 }
 
 // Submit applies ops. Safe for concurrent use; ops for the same swarm
@@ -368,7 +566,9 @@ func (e *Engine) SubmitKeyed(source string, seq uint64, ops []Op) (applied bool,
 	if len(ops) == 0 {
 		return true, nil
 	}
-	return e.submit(source, seq, ops, nil, -1)
+	g := [1]batch{{source: source, seq: seq, ops: ops}}
+	_, err = e.submit(g[:])
+	return err == nil && g[0].applied, err
 }
 
 // SubmitFrame applies one already-encoded wire frame (the v1/v2 ops
@@ -382,20 +582,9 @@ func (e *Engine) SubmitKeyed(source string, seq uint64, ops []Op) (applied bool,
 // A frame that fails to decode is rejected before any state — journal
 // or shards — is touched.
 func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {
-	// Decode into a pooled scratch slice: submit copies ops into the
-	// per-shard batches before returning, so the decode buffer is dead by
-	// the time the deferred put runs.
-	scratch := e.pool.get(0)
-	source, seq, ops, err := decodeFrameInto(scratch, frame)
-	if err != nil {
-		e.pool.put(scratch)
-		return false, err
-	}
-	defer e.pool.put(ops)
-	if len(ops) == 0 {
-		return true, nil
-	}
-	return e.submit(source, seq, ops, frame, -1)
+	g := [1]batch{{wire: frame}}
+	_, err = e.submit(g[:])
+	return err == nil && g[0].applied, err
 }
 
 // Observe ingests a single monitor record (convenience; prefer a
@@ -556,13 +745,14 @@ func (w *Writer) ObserveCensus(snap trace.Snapshot) error {
 // counted in ingest_writer_dropped_total and reported through the
 // returned *ClosedError instead of being discarded silently.
 func (w *Writer) flushShard(i int) error {
-	batch := w.bufs[i]
-	if len(batch) == 0 {
+	buf := w.bufs[i]
+	if len(buf) == 0 {
 		return nil
 	}
 	w.bufs[i] = nil
-	n := len(batch) // submit takes ownership of batch
-	_, err := w.e.submit("", 0, batch, nil, i)
+	n := len(buf) // submit takes ownership of buf
+	g := [1]batch{{ops: buf, pooled: true, shard: i}}
+	_, err := w.e.submit(g[:])
 	if errors.Is(err, ErrClosed) {
 		w.e.metrics.writerDropped.Add(uint64(n))
 		return &ClosedError{Dropped: n}

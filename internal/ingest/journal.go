@@ -119,15 +119,28 @@ func decodeFrame(data []byte) (source string, seq uint64, ops []Op, err error) {
 }
 
 // decodeFrameInto is decodeFrame decoding into dst's backing array
-// (regrown as needed) — the hot ingest path feeds it a pooled scratch
-// slice so a frame decode costs no steady-state allocation.
+// (regrown as needed).
 func decodeFrameInto(dst []Op, data []byte) (source string, seq uint64, ops []Op, err error) {
+	source, seq, body, err := splitFrame(data)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	if ops, err = decodeOpsInto(dst, body); err != nil {
+		return "", 0, nil, err
+	}
+	return source, seq, ops, nil
+}
+
+// splitFrame parses a frame's key header without touching its ops:
+// body is the v1 ops payload (data itself for a plain frame), ready for
+// decodeOpsInto. The submit core needs every key of a group before it
+// decodes any batch, so the header parse stands alone.
+func splitFrame(data []byte) (source string, seq uint64, body []byte, err error) {
 	if len(data) == 0 {
 		return "", 0, nil, fmt.Errorf("ingest: empty journal frame")
 	}
 	if data[0] != keyedCodecVersion {
-		ops, err = decodeOpsInto(dst, data)
-		return "", 0, ops, err
+		return "", 0, data, nil
 	}
 	if len(data) < 3 {
 		return "", 0, nil, fmt.Errorf("ingest: keyed journal frame too short (%d bytes)", len(data))
@@ -141,11 +154,7 @@ func decodeFrameInto(dst []Op, data []byte) (source string, seq uint64, ops []Op
 	}
 	source = string(data[3 : 3+srclen])
 	seq = binary.LittleEndian.Uint64(data[3+srclen : 3+srclen+8])
-	ops, err = decodeOpsInto(dst, data[3+srclen+8:])
-	if err != nil {
-		return "", 0, nil, err
-	}
-	return source, seq, ops, nil
+	return source, seq, data[3+srclen+8:], nil
 }
 
 // decodeOps parses one WAL frame back into ops. It is total: any input
@@ -264,12 +273,17 @@ type journal struct {
 	// since.
 	lastCkpt uint64
 
-	appended *obs.Counter // wal_appended_total: ops made durable
-	bufs     sync.Pool    // *[]byte frame-encoding scratch
+	appended     *obs.Counter   // wal_appended_total: ops made durable
+	appendFrames *obs.Histogram // wal_append_frames: frames per append (per fsync under -fsync batch)
+	bufs         sync.Pool      // *[]byte frame-encoding scratch
 }
 
 func newJournal(log *wal.Log, reg *obs.Registry) *journal {
-	return &journal{log: log, appended: reg.Counter("wal_appended_total")}
+	return &journal{
+		log:          log,
+		appended:     reg.Counter("wal_appended_total"),
+		appendFrames: reg.Histogram("wal_append_frames", obs.SizeBuckets),
+	}
 }
 
 // encode renders a batch (keyed when source is non-empty) into a pooled
@@ -285,12 +299,14 @@ func (j *journal) encode(source string, seq uint64, ops []Op) ([]byte, error) {
 // release returns an encode buffer to the pool.
 func (j *journal) release(frame []byte) { j.bufs.Put(&frame) }
 
-// append journals one encoded frame — the engine's only wal.Log.Append.
-// The log copies the bytes before returning, so the caller keeps frame.
-func (j *journal) append(frame []byte, nOps int) error {
-	_, err := j.log.Append(frame)
+// append journals a group of encoded frames with one write and, under
+// -fsync batch, one fsync — the engine's only wal.Log.Append. The log
+// copies the bytes before returning, so the caller keeps the frames.
+func (j *journal) append(frames [][]byte, nOps int) error {
+	_, err := j.log.Append(frames...)
 	if err == nil {
 		j.appended.Add(uint64(nOps))
+		j.appendFrames.Observe(float64(len(frames)))
 	}
 	return err
 }

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,9 +32,13 @@ import (
 //	              acknowledgements)
 //	  0x82 ERR    u8 code + UTF-8 message; the connection closes after
 //
-// Acks are cumulative and coalesced: the server acknowledges when its
-// read buffer drains or every streamAckEvery frames, whichever comes
-// first, so a fast sender pays one ack per burst, not per frame.
+// Acks are cumulative and coalesced, and so are commits — over the same
+// backlog: the server submits every complete DATA frame its read buffer
+// holds (at most streamAckEvery) as one group — one WAL write, one fsync
+// — and then writes one ACK for it, so a fast sender pays one fsync and
+// one ack per burst, not per frame, while a lone frame commits alone.
+// Group size is set by how many frames arrived during the previous
+// commit; there is no timer.
 const (
 	StreamFrameData  = 0x01
 	StreamFrameClose = 0x02
@@ -56,10 +59,24 @@ const (
 	StreamErrProto = 3
 )
 
-// streamAckEvery bounds ack coalescing: at most this many DATA frames
-// are accepted between acks even when the sender never lets the read
-// buffer drain.
+// streamAckEvery bounds a commit group, and with it ack coalescing: at
+// most this many DATA frames are accepted between acks even when the
+// sender never lets the read buffer drain.
 const streamAckEvery = 64
+
+// A connection's read buffer starts at streamReadBuf and doubles, up to
+// streamReadBufMax, whenever a read fills it — the sender is ahead of
+// the server, which is exactly when a larger backlog buys a larger
+// group. The ceiling holds 19 full frames (512 event ops ≈ 13 KiB):
+// past that an fsync is a few percent of what the group's own decode
+// and apply cost, so more buffer would buy memory, not throughput. The
+// floor keeps a fleet of a thousand paced monitors at 64 KiB a
+// connection. A single frame larger than the buffer grows it to that
+// frame's size.
+const (
+	streamReadBuf    = 64 << 10
+	streamReadBufMax = 256 << 10
+)
 
 // maxStreamFrame bounds one stream frame's payload. Far below
 // wal.MaxFrameBytes: a single DATA frame is one client batch, and a
@@ -74,22 +91,6 @@ type StreamError struct {
 
 func (e *StreamError) Error() string {
 	return fmt.Sprintf("ingest: stream error %d: %s", e.Code, e.Msg)
-}
-
-// countingReader counts bytes as they arrive from the connection (the
-// ingest_stream_bytes_total source of truth — envelope included,
-// counted where they enter).
-type countingReader struct {
-	r io.Reader
-	n *obs.Counter
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.n.Add(uint64(n))
-	}
-	return n, err
 }
 
 // StreamServer serves the binary streaming ingest protocol over an
@@ -186,10 +187,17 @@ func (s *StreamServer) Close() {
 
 // streamConn is one connection's protocol state.
 type streamConn struct {
-	s   *StreamServer
-	fr  *wal.FrameReader
-	buf *bufio.Reader // Buffered() drives ack coalescing
-	w   io.Writer
+	s    *StreamServer
+	conn io.ReadWriter
+
+	// buf[r:w] is received and not yet consumed. Staged frames alias it,
+	// so it is only refilled (fill) when nothing is staged. full records
+	// that the last read filled it: the cue to grow.
+	buf  []byte
+	r, w int
+	full bool
+
+	group []batch // staged DATA frames, committed together
 
 	accepted  uint64 // DATA frames accepted (applied or deduplicated)
 	lastAcked uint64
@@ -200,55 +208,118 @@ type streamConn struct {
 // a CLOSE frame completes, or an error ends the stream. The returned
 // error describes why the stream ended (nil for clean ends); the caller
 // owns closing conn.
+//
+// DATA frames are staged while the read buffer holds complete ones and
+// committed as a group the moment anything else comes up — the ack
+// bound, a non-DATA frame, a bad envelope, or a read that would block —
+// so on every exit path a frame that was read is either
+// committed-then-acked or was never touched, and the server never waits
+// on the network with frames staged.
 func (s *StreamServer) ServeConn(conn net.Conn) error {
 	s.conns.Inc()
-	br := bufio.NewReaderSize(&countingReader{r: conn, n: s.bytes}, 64<<10)
-	c := &streamConn{s: s, fr: wal.NewFrameReader(br), buf: br, w: conn}
+	c := &streamConn{s: s, conn: conn, buf: make([]byte, streamReadBuf)}
 	for {
-		payload, err := c.fr.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				// Peer vanished without CLOSE (crash, reset): everything
-				// acknowledged stands; everything else was never applied.
-				return nil
+		payload, size, err := wal.ParseFrame(c.buf[c.r:c.w])
+		switch {
+		case err != nil:
+			err = fmt.Errorf("corrupt frame: %w", err)
+		case size-wal.FrameHeaderSize > maxStreamFrame:
+			// Refused on the header alone: the payload is never buffered.
+			payload, err = nil, fmt.Errorf("oversized stream frame (%d bytes)", size-wal.FrameHeaderSize)
+		}
+		if payload != nil {
+			c.r += size
+			if payload[0] == StreamFrameData && len(c.group) < streamAckEvery {
+				c.group = append(c.group, batch{wire: payload[1:]})
+				continue
 			}
-			if errors.Is(err, wal.ErrCorrupt) {
-				c.sendErr(StreamErrProto, "corrupt frame: "+err.Error())
-				return fmt.Errorf("corrupt frame: %w", err)
-			}
+		}
+		if cerr := c.commit(); cerr != nil {
+			return cerr
+		}
+		switch {
+		case err != nil:
+			c.sendErr(StreamErrProto, err.Error())
 			return err
-		}
-		if len(payload) > maxStreamFrame {
-			c.sendErr(StreamErrProto, "frame exceeds stream bound")
-			return fmt.Errorf("oversized stream frame (%d bytes)", len(payload))
-		}
-		switch payload[0] {
-		case StreamFrameData:
-			if _, err := s.e.SubmitFrame(payload[1:]); err != nil {
-				code := byte(StreamErrCodec)
-				if errors.Is(err, ErrClosed) {
-					code = StreamErrState
-				}
-				c.sendErr(code, err.Error())
-				return fmt.Errorf("data frame rejected: %w", err)
-			}
-			s.frames.Inc()
-			c.accepted++
-			if c.buf.Buffered() == 0 || c.accepted-c.lastAcked >= streamAckEvery {
-				if err := c.sendAck(); err != nil {
+		case payload == nil:
+			if err := c.fill(size); err != nil {
+				if !errors.Is(err, io.EOF) {
 					return err
 				}
-			}
-		case StreamFrameClose:
-			// Final cumulative ack, then a clean end. The client treats
-			// the ack that covers its last DATA frame as full settlement.
-			if err := c.sendAck(); err != nil {
+				if c.r == c.w {
+					// Peer vanished without CLOSE (crash, reset): everything
+					// acknowledged stands; everything else was never applied.
+					return nil
+				}
+				err = fmt.Errorf("corrupt frame: %w: torn frame: %d bytes then EOF", wal.ErrCorrupt, c.w-c.r)
+				c.sendErr(StreamErrProto, err.Error())
 				return err
 			}
-			return nil
+		case payload[0] == StreamFrameData:
+			// The ack bound ended the group; this frame opens the next.
+			c.group = append(c.group, batch{wire: payload[1:]})
+		case payload[0] == StreamFrameClose:
+			// Final cumulative ack, then a clean end. The client treats
+			// the ack that covers its last DATA frame as full settlement.
+			return c.sendAck()
 		default:
 			c.sendErr(StreamErrProto, fmt.Sprintf("unknown frame type 0x%02x", payload[0]))
 			return fmt.Errorf("unknown stream frame type 0x%02x", payload[0])
+		}
+	}
+}
+
+// commit submits the staged frames as one group and acknowledges the
+// accepted prefix. A frame the engine rejects ends the stream: the ACK
+// for the frames before it goes out first, then the ERR.
+func (c *streamConn) commit() error {
+	if len(c.group) == 0 {
+		return nil
+	}
+	n, err := c.s.e.submit(c.group)
+	clear(c.group) // drop the aliases into the read buffer
+	c.group = c.group[:0]
+	if n > 0 {
+		c.s.frames.Add(uint64(n))
+		c.accepted += uint64(n)
+		if err := c.sendAck(); err != nil {
+			return err
+		}
+	}
+	if err != nil {
+		code := byte(StreamErrCodec)
+		if errors.Is(err, ErrClosed) {
+			code = StreamErrState
+		}
+		c.sendErr(code, err.Error())
+		return fmt.Errorf("data frame rejected: %w", err)
+	}
+	return nil
+}
+
+// fill blocks until more bytes arrive, making room for a frame of need
+// bytes. Nothing is staged when it runs, so the unconsumed tail (less
+// than one frame) may move to the front.
+func (c *streamConn) fill(need int) error {
+	c.w = copy(c.buf, c.buf[c.r:c.w])
+	c.r = 0
+	size := len(c.buf)
+	if c.full && size < streamReadBufMax {
+		size *= 2
+	}
+	if size = max(size, need); size > len(c.buf) {
+		c.buf = append(make([]byte, 0, size), c.buf[:c.w]...)[:size]
+	}
+	for {
+		n, err := c.conn.Read(c.buf[c.w:])
+		c.s.bytes.Add(uint64(n)) // envelope included, counted where they enter
+		c.w += n
+		c.full = c.w == len(c.buf)
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -261,7 +332,7 @@ func (c *streamConn) sendAck() error {
 	p[0] = StreamFrameAck
 	binary.LittleEndian.PutUint64(p[1:], c.accepted)
 	c.wbuf = wal.AppendFrame(c.wbuf[:0], p[:])
-	_, err := c.w.Write(c.wbuf)
+	_, err := c.conn.Write(c.wbuf)
 	return err
 }
 
@@ -276,5 +347,5 @@ func (c *streamConn) sendErr(code byte, msg string) {
 	p = append(p, StreamFrameErr, code)
 	p = append(p, msg...)
 	c.wbuf = wal.AppendFrame(c.wbuf[:0], p)
-	_, _ = c.w.Write(c.wbuf)
+	_, _ = c.conn.Write(c.wbuf)
 }

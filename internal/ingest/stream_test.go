@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -146,11 +147,19 @@ func mustEncodeFrame(t *testing.T, source string, seq uint64, ops []Op) []byte {
 
 // TestStreamCorruptFramesLeaveStateUnchanged sends a valid frame, then
 // torn/corrupt ones, and requires (a) an ERR frame with the right code,
-// (b) the connection to die, and (c) the engine's rendered state and
-// record counters to be exactly what the valid frame left.
+// (b) the connection to die, and (c) the engine's rendered state, record
+// counters and journal to be exactly what the valid frames left. A row
+// may pipeline good frames around the bad one in a single burst — one
+// commit group: the prefix is applied and ACKed, the bad frame and the
+// suffix touch neither state nor WAL, and exactly one ERR follows.
 func TestStreamCorruptFramesLeaveStateUnchanged(t *testing.T) {
-	e := New(Config{Shards: 2})
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
+	ref := New(Config{Shards: 1}) // fed exactly the frames that must stand
+	defer ref.Close()
 	addr := startStreamServer(t, e)
 
 	ops := []Op{
@@ -163,44 +172,86 @@ func TestStreamCorruptFramesLeaveStateUnchanged(t *testing.T) {
 	if err != nil || ack[0] != StreamFrameAck {
 		t.Fatalf("want ACK, got %v / %v", ack, err)
 	}
-	baseSum, baseCDF := renderAPI(t, e)
-	baseRecords := e.Metrics().Records
+	if err := ref.Submit(ops); err != nil {
+		t.Fatal(err)
+	}
+	wantFrames := uint64(1)
 
+	// burstFrame is good frame i of a row's burst, on a swarm of its own
+	// so a frame that slipped through would show in the state.
+	burstFrame := func(row, i int) (frame []byte, ops []Op) {
+		ops = []Op{EventOp(Record{SwarmID: 100*(row+1) + i, PeerID: 1, Seed: true, Online: true, Time: 0.25})}
+		return mustEncodeFrame(t, fmt.Sprintf("mon-burst-%d", row), uint64(i+1), ops), ops
+	}
 	cases := []struct {
 		name     string
+		prefix   int // good frames pipelined ahead of the bad one (and two behind it)
 		corrupt  func(env []byte) []byte
 		wantCode byte
 	}{
-		{"flipped payload bit", func(env []byte) []byte {
+		{"flipped payload bit", 0, func(env []byte) []byte {
 			env[len(env)-1] ^= 0x40
 			return env
 		}, StreamErrProto},
-		{"torn frame then close", func(env []byte) []byte {
+		{"torn frame then close", 0, func(env []byte) []byte {
 			return env[:len(env)-5]
 		}, StreamErrProto},
-		{"bad ops codec", func(env []byte) []byte {
+		{"bad ops codec", 0, func(env []byte) []byte {
 			junk := append([]byte{StreamFrameData}, 0xEE, 0xFF, 0x00, 0x01, 0x02)
 			return wal.AppendFrame(nil, junk)
 		}, StreamErrCodec},
-		{"unknown frame type", func(env []byte) []byte {
+		{"unknown frame type", 0, func(env []byte) []byte {
 			return wal.AppendFrame(nil, []byte{0x7F, 0x00})
 		}, StreamErrProto},
+		{"bad ops codec mid-burst", 3, func(env []byte) []byte {
+			junk := append([]byte{StreamFrameData}, 0xEE, 0xFF, 0x00, 0x01, 0x02)
+			return wal.AppendFrame(nil, junk)
+		}, StreamErrCodec},
+		{"flipped payload bit mid-burst", 2, func(env []byte) []byte {
+			env[len(env)-1] ^= 0x40
+			return env
+		}, StreamErrProto},
 	}
-	for _, tc := range cases {
+	for row, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, fr := dialStream(t, addr)
 			env := wal.AppendFrame(nil, append([]byte{StreamFrameData},
 				mustEncodeFrame(t, "mon-bad", 99, ops)...))
-			if _, err := conn.Write(tc.corrupt(env)); err != nil {
+			var burst []byte
+			for i := 0; i < tc.prefix; i++ {
+				frame, frameOps := burstFrame(row, i)
+				burst = wal.AppendFrame(burst, append([]byte{StreamFrameData}, frame...))
+				if err := ref.Submit(frameOps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantFrames += uint64(tc.prefix)
+			burst = append(burst, tc.corrupt(env)...)
+			if tc.prefix > 0 {
+				for i := tc.prefix; i < tc.prefix+2; i++ {
+					frame, _ := burstFrame(row, i)
+					burst = wal.AppendFrame(burst, append([]byte{StreamFrameData}, frame...))
+				}
+			}
+			if _, err := conn.Write(burst); err != nil {
 				t.Fatal(err)
 			}
 			conn.(*net.TCPConn).CloseWrite()
+			// ACKs for the prefix (cumulative; however the burst was
+			// segmented), then exactly one ERR, then EOF.
+			var acked uint64
 			payload, err := fr.Next()
+			for ; err == nil && payload[0] == StreamFrameAck; payload, err = fr.Next() {
+				acked = binary.LittleEndian.Uint64(payload[1:])
+			}
 			if err != nil {
 				t.Fatalf("want ERR frame, got read error %v", err)
 			}
 			if payload[0] != StreamFrameErr || payload[1] != tc.wantCode {
 				t.Fatalf("got frame %v, want ERR code %d", payload[:2], tc.wantCode)
+			}
+			if acked != uint64(tc.prefix) {
+				t.Fatalf("ACKed %d frames ahead of the ERR, want the prefix of %d", acked, tc.prefix)
 			}
 			if _, err := fr.Next(); !errors.Is(err, io.EOF) {
 				t.Fatalf("connection should close after ERR, got %v", err)
@@ -208,12 +259,14 @@ func TestStreamCorruptFramesLeaveStateUnchanged(t *testing.T) {
 		})
 	}
 
-	sum, cdf := renderAPI(t, e)
-	if !bytes.Equal(sum, baseSum) || !bytes.Equal(cdf, baseCDF) {
-		t.Fatal("corrupt frames changed engine state")
+	if got, want := stateBytes(e), stateBytes(ref); !bytes.Equal(got, want) {
+		t.Fatalf("rejected frames changed engine state\ngot:  %s\nwant: %s", got, want)
 	}
-	if got := e.Metrics().Records; got != baseRecords {
-		t.Fatalf("records moved %d -> %d across rejected frames", baseRecords, got)
+	if got, want := e.Metrics().Records, ref.Metrics().Records; got != want {
+		t.Fatalf("records = %d across rejected frames, want %d", got, want)
+	}
+	if got := e.WAL().LastSeq(); got != wantFrames {
+		t.Fatalf("journal holds %d frames, want %d: a rejected frame or a suffix reached the WAL", got, wantFrames)
 	}
 }
 
@@ -261,6 +314,97 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	}
 	if want := base.Deduped + uint64(3*len(ops)); m.Deduped != want {
 		t.Fatalf("deduped %d, want %d", m.Deduped, want)
+	}
+
+	// The same key twice inside one pipelined burst — one commit group:
+	// applied once, acknowledged twice.
+	conn, fr := dialStream(t, addr)
+	var burst []byte
+	for _, seq := range []uint64{6, 6, 7} {
+		burst = wal.AppendFrame(burst, append([]byte{StreamFrameData}, mustEncodeFrame(t, "mon-replay", seq, ops)...))
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for acked := uint64(0); acked < 3; {
+		payload, err := fr.Next()
+		if err != nil || payload[0] != StreamFrameAck {
+			t.Fatalf("want ACKs covering the burst, got %v / %v", payload, err)
+		}
+		acked = binary.LittleEndian.Uint64(payload[1:])
+	}
+	burstM := e.Metrics()
+	if want := m.Records + uint64(2*len(ops)); burstM.Records != want {
+		t.Fatalf("burst with a repeated key applied %d records, want %d", burstM.Records-m.Records, 2*len(ops))
+	}
+	if want := m.Deduped + uint64(len(ops)); burstM.Deduped != want {
+		t.Fatalf("burst with a repeated key deduplicated %d ops, want one batch of %d", burstM.Deduped-m.Deduped, len(ops))
+	}
+}
+
+// TestStreamCrossedSourcesDoNotDeadlock is the lock-order proof for
+// multi-source groups: two connections pipeline frames carrying the
+// same two sources in opposite orders, without pausing for acks, so
+// each server connection always has a backlog and every commit group
+// needs both source windows. The windows are taken in one global order,
+// so both streams finish; taken in arrival order they deadlock (each
+// connection holding one window and waiting for the other) and the
+// deadline fails the test. Run under -race in CI.
+func TestStreamCrossedSourcesDoNotDeadlock(t *testing.T) {
+	// Durable with fsync on: the windows are held across a real fsync, so
+	// the two connections contend for them on every group.
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	addr := startStreamServer(t, e)
+
+	// 2×480 keys in all: inside one dedup window however far one
+	// connection runs ahead of the other, so nothing counts as a replay.
+	const frames = 480
+	ops := []Op{EventOp(Record{SwarmID: 1, PeerID: 1, Online: true, Time: 1})}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for ci, order := range [][2]string{{"src-a", "src-b"}, {"src-b", "src-a"}} {
+		conn, fr := dialStream(t, addr)
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		wg.Add(2)
+		go func() { // writer: never waits for an ack
+			defer wg.Done()
+			for k := 0; k < frames; k++ {
+				// Each connection owns its half of every source's key space.
+				frame, err := EncodeFrame(nil, order[k%2], uint64(2*k+ci+1), ops)
+				if err != nil {
+					errs <- err
+					return
+				}
+				env := wal.AppendFrame(nil, append([]byte{StreamFrameData}, frame...))
+				if _, err := conn.Write(env); err != nil {
+					errs <- fmt.Errorf("conn %d write %d: %w", ci, k, err)
+					return
+				}
+			}
+		}()
+		go func() { // reader: until the cumulative ack covers everything
+			defer wg.Done()
+			for acked := uint64(0); acked < frames; {
+				payload, err := fr.Next()
+				if err != nil || payload[0] != StreamFrameAck {
+					errs <- fmt.Errorf("conn %d: want ACK past %d, got %v / %v", ci, acked, payload, err)
+					return
+				}
+				acked = binary.LittleEndian.Uint64(payload[1:])
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := e.Metrics().Records, uint64(2*frames*len(ops)); got != want {
+		t.Fatalf("applied %d records, want %d (deduped %d)", got, want, e.Metrics().Deduped)
 	}
 }
 

@@ -89,8 +89,8 @@ type StreamClient struct {
 	// covered by a cumulative ack, oldest first. The frames at indexes
 	// below sentOnConn−ackedOnConn are on the wire of the current
 	// connection; the rest await (re)send.
-	unacked    [][]byte
-	sentOnConn uint64 // DATA frames written on the current connection
+	unacked     [][]byte
+	sentOnConn  uint64 // DATA frames written on the current connection
 	ackedOnConn uint64
 
 	totalSent  uint64 // DATA frames handed to the window, ever

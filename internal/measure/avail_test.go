@@ -10,7 +10,7 @@ import (
 )
 
 func TestSharedAvailabilityDefinitions(t *testing.T) {
-	if !IsFullyAvailable(1) || !IsFullyAvailable(1 - 1e-12) {
+	if !IsFullyAvailable(1) || !IsFullyAvailable(1-1e-12) {
 		t.Fatal("availability of 1 (up to eps) must count as fully available")
 	}
 	if IsFullyAvailable(0.999) {

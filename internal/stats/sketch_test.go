@@ -125,9 +125,9 @@ func TestQuantileSketchEdges(t *testing.T) {
 // conversion inside Add.
 func TestQuantileSketchGeometryValidation(t *testing.T) {
 	cases := []struct {
-		name    string
-		lo, hi  float64
-		bins    int
+		name   string
+		lo, hi float64
+		bins   int
 	}{
 		{"zero bins", 0, 1, 0},
 		{"negative bins", 0, 1, -4},

@@ -72,6 +72,31 @@ func FinishFrame(env []byte) ([]byte, error) {
 	return env, nil
 }
 
+// ParseFrame decodes the frame at the head of buf without copying:
+// payload aliases buf, and size is the frame's encoded length (header
+// plus payload). A nil payload with a nil error means buf holds only
+// part of a frame: size is then the length the whole frame needs, or 0
+// while even the header is incomplete. An out-of-range length or a
+// checksum mismatch returns an error wrapping ErrCorrupt.
+func ParseFrame(buf []byte) (payload []byte, size int, err error) {
+	if len(buf) < FrameHeaderSize {
+		return nil, 0, nil
+	}
+	length := binary.LittleEndian.Uint32(buf[0:4])
+	if length == 0 || length > MaxFrameBytes {
+		return nil, 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, length)
+	}
+	size = FrameHeaderSize + int(length)
+	if len(buf) < size {
+		return nil, size, nil
+	}
+	payload = buf[FrameHeaderSize:size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, size, nil
+}
+
 // frameReader decodes frames from a byte stream.
 type frameReader struct {
 	r   io.Reader
@@ -79,31 +104,33 @@ type frameReader struct {
 }
 
 // next returns the next frame's payload. io.EOF marks a clean end;
-// ErrCorrupt (wrapped) marks a torn or invalid frame.
+// ErrCorrupt (wrapped) marks a torn or invalid frame. The envelope is
+// read into one buffer and judged by ParseFrame, so a stream and a
+// byte slice are held to the same rules.
 func (fr *frameReader) next() ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if cap(fr.buf) < frameHeaderSize {
+		fr.buf = make([]byte, frameHeaderSize)
+	}
+	hdr := fr.buf[:frameHeaderSize]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: torn frame header: %v", ErrCorrupt, err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxFrameBytes {
-		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, length)
+	_, size, err := ParseFrame(hdr)
+	if err != nil {
+		return nil, err
 	}
-	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
+	if cap(fr.buf) < size {
+		fr.buf = append(make([]byte, 0, size), hdr...)
 	}
-	payload := fr.buf[:length]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	env := fr.buf[:size]
+	if _, err := io.ReadFull(fr.r, env[frameHeaderSize:]); err != nil {
 		return nil, fmt.Errorf("%w: torn frame payload: %v", ErrCorrupt, err)
 	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return payload, nil
+	payload, _, err := ParseFrame(env)
+	return payload, err
 }
 
 // FrameReader decodes a stream of frames written by AppendFrame.

@@ -24,6 +24,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 3, 4})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 9})
 	f.Add(append([]byte{5, 0, 0, 0, 0, 0, 0, 0}, 'a', 'b', 'c', 'd', 'e'))
+	// A group write cut inside its third frame of four.
+	var group []byte
+	for _, p := range []string{"g1", "group frame two", "g3", "the last frame of the group"} {
+		group = AppendFrame(group, []byte(p))
+	}
+	f.Add(group[:len(group)-40])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -45,13 +51,13 @@ func FuzzWALReplay(f *testing.F) {
 		if frames != st.Frames {
 			t.Fatalf("replayed %d frames, Open reported %d", frames, st.Frames)
 		}
-		// The repaired log must accept and retain a new append.
-		seq, err := l.Append([]byte("post-repair"))
+		// The repaired log must accept and retain a new group.
+		seq, err := l.Append([]byte("post-repair"), []byte("and its group mate"))
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
-		if seq != st.Frames+1 {
-			t.Fatalf("append seq %d after %d recovered frames", seq, st.Frames)
+		if seq != st.Frames+2 {
+			t.Fatalf("group of two returned seq %d after %d recovered frames", seq, st.Frames)
 		}
 	})
 }

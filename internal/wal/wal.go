@@ -25,10 +25,11 @@
 // segment; Open scans every segment front to back and truncates the
 // log at the first invalid frame (bad length, short payload, CRC
 // mismatch), deleting any later segments — the recovered log is always
-// a clean prefix of what was appended. Under SyncEachAppend a frame is
-// fsynced before Append returns, so an acknowledged append survives
-// SIGKILL; the softer policies trade that guarantee for throughput and
-// bound the loss to the sync interval (or the OS flush horizon).
+// a clean prefix of what was appended. Under SyncEachAppend every frame
+// of an Append (one frame or a group) is fsynced before it returns, so
+// an acknowledged append survives SIGKILL; the softer policies trade
+// that guarantee for throughput and bound the loss to the sync interval
+// (or the OS flush horizon).
 package wal
 
 import (
@@ -55,8 +56,9 @@ var ErrClosed = errors.New("wal: log closed")
 type SyncPolicy uint8
 
 const (
-	// SyncEachAppend fsyncs before Append returns: an acknowledged
-	// append survives power loss. The default, and the policy the
+	// SyncEachAppend fsyncs before Append returns — once per call,
+	// however many frames the call carries: an acknowledged append
+	// survives power loss. The default, and the policy the
 	// zero-acked-loss crash tests assume.
 	SyncEachAppend SyncPolicy = iota
 	// SyncInterval fsyncs on a background ticker (Options.SyncEvery):
@@ -158,6 +160,11 @@ type Log struct {
 	nextSeq uint64
 	buf     []byte // frame assembly scratch
 	closed  bool
+	failed  error // sticky: a torn write that could not be rolled back
+
+	// writeHook, when set, replaces the segment write — tests inject
+	// short writes through it.
+	writeHook func(f *os.File, p []byte) (int, error)
 
 	stop chan struct{} // interval syncer shutdown
 	done chan struct{}
@@ -299,44 +306,94 @@ func (l *Log) segmentPath(base uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("wal-%016d.seg", base))
 }
 
-// Append writes one frame and returns its sequence number. Under
-// SyncEachAppend the frame is on stable storage when Append returns.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) == 0 || len(payload) > MaxFrameBytes {
-		return 0, fmt.Errorf("wal: payload size %d out of range (1..%d)", len(payload), MaxFrameBytes)
+// Append writes payloads as consecutive frames — one group: a single
+// write per segment touched and, under SyncEachAppend, a single fsync —
+// and returns the sequence number of the last one. Frames land exactly
+// where one Append per payload would put them (rotation may fall
+// between two frames of a group; sealing syncs the old segment). Under
+// SyncEachAppend every frame of the group is on stable storage when
+// Append returns.
+func (l *Log) Append(payloads ...[]byte) (uint64, error) {
+	for _, p := range payloads {
+		if len(p) == 0 || len(p) > MaxFrameBytes {
+			return 0, fmt.Errorf("wal: payload size %d out of range (1..%d)", len(p), MaxFrameBytes)
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.f != nil && l.active.size >= l.opts.SegmentBytes {
-		if err := l.sealLocked(); err != nil {
-			return 0, err
-		}
+	if l.failed != nil {
+		return 0, l.failed
 	}
-	if l.f == nil {
-		if err := l.openSegmentLocked(); err != nil {
-			return 0, err
-		}
+	if len(payloads) == 0 {
+		return l.nextSeq - 1, nil
 	}
-	l.buf = AppendFrame(l.buf[:0], payload)
-	if _, err := l.f.Write(l.buf); err != nil {
-		// The tail may now be torn; the next Open repairs it. Poison
-		// nothing — the caller decides whether to retry or fail.
+	l.buf = l.buf[:0]
+	pending := uint64(0) // frames assembled in buf, not yet written
+	for _, p := range payloads {
+		if l.f != nil && l.active.size+int64(len(l.buf)) >= l.opts.SegmentBytes {
+			if err := l.writeLocked(pending); err != nil {
+				return 0, err
+			}
+			pending = 0
+			if err := l.sealLocked(); err != nil {
+				return 0, err
+			}
+		}
+		if l.f == nil {
+			if err := l.openSegmentLocked(); err != nil {
+				return 0, err
+			}
+		}
+		l.buf = AppendFrame(l.buf, p)
+		pending++
+	}
+	if err := l.writeLocked(pending); err != nil {
 		return 0, err
 	}
-	l.active.size += int64(len(l.buf))
-	l.active.frames++
-	seq := l.nextSeq
-	l.nextSeq++
-	l.opts.SegmentBytesGauge.Set(float64(l.active.size))
 	if l.opts.Policy == SyncEachAppend {
 		if err := l.fsyncLocked(); err != nil {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return l.nextSeq - 1, nil
+}
+
+// writeLocked writes the n frames assembled in l.buf to the active
+// segment and accounts for them. After a failed or short write the next
+// successful one would land behind the torn bytes (the segment is
+// O_APPEND, or its offset has moved), be fsynced and acknowledged — and
+// the next Open would truncate at the torn frame and drop it. The segment is therefore
+// rolled back to its last good frame boundary; if even that fails the
+// log fail-stops rather than append behind garbage.
+func (l *Log) writeLocked(n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	write := l.f.Write
+	if l.writeHook != nil {
+		write = func(p []byte) (int, error) { return l.writeHook(l.f, p) }
+	}
+	if _, err := write(l.buf); err != nil {
+		terr := l.f.Truncate(l.active.size)
+		if terr == nil {
+			// A freshly created segment is not O_APPEND: its offset moved.
+			_, terr = l.f.Seek(l.active.size, io.SeekStart)
+		}
+		if terr != nil {
+			l.failed = fmt.Errorf("wal: log failed: write: %v; rollback: %w", err, terr)
+			return l.failed
+		}
+		return err
+	}
+	l.active.size += int64(len(l.buf))
+	l.active.frames += n
+	l.nextSeq += n
+	l.buf = l.buf[:0]
+	l.opts.SegmentBytesGauge.Set(float64(l.active.size))
+	return nil
 }
 
 // fsyncLocked syncs the active segment, timing the call.

@@ -31,90 +31,232 @@ func openT(t *testing.T, dir string, opts Options) (*Log, OpenStats) {
 	return l, st
 }
 
-func TestAppendReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force several rotations.
-	l, _ := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
-	const n = 50
-	for i := 1; i <= n; i++ {
-		seq, err := l.Append([]byte(fmt.Sprintf("frame-%03d", i)))
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		if seq != uint64(i) {
-			t.Fatalf("append %d returned seq %d", i, seq)
-		}
-	}
-	if l.LastSeq() != n {
-		t.Fatalf("LastSeq = %d, want %d", l.LastSeq(), n)
-	}
-	if l.Segments() < 2 {
-		t.Fatalf("expected rotation, got %d segments", l.Segments())
-	}
-	got := collect(t, l, 1)
-	if len(got) != n {
-		t.Fatalf("replayed %d frames, want %d", len(got), n)
-	}
-	for i := 1; i <= n; i++ {
-		if got[uint64(i)] != fmt.Sprintf("frame-%03d", i) {
-			t.Fatalf("frame %d = %q", i, got[uint64(i)])
-		}
-	}
-	// fromSeq skips the prefix.
-	if tail := collect(t, l, n-4); len(tail) != 5 {
-		t.Fatalf("tail replay got %d frames, want 5", len(tail))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// Reopen: everything survives, appends continue the sequence.
-	l2, st := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
-	defer l2.Close()
-	if st.Frames != n || st.TruncatedBytes != 0 || st.DroppedSegments != 0 {
-		t.Fatalf("reopen stats %+v", st)
-	}
-	seq, err := l2.Append([]byte("after"))
-	if err != nil || seq != n+1 {
-		t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
-	}
-	if got := collect(t, l2, 1); len(got) != n+1 || got[n+1] != "after" {
-		t.Fatalf("replay after reopen: %d frames", len(got))
-	}
-}
-
-func TestTornTailTruncatedOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncNone})
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("ok-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := l.active.path
-	l.Close()
-
-	// Simulate a crash mid-append: garbage half-frame at the tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+// segmentLayout lists dir's segment files with their sizes.
+func segmentLayout(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x10, 0, 0, 0, 0xde, 0xad}); err != nil {
-		t.Fatal(err)
+	var out string
+	for _, seg := range segs {
+		info, err := os.Stat(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += fmt.Sprintf("%s:%d ", filepath.Base(seg.path), info.Size())
 	}
-	f.Close()
+	return out
+}
 
-	l2, st := openT(t, dir, Options{Policy: SyncNone})
-	defer l2.Close()
-	if st.TruncatedBytes != 6 {
-		t.Fatalf("TruncatedBytes = %d, want 6", st.TruncatedBytes)
+// TestAppendReplayRoundTrip appends frame by frame and in groups whose
+// frames straddle several rotations: sequence numbers, replay and the
+// on-disk segment layout must not depend on how the frames were grouped.
+func TestAppendReplayRoundTrip(t *testing.T) {
+	var layouts []string
+	for _, group := range []int{1, 7} {
+		t.Run(fmt.Sprintf("group=%d", group), func(t *testing.T) {
+			dir := t.TempDir()
+			// Tiny segments force several rotations — inside a group too.
+			l, _ := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
+			const n = 50
+			for i := 1; i <= n; i += group {
+				var frames [][]byte
+				for k := i; k < i+group && k <= n; k++ {
+					frames = append(frames, []byte(fmt.Sprintf("frame-%03d", k)))
+				}
+				seq, err := l.Append(frames...)
+				if err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+				if want := uint64(i + len(frames) - 1); seq != want {
+					t.Fatalf("append %d.. returned seq %d, want the group's last, %d", i, seq, want)
+				}
+			}
+			if l.LastSeq() != n {
+				t.Fatalf("LastSeq = %d, want %d", l.LastSeq(), n)
+			}
+			if l.Segments() < 2 {
+				t.Fatalf("expected rotation, got %d segments", l.Segments())
+			}
+			got := collect(t, l, 1)
+			if len(got) != n {
+				t.Fatalf("replayed %d frames, want %d", len(got), n)
+			}
+			for i := 1; i <= n; i++ {
+				if got[uint64(i)] != fmt.Sprintf("frame-%03d", i) {
+					t.Fatalf("frame %d = %q", i, got[uint64(i)])
+				}
+			}
+			// fromSeq skips the prefix.
+			if tail := collect(t, l, n-4); len(tail) != 5 {
+				t.Fatalf("tail replay got %d frames, want 5", len(tail))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			layouts = append(layouts, segmentLayout(t, dir))
+
+			// Reopen: everything survives, appends continue the sequence.
+			l2, st := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
+			defer l2.Close()
+			if st.Frames != n || st.TruncatedBytes != 0 || st.DroppedSegments != 0 {
+				t.Fatalf("reopen stats %+v", st)
+			}
+			seq, err := l2.Append([]byte("after"))
+			if err != nil || seq != n+1 {
+				t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
+			}
+			if got := collect(t, l2, 1); len(got) != n+1 || got[n+1] != "after" {
+				t.Fatalf("replay after reopen: %d frames", len(got))
+			}
+		})
 	}
-	if got := collect(t, l2, 1); len(got) != 5 {
-		t.Fatalf("replayed %d frames after repair, want 5", len(got))
+	if len(layouts) == 2 && layouts[0] != layouts[1] {
+		t.Fatalf("grouping changed the segment layout:\n single: %s\n groups: %s", layouts[0], layouts[1])
 	}
-	// The repaired log accepts appends again.
-	if seq, err := l2.Append([]byte("post-repair")); err != nil || seq != 6 {
-		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
+}
+
+// TestTornTailTruncatedOnOpen: a crash mid-append leaves a torn tail —
+// garbage after clean frames, or a group write cut inside one of its
+// frames. Open truncates at the last whole frame either way, and the
+// earlier frames of the group replay.
+func TestTornTailTruncatedOnOpen(t *testing.T) {
+	cases := []struct {
+		name      string
+		tear      func(t *testing.T, path string)
+		wantTrunc int64
+		wantKept  int
+	}{
+		{"garbage half-frame at the tail", func(t *testing.T, path string) {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte{0x10, 0, 0, 0, 0xde, 0xad}); err != nil {
+				t.Fatal(err)
+			}
+		}, 6, 5},
+		{"group write cut inside its fourth frame", func(t *testing.T, path string) {
+			// Frames are 8+4 bytes: keep three and a half.
+			if err := os.Truncate(path, 3*12+6); err != nil {
+				t.Fatal(err)
+			}
+		}, 6, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, Options{Policy: SyncNone})
+			var group [][]byte
+			for i := 0; i < 5; i++ {
+				group = append(group, []byte(fmt.Sprintf("ok-%d", i)))
+			}
+			if _, err := l.Append(group...); err != nil {
+				t.Fatal(err)
+			}
+			path := l.active.path
+			l.Close()
+			tc.tear(t, path)
+
+			l2, st := openT(t, dir, Options{Policy: SyncNone})
+			defer l2.Close()
+			if st.TruncatedBytes != tc.wantTrunc {
+				t.Fatalf("TruncatedBytes = %d, want %d", st.TruncatedBytes, tc.wantTrunc)
+			}
+			got := collect(t, l2, 1)
+			if len(got) != tc.wantKept {
+				t.Fatalf("replayed %d frames after repair, want %d", len(got), tc.wantKept)
+			}
+			for i := 0; i < tc.wantKept; i++ {
+				if got[uint64(i+1)] != fmt.Sprintf("ok-%d", i) {
+					t.Fatalf("frame %d = %q after repair", i+1, got[uint64(i+1)])
+				}
+			}
+			// The repaired log accepts appends again.
+			if seq, err := l2.Append([]byte("post-repair")); err != nil || seq != uint64(tc.wantKept+1) {
+				t.Fatalf("append after repair: seq=%d err=%v", seq, err)
+			}
+		})
+	}
+}
+
+// TestFailedWriteNeverBuriesLaterFrames injects a short write in the
+// middle of a group through the write hook, on a fresh segment and on a
+// reopened (O_APPEND) one. Without a rollback the next successful append
+// would land behind the torn bytes and the next Open would drop it.
+// Every frame whose Append returned nil must replay after a reopen, and
+// after a rollback nothing else may; when even the rollback fails the
+// log must refuse every later append instead.
+func TestFailedWriteNeverBuriesLaterFrames(t *testing.T) {
+	for _, tc := range []struct{ reopened, rollbackFails bool }{
+		{false, false}, {true, false}, {false, true},
+	} {
+		rollbackFails := tc.rollbackFails
+		t.Run(fmt.Sprintf("reopened=%v/rollbackFails=%v", tc.reopened, rollbackFails), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, Options{Policy: SyncNone})
+			acked := map[uint64]string{}
+			appendOK := func(frames ...string) {
+				t.Helper()
+				var group [][]byte
+				for _, f := range frames {
+					group = append(group, []byte(f))
+				}
+				last, err := l.Append(group...)
+				if err != nil {
+					t.Fatalf("append %v: %v", frames, err)
+				}
+				for i, f := range frames {
+					acked[last-uint64(len(frames)-1-i)] = f
+				}
+			}
+			appendOK("a1", "a2")
+			if tc.reopened {
+				l.Close()
+				l, _ = openT(t, dir, Options{Policy: SyncNone})
+			}
+
+			injected := errors.New("injected short write")
+			l.writeHook = func(f *os.File, p []byte) (int, error) {
+				n, _ := f.Write(p[:len(p)/2]) // tears the group's second frame
+				if rollbackFails {
+					f.Close() // the rollback's Truncate now fails too
+				}
+				return n, injected
+			}
+			if _, err := l.Append([]byte("lost-1"), []byte("lost-2"), []byte("lost-3")); err == nil {
+				t.Fatal("torn append returned nil")
+			} else if !rollbackFails && !errors.Is(err, injected) {
+				t.Fatalf("torn append returned %v, want the injected error", err)
+			}
+			l.writeHook = nil
+
+			if rollbackFails {
+				if _, err := l.Append([]byte("behind-garbage")); err == nil {
+					t.Fatal("log accepted an append behind a torn region it could not roll back")
+				}
+			} else {
+				appendOK("b1", "b2", "b3")
+				if l.LastSeq() != 5 {
+					t.Fatalf("LastSeq = %d after a rolled-back group, want 5", l.LastSeq())
+				}
+			}
+			l.Close()
+
+			l2, _ := openT(t, dir, Options{Policy: SyncNone})
+			defer l2.Close()
+			got := collect(t, l2, 1)
+			for seq, want := range acked {
+				if got[seq] != want {
+					t.Fatalf("frame %d acknowledged as %q, replayed as %q (all: %v)", seq, want, got[seq], got)
+				}
+			}
+			if !rollbackFails && len(got) != len(acked) {
+				t.Fatalf("replayed %d frames, %d were acknowledged: %v", len(got), len(acked), got)
+			}
+		})
 	}
 }
 

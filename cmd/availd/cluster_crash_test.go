@@ -131,7 +131,7 @@ func TestClusterCrashFailover(t *testing.T) {
 		defer children[i].kill()
 	}
 
-	// Followers: in-process runFollower instances shipping each leader's
+	// Followers: in-process standby serve instances shipping each leader's
 	// WAL, promotable over HTTP exactly as in production.
 	followerURLs := make([]string, nNodes)
 	followerDone := make([]chan error, nNodes)
@@ -146,7 +146,7 @@ func TestClusterCrashFailover(t *testing.T) {
 			shards:     2,
 			batch:      32,
 		}
-		go func() { done <- runFollower(ctx, opts, ready) }()
+		go func() { done <- serve(ctx, nil, opts, ready, nil) }()
 		select {
 		case addr := <-ready:
 			followerURLs[i] = "http://" + addr.String()

@@ -1,8 +1,8 @@
 // Command availd is the online availability-analytics daemon: the
 // serving front end of internal/ingest. It consumes monitor records —
-// live over HTTP or replayed from archived JSONL campaigns — and
-// answers the §2 availability and bundling questions continuously
-// instead of after the campaign ends.
+// live over HTTP or the binary stream, or replayed from archived JSONL
+// campaigns — and answers the §2 availability and bundling questions
+// continuously instead of after the campaign ends.
 //
 // Endpoints:
 //
@@ -17,6 +17,13 @@
 //	GET  /metrics                registry scrape (Prometheus text)
 //	GET  /debug/vars             same series as flat JSON
 //	GET  /healthz                liveness
+//	GET  /v1/healthz             readiness: serving, or 503 draining / following / fenced
+//
+// With -ingest-bin a raw TCP listener takes the length-framed binary
+// stream (DESIGN.md §12) next to the HTTP API — the path monitor fleets
+// and availgw use:
+//
+//	availd -listen :8647 -ingest-bin :8649 -data-dir /var/lib/availd
 //
 // With -admin the same observability surface (plus opt-in
 // net/http/pprof via -pprof) is additionally served on a separate
@@ -24,6 +31,23 @@
 // scrapes:
 //
 //	availd -listen :8647 -admin 127.0.0.1:8648 -pprof
+//
+// With -follow the process is a warm standby: it ships the named
+// leader's WAL and checkpoints into -data-dir and serves only
+//
+//	GET  /v1/healthz          503 {"state":"following"}
+//	GET  /v1/follower/status  shipping watermark and leader
+//	POST /v1/promote          stop shipping, recover, become the leader
+//	GET  /metrics, /debug/vars
+//
+// (503 for everything else) until it is promoted, normally by the
+// cluster gateway's failure detector. A standby is the same node as a
+// leader — every listener is bound at boot and promotion runs the
+// leader's own boot sequence over the shipped state — so every flag
+// below means after a failover what it means on a leader (DESIGN.md §10):
+//
+//	availd -follow http://leader:8647 -listen :8657 -ingest-bin :8659 \
+//	       -admin 127.0.0.1:8658 -data-dir /var/lib/availd-standby
 //
 // Replay mode streams an archived availability study (and optionally a
 // census) through the full ingest path:
@@ -41,34 +65,22 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
-	"math"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"swarmavail/internal/cluster"
-	"swarmavail/internal/ingest"
-	"swarmavail/internal/measure"
 	"swarmavail/internal/obs"
-	"swarmavail/internal/stats"
-	"swarmavail/internal/trace"
-	"swarmavail/internal/wal"
 )
 
 // options carries the CLI configuration through run and serve; tests
 // construct it directly (zero value = API listener only, no admin, no
-// request logging).
+// log output).
 type options struct {
 	listen  string // API listen address; empty = no server
 	admin   string // optional separate observability listener
@@ -80,7 +92,7 @@ type options struct {
 	push    string
 	writers int
 	verify  bool
-	logger  *slog.Logger // structured request + lifecycle log (nil = off)
+	logger  *slog.Logger // structured request + lifecycle log; run and serve default it to a discarding one
 
 	// Durability: with dataDir set the engine journals every accepted
 	// batch to a WAL and recovers checkpoint + tail on boot.
@@ -102,6 +114,14 @@ type options struct {
 	// once the listener is up (tests use ":0").
 	ingestBin string
 	binReady  chan<- net.Addr
+}
+
+// withLogger defaults the logger, so no lifecycle line needs a guard.
+func (o options) withLogger() options {
+	if o.logger == nil {
+		o.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	return o
 }
 
 func main() {
@@ -144,6 +164,7 @@ func main() {
 }
 
 func run(ctx context.Context, opts options) error {
+	opts = opts.withLogger()
 	if opts.push != "" {
 		if opts.replay == "" {
 			return fmt.Errorf("-push needs -replay (the records to send)")
@@ -154,10 +175,11 @@ func run(ctx context.Context, opts options) error {
 		if opts.listen == "" || opts.dataDir == "" {
 			return fmt.Errorf("-follow needs -listen and -data-dir")
 		}
-		return runFollower(ctx, opts, nil)
+		// A standby: the same serve, which gets its engine at promotion.
+		return serve(ctx, nil, opts, nil, nil)
 	}
 
-	e, err := newEngineFromOpts(opts)
+	e, err := newEngineFromOpts(opts, nil)
 	if err != nil {
 		return err
 	}
@@ -181,699 +203,9 @@ func run(ctx context.Context, opts options) error {
 		// the next boot loads it instead of replaying the whole journal.
 		if opts.dataDir != "" {
 			e.Close()
-			return finalCheckpoint(e, opts)
+			finalCheckpoint(e, opts)
 		}
 		return nil
 	}
 	return serve(ctx, e, opts, nil, nil)
-}
-
-// newEngineFromOpts builds the engine: plain in-memory by default, or —
-// with -data-dir — a durable one recovered from its checkpoint and WAL.
-func newEngineFromOpts(opts options) (*ingest.Engine, error) {
-	cfg := ingest.Config{Shards: opts.shards, BatchSize: opts.batch}
-	if opts.dataDir == "" {
-		return ingest.New(cfg), nil
-	}
-	policy, err := wal.ParseSyncPolicy(opts.fsync)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	e, rs, err := ingest.OpenDurable(cfg, ingest.DurabilityConfig{
-		Dir:       opts.dataDir,
-		Fsync:     policy,
-		SyncEvery: opts.fsyncInterval,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("recover %s: %w", opts.dataDir, err)
-	}
-	fmt.Printf("availd: recovered %s in %v (checkpoint seq %d, %d swarms; replayed %d ops from %d frames)\n",
-		opts.dataDir, time.Since(start).Round(time.Millisecond),
-		rs.CheckpointSeq, rs.CheckpointSwarms, rs.ReplayedOps, rs.ReplayedFrames)
-	for _, skipped := range rs.SkippedCheckpoints {
-		fmt.Fprintf(os.Stderr, "availd: skipped unreadable checkpoint %s\n", skipped)
-	}
-	if opts.logger != nil {
-		opts.logger.Info("recovered",
-			"dir", opts.dataDir,
-			"fsync", policy.String(),
-			"checkpoint_seq", rs.CheckpointSeq,
-			"checkpoint_swarms", rs.CheckpointSwarms,
-			"replayed_frames", rs.ReplayedFrames,
-			"replayed_ops", rs.ReplayedOps,
-			"truncated_bytes", rs.TruncatedBytes,
-			"dropped_segments", rs.DroppedSegments,
-			"bad_frame_seq", rs.BadFrameSeq,
-			"skipped_checkpoints", rs.SkippedCheckpoints,
-			"elapsed", time.Since(start))
-		if rs.TruncatedBytes > 0 || rs.DroppedSegments > 0 || rs.BadFrameSeq != 0 {
-			opts.logger.Warn("journal repaired on open",
-				"truncated_bytes", rs.TruncatedBytes,
-				"dropped_segments", rs.DroppedSegments,
-				"bad_frame_seq", rs.BadFrameSeq)
-		}
-	}
-	return e, nil
-}
-
-// finalCheckpoint captures the (already drained) engine's state on the
-// way out. Failure is reported but not fatal: the WAL alone recovers
-// the same state, just more slowly.
-func finalCheckpoint(e *ingest.Engine, opts options) error {
-	cs, err := e.Checkpoint()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "availd: final checkpoint: %v (journal remains authoritative)\n", err)
-		if opts.logger != nil {
-			opts.logger.Error("final checkpoint failed", "err", err)
-		}
-		return nil
-	}
-	if !cs.Skipped {
-		fmt.Printf("availd: checkpoint seq %d written (%d swarms, %d bytes, %v)\n",
-			cs.Seq, cs.Swarms, cs.Bytes, cs.Duration.Round(time.Millisecond))
-	}
-	if opts.logger != nil {
-		opts.logger.Info("final checkpoint", "seq", cs.Seq, "swarms", cs.Swarms,
-			"bytes", cs.Bytes, "skipped", cs.Skipped, "duration", cs.Duration)
-	}
-	return nil
-}
-
-// newHTTPServer applies the shared slow-client protections: a peer that
-// stalls mid-headers or mid-body cannot pin a connection goroutine
-// forever.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       60 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-}
-
-// serve runs the hardened HTTP front end until ctx ends, then shuts
-// down gracefully: stop accepting, finish in-flight requests, drain the
-// ingest engine. Every record acknowledged to a client before the
-// signal is applied before exit. If opts.admin is set, the
-// observability surface (metrics, vars, opt-in pprof) is additionally
-// served on its own listener. If ready/adminReady are non-nil they
-// receive the bound addresses once the listeners are up (tests use
-// ":0").
-func serve(ctx context.Context, e *ingest.Engine, opts options, ready, adminReady chan<- net.Addr) error {
-	reg := e.Registry()
-	obs.RegisterProcessMetrics(reg)
-	registerSummaryMetrics(reg, e)
-
-	// The epoch gate is opened even without a data dir (memory-only) so
-	// the cluster_epoch/fencing series exist on every configuration and
-	// a stamped request fences an in-memory node the same way.
-	gate, err := cluster.OpenEpochGate(opts.dataDir, reg, func(format string, args ...any) {
-		if opts.logger != nil {
-			opts.logger.Warn(fmt.Sprintf(format, args...))
-		}
-	})
-	if err != nil {
-		return err
-	}
-	s := &server{engine: e, dataDir: opts.dataDir, gate: gate}
-	h := obs.InstrumentHandler(reg, "api", s.handler())
-	h = obs.LogRequests(opts.logger, h)
-
-	ln, err := net.Listen("tcp", opts.listen)
-	if err != nil {
-		return err
-	}
-	srv := newHTTPServer(h)
-	fmt.Printf("availd: serving on %s (%d shards)\n", ln.Addr(), e.Shards())
-	if opts.logger != nil {
-		opts.logger.Info("serving", "addr", ln.Addr().String(), "shards", e.Shards())
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	errc := make(chan error, 3)
-	go func() { errc <- srv.Serve(ln) }()
-
-	var adminSrv *http.Server
-	if opts.admin != "" {
-		adminLn, err := net.Listen("tcp", opts.admin)
-		if err != nil {
-			srv.Close()
-			ln.Close()
-			return err
-		}
-		adminSrv = newHTTPServer(obs.LogRequests(opts.logger, obs.AdminHandler(reg, opts.pprof)))
-		fmt.Printf("availd: admin on %s (pprof %v)\n", adminLn.Addr(), opts.pprof)
-		if opts.logger != nil {
-			opts.logger.Info("admin listener up", "addr", adminLn.Addr().String(), "pprof", opts.pprof)
-		}
-		if adminReady != nil {
-			adminReady <- adminLn.Addr()
-		}
-		go func() { errc <- adminSrv.Serve(adminLn) }()
-	}
-
-	// Binary streaming ingest listener: the same engine behind a raw TCP
-	// protocol whose frames are journal frames (DESIGN.md §12).
-	var (
-		binLn net.Listener
-		binSS *ingest.StreamServer
-	)
-	if opts.ingestBin != "" {
-		binLn, err = net.Listen("tcp", opts.ingestBin)
-		if err != nil {
-			if adminSrv != nil {
-				adminSrv.Close()
-			}
-			srv.Close()
-			ln.Close()
-			return err
-		}
-		binSS = ingest.NewStreamServer(e, func(format string, args ...any) {
-			if opts.logger != nil {
-				opts.logger.Warn(fmt.Sprintf(format, args...))
-			}
-		})
-		fmt.Printf("availd: binary ingest on %s\n", binLn.Addr())
-		if opts.logger != nil {
-			opts.logger.Info("binary ingest listener up", "addr", binLn.Addr().String())
-		}
-		if opts.binReady != nil {
-			opts.binReady <- binLn.Addr()
-		}
-		go func() { errc <- binSS.Serve(binLn) }()
-	}
-
-	// Periodic checkpoints bound recovery time: boot cost is one
-	// checkpoint load plus at most checkpointEvery worth of WAL replay.
-	var ckptWG sync.WaitGroup
-	if opts.dataDir != "" && opts.checkpointEvery > 0 {
-		ckptWG.Add(1)
-		go func() {
-			defer ckptWG.Done()
-			t := time.NewTicker(opts.checkpointEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					cs, err := e.Checkpoint()
-					switch {
-					case err != nil:
-						fmt.Fprintf(os.Stderr, "availd: checkpoint: %v\n", err)
-						if opts.logger != nil {
-							opts.logger.Error("checkpoint failed", "err", err)
-						}
-					case !cs.Skipped && opts.logger != nil:
-						opts.logger.Info("checkpoint", "seq", cs.Seq, "swarms", cs.Swarms,
-							"bytes", cs.Bytes, "duration", cs.Duration)
-					}
-				}
-			}
-		}()
-	}
-
-	select {
-	case err := <-errc:
-		if adminSrv != nil {
-			adminSrv.Close()
-		}
-		if binLn != nil {
-			binLn.Close()
-			binSS.Close()
-		}
-		srv.Close()
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("availd: signal received, draining")
-	if opts.logger != nil {
-		opts.logger.Info("signal received, draining")
-	}
-	// Flip readiness before closing anything: /v1/healthz answers 503
-	// draining while the listener is still up, and the grace period
-	// gives health-checking gateways time to observe the transition and
-	// stop routing here before connections start failing.
-	s.draining.Store(true)
-	if opts.drainGrace > 0 {
-		time.Sleep(opts.drainGrace)
-	}
-	if binLn != nil {
-		// Stop the binary stream first: closing the listener and the
-		// active connections cuts every stream at a frame boundary —
-		// acknowledged frames are in the engine, clients resend the rest
-		// on reconnect (keyed frames make that exactly-once).
-		binLn.Close()
-		binSS.Close()
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		// In-flight requests overran the grace period; the engine still
-		// drains what they enqueued (late writes get ErrClosed → 503).
-		fmt.Fprintf(os.Stderr, "availd: shutdown: %v\n", err)
-	}
-	if adminSrv != nil {
-		// The admin listener stays up through the API drain so a final
-		// scrape can observe the shutdown, then closes with it.
-		if err := adminSrv.Shutdown(shutCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "availd: admin shutdown: %v\n", err)
-		}
-	}
-	ckptWG.Wait() // no checkpoint racing the drain
-	e.Close()
-	m := e.Metrics()
-	fmt.Printf("availd: drained, %d records applied\n", m.Applied)
-	if opts.logger != nil {
-		opts.logger.Info("drained", "applied", m.Applied)
-	}
-	if opts.dataDir != "" {
-		// The drained final state — every record acknowledged before the
-		// signal — is folded into a shutdown checkpoint, so the next
-		// boot loads it without replaying the journal.
-		return finalCheckpoint(e, opts)
-	}
-	return nil
-}
-
-// registerSummaryMetrics exposes the engine's analytical state —
-// swarm/peer population and busy periods — as gauges. They read the
-// engine's lock-free snapshot (never the shard queues), and
-// back-to-back callbacks within one scrape hit the engine's memoized
-// merge, so scraping costs the write path nothing.
-func registerSummaryMetrics(reg *obs.Registry, e *ingest.Engine) {
-	get := func() *ingest.Summary { return e.Snapshot().Summary }
-	reg.GaugeFunc("availd_swarms", func() float64 { return float64(get().Swarms) })
-	reg.GaugeFunc("availd_study_swarms", func() float64 { return float64(get().StudySwarms) })
-	reg.GaugeFunc("availd_census_swarms", func() float64 { return float64(get().CensusSwarms) })
-	reg.GaugeFunc("availd_seeds_online", func() float64 { return float64(get().SeedsOnline) })
-	reg.GaugeFunc("availd_leechers_online", func() float64 { return float64(get().LeechersOnline) })
-	reg.GaugeFunc("availd_busy_periods", func() float64 { return float64(get().BusyPeriods) })
-}
-
-// pushStudy is replay-over-network: it streams an archived availability
-// study's monitor records to a remote availd's /v1/ingest through the
-// retrying HTTP client, riding out transient outages with backoff. The
-// trace file is decoded in parallel so the sender, not JSON parsing, is
-// the bottleneck.
-func pushStudy(ctx context.Context, url, path string, batch int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	c := ingest.NewHTTPClient(ingest.HTTPClientConfig{
-		URL: url,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("availd: "+format+"\n", args...)
-		},
-	})
-	sc := trace.NewParallelTraceScanner(f, 0)
-	defer sc.Close()
-	start := time.Now()
-	st, err := c.PushTraces(ctx, sc, batch)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pushed %d records from %d swarms to %s in %v (%d retries)\n",
-		st.Records, st.Swarms, url, time.Since(start).Round(time.Millisecond), c.Retries())
-	return nil
-}
-
-// offlineRef accumulates the offline reference statistics during the
-// replay scan, so verification needs no second pass over the file.
-type offlineRef struct {
-	avail      map[int][2]float64
-	firstMonth *stats.QuantileSketch
-	full       *stats.QuantileSketch
-	fm, fl     []float64
-}
-
-func replayStudy(e *ingest.Engine, path string, writers int, verify bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	var ref *offlineRef
-	// Parallel decode: order-preserving, so the verify path's
-	// record-by-record offline comparison still sees the file order.
-	sc := trace.NewParallelTraceScanner(f, 0)
-	defer sc.Close()
-	start := time.Now()
-	var n int
-	if !verify {
-		n, err = ingest.ReplayTraces(e, sc, writers)
-	} else {
-		ref = &offlineRef{
-			avail:      make(map[int][2]float64),
-			firstMonth: stats.NewAvailabilitySketch(),
-			full:       stats.NewAvailabilitySketch(),
-		}
-		// Feed the engine through one writer per scanned record while
-		// computing the offline answers from the same record.
-		w := e.NewWriter()
-		for sc.Scan() {
-			t := sc.Record()
-			for _, op := range ingest.TraceOps(t) {
-				w.Put(op)
-			}
-			fm, full := measure.Availability(t)
-			ref.avail[t.Meta.ID] = [2]float64{fm, full}
-			ref.firstMonth.Add(fm)
-			ref.full.Add(full)
-			ref.fm = append(ref.fm, fm)
-			ref.fl = append(ref.fl, full)
-			n++
-		}
-		w.Flush()
-		e.Flush()
-		err = sc.Err()
-	}
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	m := e.Metrics()
-	fmt.Printf("replayed %d swarms (%d records) in %v — %.0f records/s, batch p50 latency %s\n",
-		n, m.Applied, elapsed.Round(time.Millisecond),
-		float64(m.Applied)/elapsed.Seconds(), fmtSeconds(m.LatencyP50))
-
-	sum := e.Summary()
-	h := sum.Headlines()
-	fmt.Printf("online headlines: %.1f%% fully seeded through month 1, %.1f%% available ≤20%% of the trace\n",
-		100*h.FullyAvailableFirstMonth, 100*h.MostlyUnavailableOverall)
-	fmt.Println("online availability quantiles (first month / whole trace):")
-	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-		fmt.Printf("  p%-3.0f  %.3f / %.3f\n", q*100, sum.FirstMonth.Quantile(q), sum.Full.Quantile(q))
-	}
-
-	if verify {
-		return verifyStudy(e, sum, ref)
-	}
-	return nil
-}
-
-func verifyStudy(e *ingest.Engine, sum *ingest.Summary, ref *offlineRef) error {
-	var maxDelta float64
-	for id, want := range ref.avail {
-		st, ok := e.Swarm(id)
-		if !ok {
-			return fmt.Errorf("verify: swarm %d missing from online state", id)
-		}
-		d := math.Max(math.Abs(st.FirstMonth-want[0]), math.Abs(st.Full-want[1]))
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-	const tol = 1e-9
-	fmt.Printf("verify: %d swarms, max |online − offline| availability = %.3g (tolerance %g)\n",
-		len(ref.avail), maxDelta, tol)
-	if maxDelta > tol {
-		return fmt.Errorf("verify: per-swarm availability diverged by %g > %g", maxDelta, tol)
-	}
-
-	// Online sketches must equal the offline single-pass sketches, and
-	// both must sit within one bin of the exact order statistics.
-	sort.Float64s(ref.fm)
-	sort.Float64s(ref.fl)
-	res := sum.FirstMonth.Resolution()
-	var maxQ float64
-	for _, q := range []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99} {
-		if sum.FirstMonth.Quantile(q) != ref.firstMonth.Quantile(q) ||
-			sum.Full.Quantile(q) != ref.full.Quantile(q) {
-			return fmt.Errorf("verify: online sketch quantile q=%v diverged from offline sketch", q)
-		}
-		rank := int(math.Ceil(q * float64(len(ref.fm))))
-		dFM := math.Abs(sum.FirstMonth.Quantile(q) - ref.fm[rank-1])
-		dFL := math.Abs(sum.Full.Quantile(q) - ref.fl[rank-1])
-		maxQ = math.Max(maxQ, math.Max(dFM, dFL))
-	}
-	fmt.Printf("verify: CDF quantiles identical to offline sketch; max |sketch − exact order stat| = %.3g (tolerance %.3g)\n",
-		maxQ, res)
-	if maxQ > res+1e-12 {
-		return fmt.Errorf("verify: sketch quantile error %g exceeds resolution %g", maxQ, res)
-	}
-	fmt.Println("verify: OK")
-	return nil
-}
-
-func replayCensus(e *ingest.Engine, path string, writers int, verify bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	start := time.Now()
-
-	var offline map[trace.Category]measure.BundlingExtent
-	var n int
-	if !verify {
-		sc := trace.NewParallelSnapshotScanner(f, 0)
-		defer sc.Close()
-		n, err = ingest.ReplaySnapshots(e, sc, writers)
-		if err != nil {
-			return err
-		}
-	} else {
-		// Stream both pipelines from one scan; the offline extent uses
-		// the identical classifier on each record.
-		ext := map[trace.Category]measure.BundlingExtent{}
-		w := e.NewWriter()
-		sc := trace.NewParallelSnapshotScanner(f, 0)
-		defer sc.Close()
-		for sc.Scan() {
-			s := sc.Record()
-			w.ObserveCensus(s)
-			acc := ext[s.Meta.Category]
-			acc.Category = s.Meta.Category
-			acc.Swarms++
-			if measure.IsBundle(s.Meta) {
-				acc.Bundles++
-			}
-			if s.Meta.Category == trace.Books && measure.IsCollection(s.Meta) {
-				acc.Collections++
-			}
-			ext[s.Meta.Category] = acc
-			n++
-		}
-		w.Flush()
-		e.Flush()
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		offline = ext
-	}
-	fmt.Printf("replayed %d census snapshots in %v\n", n, time.Since(start).Round(time.Millisecond))
-
-	sum := e.Summary()
-	for _, cat := range []trace.Category{trace.Music, trace.TV, trace.Books} {
-		cc := sum.Categories[cat]
-		fmt.Printf("  %-6s %8d swarms, %6d bundles, %d collections, %.1f%% seedless\n",
-			cat, cc.Swarms, cc.Bundles, cc.Collections,
-			100*cc.Compare(cat).SeedlessAll)
-		if offline != nil {
-			if got := cc.Extent(cat); got != offline[cat] {
-				return fmt.Errorf("verify: %v bundling counters diverged: online %+v offline %+v",
-					cat, got, offline[cat])
-			}
-		}
-	}
-	if offline != nil {
-		fmt.Println("verify: bundling counters identical to offline analysis")
-	}
-	return nil
-}
-
-func fmtSeconds(s float64) string {
-	if s <= 0 {
-		return "n/a"
-	}
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-// server wires the engine into the HTTP API.
-type server struct {
-	engine *ingest.Engine
-	// dataDir gates the WAL-shipping endpoints: only a durable node has
-	// a journal a follower can replicate.
-	dataDir string
-	// gate, when non-nil, wraps the API in cluster epoch fencing: every
-	// response carries this node's slot epoch, and requests from a newer
-	// era demote the node (see cluster.EpochGate).
-	gate *cluster.EpochGate
-	// draining flips /v1/healthz to 503 ahead of shutdown so the
-	// gateway's health checks stop routing here before the listener
-	// closes.
-	draining atomic.Bool
-}
-
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/swarm/{id}", s.handleSwarm)
-	mux.HandleFunc("GET /v1/swarm/{id}/timeline", s.handleTimeline)
-	// The merged read endpoints are the handler set availgw serves too.
-	ingest.RegisterReadHandlers(mux, s.engine)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	if s.dataDir != "" && s.engine.WAL() != nil {
-		// WAL shipping: a follower replicates this node's journal and
-		// checkpoints from these routes.
-		(&cluster.WALServer{Log: s.engine.WAL(), Dir: s.dataDir}).Register(mux)
-	}
-	// The observability surface rides on the API listener too, so a
-	// bare deployment (no -admin) still scrapes. Everything is served
-	// straight from the engine's registry: the ingest pipeline writes
-	// its own series there, and registerSummaryMetrics adds the
-	// analytical gauges — nothing is copied field by field here.
-	mux.Handle("GET /metrics", obs.MetricsHandler(s.engine.Registry()))
-	mux.Handle("GET /debug/vars", obs.VarsHandler(s.engine.Registry()))
-	if s.gate != nil {
-		return s.gate.Middleware(mux)
-	}
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) { ingest.WriteJSON(w, v) }
-
-// handleHealthz is the readiness probe: 200 "serving" exactly when the
-// node can take traffic — recovery finished (the listener only comes up
-// after OpenDurable returns) and not yet draining for shutdown. The
-// cluster gateway's failure detector keys off this.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"state":"draining"}`)
-		return
-	}
-	if s.gate != nil && s.gate.Fenced() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"state":"fenced"}`)
-		return
-	}
-	writeJSON(w, map[string]string{"state": "serving"})
-}
-
-func (s *server) handleSwarm(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		http.Error(w, "bad swarm id", http.StatusBadRequest)
-		return
-	}
-	lookup := s.engine.SwarmSnapshot
-	if ingest.WantConsistent(r) {
-		lookup = s.engine.Swarm
-	}
-	st, ok := lookup(id)
-	if !ok {
-		http.Error(w, "unknown swarm", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, st)
-}
-
-// handleTimeline serves one swarm's windowed history: per-bin
-// availability and busy-period starts at fine resolution plus the
-// downsampled tail.
-func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		http.Error(w, "bad swarm id", http.StatusBadRequest)
-		return
-	}
-	win, ok := s.engine.Timeline(id)
-	if !ok {
-		http.Error(w, "unknown swarm", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, ingest.NewTimelineResponse(id, win))
-}
-
-// maxIngestBody bounds one /v1/ingest request (32 MiB ≈ 300k records);
-// push clients batch far below this.
-const maxIngestBody = 32 << 20
-
-// parallelIngestBody is the body size from which /v1/ingest decodes
-// with the worker-pool scanner. Below it the pool's goroutine setup
-// costs more than it buys; above it JSON decode is the endpoint's CPU
-// bill and fans out across cores.
-const parallelIngestBody = 1 << 20
-
-// handleIngest accepts JSONL ingest.Record lines. The whole body is
-// parsed before anything touches the engine, so a request that fails —
-// oversized (413), malformed (400), or racing shutdown (503) — leaves
-// the engine's state exactly as it was: no partial batch is ever
-// applied for a request the client was told failed. The 200
-// acknowledgement means every record is in the engine's queues (and,
-// under -data-dir with the default fsync policy, on stable storage) —
-// state a graceful shutdown drains before exiting.
-func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Idempotency key headers select the exactly-once path: a retried
-	// batch whose first attempt was journaled (its ack lost in flight) is
-	// acknowledged again without re-applying.
-	source := r.Header.Get(ingest.HeaderSource)
-	var seq uint64
-	if source != "" {
-		var err error
-		seq, err = strconv.ParseUint(r.Header.Get(ingest.HeaderSeq), 10, 64)
-		if err != nil || seq == 0 {
-			http.Error(w, "bad "+ingest.HeaderSeq+" header", http.StatusBadRequest)
-			return
-		}
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBody)
-	var src trace.Source[ingest.Record]
-	if r.ContentLength >= parallelIngestBody {
-		sc := trace.NewParallelScanner[ingest.Record](r.Body, 0)
-		defer sc.Close()
-		src = sc
-	} else {
-		src = trace.NewScanner[ingest.Record](r.Body)
-	}
-	var ops []ingest.Op
-	for src.Scan() {
-		ops = append(ops, ingest.EventOp(src.Record()))
-	}
-	if err := src.Err(); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("bad record %d: %v", len(ops), err), http.StatusBadRequest)
-		return
-	}
-	if source != "" {
-		// applied=false means the batch was a duplicate: still a full
-		// acknowledgement (the records are journaled and applied — once).
-		if _, err := s.engine.SubmitKeyed(source, seq, ops); err != nil {
-			ingestUnavailable(w, err)
-			return
-		}
-	} else if err := s.engine.Submit(ops); err != nil {
-		ingestUnavailable(w, err)
-		return
-	}
-	writeJSON(w, map[string]int{"accepted": len(ops)})
-}
-
-// ingestUnavailable reports a write the draining engine refused; the
-// retrying client treats 503 as temporary and replays the batch
-// elsewhere/later, preserving at-least-once delivery.
-func ingestUnavailable(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	if errors.Is(err, ingest.ErrClosed) {
-		code = http.StatusServiceUnavailable
-	}
-	http.Error(w, err.Error(), code)
 }

@@ -108,7 +108,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &server{engine: e, dataDir: dir, gate: gate}
+		s := &server{engine: e, opts: options{dataDir: dir}, gate: gate}
 		return e, s.handler()
 	}
 	dir0 := t.TempDir()
@@ -122,20 +122,20 @@ func TestPartitionChaosFailover(t *testing.T) {
 	leader1 := httptest.NewServer(h1)
 	defer leader1.Close()
 
-	// Slot 0's follower: a real runFollower on clean transports, so it
+	// Slot 0's follower: a real standby serve on clean transports, so it
 	// keeps shipping the leader's WAL through the gateway-side partition
 	// — the asymmetry that makes promotion lossless.
 	fready := make(chan net.Addr, 1)
 	fdone := make(chan error, 1)
 	go func() {
-		fdone <- runFollower(ctx, options{
+		fdone <- serve(ctx, nil, options{
 			listen:     "127.0.0.1:0",
 			dataDir:    t.TempDir(),
 			follow:     leader0.URL,
 			followPoll: 20 * time.Millisecond,
 			shards:     2,
 			batch:      32,
-		}, fready)
+		}, fready, nil)
 	}()
 	var fAddr net.Addr
 	select {

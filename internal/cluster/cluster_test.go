@@ -66,6 +66,16 @@ func stateBytes(t *testing.T, e *ingest.Engine) []byte {
 	return raw
 }
 
+// promote is promotion spelled out — what availd's POST /v1/promote
+// runs: stop shipping, then an ordinary crash recovery of the shipped
+// directory.
+func promote(f *Follower, cfg ingest.Config) (*ingest.Engine, ingest.RecoveryStats, error) {
+	if err := f.Close(); err != nil {
+		return nil, ingest.RecoveryStats{}, err
+	}
+	return ingest.OpenDurable(cfg, ingest.DurabilityConfig{Dir: f.cfg.Dir})
+}
+
 func TestFollowerCatchUpAndPromote(t *testing.T) {
 	leader := newTestLeader(t)
 	for r := 0; r < 10; r++ {
@@ -100,7 +110,7 @@ func TestFollowerCatchUpAndPromote(t *testing.T) {
 		t.Fatalf("after delta: shipped %d, leader at %d", got, want)
 	}
 
-	promoted, rs, err := f.Promote(ingest.Config{Shards: 2})
+	promoted, rs, err := promote(f, ingest.Config{Shards: 2})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -148,7 +158,7 @@ func TestFollowerCheckpointBootstrap(t *testing.T) {
 		t.Fatalf("shipped %d, leader at %d", got, want)
 	}
 
-	promoted, _, err := f.Promote(ingest.Config{Shards: 2})
+	promoted, _, err := promote(f, ingest.Config{Shards: 2})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -285,7 +295,7 @@ churn:
 	}
 	t.Logf("%d syncs raced %d rounds of truncation, %d bootstraps", syncs, rounds, f.Bootstraps())
 
-	promoted, _, err := f.Promote(ingest.Config{Shards: 2})
+	promoted, _, err := promote(f, ingest.Config{Shards: 2})
 	if err != nil {
 		t.Fatalf("promote after churn: %v", err)
 	}

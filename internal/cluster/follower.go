@@ -290,8 +290,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 
 // Close stops the poll loop (if running) and closes the local journal.
 // Idempotent. After Close the directory is quiescent and ready for
-// ingest.OpenDurable — promotion in one call. Close must not race the
-// start of Run: start the loop before arranging its shutdown.
+// ingest.OpenDurable under whatever durability policy the promoting node
+// runs — promotion is Close, then an ordinary recovery. Close must not
+// race the start of Run: start the loop before arranging its shutdown.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if !f.stopped {
@@ -303,14 +304,4 @@ func (f *Follower) Close() error {
 		<-f.done
 	}
 	return f.log.Close()
-}
-
-// Promote closes the follower and opens a durable engine over the
-// shipped state: newest checkpoint plus WAL tail, exactly the leader's
-// acknowledged history up to the shipped watermark.
-func (f *Follower) Promote(cfg ingest.Config) (*ingest.Engine, ingest.RecoveryStats, error) {
-	if err := f.Close(); err != nil {
-		return nil, ingest.RecoveryStats{}, err
-	}
-	return ingest.OpenDurable(cfg, ingest.DurabilityConfig{Dir: f.cfg.Dir})
 }

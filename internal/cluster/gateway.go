@@ -14,7 +14,6 @@ import (
 
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
-	"swarmavail/internal/trace"
 )
 
 // ErrGatewayClosed is returned for pushes caught mid-flight by a
@@ -589,9 +588,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// maxIngestBody mirrors availd's request bound.
-const maxIngestBody = 32 << 20
-
 // handleIngest partitions the batch by swarm across the ring and fans
 // it out. 200 {"accepted": n} means every node journaled its share; any
 // other outcome acknowledges nothing, and the retrying client replays
@@ -599,41 +595,21 @@ const maxIngestBody = 32 << 20
 // (at-least-once, the same contract a lone availd's lost-ack retry
 // already imposes).
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
+	perNode := make([][]ingest.Record, len(g.nodes))
+	n := 0
+	upSource, upSeq, ok := ingest.ReadIngestRequest(w, r, func(rec ingest.Record) {
+		slot := g.ring.Node(rec.SwarmID)
+		perNode[slot] = append(perNode[slot], rec)
+		n++
+	})
+	if !ok {
+		return
+	}
+
 	// A batch that arrives already keyed keeps its upstream key on every
 	// slot's share — so the client's retry of a lost gateway ack (or a
 	// second gateway's replay) still deduplicates at the nodes. Unkeyed
 	// batches get a gateway-originated per-slot key instead.
-	upSource := r.Header.Get(ingest.HeaderSource)
-	var upSeq uint64
-	if upSource != "" {
-		var err error
-		upSeq, err = strconv.ParseUint(r.Header.Get(ingest.HeaderSeq), 10, 64)
-		if err != nil || upSeq == 0 {
-			http.Error(w, "bad "+ingest.HeaderSeq+" header", http.StatusBadRequest)
-			return
-		}
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBody)
-	sc := trace.NewScanner[ingest.Record](r.Body)
-	perNode := make([][]ingest.Record, len(g.nodes))
-	n := 0
-	for sc.Scan() {
-		rec := sc.Record()
-		slot := g.ring.Node(rec.SwarmID)
-		perNode[slot] = append(perNode[slot], rec)
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("bad record %d: %v", n, err), http.StatusBadRequest)
-		return
-	}
-
 	jobs := make([]*pushJob, 0, len(g.nodes))
 	for slot, recs := range perNode {
 		if len(recs) == 0 {

@@ -14,10 +14,6 @@ import (
 	"swarmavail/internal/wal"
 )
 
-// maxGatewayStreamFrame bounds one downstream stream frame's payload,
-// mirroring the availd stream server's bound.
-const maxGatewayStreamFrame = 8 << 20
-
 // ServeStream serves the binary streaming ingest protocol cluster-wide:
 // it accepts monitor stream connections on ln and forwards each DATA
 // frame's ops to the owning slots over upstream stream connections
@@ -158,7 +154,7 @@ func (f *streamForwarder) serve() error {
 			}
 			return err
 		}
-		if len(payload) > maxGatewayStreamFrame {
+		if len(payload) > ingest.MaxStreamFrame {
 			f.sendErr(ingest.StreamErrProto, "frame exceeds stream bound")
 			return fmt.Errorf("oversized stream frame (%d bytes)", len(payload))
 		}

@@ -47,7 +47,7 @@ func TestStreamDedupSurvivesPromotion(t *testing.T) {
 	if err := f.Sync(context.Background()); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	promoted, _, err := f.Promote(ingest.Config{Shards: 2})
+	promoted, _, err := promote(f, ingest.Config{Shards: 2})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -1,5 +1,6 @@
-// The merged read endpoints and their rendering, shared by cmd/availd
-// (single node) and cmd/availgw (cluster gateway). Keeping handlers and
+// The merged read endpoints, their rendering and the POST /v1/ingest
+// request reader, shared by cmd/availd (single node) and cmd/availgw
+// (cluster gateway). Keeping handlers and
 // encoding in one place is what makes the gateway's merged answers
 // byte-identical to a single node's: both sides run the same code over
 // a ReadView, so equality of the underlying Summary is equality of the
@@ -10,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -121,6 +123,58 @@ func RegisterReadHandlers(mux *http.ServeMux, v ReadView) {
 			WriteWindow(w, win, days)
 		}
 	})
+}
+
+// MaxIngestBody bounds one POST /v1/ingest request (32 MiB ≈ 300k
+// records) on a node and on the gateway; push clients batch far below
+// this.
+const MaxIngestBody = 32 << 20
+
+// parallelIngestBody is the body size from which /v1/ingest decodes
+// with the worker-pool scanner. Below it the pool's goroutine setup
+// costs more than it buys; above it JSON decode is the endpoint's CPU
+// bill and fans out across cores.
+const parallelIngestBody = 1 << 20
+
+// ReadIngestRequest reads one POST /v1/ingest request — the write-side
+// twin of RegisterReadHandlers: the idempotency key headers (source ""
+// = unkeyed) and the JSONL body, each record handed to each in order.
+// The whole body is parsed before it returns, so a caller that touches
+// its engine or its nodes only on ok=true never applies part of a
+// request the client was told failed. On ok=false the response has been
+// written: 400 for a bad key or record, 413 past MaxIngestBody.
+func ReadIngestRequest(w http.ResponseWriter, r *http.Request, each func(Record)) (source string, seq uint64, ok bool) {
+	if source = r.Header.Get(HeaderSource); source != "" {
+		var err error
+		if seq, err = strconv.ParseUint(r.Header.Get(HeaderSeq), 10, 64); err != nil || seq == 0 {
+			http.Error(w, "bad "+HeaderSeq+" header", http.StatusBadRequest)
+			return "", 0, false
+		}
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBody)
+	var src trace.Source[Record]
+	if r.ContentLength >= parallelIngestBody {
+		sc := trace.NewParallelScanner[Record](r.Body, 0)
+		defer sc.Close()
+		src = sc
+	} else {
+		src = trace.NewScanner[Record](r.Body)
+	}
+	n := 0
+	for ; src.Scan(); n++ {
+		each(src.Record())
+	}
+	if err := src.Err(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit),
+				http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, fmt.Sprintf("bad record %d: %v", n, err), http.StatusBadRequest)
+		}
+		return "", 0, false
+	}
+	return source, seq, true
 }
 
 // SummaryResponse is the GET /v1/summary body: the summary's public

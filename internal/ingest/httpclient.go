@@ -194,24 +194,53 @@ func (c *HTTPClient) PushKeyed(ctx context.Context, source string, seq uint64, r
 			return fmt.Errorf("ingest: encoding record: %w", err)
 		}
 	}
-	payload := body.Bytes()
+	payload, n := body.Bytes(), len(recs)
+	return c.do(ctx, "push", func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.URL, bytes.NewReader(payload))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		if source != "" {
+			req.Header.Set(HeaderSource, source)
+			req.Header.Set(HeaderSeq, strconv.FormatUint(seq, 10))
+		}
+		return req, nil
+	}, func(resp *http.Response) error {
+		var ack struct {
+			Accepted int `json:"accepted"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			return fmt.Errorf("ingest: bad ack: %w", err)
+		}
+		if ack.Accepted != n {
+			return &fatalPushError{err: fmt.Errorf("ingest: server accepted %d of %d records", ack.Accepted, n)}
+		}
+		return nil
+	})
+}
 
+// do is the client's one attempt loop: it runs attempt until it
+// succeeds, the verdict is fatal, ctx ends or MaxAttempts is spent,
+// waiting out a capped jittered backoff between tries. what names the
+// operation in log lines and the final error.
+func (c *HTTPClient) do(ctx context.Context, what string, build func(context.Context) (*http.Request, error), handle func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			wait := c.backoff(attempt - 1)
-			c.logf("ingest push failed (attempt %d/%d, retrying in %v): %v",
-				attempt-1, c.cfg.MaxAttempts, wait, lastErr)
+			c.logf("ingest %s failed (attempt %d/%d, retrying in %v): %v",
+				what, attempt-1, c.cfg.MaxAttempts, wait, lastErr)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-time.After(wait):
 			}
 		}
-		err := c.pushOnce(ctx, source, seq, payload, len(recs))
+		err := c.attempt(ctx, build, handle)
 		if err == nil {
 			if attempt > 1 {
-				c.logf("ingest push recovered after %d failed attempts", attempt-1)
+				c.logf("ingest %s recovered after %d failed attempts", what, attempt-1)
 			}
 			return nil
 		}
@@ -234,7 +263,7 @@ func (c *HTTPClient) PushKeyed(ctx context.Context, source string, seq uint64, r
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("ingest: push failed after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("ingest: %s failed after %d attempts: %w", what, c.cfg.MaxAttempts, lastErr)
 }
 
 // PushStats summarises one PushTraces run.
@@ -294,15 +323,15 @@ type fatalPushError struct{ err error }
 func (e *fatalPushError) Error() string { return e.err.Error() }
 func (e *fatalPushError) Unwrap() error { return e.err }
 
-func (c *HTTPClient) pushOnce(ctx context.Context, source string, seq uint64, payload []byte, n int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.URL, bytes.NewReader(payload))
+// attempt is one request and the client's one response classifier:
+// build's request goes out stamped with the client's epoch; a transport
+// error, 5xx or 429 is retryable, an epoch conflict or any other 4xx
+// fatal; handle gets a 200 — and a 304 when the request was conditional
+// — and its error is retryable unless it says otherwise.
+func (c *HTTPClient) attempt(ctx context.Context, build func(context.Context) (*http.Request, error), handle func(*http.Response) error) error {
+	req, err := build(ctx)
 	if err != nil {
 		return &fatalPushError{err: err}
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if source != "" {
-		req.Header.Set(HeaderSource, source)
-		req.Header.Set(HeaderSeq, strconv.FormatUint(seq, 10))
 	}
 	if c.cfg.Epoch != 0 {
 		req.Header.Set(HeaderEpoch, strconv.FormatUint(c.cfg.Epoch, 10))
@@ -318,7 +347,8 @@ func (c *HTTPClient) pushOnce(ctx context.Context, source string, seq uint64, pa
 	if err := c.checkEpoch(resp); err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
+	revalidated := resp.StatusCode == http.StatusNotModified && req.Header.Get("If-None-Match") != ""
+	if resp.StatusCode != http.StatusOK && !revalidated {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		statusErr := fmt.Errorf("ingest: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
@@ -326,16 +356,7 @@ func (c *HTTPClient) pushOnce(ctx context.Context, source string, seq uint64, pa
 		}
 		return &fatalPushError{err: statusErr}
 	}
-	var ack struct {
-		Accepted int `json:"accepted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return fmt.Errorf("ingest: bad ack: %w", err)
-	}
-	if ack.Accepted != n {
-		return &fatalPushError{err: fmt.Errorf("ingest: server accepted %d of %d records", ack.Accepted, n)}
-	}
-	return nil
+	return handle(resp)
 }
 
 // checkEpoch turns an epoch disagreement into a fatal
@@ -376,75 +397,24 @@ func (c *HTTPClient) getJSON(ctx context.Context, path string, v any) error {
 // server's validator for whatever state the answer reflects (the echoed
 // inm on a 304).
 func (c *HTTPClient) getJSONTagged(ctx context.Context, path, inm string, v any) (etag string, notModified bool, err error) {
-	target := c.cfg.BaseURL + path
-	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			wait := c.backoff(attempt - 1)
-			c.logf("ingest get %s failed (attempt %d/%d, retrying in %v): %v",
-				path, attempt-1, c.cfg.MaxAttempts, wait, lastErr)
-			select {
-			case <-ctx.Done():
-				return "", false, ctx.Err()
-			case <-time.After(wait):
-			}
+	err = c.do(ctx, "get "+path, func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
+		if err == nil && inm != "" {
+			req.Header.Set("If-None-Match", inm)
 		}
-		etag, notModified, err = c.getOnce(ctx, target, inm, v)
-		if err == nil {
-			return etag, notModified, nil
+		return req, err
+	}, func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNotModified {
+			etag, notModified = inm, true
+			return nil
 		}
-		if ctx.Err() != nil {
-			return "", false, ctx.Err()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			return fmt.Errorf("ingest: bad response body: %w", err)
 		}
-		if errors.Is(err, context.Canceled) {
-			return "", false, err
-		}
-		var fatal *fatalPushError
-		if errors.As(err, &fatal) {
-			return "", false, fatal.err
-		}
-		lastErr = err
-	}
-	return "", false, fmt.Errorf("ingest: get %s failed after %d attempts: %w", path, c.cfg.MaxAttempts, lastErr)
-}
-
-func (c *HTTPClient) getOnce(ctx context.Context, target, inm string, v any) (string, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return "", false, &fatalPushError{err: err}
-	}
-	if c.cfg.Epoch != 0 {
-		req.Header.Set(HeaderEpoch, strconv.FormatUint(c.cfg.Epoch, 10))
-	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return "", false, err // transport error: retryable
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}()
-	if err := c.checkEpoch(resp); err != nil {
-		return "", false, err
-	}
-	if inm != "" && resp.StatusCode == http.StatusNotModified {
-		return inm, true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		statusErr := fmt.Errorf("ingest: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			return "", false, statusErr
-		}
-		return "", false, &fatalPushError{err: statusErr}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return "", false, fmt.Errorf("ingest: bad response body: %w", err)
-	}
-	return resp.Header.Get("ETag"), false, nil
+		etag = resp.Header.Get("ETag")
+		return nil
+	})
+	return etag, notModified, err
 }
 
 // FetchState fetches the server's full mergeable summary state

@@ -78,10 +78,11 @@ const (
 	streamReadBufMax = 256 << 10
 )
 
-// maxStreamFrame bounds one stream frame's payload. Far below
-// wal.MaxFrameBytes: a single DATA frame is one client batch, and a
-// length claiming more than this is a framing desync, not a batch.
-const maxStreamFrame = 8 << 20
+// MaxStreamFrame bounds one stream frame's payload, on a node and on
+// the gateway that forwards to it. Far below wal.MaxFrameBytes: a
+// single DATA frame is one client batch, and a length claiming more
+// than this is a framing desync, not a batch.
+const MaxStreamFrame = 8 << 20
 
 // StreamError is the server's ERR frame surfaced to the client.
 type StreamError struct {
@@ -223,7 +224,7 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		switch {
 		case err != nil:
 			err = fmt.Errorf("corrupt frame: %w", err)
-		case size-wal.FrameHeaderSize > maxStreamFrame:
+		case size-wal.FrameHeaderSize > MaxStreamFrame:
 			// Refused on the header alone: the payload is never buffered.
 			payload, err = nil, fmt.Errorf("oversized stream frame (%d bytes)", size-wal.FrameHeaderSize)
 		}

@@ -299,8 +299,10 @@ func (s *server) lead(e *ingest.Engine) {
 	s.api = obs.InstrumentHandler(s.reg, "api", s.handler())
 	if s.binLn != nil {
 		// The same engine behind a raw TCP protocol whose frames are
-		// journal frames (DESIGN.md §12).
+		// journal frames (DESIGN.md §12), behind the same epoch fence as
+		// the API: a fenced node answers DATA with ERR state.
 		s.streams = ingest.NewStreamServer(e, s.warnf)
+		s.streams.Fenced = s.gate.Fenced
 	}
 	// Published before the stream listener is served, so that down either
 	// sees the stream server and closes it, or has already closed the

@@ -1,13 +1,15 @@
 // Command availgw is the cluster gateway: one availd-shaped API over N
 // availd nodes. It consistent-hashes swarms across the nodes (whole
 // swarms, never split — the same partitioning rule the engine's shards
-// use in-process), fans POST /v1/ingest out through per-node retrying
-// clients, scatter-gathers availd's merged read endpoints (/v1/summary,
-// /v1/availability/cdf, /v1/availability/window, /v1/bundling/summary,
-// /v1/state, /v1/window/state — one shared handler set) by merging
-// every node's state, and — when followers are
-// configured — promotes a node's warm standby after consecutive failed
-// health checks.
+// use in-process), routes POST /v1/ingest and the -ingest-bin stream
+// through one splitter and delivers each request's per-node shares
+// concurrently through retrying clients (all-or-nothing ack; there is
+// no per-node queue to size), scatter-gathers availd's merged read
+// endpoints (/v1/summary, /v1/availability/cdf,
+// /v1/availability/window, /v1/bundling/summary, /v1/state,
+// /v1/window/state — one shared handler set) by merging every node's
+// state, and — when followers are configured — promotes a node's warm
+// standby after consecutive failed health checks.
 //
 //	availgw -listen :8650 \
 //	  -nodes http://n1:8647,http://n2:8647,http://n3:8647 \
@@ -42,7 +44,6 @@ type options struct {
 	nodeBins       string
 	followerBins   string
 	vnodes         int
-	queueDepth     int
 	sendPasses     int
 	healthEvery    time.Duration
 	failAfter      int
@@ -64,7 +65,6 @@ func main() {
 	flag.StringVar(&opts.nodeBins, "node-bins", "", "comma-separated node binary ingest addresses (availd -ingest-bin), parallel to -nodes")
 	flag.StringVar(&opts.followerBins, "follower-bins", "", "comma-separated follower binary ingest addresses, parallel to -nodes (empty slots allowed)")
 	flag.IntVar(&opts.vnodes, "vnodes", 0, "virtual nodes per slot on the hash ring (0 = default)")
-	flag.IntVar(&opts.queueDepth, "queue-depth", 0, "queued pushes per node before back-pressure (0 = default)")
 	flag.IntVar(&opts.sendPasses, "send-passes", 0, "client retry cycles per push before reporting failure (0 = default)")
 	flag.DurationVar(&opts.healthEvery, "health-every", time.Second, "leader health-check cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed health checks before promoting the follower")
@@ -145,7 +145,6 @@ func run(ctx context.Context, opts options, logf func(string, ...any), ready cha
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
 		Nodes:          nodes,
 		Vnodes:         opts.vnodes,
-		QueueDepth:     opts.queueDepth,
 		SendPasses:     opts.sendPasses,
 		HealthEvery:    opts.healthEvery,
 		FailAfter:      opts.failAfter,

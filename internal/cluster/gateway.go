@@ -54,10 +54,6 @@ type GatewayConfig struct {
 	Nodes []NodeConfig
 	// Vnodes is the virtual-node count per slot (default DefaultVnodes).
 	Vnodes int
-	// QueueDepth bounds queued pushes per node (default 32); a full
-	// queue back-pressures the ingest handler rather than buffering
-	// unboundedly.
-	QueueDepth int
 	// SendPasses is how many full client retry cycles a push gets before
 	// the gateway reports failure (default 8). Each pass re-resolves the
 	// node's current client, so pushes in flight during a failover land
@@ -98,9 +94,6 @@ type GatewayConfig struct {
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
 	if c.SendPasses <= 0 {
 		c.SendPasses = 8
 	}
@@ -125,42 +118,48 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	return c
 }
 
+// slotRoute is where a slot's traffic goes and under which epoch: one
+// immutable value, replaced whole (reroute), so a reader never pairs
+// the promoted follower's URL with the old leader's client and the
+// believed epoch never moves backwards.
+type slotRoute struct {
+	url     string // current base URL (leader, then follower)
+	binAddr string // current binary ingest address
+	// epoch is the slot epoch the gateway believes (0 = not yet learned;
+	// pre-epoch nodes never teach one). Promotion bumps it; probe
+	// responses and 409s raise it.
+	epoch  uint64
+	client *ingest.HTTPClient // speaks to url, stamping epoch
+	// retired is the pre-promotion leader's URL until the gateway has
+	// fenced it (stamped it with the successor epoch); "" once done.
+	retired string
+}
+
 // gwNode is one cluster slot's runtime state.
 type gwNode struct {
-	idx int
 	cfg NodeConfig
 
-	url      atomic.Value // string: current base URL (leader, then follower)
-	binAddr  atomic.Value // string: current binary ingest address
-	client   atomic.Pointer[ingest.HTTPClient]
-	jobs     chan *pushJob
+	route    atomic.Pointer[slotRoute]
 	fails    atomic.Int32 // consecutive failed health checks
 	promoted atomic.Bool  // failover done; no second standby
 
-	// epoch is the slot epoch the gateway believes (0 = not yet
-	// learned; pre-epoch nodes never teach one). Promotion bumps it;
-	// probe responses and 409s raise it.
-	epoch atomic.Uint64
-	// seq numbers the gateway-originated idempotency keys for this slot.
-	seq atomic.Uint64
-	// retired holds the pre-promotion leader's URL until the gateway has
-	// fenced it (stamped it with the successor epoch); "" once done.
-	retired atomic.Value // string
+	// source and seq key the writes the gateway originates for this slot:
+	// "<SourceID>#<slot>" and a counter.
+	source string
+	seq    atomic.Uint64
 
 	unhealthy *obs.Gauge
 }
 
-func (n *gwNode) currentURL() string { return n.url.Load().(string) }
-
-// pushJob is one node's share of an ingest request. source/seq is the
-// idempotency key the sender stamps on every delivery attempt, so
-// retries across passes (and across a failover) deduplicate server-side.
-type pushJob struct {
-	ctx    context.Context
+// share is one slot's part of a routed write — records from the HTTP
+// front, ops from the stream front — and the idempotency key it travels
+// under: stamped on every delivery attempt, so retries across passes
+// (and across a failover) deduplicate server-side.
+type share[T any] struct {
+	slot   int
 	source string
 	seq    uint64
-	recs   []ingest.Record
-	done   chan error // buffered(1): sender never blocks answering
+	items  []T
 }
 
 // Gateway is the cluster front door. It speaks the same API as a
@@ -168,11 +167,11 @@ type pushJob struct {
 // ingest.RegisterReadHandlers — over N nodes:
 //
 //   - Writes are partitioned by the consistent-hash ring (whole swarms,
-//     never split) and fanned out through per-node retrying clients,
-//     one in-order sender per node. The request is acknowledged only
-//     when every node has journaled its share; a partial failure is
-//     reported as 503 and acknowledges nothing, so the monitor's
-//     retry preserves at-least-once delivery end to end.
+//     never split: route) and each request's shares are delivered
+//     concurrently through per-node retrying clients. The request is
+//     acknowledged only when every node has journaled its share; a
+//     partial failure is reported as 503 and acknowledges nothing, so
+//     the monitor's retry preserves at-least-once delivery end to end.
 //   - Reads scatter-gather /v1/state (or /v1/window/state) from every
 //     node and merge with Summary.Merge (WindowState.Merge). The merge
 //     algebra is exact (integer counters, sums and sketch bin counts),
@@ -182,17 +181,17 @@ type pushJob struct {
 //     whole stream.
 //   - A health loop probes each leader's /v1/healthz; FailAfter
 //     consecutive misses promote the slot's follower and swap the
-//     slot's client, redirecting queued and future pushes.
+//     slot's route, redirecting in-flight and future pushes.
 type Gateway struct {
 	cfg   GatewayConfig
 	ring  *Ring
 	nodes []*gwNode
 
-	healthClient *http.Client
-
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	// ctx ends at Close: it stops the health loop and fails the pushes
+	// in flight, whose contexts hang off it.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	health   chan struct{} // closed when the health loop has exited
 	draining atomic.Bool
 
 	records   *obs.Counter
@@ -216,8 +215,8 @@ type Gateway struct {
 	window scatter[ingest.WindowState]
 }
 
-// NewGateway builds and starts a gateway: senders and the health loop
-// are running when it returns. Close stops them.
+// NewGateway builds and starts a gateway: the health loop is running
+// when it returns. Close stops it.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Nodes) == 0 {
@@ -228,10 +227,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:          cfg,
-		ring:         ring,
-		healthClient: cfg.HealthClient,
-		stop:         make(chan struct{}),
+		cfg:    cfg,
+		ring:   ring,
+		health: make(chan struct{}),
 		state: scatter[ingest.Summary]{
 			fetch:     (*ingest.HTTPClient).FetchStateTagged,
 			newMerged: func(*ingest.Summary) *ingest.Summary { return ingest.NewSummary() },
@@ -267,24 +265,17 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		if nc.URL == "" {
 			return nil, fmt.Errorf("cluster: node %d has no URL", i)
 		}
-		n := &gwNode{idx: i, cfg: nc, jobs: make(chan *pushJob, cfg.QueueDepth)}
-		n.url.Store(nc.URL)
-		n.binAddr.Store(nc.BinAddr)
-		n.retired.Store("")
-		n.client.Store(g.newClient(nc.URL, 0))
+		n := &gwNode{cfg: nc, source: cfg.SourceID + "#" + strconv.Itoa(i)}
+		n.route.Store(&slotRoute{url: nc.URL, binAddr: nc.BinAddr, client: g.newClient(nc.URL, 0)})
 		if reg := cfg.Metrics; reg != nil {
 			n.unhealthy = reg.Gauge("gateway_node_unhealthy", obs.L("node", nc.name()))
 			reg.GaugeFunc("gateway_slot_epoch",
-				func() float64 { return float64(n.epoch.Load()) },
+				func() float64 { return float64(n.route.Load().epoch) },
 				obs.L("node", nc.name()))
 		}
 		g.nodes = append(g.nodes, n)
 	}
-	for _, n := range g.nodes {
-		g.wg.Add(1)
-		go g.sender(n)
-	}
-	g.wg.Add(1)
+	g.ctx, g.cancel = context.WithCancel(context.Background())
 	go g.healthLoop()
 	return g, nil
 }
@@ -298,19 +289,40 @@ func (g *Gateway) newClient(baseURL string, epoch uint64) *ingest.HTTPClient {
 	return ingest.NewHTTPClient(cc)
 }
 
-// adoptEpoch raises slot n's epoch to epoch (CAS-max) and swaps in a
-// client stamping it. Lower or equal epochs are no-ops.
-func (g *Gateway) adoptEpoch(n *gwNode, epoch uint64) {
+// reroute replaces slot n's route with edit's revision of it, by
+// compare-and-swap: edit runs again over the winner's value when another
+// writer got in between, and returns false to leave the route alone
+// (reroute then reports false). It is the only writer of gwNode.route,
+// and it pairs every (url, epoch) with a client built for exactly that
+// pair.
+func (g *Gateway) reroute(n *gwNode, edit func(r *slotRoute) bool) bool {
 	for {
-		cur := n.epoch.Load()
-		if epoch <= cur {
-			return
+		cur := n.route.Load()
+		next := *cur
+		if !edit(&next) {
+			return false
 		}
-		if n.epoch.CompareAndSwap(cur, epoch) {
-			n.client.Store(g.newClient(n.currentURL(), epoch))
-			g.logf("gateway: %s now at epoch %d", n.cfg.name(), epoch)
-			return
+		if next.url != cur.url || next.epoch != cur.epoch {
+			next.client = g.newClient(next.url, next.epoch)
 		}
+		if n.route.CompareAndSwap(cur, &next) {
+			return true
+		}
+	}
+}
+
+// adoptEpoch raises slot n's epoch to epoch and swaps in a client
+// stamping it. Lower or equal epochs are no-ops.
+func (g *Gateway) adoptEpoch(n *gwNode, epoch uint64) {
+	raised := g.reroute(n, func(r *slotRoute) bool {
+		if epoch <= r.epoch {
+			return false
+		}
+		r.epoch = epoch
+		return true
+	})
+	if raised {
+		g.logf("gateway: %s now at epoch %d", n.cfg.name(), epoch)
 	}
 }
 
@@ -325,7 +337,7 @@ func (g *Gateway) Ring() *Ring { return g.ring }
 
 // NodeURL returns slot i's current base URL (the follower's after a
 // promotion).
-func (g *Gateway) NodeURL(i int) string { return g.nodes[i].currentURL() }
+func (g *Gateway) NodeURL(i int) string { return g.nodes[i].route.Load().url }
 
 // SetDraining flips the gateway's /v1/healthz readiness answer: true
 // makes it 503 {"state":"draining"} so load balancers stop routing new
@@ -333,55 +345,25 @@ func (g *Gateway) NodeURL(i int) string { return g.nodes[i].currentURL() }
 // -drain-grace sequence).
 func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
 
-// Close stops the senders and health loop, failing any queued pushes.
+// Close stops the health loop and fails the pushes in flight with
+// ErrGatewayClosed. Idempotent.
 func (g *Gateway) Close() {
-	if !g.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(g.stop)
-	g.wg.Wait()
-	// Senders are gone; anything still buffered can only be answered
-	// here. done is buffered, so this never blocks.
-	for _, n := range g.nodes {
-		for {
-			select {
-			case job := <-n.jobs:
-				job.done <- ErrGatewayClosed
-			default:
-				goto next
-			}
-		}
-	next:
-	}
+	g.cancel()
+	<-g.health
 }
 
-// sender delivers one node's pushes in order. In-order matters: records
-// for a swarm are an event stream, and the engine applies them in
-// arrival order, so the gateway must never let batch k+1 overtake
-// batch k on its node.
-func (g *Gateway) sender(n *gwNode) {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case job := <-n.jobs:
-			job.done <- g.deliver(n, job)
-		}
-	}
-}
-
-// deliver pushes one job, re-resolving the node's client between
-// passes so a failover mid-push redirects the retry to the promoted
-// follower rather than hammering a corpse.
-func (g *Gateway) deliver(n *gwNode, job *pushJob) error {
+// deliver pushes one share to its slot, re-resolving the slot's route
+// between passes so a failover mid-push redirects the retry to the
+// promoted follower rather than hammering a corpse.
+func (g *Gateway) deliver(ctx context.Context, sh share[ingest.Record]) error {
+	n := g.nodes[sh.slot]
 	var lastErr error
 	for pass := 1; pass <= g.cfg.SendPasses; pass++ {
-		if err := job.ctx.Err(); err != nil {
-			return err
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
-		client := n.client.Load()
-		err := client.PushKeyed(job.ctx, job.source, job.seq, job.recs)
+		rt := n.route.Load()
+		err := rt.client.PushKeyed(ctx, sh.source, sh.seq, sh.items)
 		if err == nil {
 			return nil
 		}
@@ -389,7 +371,7 @@ func (g *Gateway) deliver(n *gwNode, job *pushJob) error {
 		// staleness, not a node failure: adopt the newer epoch and retry
 		// immediately with the re-stamped client.
 		var conflict *ingest.EpochConflictError
-		if errors.As(err, &conflict) && conflict.NodeEpoch > n.epoch.Load() {
+		if errors.As(err, &conflict) && conflict.NodeEpoch > rt.epoch {
 			g.adoptEpoch(n, conflict.NodeEpoch)
 			lastErr = err
 			continue
@@ -401,12 +383,10 @@ func (g *Gateway) deliver(n *gwNode, job *pushJob) error {
 			break
 		}
 		// Give the health loop a beat to notice and promote before the
-		// next pass re-resolves the client.
+		// next pass re-resolves the route.
 		select {
-		case <-job.ctx.Done():
-			return job.ctx.Err()
-		case <-g.stop:
-			return lastErr
+		case <-ctx.Done():
+			return context.Cause(ctx)
 		case <-time.After(g.cfg.HealthEvery):
 		}
 	}
@@ -416,12 +396,12 @@ func (g *Gateway) deliver(n *gwNode, job *pushJob) error {
 // healthLoop probes each slot's current leader and promotes its
 // follower after FailAfter consecutive misses.
 func (g *Gateway) healthLoop() {
-	defer g.wg.Done()
+	defer close(g.health)
 	t := time.NewTicker(g.cfg.HealthEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-g.stop:
+		case <-g.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -447,29 +427,47 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
-func (g *Gateway) healthy(n *gwNode) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.currentURL()+"/v1/healthz", nil)
+// stamped sends one bodyless request over the health client, stamped
+// with epoch (0 = unstamped), drains the answer, and reports its status
+// code and the epoch the node stamped on it (0 = none).
+func (g *Gateway) stamped(ctx context.Context, method, url string, epoch uint64) (code int, nodeEpoch uint64, err error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
-		return false
+		return 0, 0, err
 	}
-	// Stamp the probe once the slot epoch is known: a leader that fell
-	// behind the epoch answers 409, reads as unhealthy, and is demoted by
-	// this very request. Learn from the response either way.
-	if e := n.epoch.Load(); e != 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(e, 10))
+	if epoch != 0 {
+		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	}
-	resp, err := g.healthClient.Do(req)
+	resp, err := g.cfg.HealthClient.Do(req)
 	if err != nil {
-		return false
+		return 0, 0, err
 	}
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	if e, perr := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64); perr == nil {
-		g.adoptEpoch(n, e)
+	nodeEpoch, _ = strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+	return resp.StatusCode, nodeEpoch, nil
+}
+
+// probe is a stamped GET of base's /v1/healthz, bounded by ProbeTimeout
+// so a hung node reads as down, not as a stalled loop.
+func (g *Gateway) probe(base string, epoch uint64) (code int, nodeEpoch uint64, err error) {
+	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.ProbeTimeout)
+	defer cancel()
+	return g.stamped(ctx, http.MethodGet, base+"/v1/healthz", epoch)
+}
+
+// healthy probes slot n's leader. The probe is stamped once the slot
+// epoch is known: a leader that fell behind the epoch answers 409, reads
+// as unhealthy, and is demoted by this very request. The slot learns the
+// node's epoch from the answer either way.
+func (g *Gateway) healthy(n *gwNode) bool {
+	rt := n.route.Load()
+	code, nodeEpoch, err := g.probe(rt.url, rt.epoch)
+	if err != nil {
+		return false
 	}
-	return resp.StatusCode == http.StatusOK
+	g.adoptEpoch(n, nodeEpoch)
+	return code == http.StatusOK
 }
 
 // fenceRetired stamps the pre-promotion leader with the successor epoch
@@ -478,34 +476,25 @@ func (g *Gateway) healthy(n *gwNode) bool {
 // middleware fences on sight of the newer stamp — while transport
 // errors leave it queued for the next tick.
 func (g *Gateway) fenceRetired(n *gwNode) {
-	retired, _ := n.retired.Load().(string)
-	if retired == "" {
+	rt := n.route.Load()
+	if rt.retired == "" {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, retired+"/v1/healthz", nil)
-	if err != nil {
-		n.retired.Store("")
-		return
-	}
-	req.Header.Set(EpochHeader, strconv.FormatUint(n.epoch.Load(), 10))
-	resp, err := g.healthClient.Do(req)
+	code, _, err := g.probe(rt.retired, rt.epoch)
 	if err != nil {
 		return // unreachable; retry next tick — healing is when fencing matters
 	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	g.logf("gateway: fenced retired leader %s at epoch %d (%s)", retired, n.epoch.Load(), resp.Status)
-	n.retired.Store("")
+	g.logf("gateway: fenced retired leader %s at epoch %d (HTTP %d)", rt.retired, rt.epoch, code)
+	g.reroute(n, func(r *slotRoute) bool {
+		r.retired = ""
+		return true
+	})
 }
 
 // failover promotes n's follower under the successor epoch and swaps
-// the slot's client. A failed promotion is retried on the next health
+// the slot's route. A failed promotion is retried on the next health
 // tick (the miss counter stays over threshold).
 func (g *Gateway) failover(n *gwNode) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.PromoteTimeout)
-	defer cancel()
 	promote := g.cfg.Promote
 	if promote == nil {
 		promote = g.httpPromote
@@ -513,28 +502,29 @@ func (g *Gateway) failover(n *gwNode) {
 	// The successor epoch: one past what the slot last taught us, and
 	// never below 2 (a pre-epoch slot still moves to a numbered era on
 	// its first failover, fencing the old leader's implicit epoch 1).
-	newEpoch := n.epoch.Load() + 1
-	if newEpoch < 2 {
-		newEpoch = 2
-	}
-	oldURL := n.currentURL()
+	newEpoch := max(n.route.Load().epoch+1, 2)
+	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.PromoteTimeout)
+	defer cancel()
 	newURL, err := promote(ctx, n.cfg, newEpoch)
 	if err != nil {
 		g.logf("gateway: promoting follower of %s: %v", n.cfg.name(), err)
 		return
 	}
+	g.reroute(n, func(r *slotRoute) bool {
+		r.retired, r.url = r.url, newURL
+		if n.cfg.FollowerBin != "" {
+			r.binAddr = n.cfg.FollowerBin
+		}
+		// Never below an epoch a 409 taught the slot while the promotion
+		// was in flight.
+		r.epoch = max(r.epoch, newEpoch)
+		return true
+	})
 	n.promoted.Store(true)
-	n.url.Store(newURL)
-	if n.cfg.FollowerBin != "" {
-		n.binAddr.Store(n.cfg.FollowerBin)
-	}
-	n.epoch.Store(newEpoch)
-	n.client.Store(g.newClient(newURL, newEpoch))
-	n.retired.Store(oldURL)
 	n.fails.Store(0)
 	n.unhealthy.Set(0)
 	g.failovers.Inc()
-	g.logf("gateway: promoted follower of %s at %s (epoch %d)", n.cfg.name(), newURL, newEpoch)
+	g.logf("gateway: promoted follower of %s at %s (epoch %d)", n.cfg.name(), newURL, n.route.Load().epoch)
 }
 
 // httpPromote is the default promotion: POST {follower}/v1/promote
@@ -542,18 +532,12 @@ func (g *Gateway) failover(n *gwNode) {
 // answers 200 (it does so only after recovering the shipped state and
 // swapping into serving mode at that epoch).
 func (g *Gateway) httpPromote(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.Follower+"/v1/promote", nil)
+	code, _, err := g.stamped(ctx, http.MethodPost, n.Follower+"/v1/promote", epoch)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	resp, err := g.healthClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("cluster: promote %s: %s", n.Follower, resp.Status)
+	if code != http.StatusOK {
+		return "", fmt.Errorf("cluster: promote %s: HTTP %d", n.Follower, code)
 	}
 	return n.Follower, nil
 }
@@ -588,70 +572,95 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// handleIngest partitions the batch by swarm across the ring and fans
-// it out. 200 {"accepted": n} means every node journaled its share; any
-// other outcome acknowledges nothing, and the retrying client replays
-// the batch — nodes that did accept their share see the replay again
+// route is the gateway's one router: it splits a write along the ring
+// (whole swarms, never split; swarm names an item's) into per-slot
+// shares in slot order, each with the key it travels under. A write that
+// arrives keyed keeps its upstream key on every share — slots are
+// independent dedup domains, so the client's retry of a lost gateway ack
+// (or a second gateway's replay) still deduplicates at every node; an
+// unkeyed one gets the slot's own gateway-originated key. whole reports
+// a keyed write owned by a single slot: its one share is the write
+// exactly as it arrived, key and all, so a front holding the encoded
+// frame may forward those bytes verbatim.
+func route[T any](g *Gateway, source string, seq uint64, items []T, swarm func(T) int) (shares []share[T], whole bool) {
+	slots := make([]int, len(items))
+	at := make([]int, len(g.nodes)) // per slot: its item count, then its index in shares
+	owners := 0
+	for i, it := range items {
+		slots[i] = g.ring.Node(swarm(it))
+		if at[slots[i]]++; at[slots[i]] == 1 {
+			owners++
+		}
+	}
+	shares = make([]share[T], 0, owners)
+	for slot, n := range at {
+		if n == 0 {
+			continue
+		}
+		sh := share[T]{slot: slot, source: source, seq: seq}
+		if source == "" {
+			sh.source, sh.seq = g.nodes[slot].source, g.nodes[slot].seq.Add(1)
+		}
+		if owners == 1 {
+			sh.items = items
+			return append(shares, sh), source != ""
+		}
+		sh.items = make([]T, 0, n)
+		at[slot] = len(shares)
+		shares = append(shares, sh)
+	}
+	for i, it := range items {
+		sh := &shares[at[slots[i]]]
+		sh.items = append(sh.items, it)
+	}
+	return shares, false
+}
+
+// handleIngest routes the batch and delivers its shares concurrently.
+// 200 {"accepted": n} means every node journaled its share; any other
+// outcome acknowledges nothing, and the retrying client replays the
+// batch — nodes that did accept their share see the replay again
 // (at-least-once, the same contract a lone availd's lost-ack retry
-// already imposes).
+// already imposes, and exactly-once under the key they kept).
+//
+// No queue orders one request's shares against another's: requests on
+// one connection are served one after another, and a client that wants
+// batch k applied before batch k+1 waits for k's ack — as every client
+// of this API does — so per-swarm order is the client's order.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	perNode := make([][]ingest.Record, len(g.nodes))
-	n := 0
-	upSource, upSeq, ok := ingest.ReadIngestRequest(w, r, func(rec ingest.Record) {
-		slot := g.ring.Node(rec.SwarmID)
-		perNode[slot] = append(perNode[slot], rec)
-		n++
+	var recs []ingest.Record
+	source, seq, ok := ingest.ReadIngestRequest(w, r, func(rec ingest.Record) {
+		recs = append(recs, rec)
 	})
 	if !ok {
 		return
 	}
+	// The pushes end with the request or with the gateway, whichever
+	// goes first.
+	ctx, cancel := context.WithCancelCause(r.Context())
+	defer cancel(nil)
+	defer context.AfterFunc(g.ctx, func() { cancel(ErrGatewayClosed) })()
 
-	// A batch that arrives already keyed keeps its upstream key on every
-	// slot's share — so the client's retry of a lost gateway ack (or a
-	// second gateway's replay) still deduplicates at the nodes. Unkeyed
-	// batches get a gateway-originated per-slot key instead.
-	jobs := make([]*pushJob, 0, len(g.nodes))
-	for slot, recs := range perNode {
-		if len(recs) == 0 {
-			continue
-		}
-		source, seq := upSource, upSeq
-		if source == "" {
-			source = g.cfg.SourceID + "#" + strconv.Itoa(slot)
-			seq = g.nodes[slot].seq.Add(1)
-		}
-		job := &pushJob{ctx: r.Context(), source: source, seq: seq, recs: recs, done: make(chan error, 1)}
-		select {
-		case g.nodes[slot].jobs <- job:
-			jobs = append(jobs, job)
-		case <-r.Context().Done():
-			http.Error(w, "client gone", http.StatusServiceUnavailable)
-			return
-		case <-g.stop:
-			http.Error(w, ErrGatewayClosed.Error(), http.StatusServiceUnavailable)
+	shares, _ := route(g, source, seq, recs, func(rec ingest.Record) int { return rec.SwarmID })
+	errs := make([]error, len(shares))
+	var wg sync.WaitGroup
+	for i, sh := range shares {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = g.deliver(ctx, sh)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-	}
-	var firstErr error
-	for _, job := range jobs {
-		select {
-		case err := <-job.done:
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-g.stop:
-			if firstErr == nil {
-				firstErr = ErrGatewayClosed
-			}
-		}
-	}
-	if firstErr != nil {
-		http.Error(w, firstErr.Error(), http.StatusServiceUnavailable)
-		return
 	}
 	g.batches.Inc()
-	g.records.Add(uint64(n))
-	ingest.WriteJSON(w, map[string]int{"accepted": n})
+	g.records.Add(uint64(len(recs)))
+	ingest.WriteJSON(w, map[string]int{"accepted": len(recs)})
 }
 
 // joinETags derives the gateway's validator from the per-node ones: the
@@ -753,7 +762,7 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 		wg.Add(1)
 		go func(i int, n *gwNode) {
 			defer wg.Done()
-			c := n.client.Load()
+			c := n.route.Load().client
 			if consistent {
 				parts[i], _, _, errs[i] = s.fetch(c, ctx, true, "")
 				return
@@ -785,7 +794,7 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 			// A stale-epoch answer must never be merged — but learn the
 			// newer epoch so the next read is stamped correctly.
 			var conflict *ingest.EpochConflictError
-			if errors.As(err, &conflict) && conflict.NodeEpoch > g.nodes[i].epoch.Load() {
+			if errors.As(err, &conflict) {
 				g.adoptEpoch(g.nodes[i], conflict.NodeEpoch)
 			}
 			return nil, "", fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)
@@ -822,7 +831,7 @@ func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	slot := g.ring.Node(id)
-	target := g.nodes[slot].currentURL() + r.URL.Path
+	target := g.nodes[slot].route.Load().url + r.URL.Path
 	if q := r.URL.RawQuery; q != "" {
 		target += "?" + q
 	}
@@ -834,7 +843,7 @@ func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		req.Header.Set("If-None-Match", inm)
 	}
-	resp, err := g.healthClient.Do(req)
+	resp, err := g.cfg.HealthClient.Do(req)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("node %s: %v", g.nodes[slot].cfg.name(), err), http.StatusServiceUnavailable)
 		return
@@ -864,12 +873,13 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Nodes []clusterNodeStatus `json:"nodes"`
 	}{}
 	for _, n := range g.nodes {
+		rt := n.route.Load()
 		out.Nodes = append(out.Nodes, clusterNodeStatus{
 			Name:     n.cfg.name(),
-			URL:      n.currentURL(),
+			URL:      rt.url,
 			Follower: n.cfg.Follower,
 			Promoted: n.promoted.Load(),
-			Epoch:    n.epoch.Load(),
+			Epoch:    rt.epoch,
 			Fails:    int(n.fails.Load()),
 		})
 	}

@@ -1,15 +1,23 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"swarmavail/internal/ingest"
+	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
 )
 
@@ -19,9 +27,10 @@ type testNode struct {
 	e         *ingest.Engine
 	srv       *httptest.Server
 	healthy   atomic.Bool
-	failAll   atomic.Bool  // 500 every ingest, for partial-failure tests
-	readDelay atomic.Int64 // ns to stall reads, for collapse tests
-	reads     atomic.Int64 // full (non-304) read bodies served
+	failAll   atomic.Bool   // 500 every ingest, for partial-failure tests
+	readDelay atomic.Int64  // ns to stall reads, for collapse tests
+	reads     atomic.Int64  // full (non-304) read bodies served
+	stamp     atomic.Uint64 // epoch stamped on the last ingest (0 = none)
 }
 
 func newTestNode(t *testing.T) *testNode {
@@ -36,6 +45,8 @@ func startTestNode(cfg ingest.Config) *testNode {
 	n.healthy.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
+		stamp, _ := strconv.ParseUint(r.Header.Get(EpochHeader), 10, 64)
+		n.stamp.Store(stamp)
 		if n.failAll.Load() {
 			http.Error(w, "injected failure", http.StatusInternalServerError)
 			return
@@ -321,4 +332,235 @@ func TestGatewayFailover(t *testing.T) {
 		t.Fatal("standby received no records after promotion")
 	}
 	t.Logf("standby holds %d events after failover", standby.e.Summary().Events)
+}
+
+// TestGatewaySlotEpochNeverDecreases: a slot's believed epoch is
+// monotonic across a failover. While Promote is in flight the slot
+// learns epoch 9 (what a 409 from a node another gateway already fenced
+// teaches it); the failover, which set out to install epoch 2, must not
+// take the slot back down — and the client it installs stamps what
+// /v1/cluster reports.
+func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
+	dying, standby := newTestNode(t), newTestNode(t)
+	var gwp atomic.Pointer[Gateway]
+	g, err := NewGateway(GatewayConfig{
+		Nodes:        []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: standby.srv.URL}},
+		ClientConfig: fastClient,
+		HealthEvery:  20 * time.Millisecond,
+		FailAfter:    2,
+		SendPasses:   40,
+		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
+			for gwp.Load() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			g := gwp.Load()
+			g.adoptEpoch(g.nodes[0], 9)
+			return n.Follower, nil
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gwp.Store(g)
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	dying.srv.Close()
+	client := ingest.NewHTTPClient(func() ingest.HTTPClientConfig {
+		c := fastClient
+		c.BaseURL = gw.URL
+		return c
+	}())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := client.Push(ctx, mkRecords(16, 5, 0)); err != nil {
+		t.Fatalf("push across the failover: %v", err)
+	}
+
+	var status struct {
+		Nodes []clusterNodeStatus `json:"nodes"`
+	}
+	if err := json.Unmarshal(fetchBody(t, gw.URL+"/v1/cluster"), &status); err != nil {
+		t.Fatal(err)
+	}
+	if got := status.Nodes[0]; !got.Promoted || got.Epoch < 9 {
+		t.Fatalf("slot after failover: promoted=%v epoch=%d, want promoted at epoch >= 9 (an epoch once learned is never unlearned)", got.Promoted, got.Epoch)
+	}
+	if got, want := standby.stamp.Load(), status.Nodes[0].Epoch; got != want {
+		t.Fatalf("push to the promoted follower stamped epoch %d, slot is at %d", got, want)
+	}
+}
+
+// TestGatewayCloseFailsPushInFlight: with no sender goroutines the
+// gateway's only goroutine is the health loop, and a push owns its
+// deliveries. Close while a push sits in deliver's between-pass wait
+// must answer that request 503 at once — not after HealthEvery ×
+// SendPasses — and leave no goroutine behind.
+func TestGatewayCloseFailsPushInFlight(t *testing.T) {
+	node := newTestNode(t)
+	node.failAll.Store(true)
+	nodeTr, gwTr := &http.Transport{}, &http.Transport{DisableKeepAlives: true}
+	before := runtime.NumGoroutine()
+
+	reg := obs.NewRegistry()
+	clientCfg := fastClient
+	clientCfg.MaxAttempts = 1
+	clientCfg.Client = &http.Client{Transport: nodeTr}
+	g, err := NewGateway(GatewayConfig{
+		Nodes:        []NodeConfig{{Name: "n0", URL: node.srv.URL}},
+		ClientConfig: clientCfg,
+		HealthClient: &http.Client{Transport: nodeTr},
+		HealthEvery:  5 * time.Second, // the between-pass wait; 8 passes = 40 s
+		Metrics:      reg,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+
+	type answer struct {
+		code int
+		body string
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := (&http.Client{Transport: gwTr}).Post(gw.URL+"/v1/ingest", "application/x-ndjson",
+			strings.NewReader(`{"swarm_id":1,"peer_id":1,"seed":true,"online":true,"t":0}`+"\n"))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		answered <- answer{code: resp.StatusCode, body: string(body)}
+	}()
+	// The first pass has failed: the push is now waiting out HealthEvery.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _ := reg.Value("gateway_push_failures_total"); v >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the push never reached its first failed pass")
+		}
+	}
+
+	start := time.Now()
+	g.Close()
+	select {
+	case a := <-answered:
+		if a.err != nil || a.code != http.StatusServiceUnavailable || !strings.Contains(a.body, ErrGatewayClosed.Error()) {
+			t.Fatalf("push caught by Close: %d %q %v, want 503 %q", a.code, a.body, a.err, ErrGatewayClosed)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close left the push waiting out its passes")
+	}
+	t.Logf("push answered %v after Close", time.Since(start))
+
+	gw.Close()
+	nodeTr.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before NewGateway, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestGatewayConcurrentPushesAcrossFailover: eight clients push disjoint
+// swarms through one gateway while one node's follower is promoted
+// under them. No queue serialises the requests; each must land
+// exactly once — every share on the node that owns it, none
+// on the corpse — and the merged state must equal a lone engine's that
+// saw each client's batches in that client's order.
+func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
+	alive, dying, standby := newTestNode(t), newTestNode(t), newTestNode(t)
+	g, err := NewGateway(GatewayConfig{
+		Nodes: []NodeConfig{
+			{Name: "n0", URL: alive.srv.URL},
+			{Name: "n1", URL: dying.srv.URL, Follower: standby.srv.URL},
+		},
+		ClientConfig: fastClient,
+		HealthEvery:  20 * time.Millisecond,
+		FailAfter:    2,
+		SendPasses:   100,
+		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
+			return n.Follower, nil
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	ref := ingest.New(ingest.Config{Shards: 2, BatchSize: 16})
+	defer ref.Close()
+
+	// The node dies with nothing on it, so nothing the reference holds is
+	// lost with it; every push below races the failover.
+	dying.srv.Close()
+
+	const clients, batches, perBatch, swarmsEach = 8, 6, 48, 13
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := ingest.NewHTTPClient(func() ingest.HTTPClientConfig {
+				cc := fastClient
+				cc.MaxAttempts = 1 // a replayed request would hide a lost or doubled share
+				cc.BaseURL = gw.URL
+				return cc
+			}())
+			for b := 0; b < batches; b++ {
+				recs := mkRecords(perBatch, swarmsEach, b)
+				ops := make([]ingest.Op, len(recs))
+				for i := range recs {
+					recs[i].SwarmID += c * 1000 // this client's swarms, no one else's
+					ops[i] = ingest.EventOp(recs[i])
+				}
+				if err := client.Push(ctx, recs); err != nil {
+					errs <- fmt.Errorf("client %d batch %d: %w", c, b, err)
+					return
+				}
+				if err := ref.Submit(ops); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if g.NodeURL(1) != standby.srv.URL {
+		t.Fatalf("slot 1 routes to %s, want standby %s", g.NodeURL(1), standby.srv.URL)
+	}
+	alive.e.Flush()
+	standby.e.Flush()
+	dying.e.Flush()
+	if got := dying.e.Summary().Events; got != 0 {
+		t.Fatalf("the dead node applied %d events", got)
+	}
+	got := alive.e.Summary().Events + standby.e.Summary().Events
+	if want := uint64(clients * batches * perBatch); got != want || standby.e.Summary().Events == 0 {
+		t.Fatalf("nodes hold %d events (%d on the standby), want exactly %d spread over both", got, standby.e.Summary().Events, want)
+	}
+	ref.Flush()
+	want := httptest.NewRecorder()
+	ingest.WriteState(want, ref.Summary())
+	if merged := fetchBody(t, gw.URL+"/v1/state"); !bytes.Equal(merged, want.Body.Bytes()) {
+		t.Fatalf("merged /v1/state diverged from the single-engine reference\n--- gateway ---\n%s--- reference ---\n%s", merged, want.Body.Bytes())
+	}
 }

@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
 	"swarmavail/internal/ingest"
-	"swarmavail/internal/wal"
 )
 
 // ServeStream serves the binary streaming ingest protocol cluster-wide:
@@ -34,7 +30,7 @@ import (
 // Gateway.Close on shutdown.
 func (g *Gateway) ServeStream(ln net.Listener) error {
 	for i, n := range g.nodes {
-		if addr, _ := n.binAddr.Load().(string); addr == "" {
+		if n.route.Load().binAddr == "" {
 			return fmt.Errorf("cluster: node %d (%s) has no BinAddr for stream forwarding", i, n.cfg.name())
 		}
 	}
@@ -73,22 +69,26 @@ type streamAckJob struct {
 	targets []slotTarget
 }
 
-// streamForwarder is one downstream connection's forwarding state.
+// streamForwarder is one downstream connection's forwarding state: the
+// node's own stream session (ingest.StreamSession — so the gateway's
+// frame bound and its ERR verdicts are the node's) facing the monitor,
+// and one upstream stream client per slot.
 type streamForwarder struct {
 	g       *Gateway
 	conn    net.Conn
+	sess    *ingest.StreamSession
 	clients []*ingest.StreamClient // lazy, per slot
-
-	wmu  sync.Mutex // downstream writes: ack relay vs. ERR frames
-	wbuf []byte
 
 	// accepted counts downstream DATA frames fanned out on this
 	// connection; only the serve loop touches it.
 	accepted uint64
 
-	acks chan streamAckJob
-	done chan struct{} // ack relay exited
-	ferr chan error    // first relay failure (buffered 1)
+	// acks queues one job per fanned-out frame for the relay. 128 is well
+	// past an upstream client's window (32 frames), so the serve loop
+	// blocks on a slow slot's window, not on the relay.
+	acks     chan streamAckJob
+	done     chan struct{} // ack relay exited
+	relayErr error         // the relay's upstream failure; read after done
 }
 
 func (g *Gateway) serveStreamConn(conn net.Conn) error {
@@ -96,13 +96,16 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 	f := &streamForwarder{
 		g:       g,
 		conn:    conn,
+		sess:    ingest.NewStreamSession(conn),
 		clients: make([]*ingest.StreamClient, len(g.nodes)),
 		acks:    make(chan streamAckJob, 128),
 		done:    make(chan struct{}),
-		ferr:    make(chan error, 1),
 	}
 	go f.relay()
 	err := f.serve()
+	// The relay settles and acknowledges everything fanned out before the
+	// stream ended, so a verdict's ERR follows the ACK of its prefix —
+	// the order a node answers in.
 	close(f.acks)
 	<-f.done
 	for _, c := range f.clients {
@@ -110,14 +113,12 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 			c.Close()
 		}
 	}
-	if err == nil {
-		select {
-		case rerr := <-f.ferr:
-			err = rerr
-		default:
-		}
+	if f.relayErr != nil {
+		// The relay closed the connection under the serve loop; its
+		// error is the cause, the loop's read error the symptom.
+		return f.relayErr
 	}
-	return err
+	return f.sess.End(err)
 }
 
 // client returns slot's upstream stream client, dialing lazily. The
@@ -128,171 +129,87 @@ func (f *streamForwarder) client(slot int) *ingest.StreamClient {
 		n := f.g.nodes[slot]
 		f.clients[slot] = ingest.NewStreamClient(ingest.StreamClientConfig{
 			Dial: func() (net.Conn, error) {
-				addr, _ := n.binAddr.Load().(string)
-				return net.DialTimeout("tcp", addr, 10*time.Second)
+				return net.DialTimeout("tcp", n.route.Load().binAddr, 10*time.Second)
 			},
-			Source: f.g.cfg.SourceID + "#" + strconv.Itoa(slot),
+			Source: n.source,
 			Logf:   f.g.cfg.Logf,
 		})
 	}
 	return f.clients[slot]
 }
 
-// serve is the downstream read loop: one iteration per frame, exactly
-// the availd stream server's protocol surface.
+// serve is the downstream read loop: one iteration per frame, over the
+// session a node serves the same protocol on. It returns what ended the
+// stream, for the session's End to answer.
 func (f *streamForwarder) serve() error {
-	fr := wal.NewFrameReader(f.conn)
 	for {
-		payload, err := fr.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if errors.Is(err, wal.ErrCorrupt) {
-				f.sendErr(ingest.StreamErrProto, "corrupt frame: "+err.Error())
-				return fmt.Errorf("corrupt frame: %w", err)
-			}
+		typ, frame, err := f.sess.Next(true)
+		switch {
+		case err != nil:
 			return err
-		}
-		if len(payload) > ingest.MaxStreamFrame {
-			f.sendErr(ingest.StreamErrProto, "frame exceeds stream bound")
-			return fmt.Errorf("oversized stream frame (%d bytes)", len(payload))
-		}
-		switch payload[0] {
-		case ingest.StreamFrameData:
-			if err := f.forward(payload[1:]); err != nil {
+		case typ == ingest.StreamFrameData:
+			if err := f.forward(frame); err != nil {
 				return err
 			}
-		case ingest.StreamFrameClose:
+		default: // CLOSE
 			// Queue a final targetless ack job: the relay settles every
 			// queued watermark in order, so when it reaches this job the
 			// whole stream is settled and the ack it writes is the final
 			// cumulative one the client is waiting for.
 			f.acks <- streamAckJob{count: f.accepted}
 			return nil
-		default:
-			f.sendErr(ingest.StreamErrProto, fmt.Sprintf("unknown frame type 0x%02x", payload[0]))
-			return fmt.Errorf("unknown stream frame type 0x%02x", payload[0])
 		}
 	}
 }
 
-// forward fans one DATA frame's ops out to their slots and queues the
-// ack watermarks.
+// forward routes one DATA frame's ops to their slots and queues the ack
+// watermarks. A refusal comes back as the ERR verdict the monitor is
+// owed: codec for a frame that does not decode (or re-encode), state for
+// an upstream that will not take its share.
 func (f *streamForwarder) forward(frame []byte) error {
 	source, seq, ops, err := ingest.DecodeFrame(frame)
 	if err != nil {
-		f.sendErr(ingest.StreamErrCodec, err.Error())
-		return fmt.Errorf("data frame rejected: %w", err)
+		return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: err.Error()}
 	}
-	g := f.g
-	var touched []int
-	if len(ops) > 0 {
-		slots := make([][]ingest.Op, len(g.nodes))
-		single := g.ring.Node(ops[0].SwarmID())
-		for _, op := range ops {
-			slot := g.ring.Node(op.SwarmID())
-			if slot != single {
-				single = -1
-			}
-			slots[slot] = append(slots[slot], op)
-		}
-		if single >= 0 && source != "" {
-			// Whole frame owned by one slot under the monitor's own key:
-			// forward the received bytes verbatim.
-			if err := f.push(single, func(c *ingest.StreamClient) error {
-				return c.PushFrame(frame)
-			}); err != nil {
-				return err
-			}
-			touched = append(touched, single)
-		} else {
-			for slot, share := range slots {
-				if len(share) == 0 {
-					continue
-				}
-				src, sq := source, seq
-				if src == "" {
-					src = g.cfg.SourceID + "#" + strconv.Itoa(slot)
-					sq = g.nodes[slot].seq.Add(1)
-				}
-				enc, err := ingest.EncodeFrame(nil, src, sq, share)
-				if err != nil {
-					f.sendErr(ingest.StreamErrCodec, err.Error())
-					return fmt.Errorf("re-encode for slot %d: %w", slot, err)
-				}
-				if err := f.push(slot, func(c *ingest.StreamClient) error {
-					return c.PushFrame(enc)
-				}); err != nil {
-					return err
-				}
-				touched = append(touched, slot)
+	shares, whole := route(f.g, source, seq, ops, ingest.Op.SwarmID)
+	job := streamAckJob{count: f.accepted + 1}
+	for _, sh := range shares {
+		// A keyed frame owned by one slot travels as the bytes received.
+		enc := frame
+		if !whole {
+			if enc, err = ingest.EncodeFrame(nil, sh.source, sh.seq, sh.items); err != nil {
+				return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: fmt.Sprintf("re-encode for slot %d: %v", sh.slot, err)}
 			}
 		}
+		c := f.client(sh.slot)
+		if err := c.PushFrame(enc); err != nil {
+			return &ingest.StreamError{Code: ingest.StreamErrState, Msg: fmt.Sprintf("slot %d: %v", sh.slot, err)}
+		}
+		job.targets = append(job.targets, slotTarget{slot: sh.slot, sent: c.Sent()})
 	}
-	g.streamFrames.Inc()
+	f.g.streamFrames.Inc()
 	f.accepted++
-	job := streamAckJob{count: f.accepted}
-	for _, slot := range touched {
-		job.targets = append(job.targets, slotTarget{slot: slot, sent: f.clients[slot].Sent()})
-	}
 	f.acks <- job
 	return nil
 }
 
-// push runs one upstream send, converting a fatal upstream verdict into
-// a downstream ERR.
-func (f *streamForwarder) push(slot int, send func(*ingest.StreamClient) error) error {
-	if err := send(f.client(slot)); err != nil {
-		f.sendErr(ingest.StreamErrState, fmt.Sprintf("slot %d: %v", slot, err))
-		return fmt.Errorf("forward to slot %d: %w", slot, err)
-	}
-	return nil
-}
-
 // relay settles ack jobs in order: wait until every slot watermark in
-// the job is acknowledged upstream, then acknowledge downstream.
-// Consecutive settled jobs coalesce into one downstream ack. On an
-// upstream failure it reports once, closes the downstream connection,
-// and keeps draining so the serve loop never blocks on the queue.
+// the job is acknowledged upstream, then acknowledge downstream — once
+// per backlog, not per job: a job with others queued behind it is
+// covered by the last one's cumulative ack. On an upstream failure it
+// reports once, closes the downstream connection, and keeps draining so
+// the serve loop never blocks on the queue.
 func (f *streamForwarder) relay() {
 	defer close(f.done)
-	failed := false
 	for job := range f.acks {
-		if failed {
+		if f.relayErr != nil {
 			continue
 		}
-		if err := f.settle(job); err != nil {
-			failed = true
-			f.ferr <- err
-			f.sendErr(ingest.StreamErrState, err.Error())
+		if f.relayErr = f.settle(job); f.relayErr != nil {
+			f.sess.Err(ingest.StreamErrState, f.relayErr.Error())
 			f.conn.Close()
-			continue
-		}
-		// Coalesce: settle everything already queued before acking.
-		count := job.count
-	drain:
-		for {
-			select {
-			case next, ok := <-f.acks:
-				if !ok {
-					f.writeAck(count)
-					return
-				}
-				if err := f.settle(next); err != nil {
-					failed = true
-					f.ferr <- err
-					f.sendErr(ingest.StreamErrState, err.Error())
-					f.conn.Close()
-					break drain
-				}
-				count = next.count
-			default:
-				break drain
-			}
-		}
-		if !failed {
-			f.writeAck(count)
+		} else if len(f.acks) == 0 {
+			_ = f.sess.Ack(job.count) // a dead downstream shows up in serve's read
 		}
 	}
 }
@@ -304,27 +221,4 @@ func (f *streamForwarder) settle(job streamAckJob) error {
 		}
 	}
 	return nil
-}
-
-func (f *streamForwarder) writeAck(count uint64) {
-	var p [9]byte
-	p[0] = ingest.StreamFrameAck
-	binary.LittleEndian.PutUint64(p[1:], count)
-	f.wmu.Lock()
-	f.wbuf = wal.AppendFrame(f.wbuf[:0], p[:])
-	_, _ = f.conn.Write(f.wbuf)
-	f.wmu.Unlock()
-}
-
-func (f *streamForwarder) sendErr(code byte, msg string) {
-	if len(msg) > 512 {
-		msg = msg[:512]
-	}
-	p := make([]byte, 0, 2+len(msg))
-	p = append(p, ingest.StreamFrameErr, code)
-	p = append(p, msg...)
-	f.wmu.Lock()
-	env := wal.AppendFrame(nil, p)
-	_, _ = f.conn.Write(env)
-	f.wmu.Unlock()
 }

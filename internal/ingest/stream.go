@@ -52,7 +52,8 @@ const (
 const (
 	// StreamErrCodec: a DATA frame's ops payload failed to decode.
 	StreamErrCodec = 1
-	// StreamErrState: the engine refused the write (closing/closed).
+	// StreamErrState: the node refused the write (closing, closed or
+	// fenced).
 	StreamErrState = 2
 	// StreamErrProto: a torn or corrupt envelope, or an unknown frame
 	// type — the stream is unsynchronized and cannot continue.
@@ -84,7 +85,11 @@ const (
 // than this is a framing desync, not a batch.
 const MaxStreamFrame = 8 << 20
 
-// StreamError is the server's ERR frame surfaced to the client.
+// errFenced is the refusal a fenced node's stream surface gives.
+var errFenced = errors.New("ingest: node fenced by a newer cluster epoch")
+
+// StreamError is an ERR frame: the server's verdict as the client
+// surfaces it, and as a StreamSession reports one it owes the peer.
 type StreamError struct {
 	Code byte
 	Msg  string
@@ -98,6 +103,13 @@ func (e *StreamError) Error() string {
 // Engine. One StreamServer handles any number of concurrent
 // connections; per-connection state is local to ServeConn.
 type StreamServer struct {
+	// Fenced, when set (before Serve), is asked before every commit; while
+	// it answers true the node has been fenced by a newer cluster epoch
+	// (cluster.EpochGate) and DATA frames are refused with ERR state —
+	// journaled nowhere, acknowledged never — so the epoch fence covers
+	// this surface as it covers the HTTP one.
+	Fenced func() bool
+
 	e    *Engine
 	logf func(format string, args ...any)
 
@@ -186,23 +198,152 @@ func (s *StreamServer) Close() {
 	s.mu.Unlock()
 }
 
-// streamConn is one connection's protocol state.
-type streamConn struct {
-	s    *StreamServer
+// StreamSession is the server half of the protocol on one connection:
+// the buffer-owning frame reader, its verdicts, and the ACK/ERR writers.
+// StreamServer.ServeConn and the cluster gateway's stream front are both
+// written on it, so a frame is bounded, judged and refused the same way
+// whichever of them a monitor dialed.
+//
+// Next belongs to the connection's one reading goroutine. The writers
+// (Ack, Err, End) share no state with it, so they may run on another —
+// the gateway's ack relay does — but one at a time: the gateway's serve
+// loop calls End only after its relay has exited.
+type StreamSession struct {
 	conn io.ReadWriter
 
-	// buf[r:w] is received and not yet consumed. Staged frames alias it,
-	// so it is only refilled (fill) when nothing is staged. full records
+	// buf[r:w] is received and not yet consumed. Frames Next returns alias
+	// it, so it is refilled only by a Next that may wait. full records
 	// that the last read filled it: the cue to grow.
 	buf  []byte
 	r, w int
 	full bool
 
+	wbuf []byte // outbound frame scratch
+
+	bytes, errs *obs.Counter // a StreamServer's series; nil on a gateway
+}
+
+// NewStreamSession starts the protocol's server half on conn.
+func NewStreamSession(conn io.ReadWriter) *StreamSession {
+	return &StreamSession{conn: conn, buf: make([]byte, streamReadBuf)}
+}
+
+// Next returns the next frame: its type (StreamFrameData or
+// StreamFrameClose) and the payload after the type byte, which aliases
+// the read buffer until the next call with wait set. With wait unset it
+// never touches the network: typ 0 means the buffer holds no complete
+// frame. The error is io.EOF when the peer ended the stream between
+// frames, a *StreamError for a protocol verdict — corrupt or torn
+// envelope, a header claiming more than MaxStreamFrame (refused on the
+// header alone: the payload is never buffered), unknown frame type —
+// and the transport's own otherwise; End answers each.
+func (s *StreamSession) Next(wait bool) (typ byte, body []byte, err error) {
+	for {
+		payload, size, err := wal.ParseFrame(s.buf[s.r:s.w])
+		switch {
+		case err != nil:
+			return 0, nil, protoError("corrupt frame: %v", err)
+		case size-wal.FrameHeaderSize > MaxStreamFrame:
+			return 0, nil, protoError("oversized stream frame (%d bytes)", size-wal.FrameHeaderSize)
+		case payload != nil:
+			s.r += size
+			if typ = payload[0]; typ != StreamFrameData && typ != StreamFrameClose {
+				return 0, nil, protoError("unknown frame type 0x%02x", typ)
+			}
+			return typ, payload[1:], nil
+		case !wait:
+			return 0, nil, nil
+		}
+		if err := s.fill(size); err != nil {
+			if errors.Is(err, io.EOF) && s.r != s.w {
+				return 0, nil, protoError("corrupt frame: %v: torn frame: %d bytes then EOF", wal.ErrCorrupt, s.w-s.r)
+			}
+			return 0, nil, err
+		}
+	}
+}
+
+func protoError(format string, args ...any) *StreamError {
+	return &StreamError{Code: StreamErrProto, Msg: fmt.Sprintf(format, args...)}
+}
+
+// fill blocks until more bytes arrive, making room for a frame of need
+// bytes. No frame handed out is still in use when it runs, so the
+// unconsumed tail (less than one frame) may move to the front.
+func (s *StreamSession) fill(need int) error {
+	s.w = copy(s.buf, s.buf[s.r:s.w])
+	s.r = 0
+	size := len(s.buf)
+	if s.full && size < streamReadBufMax {
+		size *= 2
+	}
+	if size = max(size, need); size > len(s.buf) {
+		s.buf = append(make([]byte, 0, size), s.buf[:s.w]...)[:size]
+	}
+	for {
+		n, err := s.conn.Read(s.buf[s.w:])
+		s.bytes.Add(uint64(n)) // envelope included, counted where they enter
+		s.w += n
+		s.full = s.w == len(s.buf)
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// End ends the stream for err — one from Next, or the caller's own
+// verdict as a *StreamError — and returns what the serve loop should:
+// nil for a peer that simply went away (crash, reset, no CLOSE:
+// everything acknowledged stands, everything else was never applied),
+// err otherwise, after sending the ERR frame a verdict is owed.
+func (s *StreamSession) End(err error) error {
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	var verdict *StreamError
+	if errors.As(err, &verdict) {
+		s.Err(verdict.Code, verdict.Msg)
+	}
+	return err
+}
+
+// Ack writes one ACK frame: count DATA frames accepted on this
+// connection so far.
+func (s *StreamSession) Ack(count uint64) error {
+	var p [9]byte
+	p[0] = StreamFrameAck
+	binary.LittleEndian.PutUint64(p[1:], count)
+	s.wbuf = wal.AppendFrame(s.wbuf[:0], p[:])
+	_, err := s.conn.Write(s.wbuf)
+	return err
+}
+
+// Err writes one ERR frame, best effort (the connection is about to
+// close either way).
+func (s *StreamSession) Err(code byte, msg string) {
+	s.errs.Inc()
+	if len(msg) > 512 {
+		msg = msg[:512]
+	}
+	p := make([]byte, 0, 2+len(msg))
+	p = append(p, StreamFrameErr, code)
+	p = append(p, msg...)
+	s.wbuf = wal.AppendFrame(s.wbuf[:0], p)
+	_, _ = s.conn.Write(s.wbuf)
+}
+
+// streamConn is one node connection: a session plus the commit group.
+type streamConn struct {
+	s    *StreamServer
+	sess StreamSession
+
 	group []batch // staged DATA frames, committed together
 
 	accepted  uint64 // DATA frames accepted (applied or deduplicated)
 	lastAcked uint64
-	wbuf      []byte // outbound frame scratch
 }
 
 // ServeConn runs the protocol on one connection until the peer closes,
@@ -218,20 +359,15 @@ type streamConn struct {
 // on the network with frames staged.
 func (s *StreamServer) ServeConn(conn net.Conn) error {
 	s.conns.Inc()
-	c := &streamConn{s: s, conn: conn, buf: make([]byte, streamReadBuf)}
+	c := &streamConn{s: s, sess: StreamSession{
+		conn: conn, buf: make([]byte, streamReadBuf), bytes: s.bytes, errs: s.errs,
+	}}
 	for {
-		payload, size, err := wal.ParseFrame(c.buf[c.r:c.w])
-		switch {
-		case err != nil:
-			err = fmt.Errorf("corrupt frame: %w", err)
-		case size-wal.FrameHeaderSize > MaxStreamFrame:
-			// Refused on the header alone: the payload is never buffered.
-			payload, err = nil, fmt.Errorf("oversized stream frame (%d bytes)", size-wal.FrameHeaderSize)
-		}
-		if payload != nil {
-			c.r += size
-			if payload[0] == StreamFrameData && len(c.group) < streamAckEvery {
-				c.group = append(c.group, batch{wire: payload[1:]})
+		// Staged frames alias the read buffer: wait only with none.
+		typ, body, err := c.sess.Next(len(c.group) == 0)
+		if typ == StreamFrameData {
+			c.group = append(c.group, batch{wire: body})
+			if len(c.group) < streamAckEvery {
 				continue
 			}
 		}
@@ -240,44 +376,30 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		}
 		switch {
 		case err != nil:
-			c.sendErr(StreamErrProto, err.Error())
-			return err
-		case payload == nil:
-			if err := c.fill(size); err != nil {
-				if !errors.Is(err, io.EOF) {
-					return err
-				}
-				if c.r == c.w {
-					// Peer vanished without CLOSE (crash, reset): everything
-					// acknowledged stands; everything else was never applied.
-					return nil
-				}
-				err = fmt.Errorf("corrupt frame: %w: torn frame: %d bytes then EOF", wal.ErrCorrupt, c.w-c.r)
-				c.sendErr(StreamErrProto, err.Error())
-				return err
-			}
-		case payload[0] == StreamFrameData:
-			// The ack bound ended the group; this frame opens the next.
-			c.group = append(c.group, batch{wire: payload[1:]})
-		case payload[0] == StreamFrameClose:
+			return c.sess.End(err)
+		case typ == StreamFrameClose:
 			// Final cumulative ack, then a clean end. The client treats
 			// the ack that covers its last DATA frame as full settlement.
 			return c.sendAck()
-		default:
-			c.sendErr(StreamErrProto, fmt.Sprintf("unknown frame type 0x%02x", payload[0]))
-			return fmt.Errorf("unknown stream frame type 0x%02x", payload[0])
 		}
 	}
 }
 
 // commit submits the staged frames as one group and acknowledges the
 // accepted prefix. A frame the engine rejects ends the stream: the ACK
-// for the frames before it goes out first, then the ERR.
+// for the frames before it goes out first, then the ERR. A fenced node
+// submits nothing: the whole group is refused.
 func (c *streamConn) commit() error {
 	if len(c.group) == 0 {
 		return nil
 	}
-	n, err := c.s.e.submit(c.group)
+	var n int
+	var err error
+	if c.s.Fenced != nil && c.s.Fenced() {
+		err = errFenced
+	} else {
+		n, err = c.s.e.submit(c.group)
+	}
 	clear(c.group) // drop the aliases into the read buffer
 	c.group = c.group[:0]
 	if n > 0 {
@@ -289,64 +411,18 @@ func (c *streamConn) commit() error {
 	}
 	if err != nil {
 		code := byte(StreamErrCodec)
-		if errors.Is(err, ErrClosed) {
+		if errors.Is(err, ErrClosed) || errors.Is(err, errFenced) {
 			code = StreamErrState
 		}
-		c.sendErr(code, err.Error())
+		c.sess.Err(code, err.Error())
 		return fmt.Errorf("data frame rejected: %w", err)
 	}
 	return nil
-}
-
-// fill blocks until more bytes arrive, making room for a frame of need
-// bytes. Nothing is staged when it runs, so the unconsumed tail (less
-// than one frame) may move to the front.
-func (c *streamConn) fill(need int) error {
-	c.w = copy(c.buf, c.buf[c.r:c.w])
-	c.r = 0
-	size := len(c.buf)
-	if c.full && size < streamReadBufMax {
-		size *= 2
-	}
-	if size = max(size, need); size > len(c.buf) {
-		c.buf = append(make([]byte, 0, size), c.buf[:c.w]...)[:size]
-	}
-	for {
-		n, err := c.conn.Read(c.buf[c.w:])
-		c.s.bytes.Add(uint64(n)) // envelope included, counted where they enter
-		c.w += n
-		c.full = c.w == len(c.buf)
-		if n > 0 {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // sendAck writes one cumulative ACK frame.
 func (c *streamConn) sendAck() error {
 	c.s.ackWindow.Observe(float64(c.accepted - c.lastAcked))
 	c.lastAcked = c.accepted
-	var p [9]byte
-	p[0] = StreamFrameAck
-	binary.LittleEndian.PutUint64(p[1:], c.accepted)
-	c.wbuf = wal.AppendFrame(c.wbuf[:0], p[:])
-	_, err := c.conn.Write(c.wbuf)
-	return err
-}
-
-// sendErr writes one ERR frame, best effort (the connection is about
-// to close either way).
-func (c *streamConn) sendErr(code byte, msg string) {
-	c.s.errs.Inc()
-	if len(msg) > 512 {
-		msg = msg[:512]
-	}
-	p := make([]byte, 0, 2+len(msg))
-	p = append(p, StreamFrameErr, code)
-	p = append(p, msg...)
-	c.wbuf = wal.AppendFrame(c.wbuf[:0], p)
-	_, _ = c.conn.Write(c.wbuf)
+	return c.sess.Ack(c.accepted)
 }

@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -143,131 +142,6 @@ func mustEncodeFrame(t *testing.T, source string, seq uint64, ops []Op) []byte {
 		t.Fatal(err)
 	}
 	return frame
-}
-
-// TestStreamCorruptFramesLeaveStateUnchanged sends a valid frame, then
-// torn/corrupt ones, and requires (a) an ERR frame with the right code,
-// (b) the connection to die, and (c) the engine's rendered state, record
-// counters and journal to be exactly what the valid frames left. A row
-// may pipeline good frames around the bad one in a single burst — one
-// commit group: the prefix is applied and ACKed, the bad frame and the
-// suffix touch neither state nor WAL, and exactly one ERR follows.
-func TestStreamCorruptFramesLeaveStateUnchanged(t *testing.T) {
-	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ref := New(Config{Shards: 1}) // fed exactly the frames that must stand
-	defer ref.Close()
-	addr := startStreamServer(t, e)
-
-	ops := []Op{
-		EventOp(Record{SwarmID: 1, PeerID: 7, Seed: true, Online: true, Time: 0.5}),
-		EventOp(Record{SwarmID: 2, PeerID: 9, Online: true, Time: 1.5}),
-	}
-	conn, fr := dialStream(t, addr)
-	writeData(t, conn, mustEncodeFrame(t, "mon-a", 1, ops))
-	ack, err := fr.Next()
-	if err != nil || ack[0] != StreamFrameAck {
-		t.Fatalf("want ACK, got %v / %v", ack, err)
-	}
-	if err := ref.Submit(ops); err != nil {
-		t.Fatal(err)
-	}
-	wantFrames := uint64(1)
-
-	// burstFrame is good frame i of a row's burst, on a swarm of its own
-	// so a frame that slipped through would show in the state.
-	burstFrame := func(row, i int) (frame []byte, ops []Op) {
-		ops = []Op{EventOp(Record{SwarmID: 100*(row+1) + i, PeerID: 1, Seed: true, Online: true, Time: 0.25})}
-		return mustEncodeFrame(t, fmt.Sprintf("mon-burst-%d", row), uint64(i+1), ops), ops
-	}
-	cases := []struct {
-		name     string
-		prefix   int // good frames pipelined ahead of the bad one (and two behind it)
-		corrupt  func(env []byte) []byte
-		wantCode byte
-	}{
-		{"flipped payload bit", 0, func(env []byte) []byte {
-			env[len(env)-1] ^= 0x40
-			return env
-		}, StreamErrProto},
-		{"torn frame then close", 0, func(env []byte) []byte {
-			return env[:len(env)-5]
-		}, StreamErrProto},
-		{"bad ops codec", 0, func(env []byte) []byte {
-			junk := append([]byte{StreamFrameData}, 0xEE, 0xFF, 0x00, 0x01, 0x02)
-			return wal.AppendFrame(nil, junk)
-		}, StreamErrCodec},
-		{"unknown frame type", 0, func(env []byte) []byte {
-			return wal.AppendFrame(nil, []byte{0x7F, 0x00})
-		}, StreamErrProto},
-		{"bad ops codec mid-burst", 3, func(env []byte) []byte {
-			junk := append([]byte{StreamFrameData}, 0xEE, 0xFF, 0x00, 0x01, 0x02)
-			return wal.AppendFrame(nil, junk)
-		}, StreamErrCodec},
-		{"flipped payload bit mid-burst", 2, func(env []byte) []byte {
-			env[len(env)-1] ^= 0x40
-			return env
-		}, StreamErrProto},
-	}
-	for row, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			conn, fr := dialStream(t, addr)
-			env := wal.AppendFrame(nil, append([]byte{StreamFrameData},
-				mustEncodeFrame(t, "mon-bad", 99, ops)...))
-			var burst []byte
-			for i := 0; i < tc.prefix; i++ {
-				frame, frameOps := burstFrame(row, i)
-				burst = wal.AppendFrame(burst, append([]byte{StreamFrameData}, frame...))
-				if err := ref.Submit(frameOps); err != nil {
-					t.Fatal(err)
-				}
-			}
-			wantFrames += uint64(tc.prefix)
-			burst = append(burst, tc.corrupt(env)...)
-			if tc.prefix > 0 {
-				for i := tc.prefix; i < tc.prefix+2; i++ {
-					frame, _ := burstFrame(row, i)
-					burst = wal.AppendFrame(burst, append([]byte{StreamFrameData}, frame...))
-				}
-			}
-			if _, err := conn.Write(burst); err != nil {
-				t.Fatal(err)
-			}
-			conn.(*net.TCPConn).CloseWrite()
-			// ACKs for the prefix (cumulative; however the burst was
-			// segmented), then exactly one ERR, then EOF.
-			var acked uint64
-			payload, err := fr.Next()
-			for ; err == nil && payload[0] == StreamFrameAck; payload, err = fr.Next() {
-				acked = binary.LittleEndian.Uint64(payload[1:])
-			}
-			if err != nil {
-				t.Fatalf("want ERR frame, got read error %v", err)
-			}
-			if payload[0] != StreamFrameErr || payload[1] != tc.wantCode {
-				t.Fatalf("got frame %v, want ERR code %d", payload[:2], tc.wantCode)
-			}
-			if acked != uint64(tc.prefix) {
-				t.Fatalf("ACKed %d frames ahead of the ERR, want the prefix of %d", acked, tc.prefix)
-			}
-			if _, err := fr.Next(); !errors.Is(err, io.EOF) {
-				t.Fatalf("connection should close after ERR, got %v", err)
-			}
-		})
-	}
-
-	if got, want := stateBytes(e), stateBytes(ref); !bytes.Equal(got, want) {
-		t.Fatalf("rejected frames changed engine state\ngot:  %s\nwant: %s", got, want)
-	}
-	if got, want := e.Metrics().Records, ref.Metrics().Records; got != want {
-		t.Fatalf("records = %d across rejected frames, want %d", got, want)
-	}
-	if got := e.WAL().LastSeq(); got != wantFrames {
-		t.Fatalf("journal holds %d frames, want %d: a rejected frame or a suffix reached the WAL", got, wantFrames)
-	}
 }
 
 // TestStreamKeyedReplayDedups is the exactly-once ledger check on the

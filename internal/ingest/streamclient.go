@@ -32,10 +32,12 @@ type StreamClientConfig struct {
 	// Window is the maximum unacknowledged DATA frames in flight;
 	// a full window blocks the producer (default 32).
 	Window int
-	// MaxAttempts bounds consecutive failed dials before a send
-	// reports failure (default 8).
+	// MaxAttempts bounds consecutive connection attempts that settle
+	// nothing — a failed dial, or a connection that ends before it
+	// acknowledges a frame (a fenced or draining server answering ERR) —
+	// before a send reports failure (default 8).
 	MaxAttempts int
-	// RetryBackoff is the wait after a failed dial, doubling up to
+	// RetryBackoff is the wait after such an attempt, doubling up to
 	// 32× per consecutive failure (default 50ms).
 	RetryBackoff time.Duration
 	// Logf, when set, receives one line per reconnect.
@@ -97,10 +99,11 @@ type StreamClient struct {
 	totalAcked uint64 // DATA frames settled by acks, ever
 	reconnects uint64
 
-	pumping bool  // a sender is mid-pump (writes happen unlocked)
-	lastErr error // newest transport error, for dial-exhausted reports
-	fatal   error // server verdict that retrying cannot change
-	closed  bool
+	pumping  bool  // a sender is mid-pump (writes happen unlocked)
+	attempts int   // dials since the last ack; the MaxAttempts budget
+	lastErr  error // newest transport error, for dial-exhausted reports
+	fatal    error // server verdict that retrying cannot change
+	closed   bool
 
 	batch []Op // ops accumulating toward the next DATA frame
 	seq   uint64
@@ -298,7 +301,6 @@ func (c *StreamClient) pumpLocked() error {
 		c.pumping = false
 		c.cond.Broadcast()
 	}()
-	dialFails := 0
 	for {
 		if c.fatal != nil {
 			return c.fatal
@@ -307,21 +309,25 @@ func (c *StreamClient) pumpLocked() error {
 			return ErrClosed
 		}
 		if c.conn == nil {
-			if dialFails >= c.cfg.MaxAttempts {
-				return fmt.Errorf("ingest: stream dial failed %d times: %w", dialFails, c.lastErr)
+			if c.attempts >= c.cfg.MaxAttempts {
+				// The next send starts over with a full budget.
+				c.attempts = 0
+				return fmt.Errorf("ingest: stream made no progress in %d connection attempts: %w", c.cfg.MaxAttempts, c.lastErr)
 			}
+			if c.attempts > 0 {
+				c.mu.Unlock()
+				time.Sleep(c.backoff(c.attempts))
+				c.mu.Lock()
+			}
+			c.attempts++
 			c.mu.Unlock()
 			conn, err := c.dial()
 			c.mu.Lock()
 			if err != nil {
-				dialFails++
 				c.lastErr = err
 				if c.cfg.Logf != nil {
-					c.cfg.Logf("ingest stream: dial %d/%d failed: %v", dialFails, c.cfg.MaxAttempts, err)
+					c.cfg.Logf("ingest stream: dial %d/%d failed: %v", c.attempts, c.cfg.MaxAttempts, err)
 				}
-				c.mu.Unlock()
-				time.Sleep(c.backoff(dialFails))
-				c.mu.Lock()
 				continue
 			}
 			c.gen++
@@ -437,6 +443,9 @@ func (c *StreamClient) applyAck(conn net.Conn, gen, n uint64) bool {
 		return false
 	}
 	delta := n - c.ackedOnConn
+	if delta > 0 {
+		c.attempts = 0
+	}
 	c.ackedOnConn = n
 	c.totalAcked += delta
 	c.unacked = c.unacked[delta:]

@@ -474,6 +474,45 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 	b.ReportMetric(float64(queries.Load())/b.Elapsed().Seconds(), "queries/sec")
 }
 
+// BenchmarkSnapshotPublish measures what a read costs the apply path:
+// one batch touching `dirty` swarms and the flush that publishes it, on
+// a single shard holding `swarms` seeded, registered swarms. The publish
+// corrects the live aggregates for the dirty swarms only, so at a fixed
+// dirty count ns/op should not follow the resident count — the
+// swarms=66000/swarms=2000 ratio at dirty=1 is the figure to watch
+// (a ratio within one run; the absolutes are this machine's).
+func BenchmarkSnapshotPublish(b *testing.B) {
+	for _, swarms := range []int{2000, 66000} {
+		e := ingest.New(ingest.Config{Shards: 1})
+		w := e.NewWriter()
+		for id := 0; id < swarms; id++ {
+			w.RegisterSwarm(trace.SwarmMeta{ID: id}, 60)
+			w.Observe(ingest.Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: float64(id%40) / 4})
+		}
+		w.Flush()
+		e.Flush()
+		for _, dirty := range []int{1, swarms / 100, swarms} {
+			b.Run(fmt.Sprintf("swarms=%d/dirty=%d", swarms, dirty), func(b *testing.B) {
+				b.ReportAllocs()
+				ops := make([]ingest.Op, dirty)
+				for i := 0; i < b.N; i++ {
+					for j := range ops {
+						// A leecher event a little later each round: the
+						// swarm's open seeded interval, and so both of its
+						// sketch observations, move with it.
+						ops[j] = ingest.EventOp(ingest.Record{SwarmID: j, PeerID: 2, Online: i%2 == 0, Time: 10 + float64(i)/1000})
+					}
+					if err := e.Submit(ops); err != nil {
+						b.Fatal(err)
+					}
+					e.Flush()
+				}
+			})
+		}
+		e.Close()
+	}
+}
+
 // benchRecords builds a deterministic monitor-record campaign shared by
 // the ingest protocol benchmarks.
 func benchRecords(n int) []ingest.Record {

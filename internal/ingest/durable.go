@@ -445,8 +445,7 @@ func loadNewestCheckpoint(dir string, shards []*shard) (uint64, int, []dedupReco
 		// Reset any partial install and fall back to the next older
 		// checkpoint.
 		for _, s := range shards {
-			clear(s.swarms)
-			clear(s.cats)
+			s.reset()
 		}
 	}
 	return 0, 0, nil, skipped, nil

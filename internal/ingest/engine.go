@@ -673,12 +673,11 @@ func (e *Engine) Summary() *Summary {
 }
 
 // Swarm is the barrier read of one swarm: a flush of its home shard,
-// then a lookup in that shard's published snapshot.
+// then a lookup of the stats that flush published.
 func (e *Engine) Swarm(id int) (SwarmStats, bool) {
 	s := e.shardFor(id)
 	e.flush(s)
-	st, ok := s.snap.Load().swarms[id]
-	return st, ok
+	return s.lookup(id)
 }
 
 // Metrics snapshots the engine's operational counters.

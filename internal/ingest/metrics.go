@@ -29,6 +29,8 @@ type Metrics struct {
 	batchSize     *obs.Histogram // ops per batch
 	batchSizeMax  *obs.Gauge     // high-water batch size
 	readCacheHits *obs.Counter   // merged-snapshot reads served from cache
+	publishTime   *obs.Histogram // shard snapshot publish seconds
+	publishDirty  *obs.Histogram // swarms a publish visited
 
 	// checkpointSeconds times Engine.Checkpoint end to end. Registered
 	// unconditionally (zero-valued on non-durable engines) so the
@@ -55,6 +57,8 @@ func newMetrics(reg *obs.Registry, shards int) *Metrics {
 		batchSize:     reg.Histogram("ingest_batch_size", obs.SizeBuckets),
 		batchSizeMax:  reg.Gauge("ingest_batch_size_max"),
 		readCacheHits: reg.Counter("read_cache_hits_total"),
+		publishTime:   reg.Histogram("ingest_snapshot_build_seconds", obs.LatencyBuckets),
+		publishDirty:  reg.Histogram("ingest_snapshot_dirty_swarms", obs.SizeBuckets),
 
 		checkpointSeconds: reg.Histogram("checkpoint_duration_seconds", obs.LatencyBuckets),
 	}
@@ -76,6 +80,13 @@ func (m *Metrics) observeBatch(shard, n int, d time.Duration) {
 	m.batchLatency.Observe(sec)
 	m.batchSize.Observe(float64(n))
 	m.batchSizeMax.SetMax(float64(n))
+}
+
+// observePublish records one shard snapshot publish that visited dirty
+// swarms.
+func (m *Metrics) observePublish(dirty int, d time.Duration) {
+	m.publishTime.Observe(d.Seconds())
+	m.publishDirty.Observe(float64(dirty))
 }
 
 // MetricsSnapshot is a point-in-time copy of the engine's counters.

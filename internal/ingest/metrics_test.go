@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
@@ -107,5 +108,59 @@ func TestShardCountersConcurrent(t *testing.T) {
 		if _, ok := reg.Value("ingest_shard_queue_depth", obs.L("shard", strconv.Itoa(i))); !ok {
 			t.Errorf("missing queue-depth gauge for shard %d", i)
 		}
+	}
+}
+
+// TestSnapshotMetricsFollowReaders covers the publish instruments and
+// the staleness gauge's on-demand rule: a snapshot nobody has loaded
+// since it was published is nobody's stale read, so a bulk load reports
+// age 0 however far behind the view is.
+func TestSnapshotMetricsFollowReaders(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(Config{Shards: 1, Metrics: reg, SnapshotMaxAge: time.Hour})
+	defer e.Close()
+	age := func() float64 {
+		v, ok := reg.Value("ingest_snapshot_age_seconds")
+		if !ok {
+			t.Fatal("ingest_snapshot_age_seconds is not registered")
+		}
+		return v
+	}
+	build := reg.Histogram("ingest_snapshot_build_seconds", obs.LatencyBuckets)
+	dirty := reg.Histogram("ingest_snapshot_dirty_swarms", obs.SizeBuckets)
+	boot := build.Count()
+
+	const swarms = 25
+	var ops []Op
+	for id := 0; id < swarms; id++ {
+		ops = append(ops, EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: 1}))
+	}
+	if err := e.Submit(ops); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, e, swarms)
+	time.Sleep(2 * time.Millisecond)
+	if got := age(); got != 0 {
+		t.Fatalf("age = %v with the view behind but never read, want 0", got)
+	}
+
+	// A reader loads the (still stale, within SnapshotMaxAge) snapshot:
+	// now somebody is being served it, and its age counts.
+	if got := e.Snapshot().Summary.Events; got != 0 {
+		t.Fatalf("snapshot within SnapshotMaxAge shows %d events, want the boot view", got)
+	}
+	if got := age(); got <= 0 {
+		t.Fatalf("age = %v with a reader holding a stale snapshot, want > 0", got)
+	}
+
+	e.Flush()
+	if got := age(); got != 0 {
+		t.Fatalf("age = %v right after a flush, want 0", got)
+	}
+	if got := build.Count() - boot; got != 1 {
+		t.Fatalf("ingest_snapshot_build_seconds counted %d publishes, want 1", got)
+	}
+	if got := dirty.Sum(); got != swarms {
+		t.Fatalf("ingest_snapshot_dirty_swarms sums to %v, want %d", got, swarms)
 	}
 }

@@ -1,0 +1,291 @@
+package ingest
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"swarmavail/internal/measure"
+	"swarmavail/internal/trace"
+)
+
+// rebuildSnapOracle is the full rebuild the incremental view replaced,
+// kept as the reference: one pass over every swarm re-deriving the
+// Summary, the per-swarm stats and (by folding every ring) the windowed
+// aggregate from the shard's ground-truth state. It shares no arithmetic
+// with publish beyond swarmState.stats.
+func rebuildSnapOracle(s *shard) (*Summary, *WindowState, map[int]SwarmStats) {
+	sum := NewSummary()
+	sum.Swarms = len(s.swarms)
+	swarms := make(map[int]SwarmStats, len(s.swarms))
+	fine := make(map[int64]*WindowBinState)
+	coarse := make(map[int64]*WindowBinState)
+	for id, st := range s.swarms {
+		stats := st.stats()
+		swarms[id] = stats
+		sum.SeedsOnline += st.seedsOnline
+		sum.LeechersOnline += st.leechersOnline
+		sum.BusyPeriods += st.busyPeriods
+		sum.Events += st.events
+		if st.events > 0 || st.hasMeta {
+			sum.FirstMonth.Add(stats.FirstMonth)
+			sum.Full.Add(stats.Full)
+			if measure.IsFullyAvailable(stats.FirstMonth) {
+				sum.FullyAvailableFirstMonth++
+			}
+			if measure.IsMostlyUnavailable(stats.Full) {
+				sum.MostlyUnavailable++
+			}
+			sum.StudySwarms++
+		}
+		if st.hasCensus {
+			sum.CensusSwarms++
+		}
+		st.win.fold(fine, coarse)
+	}
+	for cat, cc := range s.cats {
+		merged := sum.Categories[cat]
+		merged.merge(*cc)
+		sum.Categories[cat] = merged
+	}
+	win := newWindowState(&s.wc)
+	win.Fine = sortedBins(fine)
+	win.Coarse = sortedBins(coarse)
+	return sum, win, swarms
+}
+
+// statsKey renders a SwarmStats for comparison. Not JSON: the hostile
+// timestamps below put ±Inf and NaN in fields encoding/json refuses.
+func statsKey(st SwarmStats) string {
+	census := "<nil>"
+	if st.Census != nil {
+		census = fmt.Sprintf("%+v", *st.Census)
+	}
+	st.Census = nil
+	return fmt.Sprintf("%+v census=%s", st, census)
+}
+
+// viewJSON renders a shard's published aggregate view: the bodies it
+// contributes to /v1/state and /v1/window/state.
+func viewJSON(t *testing.T, s *shard) string {
+	t.Helper()
+	snap := s.snap.Load()
+	b, err := json.Marshal([]any{snap.sum.State(), snap.win})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func oracleShard(wc windowConfig) *shard {
+	return newShard(0, 1, newMetrics(nil, 1), &batchPool{}, wc, 0)
+}
+
+// checkPublished publishes s and asserts the published view equals the
+// oracle's rebuild: summary wire form (sketch bins, n, exact min/max and
+// category counters included), window state, every swarm's stats.
+func checkPublished(t *testing.T, s *shard, when string) {
+	t.Helper()
+	s.publish()
+	snap := s.snap.Load()
+	wantSum, wantWin, wantSwarms := rebuildSnapOracle(s)
+
+	mustJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		return string(b)
+	}
+	if got, want := mustJSON(snap.sum.State()), mustJSON(wantSum.State()); got != want {
+		t.Fatalf("%s: published summary diverged from the rebuild\n--- published ---\n%s\n--- oracle ---\n%s", when, got, want)
+	}
+	if got, want := mustJSON(snap.win), mustJSON(wantWin); got != want {
+		t.Fatalf("%s: published window diverged from the rebuild\n--- published ---\n%s\n--- oracle ---\n%s", when, got, want)
+	}
+	for id, want := range wantSwarms {
+		got, ok := s.lookup(id)
+		if !ok || statsKey(got) != statsKey(want) {
+			t.Fatalf("%s: swarm %d published %v (ok=%v), oracle %s", when, id, statsKey(got), ok, statsKey(want))
+		}
+	}
+	if len(s.dirtyList) != 0 {
+		t.Fatalf("%s: %d swarms still on the dirty list after a publish", when, len(s.dirtyList))
+	}
+
+	// The aggregate's resident size follows the live bins, never the span
+	// of timestamps: the table is fixed, and the far map holds live bins
+	// only — of which a swarm can own at most one ring's worth.
+	far := len(s.agg.fine.far) + len(s.agg.coarse.far)
+	live := len(snap.win.Fine) + len(snap.win.Coarse)
+	if bound := len(s.swarms) * (s.wc.fine + s.wc.coarse); far > live || live > bound {
+		t.Fatalf("%s: aggregate holds %d far bins for %d live ones (bound %d)", when, far, live, bound)
+	}
+}
+
+// opStream generates one seeded op stream over a handful of swarms,
+// shaped to hit every ring transition: small steps, head jumps past the
+// fine window and past all retention, late events behind the fine window
+// and beyond retention, re-registration under a new horizon, census
+// before and after registration, and hostile timestamps.
+type opStream struct {
+	rng    *rand.Rand
+	wc     windowConfig
+	clock  map[int]float64
+	swarms int
+	// nonFinite adds NaN and ±Inf to the hostile clocks. Off until the
+	// checkpoint is taken: encoding/json cannot carry them, so a swarm
+	// that saw one cannot be checkpointed (true of the engine too).
+	nonFinite bool
+}
+
+func (g *opStream) next() Op {
+	id := g.rng.Intn(g.swarms)
+	fine := float64(g.wc.fine) * g.wc.binDays
+	retention := fine + float64(g.wc.coarse*g.wc.fold)*g.wc.binDays
+	switch p := g.rng.Float64(); {
+	case p < 0.06:
+		return MetaOp(trace.SwarmMeta{ID: id, Category: trace.Movies, Title: fmt.Sprintf("s%d", id)}, 1+g.rng.Float64()*3*retention)
+	case p < 0.12:
+		cats := []trace.Category{trace.Movies, trace.Books, trace.TV}
+		files := make([]trace.FileMeta, 1+g.rng.Intn(3))
+		return CensusOp(trace.Snapshot{
+			Meta:      trace.SwarmMeta{ID: id, Category: cats[g.rng.Intn(len(cats))], Files: files},
+			Seeds:     g.rng.Intn(3),
+			Leechers:  g.rng.Intn(5),
+			Downloads: g.rng.Intn(1000),
+		})
+	}
+	t := g.clock[id]
+	switch p := g.rng.Float64(); {
+	case p < 0.03:
+		t += 1e-13 * g.wc.binDays // a span that quantizes to zero units
+	case p < 0.70:
+		t += g.rng.Float64() * 1.5 * g.wc.binDays // same bin or the next
+	case p < 0.78:
+		t += fine * (1 + g.rng.Float64()) // head jumps past the fine window
+	case p < 0.82:
+		t += retention * (1 + g.rng.Float64()) // past fine + coarse×fold
+	case p < 0.90:
+		t -= g.rng.Float64() * fine * 2 // late: in or just behind the fine window
+	case p < 0.95:
+		t -= retention * (1 + g.rng.Float64()) // late: beyond retention
+	default:
+		// Hostile clocks. They are confined to the last swarm, which they
+		// freeze (nothing is later than +Inf), so the others keep moving.
+		id = g.swarms - 1
+		hostile := []float64{0, -3, 1e12, math.NaN(), math.Inf(1), math.Inf(-1)}
+		if !g.nonFinite {
+			hostile = hostile[:3]
+		}
+		t = hostile[g.rng.Intn(len(hostile))]
+	}
+	if t > g.clock[id] {
+		g.clock[id] = t
+	}
+	return EventOp(Record{SwarmID: id, PeerID: uint64(g.rng.Intn(4)), Seed: g.rng.Intn(3) > 0, Online: g.rng.Intn(5) > 1, Time: t})
+}
+
+// TestPublishedViewMatchesRebuildOracle is the property the incremental
+// read view stands on: after any op stream, with publishes at any
+// points, across a checkpoint into the same or another window geometry,
+// and across a reset, what the shard publishes is byte-identical to a
+// from-scratch rebuild of its state.
+func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
+	geometries := []windowConfig{
+		{binDays: 1, fine: 8, fold: 4, coarse: 4},
+		{binDays: 0.5, fine: 5, fold: 3, coarse: 7},
+		Config{}.withDefaults(1).windowConfig(),
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		wc := geometries[seed%int64(len(geometries))]
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			g := &opStream{rng: rng, wc: wc, clock: make(map[int]float64), swarms: 9}
+			s := oracleShard(wc)
+			drive := func(s *shard, n int, phase string) {
+				for i := 0; i < n; i++ {
+					s.apply(g.next())
+					if rng.Intn(20) == 0 {
+						checkPublished(t, s, fmt.Sprintf("%s op %d", phase, i))
+					}
+				}
+				checkPublished(t, s, phase+" end")
+			}
+			drive(s, 1500, "live")
+
+			// Checkpoint → install, through the wire form, under the same
+			// and a different geometry; the restored shard then keeps
+			// applying, so later evictions debit what restore credited.
+			wire, err := json.Marshal(s.snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range []windowConfig{wc, geometries[(seed+1)%int64(len(geometries))]} {
+				var ckpt shardSnapshot
+				if err := json.Unmarshal(wire, &ckpt); err != nil {
+					t.Fatal(err)
+				}
+				r := oracleShard(to)
+				r.install(&ckpt)
+				checkPublished(t, r, "installed")
+
+				// The corrupt-checkpoint fallback: a reset between two
+				// installs must leave nothing of the first behind.
+				again := oracleShard(to)
+				torn := ckpt
+				torn.Swarms = append([]swarmRecord{{ID: 1 << 20, HasMeta: true, Horizon: 5, Events: 3, LastEvent: 2,
+					WinFine: []winBinRecord{{Index: 2, Tracked: 7, Events: 3}}}}, ckpt.Swarms...)
+				again.install(&torn)
+				if seed%2 == 0 { // with and without a view of the torn state
+					again.publish()
+				}
+				again.reset()
+				again.install(&ckpt)
+				checkPublished(t, again, "reinstalled after reset")
+				if got, want := viewJSON(t, again), viewJSON(t, r); got != want {
+					t.Fatalf("a reset between installs left state behind\n--- install, reset, install ---\n%s\n--- install ---\n%s", got, want)
+				}
+
+				g.wc, g.nonFinite = to, true
+				drive(r, 500, "after install")
+			}
+		})
+	}
+}
+
+// TestPublishRederivesSoleExtremeHolder pins the one O(swarms) step left
+// in a publish: when the only swarm holding a sketch's exact min (or
+// max) moves away, the extreme is re-derived from the published values.
+func TestPublishRederivesSoleExtremeHolder(t *testing.T) {
+	s := oracleShard(Config{}.withDefaults(1).windowConfig())
+	seeded := func(id int, days float64) {
+		s.apply(MetaOp(trace.SwarmMeta{ID: id}, 10))
+		s.apply(EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: 0}))
+		s.apply(EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: false, Time: days}))
+	}
+	seeded(1, 2) // full availability 0.2: the sole min
+	seeded(2, 5)
+	seeded(3, 8) // 0.8: the sole max
+	checkPublished(t, s, "three swarms")
+	if got := s.snap.Load().sum.Full; got.Min() != 0.2 || got.Max() != 0.8 {
+		t.Fatalf("min/max = %v/%v, want 0.2/0.8", got.Min(), got.Max())
+	}
+
+	// The min holder gains seeded time: 0.2 → 0.6, min must become 0.5.
+	s.apply(EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 3}))
+	s.apply(EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: false, Time: 7}))
+	checkPublished(t, s, "sole min holder moved up")
+	if got := s.snap.Load().sum.Full.Min(); got != 0.5 {
+		t.Fatalf("min = %v after its sole holder left, want 0.5", got)
+	}
+
+	// The max holder re-registers under a longer horizon: 0.8 → 0.4.
+	s.apply(MetaOp(trace.SwarmMeta{ID: 3}, 20))
+	checkPublished(t, s, "sole max holder moved down")
+	if got := s.snap.Load().sum.Full.Max(); got != 0.6 {
+		t.Fatalf("max = %v after its sole holder left, want 0.6", got)
+	}
+}

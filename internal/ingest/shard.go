@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,36 +13,46 @@ import (
 // shardMsg is the single message type flowing through a shard's queue.
 // Exactly one of the four kinds is set: a batch, a flush barrier, a
 // per-swarm timeline request, or a checkpoint capture. Every other read
-// is a barrier followed by a load of the published snapshot, so reads
-// stay ordered after the writes submitted before them without a message
-// kind (or a second copy of buildSnap's arithmetic) per question asked.
+// is a barrier followed by a load of the published view, so reads stay
+// ordered after the writes submitted before them without a message kind
+// per question asked.
 type shardMsg struct {
 	ops []Op // batch of work
 
 	ack chan<- struct{} // flush barrier: publish, then signal
 
-	// Per-swarm window ring (nil reply = unknown). Rings are not part of
-	// shardSnap — 66K ring copies per publish would dominate it — so
-	// this one read stays a message.
+	// Per-swarm window ring (nil reply = unknown). Rings are not
+	// published — 3 KB per swarm would cost more resident memory than the
+	// whole read view — so this one read stays a message.
 	timelineID int
 	timeline   chan<- *WindowState
 
 	persist chan<- *shardSnapshot // checkpoint state capture request
 }
 
-// shardSnap is one shard's immutable published read snapshot. Readers
+// shardSnap is one shard's immutable published aggregate view. Readers
 // load it with a single atomic pointer load and never touch the shard
 // queue; the shard goroutine replaces it wholesale, never mutates it.
+// Per-swarm stats are published beside it, one immutable value per
+// swarm (swarmState.pub).
 type shardSnap struct {
-	epoch  uint64    // apply watermark the snapshot reflects
-	built  time.Time // publish time, for the staleness bound
-	sum    *Summary
-	win    *WindowState
-	swarms map[int]SwarmStats
+	epoch uint64    // apply watermark the snapshot reflects
+	built time.Time // publish time, for the staleness bound
+	sum   *Summary
+	win   *WindowState
 }
 
 // shard owns a partition of the swarm keyspace. Only its goroutine
-// touches the maps — no locks anywhere on the apply path.
+// touches the state — no locks anywhere on the apply path, bar the
+// uncontended one around the insertion of a new swarm.
+//
+// The read view is maintained, not rebuilt. agg follows every window
+// ring mutation at apply time; live is the shard Summary over the
+// swarms' *published* stats, corrected at publish for the swarms that
+// changed since the last one (the dirty list): subtract what was
+// published, add what is true now. A publish therefore costs the dirty
+// swarms plus a clone of the aggregates — flat in the number of swarms
+// resident.
 type shard struct {
 	idx     int
 	in      chan shardMsg
@@ -49,20 +60,28 @@ type shard struct {
 	pool    *batchPool
 	wc      windowConfig
 	maxAge  time.Duration
-	swarms  map[int]*swarmState
 	cats    map[trace.Category]*CategoryCounters
+
+	// swarms is written only by the shard goroutine, and only under mu;
+	// the shard goroutine reads it bare, any other goroutine under mu
+	// (lookup). New swarms are the only writes, so the apply path takes
+	// the lock once per swarm lifetime.
+	mu     sync.Mutex
+	swarms map[int]*swarmState
+
+	agg       winAgg
+	live      *Summary
+	dirtyList []*swarmState
 
 	// applied is the shard's apply watermark (ops applied since start);
 	// snap is the latest published read snapshot. Together they give
 	// readers the freshness test: snap.epoch == applied ⇒ nothing
-	// unpublished.
+	// unpublished. wanted is set by a reader that loaded snap and cleared
+	// by publish: the throttled self-publish runs only for a view
+	// somebody is looking at.
 	applied atomic.Uint64
 	snap    atomic.Pointer[shardSnap]
-
-	// Publish bookkeeping, touched only by the shard goroutine (or
-	// before it starts).
-	dirty   bool
-	lastPub time.Time
+	wanted  atomic.Bool
 }
 
 func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, wc windowConfig, maxAge time.Duration) *shard {
@@ -73,19 +92,80 @@ func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, wc windowConfig,
 		pool:    pool,
 		wc:      wc,
 		maxAge:  maxAge,
-		swarms:  make(map[int]*swarmState),
-		cats:    make(map[trace.Category]*CategoryCounters),
 	}
+	s.reset()
 	// Publish an empty snapshot up front so readers never observe nil.
 	s.publish()
 	return s
 }
 
-// publish replaces the read snapshot with the current state.
+// reset returns the shard to the empty state: everything apply and
+// install can touch. Only safe before the shard goroutine starts.
+func (s *shard) reset() {
+	s.mu.Lock()
+	s.swarms = make(map[int]*swarmState)
+	s.mu.Unlock()
+	s.cats = make(map[trace.Category]*CategoryCounters)
+	s.agg = winAgg{}
+	s.live = NewSummary()
+	s.dirtyList = nil
+}
+
+// publish brings the read view up to the applied state: each dirty
+// swarm's published stats are replaced and the live Summary corrected
+// by the difference, then the aggregates are cloned into a new
+// immutable shardSnap.
 func (s *shard) publish() {
-	s.snap.Store(s.buildSnap())
-	s.dirty = false
-	s.lastPub = time.Now()
+	start := time.Now()
+	for _, st := range s.dirtyList {
+		if old := st.pub.Load(); old != nil {
+			s.live.account(old, -1)
+		}
+		now := new(SwarmStats)
+		*now = st.stats()
+		s.live.account(now, +1)
+		st.pub.Store(now)
+		st.dirty = false
+	}
+	if s.live.FirstMonth.ExtremesLost() {
+		s.rederiveExtremes(s.live.FirstMonth, func(st *SwarmStats) float64 { return st.FirstMonth })
+	}
+	if s.live.Full.ExtremesLost() {
+		s.rederiveExtremes(s.live.Full, func(st *SwarmStats) float64 { return st.Full })
+	}
+	s.live.Swarms = len(s.swarms)
+
+	sum := *s.live
+	sum.FirstMonth = s.live.FirstMonth.Clone()
+	sum.Full = s.live.Full.Clone()
+	sum.Categories = make(map[trace.Category]CategoryCounters, len(s.cats))
+	for cat, cc := range s.cats {
+		sum.Categories[cat] = *cc
+	}
+	s.snap.Store(&shardSnap{
+		epoch: s.applied.Load(),
+		built: start,
+		sum:   &sum,
+		win:   s.agg.state(&s.wc),
+	})
+	s.wanted.Store(false)
+	s.metrics.observePublish(len(s.dirtyList), time.Since(start))
+	clear(s.dirtyList)
+	s.dirtyList = s.dirtyList[:0]
+}
+
+// rederiveExtremes restores a live sketch's exact min/max after the
+// last holder of one left (stats.QuantileSketch.ExtremesLost): one scan
+// of the shard's published values, which are exactly the sketch's
+// sample.
+func (s *shard) rederiveExtremes(sk *stats.QuantileSketch, value func(*SwarmStats) float64) {
+	sk.RederiveExtremes(func(observe func(float64)) {
+		for _, st := range s.swarms {
+			if pub := st.pub.Load(); pub != nil && pub.inStudy() {
+				observe(value(pub))
+			}
+		}
+	})
 }
 
 // run drains the queue until the channel closes.
@@ -98,21 +178,23 @@ func (s *shard) run() {
 				s.apply(op)
 			}
 			s.applied.Add(uint64(len(msg.ops)))
-			s.dirty = true
 			s.metrics.observeBatch(s.idx, len(msg.ops), time.Since(start))
 			// The batch buffer's ownership ends here: recycle it for
 			// the next Submit/Writer fill.
 			s.pool.put(msg.ops)
-			// Throttled republish: under sustained writes the snapshot
-			// trails the stream by at most maxAge.
-			if s.dirty && time.Since(s.lastPub) >= s.maxAge {
+			// Throttled republish, on demand: while a reader holds the
+			// current snapshot it trails the stream by at most maxAge;
+			// with nobody reading (a bulk load, a replay, a follower
+			// catching up) no view is built — the first reader after such
+			// a stretch nudges one through freshSnap.
+			if s.wanted.Load() && time.Since(s.snap.Load().built) >= s.maxAge {
 				s.publish()
 			}
 		case msg.ack != nil:
 			// Publish before acknowledging, so Flush ⇒ snapshots are
 			// fresh — in-process flush-then-read stays read-your-writes
 			// even on the lock-free path.
-			if s.dirty {
+			if len(s.dirtyList) > 0 {
 				s.publish()
 			}
 			msg.ack <- struct{}{}
@@ -126,27 +208,61 @@ func (s *shard) run() {
 	s.publish()
 }
 
-func (s *shard) state(id int) *swarmState {
+// touch returns the swarm's state, creating it on first sight, and
+// queues it for the next publish.
+func (s *shard) touch(id int) *swarmState {
 	st, ok := s.swarms[id]
 	if !ok {
 		st = &swarmState{}
-		s.swarms[id] = st
+		s.adopt(id, st)
+	}
+	if !st.dirty {
+		s.markDirty(st)
 	}
 	return st
+}
+
+// markDirty queues a swarm whose state differs from its published stats.
+func (s *shard) markDirty(st *swarmState) {
+	st.dirty = true
+	s.dirtyList = append(s.dirtyList, st)
+}
+
+// adopt enters a new swarm into the index readers share.
+func (s *shard) adopt(id int, st *swarmState) {
+	s.mu.Lock()
+	s.swarms[id] = st
+	s.mu.Unlock()
+}
+
+// lookup returns a swarm's published stats from any goroutine (false
+// while the swarm is unknown or not yet published).
+func (s *shard) lookup(id int) (SwarmStats, bool) {
+	s.mu.Lock()
+	st := s.swarms[id]
+	s.mu.Unlock()
+	if st == nil {
+		return SwarmStats{}, false
+	}
+	pub := st.pub.Load()
+	if pub == nil {
+		return SwarmStats{}, false
+	}
+	return *pub, true
 }
 
 func (s *shard) apply(op Op) {
 	switch op.kind {
 	case opEvent:
-		s.state(op.rec.SwarmID).apply(op.rec, &s.wc)
+		s.touch(op.rec.SwarmID).apply(op.rec, &s.wc, &s.agg)
 	case opMeta:
-		st := s.state(op.aux.meta.ID)
+		st := s.touch(op.aux.meta.ID)
 		st.meta = op.aux.meta
 		st.horizon = op.aux.horizon
 		st.hasMeta = true
 	case opCensus:
 		census := &op.aux.census
-		st := s.state(census.Meta.ID)
+		st := s.touch(census.Meta.ID)
 		first := !st.hasCensus
 		if !st.hasMeta {
 			st.meta = census.Meta
@@ -192,11 +308,12 @@ func (s *shard) snapshot() *shardSnapshot {
 // Only safe before the shard goroutine starts (recovery) — swarm ids
 // must already be routed to this shard by the current hash.
 func (s *shard) install(snap *shardSnapshot) {
-	// The installed state is unpublished; the recovery flush (or the
-	// first write) publishes it to the read snapshot.
-	s.dirty = true
+	// The installed state is unpublished: every swarm is dirty, and the
+	// recovery flush (or the first read) publishes it.
 	for _, r := range snap.Swarms {
-		s.swarms[r.ID] = r.state(&s.wc)
+		st := r.state(&s.wc, &s.agg)
+		s.adopt(r.ID, st)
+		s.markDirty(st)
 	}
 	for _, cr := range snap.Cats {
 		cc, ok := s.cats[cr.Category]
@@ -205,56 +322,6 @@ func (s *shard) install(snap *shardSnapshot) {
 			s.cats[cr.Category] = cc
 		}
 		cc.merge(cr.CategoryCounters)
-	}
-}
-
-// buildSnap captures the shard's complete read state in one pass:
-// the mergeable Summary (integer sums plus per-swarm availabilities
-// computed deterministically here, on the swarm's home shard), the
-// per-swarm stats map, and the windowed aggregate.
-func (s *shard) buildSnap() *shardSnap {
-	sum := NewSummary()
-	sum.Swarms = len(s.swarms)
-	swarms := make(map[int]SwarmStats, len(s.swarms))
-	fine := make(map[int64]*WindowBinState)
-	coarse := make(map[int64]*WindowBinState)
-	for id, st := range s.swarms {
-		stats := st.stats()
-		swarms[id] = stats
-		sum.SeedsOnline += st.seedsOnline
-		sum.LeechersOnline += st.leechersOnline
-		sum.BusyPeriods += st.busyPeriods
-		sum.Events += st.events
-		if st.events > 0 || st.hasMeta {
-			sum.FirstMonth.Add(stats.FirstMonth)
-			sum.Full.Add(stats.Full)
-			if measure.IsFullyAvailable(stats.FirstMonth) {
-				sum.FullyAvailableFirstMonth++
-			}
-			if measure.IsMostlyUnavailable(stats.Full) {
-				sum.MostlyUnavailable++
-			}
-			sum.StudySwarms++
-		}
-		if st.hasCensus {
-			sum.CensusSwarms++
-		}
-		st.win.fold(fine, coarse)
-	}
-	for cat, cc := range s.cats {
-		merged := sum.Categories[cat]
-		merged.merge(*cc)
-		sum.Categories[cat] = merged
-	}
-	win := newWindowState(&s.wc)
-	win.Fine = sortedBins(fine)
-	win.Coarse = sortedBins(coarse)
-	return &shardSnap{
-		epoch:  s.applied.Load(),
-		built:  time.Now(),
-		sum:    sum,
-		win:    win,
-		swarms: swarms,
 	}
 }
 
@@ -326,6 +393,42 @@ func (s *Summary) Merge(other *Summary) {
 		merged := s.Categories[cat]
 		merged.merge(cc)
 		s.Categories[cat] = merged
+	}
+}
+
+// inStudy is the availability study's membership test: the swarm has
+// events or a registration (a census-only swarm has neither).
+func (st *SwarmStats) inStudy() bool { return st.Events > 0 || st.Registered }
+
+// account adds (dir = +1) or removes (dir = -1) one swarm's published
+// stats: the gauges, the study and census memberships, the two headline
+// counters and the two sketch observations. Both directions run the same
+// code on the same immutable value, so what a publish subtracts is
+// exactly what an earlier publish added.
+func (s *Summary) account(st *SwarmStats, dir int) {
+	s.SeedsOnline += dir * st.SeedsOnline
+	s.LeechersOnline += dir * st.LeechersOnline
+	s.BusyPeriods += dir * st.BusyPeriods
+	s.Events += uint64(dir) * st.Events // two's complement: −1 subtracts
+	if st.Census != nil {
+		s.CensusSwarms += dir
+	}
+	if !st.inStudy() {
+		return
+	}
+	s.StudySwarms += dir
+	if measure.IsFullyAvailable(st.FirstMonth) {
+		s.FullyAvailableFirstMonth += dir
+	}
+	if measure.IsMostlyUnavailable(st.Full) {
+		s.MostlyUnavailable += dir
+	}
+	if dir > 0 {
+		s.FirstMonth.Add(st.FirstMonth)
+		s.Full.Add(st.Full)
+	} else {
+		s.FirstMonth.Remove(st.FirstMonth)
+		s.Full.Remove(st.Full)
 	}
 }
 

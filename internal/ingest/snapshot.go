@@ -58,21 +58,25 @@ func snapNonce() string {
 
 // freshSnap returns shard s's published snapshot, first nudging a
 // republish through the queue when the snapshot is both behind the
-// shard's apply watermark and older than SnapshotMaxAge. Under
-// sustained writes the shard republishes on its own and the nudge never
-// fires; on an idle engine the queue is empty and the barrier costs two
-// channel hops. Either way the returned snapshot is at most
-// SnapshotMaxAge behind the applied stream.
+// shard's apply watermark and older than SnapshotMaxAge. Loading the
+// snapshot marks it wanted, which is what keeps the shard republishing
+// on its own under sustained writes, so the nudge fires only for the
+// first reader after a stretch nobody read in; on an idle engine the
+// queue is empty and the barrier costs two channel hops. Either way the
+// returned snapshot is at most SnapshotMaxAge behind the applied stream.
 func (e *Engine) freshSnap(s *shard) *shardSnap {
 	snap := s.snap.Load()
-	if s.applied.Load() == snap.epoch || time.Since(snap.built) <= e.cfg.SnapshotMaxAge {
-		return snap
+	if s.applied.Load() != snap.epoch && time.Since(snap.built) > e.cfg.SnapshotMaxAge {
+		// The shard publishes before acknowledging (and, once closed, the
+		// final publish is the complete state), so this reload observes
+		// everything applied before the barrier.
+		e.flush(s)
+		snap = s.snap.Load()
 	}
-	// The shard publishes before acknowledging (and, once closed, the
-	// final publish is the complete state), so this reload observes
-	// everything applied before the barrier.
-	e.flush(s)
-	return s.snap.Load()
+	if !s.wanted.Load() { // load first: readers share the line, only the first writes it
+		s.wanted.Store(true)
+	}
+	return snap
 }
 
 // Snapshot returns the engine-wide read view without touching the shard
@@ -115,8 +119,9 @@ func (e *Engine) Snapshot() Snapshot {
 // SwarmSnapshot returns one swarm's stats from the lock-free snapshot
 // path (at most SnapshotMaxAge stale; Swarm is the barrier variant).
 func (e *Engine) SwarmSnapshot(id int) (SwarmStats, bool) {
-	st, ok := e.freshSnap(e.shardFor(id)).swarms[id]
-	return st, ok
+	s := e.shardFor(id)
+	e.freshSnap(s) // per-swarm stats are published with the shard's view
+	return s.lookup(id)
 }
 
 // Window is the barrier (?consistent=1) counterpart of
@@ -172,8 +177,10 @@ func (e *Engine) Timeline(id int) (*WindowState, bool) {
 }
 
 // registerSnapshotGauges exposes the read path's health:
-// ingest_snapshot_age_seconds is the worst shard snapshot staleness
-// (zero when every snapshot is caught up with its watermark);
+// ingest_snapshot_age_seconds is the worst staleness among the shard
+// snapshots somebody is being served (zero when every such snapshot is
+// caught up with its watermark; a snapshot no reader has loaded since
+// it was published does not count, so a bulk load pages nobody);
 // ingest_window_bins is the resident windowed-aggregate size across
 // shards. Both read only atomics and published snapshots — never the
 // shard queues — so scraping them is free for writers.
@@ -183,7 +190,7 @@ func (e *Engine) registerSnapshotGauges() {
 		now := time.Now()
 		for _, s := range e.shards {
 			snap := s.snap.Load()
-			if s.applied.Load() == snap.epoch {
+			if !s.wanted.Load() || s.applied.Load() == snap.epoch {
 				continue
 			}
 			if age := now.Sub(snap.built).Seconds(); age > worst {

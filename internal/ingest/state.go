@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/json"
 	"math"
+	"sync/atomic"
 
 	"swarmavail/internal/measure"
 	"swarmavail/internal/stats"
@@ -38,6 +39,15 @@ type swarmState struct {
 	// function of the swarm's own event stream, which is what makes
 	// clustered windowed answers merge exactly.
 	win winRing
+
+	// pub is the swarm's published stats: what readers of /v1/swarm/{id}
+	// see and, exactly, what the shard's live Summary currently counts
+	// for this swarm (nil until the first publish after it appeared). The
+	// shard goroutine replaces it at publish; the value is immutable.
+	// dirty says the swarm changed since pub was stored and is queued on
+	// the shard's dirty list.
+	pub   atomic.Pointer[SwarmStats]
+	dirty bool
 }
 
 // windows returns the two availability windows. Before registration the
@@ -71,12 +81,12 @@ func (s *swarmState) addCovered(lo, hi float64) {
 }
 
 // apply processes one monitor event.
-func (s *swarmState) apply(rec Record, wc *windowConfig) {
+func (s *swarmState) apply(rec Record, wc *windowConfig, agg *winAgg) {
 	s.events++
 	if rec.Time > s.lastEvent {
 		// Accrue windowed observed/seeded time over the span up to this
 		// event using the seed state in effect *before* its transition.
-		s.win.accrue(wc, s.lastEvent, rec.Time, s.seedsOnline > 0)
+		s.win.accrue(wc, agg, s.lastEvent, rec.Time, s.seedsOnline > 0)
 		s.lastEvent = rec.Time
 	}
 	busyStart := false
@@ -99,7 +109,7 @@ func (s *swarmState) apply(rec Record, wc *windowConfig) {
 			s.addCovered(s.upSince, rec.Time)
 		}
 	}
-	s.win.mark(wc, rec.Time, busyStart)
+	s.win.mark(wc, agg, rec.Time, busyStart)
 }
 
 // availability returns the online first-month and whole-trace
@@ -188,8 +198,9 @@ func (s *swarmState) record(id int) swarmRecord {
 	}
 }
 
-// state converts the wire form back to live state.
-func (r swarmRecord) state(wc *windowConfig) *swarmState {
+// state converts the wire form back to live state, seeding agg with the
+// restored ring.
+func (r swarmRecord) state(wc *windowConfig, agg *winAgg) *swarmState {
 	st := &swarmState{
 		meta:           r.Meta,
 		horizon:        r.Horizon,
@@ -207,7 +218,7 @@ func (r swarmRecord) state(wc *windowConfig) *swarmState {
 		downloads:      r.Downloads,
 		hasCensus:      r.HasCensus,
 	}
-	st.win.restore(wc, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
+	st.win.restore(wc, agg, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
 	return st
 }
 

@@ -22,8 +22,10 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -84,7 +86,7 @@ func (c *windowConfig) quantize(d float64) uint64 {
 // advance moves the ring head to absolute fine bin nb, folding fine
 // bins that leave the window into their coarse bins and dropping coarse
 // bins that age out of retention. Allocates the rings on first touch.
-func (r *winRing) advance(c *windowConfig, nb int64) {
+func (r *winRing) advance(c *windowConfig, agg *winAgg, nb int64) {
 	if nb < 0 {
 		nb = 0
 	}
@@ -98,40 +100,56 @@ func (r *winRing) advance(c *windowConfig, nb int64) {
 	if nb <= r.fineHi {
 		return
 	}
-	nFine, nCoarse := int64(len(r.fine)), int64(len(r.coarse))
+	nFine, nCoarse, fold := int64(len(r.fine)), int64(len(r.coarse)), int64(c.fold)
 	// Advance the coarse ring first so evicted fine bins fold into
 	// slots that are already positioned (and zeroed) for their index.
-	if nc := nb / int64(c.fold); nc > r.coarseHi {
-		steps := nc - r.coarseHi
-		if steps > nCoarse {
-			steps = nCoarse
-		}
-		for i := int64(1); i <= steps; i++ {
-			r.coarse[(r.coarseHi+i)%nCoarse] = winBin{}
+	if nc := nb / fold; nc > r.coarseHi {
+		// The slot the head moves onto still holds the bin one ring length
+		// behind it; a jump of more than the ring empties every slot once.
+		steps := min(nc-r.coarseHi, nCoarse)
+		old := r.coarseHi + 1 - nCoarse
+		slot := (r.coarseHi + 1) % nCoarse
+		for i := int64(0); i < steps; i++ {
+			if s := &r.coarse[slot]; !s.zero() {
+				agg.coarse.lift(s, old)
+			}
+			old++
+			if slot++; slot == nCoarse {
+				slot = 0
+			}
 		}
 		r.coarseHi = nc
 	}
 	// Fold the fine bins that fall out of [nb-nFine+1, nb]. Only live
 	// indices need visiting, which bounds the loop at len(fine) no
-	// matter how far the head jumps.
-	lo := r.fineHi - nFine + 1
-	if lo < 0 {
-		lo = 0
-	}
-	evictTo := nb - nFine
-	for b := lo; b <= evictTo && b <= r.fineHi; b++ {
-		slot := &r.fine[b%nFine]
-		if slot.zero() {
-			continue
+	// matter how far the head jumps. The slot, coarse index and coarse
+	// slot are stepped, not re-derived: one set of divisions per call.
+	lo := max(r.fineHi-nFine+1, 0)
+	end := min(nb-nFine, r.fineHi)
+	if lo <= end {
+		slot := lo % nFine
+		cb, rem := lo/fold, lo%fold
+		cslot := cb % nCoarse
+		floor := r.coarseHi - nCoarse
+		for b := lo; b <= end; b++ {
+			if s := &r.fine[slot]; !s.zero() {
+				bin := *s
+				agg.fine.lift(s, b)
+				if cb > floor {
+					agg.coarse.land(&r.coarse[cslot], cb, bin)
+				}
+			}
+			if slot++; slot == nFine {
+				slot = 0
+			}
+			if rem++; rem == fold {
+				rem = 0
+				cb++
+				if cslot++; cslot == nCoarse {
+					cslot = 0
+				}
+			}
 		}
-		if cb := b / int64(c.fold); cb > r.coarseHi-nCoarse {
-			cs := &r.coarse[cb%nCoarse]
-			cs.covered += slot.covered
-			cs.tracked += slot.tracked
-			cs.busy += slot.busy
-			cs.events += slot.events
-		}
-		*slot = winBin{}
 	}
 	r.fineHi = nb
 }
@@ -139,27 +157,23 @@ func (r *winRing) advance(c *windowConfig, nb int64) {
 // add lands units on absolute fine bin b: in the fine window directly,
 // behind it via the covering coarse bin, beyond retention nowhere. The
 // head must already be advanced past b.
-func (r *winRing) add(c *windowConfig, b int64, bin winBin) {
+func (r *winRing) add(c *windowConfig, agg *winAgg, b int64, bin winBin) {
 	if b < 0 {
 		b = 0
 	}
 	nFine := int64(len(r.fine))
 	if b > r.fineHi-nFine { // b <= fineHi by the advance contract
-		s := &r.fine[b%nFine]
-		s.covered += bin.covered
-		s.tracked += bin.tracked
-		s.busy += bin.busy
-		s.events += bin.events
+		agg.fine.land(&r.fine[b%nFine], b, bin)
 		return
 	}
-	nCoarse := int64(len(r.coarse))
-	cb := b / int64(c.fold)
-	if cb > r.coarseHi-nCoarse && cb <= r.coarseHi {
-		s := &r.coarse[cb%nCoarse]
-		s.covered += bin.covered
-		s.tracked += bin.tracked
-		s.busy += bin.busy
-		s.events += bin.events
+	r.addCoarse(agg, b/int64(c.fold), bin)
+}
+
+// addCoarse lands units on absolute coarse bin cb if retention still
+// holds it.
+func (r *winRing) addCoarse(agg *winAgg, cb int64, bin winBin) {
+	if nCoarse := int64(len(r.coarse)); cb > r.coarseHi-nCoarse && cb <= r.coarseHi {
+		agg.coarse.land(&r.coarse[cb%nCoarse], cb, bin)
 	}
 }
 
@@ -167,12 +181,12 @@ func (r *winRing) add(c *windowConfig, b int64, bin winBin) {
 // crediting tracked time (and covered time when the swarm was seeded
 // throughout — the caller passes the seed state in effect over the
 // span) to every bin the span touches.
-func (r *winRing) accrue(c *windowConfig, lo, hi float64, seeded bool) {
+func (r *winRing) accrue(c *windowConfig, agg *winAgg, lo, hi float64, seeded bool) {
 	if lo < 0 {
 		lo = 0
 	}
 	head := c.binIndex(hi)
-	r.advance(c, head)
+	r.advance(c, agg, head)
 	if hi <= lo {
 		return
 	}
@@ -193,23 +207,23 @@ func (r *winRing) accrue(c *windowConfig, lo, hi float64, seeded bool) {
 		if seeded {
 			bin.covered = u
 		}
-		r.add(c, b, bin)
+		r.add(c, agg, b, bin)
 	}
 }
 
 // mark lands per-event counters (one event, optionally one busy-period
 // start) on the bin containing t. The ring is initialized if this is
 // the swarm's first touch.
-func (r *winRing) mark(c *windowConfig, t float64, busyStart bool) {
+func (r *winRing) mark(c *windowConfig, agg *winAgg, t float64, busyStart bool) {
 	b := c.binIndex(t)
 	if !r.inited() || b > r.fineHi {
-		r.advance(c, b)
+		r.advance(c, agg, b)
 	}
 	bin := winBin{events: 1}
 	if busyStart {
 		bin.busy = 1
 	}
-	r.add(c, b, bin)
+	r.add(c, agg, b, bin)
 }
 
 // fold adds the ring's live bins into the per-index aggregation maps
@@ -256,6 +270,126 @@ func foldBin(m map[int64]*WindowBinState, idx int64, slot *winBin) {
 	agg.Swarms++
 }
 
+// aggSlots sizes a binAgg's direct-mapped table (a power of two). A
+// shard's live bins span from its oldest retained coarse bin to its
+// newest head — a few hundred indices for the study's day bins — so they
+// normally all sit in the table.
+const aggSlots = 512
+
+// binAgg is the sum of one resolution's ring slots over a shard's
+// swarms, kept current at apply time: every ring mutation (land, lift)
+// applies the same integer delta here, so publishing the shard's window
+// is a copy of the live bins instead of a fold over every swarm's ring.
+//
+// Bins live in a direct-mapped table indexed by the low bits of the
+// absolute bin index (the fast path is a tag compare and an indexed
+// add); an index whose slot is held by another live bin goes to the far
+// map. A bin no swarm contributes to any more is dropped, so resident
+// size follows the number of live bins, never the span of timestamps —
+// a lone record a billion days ahead costs one entry.
+type binAgg struct {
+	dense [aggSlots]WindowBinState // a slot is live iff Swarms > 0
+	far   map[int64]*WindowBinState
+}
+
+// land adds bin to one swarm's ring slot for absolute index idx and the
+// same integer delta to aggregate bin idx — the one way a ring slot
+// grows, so ring and aggregate cannot drift. A slot going from empty to
+// nonempty is its swarm joining the bin.
+func (a *binAgg) land(slot *winBin, idx int64, bin winBin) {
+	if bin.zero() {
+		return
+	}
+	s := &a.dense[idx&(aggSlots-1)]
+	if s.Index != idx || s.Swarms == 0 {
+		s = a.claim(idx, s)
+	}
+	if slot.zero() {
+		s.Swarms++
+	}
+	slot.covered += bin.covered
+	slot.tracked += bin.tracked
+	slot.busy += bin.busy
+	slot.events += bin.events
+	s.Covered += bin.covered
+	s.Tracked += bin.tracked
+	s.BusyStarts += bin.busy
+	s.Events += bin.events
+}
+
+// claim finds or creates bin idx off the fast path; s is its table slot,
+// which holds something else or nothing.
+func (a *binAgg) claim(idx int64, s *WindowBinState) *WindowBinState {
+	if f := a.far[idx]; f != nil {
+		return f
+	}
+	if s.Swarms == 0 {
+		*s = WindowBinState{Index: idx}
+		return s
+	}
+	f := &WindowBinState{Index: idx}
+	if a.far == nil {
+		a.far = make(map[int64]*WindowBinState)
+	}
+	a.far[idx] = f
+	return f
+}
+
+// lift empties one swarm's nonempty ring slot for absolute index idx,
+// taking its contents and the swarm out of aggregate bin idx — the one
+// way a ring slot shrinks. The bin exists: the slot's contents landed
+// through it.
+func (a *binAgg) lift(slot *winBin, idx int64) {
+	s := &a.dense[idx&(aggSlots-1)]
+	inFar := s.Index != idx || s.Swarms == 0
+	if inFar {
+		s = a.far[idx]
+	}
+	s.Covered -= slot.covered
+	s.Tracked -= slot.tracked
+	s.BusyStarts -= slot.busy
+	s.Events -= slot.events
+	if s.Swarms--; s.Swarms == 0 && inFar {
+		delete(a.far, idx)
+	}
+	*slot = winBin{}
+}
+
+// bins returns a copy of the live bins in index order.
+func (a *binAgg) bins() []WindowBinState {
+	n := len(a.far)
+	for i := range a.dense {
+		if a.dense[i].Swarms > 0 {
+			n++
+		}
+	}
+	out := make([]WindowBinState, 0, n)
+	for i := range a.dense {
+		if a.dense[i].Swarms > 0 {
+			out = append(out, a.dense[i])
+		}
+	}
+	for _, f := range a.far {
+		out = append(out, *f)
+	}
+	slices.SortFunc(out, func(x, y WindowBinState) int { return cmp.Compare(x.Index, y.Index) })
+	return out
+}
+
+// winAgg is a shard's live windowed aggregate: what folding every
+// swarm's ring would produce, maintained incrementally.
+type winAgg struct {
+	fine, coarse binAgg
+}
+
+// state clones the live bins into an immutable WindowState.
+func (a *winAgg) state(c *windowConfig) *WindowState {
+	w := newWindowState(c)
+	w.Fine = a.fine.bins()
+	w.Coarse = a.coarse.bins()
+	return w
+}
+
 // winBinRecord is the checkpoint wire form of one live ring bin.
 type winBinRecord struct {
 	Index   int64  `json:"i"`
@@ -297,24 +431,24 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 // lastEvent, so a load under the same geometry reproduces the ring
 // exactly; under a different geometry, out-of-window fine bins fold
 // into coarse and out-of-retention bins drop — the same rules live
-// eviction applies.
-func (r *winRing) restore(c *windowConfig, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
+// eviction applies. Every restored bin lands through the same mirror
+// as a live one, so a checkpoint load seeds the shard aggregate.
+func (r *winRing) restore(c *windowConfig, agg *winAgg, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
 	if !touched && len(fine) == 0 && len(coarse) == 0 {
 		return
 	}
-	r.advance(c, c.binIndex(lastEvent))
-	nCoarse := int64(len(r.coarse))
+	r.advance(c, agg, c.binIndex(lastEvent))
 	for _, rec := range coarse {
-		if rec.Index > r.coarseHi-nCoarse && rec.Index <= r.coarseHi {
-			s := &r.coarse[rec.Index%nCoarse]
-			s.covered += rec.Covered
-			s.tracked += rec.Tracked
-			s.busy += rec.Busy
-			s.events += rec.Events
+		if rec.Index >= 0 {
+			r.addCoarse(agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
 		}
 	}
 	for _, rec := range fine {
-		r.add(c, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+		// A bin ahead of the head (possible only in a checkpoint written
+		// under another bin width) has no slot in this ring.
+		if rec.Index <= r.fineHi {
+			r.add(c, agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+		}
 	}
 }
 

@@ -20,11 +20,23 @@ import (
 // merge losslessly (the merged sketch equals the sketch of the
 // concatenated stream), which is what lets each ingest shard keep its
 // own sketch and a reader fold them on demand.
+//
+// Min and Max are exact — they are part of the wire form and clamp
+// Quantile — so they are kept with their multiplicity (how many
+// observations equal the extreme). That is what makes Remove possible
+// without retaining the sample: an extreme stays known until its last
+// holder leaves.
 type QuantileSketch struct {
 	Lo, Hi   float64
 	counts   []uint64
 	n        uint64
 	min, max float64
+	// minN/maxN are how many observations are known to equal min/max —
+	// a lower bound (a sketch decoded from the wire knows of one), so
+	// Remove can only report an extreme lost early, never late. Zero
+	// means the last holder left: min (max) is then only a lower (upper)
+	// bound on the true extreme.
+	minN, maxN uint64
 }
 
 // DefaultSketchBins is the resolution used by the ingestion pipeline.
@@ -76,18 +88,82 @@ func (s *QuantileSketch) Add(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
+	s.noteExtremes(x, s.n == 0)
 	s.counts[s.bin(x)]++
 	s.n++
+}
+
+// noteExtremes folds x into min/max and their multiplicities; first
+// marks the observation that starts them.
+func (s *QuantileSketch) noteExtremes(x float64, first bool) {
+	if first {
+		s.min, s.max, s.minN, s.maxN = x, x, 1, 1
+		return
+	}
+	switch {
+	case x < s.min:
+		s.min, s.minN = x, 1
+	case x == s.min:
+		s.minN++
+	}
+	switch {
+	case x > s.max:
+		s.max, s.maxN = x, 1
+	case x == s.max:
+		s.maxN++
+	}
+}
+
+// Remove is the inverse of Add for an observation x that was added
+// before (bit-for-bit the same value): it takes x out of its bin and out
+// of n. Bin counts and n are exact after any sequence of Add and Remove.
+//
+// Min and max stay exact as long as a holder of each remains. Removing
+// the last holder of an extreme leaves only a bound on it — the sketch
+// does not retain the sample — until a later Add reaches or passes that
+// bound. While ExtremesLost reports true the owner, who does retain the
+// sample, must call RederiveExtremes over every remaining observation
+// before Min, Max, Quantile or MarshalJSON are used. The cost is
+// therefore one scan of the sample per departure of a sole extreme
+// holder that nothing replaces, and nothing otherwise. Removing the last
+// observation empties the sketch and loses nothing.
+func (s *QuantileSketch) Remove(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
+	s.counts[s.bin(x)]--
+	s.n--
+	if s.n == 0 {
+		s.min, s.max, s.minN, s.maxN = 0, 0, 0, 0
+		return
+	}
+	if x == s.min && s.minN > 0 {
+		s.minN--
+	}
+	if x == s.max && s.maxN > 0 {
+		s.maxN--
+	}
+}
+
+// ExtremesLost reports whether a Remove took the last known holder of
+// min or max away and no Add has re-established it since.
+func (s *QuantileSketch) ExtremesLost() bool {
+	return s.n > 0 && (s.minN == 0 || s.maxN == 0)
+}
+
+// RederiveExtremes recomputes min, max and their multiplicities from the
+// full remaining sample (see ExtremesLost). visit must call observe once
+// per observation the sketch still counts; bin counts and n are not
+// touched.
+func (s *QuantileSketch) RederiveExtremes(visit func(observe func(x float64))) {
+	first := true
+	visit(func(x float64) {
+		if math.IsNaN(x) {
+			return
+		}
+		s.noteExtremes(x, first)
+		first = false
+	})
 }
 
 // Merge folds other into s. Both sketches must share the same geometry.
@@ -102,13 +178,19 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) {
 		return
 	}
 	if s.n == 0 {
-		s.min, s.max = other.min, other.max
+		s.min, s.max, s.minN, s.maxN = other.min, other.max, other.minN, other.maxN
 	} else {
-		if other.min < s.min {
-			s.min = other.min
+		switch {
+		case other.min < s.min:
+			s.min, s.minN = other.min, other.minN
+		case other.min == s.min:
+			s.minN += other.minN
 		}
-		if other.max > s.max {
-			s.max = other.max
+		switch {
+		case other.max > s.max:
+			s.max, s.maxN = other.max, other.maxN
+		case other.max == s.max:
+			s.maxN += other.maxN
 		}
 	}
 	for i, c := range other.counts {
@@ -235,9 +317,10 @@ func (s *QuantileSketch) UnmarshalJSON(data []byte) error {
 	}
 	s.Lo, s.Hi, s.counts, s.n = w.Lo, w.Hi, counts, w.N
 	if w.N == 0 {
-		s.min, s.max = 0, 0
+		s.min, s.max, s.minN, s.maxN = 0, 0, 0, 0
 	} else {
-		s.min, s.max = w.Min, w.Max
+		// The wire form carries no multiplicities; one holder is certain.
+		s.min, s.max, s.minN, s.maxN = w.Min, w.Max, 1, 1
 	}
 	return nil
 }

@@ -184,3 +184,71 @@ func TestQuantileSketchAddHiEdgeBin(t *testing.T) {
 		t.Fatalf("Quantile(0.25) = %v, want within one bin of 0", q)
 	}
 }
+
+// TestQuantileSketchRemoveInvertsAdd drives a random sequence of Add and
+// Remove over a small pool of values (so extremes have multiplicities
+// and sole holders both occur) and requires the sketch to stay
+// byte-identical, exact min/max included, to a fresh sketch of the
+// surviving sample — re-deriving the extremes only when told to.
+func TestQuantileSketchRemoveInvertsAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	pool := []float64{0, 0, 0.125, 0.3, 0.3000001, 0.77, 1, 1, math.NaN()}
+	s := NewAvailabilitySketch()
+	var sample []float64
+	rederives := 0
+	for step := 0; step < 5000; step++ {
+		if len(sample) == 0 || r.Intn(3) > 0 {
+			x := pool[r.Intn(len(pool))]
+			s.Add(x)
+			sample = append(sample, x)
+		} else {
+			i := r.Intn(len(sample))
+			s.Remove(sample[i])
+			sample[i] = sample[len(sample)-1]
+			sample = sample[:len(sample)-1]
+			if r.Intn(4) == 0 && len(sample) > 3 {
+				continue // let a lost extreme ride: a later Add may restore it
+			}
+		}
+		if s.ExtremesLost() {
+			rederives++
+			s.RederiveExtremes(func(observe func(float64)) {
+				for _, x := range sample {
+					observe(x)
+				}
+			})
+		}
+		fresh := NewAvailabilitySketch()
+		for _, x := range sample {
+			fresh.Add(x)
+		}
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("step %d: sketch after add/remove differs from a fresh sketch of the sample\n got %s\nwant %s", step, got, want)
+		}
+	}
+	if rederives == 0 || rederives > 2500 {
+		t.Fatalf("%d re-derivations in 5000 steps: the sole-holder path is not being exercised as intended", rederives)
+	}
+
+	// A decoded sketch knows of one holder per extreme: removing it is
+	// reported, never silently wrong.
+	var wire QuantileSketch
+	b, _ := s.MarshalJSON()
+	if err := wire.UnmarshalJSON(b); err != nil {
+		t.Fatal(err)
+	}
+	if wire.N() > 1 {
+		wire.Remove(wire.Min())
+		if !wire.ExtremesLost() {
+			t.Fatal("removing a decoded sketch's min did not report the extreme lost")
+		}
+	}
+}

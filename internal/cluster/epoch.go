@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
+	"swarmavail/internal/wal"
 )
 
 // EpochHeader is the cluster epoch header stamped on proxied requests
@@ -127,7 +129,8 @@ func (g *EpochGate) demote(epoch uint64) {
 	g.fenced.Store(true)
 }
 
-// persist writes st via temp + fsync + atomic rename. Caller holds mu.
+// persist writes st atomically and durably: a fence that persist
+// reported written is still there after a power cut. Caller holds mu.
 func (g *EpochGate) persist(st epochState) error {
 	if g.dir == "" {
 		return nil
@@ -136,30 +139,11 @@ func (g *EpochGate) persist(st epochState) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(g.dir, "cluster-epoch-*.tmp")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, filepath.Join(g.dir, epochFile)); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
+	_, err = wal.WriteFileAtomic(filepath.Join(g.dir, epochFile), func(w io.Writer) error {
+		_, werr := w.Write(data)
+		return werr
+	})
+	return err
 }
 
 // isWrite reports whether r mutates node state. Reads from a fenced

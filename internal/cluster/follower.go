@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,30 +251,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("cluster: wal checkpoint: bad X-Checkpoint-Seq %q", seqStr)
 	}
 
-	// Temp file + rename so a cut transfer never leaves a half
-	// checkpoint under the name recovery trusts.
-	tmp, err := os.CreateTemp(f.cfg.Dir, "checkpoint-*.tmp")
+	// Atomic, so a cut transfer never leaves a half checkpoint under the
+	// name recovery trusts, and durable before the journal moves past it.
+	_, err = wal.WriteFileAtomic(ingest.CheckpointPath(f.cfg.Dir, seq), func(w io.Writer) error {
+		_, cerr := io.Copy(w, resp.Body)
+		return cerr
+	})
 	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := io.Copy(tmp, resp.Body); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	dst := filepath.Join(f.cfg.Dir, fmt.Sprintf("checkpoint-%016d.bin", seq))
-	if err := os.Rename(name, dst); err != nil {
-		os.Remove(name)
 		return err
 	}
 	if err := f.log.AdvanceTo(seq); err != nil {

@@ -17,12 +17,13 @@ import (
 	"swarmavail/internal/wal"
 )
 
-// checkpointVersion versions the checkpoint file layout. Version 2
-// appends one mandatory dedup frame (the per-source exactly-once
-// windows, JSON) after the shard frames; version 3 adds the window-ring
-// bins to each swarm record (win_fine/win_coarse, sparse). Older files
-// still load: version 1 with empty dedup windows, versions 1–2 with
-// empty window rings that re-seed from subsequent events.
+// checkpointVersion versions the checkpoint file layout: a header
+// frame, the shard frames, then one mandatory dedup frame (the
+// per-source exactly-once windows, JSON); each swarm record carries its
+// window-ring bins by absolute index under the geometry window.go fixes.
+// A file of any other version is unreadable — skipped and reported like
+// a corrupt one, with WAL replay carrying the state — so a change to the
+// layout or to the window geometry bumps this number.
 const checkpointVersion = 3
 
 // checkpointsKept is how many checkpoint files survive pruning: the
@@ -227,7 +228,7 @@ func NewestCheckpoint(dir string) (path string, seq uint64, ok bool, err error) 
 	if err != nil || len(seqs) == 0 {
 		return "", 0, false, err
 	}
-	return checkpointPath(dir, seqs[0]), seqs[0], true, nil
+	return CheckpointPath(dir, seqs[0]), seqs[0], true, nil
 }
 
 // Checkpoint serializes the engine's full state to a checkpoint file in
@@ -303,25 +304,16 @@ func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	return cs, nil
 }
 
-func checkpointPath(dir string, seq uint64) string {
+// CheckpointPath is the name of the checkpoint file covering WAL
+// sequence seq in durability directory dir.
+func CheckpointPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.bin", seq))
 }
 
-// writeCheckpoint renders the snapshot to checkpoint-<seq>.bin via a
-// fsynced temp file + atomic rename: the file either exists whole and
-// checksummed or not at all.
+// writeCheckpoint renders the snapshot to checkpoint-<seq>.bin
+// atomically: the file either exists whole and checksummed or not at
+// all.
 func writeCheckpoint(dir string, seq uint64, snaps []*shardSnapshot, dedup []dedupRecord) (int64, error) {
-	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
 	var swarms, frames int
 	for _, s := range snaps {
 		swarms += len(s.Swarms)
@@ -331,43 +323,8 @@ func writeCheckpoint(dir string, seq uint64, snaps []*shardSnapshot, dedup []ded
 	if err != nil {
 		return 0, err
 	}
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	var scratch []byte
-	writeFrame := func(payload []byte) error {
-		if len(payload) > wal.MaxFrameBytes {
-			// The loader rejects such a frame as corruption; fail here,
-			// before the rename, rather than leave a file that cannot load.
-			return fmt.Errorf("ingest: checkpoint frame of %d bytes exceeds the %d-byte frame bound", len(payload), wal.MaxFrameBytes)
-		}
-		scratch = wal.AppendFrame(scratch[:0], payload)
-		_, werr := w.Write(scratch)
-		return werr
-	}
-	if err := writeFrame(hdr); err != nil {
-		return 0, err
-	}
-	for _, s := range snaps {
-		// One frame per chunk of swarms; the category counters ride on the
-		// first chunk only, since install adds them.
-		rest := s.Swarms
-		for first := true; first || len(rest) > 0; first = false {
-			n := min(len(rest), checkpointChunkSwarms)
-			chunk := shardSnapshot{Idx: s.Idx, Swarms: rest[:n]}
-			if first {
-				chunk.Cats = s.Cats
-			}
-			rest = rest[n:]
-			payload, merr := json.Marshal(&chunk)
-			if merr != nil {
-				return 0, merr
-			}
-			if err := writeFrame(payload); err != nil {
-				return 0, err
-			}
-		}
-	}
-	// v2: one mandatory dedup frame after the shard frames (an empty
-	// window table still writes "[]" so the reader never guesses).
+	// An empty window table still writes "[]": the dedup frame is
+	// mandatory, so the reader never guesses.
 	if dedup == nil {
 		dedup = []dedupRecord{}
 	}
@@ -375,30 +332,47 @@ func writeCheckpoint(dir string, seq uint64, snaps []*shardSnapshot, dedup []ded
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFrame(dedupPayload); err != nil {
-		return 0, err
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, err
-	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	tmp = nil
-	if err := os.Rename(name, checkpointPath(dir, seq)); err != nil {
-		os.Remove(name)
-		return 0, err
-	}
-	syncDirBestEffort(dir)
-	return size, nil
+	return wal.WriteFileAtomic(CheckpointPath(dir, seq), func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		var scratch []byte
+		writeFrame := func(payload []byte) error {
+			if len(payload) > wal.MaxFrameBytes {
+				// The loader rejects such a frame as corruption; fail here,
+				// before the rename, rather than leave a file that cannot load.
+				return fmt.Errorf("ingest: checkpoint frame of %d bytes exceeds the %d-byte frame bound", len(payload), wal.MaxFrameBytes)
+			}
+			scratch = wal.AppendFrame(scratch[:0], payload)
+			_, werr := w.Write(scratch)
+			return werr
+		}
+		if err := writeFrame(hdr); err != nil {
+			return err
+		}
+		for _, s := range snaps {
+			// One frame per chunk of swarms; the category counters ride on the
+			// first chunk only, since install adds them.
+			rest := s.Swarms
+			for first := true; first || len(rest) > 0; first = false {
+				n := min(len(rest), checkpointChunkSwarms)
+				chunk := shardSnapshot{Idx: s.Idx, Swarms: rest[:n]}
+				if first {
+					chunk.Cats = s.Cats
+				}
+				rest = rest[n:]
+				payload, merr := json.Marshal(&chunk)
+				if merr != nil {
+					return merr
+				}
+				if err := writeFrame(payload); err != nil {
+					return err
+				}
+			}
+		}
+		if err := writeFrame(dedupPayload); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 }
 
 // listCheckpoints returns the checkpoint sequences present in dir,
@@ -436,7 +410,7 @@ func loadNewestCheckpoint(dir string, shards []*shard) (uint64, int, []dedupReco
 		return 0, 0, nil, nil, err
 	}
 	for _, seq := range seqs {
-		path := checkpointPath(dir, seq)
+		path := CheckpointPath(dir, seq)
 		swarms, dedup, lerr := loadCheckpoint(path, seq, shards)
 		if lerr == nil {
 			return seq, swarms, dedup, skipped, nil
@@ -470,8 +444,8 @@ func loadCheckpoint(path string, wantSeq uint64, shards []*shard) (int, []dedupR
 	if err := json.Unmarshal(frame, &hdr); err != nil {
 		return 0, nil, fmt.Errorf("ingest: checkpoint header: %w", err)
 	}
-	if hdr.Version < 1 || hdr.Version > checkpointVersion {
-		return 0, nil, fmt.Errorf("ingest: checkpoint version %d not supported", hdr.Version)
+	if hdr.Version != checkpointVersion {
+		return 0, nil, fmt.Errorf("ingest: checkpoint version %d, this build reads only version %d", hdr.Version, checkpointVersion)
 	}
 	if hdr.Seq != wantSeq {
 		return 0, nil, fmt.Errorf("ingest: checkpoint header seq %d does not match file name %d", hdr.Seq, wantSeq)
@@ -479,7 +453,10 @@ func loadCheckpoint(path string, wantSeq uint64, shards []*shard) (int, []dedupR
 
 	// Parse everything before installing anything, so a torn tail can't
 	// leave half a checkpoint in the shard maps.
-	snaps := make([]*shardSnapshot, 0, hdr.Shards)
+	// The header's counts are input, not trusted sizes: nothing is
+	// allocated from them, and a count the file does not back runs into
+	// the end of the frames.
+	var snaps []*shardSnapshot
 	for i := 0; i < hdr.Shards; i++ {
 		frame, err := r.Next()
 		if err != nil {
@@ -489,17 +466,18 @@ func loadCheckpoint(path string, wantSeq uint64, shards []*shard) (int, []dedupR
 		if err := json.Unmarshal(frame, snap); err != nil {
 			return 0, nil, fmt.Errorf("ingest: checkpoint shard frame %d/%d: %w", i, hdr.Shards, err)
 		}
+		if snap.Idx < 0 {
+			return 0, nil, fmt.Errorf("ingest: checkpoint shard frame %d/%d: shard index %d", i, hdr.Shards, snap.Idx)
+		}
 		snaps = append(snaps, snap)
 	}
+	frame, err = r.Next()
+	if err != nil {
+		return 0, nil, fmt.Errorf("ingest: checkpoint dedup frame: %w", err)
+	}
 	var dedup []dedupRecord
-	if hdr.Version >= 2 {
-		frame, err := r.Next()
-		if err != nil {
-			return 0, nil, fmt.Errorf("ingest: checkpoint dedup frame: %w", err)
-		}
-		if err := json.Unmarshal(frame, &dedup); err != nil {
-			return 0, nil, fmt.Errorf("ingest: checkpoint dedup frame: %w", err)
-		}
+	if err := json.Unmarshal(frame, &dedup); err != nil {
+		return 0, nil, fmt.Errorf("ingest: checkpoint dedup frame: %w", err)
 	}
 
 	var swarms int
@@ -541,17 +519,9 @@ func pruneCheckpoints(dir string) error {
 		return err
 	}
 	for _, seq := range seqs[min(len(seqs), checkpointsKept):] {
-		if err := os.Remove(checkpointPath(dir, seq)); err != nil {
+		if err := os.Remove(CheckpointPath(dir, seq)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// syncDirBestEffort fsyncs dir so the checkpoint rename is durable.
-func syncDirBestEffort(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -381,12 +383,12 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	// serves exactly that — byte for byte what an engine that only ever
 	// saw that prefix serves — rather than failing or serving a mix of the
 	// two checkpoints.
-	raw, err := os.ReadFile(checkpointPath(dir, cs.Seq))
+	raw, err := os.ReadFile(CheckpointPath(dir, cs.Seq))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(checkpointPath(dir, cs.Seq), raw, 0o644); err != nil {
+	if err := os.WriteFile(CheckpointPath(dir, cs.Seq), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -398,7 +400,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if rs.CheckpointSeq == cs.Seq || rs.CheckpointSeq == 0 {
 		t.Fatalf("fell back to checkpoint %d, want the older one", rs.CheckpointSeq)
 	}
-	if len(rs.SkippedCheckpoints) != 1 || !strings.HasPrefix(rs.SkippedCheckpoints[0], filepath.Base(checkpointPath(dir, cs.Seq))+": ") {
+	if len(rs.SkippedCheckpoints) != 1 || !strings.HasPrefix(rs.SkippedCheckpoints[0], filepath.Base(CheckpointPath(dir, cs.Seq))+": ") {
 		t.Fatalf("skipped checkpoints = %q, want the corrupt file and its reason", rs.SkippedCheckpoints)
 	}
 	ref := New(Config{Shards: 2})
@@ -422,6 +424,105 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("fallback recovery's %s differs from an uninterrupted run of the covered prefix\n--- recovered ---\n%s\n--- reference ---\n%s", name, got, want)
 		}
+	}
+}
+
+// TestUnreadableCheckpointSkippedWALCarriesState: a checkpoint whose
+// frames are all CRC-valid but which this build cannot read — another
+// version, a field in a retired encoding, a header or shard frame with
+// hostile counts — is an unreadable checkpoint like a torn one: skipped,
+// named in SkippedCheckpoints, never a panic or an allocation sized by
+// the file, and the WAL behind it carries the whole state.
+func TestUnreadableCheckpointSkippedWALCarriesState(t *testing.T) {
+	traces := trace.GenerateStudy(trace.DefaultStudyConfig(20, 17))
+	snaps := trace.GenerateSnapshot(trace.SnapshotConfig{Seed: 19, NumSwarms: 30})
+	feed := func(dir string, checkpoint bool) (state []byte, seq uint64) {
+		e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		feedDurable(t, e, traces, snaps, len(traces), false)
+		if checkpoint {
+			cs, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq = cs.Seq
+		}
+		return stateBytes(e), seq
+	}
+	// One genuine checkpoint, taken apart into its frame payloads.
+	src := t.TempDir()
+	want, seq := feed(src, true)
+	f, err := os.Open(CheckpointPath(src, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var genuine [][]byte
+	for r := wal.NewFrameReader(f); ; {
+		frame, err := r.Next()
+		if err != nil {
+			break
+		}
+		genuine = append(genuine, bytes.Clone(frame))
+	}
+	if len(genuine) < 3 || !bytes.Contains(genuine[1], []byte(`"downloads":`)) {
+		t.Fatalf("checkpoint has %d frames; want header, shard frames with category counters, dedup", len(genuine))
+	}
+	rewrite := func(frame int, old, new string) func([][]byte) {
+		return func(frames [][]byte) {
+			re := regexp.MustCompile(old)
+			if !re.Match(frames[frame]) {
+				t.Fatalf("frame %d does not match %s: %.200s", frame, old, frames[frame])
+			}
+			frames[frame] = re.ReplaceAll(frames[frame], []byte(new))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([][]byte)
+		reason string
+	}{
+		{"version 2 header", rewrite(0, `"version":3`, `"version":2`), "version 2"},
+		{"version 4 header", rewrite(0, `"version":3`, `"version":4`), "version 4"},
+		{"Welford-object downloads", rewrite(1, `"downloads":\d+`, `"downloads":{"n":3,"mean":2,"m2":0,"min":1,"max":3}`), "shard frame 0/"},
+		{"negative shard frame count", rewrite(0, `"shards":\d+`, `"shards":-1`), "dedup frame"},
+		{"shard frame count of 2^40", rewrite(0, `"shards":\d+`, `"shards":1099511627776`), "shard frame"},
+		{"negative shard index", rewrite(1, `"idx":\d+`, `"idx":-1`), "shard index -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if got, _ := feed(dir, false); !bytes.Equal(got, want) {
+				t.Fatal("the two feeds disagree before any checkpoint is involved")
+			}
+			frames := slices.Clone(genuine)
+			tc.mutate(frames)
+			var file []byte
+			for _, frame := range frames {
+				file = wal.AppendFrame(file, frame)
+			}
+			if err := os.WriteFile(CheckpointPath(dir, seq), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			e, rs, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+			if err != nil {
+				t.Fatalf("recovery failed outright: %v", err)
+			}
+			defer e.Close()
+			if len(rs.SkippedCheckpoints) != 1 || !strings.Contains(rs.SkippedCheckpoints[0], tc.reason) ||
+				!strings.HasPrefix(rs.SkippedCheckpoints[0], filepath.Base(CheckpointPath(dir, seq))+": ") {
+				t.Fatalf("skipped checkpoints = %q, want the crafted file and a reason naming %q", rs.SkippedCheckpoints, tc.reason)
+			}
+			if rs.CheckpointSeq != 0 || rs.ReplayedFrames == 0 {
+				t.Fatalf("recovered %+v, want no checkpoint and a WAL replay", rs)
+			}
+			if got := stateBytes(e); !bytes.Equal(got, want) {
+				t.Fatalf("WAL replay behind a skipped checkpoint lost state\ngot:  %s\nwant: %s", got, want)
+			}
+		})
 	}
 }
 
@@ -454,7 +555,7 @@ func TestCheckpointChunksLargeShard(t *testing.T) {
 	}
 	e.Close()
 
-	f, err := os.Open(checkpointPath(dir, cs.Seq))
+	f, err := os.Open(CheckpointPath(dir, cs.Seq))
 	if err != nil {
 		t.Fatal(err)
 	}

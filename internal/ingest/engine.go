@@ -161,9 +161,8 @@ func newEngine(cfg Config) *Engine {
 	// filled and decoded at the edges.
 	e.pool.init(cfg.Shards*cfg.QueueDepth + 2*cfg.Shards + 8)
 	e.shards = make([]*shard, cfg.Shards)
-	wc := cfg.windowConfig()
 	for i := range e.shards {
-		e.shards[i] = newShard(i, cfg.QueueDepth, e.metrics, &e.pool, wc, cfg.SnapshotMaxAge)
+		e.shards[i] = newShard(i, cfg.QueueDepth, e.metrics, &e.pool, cfg.SnapshotMaxAge)
 		s := e.shards[i]
 		e.metrics.reg.GaugeFunc("ingest_shard_queue_depth",
 			func() float64 { return float64(len(s.in)) },

@@ -160,20 +160,6 @@ type Config struct {
 	// refresh through the queue. Either way a snapshot read is never
 	// more than SnapshotMaxAge behind the applied stream.
 	SnapshotMaxAge time.Duration
-
-	// WindowBinDays is the width of one fine time bin in days (default
-	// 1.0) for the ring-buffered windowed aggregates behind
-	// /v1/availability/window. WindowFineBins fine bins are retained at
-	// full resolution (default 64); older bins downsample by
-	// WindowFoldFactor (default 8: eight day-bins fold into one
-	// 8-day bin) into WindowCoarseBins coarse bins (default 32), beyond
-	// which observations age out entirely. Every node of a cluster must
-	// run the same window geometry for merged windowed answers to be
-	// byte-identical to a single engine's.
-	WindowBinDays    float64
-	WindowFineBins   int
-	WindowFoldFactor int
-	WindowCoarseBins int
 }
 
 func (c Config) withDefaults(defaultShards int) Config {
@@ -189,38 +175,7 @@ func (c Config) withDefaults(defaultShards int) Config {
 	if c.SnapshotMaxAge <= 0 {
 		c.SnapshotMaxAge = 100 * time.Millisecond
 	}
-	if c.WindowBinDays <= 0 {
-		c.WindowBinDays = 1.0
-	}
-	if c.WindowFineBins <= 0 {
-		c.WindowFineBins = 64
-	}
-	if c.WindowFoldFactor <= 0 {
-		c.WindowFoldFactor = 8
-	}
-	if c.WindowCoarseBins <= 0 {
-		c.WindowCoarseBins = 32
-	}
 	return c
-}
-
-// windowConfig is the engine-internal window geometry derived from
-// Config; one copy lives on every shard so the apply hot path reads it
-// without indirection through the engine.
-type windowConfig struct {
-	binDays float64
-	fine    int
-	fold    int
-	coarse  int
-}
-
-func (c Config) windowConfig() windowConfig {
-	return windowConfig{
-		binDays: c.WindowBinDays,
-		fine:    c.WindowFineBins,
-		fold:    c.WindowFoldFactor,
-		coarse:  c.WindowCoarseBins,
-	}
 }
 
 // shardIndex spreads (typically sequential) swarm ids across n shards

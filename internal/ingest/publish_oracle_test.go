@@ -50,7 +50,7 @@ func rebuildSnapOracle(s *shard) (*Summary, *WindowState, map[int]SwarmStats) {
 		merged.merge(*cc)
 		sum.Categories[cat] = merged
 	}
-	win := newWindowState(&s.wc)
+	win := newWindowState()
 	win.Fine = sortedBins(fine)
 	win.Coarse = sortedBins(coarse)
 	return sum, win, swarms
@@ -79,8 +79,8 @@ func viewJSON(t *testing.T, s *shard) string {
 	return string(b)
 }
 
-func oracleShard(wc windowConfig) *shard {
-	return newShard(0, 1, newMetrics(nil, 1), &batchPool{}, wc, 0)
+func oracleShard() *shard {
+	return newShard(0, 1, newMetrics(nil, 1), &batchPool{}, 0)
 }
 
 // checkPublished publishes s and asserts the published view equals the
@@ -120,19 +120,26 @@ func checkPublished(t *testing.T, s *shard, when string) {
 	// only — of which a swarm can own at most one ring's worth.
 	far := len(s.agg.fine.far) + len(s.agg.coarse.far)
 	live := len(snap.win.Fine) + len(snap.win.Coarse)
-	if bound := len(s.swarms) * (s.wc.fine + s.wc.coarse); far > live || live > bound {
+	if bound := len(s.swarms) * (winFineBins + winCoarseBins); far > live || live > bound {
 		t.Fatalf("%s: aggregate holds %d far bins for %d live ones (bound %d)", when, far, live, bound)
 	}
 }
+
+// The spans the op stream steps by, in days: the fine window and all
+// retention (fine, then coarse).
+const (
+	fineDays      = winFineBins * winBinDays
+	retentionDays = winRetentionBins * winBinDays
+)
 
 // opStream generates one seeded op stream over a handful of swarms,
 // shaped to hit every ring transition: small steps, head jumps past the
 // fine window and past all retention, late events behind the fine window
 // and beyond retention, re-registration under a new horizon, census
-// before and after registration, and hostile timestamps.
+// before and after registration, and hostile timestamps. Its steps are
+// multiples of the window spans, and ringCoverage checks they landed.
 type opStream struct {
 	rng    *rand.Rand
-	wc     windowConfig
 	clock  map[int]float64
 	swarms int
 	// nonFinite adds NaN and ±Inf to the hostile clocks. Off until the
@@ -143,11 +150,9 @@ type opStream struct {
 
 func (g *opStream) next() Op {
 	id := g.rng.Intn(g.swarms)
-	fine := float64(g.wc.fine) * g.wc.binDays
-	retention := fine + float64(g.wc.coarse*g.wc.fold)*g.wc.binDays
 	switch p := g.rng.Float64(); {
 	case p < 0.06:
-		return MetaOp(trace.SwarmMeta{ID: id, Category: trace.Movies, Title: fmt.Sprintf("s%d", id)}, 1+g.rng.Float64()*3*retention)
+		return MetaOp(trace.SwarmMeta{ID: id, Category: trace.Movies, Title: fmt.Sprintf("s%d", id)}, 1+g.rng.Float64()*3*retentionDays)
 	case p < 0.12:
 		cats := []trace.Category{trace.Movies, trace.Books, trace.TV}
 		files := make([]trace.FileMeta, 1+g.rng.Intn(3))
@@ -161,17 +166,19 @@ func (g *opStream) next() Op {
 	t := g.clock[id]
 	switch p := g.rng.Float64(); {
 	case p < 0.03:
-		t += 1e-13 * g.wc.binDays // a span that quantizes to zero units
+		t += 1e-13 * winBinDays // a span that quantizes to zero units
 	case p < 0.70:
-		t += g.rng.Float64() * 1.5 * g.wc.binDays // same bin or the next
+		t += g.rng.Float64() * 1.5 * winBinDays // same bin or the next
 	case p < 0.78:
-		t += fine * (1 + g.rng.Float64()) // head jumps past the fine window
+		// The head jumps past the fine window: by less than retention, so
+		// the evicted bins straddle the coarse floor, or by a little more.
+		t += fineDays + g.rng.Float64()*retentionDays
 	case p < 0.82:
-		t += retention * (1 + g.rng.Float64()) // past fine + coarse×fold
+		t += retentionDays * (1 + g.rng.Float64()) // past fine + coarse×fold
 	case p < 0.90:
-		t -= g.rng.Float64() * fine * 2 // late: in or just behind the fine window
+		t -= g.rng.Float64() * fineDays * 2 // late: in or just behind the fine window
 	case p < 0.95:
-		t -= retention * (1 + g.rng.Float64()) // late: beyond retention
+		t -= retentionDays * (1 + g.rng.Float64()) // late: beyond retention
 	default:
 		// Hostile clocks. They are confined to the last swarm, which they
 		// freeze (nothing is later than +Inf), so the others keep moving.
@@ -188,26 +195,94 @@ func (g *opStream) next() Op {
 	return EventOp(Record{SwarmID: id, PeerID: uint64(g.rng.Intn(4)), Seed: g.rng.Intn(3) > 0, Online: g.rng.Intn(5) > 1, Time: t})
 }
 
+// ringCoverage counts the ring transitions an op stream drove, so the
+// oracle test can assert it exercised every path it claims to. Each is
+// read off the target swarm's ring as it stands before the op, from the
+// definition of the window rather than through the code under test.
+type ringCoverage struct {
+	fineEvicted    int // nonempty fine bins pushed out of the fine window...
+	coarseLanded   int // ...that a coarse bin still in retention took
+	evictedToVoid  int // ...that fell straight past retention
+	coarseAgedOut  int // nonempty coarse bins pushed out of retention
+	jumpFine       int // head moves that emptied the whole fine ring
+	jumpRetention  int // head moves past all retention
+	lateCoarse     int // events behind the fine window, credited to a coarse bin
+	lateDropped    int // events older than retention
+	farFuture      int // the 1e12 timestamp
+	nonFinite      int // NaN and ±Inf timestamps
+	restoredFine   int // checkpointed bins landed by restore
+	restoredCoarse int
+}
+
+func (c *ringCoverage) observe(s *shard, op Op) {
+	if op.kind != opEvent {
+		return
+	}
+	t := op.rec.Time
+	switch {
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		c.nonFinite++
+	case t == 1e12:
+		c.farFuture++
+	}
+	st := s.swarms[op.rec.SwarmID]
+	if st == nil || !st.win.inited() {
+		return
+	}
+	r := &st.win
+	b := max(binIndex(t), 0)
+	if b <= r.fineHi {
+		switch {
+		case b > r.fineHi-winFineBins:
+		case b/winFoldFactor > r.coarseHi-winCoarseBins:
+			c.lateCoarse++
+		default:
+			c.lateDropped++
+		}
+		return
+	}
+	if b-r.fineHi >= winFineBins {
+		c.jumpFine++
+	}
+	if b-r.fineHi > winRetentionBins {
+		c.jumpRetention++
+	}
+	coarseFloor := b/winFoldFactor - winCoarseBins // newest coarse index out of retention
+	fine, coarse := r.records()
+	for _, rec := range fine {
+		if rec.Index > b-winFineBins {
+			continue
+		}
+		c.fineEvicted++
+		if rec.Index/winFoldFactor > coarseFloor {
+			c.coarseLanded++
+		} else {
+			c.evictedToVoid++
+		}
+	}
+	for _, rec := range coarse {
+		if rec.Index <= coarseFloor {
+			c.coarseAgedOut++
+		}
+	}
+}
+
 // TestPublishedViewMatchesRebuildOracle is the property the incremental
 // read view stands on: after any op stream, with publishes at any
-// points, across a checkpoint into the same or another window geometry,
-// and across a reset, what the shard publishes is byte-identical to a
-// from-scratch rebuild of its state.
+// points, across a checkpoint and across a reset, what the shard
+// publishes is byte-identical to a from-scratch rebuild of its state.
 func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
-	geometries := []windowConfig{
-		{binDays: 1, fine: 8, fold: 4, coarse: 4},
-		{binDays: 0.5, fine: 5, fold: 3, coarse: 7},
-		Config{}.withDefaults(1).windowConfig(),
-	}
 	for seed := int64(1); seed <= 24; seed++ {
-		wc := geometries[seed%int64(len(geometries))]
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			g := &opStream{rng: rng, wc: wc, clock: make(map[int]float64), swarms: 9}
-			s := oracleShard(wc)
+			g := &opStream{rng: rng, clock: make(map[int]float64), swarms: 9}
+			var cov ringCoverage
+			s := oracleShard()
 			drive := func(s *shard, n int, phase string) {
 				for i := 0; i < n; i++ {
-					s.apply(g.next())
+					op := g.next()
+					cov.observe(s, op)
+					s.apply(op)
 					if rng.Intn(20) == 0 {
 						checkPublished(t, s, fmt.Sprintf("%s op %d", phase, i))
 					}
@@ -216,41 +291,58 @@ func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
 			}
 			drive(s, 1500, "live")
 
-			// Checkpoint → install, through the wire form, under the same
-			// and a different geometry; the restored shard then keeps
-			// applying, so later evictions debit what restore credited.
+			// Checkpoint → install, through the wire form; the restored
+			// shard then keeps applying, so later evictions debit what
+			// restore credited.
 			wire, err := json.Marshal(s.snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, to := range []windowConfig{wc, geometries[(seed+1)%int64(len(geometries))]} {
-				var ckpt shardSnapshot
-				if err := json.Unmarshal(wire, &ckpt); err != nil {
-					t.Fatal(err)
-				}
-				r := oracleShard(to)
-				r.install(&ckpt)
-				checkPublished(t, r, "installed")
+			var ckpt shardSnapshot
+			if err := json.Unmarshal(wire, &ckpt); err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range ckpt.Swarms {
+				cov.restoredFine += len(rec.WinFine)
+				cov.restoredCoarse += len(rec.WinCoarse)
+			}
+			r := oracleShard()
+			r.install(&ckpt)
+			checkPublished(t, r, "installed")
 
-				// The corrupt-checkpoint fallback: a reset between two
-				// installs must leave nothing of the first behind.
-				again := oracleShard(to)
-				torn := ckpt
-				torn.Swarms = append([]swarmRecord{{ID: 1 << 20, HasMeta: true, Horizon: 5, Events: 3, LastEvent: 2,
-					WinFine: []winBinRecord{{Index: 2, Tracked: 7, Events: 3}}}}, ckpt.Swarms...)
-				again.install(&torn)
-				if seed%2 == 0 { // with and without a view of the torn state
-					again.publish()
-				}
-				again.reset()
-				again.install(&ckpt)
-				checkPublished(t, again, "reinstalled after reset")
-				if got, want := viewJSON(t, again), viewJSON(t, r); got != want {
-					t.Fatalf("a reset between installs left state behind\n--- install, reset, install ---\n%s\n--- install ---\n%s", got, want)
-				}
+			// The corrupt-checkpoint fallback: a reset between two
+			// installs must leave nothing of the first behind.
+			again := oracleShard()
+			torn := ckpt
+			torn.Swarms = append([]swarmRecord{{ID: 1 << 20, HasMeta: true, Horizon: 5, Events: 3, LastEvent: 2,
+				WinFine: []winBinRecord{{Index: 2, Tracked: 7, Events: 3}}}}, ckpt.Swarms...)
+			again.install(&torn)
+			if seed%2 == 0 { // with and without a view of the torn state
+				again.publish()
+			}
+			again.reset()
+			again.install(&ckpt)
+			checkPublished(t, again, "reinstalled after reset")
+			if got, want := viewJSON(t, again), viewJSON(t, r); got != want {
+				t.Fatalf("a reset between installs left state behind\n--- install, reset, install ---\n%s\n--- install ---\n%s", got, want)
+			}
 
-				g.wc, g.nonFinite = to, true
-				drive(r, 500, "after install")
+			g.nonFinite = true
+			drive(r, 1000, "after install")
+
+			// Every path the mirror has must have run, on this seed.
+			t.Logf("coverage %+v", cov)
+			for name, n := range map[string]int{
+				"fine eviction": cov.fineEvicted, "coarse landing": cov.coarseLanded,
+				"eviction past retention": cov.evictedToVoid, "coarse age-out": cov.coarseAgedOut,
+				"head jump past the fine ring": cov.jumpFine, "head jump past retention": cov.jumpRetention,
+				"late event behind the fine window": cov.lateCoarse, "late event beyond retention": cov.lateDropped,
+				"1e12 timestamp": cov.farFuture, "non-finite timestamp": cov.nonFinite,
+				"restored fine bin": cov.restoredFine, "restored coarse bin": cov.restoredCoarse,
+			} {
+				if n == 0 {
+					t.Errorf("the op stream never drove: %s", name)
+				}
 			}
 		})
 	}
@@ -260,7 +352,7 @@ func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
 // in a publish: when the only swarm holding a sketch's exact min (or
 // max) moves away, the extreme is re-derived from the published values.
 func TestPublishRederivesSoleExtremeHolder(t *testing.T) {
-	s := oracleShard(Config{}.withDefaults(1).windowConfig())
+	s := oracleShard()
 	seeded := func(id int, days float64) {
 		s.apply(MetaOp(trace.SwarmMeta{ID: id}, 10))
 		s.apply(EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: 0}))

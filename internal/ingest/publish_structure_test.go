@@ -3,6 +3,8 @@ package ingest
 import (
 	"testing"
 	"time"
+
+	"swarmavail/internal/trace"
 )
 
 // TestPublishCostFollowsDirtyNotResident pins the shape of a publish by
@@ -10,8 +12,6 @@ import (
 // visits exactly k swarms, and allocates the same number of objects
 // whether N is a thousand or fifty thousand.
 func TestPublishCostFollowsDirtyNotResident(t *testing.T) {
-	// A small ring keeps fifty thousand swarms cheap to hold.
-	wc := windowConfig{binDays: 1, fine: 4, fold: 2, coarse: 2}
 	const k = 7
 	touch := func(s *shard) {
 		for id := 0; id < k; id++ {
@@ -20,9 +20,11 @@ func TestPublishCostFollowsDirtyNotResident(t *testing.T) {
 	}
 	var allocs []float64
 	for _, n := range []int{1000, 50000} {
-		s := oracleShard(wc)
+		s := oracleShard()
+		// Resident swarms are registered, not yet observed: a ring is made
+		// on a swarm's first event, so fifty thousand are cheap to hold.
 		for id := 0; id < n; id++ {
-			s.apply(EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: 1.5}))
+			s.apply(MetaOp(trace.SwarmMeta{ID: id}, 30))
 		}
 		s.publish()
 		if got := s.metrics.publishDirty.Sum(); got != float64(n) {

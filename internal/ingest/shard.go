@@ -58,7 +58,6 @@ type shard struct {
 	in      chan shardMsg
 	metrics *Metrics
 	pool    *batchPool
-	wc      windowConfig
 	maxAge  time.Duration
 	cats    map[trace.Category]*CategoryCounters
 
@@ -84,13 +83,12 @@ type shard struct {
 	wanted  atomic.Bool
 }
 
-func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, wc windowConfig, maxAge time.Duration) *shard {
+func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, maxAge time.Duration) *shard {
 	s := &shard{
 		idx:     idx,
 		in:      make(chan shardMsg, queueDepth),
 		metrics: m,
 		pool:    pool,
-		wc:      wc,
 		maxAge:  maxAge,
 	}
 	s.reset()
@@ -146,7 +144,7 @@ func (s *shard) publish() {
 		epoch: s.applied.Load(),
 		built: start,
 		sum:   &sum,
-		win:   s.agg.state(&s.wc),
+		win:   s.agg.state(),
 	})
 	s.wanted.Store(false)
 	s.metrics.observePublish(len(s.dirtyList), time.Since(start))
@@ -254,7 +252,7 @@ func (s *shard) lookup(id int) (SwarmStats, bool) {
 func (s *shard) apply(op Op) {
 	switch op.kind {
 	case opEvent:
-		s.touch(op.rec.SwarmID).apply(op.rec, &s.wc, &s.agg)
+		s.touch(op.rec.SwarmID).apply(op.rec, &s.agg)
 	case opMeta:
 		st := s.touch(op.aux.meta.ID)
 		st.meta = op.aux.meta
@@ -311,7 +309,7 @@ func (s *shard) install(snap *shardSnapshot) {
 	// The installed state is unpublished: every swarm is dirty, and the
 	// recovery flush (or the first read) publishes it.
 	for _, r := range snap.Swarms {
-		st := r.state(&s.wc, &s.agg)
+		st := r.state(&s.agg)
 		s.adopt(r.ID, st)
 		s.markDirty(st)
 	}
@@ -335,7 +333,7 @@ func (s *shard) timelineOf(id int) *WindowState {
 	fine := make(map[int64]*WindowBinState)
 	coarse := make(map[int64]*WindowBinState)
 	st.win.fold(fine, coarse)
-	w := newWindowState(&s.wc)
+	w := newWindowState()
 	w.Fine = sortedBins(fine)
 	w.Coarse = sortedBins(coarse)
 	return w

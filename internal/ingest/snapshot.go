@@ -98,8 +98,7 @@ func (e *Engine) Snapshot() Snapshot {
 		return c.snap
 	}
 	sum := NewSummary()
-	wc := e.cfg.windowConfig()
-	win := newWindowState(&wc)
+	win := newWindowState()
 	var epoch uint64
 	for _, p := range parts {
 		sum.Merge(p.sum)
@@ -129,8 +128,7 @@ func (e *Engine) SwarmSnapshot(id int) (SwarmStats, bool) {
 // windows. It observes everything submitted before the call.
 func (e *Engine) Window() *WindowState {
 	e.Flush()
-	wc := e.cfg.windowConfig()
-	win := newWindowState(&wc)
+	win := newWindowState()
 	for _, s := range e.shards {
 		_ = win.Merge(s.snap.Load().win) // same engine ⇒ same geometry
 	}

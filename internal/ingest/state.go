@@ -1,12 +1,9 @@
 package ingest
 
 import (
-	"encoding/json"
-	"math"
 	"sync/atomic"
 
 	"swarmavail/internal/measure"
-	"swarmavail/internal/stats"
 	"swarmavail/internal/trace"
 )
 
@@ -81,12 +78,12 @@ func (s *swarmState) addCovered(lo, hi float64) {
 }
 
 // apply processes one monitor event.
-func (s *swarmState) apply(rec Record, wc *windowConfig, agg *winAgg) {
+func (s *swarmState) apply(rec Record, agg *winAgg) {
 	s.events++
 	if rec.Time > s.lastEvent {
 		// Accrue windowed observed/seeded time over the span up to this
 		// event using the seed state in effect *before* its transition.
-		s.win.accrue(wc, agg, s.lastEvent, rec.Time, s.seedsOnline > 0)
+		s.win.accrue(agg, s.lastEvent, rec.Time, s.seedsOnline > 0)
 		s.lastEvent = rec.Time
 	}
 	busyStart := false
@@ -109,7 +106,7 @@ func (s *swarmState) apply(rec Record, wc *windowConfig, agg *winAgg) {
 			s.addCovered(s.upSince, rec.Time)
 		}
 	}
-	s.win.mark(wc, agg, rec.Time, busyStart)
+	s.win.mark(agg, rec.Time, busyStart)
 }
 
 // availability returns the online first-month and whole-trace
@@ -166,9 +163,8 @@ type swarmRecord struct {
 	CensusLeechers int             `json:"census_leechers,omitempty"`
 	Downloads      int             `json:"downloads,omitempty"`
 	HasCensus      bool            `json:"has_census,omitempty"`
-	// WinFine/WinCoarse are the nonempty window-ring bins (checkpoint
-	// v3; absent in v1/v2 frames). The ring head is not serialized — it
-	// is recomputed from LastEvent on restore.
+	// WinFine/WinCoarse are the nonempty window-ring bins. The ring head
+	// is not serialized — it is recomputed from LastEvent on restore.
 	WinFine   []winBinRecord `json:"win_fine,omitempty"`
 	WinCoarse []winBinRecord `json:"win_coarse,omitempty"`
 }
@@ -200,7 +196,7 @@ func (s *swarmState) record(id int) swarmRecord {
 
 // state converts the wire form back to live state, seeding agg with the
 // restored ring.
-func (r swarmRecord) state(wc *windowConfig, agg *winAgg) *swarmState {
+func (r swarmRecord) state(agg *winAgg) *swarmState {
 	st := &swarmState{
 		meta:           r.Meta,
 		horizon:        r.Horizon,
@@ -218,7 +214,7 @@ func (r swarmRecord) state(wc *windowConfig, agg *winAgg) *swarmState {
 		downloads:      r.Downloads,
 		hasCensus:      r.HasCensus,
 	}
-	st.win.restore(wc, agg, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
+	st.win.restore(agg, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
 	return st
 }
 
@@ -302,22 +298,6 @@ type CategoryCounters struct {
 
 // downloadSum is a summed download counter.
 type downloadSum int64
-
-// UnmarshalJSON also accepts the Welford accumulator object checkpoints
-// and /v1/state bodies carried before the counters became sums (n·mean
-// recovers the sum, the downloads being integers), so an older
-// checkpoint or a not-yet-upgraded node still loads.
-func (d *downloadSum) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '{' {
-		var acc stats.Accumulator
-		if err := json.Unmarshal(data, &acc); err != nil {
-			return err
-		}
-		*d = downloadSum(math.Round(acc.Mean() * float64(acc.N())))
-		return nil
-	}
-	return json.Unmarshal(data, (*int64)(d))
-}
 
 // merge folds other into c.
 func (c *CategoryCounters) merge(other CategoryCounters) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"net/http/httptest"
 	"sync"
@@ -362,50 +361,6 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 	st := fn.Stats()
 	t.Logf("faultnet: %d resets, %d dials denied; engine deduped %d replayed records",
 		st.Resets, st.DialsDenied, m.Deduped)
-}
-
-// FuzzStreamFrames feeds arbitrary bytes to a live protocol connection.
-// The server must never panic, and whatever the bytes did, the engine
-// must still accept well-formed work afterwards.
-func FuzzStreamFrames(f *testing.F) {
-	ops := []Op{EventOp(Record{SwarmID: 1, PeerID: 1, Online: true, Time: 1})}
-	valid, err := EncodeFrame(nil, "fuzz", 1, ops)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(wal.AppendFrame(nil, append([]byte{StreamFrameData}, valid...)))
-	f.Add(wal.AppendFrame(nil, []byte{StreamFrameClose}))
-	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x00})
-	torn := wal.AppendFrame(nil, append([]byte{StreamFrameData}, valid...))
-	f.Add(torn[:len(torn)-3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e := New(Config{Shards: 1})
-		defer e.Close()
-		ss := NewStreamServer(e, nil)
-		srv, cli := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = ss.ServeConn(srv)
-			srv.Close()
-		}()
-		go io.Copy(io.Discard, cli) // drain acks/errs
-		_, _ = cli.Write(data)
-		cli.Close()
-		<-done
-
-		// The engine survived whatever the stream did.
-		frame, err := EncodeFrame(nil, "after", 1, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.SubmitFrame(frame); err != nil {
-			t.Fatalf("engine broken after fuzzed stream: %v", err)
-		}
-		e.Flush()
-		_ = e.Summary()
-	})
 }
 
 // FuzzOpCodec holds the codec to two properties on arbitrary bytes:

@@ -9,8 +9,8 @@
 // # Merge algebra
 //
 // Bin contents are integer fixed-point: a contribution of d days to a
-// bin of width binDays is quantized once, on the swarm's home shard, to
-// round(d/binDays · winUnitsPerBin) units. Everything downstream —
+// bin of width winBinDays is quantized once, on the swarm's home shard, to
+// round(d/winBinDays · winUnitsPerBin) units. Everything downstream —
 // folding fine bins into coarse ones, folding swarms into a shard
 // WindowState, merging shard states into an engine state, merging node
 // states at the cluster gateway — is integer addition keyed by absolute
@@ -46,37 +46,65 @@ func (b *winBin) zero() bool {
 	return b.covered|b.tracked|b.busy|b.events == 0
 }
 
+// The window geometry: winFineBins bins of winBinDays days at full
+// resolution, behind them winCoarseBins bins winFoldFactor× wider (64
+// day-bins, then 32 × 8-day bins: 320 days, the paper's whole campaign),
+// nothing beyond. These are constants, not configuration, because every
+// shard, node and checkpoint must agree on them forever: they are part
+// of the cluster's merge contract (WindowState.Merge refuses a state cut
+// to another geometry) and of the checkpoint format (ring bins are stored
+// by absolute index). Changing any of them is a format change: bump
+// checkpointVersion. Being powers of two also lets the hottest loop in
+// the node address a slot with a mask and a shift.
+const (
+	winBinDays    = 1.0
+	winFineBins   = 64
+	winFoldFactor = 8
+	winCoarseBins = 32
+
+	// winRetentionBins is all of it in fine-bin widths: nothing older
+	// than this behind a ring's head is held anywhere.
+	winRetentionBins = winFineBins + winCoarseBins*winFoldFactor
+)
+
 // winRing is one swarm's windowed history: fine bins at full
-// resolution, coarse bins (fold× wider) behind them, nothing beyond.
-// Slots are addressed modularly by absolute bin index; fineHi/coarseHi
-// are the newest absolute indices currently represented, so the live
-// fine window is [fineHi-len(fine)+1, fineHi].
+// resolution, coarse bins behind them, nothing beyond. Slots are
+// addressed modularly by absolute bin index; fineHi/coarseHi are the
+// newest absolute indices currently represented, so the live fine window
+// is [fineHi-winFineBins+1, fineHi]. The two rings are separate
+// allocations, made on a swarm's first event (DESIGN §7: one 3 KB block
+// for both measured ≈20% slower on the apply path).
 type winRing struct {
-	fine     []winBin
-	coarse   []winBin
+	fine     *[winFineBins]winBin
+	coarse   *[winCoarseBins]winBin
 	fineHi   int64
-	coarseHi int64 // in coarse-bin units (fine index / fold)
+	coarseHi int64 // in coarse-bin units (fine index / winFoldFactor)
 }
 
 func (r *winRing) inited() bool { return r.fine != nil }
 
+// fineSlot and coarseSlot return the ring slot of a non-negative
+// absolute bin index.
+func (r *winRing) fineSlot(b int64) *winBin    { return &r.fine[uint64(b)%winFineBins] }
+func (r *winRing) coarseSlot(cb int64) *winBin { return &r.coarse[uint64(cb)%winCoarseBins] }
+
 // binIndex maps a time in days to its absolute fine-bin index
 // (negative times clamp to bin 0).
-func (c *windowConfig) binIndex(t float64) int64 {
+func binIndex(t float64) int64 {
 	if t <= 0 {
 		return 0
 	}
-	return int64(t / c.binDays)
+	return int64(t / winBinDays)
 }
 
 // quantize converts a span of d days to integer bin units; one rounding
 // per contribution, on the swarm's home shard, so downstream sums are
 // exact.
-func (c *windowConfig) quantize(d float64) uint64 {
+func quantize(d float64) uint64 {
 	if d <= 0 {
 		return 0
 	}
-	u := math.Round(d / c.binDays * winUnitsPerBin)
+	u := math.Round(d / winBinDays * winUnitsPerBin)
 	if u <= 0 {
 		return 0
 	}
@@ -86,69 +114,42 @@ func (c *windowConfig) quantize(d float64) uint64 {
 // advance moves the ring head to absolute fine bin nb, folding fine
 // bins that leave the window into their coarse bins and dropping coarse
 // bins that age out of retention. Allocates the rings on first touch.
-func (r *winRing) advance(c *windowConfig, agg *winAgg, nb int64) {
+func (r *winRing) advance(agg *winAgg, nb int64) {
 	if nb < 0 {
 		nb = 0
 	}
 	if !r.inited() {
-		r.fine = make([]winBin, c.fine)
-		r.coarse = make([]winBin, c.coarse)
+		r.fine = new([winFineBins]winBin)
+		r.coarse = new([winCoarseBins]winBin)
 		r.fineHi = nb
-		r.coarseHi = nb / int64(c.fold)
+		r.coarseHi = nb / winFoldFactor
 		return
 	}
 	if nb <= r.fineHi {
 		return
 	}
-	nFine, nCoarse, fold := int64(len(r.fine)), int64(len(r.coarse)), int64(c.fold)
-	// Advance the coarse ring first so evicted fine bins fold into
-	// slots that are already positioned (and zeroed) for their index.
-	if nc := nb / fold; nc > r.coarseHi {
-		// The slot the head moves onto still holds the bin one ring length
-		// behind it; a jump of more than the ring empties every slot once.
-		steps := min(nc-r.coarseHi, nCoarse)
-		old := r.coarseHi + 1 - nCoarse
-		slot := (r.coarseHi + 1) % nCoarse
-		for i := int64(0); i < steps; i++ {
-			if s := &r.coarse[slot]; !s.zero() {
-				agg.coarse.lift(s, old)
-			}
-			old++
-			if slot++; slot == nCoarse {
-				slot = 0
+	// Each ring drops the live indices that fall out of the window ending
+	// at its new head. Only live indices are visited, which bounds either
+	// loop at the ring length no matter how far the head jumps. The coarse
+	// ring moves first, so evicted fine bins fold into slots that are
+	// already emptied for their index.
+	if nc := nb / winFoldFactor; nc > r.coarseHi {
+		for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= min(nc-winCoarseBins, r.coarseHi); cb++ {
+			if s := r.coarseSlot(cb); !s.zero() {
+				agg.coarse.lift(s, cb)
 			}
 		}
 		r.coarseHi = nc
 	}
-	// Fold the fine bins that fall out of [nb-nFine+1, nb]. Only live
-	// indices need visiting, which bounds the loop at len(fine) no
-	// matter how far the head jumps. The slot, coarse index and coarse
-	// slot are stepped, not re-derived: one set of divisions per call.
-	lo := max(r.fineHi-nFine+1, 0)
-	end := min(nb-nFine, r.fineHi)
-	if lo <= end {
-		slot := lo % nFine
-		cb, rem := lo/fold, lo%fold
-		cslot := cb % nCoarse
-		floor := r.coarseHi - nCoarse
-		for b := lo; b <= end; b++ {
-			if s := &r.fine[slot]; !s.zero() {
-				bin := *s
-				agg.fine.lift(s, b)
-				if cb > floor {
-					agg.coarse.land(&r.coarse[cslot], cb, bin)
-				}
-			}
-			if slot++; slot == nFine {
-				slot = 0
-			}
-			if rem++; rem == fold {
-				rem = 0
-				cb++
-				if cslot++; cslot == nCoarse {
-					cslot = 0
-				}
-			}
+	for b := max(r.fineHi-winFineBins+1, 0); b <= min(nb-winFineBins, r.fineHi); b++ {
+		s := r.fineSlot(b)
+		if s.zero() {
+			continue
+		}
+		bin := *s
+		agg.fine.lift(s, b)
+		if cb := b / winFoldFactor; cb > r.coarseHi-winCoarseBins {
+			agg.coarse.land(r.coarseSlot(cb), cb, bin)
 		}
 	}
 	r.fineHi = nb
@@ -157,23 +158,22 @@ func (r *winRing) advance(c *windowConfig, agg *winAgg, nb int64) {
 // add lands units on absolute fine bin b: in the fine window directly,
 // behind it via the covering coarse bin, beyond retention nowhere. The
 // head must already be advanced past b.
-func (r *winRing) add(c *windowConfig, agg *winAgg, b int64, bin winBin) {
+func (r *winRing) add(agg *winAgg, b int64, bin winBin) {
 	if b < 0 {
 		b = 0
 	}
-	nFine := int64(len(r.fine))
-	if b > r.fineHi-nFine { // b <= fineHi by the advance contract
-		agg.fine.land(&r.fine[b%nFine], b, bin)
+	if b > r.fineHi-winFineBins { // b <= fineHi by the advance contract
+		agg.fine.land(r.fineSlot(b), b, bin)
 		return
 	}
-	r.addCoarse(agg, b/int64(c.fold), bin)
+	r.addCoarse(agg, b/winFoldFactor, bin)
 }
 
 // addCoarse lands units on absolute coarse bin cb if retention still
 // holds it.
 func (r *winRing) addCoarse(agg *winAgg, cb int64, bin winBin) {
-	if nCoarse := int64(len(r.coarse)); cb > r.coarseHi-nCoarse && cb <= r.coarseHi {
-		agg.coarse.land(&r.coarse[cb%nCoarse], cb, bin)
+	if cb > r.coarseHi-winCoarseBins && cb <= r.coarseHi {
+		agg.coarse.land(r.coarseSlot(cb), cb, bin)
 	}
 }
 
@@ -181,49 +181,46 @@ func (r *winRing) addCoarse(agg *winAgg, cb int64, bin winBin) {
 // crediting tracked time (and covered time when the swarm was seeded
 // throughout — the caller passes the seed state in effect over the
 // span) to every bin the span touches.
-func (r *winRing) accrue(c *windowConfig, agg *winAgg, lo, hi float64, seeded bool) {
+func (r *winRing) accrue(agg *winAgg, lo, hi float64, seeded bool) {
 	if lo < 0 {
 		lo = 0
 	}
-	head := c.binIndex(hi)
-	r.advance(c, agg, head)
+	head := binIndex(hi)
+	r.advance(agg, head)
 	if hi <= lo {
 		return
 	}
-	b0 := c.binIndex(lo)
 	// Time below the retention horizon lands nowhere; skip straight to
 	// the oldest bin that can still hold it.
-	if floor := head - int64(c.fine) - int64(c.coarse)*int64(c.fold); b0 < floor {
-		b0 = floor
-	}
+	b0 := max(binIndex(lo), head-winRetentionBins)
 	for b := b0; b <= head; b++ {
-		s := math.Max(lo, float64(b)*c.binDays)
-		e := math.Min(hi, float64(b+1)*c.binDays)
+		s := math.Max(lo, float64(b)*winBinDays)
+		e := math.Min(hi, float64(b+1)*winBinDays)
 		if e <= s {
 			continue
 		}
-		u := c.quantize(e - s)
+		u := quantize(e - s)
 		bin := winBin{tracked: u}
 		if seeded {
 			bin.covered = u
 		}
-		r.add(c, agg, b, bin)
+		r.add(agg, b, bin)
 	}
 }
 
 // mark lands per-event counters (one event, optionally one busy-period
 // start) on the bin containing t. The ring is initialized if this is
 // the swarm's first touch.
-func (r *winRing) mark(c *windowConfig, agg *winAgg, t float64, busyStart bool) {
-	b := c.binIndex(t)
+func (r *winRing) mark(agg *winAgg, t float64, busyStart bool) {
+	b := binIndex(t)
 	if !r.inited() || b > r.fineHi {
-		r.advance(c, agg, b)
+		r.advance(agg, b)
 	}
 	bin := winBin{events: 1}
 	if busyStart {
 		bin.busy = 1
 	}
-	r.add(c, agg, b, bin)
+	r.add(agg, b, bin)
 }
 
 // fold adds the ring's live bins into the per-index aggregation maps
@@ -233,27 +230,15 @@ func (r *winRing) fold(fine, coarse map[int64]*WindowBinState) {
 	if !r.inited() {
 		return
 	}
-	nFine := int64(len(r.fine))
-	for b := r.fineHi - nFine + 1; b <= r.fineHi; b++ {
-		if b < 0 {
-			continue
+	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
+		if slot := r.fineSlot(b); !slot.zero() {
+			foldBin(fine, b, slot)
 		}
-		slot := &r.fine[b%nFine]
-		if slot.zero() {
-			continue
-		}
-		foldBin(fine, b, slot)
 	}
-	nCoarse := int64(len(r.coarse))
-	for cb := r.coarseHi - nCoarse + 1; cb <= r.coarseHi; cb++ {
-		if cb < 0 {
-			continue
+	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
+		if slot := r.coarseSlot(cb); !slot.zero() {
+			foldBin(coarse, cb, slot)
 		}
-		slot := &r.coarse[cb%nCoarse]
-		if slot.zero() {
-			continue
-		}
-		foldBin(coarse, cb, slot)
 	}
 }
 
@@ -383,8 +368,8 @@ type winAgg struct {
 }
 
 // state clones the live bins into an immutable WindowState.
-func (a *winAgg) state(c *windowConfig) *WindowState {
-	w := newWindowState(c)
+func (a *winAgg) state() *WindowState {
+	w := newWindowState()
 	w.Fine = a.fine.bins()
 	w.Coarse = a.coarse.bins()
 	return w
@@ -406,21 +391,13 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 	if !r.inited() {
 		return nil, nil
 	}
-	nFine := int64(len(r.fine))
-	for b := r.fineHi - nFine + 1; b <= r.fineHi; b++ {
-		if b < 0 {
-			continue
-		}
-		if slot := &r.fine[b%nFine]; !slot.zero() {
+	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
+		if slot := r.fineSlot(b); !slot.zero() {
 			fine = append(fine, winBinRecord{Index: b, Covered: slot.covered, Tracked: slot.tracked, Busy: slot.busy, Events: slot.events})
 		}
 	}
-	nCoarse := int64(len(r.coarse))
-	for cb := r.coarseHi - nCoarse + 1; cb <= r.coarseHi; cb++ {
-		if cb < 0 {
-			continue
-		}
-		if slot := &r.coarse[cb%nCoarse]; !slot.zero() {
+	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
+		if slot := r.coarseSlot(cb); !slot.zero() {
 			coarse = append(coarse, winBinRecord{Index: cb, Covered: slot.covered, Tracked: slot.tracked, Busy: slot.busy, Events: slot.events})
 		}
 	}
@@ -428,26 +405,24 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 }
 
 // restore rebuilds the ring from checkpointed bins. The head comes from
-// lastEvent, so a load under the same geometry reproduces the ring
-// exactly; under a different geometry, out-of-window fine bins fold
-// into coarse and out-of-retention bins drop — the same rules live
-// eviction applies. Every restored bin lands through the same mirror
-// as a live one, so a checkpoint load seeds the shard aggregate.
-func (r *winRing) restore(c *windowConfig, agg *winAgg, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
+// lastEvent, so a load reproduces the ring exactly. Every restored bin
+// lands through the same mirror as a live one, so a checkpoint load seeds
+// the shard aggregate — and through add/addCoarse, whose window tests
+// are the bounds check on indices read from disk: an index the ring at
+// this head has no slot for lands nowhere.
+func (r *winRing) restore(agg *winAgg, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
 	if !touched && len(fine) == 0 && len(coarse) == 0 {
 		return
 	}
-	r.advance(c, agg, c.binIndex(lastEvent))
+	r.advance(agg, binIndex(lastEvent))
 	for _, rec := range coarse {
 		if rec.Index >= 0 {
 			r.addCoarse(agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
 		}
 	}
 	for _, rec := range fine {
-		// A bin ahead of the head (possible only in a checkpoint written
-		// under another bin width) has no slot in this ring.
 		if rec.Index <= r.fineHi {
-			r.add(c, agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+			r.add(agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
 		}
 	}
 }
@@ -481,9 +456,9 @@ type WindowState struct {
 	Coarse     []WindowBinState `json:"coarse,omitempty"`
 }
 
-// newWindowState returns an empty state carrying c's geometry.
-func newWindowState(c *windowConfig) *WindowState {
-	return &WindowState{BinDays: c.binDays, FoldFactor: c.fold, FineBins: c.fine, CoarseBins: c.coarse}
+// newWindowState returns an empty state carrying this build's geometry.
+func newWindowState() *WindowState {
+	return &WindowState{BinDays: winBinDays, FoldFactor: winFoldFactor, FineBins: winFineBins, CoarseBins: winCoarseBins}
 }
 
 func (w *WindowState) geometryEqual(o *WindowState) bool {

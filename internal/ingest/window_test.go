@@ -22,9 +22,12 @@ func windowJSON(t *testing.T, w *WindowState) string {
 
 // studyOpsBySwarm generates a study and groups each swarm's ops; the
 // partition tests route whole swarms, which is the invariant cluster
-// sharding maintains.
+// sharding maintains. The study runs well past the window's retention
+// (320 days), so the rings evict, fold and age out along the way.
 func studyOpsBySwarm(numSwarms int, seed int64) [][]Op {
-	traces := trace.GenerateStudy(trace.DefaultStudyConfig(numSwarms, seed))
+	cfg := trace.DefaultStudyConfig(numSwarms, seed)
+	cfg.HorizonDays = 2 * winRetentionBins * winBinDays
+	traces := trace.GenerateStudy(cfg)
 	groups := make([][]Op, 0, len(traces))
 	for _, tr := range traces {
 		groups = append(groups, TraceOps(tr))
@@ -39,7 +42,7 @@ func studyOpsBySwarm(numSwarms int, seed int64) [][]Op {
 // the whole stream.
 func TestWindowMergePartitionInvariant(t *testing.T) {
 	groups := studyOpsBySwarm(60, 7)
-	cfg := Config{Shards: 3, WindowFineBins: 16, WindowFoldFactor: 4, WindowCoarseBins: 8}
+	cfg := Config{Shards: 3}
 
 	ref := New(cfg)
 	for _, ops := range groups {
@@ -50,6 +53,9 @@ func TestWindowMergePartitionInvariant(t *testing.T) {
 	refWin := ref.Window()
 	want := windowJSON(t, refWin)
 	ref.Close()
+	if hi, _ := refWin.MaxIndex(); hi <= winRetentionBins {
+		t.Fatalf("the study ends at bin %d: it must outlast retention for the rings to age anything out", hi)
+	}
 
 	rng := rand.New(rand.NewSource(11))
 	for _, k := range []int{1, 2, 5} {
@@ -70,8 +76,7 @@ func TestWindowMergePartitionInvariant(t *testing.T) {
 		// Any merge order must agree: try a few random permutations.
 		for trial := 0; trial < 4; trial++ {
 			order := rng.Perm(k)
-			wc := cfg.withDefaults(1).windowConfig()
-			merged := newWindowState(&wc)
+			merged := newWindowState()
 			for _, i := range order {
 				if err := merged.Merge(parts[i]); err != nil {
 					t.Fatal(err)
@@ -89,7 +94,7 @@ func TestWindowMergePartitionInvariant(t *testing.T) {
 // merging first and downsampling the result, for any cutoff.
 func TestWindowDownsampleMergeCommute(t *testing.T) {
 	groups := studyOpsBySwarm(40, 13)
-	cfg := Config{Shards: 2, WindowFineBins: 16, WindowFoldFactor: 4, WindowCoarseBins: 8}
+	cfg := Config{Shards: 2}
 
 	const k = 3
 	parts := make([]*WindowState, k)
@@ -118,7 +123,6 @@ func TestWindowDownsampleMergeCommute(t *testing.T) {
 		}
 		return &out
 	}
-	wc := cfg.withDefaults(1).windowConfig()
 	hi := int64(0)
 	for _, p := range parts {
 		if m, ok := p.MaxIndex(); ok && m > hi {
@@ -126,7 +130,7 @@ func TestWindowDownsampleMergeCommute(t *testing.T) {
 		}
 	}
 	for _, cutoff := range []int64{-1, 0, hi / 2, hi, hi + 10} {
-		mergeFirst := newWindowState(&wc)
+		mergeFirst := newWindowState()
 		for _, p := range parts {
 			if err := mergeFirst.Merge(clone(p)); err != nil {
 				t.Fatal(err)
@@ -134,7 +138,7 @@ func TestWindowDownsampleMergeCommute(t *testing.T) {
 		}
 		mergeFirst.Downsample(cutoff)
 
-		downFirst := newWindowState(&wc)
+		downFirst := newWindowState()
 		for _, p := range parts {
 			c := clone(p)
 			c.Downsample(cutoff)
@@ -153,7 +157,7 @@ func TestWindowDownsampleMergeCommute(t *testing.T) {
 // restarted (or promoted) node serves the same windowed answers.
 func TestCheckpointWindowRoundTripExact(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 3, WindowFineBins: 16, WindowFoldFactor: 4, WindowCoarseBins: 8}
+	cfg := Config{Shards: 3}
 	e, _, err := OpenDurable(cfg, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -184,5 +188,53 @@ func TestCheckpointWindowRoundTripExact(t *testing.T) {
 	}
 	if got := windowJSON(t, e2.Snapshot().Window); got != want {
 		t.Fatalf("recovered snapshot window diverged\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestWindowEvictionConservesObservedTime pins what the rings hold, not
+// only that they merge: a swarm observed from day 0 and seeded from day
+// 0.5, both to day 100.5, has moved its head 100 bins, so days 0–37 left
+// the fine window through the coarse bins covering them, and every unit
+// of that time is still there exactly once. Past retention the oldest
+// coarse bins, and only those, are gone.
+func TestWindowEvictionConservesObservedTime(t *testing.T) {
+	s := oracleShard()
+	at := func(day float64) {
+		s.apply(EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: day}))
+	}
+	total := func(w *WindowState) (tracked, covered, events uint64) {
+		for _, bins := range [][]WindowBinState{w.Fine, w.Coarse} {
+			for _, b := range bins {
+				tracked, covered, events = tracked+b.Tracked, covered+b.Covered, events+b.Events
+			}
+		}
+		return tracked, covered, events
+	}
+	const half = winUnitsPerBin / 2
+	at(0.5)
+	at(100.5)
+	w := s.timelineOf(1)
+	if tracked, covered, events := total(w); tracked != 100*winUnitsPerBin+half || covered != 100*winUnitsPerBin || events != 2 {
+		t.Fatalf("rings hold %d tracked / %d covered units and %d events, want 100.5 / 100 days and 2", tracked, covered, events)
+	}
+	// Fine window [37, 100]; bins 0–36 folded into coarse 0–4, the first
+	// holding days 0–8 and the swarm's first event.
+	if got := w.Fine[0].Index; got != 100-winFineBins+1 {
+		t.Fatalf("oldest fine bin is %d, want %d", got, 100-winFineBins+1)
+	}
+	if c := w.Coarse[0]; c.Index != 0 || c.Tracked != winFoldFactor*winUnitsPerBin || c.Covered != c.Tracked-half || c.Events != 1 || c.BusyStarts != 1 {
+		t.Fatalf("coarse bin 0 = %+v, want days 0–%d, seeded from 0.5, and the first event", c, winFoldFactor)
+	}
+
+	// Head to bin 400: retention is coarse bins (50-32, 50], days 152
+	// onwards, of which the fine ring [337, 400] holds the newest itself.
+	at(400.5)
+	w = s.timelineOf(1)
+	const oldest = (400/winFoldFactor - winCoarseBins + 1) * winFoldFactor // first retained day
+	if tracked, covered, _ := total(w); tracked != (400-oldest)*winUnitsPerBin+half || covered != tracked {
+		t.Fatalf("after ageing out, rings hold %d tracked / %d covered units, want days %d–400.5", tracked, covered, oldest)
+	}
+	if got := w.Coarse[0].Index; got != oldest/winFoldFactor {
+		t.Fatalf("oldest coarse bin is %d, want %d", got, oldest/winFoldFactor)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Registry hot paths. These feed the BENCH_obs.json baseline via
-// cmd/benchdiff; keep names stable.
+// Registry hot paths. CI's bench-smoke job runs each once, as the check
+// that they still build and run.
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()

@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"sort"
@@ -109,35 +108,6 @@ func (a *Accumulator) StdErr() float64 {
 // mean. (At the sample sizes used in the experiments, the z and t
 // critical values are indistinguishable.)
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
-// accumulatorJSON is the wire form of an Accumulator: the exact Welford
-// state, so a round trip is lossless and merged/serialized accumulators
-// stay bitwise-consistent (internal/ingest checkpoints depend on this).
-type accumulatorJSON struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (a Accumulator) MarshalJSON() ([]byte, error) {
-	return json.Marshal(accumulatorJSON{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *Accumulator) UnmarshalJSON(data []byte) error {
-	var w accumulatorJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.N < 0 {
-		return errors.New("stats: accumulator with negative count")
-	}
-	a.n, a.mean, a.m2, a.min, a.max = w.N, w.Mean, w.M2, w.Min, w.Max
-	return nil
-}
 
 // Mean returns the mean of xs, or an error on empty input.
 func Mean(xs []float64) (float64, error) {

@@ -747,3 +747,39 @@ func syncDir(dir string) error {
 	_ = d.Sync()
 	return nil
 }
+
+// WriteFileAtomic writes the file at path so that, across a crash at
+// any point, the name holds either its previous content or everything
+// write produced: the bytes go to a temp file in the same directory,
+// which is fsynced, closed and renamed over path, and then the directory
+// is fsynced so the rename itself survives power loss. The temp file is
+// removed on every failure path. Returns the number of bytes written.
+func WriteFileAtomic(path string, write func(io.Writer) error) (size int64, err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close() // closing twice is harmless
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return 0, err
+	}
+	if err = tmp.Sync(); err != nil {
+		return 0, err
+	}
+	if size, err = tmp.Seek(0, io.SeekCurrent); err != nil {
+		return 0, err
+	}
+	if err = tmp.Close(); err != nil {
+		return 0, err
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	return size, syncDir(dir)
+}

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -527,5 +528,56 @@ func TestForeignFilesIgnored(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
 		t.Fatalf("foreign file touched: %v", err)
+	}
+}
+
+// TestWriteFileAtomic: a failing write leaves neither the target nor a
+// temp file behind (and an existing target untouched); success leaves
+// exactly the target, whole.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	names := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, ent := range ents {
+			out = append(out, ent.Name())
+		}
+		return out
+	}
+	boom := errors.New("boom")
+	fail := func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a fi")); err != nil {
+			return err
+		}
+		return boom
+	}
+
+	if _, err := WriteFileAtomic(path, fail); !errors.Is(err, boom) {
+		t.Fatalf("failing write returned %v, want its error", err)
+	}
+	if got := names(); len(got) != 0 {
+		t.Fatalf("a failed write left %v behind", got)
+	}
+
+	n, err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("first"))
+		return err
+	})
+	if err != nil || n != 5 {
+		t.Fatalf("WriteFileAtomic = %d, %v; want 5 bytes", n, err)
+	}
+	if got := names(); len(got) != 1 || got[0] != "state.json" {
+		t.Fatalf("directory holds %v, want exactly the target", got)
+	}
+
+	if _, err := WriteFileAtomic(path, fail); !errors.Is(err, boom) {
+		t.Fatalf("failing overwrite returned %v, want its error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first" || len(names()) != 1 {
+		t.Fatalf("a failed overwrite left %q (%v) in %v, want the old content alone", got, err, names())
 	}
 }

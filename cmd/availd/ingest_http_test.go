@@ -10,15 +10,25 @@ import (
 
 	"swarmavail/internal/cluster"
 	"swarmavail/internal/ingest"
+	"swarmavail/internal/wal"
 )
 
 // ingestFronts runs f against both daemons' POST /v1/ingest — a node's
-// own handler, and a gateway fanning out to that node — over one
-// engine. Both read the request through ingest.ReadIngestRequest, so
-// both owe the same verdicts and the same transactional guarantee.
+// own handler (memory-only and durable), and a gateway fanning out to a
+// node — over one engine. All read the request through
+// ingest.ReadIngestRequest, so all owe the same verdicts and the same
+// transactional guarantee.
 func ingestFronts(t *testing.T, f func(t *testing.T, e *ingest.Engine, h http.Handler)) {
 	t.Run("availd", func(t *testing.T) {
 		e := ingest.New(ingest.Config{Shards: 2})
+		defer e.Close()
+		f(t, e, (&server{engine: e}).handler())
+	})
+	t.Run("availd durable", func(t *testing.T) {
+		e, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer e.Close()
 		f(t, e, (&server{engine: e}).handler())
 	})
@@ -88,8 +98,10 @@ func TestIngestOversizedBodyRejected(t *testing.T) {
 
 // TestIngestMalformedBodyLeavesStateUnchanged covers the 400 arms of the
 // same transactional guarantee: valid lines before a malformed one are
-// not applied, and a keyed request with a bad sequence number is
-// refused before its body is read.
+// not applied, and a keyed request with a bad sequence number or a
+// source longer than the frame codec can journal is refused before its
+// body is read — the client's error on every front, never a 200 that
+// leaves a dedup window behind or a retryable 500 from the journal.
 func TestIngestMalformedBodyLeavesStateUnchanged(t *testing.T) {
 	ingestFronts(t, func(t *testing.T, e *ingest.Engine, h http.Handler) {
 		valid := `{"swarm_id":1,"peer_id":1,"seed":true,"online":true,"t":0}` + "\n"
@@ -106,6 +118,14 @@ func TestIngestMalformedBodyLeavesStateUnchanged(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("zero sequence number: got %d %s, want 400", rec.Code, rec.Body)
+		}
+		req = httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(valid))
+		req.Header.Set(ingest.HeaderSource, strings.Repeat("s", 300))
+		req.Header.Set(ingest.HeaderSeq, "1")
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("300-byte source: got %d %s, want 400", rec.Code, rec.Body)
 		}
 		e.Flush()
 		if got := e.Summary().Events; got != 0 {

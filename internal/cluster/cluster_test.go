@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"swarmavail/internal/ingest"
 )
@@ -167,6 +169,40 @@ func TestFollowerCheckpointBootstrap(t *testing.T) {
 		t.Fatalf("bootstrapped state diverged from leader\n--- promoted ---\n%s\n--- leader ---\n%s", got, want)
 	}
 	leader.e.Close()
+}
+
+// TestFollowerBootstrapRejectsMalformedSeq: the checkpoint's sequence
+// arrives in a header, and a value that is not wholly a number ("12abc")
+// must fail the bootstrap rather than be read as its numeric prefix and
+// name a checkpoint file the leader never wrote.
+func TestFollowerBootstrapRejectsMalformedSeq(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/wal/stream", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "truncated", http.StatusGone)
+	})
+	mux.HandleFunc("/v1/wal/checkpoint", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("X-Checkpoint-Seq", "12abc")
+		_, _ = w.Write([]byte("not a checkpoint"))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	dir := t.TempDir()
+	f, err := NewFollower(FollowerConfig{LeaderURL: srv.URL, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Bounded: read as 12, the bootstrap "succeeds" and Sync re-bases on
+	// it for ever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Sync(ctx); err == nil || !strings.Contains(err.Error(), "X-Checkpoint-Seq") {
+		t.Fatalf("sync against a malformed X-Checkpoint-Seq: %v, want an error naming the header", err)
+	}
+	if _, _, ok, err := ingest.NewestCheckpoint(dir); ok || err != nil {
+		t.Fatalf("a checkpoint file landed from a refused bootstrap (ok=%v err=%v)", ok, err)
+	}
 }
 
 // TestFollowerResume: a restarted follower resumes from its on-disk

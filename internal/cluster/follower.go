@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,8 +247,8 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("cluster: wal checkpoint: %s: %s", resp.Status, msg)
 	}
 	seqStr := resp.Header.Get("X-Checkpoint-Seq")
-	var seq uint64
-	if _, err := fmt.Sscanf(seqStr, "%d", &seq); err != nil || seq == 0 {
+	seq, err := strconv.ParseUint(seqStr, 10, 64)
+	if err != nil || seq == 0 {
 		return fmt.Errorf("cluster: wal checkpoint: bad X-Checkpoint-Seq %q", seqStr)
 	}
 

@@ -210,15 +210,6 @@ func (e *Engine) WAL() *wal.Log {
 	return e.journal.log
 }
 
-// DurableDir returns the durability directory (WAL segments and
-// checkpoint files), or "" for a non-durable engine.
-func (e *Engine) DurableDir() string {
-	if e.journal == nil {
-		return ""
-	}
-	return e.journal.log.Dir()
-}
-
 // NewestCheckpoint reports the newest checkpoint file in dir: its path
 // and the WAL sequence it covers. ok is false when dir holds no
 // checkpoint. The WAL-shipping bootstrap path serves this file to a
@@ -250,32 +241,15 @@ func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	defer j.gate.Unlock()
 	// With the gate held exclusively, every journaled batch has been
 	// sent to its shard queues (submit spans append+send under RLock),
-	// so a persist message queued now observes everything ≤ seq.
+	// so a capture queued now observes everything ≤ seq.
 	seq := j.log.LastSeq()
 	if seq == j.lastCkpt {
 		cs.Seq, cs.Skipped = seq, true
 		return cs, nil
 	}
 
-	snaps := make([]*shardSnapshot, 0, len(e.shards))
-	if e.enter() {
-		ch := make(chan *shardSnapshot, len(e.shards))
-		for _, s := range e.shards {
-			s.in <- shardMsg{persist: ch}
-		}
-		for range e.shards {
-			snaps = append(snaps, <-ch)
-		}
-		e.exit()
-	} else {
-		// Closed: the drain is complete once done closes, and the shard
-		// goroutines have exited — their state is safe to read in place.
-		<-e.done
-		for _, s := range e.shards {
-			snaps = append(snaps, s.snapshot())
-		}
-	}
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i].Idx < snaps[k].Idx })
+	snaps := make([]*shardSnapshot, len(e.shards))
+	e.onShards(e.shards, func(s *shard) { snaps[s.idx] = s.snapshot() })
 	for _, s := range snaps {
 		cs.Swarms += len(s.Swarms)
 	}

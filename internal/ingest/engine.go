@@ -130,8 +130,8 @@ type Engine struct {
 
 	// closeMu serialises Close (slow path only — never touched by
 	// writes or reads). stopped (under closeMu) records a completed
-	// drain; done is closed when the drain completes, and post-close
-	// flushes block on it so the final publish is what readers load.
+	// drain; done is closed when the drain completes, and a post-close
+	// onShards blocks on it before touching shard state in place.
 	closeMu sync.Mutex
 	stopped bool
 	done    chan struct{}
@@ -607,19 +607,34 @@ func (e *Engine) ObserveCensus(snap trace.Snapshot) error {
 func (e *Engine) Flush() { e.flush(e.shards...) }
 
 // flush is Flush for the shards concerned.
-func (e *Engine) flush(shards ...*shard) {
+func (e *Engine) flush(shards ...*shard) { e.onShards(shards, (*shard).publishDirty) }
+
+// onShards runs fn once per shard with that shard's state to itself and
+// returns when every call has: queued behind everything already in the
+// shard's queue and run by the shard goroutine — or, once the engine has
+// closed and drained, run in place, since the shard goroutines have
+// exited and left the final, fully published state. It is the one way to
+// read or capture what is not in the published view; calls for different
+// shards run concurrently, so fn may share only what it indexes by shard.
+func (e *Engine) onShards(shards []*shard, fn func(*shard)) {
 	if !e.enter() {
 		<-e.done
+		for _, s := range shards {
+			fn(s)
+		}
 		return
 	}
 	defer e.exit()
-	ack := make(chan struct{}, len(shards))
+	var ran sync.WaitGroup
+	ran.Add(len(shards))
+	msg := shardMsg{do: func(s *shard) {
+		fn(s)
+		ran.Done()
+	}}
 	for _, s := range shards {
-		s.in <- shardMsg{ack: ack}
+		s.in <- msg
 	}
-	for range shards {
-		<-ack
-	}
+	ran.Wait()
 }
 
 // Close drains every shard queue, stops the shard goroutines, and

@@ -142,9 +142,17 @@ const parallelIngestBody = 1 << 20
 // The whole body is parsed before it returns, so a caller that touches
 // its engine or its nodes only on ok=true never applies part of a
 // request the client was told failed. On ok=false the response has been
-// written: 400 for a bad key or record, 413 past MaxIngestBody.
+// written: 400 for a bad key (an over-long source included) or record,
+// 413 past MaxIngestBody.
 func ReadIngestRequest(w http.ResponseWriter, r *http.Request, each func(Record)) (source string, seq uint64, ok bool) {
 	if source = r.Header.Get(HeaderSource); source != "" {
+		// The frame codec's bound, checked at the edge: past it the key
+		// could not be journaled, and a memory-only node would keep a
+		// window under it for good.
+		if len(source) > maxSourceLen {
+			http.Error(w, fmt.Sprintf("%s header of %d bytes exceeds %d", HeaderSource, len(source), maxSourceLen), http.StatusBadRequest)
+			return "", 0, false
+		}
 		var err error
 		if seq, err = strconv.ParseUint(r.Header.Get(HeaderSeq), 10, 64); err != nil || seq == 0 {
 			http.Error(w, "bad "+HeaderSeq+" header", http.StatusBadRequest)

@@ -56,7 +56,7 @@ type HTTPClientConfig struct {
 	// Derived from BaseURL when empty.
 	URL string
 	// BaseURL is the server root (e.g. http://127.0.0.1:8647) the GET
-	// helpers (FetchState, FetchSummary, FetchCDF) resolve against.
+	// helpers (FetchStateTagged, FetchSummary, FetchCDF) resolve against.
 	// Derived from URL when empty by trimming the /v1/ingest suffix.
 	BaseURL string
 	// Client is the underlying HTTP client (default: 30s timeout). Tests
@@ -417,14 +417,6 @@ func (c *HTTPClient) getJSONTagged(ctx context.Context, path, inm string, v any)
 	return etag, notModified, err
 }
 
-// FetchState fetches the server's full mergeable summary state
-// (GET /v1/state) — the scatter-gather payload the cluster gateway
-// merges across nodes via Summary.Merge.
-func (c *HTTPClient) FetchState(ctx context.Context) (*Summary, error) {
-	sum, _, _, err := c.FetchStateTagged(ctx, false, "")
-	return sum, err
-}
-
 // consistentQuery appends the ?consistent=1 barrier flag.
 func consistentQuery(path string, consistent bool) string {
 	if consistent {
@@ -433,11 +425,13 @@ func consistentQuery(path string, consistent bool) string {
 	return path
 }
 
-// FetchStateTagged is FetchState with the read-path controls:
-// consistent selects the queue-barrier path on the node (default is the
-// lock-free snapshot, at most its SnapshotMaxAge stale), and inm makes
-// the fetch conditional — on 304 it returns (nil, inm, true, nil) and
-// the caller reuses its cached copy.
+// FetchStateTagged fetches the server's full mergeable summary state
+// (GET /v1/state) — the scatter-gather payload the cluster gateway
+// merges across nodes via Summary.Merge. consistent selects the
+// queue-barrier path on the node (default is the lock-free snapshot, at
+// most its SnapshotMaxAge stale), and inm makes the fetch conditional —
+// on 304 it returns (nil, inm, true, nil) and the caller reuses its
+// cached copy.
 func (c *HTTPClient) FetchStateTagged(ctx context.Context, consistent bool, inm string) (*Summary, string, bool, error) {
 	var st SummaryState
 	etag, notModified, err := c.getJSONTagged(ctx, consistentQuery("/v1/state", consistent), inm, &st)
@@ -470,7 +464,7 @@ func (c *HTTPClient) FetchWindowState(ctx context.Context, consistent bool, inm 
 
 // FetchSummary fetches the server's rendered GET /v1/summary response
 // (public counters + headlines; the sketches do not travel on this
-// endpoint — use FetchState for mergeable state).
+// endpoint — use FetchStateTagged for mergeable state).
 func (c *HTTPClient) FetchSummary(ctx context.Context) (*SummaryResponse, error) {
 	resp := &SummaryResponse{Summary: NewSummary()}
 	if err := c.getJSON(ctx, "/v1/summary", resp); err != nil {

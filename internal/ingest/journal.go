@@ -262,7 +262,7 @@ func EncodeFrame(dst []byte, source string, seq uint64, ops []Op) ([]byte, error
 // checkpoint/append ordering lock: submit holds it shared across the
 // journal-append *and* the queue sends, so when Checkpoint acquires it
 // exclusively, every journaled batch is also in its shard queues — and
-// a persist message queued afterwards therefore observes everything
+// a capture queued afterwards (onShards) therefore observes everything
 // the journal covers.
 type journal struct {
 	gate sync.RWMutex

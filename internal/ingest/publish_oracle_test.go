@@ -25,11 +25,11 @@ func rebuildSnapOracle(s *shard) (*Summary, *WindowState, map[int]SwarmStats) {
 	for id, st := range s.swarms {
 		stats := st.stats()
 		swarms[id] = stats
-		sum.SeedsOnline += st.seedsOnline
-		sum.LeechersOnline += st.leechersOnline
-		sum.BusyPeriods += st.busyPeriods
-		sum.Events += st.events
-		if st.events > 0 || st.hasMeta {
+		sum.SeedsOnline += st.SeedsOnline
+		sum.LeechersOnline += st.LeechersOnline
+		sum.BusyPeriods += st.BusyPeriods
+		sum.Events += st.Events
+		if st.Events > 0 || st.HasMeta {
 			sum.FirstMonth.Add(stats.FirstMonth)
 			sum.Full.Add(stats.Full)
 			if measure.IsFullyAvailable(stats.FirstMonth) {
@@ -40,7 +40,7 @@ func rebuildSnapOracle(s *shard) (*Summary, *WindowState, map[int]SwarmStats) {
 			}
 			sum.StudySwarms++
 		}
-		if st.hasCensus {
+		if st.HasCensus {
 			sum.CensusSwarms++
 		}
 		st.win.fold(fine, coarse)
@@ -314,8 +314,8 @@ func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
 			// installs must leave nothing of the first behind.
 			again := oracleShard()
 			torn := ckpt
-			torn.Swarms = append([]swarmRecord{{ID: 1 << 20, HasMeta: true, Horizon: 5, Events: 3, LastEvent: 2,
-				WinFine: []winBinRecord{{Index: 2, Tracked: 7, Events: 3}}}}, ckpt.Swarms...)
+			torn.Swarms = append([]swarmRecord{{ID: 1 << 20, swarmCore: swarmCore{HasMeta: true, Horizon: 5, Events: 3, LastEvent: 2},
+				WinFine: []winBinRecord{{Index: 2, winBin: winBin{Tracked: 7, Events: 3}}}}}, ckpt.Swarms...)
 			again.install(&torn)
 			if seed%2 == 0 { // with and without a view of the torn state
 				again.publish()

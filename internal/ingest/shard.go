@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,24 +12,16 @@ import (
 	"swarmavail/internal/trace"
 )
 
-// shardMsg is the single message type flowing through a shard's queue.
-// Exactly one of the four kinds is set: a batch, a flush barrier, a
-// per-swarm timeline request, or a checkpoint capture. Every other read
-// is a barrier followed by a load of the published view, so reads stay
-// ordered after the writes submitted before them without a message kind
-// per question asked.
+// shardMsg is the single message type flowing through a shard's queue:
+// a batch to apply, or a closure to run with the shard's state to itself
+// (Engine.onShards — a flush barrier, a per-swarm timeline read, a
+// checkpoint capture). Either way it runs after everything queued before
+// it. Every other read is a flush followed by a load of the published
+// view, so reads stay ordered after the writes submitted before them
+// without a message kind per question asked.
 type shardMsg struct {
-	ops []Op // batch of work
-
-	ack chan<- struct{} // flush barrier: publish, then signal
-
-	// Per-swarm window ring (nil reply = unknown). Rings are not
-	// published — 3 KB per swarm would cost more resident memory than the
-	// whole read view — so this one read stays a message.
-	timelineID int
-	timeline   chan<- *WindowState
-
-	persist chan<- *shardSnapshot // checkpoint state capture request
+	ops []Op         // batch of work
+	do  func(*shard) // set when ops is nil
 }
 
 // shardSnap is one shard's immutable published aggregate view. Readers
@@ -152,6 +146,15 @@ func (s *shard) publish() {
 	s.dirtyList = s.dirtyList[:0]
 }
 
+// publishDirty is the flush barrier's work: publish if anything changed,
+// so a flush ⇒ the snapshots are fresh and an in-process flush-then-read
+// stays read-your-writes even on the lock-free path.
+func (s *shard) publishDirty() {
+	if len(s.dirtyList) > 0 {
+		s.publish()
+	}
+}
+
 // rederiveExtremes restores a live sketch's exact min/max after the
 // last holder of one left (stats.QuantileSketch.ExtremesLost): one scan
 // of the shard's published values, which are exactly the sketch's
@@ -169,8 +172,7 @@ func (s *shard) rederiveExtremes(sk *stats.QuantileSketch, value func(*SwarmStat
 // run drains the queue until the channel closes.
 func (s *shard) run() {
 	for msg := range s.in {
-		switch {
-		case msg.ops != nil:
+		if msg.ops != nil {
 			start := time.Now()
 			for _, op := range msg.ops {
 				s.apply(op)
@@ -188,19 +190,9 @@ func (s *shard) run() {
 			if s.wanted.Load() && time.Since(s.snap.Load().built) >= s.maxAge {
 				s.publish()
 			}
-		case msg.ack != nil:
-			// Publish before acknowledging, so Flush ⇒ snapshots are
-			// fresh — in-process flush-then-read stays read-your-writes
-			// even on the lock-free path.
-			if len(s.dirtyList) > 0 {
-				s.publish()
-			}
-			msg.ack <- struct{}{}
-		case msg.timeline != nil:
-			msg.timeline <- s.timelineOf(msg.timelineID)
-		case msg.persist != nil:
-			msg.persist <- s.snapshot()
+			continue
 		}
+		msg.do(s)
 	}
 	// Final publish: after Close the snapshot is the complete state.
 	s.publish()
@@ -255,20 +247,20 @@ func (s *shard) apply(op Op) {
 		s.touch(op.rec.SwarmID).apply(op.rec, &s.agg)
 	case opMeta:
 		st := s.touch(op.aux.meta.ID)
-		st.meta = op.aux.meta
-		st.horizon = op.aux.horizon
-		st.hasMeta = true
+		st.Meta = op.aux.meta
+		st.Horizon = op.aux.horizon
+		st.HasMeta = true
 	case opCensus:
 		census := &op.aux.census
 		st := s.touch(census.Meta.ID)
-		first := !st.hasCensus
-		if !st.hasMeta {
-			st.meta = census.Meta
+		first := !st.HasCensus
+		if !st.HasMeta {
+			st.Meta = census.Meta
 		}
-		st.censusSeeds = census.Seeds
-		st.censusLeechers = census.Leechers
-		st.downloads = census.Downloads
-		st.hasCensus = true
+		st.CensusSeeds = census.Seeds
+		st.CensusLeechers = census.Leechers
+		st.Downloads = census.Downloads
+		st.HasCensus = true
 		if first {
 			cat := census.Meta.Category
 			cc, ok := s.cats[cat]
@@ -290,15 +282,23 @@ type shardSnapshot struct {
 	Cats   []categoryRecord `json:"cats,omitempty"`
 }
 
-// snapshot captures the shard's state for a checkpoint.
+// snapshot captures the shard's state for a checkpoint, swarms in id
+// order and categories in category order: the file's bytes are a function
+// of the state, not of map iteration.
 func (s *shard) snapshot() *shardSnapshot {
-	snap := &shardSnapshot{Idx: s.idx, Swarms: make([]swarmRecord, 0, len(s.swarms))}
-	for id, st := range s.swarms {
-		snap.Swarms = append(snap.Swarms, st.record(id))
+	ids := make([]int, 0, len(s.swarms))
+	for id := range s.swarms {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	snap := &shardSnapshot{Idx: s.idx, Swarms: make([]swarmRecord, 0, len(ids))}
+	for _, id := range ids {
+		snap.Swarms = append(snap.Swarms, s.swarms[id].record(id))
 	}
 	for cat, cc := range s.cats {
 		snap.Cats = append(snap.Cats, categoryRecord{cat, *cc})
 	}
+	slices.SortFunc(snap.Cats, func(a, b categoryRecord) int { return cmp.Compare(a.Category, b.Category) })
 	return snap
 }
 
@@ -339,10 +339,12 @@ func (s *shard) timelineOf(id int) *WindowState {
 	return w
 }
 
-// Summary is the engine-wide (or per-shard, pre-merge) aggregate
-// snapshot: rolling gauges, online availability sketches, headline
-// counters, and per-category bundling counters.
-type Summary struct {
+// summaryCounters is a Summary's integer counters: rolling gauges and
+// the headline counts under the shared §2 definitions. Declared once and
+// embedded in both Summary and its /v1/state wire form SummaryState, so
+// the tags here are that format and a counter added here is served and
+// decoded by construction (Summary.Merge still has to add it up).
+type summaryCounters struct {
 	Swarms         int `json:"swarms"`
 	StudySwarms    int `json:"study_swarms"` // swarms with events or registration
 	CensusSwarms   int `json:"census_swarms"`
@@ -352,14 +354,20 @@ type Summary struct {
 
 	Events uint64 `json:"events"`
 
+	FullyAvailableFirstMonth int `json:"fully_available_first_month"`
+	MostlyUnavailable        int `json:"mostly_unavailable"`
+}
+
+// Summary is the engine-wide (or per-shard, pre-merge) aggregate
+// snapshot: rolling gauges and headline counters, online availability
+// sketches, and per-category bundling counters.
+type Summary struct {
+	summaryCounters
+
 	// FirstMonth and Full are mergeable availability sketches over the
 	// per-swarm online availabilities (Figure 1's two CDFs, live).
 	FirstMonth *stats.QuantileSketch `json:"-"`
 	Full       *stats.QuantileSketch `json:"-"`
-
-	// Headline counters under the shared §2 definitions.
-	FullyAvailableFirstMonth int `json:"fully_available_first_month"`
-	MostlyUnavailable        int `json:"mostly_unavailable"`
 
 	Categories map[trace.Category]CategoryCounters `json:"-"`
 }

@@ -156,21 +156,14 @@ func (e *Engine) ReadWindow(_ context.Context, consistent bool) (*WindowState, s
 }
 
 // Timeline returns one swarm's windowed history (per-bin observed and
-// seeded time, busy-period starts, event counts) as a barrier read
-// through the owning shard's queue. ok is false for unknown swarms.
+// seeded time, busy-period starts, event counts), read on the owning
+// shard behind everything queued before the call. Rings are not
+// published — 3 KB per swarm would cost more resident memory than the
+// whole read view — so this one read waits its turn in the queue. ok is
+// false for unknown swarms.
 func (e *Engine) Timeline(id int) (*WindowState, bool) {
-	s := e.shardFor(id)
-	if !e.enter() {
-		// Shard goroutines have exited once done closes, so the rings are
-		// safe to read in place.
-		<-e.done
-		w := s.timelineOf(id)
-		return w, w != nil
-	}
-	defer e.exit()
-	ch := make(chan *WindowState, 1)
-	s.in <- shardMsg{timelineID: id, timeline: ch}
-	w := <-ch
+	var w *WindowState
+	e.onShards([]*shard{e.shardFor(id)}, func(s *shard) { w = s.timelineOf(id) })
 	return w, w != nil
 }
 

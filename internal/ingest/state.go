@@ -7,30 +7,43 @@ import (
 	"swarmavail/internal/trace"
 )
 
+// swarmCore is the part of a swarm's state that survives a restart: the
+// scalars a checkpoint carries verbatim, so a load followed by the same
+// op stream produces bitwise-identical availabilities to an uninterrupted
+// run. It is declared once and embedded both in the live swarmState and
+// in the checkpoint's swarmRecord — the JSON tags here are the checkpoint
+// format (checkpointVersion, testdata/checkpoint_v3.bin), and a field
+// added here is checkpointed and restored by construction.
+type swarmCore struct {
+	Meta    trace.SwarmMeta `json:"meta"`
+	Horizon float64         `json:"horizon,omitempty"` // monitoring horizon in days (0 until registered)
+	HasMeta bool            `json:"has_meta,omitempty"`
+
+	SeedsOnline    int     `json:"seeds_online,omitempty"`
+	LeechersOnline int     `json:"leechers_online,omitempty"`
+	UpSince        float64 `json:"up_since,omitempty"`     // start of the current seeded interval (SeedsOnline > 0)
+	CoveredFM      float64 `json:"covered_fm,omitempty"`   // seeded time within [0, min(FirstMonthDays, horizon))
+	CoveredFull    float64 `json:"covered_full,omitempty"` // seeded time within [0, horizon)
+	BusyPeriods    int     `json:"busy_periods,omitempty"` // 0→1 seed transitions
+	Events         uint64  `json:"events,omitempty"`
+	LastEvent      float64 `json:"last_event,omitempty"`
+
+	// Census fields (absolute gauges, not transitions).
+	CensusSeeds    int  `json:"census_seeds,omitempty"`
+	CensusLeechers int  `json:"census_leechers,omitempty"`
+	Downloads      int  `json:"downloads,omitempty"`
+	HasCensus      bool `json:"has_census,omitempty"`
+}
+
 // swarmState is the per-swarm online state owned by exactly one shard.
 // It tracks the seed-coverage of two availability windows incrementally
 // with the same clipping arithmetic trace.AvailabilityOver applies to
 // archived sessions, so closed-interval availabilities agree bitwise
 // with the offline analysis.
 type swarmState struct {
-	meta    trace.SwarmMeta
-	horizon float64 // monitoring horizon in days (0 until registered)
-	hasMeta bool
-
-	seedsOnline    int
-	leechersOnline int
-	upSince        float64 // start of the current seeded interval (seedsOnline > 0)
-	coveredFM      float64 // seeded time within [0, min(FirstMonthDays, horizon))
-	coveredFull    float64 // seeded time within [0, horizon)
-	busyPeriods    int     // 0→1 seed transitions
-	events         uint64
-	lastEvent      float64
-
-	// Census fields (absolute gauges, not transitions).
-	censusSeeds    int
-	censusLeechers int
-	downloads      int
-	hasCensus      bool
+	// swarmCore stays the first member, its fields in their order: the
+	// apply path's offsets are then the ones the benchmark has measured.
+	swarmCore
 
 	// win is the swarm's windowed history (see window.go). It is a pure
 	// function of the swarm's own event stream, which is what makes
@@ -51,9 +64,9 @@ type swarmState struct {
 // horizon falls back to the last event time, making the availability a
 // best-effort "so far" figure.
 func (s *swarmState) windows() (fm, full float64) {
-	full = s.horizon
-	if !s.hasMeta {
-		full = s.lastEvent
+	full = s.Horizon
+	if !s.HasMeta {
+		full = s.LastEvent
 	}
 	fm = measure.FirstMonthDays
 	if full < fm {
@@ -70,40 +83,40 @@ func (s *swarmState) addCovered(lo, hi float64) {
 	}
 	fmW, fullW := s.windows()
 	if h := min(hi, fmW); h > lo {
-		s.coveredFM += h - lo
+		s.CoveredFM += h - lo
 	}
 	if h := min(hi, fullW); h > lo {
-		s.coveredFull += h - lo
+		s.CoveredFull += h - lo
 	}
 }
 
 // apply processes one monitor event.
 func (s *swarmState) apply(rec Record, agg *winAgg) {
-	s.events++
-	if rec.Time > s.lastEvent {
+	s.Events++
+	if rec.Time > s.LastEvent {
 		// Accrue windowed observed/seeded time over the span up to this
 		// event using the seed state in effect *before* its transition.
-		s.win.accrue(agg, s.lastEvent, rec.Time, s.seedsOnline > 0)
-		s.lastEvent = rec.Time
+		s.win.accrue(agg, s.LastEvent, rec.Time, s.SeedsOnline > 0)
+		s.LastEvent = rec.Time
 	}
 	busyStart := false
 	if !rec.Seed {
 		if rec.Online {
-			s.leechersOnline++
-		} else if s.leechersOnline > 0 {
-			s.leechersOnline--
+			s.LeechersOnline++
+		} else if s.LeechersOnline > 0 {
+			s.LeechersOnline--
 		}
 	} else if rec.Online {
-		if s.seedsOnline == 0 {
-			s.upSince = rec.Time
-			s.busyPeriods++
+		if s.SeedsOnline == 0 {
+			s.UpSince = rec.Time
+			s.BusyPeriods++
 			busyStart = true
 		}
-		s.seedsOnline++
-	} else if s.seedsOnline > 0 { // seedsOnline == 0: spurious offline; ignore
-		s.seedsOnline--
-		if s.seedsOnline == 0 {
-			s.addCovered(s.upSince, rec.Time)
+		s.SeedsOnline++
+	} else if s.SeedsOnline > 0 { // SeedsOnline == 0: spurious offline; ignore
+		s.SeedsOnline--
+		if s.SeedsOnline == 0 {
+			s.addCovered(s.UpSince, rec.Time)
 		}
 	}
 	s.win.mark(agg, rec.Time, busyStart)
@@ -115,16 +128,16 @@ func (s *swarmState) apply(rec Record, agg *winAgg) {
 // of the final ones.
 func (s *swarmState) availability() (firstMonth, full float64) {
 	fmW, fullW := s.windows()
-	cFM, cFull := s.coveredFM, s.coveredFull
-	if s.seedsOnline > 0 {
-		lo := s.upSince
+	cFM, cFull := s.CoveredFM, s.CoveredFull
+	if s.SeedsOnline > 0 {
+		lo := s.UpSince
 		if lo < 0 {
 			lo = 0
 		}
-		if h := min(s.lastEvent, fmW); h > lo {
+		if h := min(s.LastEvent, fmW); h > lo {
 			cFM += h - lo
 		}
-		if h := min(s.lastEvent, fullW); h > lo {
+		if h := min(s.LastEvent, fullW); h > lo {
 			cFull += h - lo
 		}
 	}
@@ -143,28 +156,12 @@ func fraction(covered, window float64) float64 {
 	return f
 }
 
-// swarmRecord is the checkpoint wire form of one swarm's state: every
-// swarmState field, verbatim, so a load followed by the same op stream
-// produces bitwise-identical availabilities to an uninterrupted run.
+// swarmRecord is the checkpoint wire form of one swarm's state: its id,
+// its swarmCore verbatim, and the nonempty window-ring bins. The ring
+// head is not serialized — it is recomputed from LastEvent on restore.
 type swarmRecord struct {
-	ID             int             `json:"id"`
-	Meta           trace.SwarmMeta `json:"meta"`
-	Horizon        float64         `json:"horizon,omitempty"`
-	HasMeta        bool            `json:"has_meta,omitempty"`
-	SeedsOnline    int             `json:"seeds_online,omitempty"`
-	LeechersOnline int             `json:"leechers_online,omitempty"`
-	UpSince        float64         `json:"up_since,omitempty"`
-	CoveredFM      float64         `json:"covered_fm,omitempty"`
-	CoveredFull    float64         `json:"covered_full,omitempty"`
-	BusyPeriods    int             `json:"busy_periods,omitempty"`
-	Events         uint64          `json:"events,omitempty"`
-	LastEvent      float64         `json:"last_event,omitempty"`
-	CensusSeeds    int             `json:"census_seeds,omitempty"`
-	CensusLeechers int             `json:"census_leechers,omitempty"`
-	Downloads      int             `json:"downloads,omitempty"`
-	HasCensus      bool            `json:"has_census,omitempty"`
-	// WinFine/WinCoarse are the nonempty window-ring bins. The ring head
-	// is not serialized — it is recomputed from LastEvent on restore.
+	ID int `json:"id"`
+	swarmCore
 	WinFine   []winBinRecord `json:"win_fine,omitempty"`
 	WinCoarse []winBinRecord `json:"win_coarse,omitempty"`
 }
@@ -172,48 +169,13 @@ type swarmRecord struct {
 // record converts the state to its wire form.
 func (s *swarmState) record(id int) swarmRecord {
 	fine, coarse := s.win.records()
-	return swarmRecord{
-		ID:             id,
-		Meta:           s.meta,
-		Horizon:        s.horizon,
-		HasMeta:        s.hasMeta,
-		SeedsOnline:    s.seedsOnline,
-		LeechersOnline: s.leechersOnline,
-		UpSince:        s.upSince,
-		CoveredFM:      s.coveredFM,
-		CoveredFull:    s.coveredFull,
-		BusyPeriods:    s.busyPeriods,
-		Events:         s.events,
-		LastEvent:      s.lastEvent,
-		CensusSeeds:    s.censusSeeds,
-		CensusLeechers: s.censusLeechers,
-		Downloads:      s.downloads,
-		HasCensus:      s.hasCensus,
-		WinFine:        fine,
-		WinCoarse:      coarse,
-	}
+	return swarmRecord{ID: id, swarmCore: s.swarmCore, WinFine: fine, WinCoarse: coarse}
 }
 
 // state converts the wire form back to live state, seeding agg with the
 // restored ring.
 func (r swarmRecord) state(agg *winAgg) *swarmState {
-	st := &swarmState{
-		meta:           r.Meta,
-		horizon:        r.Horizon,
-		hasMeta:        r.HasMeta,
-		seedsOnline:    r.SeedsOnline,
-		leechersOnline: r.LeechersOnline,
-		upSince:        r.UpSince,
-		coveredFM:      r.CoveredFM,
-		coveredFull:    r.CoveredFull,
-		busyPeriods:    r.BusyPeriods,
-		events:         r.Events,
-		lastEvent:      r.LastEvent,
-		censusSeeds:    r.CensusSeeds,
-		censusLeechers: r.CensusLeechers,
-		downloads:      r.Downloads,
-		hasCensus:      r.HasCensus,
-	}
+	st := &swarmState{swarmCore: r.swarmCore}
 	st.win.restore(agg, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
 	return st
 }
@@ -229,22 +191,22 @@ type categoryRecord struct {
 func (s *swarmState) stats() SwarmStats {
 	fm, full := s.availability()
 	st := SwarmStats{
-		Meta:           s.meta,
-		MonitoredDays:  s.horizon,
-		Registered:     s.hasMeta,
-		SeedsOnline:    s.seedsOnline,
-		LeechersOnline: s.leechersOnline,
-		BusyPeriods:    s.busyPeriods,
-		Events:         s.events,
-		LastEventDay:   s.lastEvent,
+		Meta:           s.Meta,
+		MonitoredDays:  s.Horizon,
+		Registered:     s.HasMeta,
+		SeedsOnline:    s.SeedsOnline,
+		LeechersOnline: s.LeechersOnline,
+		BusyPeriods:    s.BusyPeriods,
+		Events:         s.Events,
+		LastEventDay:   s.LastEvent,
 		FirstMonth:     fm,
 		Full:           full,
 	}
-	if s.hasCensus {
+	if s.HasCensus {
 		st.Census = &CensusStats{
-			Seeds:     s.censusSeeds,
-			Leechers:  s.censusLeechers,
-			Downloads: s.downloads,
+			Seeds:     s.CensusSeeds,
+			Leechers:  s.CensusLeechers,
+			Downloads: s.Downloads,
 		}
 	}
 	return st

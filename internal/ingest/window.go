@@ -34,16 +34,17 @@ import (
 // bin — far below the float64 noise floor of the inputs.
 const winUnitsPerBin = 1 << 30
 
-// winBin is one time bin of one swarm's ring.
+// winBin is one time bin of one swarm's ring. The JSON tags are the
+// checkpoint format: a winBinRecord embeds the bin as it is.
 type winBin struct {
-	covered uint64 // seeded time, in winUnitsPerBin-ths of the bin width
-	tracked uint64 // observed time, same units
-	busy    uint64 // busy periods (0→1 seed transitions) starting here
-	events  uint64 // monitor events timestamped here
+	Covered uint64 `json:"c,omitempty"` // seeded time, in winUnitsPerBin-ths of the bin width
+	Tracked uint64 `json:"t,omitempty"` // observed time, same units
+	Busy    uint64 `json:"b,omitempty"` // busy periods (0→1 seed transitions) starting here
+	Events  uint64 `json:"e,omitempty"` // monitor events timestamped here
 }
 
 func (b *winBin) zero() bool {
-	return b.covered|b.tracked|b.busy|b.events == 0
+	return b.Covered|b.Tracked|b.Busy|b.Events == 0
 }
 
 // The window geometry: winFineBins bins of winBinDays days at full
@@ -200,9 +201,9 @@ func (r *winRing) accrue(agg *winAgg, lo, hi float64, seeded bool) {
 			continue
 		}
 		u := quantize(e - s)
-		bin := winBin{tracked: u}
+		bin := winBin{Tracked: u}
 		if seeded {
-			bin.covered = u
+			bin.Covered = u
 		}
 		r.add(agg, b, bin)
 	}
@@ -216,9 +217,9 @@ func (r *winRing) mark(agg *winAgg, t float64, busyStart bool) {
 	if !r.inited() || b > r.fineHi {
 		r.advance(agg, b)
 	}
-	bin := winBin{events: 1}
+	bin := winBin{Events: 1}
 	if busyStart {
-		bin.busy = 1
+		bin.Busy = 1
 	}
 	r.add(agg, b, bin)
 }
@@ -248,10 +249,10 @@ func foldBin(m map[int64]*WindowBinState, idx int64, slot *winBin) {
 		agg = &WindowBinState{Index: idx}
 		m[idx] = agg
 	}
-	agg.Covered += slot.covered
-	agg.Tracked += slot.tracked
-	agg.BusyStarts += slot.busy
-	agg.Events += slot.events
+	agg.Covered += slot.Covered
+	agg.Tracked += slot.Tracked
+	agg.BusyStarts += slot.Busy
+	agg.Events += slot.Events
 	agg.Swarms++
 }
 
@@ -292,14 +293,14 @@ func (a *binAgg) land(slot *winBin, idx int64, bin winBin) {
 	if slot.zero() {
 		s.Swarms++
 	}
-	slot.covered += bin.covered
-	slot.tracked += bin.tracked
-	slot.busy += bin.busy
-	slot.events += bin.events
-	s.Covered += bin.covered
-	s.Tracked += bin.tracked
-	s.BusyStarts += bin.busy
-	s.Events += bin.events
+	slot.Covered += bin.Covered
+	slot.Tracked += bin.Tracked
+	slot.Busy += bin.Busy
+	slot.Events += bin.Events
+	s.Covered += bin.Covered
+	s.Tracked += bin.Tracked
+	s.BusyStarts += bin.Busy
+	s.Events += bin.Events
 }
 
 // claim finds or creates bin idx off the fast path; s is its table slot,
@@ -330,10 +331,10 @@ func (a *binAgg) lift(slot *winBin, idx int64) {
 	if inFar {
 		s = a.far[idx]
 	}
-	s.Covered -= slot.covered
-	s.Tracked -= slot.tracked
-	s.BusyStarts -= slot.busy
-	s.Events -= slot.events
+	s.Covered -= slot.Covered
+	s.Tracked -= slot.Tracked
+	s.BusyStarts -= slot.Busy
+	s.Events -= slot.Events
 	if s.Swarms--; s.Swarms == 0 && inFar {
 		delete(a.far, idx)
 	}
@@ -375,13 +376,11 @@ func (a *winAgg) state() *WindowState {
 	return w
 }
 
-// winBinRecord is the checkpoint wire form of one live ring bin.
+// winBinRecord is the checkpoint wire form of one live ring bin: the bin
+// under its absolute index.
 type winBinRecord struct {
-	Index   int64  `json:"i"`
-	Covered uint64 `json:"c,omitempty"`
-	Tracked uint64 `json:"t,omitempty"`
-	Busy    uint64 `json:"b,omitempty"`
-	Events  uint64 `json:"e,omitempty"`
+	Index int64 `json:"i"`
+	winBin
 }
 
 // records returns the ring's nonempty bins in index order (nil when the
@@ -393,12 +392,12 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
 		if slot := r.fineSlot(b); !slot.zero() {
-			fine = append(fine, winBinRecord{Index: b, Covered: slot.covered, Tracked: slot.tracked, Busy: slot.busy, Events: slot.events})
+			fine = append(fine, winBinRecord{Index: b, winBin: *slot})
 		}
 	}
 	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
 		if slot := r.coarseSlot(cb); !slot.zero() {
-			coarse = append(coarse, winBinRecord{Index: cb, Covered: slot.covered, Tracked: slot.tracked, Busy: slot.busy, Events: slot.events})
+			coarse = append(coarse, winBinRecord{Index: cb, winBin: *slot})
 		}
 	}
 	return fine, coarse
@@ -417,12 +416,12 @@ func (r *winRing) restore(agg *winAgg, lastEvent float64, fine, coarse []winBinR
 	r.advance(agg, binIndex(lastEvent))
 	for _, rec := range coarse {
 		if rec.Index >= 0 {
-			r.addCoarse(agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+			r.addCoarse(agg, rec.Index, rec.winBin)
 		}
 	}
 	for _, rec := range fine {
 		if rec.Index <= r.fineHi {
-			r.add(agg, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+			r.add(agg, rec.Index, rec.winBin)
 		}
 	}
 }
@@ -514,55 +513,4 @@ func sortedBins(m map[int64]*WindowBinState) []WindowBinState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
-}
-
-// Downsample folds every fine bin at or below cutoff (an absolute
-// fine-bin index) into its coarse bin — the retention operation, made
-// explicit so the property tests can check it commutes with Merge.
-func (w *WindowState) Downsample(cutoff int64) {
-	if len(w.Fine) == 0 {
-		return
-	}
-	keep := w.Fine[:0]
-	coarse := make(map[int64]*WindowBinState, len(w.Coarse)+len(w.Fine))
-	for i := range w.Coarse {
-		cp := w.Coarse[i]
-		coarse[cp.Index] = &cp
-	}
-	for _, bin := range w.Fine {
-		if bin.Index > cutoff {
-			keep = append(keep, bin)
-			continue
-		}
-		cb := bin.Index / int64(w.FoldFactor)
-		agg := coarse[cb]
-		if agg == nil {
-			agg = &WindowBinState{Index: cb}
-			coarse[cb] = agg
-		}
-		agg.Covered += bin.Covered
-		agg.Tracked += bin.Tracked
-		agg.BusyStarts += bin.BusyStarts
-		agg.Events += bin.Events
-		agg.Swarms += bin.Swarms
-	}
-	w.Fine = keep
-	w.Coarse = sortedBins(coarse)
-}
-
-// MaxIndex returns the newest absolute fine-bin index the state covers
-// (coarse bins are converted to the upper edge of their span), and
-// false when the state is empty.
-func (w *WindowState) MaxIndex() (int64, bool) {
-	var hi int64
-	ok := false
-	if n := len(w.Fine); n > 0 {
-		hi, ok = w.Fine[n-1].Index, true
-	}
-	if n := len(w.Coarse); n > 0 {
-		if c := (w.Coarse[n-1].Index+1)*int64(w.FoldFactor) - 1; !ok || c > hi {
-			hi, ok = c, true
-		}
-	}
-	return hi, ok
 }

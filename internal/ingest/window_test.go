@@ -238,3 +238,54 @@ func TestWindowEvictionConservesObservedTime(t *testing.T) {
 		t.Fatalf("oldest coarse bin is %d, want %d", got, oldest/winFoldFactor)
 	}
 }
+
+// Downsample folds every fine bin at or below cutoff (an absolute
+// fine-bin index) into its coarse bin — the retention operation, made
+// explicit so the property tests can check it commutes with Merge.
+func (w *WindowState) Downsample(cutoff int64) {
+	if len(w.Fine) == 0 {
+		return
+	}
+	keep := w.Fine[:0]
+	coarse := make(map[int64]*WindowBinState, len(w.Coarse)+len(w.Fine))
+	for i := range w.Coarse {
+		cp := w.Coarse[i]
+		coarse[cp.Index] = &cp
+	}
+	for _, bin := range w.Fine {
+		if bin.Index > cutoff {
+			keep = append(keep, bin)
+			continue
+		}
+		cb := bin.Index / int64(w.FoldFactor)
+		agg := coarse[cb]
+		if agg == nil {
+			agg = &WindowBinState{Index: cb}
+			coarse[cb] = agg
+		}
+		agg.Covered += bin.Covered
+		agg.Tracked += bin.Tracked
+		agg.BusyStarts += bin.BusyStarts
+		agg.Events += bin.Events
+		agg.Swarms += bin.Swarms
+	}
+	w.Fine = keep
+	w.Coarse = sortedBins(coarse)
+}
+
+// MaxIndex returns the newest absolute fine-bin index the state covers
+// (coarse bins are converted to the upper edge of their span), and
+// false when the state is empty.
+func (w *WindowState) MaxIndex() (int64, bool) {
+	var hi int64
+	ok := false
+	if n := len(w.Fine); n > 0 {
+		hi, ok = w.Fine[n-1].Index, true
+	}
+	if n := len(w.Coarse); n > 0 {
+		if c := (w.Coarse[n-1].Index+1)*int64(w.FoldFactor) - 1; !ok || c > hi {
+			hi, ok = c, true
+		}
+	}
+	return hi, ok
+}

@@ -8,8 +8,9 @@ import (
 	"swarmavail/internal/trace"
 )
 
-// SummaryState is the mergeable wire form of a Summary: every counter
-// plus the availability sketches and per-category bundling counters that
+// SummaryState is the mergeable wire form of a Summary: its counters
+// (the same summaryCounters value, so none can be left behind) plus the
+// availability sketches and per-category bundling counters that
 // Summary hides from its (human-facing) JSON. It is what a cluster node
 // serves on GET /v1/state and what the gateway's scatter-gather read
 // path decodes, merges (Summary.Merge → QuantileSketch.Merge and
@@ -18,36 +19,16 @@ import (
 // makes a gateway-served /v1/summary byte-identical to a single node
 // that saw the whole stream.
 type SummaryState struct {
-	Swarms                   int                   `json:"swarms"`
-	StudySwarms              int                   `json:"study_swarms"`
-	CensusSwarms             int                   `json:"census_swarms"`
-	SeedsOnline              int                   `json:"seeds_online"`
-	LeechersOnline           int                   `json:"leechers_online"`
-	BusyPeriods              int                   `json:"busy_periods"`
-	Events                   uint64                `json:"events"`
-	FullyAvailableFirstMonth int                   `json:"fully_available_first_month"`
-	MostlyUnavailable        int                   `json:"mostly_unavailable"`
-	FirstMonth               *stats.QuantileSketch `json:"first_month"`
-	Full                     *stats.QuantileSketch `json:"full"`
-	Categories               []categoryRecord      `json:"categories,omitempty"`
+	summaryCounters
+	FirstMonth *stats.QuantileSketch `json:"first_month"`
+	Full       *stats.QuantileSketch `json:"full"`
+	Categories []categoryRecord      `json:"categories,omitempty"`
 }
 
 // State converts the summary to its wire form. Categories are sorted so
 // the encoding is deterministic.
 func (s *Summary) State() *SummaryState {
-	st := &SummaryState{
-		Swarms:                   s.Swarms,
-		StudySwarms:              s.StudySwarms,
-		CensusSwarms:             s.CensusSwarms,
-		SeedsOnline:              s.SeedsOnline,
-		LeechersOnline:           s.LeechersOnline,
-		BusyPeriods:              s.BusyPeriods,
-		Events:                   s.Events,
-		FullyAvailableFirstMonth: s.FullyAvailableFirstMonth,
-		MostlyUnavailable:        s.MostlyUnavailable,
-		FirstMonth:               s.FirstMonth,
-		Full:                     s.Full,
-	}
+	st := &SummaryState{summaryCounters: s.summaryCounters, FirstMonth: s.FirstMonth, Full: s.Full}
 	cats := make([]trace.Category, 0, len(s.Categories))
 	for cat := range s.Categories {
 		cats = append(cats, cat)
@@ -67,18 +48,10 @@ func (st *SummaryState) Summary() (*Summary, error) {
 		return nil, fmt.Errorf("ingest: summary state is missing availability sketches")
 	}
 	s := &Summary{
-		Swarms:                   st.Swarms,
-		StudySwarms:              st.StudySwarms,
-		CensusSwarms:             st.CensusSwarms,
-		SeedsOnline:              st.SeedsOnline,
-		LeechersOnline:           st.LeechersOnline,
-		BusyPeriods:              st.BusyPeriods,
-		Events:                   st.Events,
-		FullyAvailableFirstMonth: st.FullyAvailableFirstMonth,
-		MostlyUnavailable:        st.MostlyUnavailable,
-		FirstMonth:               st.FirstMonth,
-		Full:                     st.Full,
-		Categories:               make(map[trace.Category]CategoryCounters, len(st.Categories)),
+		summaryCounters: st.summaryCounters,
+		FirstMonth:      st.FirstMonth,
+		Full:            st.Full,
+		Categories:      make(map[trace.Category]CategoryCounters, len(st.Categories)),
 	}
 	for _, cr := range st.Categories {
 		merged := s.Categories[cr.Category]

@@ -32,10 +32,6 @@ var ErrCorrupt = errors.New("wal: corrupt frame")
 // the length word plus the CRC word.
 const FrameHeaderSize = 8
 
-// frameHeaderSize is the historical internal name; the log code reads
-// better with the short form.
-const frameHeaderSize = FrameHeaderSize
-
 // MaxFrameBytes bounds a single frame's payload; a length field larger
 // than this is treated as corruption rather than an allocation request.
 const MaxFrameBytes = 64 << 20
@@ -108,10 +104,10 @@ type frameReader struct {
 // read into one buffer and judged by ParseFrame, so a stream and a
 // byte slice are held to the same rules.
 func (fr *frameReader) next() ([]byte, error) {
-	if cap(fr.buf) < frameHeaderSize {
-		fr.buf = make([]byte, frameHeaderSize)
+	if cap(fr.buf) < FrameHeaderSize {
+		fr.buf = make([]byte, FrameHeaderSize)
 	}
-	hdr := fr.buf[:frameHeaderSize]
+	hdr := fr.buf[:FrameHeaderSize]
 	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -126,7 +122,7 @@ func (fr *frameReader) next() ([]byte, error) {
 		fr.buf = append(make([]byte, 0, size), hdr...)
 	}
 	env := fr.buf[:size]
-	if _, err := io.ReadFull(fr.r, env[frameHeaderSize:]); err != nil {
+	if _, err := io.ReadFull(fr.r, env[FrameHeaderSize:]); err != nil {
 		return nil, fmt.Errorf("%w: torn frame payload: %v", ErrCorrupt, err)
 	}
 	payload, _, err := ParseFrame(env)

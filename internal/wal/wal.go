@@ -297,7 +297,7 @@ func scanSegment(path string) (frames uint64, validSize, totalSize int64, err er
 			return frames, validSize, totalSize, nil
 		}
 		frames++
-		validSize += int64(frameHeaderSize + len(payload))
+		validSize += int64(FrameHeaderSize + len(payload))
 	}
 }
 
@@ -698,7 +698,7 @@ func frameOffset(seg segment, n uint64) (int64, error) {
 	}
 	defer f.Close()
 	var off int64
-	var hdr [frameHeaderSize]byte
+	var hdr [FrameHeaderSize]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			return 0, err
@@ -707,7 +707,7 @@ func frameOffset(seg segment, n uint64) (int64, error) {
 		if _, err := f.Seek(length, io.SeekCurrent); err != nil {
 			return 0, err
 		}
-		off += frameHeaderSize + length
+		off += FrameHeaderSize + length
 	}
 	return off, nil
 }

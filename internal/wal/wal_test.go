@@ -282,7 +282,7 @@ func TestCorruptMiddleDropsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[frameHeaderSize] ^= 0xff
+	raw[FrameHeaderSize] ^= 0xff
 	if err := os.WriteFile(first.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -216,6 +216,7 @@ func run(ctx context.Context, opts options, logf func(string, ...any), ready cha
 		// Cut the streams at frame boundaries before the gateway's
 		// upstream clients go away; keyed resends make the cut loss-free.
 		binLn.Close()
+		g.CloseStreams()
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

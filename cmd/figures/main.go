@@ -10,31 +10,43 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"swarmavail/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig    = flag.String("fig", "all", "artefact ID to regenerate, or 'all'")
-		scale  = flag.String("scale", "quick", "quick or full")
-		seed   = flag.Int64("seed", 42, "random seed")
-		outDir = flag.String("out", "out", "directory for CSV output ('' disables)")
-		list   = flag.Bool("list", false, "list available artefacts and exit")
-		width  = flag.Int("width", 72, "ASCII chart width")
-		height = flag.Int("height", 16, "ASCII chart height")
+		fig    = fs.String("fig", "all", "artefact ID to regenerate, or 'all'")
+		scale  = fs.String("scale", "quick", "quick or full")
+		seed   = fs.Int64("seed", 42, "random seed")
+		outDir = fs.String("out", "out", "directory for CSV output ('' disables)")
+		list   = fs.Bool("list", false, "list available artefacts and exit")
+		width  = fs.Int("width", 72, "ASCII chart width")
+		height = fs.Int("height", 16, "ASCII chart height")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, d := range experiments.All() {
-			fmt.Printf("%-20s %s\n", d.ID, d.Description)
+			fmt.Fprintf(stdout, "%-20s %s\n", d.ID, d.Description)
 		}
-		return
+		return 0
 	}
 
 	sc := experiments.Quick
@@ -49,8 +61,8 @@ func main() {
 		for _, id := range strings.Split(*fig, ",") {
 			d, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "figures: unknown artefact %q (use -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "figures: unknown artefact %q (use -list)\n", id)
+				return 2
 			}
 			drivers = append(drivers, d)
 		}
@@ -58,28 +70,29 @@ func main() {
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "figures: %v\n", err)
+			return 1
 		}
 	}
 
 	failed := false
 	for _, d := range drivers {
-		fmt.Printf("==== %s — %s (scale=%s, seed=%d) ====\n", d.ID, d.Description, sc, *seed)
+		fmt.Fprintf(stdout, "==== %s — %s (scale=%s, seed=%d) ====\n", d.ID, d.Description, sc, *seed)
 		res, err := d.Run(sc, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s failed: %v\n", d.ID, err)
+			fmt.Fprintf(stderr, "figures: %s failed: %v\n", d.ID, err)
 			failed = true
 			continue
 		}
 		opts := experiments.RenderOptions{Width: *width, Height: *height, CSVDir: *outDir}
-		if err := experiments.WriteResult(os.Stdout, res, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: emitting %s: %v\n", d.ID, err)
+		if err := experiments.WriteResult(stdout, res, opts); err != nil {
+			fmt.Fprintf(stderr, "figures: emitting %s: %v\n", d.ID, err)
 			failed = true
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,28 +22,38 @@ import (
 	"swarmavail/internal/trace"
 )
 
-func main() {
-	var (
-		swarms = flag.Int("swarms", 20000, "swarms in the availability study")
-		census = flag.Int("census", 100000, "swarms in the single-day census")
-		seed   = flag.Int64("seed", 42, "random seed")
-		dir    = flag.String("dir", "data", "output directory for the datasets")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*swarms, *census, *seed, *dir); err != nil {
-		fmt.Fprintf(os.Stderr, "study: %v\n", err)
-		os.Exit(1)
+// run is the command: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("study", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		swarms = fs.Int("swarms", 20000, "swarms in the availability study")
+		census = fs.Int("census", 100000, "swarms in the single-day census")
+		seed   = fs.Int64("seed", 42, "random seed")
+		dir    = fs.String("dir", "data", "output directory for the datasets")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := study(stdout, *swarms, *census, *seed, *dir); err != nil {
+		fmt.Fprintf(stderr, "study: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func run(swarms, census int, seed int64, dir string) error {
+func study(stdout io.Writer, swarms, census int, seed int64, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 
 	// --- Availability study (Figure 1's input). ---
-	fmt.Printf("generating availability study: %d swarms, 210 days…\n", swarms)
+	fmt.Fprintf(stdout, "generating availability study: %d swarms, 210 days…\n", swarms)
 	traces := trace.GenerateStudy(trace.DefaultStudyConfig(swarms, seed))
 	tracePath := filepath.Join(dir, "availability_study.jsonl")
 	if err := writeFile(tracePath, func(f *os.File) error {
@@ -49,7 +61,7 @@ func run(swarms, census int, seed int64, dir string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", tracePath)
+	fmt.Fprintf(stdout, "  wrote %s\n", tracePath)
 
 	// Re-read to prove the archival round trip, then analyse. The
 	// scanner streams one record at a time — only the per-swarm
@@ -73,20 +85,20 @@ func run(swarms, census int, seed int64, dir string) error {
 		return err
 	}
 	h := measure.HeadlinesFromAvailabilities(fm, fl)
-	fmt.Printf("  swarms analysed:                 %d\n", h.Swarms)
-	fmt.Printf("  fully seeded through month 1:    %.1f%%  (paper: <35%%)\n",
+	fmt.Fprintf(stdout, "  swarms analysed:                 %d\n", h.Swarms)
+	fmt.Fprintf(stdout, "  fully seeded through month 1:    %.1f%%  (paper: <35%%)\n",
 		100*h.FullyAvailableFirstMonth)
-	fmt.Printf("  availability ≤20%% over trace:    %.1f%%  (paper: ≈80%%)\n",
+	fmt.Fprintf(stdout, "  availability ≤20%% over trace:    %.1f%%  (paper: ≈80%%)\n",
 		100*h.MostlyUnavailableOverall)
 
 	firstMonth, full := stats.NewECDF(fm), stats.NewECDF(fl)
-	fmt.Println("  seed-availability quantiles (first month / whole trace):")
+	fmt.Fprintln(stdout, "  seed-availability quantiles (first month / whole trace):")
 	for _, q := range []float64{0.25, 0.5, 0.75, 0.9} {
-		fmt.Printf("    p%-3.0f  %.2f / %.2f\n", q*100, firstMonth.Quantile(q), full.Quantile(q))
+		fmt.Fprintf(stdout, "    p%-3.0f  %.2f / %.2f\n", q*100, firstMonth.Quantile(q), full.Quantile(q))
 	}
 
 	// --- Census (§2.3's input). ---
-	fmt.Printf("\ngenerating census snapshot: %d swarms…\n", census)
+	fmt.Fprintf(stdout, "\ngenerating census snapshot: %d swarms…\n", census)
 	snaps := trace.GenerateSnapshot(trace.SnapshotConfig{Seed: seed + 1, NumSwarms: census})
 	censusPath := filepath.Join(dir, "census.jsonl")
 	if err := writeFile(censusPath, func(f *os.File) error {
@@ -94,19 +106,19 @@ func run(swarms, census int, seed int64, dir string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", censusPath)
+	fmt.Fprintf(stdout, "  wrote %s\n", censusPath)
 
 	ext := measure.ExtentOfBundling(snaps)
-	fmt.Println("  extent of bundling:")
+	fmt.Fprintln(stdout, "  extent of bundling:")
 	for _, cat := range []trace.Category{trace.Music, trace.TV, trace.Books} {
 		e := ext[cat]
-		fmt.Printf("    %-6s %8d swarms, %7d bundles (%.1f%%), %d collections\n",
+		fmt.Fprintf(stdout, "    %-6s %8d swarms, %7d bundles (%.1f%%), %d collections\n",
 			cat, e.Swarms, e.Bundles, 100*e.BundleFraction(), e.Collections)
 	}
 	cmp := measure.CompareAvailability(snaps, trace.Books)
-	fmt.Printf("  books: seedless %.1f%% overall vs %.1f%% of bundles (paper: 62%% vs 36%%)\n",
+	fmt.Fprintf(stdout, "  books: seedless %.1f%% overall vs %.1f%% of bundles (paper: 62%% vs 36%%)\n",
 		100*cmp.SeedlessAll, 100*cmp.SeedlessBundles)
-	fmt.Printf("  books: mean downloads %.0f overall vs %.0f for bundles (paper: 2578 vs 4216)\n",
+	fmt.Fprintf(stdout, "  books: mean downloads %.0f overall vs %.0f for bundles (paper: 2578 vs 4216)\n",
 		cmp.MeanDownloadsAll, cmp.MeanDownloadsBundles)
 	return nil
 }

@@ -5,7 +5,7 @@
 //
 // The §2 measurement methodology records exactly these bitfields to
 // distinguish seeds from leechers; internal/bittorrent/peer and the
-// btmon monitoring agent both speak this protocol over TCP.
+// bt mon monitoring agent both speak this protocol over TCP.
 package wire
 
 import (

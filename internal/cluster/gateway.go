@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -199,6 +200,9 @@ type Gateway struct {
 	pushFails *obs.Counter
 	failovers *obs.Counter
 
+	// streams accepts the stream front's connections (ServeStream) and
+	// cuts them at Close.
+	streams      ingest.StreamAcceptor
 	streamConns  *obs.Counter
 	streamFrames *obs.Counter
 
@@ -275,6 +279,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 		g.nodes = append(g.nodes, n)
 	}
+	g.streams.Handle = func(conn net.Conn) {
+		if err := g.serveStreamConn(conn); err != nil {
+			g.logf("gateway stream %s: %v", conn.RemoteAddr(), err)
+		}
+	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	go g.healthLoop()
 	return g, nil
@@ -345,12 +354,19 @@ func (g *Gateway) NodeURL(i int) string { return g.nodes[i].route.Load().url }
 // -drain-grace sequence).
 func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
 
-// Close stops the health loop and fails the pushes in flight with
-// ErrGatewayClosed. Idempotent.
+// Close stops the health loop, fails the pushes in flight with
+// ErrGatewayClosed and cuts the stream front (CloseStreams), so nothing
+// is forwarded through a closed gateway. Idempotent.
 func (g *Gateway) Close() {
 	g.cancel()
 	<-g.health
+	g.CloseStreams()
 }
+
+// CloseStreams cuts the stream front's connections and refuses new
+// ones, leaving the HTTP front to finish what it has in flight — the
+// step a draining availgw takes before its HTTP shutdown.
+func (g *Gateway) CloseStreams() { g.streams.Close() }
 
 // deliver pushes one share to its slot, re-resolving the slot's route
 // between passes so a failover mid-push redirects the retry to the

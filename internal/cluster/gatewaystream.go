@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"swarmavail/internal/ingest"
@@ -26,33 +24,18 @@ import (
 // upstream resend after a broken node connection exactly-once even
 // though the monitor asked only for at-least-once.
 //
-// ServeStream returns nil when ln closes. Close the listener before
-// Gateway.Close on shutdown.
+// ServeStream returns nil when ln closes or the gateway does, once every
+// stream connection has ended. Gateway.Close cuts the connections at a
+// frame boundary, as a node's StreamServer.Close does: frames already
+// acknowledged downstream stand, the monitor resends the rest under its
+// keys to whichever gateway it reconnects to.
 func (g *Gateway) ServeStream(ln net.Listener) error {
 	for i, n := range g.nodes {
 		if n.route.Load().binAddr == "" {
 			return fmt.Errorf("cluster: node %d (%s) has no BinAddr for stream forwarding", i, n.cfg.name())
 		}
 	}
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		wg.Add(1)
-		go func(conn net.Conn) {
-			defer wg.Done()
-			defer conn.Close()
-			if err := g.serveStreamConn(conn); err != nil {
-				g.logf("gateway stream %s: %v", conn.RemoteAddr(), err)
-			}
-		}(conn)
-	}
+	return g.streams.Serve(ln)
 }
 
 // slotTarget is one slot's cumulative-sent watermark at the time a

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -264,5 +265,80 @@ func TestGatewayStreamKeyedReplayForwardsVerbatim(t *testing.T) {
 	}
 	if got := fetchBody(t, gwSrv.URL+"/v1/summary"); !bytes.Equal(got, base) {
 		t.Fatal("summary changed across a deduplicated replay")
+	}
+}
+
+// TestGatewayCloseEndsStreams: closing the listener and the gateway —
+// availgw's shutdown order — ends the stream front. ServeStream returns,
+// a connected client's next frame is not forwarded (its Flush fails: the
+// connection is cut and there is nothing to redial), the node's event
+// count does not move, and no goroutine of the gateway's outlives it.
+func TestGatewayCloseEndsStreams(t *testing.T) {
+	node := newStreamNode(t)
+	before := runtime.NumGoroutine()
+
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: node.binAddr}},
+		HealthEvery: time.Hour,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- g.ServeStream(ln) }()
+
+	c := ingest.NewStreamClient(ingest.StreamClientConfig{
+		Addr: ln.Addr().String(), Source: "close-test",
+		MaxAttempts: 2, RetryBackoff: time.Millisecond,
+	})
+	events := func() uint64 {
+		node.e.Flush()
+		return node.e.Summary().Events
+	}
+	rec := ingest.Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true}
+	if err := c.Observe(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush through the open gateway: %v", err)
+	}
+	if got := events(); got != 1 {
+		t.Fatalf("node holds %d events after the first frame, want 1", got)
+	}
+
+	ln.Close()
+	g.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ServeStream: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("ServeStream still running after listener and gateway closed")
+	}
+
+	rec.PeerID, rec.Time = 2, 0.5
+	err = c.Observe(rec)
+	if err == nil {
+		err = c.Flush()
+	}
+	if err == nil {
+		t.Fatal("a frame pushed after Close was acknowledged: the closed gateway still forwards")
+	}
+	if got := events(); got != 1 {
+		t.Fatalf("node holds %d events after the gateway closed, want 1", got)
+	}
+	_ = c.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before NewGateway, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// This file maps live monitor probes onto the trace schema: a btmon
+// This file maps live monitor probes onto the trace schema: a bt mon
 // fleet observes swarm membership round by round, but the engine
 // ingests online/offline *transitions*. ProbeDiff is the stateful
 // differ that turns consecutive membership snapshots into exactly the

@@ -119,16 +119,14 @@ type StreamServer struct {
 	errs      *obs.Counter   // ingest_stream_errors_total: ERR frames sent
 	ackWindow *obs.Histogram // ingest_stream_ack_window: DATA frames covered per ACK
 
-	mu     sync.Mutex
-	active map[net.Conn]struct{}
-	closed bool
+	accept StreamAcceptor
 }
 
 // NewStreamServer registers the stream series on e's registry and
 // returns a server ready to accept connections.
 func NewStreamServer(e *Engine, logf func(format string, args ...any)) *StreamServer {
 	reg := e.Registry()
-	return &StreamServer{
+	s := &StreamServer{
 		e:         e,
 		logf:      logf,
 		frames:    reg.Counter("ingest_stream_frames_total"),
@@ -136,14 +134,44 @@ func NewStreamServer(e *Engine, logf func(format string, args ...any)) *StreamSe
 		conns:     reg.Counter("ingest_stream_conns_total"),
 		errs:      reg.Counter("ingest_stream_errors_total"),
 		ackWindow: reg.Histogram("ingest_stream_ack_window", obs.SizeBuckets),
-		active:    map[net.Conn]struct{}{},
 	}
+	s.accept.Handle = func(conn net.Conn) {
+		if err := s.ServeConn(conn); err != nil && s.logf != nil {
+			s.logf("ingest stream %s: %v", conn.RemoteAddr(), err)
+		}
+	}
+	return s
 }
 
 // Serve accepts connections from ln until the listener closes (or
 // Close is called), handling each on its own goroutine. It returns nil
 // on a clean listener close.
-func (s *StreamServer) Serve(ln net.Listener) error {
+func (s *StreamServer) Serve(ln net.Listener) error { return s.accept.Serve(ln) }
+
+// Close tears down every active connection. In-flight frames that were
+// already acknowledged are journaled/applied; everything after the cut
+// is the client's to resend (keyed frames make the resend exactly-once).
+func (s *StreamServer) Close() { s.accept.Close() }
+
+// StreamAcceptor is the accept side of a stream front: the loop that
+// hands each connection to Handle on its own goroutine, and the registry
+// of live connections that lets Close cut them. A node's StreamServer
+// and the cluster gateway's stream front are both written on it, so
+// closing either really ends its streams.
+type StreamAcceptor struct {
+	// Handle serves one connection; the acceptor closes conn when it
+	// returns. Set before Serve.
+	Handle func(conn net.Conn)
+
+	mu     sync.Mutex
+	active map[net.Conn]struct{}
+	closed bool
+}
+
+// Serve accepts connections from ln until the listener closes or Close
+// is called, and returns once every connection's Handle has: nil on a
+// clean end, the listener's error otherwise.
+func (a *StreamAcceptor) Serve(ln net.Listener) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -154,48 +182,49 @@ func (s *StreamServer) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		if !s.track(conn) {
+		if !a.track(conn) {
 			conn.Close()
 			return nil
 		}
 		wg.Add(1)
 		go func(conn net.Conn) {
 			defer wg.Done()
-			defer s.untrack(conn)
-			if err := s.ServeConn(conn); err != nil && s.logf != nil {
-				s.logf("ingest stream %s: %v", conn.RemoteAddr(), err)
-			}
+			defer a.untrack(conn)
+			a.Handle(conn)
 		}(conn)
 	}
 }
 
-func (s *StreamServer) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+func (a *StreamAcceptor) track(conn net.Conn) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
 		return false
 	}
-	s.active[conn] = struct{}{}
+	if a.active == nil {
+		a.active = map[net.Conn]struct{}{}
+	}
+	a.active[conn] = struct{}{}
 	return true
 }
 
-func (s *StreamServer) untrack(conn net.Conn) {
+func (a *StreamAcceptor) untrack(conn net.Conn) {
 	conn.Close()
-	s.mu.Lock()
-	delete(s.active, conn)
-	s.mu.Unlock()
+	a.mu.Lock()
+	delete(a.active, conn)
+	a.mu.Unlock()
 }
 
-// Close tears down every active connection. In-flight frames that were
-// already acknowledged are journaled/applied; everything after the cut
-// is the client's to resend (keyed frames make the resend exactly-once).
-func (s *StreamServer) Close() {
-	s.mu.Lock()
-	s.closed = true
-	for conn := range s.active {
+// Close cuts every live connection and refuses the ones still to come.
+// A handler sees its connection fail between frames or mid-frame; what
+// it had acknowledged stands, the rest is the client's to resend.
+func (a *StreamAcceptor) Close() {
+	a.mu.Lock()
+	a.closed = true
+	for conn := range a.active {
 		conn.Close()
 	}
-	s.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // StreamSession is the server half of the protocol on one connection:

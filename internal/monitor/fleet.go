@@ -4,20 +4,18 @@
 // learns about (PEX-assisted when enabled), diffs consecutive rounds
 // into online/offline transitions, and streams the resulting records
 // into availd/availgw over the binary ingest protocol with exactly-once
-// keys. A Fleet is what cmd/btmon -fleet N drives.
+// keys. A Fleet is what cmd/bt mon drives, whatever -fleet says.
 package monitor
 
 import (
 	"context"
 	"fmt"
 	mrand "math/rand"
-	"net/http"
 	"sync"
 	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
 	"swarmavail/internal/bittorrent/peer"
-	"swarmavail/internal/bittorrent/tracker"
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
@@ -31,34 +29,29 @@ type Config struct {
 	SwarmID int
 	// Monitors is the fleet size (1 if <= 0).
 	Monitors int
-	// Interval is the probe cadence per monitor (10s if 0). Each
-	// monitor's rounds are offset by a deterministic jittered phase in
-	// [0, Interval) so a thousand monitors do not thunder in step.
+	// Interval is the probe cadence per monitor (10s if 0). Monitor 0
+	// starts at once; every other monitor's rounds are offset by a
+	// deterministic jittered phase in [0, Interval) so a thousand
+	// monitors do not thunder in step.
 	Interval time.Duration
 	// Rounds bounds the probe rounds per monitor (0 = until ctx ends).
 	Rounds int
-	// DialTimeout / BitfieldWait / PEX / NumWant pass through to
-	// peer.ProbeConfig.
-	DialTimeout  time.Duration
-	BitfieldWait time.Duration
-	PEX          bool
-	NumWant      int
+	// Probe is every round's peer.Probe configuration, used as is:
+	// timeouts, PEX, the tracker clients (by URL scheme) and the
+	// peer-probe dialer (faultnet goes there).
+	Probe peer.ProbeConfig
 	// DialBudget caps fleet-wide concurrent probes; while the budget is
 	// exhausted further monitors wait their turn (Monitors if <= 0,
 	// i.e. effectively uncapped). This is the shared resource limit
 	// that lets one host run a 1000-monitor fleet without exhausting
 	// sockets.
 	DialBudget int
-	// HTTPClient / UDP perform the tracker announces, by URL scheme.
-	HTTPClient *http.Client
-	UDP        *tracker.UDPClient
-	// Dial overrides the peer-probe dialer (faultnet goes here).
-	Dial peer.DialFunc
 
 	// Stream configures the binary ingest connection; its Source is
 	// used as a prefix — monitor i streams as "<Source>-i" so every
 	// monitor is its own exactly-once sender stream. Leave Addr and
-	// Dial empty to run without streaming (summary only).
+	// Dial empty for the interactive mode: rounds are probed, diffed
+	// and tallied (OnRound, Stats) and no record leaves the process.
 	Stream ingest.StreamClientConfig
 	// Meta, when set, is registered (with HorizonDays) over the control
 	// stream before any monitor emits events, so the engine knows the
@@ -73,11 +66,22 @@ type Config struct {
 	Seed int64
 	// Logf, when set, receives per-round fleet progress lines.
 	Logf func(format string, args ...any)
-	// Metrics, when set, receives btmon_* series.
+	// Metrics, when set, receives the btmon_* series (a private
+	// registry when nil). They are the fleet's only tally — Stats reads
+	// them — so run one fleet per registry.
 	Metrics *obs.Registry
-	// OnRound, when set, is called after each monitor round with the
-	// monitor index and its observation count (tests).
-	OnRound func(monitor, round, peers int)
+	// OnRound, when set, is called after each monitor round, tallied
+	// already, from that monitor's goroutine.
+	OnRound func(Round)
+}
+
+// Round is one completed probe round as OnRound sees it.
+type Round struct {
+	Monitor int   // fleet member index
+	Index   int   // that monitor's round number, from 0
+	Peers   int   // peers that answered the probe
+	Seeds   int   // of those, peers advertising a complete bitfield
+	Err     error // why the announce failed; Peers and Seeds are then 0
 }
 
 // Stats is a fleet run's summary.
@@ -91,17 +95,25 @@ type Stats struct {
 	FramesAcked    uint64 // DATA frames acknowledged by the ingest server
 }
 
+// SeedAvailability is the §2 headline over the run so far: the share of
+// successful rounds that saw at least one seed (0 before the first).
+func (s Stats) SeedAvailability() float64 {
+	if ok := s.Rounds - s.ProbeFailures; ok > 0 {
+		return float64(s.SeedRounds) / float64(ok)
+	}
+	return 0
+}
+
 // Fleet is a configured monitor fleet; create with New, drive with Run.
 type Fleet struct {
 	cfg Config
 
-	mu    sync.Mutex
-	stats Stats
-
-	mProbes   *obs.Counter
-	mFailures *obs.Counter
-	mPeers    *obs.Counter
-	mRecords  *obs.Counter
+	rounds      *obs.Counter // btmon_probes_total
+	failures    *obs.Counter // btmon_probe_failures_total
+	peers       *obs.Counter // btmon_peers_observed_total
+	seedRounds  *obs.Counter // btmon_seed_rounds_total
+	records     *obs.Counter // btmon_records_emitted_total
+	framesAcked *obs.Counter // btmon_frames_acked_total
 }
 
 // New validates cfg and builds a Fleet.
@@ -118,13 +130,34 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.DialBudget <= 0 {
 		cfg.DialBudget = cfg.Monitors
 	}
-	f := &Fleet{cfg: cfg}
 	reg := cfg.Metrics
-	f.mProbes = reg.Counter("btmon_probes_total")
-	f.mFailures = reg.Counter("btmon_probe_failures_total")
-	f.mPeers = reg.Counter("btmon_peers_observed_total")
-	f.mRecords = reg.Counter("btmon_records_emitted_total")
-	return f, nil
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Fleet{
+		cfg:         cfg,
+		rounds:      reg.Counter("btmon_probes_total"),
+		failures:    reg.Counter("btmon_probe_failures_total"),
+		peers:       reg.Counter("btmon_peers_observed_total"),
+		seedRounds:  reg.Counter("btmon_seed_rounds_total"),
+		records:     reg.Counter("btmon_records_emitted_total"),
+		framesAcked: reg.Counter("btmon_frames_acked_total"),
+	}, nil
+}
+
+// Stats is the tally so far, read from the fleet's instruments — the
+// one place a Stats is assembled, so a scrape and a summary line cannot
+// disagree.
+func (f *Fleet) Stats() Stats {
+	return Stats{
+		Monitors:       f.cfg.Monitors,
+		Rounds:         int(f.rounds.Value()),
+		ProbeFailures:  int(f.failures.Value()),
+		PeersObserved:  int(f.peers.Value()),
+		SeedRounds:     int(f.seedRounds.Value()),
+		RecordsEmitted: f.records.Value(),
+		FramesAcked:    f.framesAcked.Value(),
+	}
 }
 
 // streaming reports whether records leave the process.
@@ -147,10 +180,10 @@ func (f *Fleet) Run(ctx context.Context) (Stats, error) {
 	if f.streaming() && cfg.Meta != nil {
 		ctl := ingest.NewStreamClient(f.streamCfg("meta"))
 		if err := ctl.Put(ingest.MetaOp(*cfg.Meta, cfg.HorizonDays)); err != nil {
-			return f.snapshot(), fmt.Errorf("monitor: register swarm: %w", err)
+			return f.Stats(), fmt.Errorf("monitor: register swarm: %w", err)
 		}
 		if err := ctl.Close(); err != nil {
-			return f.snapshot(), fmt.Errorf("monitor: register swarm: %w", err)
+			return f.Stats(), fmt.Errorf("monitor: register swarm: %w", err)
 		}
 	}
 
@@ -162,6 +195,7 @@ func (f *Fleet) Run(ctx context.Context) (Stats, error) {
 	for i := range phases {
 		phases[i] = time.Duration(phaseRng.Int63n(int64(cfg.Interval)))
 	}
+	phases[0] = 0 // a lone monitor's first line is immediate
 
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.Monitors)
@@ -182,7 +216,7 @@ func (f *Fleet) Run(ctx context.Context) (Stats, error) {
 			firstErr = err
 		}
 	}
-	return f.snapshot(), firstErr
+	return f.Stats(), firstErr
 }
 
 // streamCfg clones the stream config with a per-monitor Source so each
@@ -211,22 +245,10 @@ func (f *Fleet) runMonitor(ctx context.Context, idx int, phase time.Duration, ep
 		stream = ingest.NewStreamClient(f.streamCfg(fmt.Sprintf("m%04d", idx)))
 	}
 	diff := ingest.NewProbeDiff(cfg.SwarmID)
-	pc := peer.ProbeConfig{
-		DialTimeout:  cfg.DialTimeout,
-		BitfieldWait: cfg.BitfieldWait,
-		Dial:         cfg.Dial,
-		HTTPClient:   cfg.HTTPClient,
-		UDP:          cfg.UDP,
-		PEX:          cfg.PEX,
-		NumWant:      cfg.NumWant,
-	}
 
 	emit := func(ops []ingest.Op) error {
 		for _, op := range ops {
-			f.mRecords.Inc()
-			f.mu.Lock()
-			f.stats.RecordsEmitted++
-			f.mu.Unlock()
+			f.records.Inc()
 			if stream != nil {
 				if err := stream.Put(op); err != nil {
 					return fmt.Errorf("monitor %d: stream: %w", idx, err)
@@ -237,8 +259,7 @@ func (f *Fleet) runMonitor(ctx context.Context, idx int, phase time.Duration, ep
 	}
 
 	// A ticker (not Sleep) keeps the cadence independent of probe
-	// duration — interval drift was how the old single btmon
-	// under-sampled slow swarms.
+	// duration, so a slow swarm is not under-sampled.
 	ticker := time.NewTicker(cfg.Interval)
 	defer ticker.Stop()
 
@@ -260,47 +281,38 @@ func (f *Fleet) runMonitor(ctx context.Context, idx int, phase time.Duration, ep
 		if ctx.Err() != nil {
 			break
 		}
-		results, err := peer.Probe(cfg.Torrent, pc)
+		results, err := peer.Probe(cfg.Torrent, cfg.Probe)
 		<-budget
-		f.mProbes.Inc()
 		tDays := time.Since(epoch).Seconds() / 86400
-		f.mu.Lock()
-		f.stats.Rounds++
-		f.mu.Unlock()
+		r := Round{Monitor: idx, Index: round, Peers: len(results), Err: err}
+		f.rounds.Inc()
 		if err != nil {
-			f.mFailures.Inc()
-			f.mu.Lock()
-			f.stats.ProbeFailures++
-			f.mu.Unlock()
+			f.failures.Inc()
 			if cfg.Logf != nil {
 				cfg.Logf("monitor %d round %d: announce failed: %v", idx, round, err)
 			}
 			if cfg.OnRound != nil {
-				cfg.OnRound(idx, round, 0)
+				cfg.OnRound(r)
 			}
 			continue
 		}
 		obs := make([]ingest.PeerObservation, 0, len(results))
-		sawSeed := false
-		for _, r := range results {
-			obs = append(obs, ingest.PeerObservation{Key: ingest.ObservationKey(r.Addr), Seed: r.Seed})
-			if r.Seed {
-				sawSeed = true
+		for _, pr := range results {
+			obs = append(obs, ingest.PeerObservation{Key: ingest.ObservationKey(pr.Addr), Seed: pr.Seed})
+			if pr.Seed {
+				r.Seeds++
 			}
 		}
-		f.mPeers.Add(uint64(len(obs)))
-		f.mu.Lock()
-		f.stats.PeersObserved += len(obs)
-		if sawSeed {
-			f.stats.SeedRounds++
+		f.peers.Add(uint64(r.Peers))
+		if r.Seeds > 0 {
+			f.seedRounds.Inc()
 		}
-		f.mu.Unlock()
 		if err := emit(diff.Ops(tDays, obs)); err != nil {
 			runErr = err
 			break
 		}
 		if cfg.OnRound != nil {
-			cfg.OnRound(idx, round, len(obs))
+			cfg.OnRound(r)
 		}
 	}
 
@@ -313,18 +325,7 @@ func (f *Fleet) runMonitor(ctx context.Context, idx int, phase time.Duration, ep
 		if err := stream.Close(); err != nil && runErr == nil {
 			runErr = fmt.Errorf("monitor %d: close stream: %w", idx, err)
 		}
-		f.mu.Lock()
-		f.stats.FramesAcked += stream.Acked()
-		f.mu.Unlock()
+		f.framesAcked.Add(stream.Acked())
 	}
 	return runErr
-}
-
-// snapshot copies the tally.
-func (f *Fleet) snapshot() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.stats
-	s.Monitors = f.cfg.Monitors
-	return s
 }

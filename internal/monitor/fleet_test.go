@@ -2,11 +2,16 @@ package monitor
 
 import (
 	"context"
+	"errors"
 	"net"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
+	"swarmavail/internal/bittorrent/peer"
 	"swarmavail/internal/bittorrent/tracker"
 	"swarmavail/internal/bittorrent/wire"
 	"swarmavail/internal/faultnet"
@@ -209,18 +214,74 @@ func (mf *mustFleet) run() (Stats, error) {
 func TestFleetSmoke64(t *testing.T) {
 	h := newFleetHarness(t)
 	stats := runFleetTest(t, h, Config{
-		Monitors:     64,
-		Rounds:       2,
-		Interval:     300 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		BitfieldWait: 150 * time.Millisecond,
-		DialBudget:   32,
-		UDP:          &tracker.UDPClient{Timeout: 500 * time.Millisecond, MaxRetransmits: 3},
+		Monitors:   64,
+		Rounds:     2,
+		Interval:   300 * time.Millisecond,
+		DialBudget: 32,
+		Probe: peer.ProbeConfig{
+			DialTimeout:  2 * time.Second,
+			BitfieldWait: 150 * time.Millisecond,
+			UDP:          &tracker.UDPClient{Timeout: 500 * time.Millisecond, MaxRetransmits: 3},
+		},
 	})
 	// Each successful round sees the seed and the quiet leecher; with
 	// 64 monitors × 2 rounds the record volume must be substantial.
 	if stats.PeersObserved < 64 {
 		t.Fatalf("only %d peer observations across the fleet", stats.PeersObserved)
+	}
+}
+
+// TestStatsComplete runs one round of two monitors — one announce
+// refused at the socket, one through — against the seeded swarm with a
+// stream, then checks by reflection that no exported Stats field is
+// left at zero. The instruments are the only tally, so a Stats field
+// added without one fails here. The round hook must tell the same story.
+func TestStatsComplete(t *testing.T) {
+	h := newFleetHarness(t)
+	var dials atomic.Int32
+	var mu sync.Mutex
+	var rounds []Round
+	stats := runFleetTest(t, h, Config{
+		Monitors: 2,
+		Rounds:   1,
+		Probe: peer.ProbeConfig{
+			DialTimeout:  2 * time.Second,
+			BitfieldWait: 150 * time.Millisecond,
+			UDP: &tracker.UDPClient{
+				Timeout: 500 * time.Millisecond,
+				Dial: func(addr string) (net.Conn, error) {
+					if dials.Add(1) == 1 {
+						return nil, errors.New("injected: no socket for the first announce")
+					}
+					return net.Dial("udp", addr)
+				},
+			},
+		},
+		OnRound: func(r Round) {
+			mu.Lock()
+			rounds = append(rounds, r)
+			mu.Unlock()
+		},
+	})
+	v := reflect.ValueOf(stats)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("Stats.%s is zero after a round that exercised every instrument — Fleet.Stats missed it", v.Type().Field(i).Name)
+		}
+	}
+	if len(rounds) != 2 {
+		t.Fatalf("round hook ran %d times for 2 monitors × 1 round", len(rounds))
+	}
+	failed, seeds, peers := 0, 0, 0
+	for _, r := range rounds {
+		if r.Err != nil {
+			failed++
+		}
+		seeds += r.Seeds
+		peers += r.Peers
+	}
+	if failed != stats.ProbeFailures || peers != stats.PeersObserved || seeds != 1 {
+		t.Fatalf("hook saw %d failures, %d peers, %d seeds; stats %+v (want 1 seed: the harness has one)", failed, peers, seeds, stats)
 	}
 }
 
@@ -254,13 +315,15 @@ func TestFleetThousandMonitorsUnderDatagramLoss(t *testing.T) {
 		},
 	}
 	stats := runFleetTest(t, h, Config{
-		Monitors:     1000,
-		Rounds:       2,
-		Interval:     500 * time.Millisecond,
-		DialTimeout:  2 * time.Second,
-		BitfieldWait: 100 * time.Millisecond,
-		DialBudget:   128,
-		UDP:          uc,
+		Monitors:   1000,
+		Rounds:     2,
+		Interval:   500 * time.Millisecond,
+		DialBudget: 128,
+		Probe: peer.ProbeConfig{
+			DialTimeout:  2 * time.Second,
+			BitfieldWait: 100 * time.Millisecond,
+			UDP:          uc,
+		},
 	})
 	if fs := fn.Stats(); fs.DatagramsLost == 0 {
 		t.Fatalf("fault layer injected no datagram loss (%+v) — the chaos half of the test is dead", fs)

@@ -111,6 +111,14 @@ func TestIngestMalformedBodyLeavesStateUnchanged(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad record 1") {
 			t.Fatalf("malformed body: got %d %s, want 400 bad record 1", rec.Code, rec.Body)
 		}
+		// JSON has no spelling for a non-finite time: an overflowing
+		// literal is the nearest a client can get, and it is a bad record.
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest",
+			strings.NewReader(valid+`{"swarm_id":2,"peer_id":1,"seed":true,"online":true,"t":1e999}`+"\n")))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad record 1") {
+			t.Fatalf("overflowing time: got %d %s, want 400 bad record 1", rec.Code, rec.Body)
+		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(valid))
 		req.Header.Set(ingest.HeaderSource, "src")
 		req.Header.Set(ingest.HeaderSeq, "0")

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -43,7 +44,7 @@ func TestOpsCodecRoundTrip(t *testing.T) {
 	for _, sn := range snaps {
 		ops = append(ops, CensusOp(sn))
 	}
-	ops = append(ops, EventOp(Record{SwarmID: -3, PeerID: math.MaxUint64, Seed: true, Online: true, Time: math.Inf(1)}))
+	ops = append(ops, EventOp(Record{SwarmID: -3, PeerID: math.MaxUint64, Seed: true, Online: true, Time: math.MaxFloat64}))
 
 	frame, err := encodeOps(nil, ops)
 	if err != nil {
@@ -78,12 +79,24 @@ func TestOpsCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// withLastTime returns a copy of an encoded frame whose last op is an
+// event, with that event's time overwritten: the only way to build a
+// frame holding a time the encoder refuses.
+func withLastTime(frame []byte, t float64) []byte {
+	frame = append([]byte{}, frame...)
+	binary.LittleEndian.PutUint64(frame[len(frame)-8:], math.Float64bits(t))
+	return frame
+}
+
 func TestDecodeOpsRejectsGarbage(t *testing.T) {
 	valid, err := encodeOps(nil, []Op{EventOp(Record{SwarmID: 1, Time: 2})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
+		"NaN time":        withLastTime(valid, math.NaN()),
+		"+Inf time":       withLastTime(valid, math.Inf(1)),
+		"-Inf time":       withLastTime(valid, math.Inf(-1)),
 		"empty":           nil,
 		"short":           {1, 0, 0},
 		"bad version":     append([]byte{99}, valid[1:]...),
@@ -99,6 +112,61 @@ func TestDecodeOpsRejectsGarbage(t *testing.T) {
 		if _, err := decodeOps(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	if _, err := decodeOps(withLastTime(valid, -math.MaxFloat64)); err != nil {
+		t.Errorf("a finite time was refused: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := encodeOps(nil, []Op{EventOp(Record{SwarmID: 1, Time: bad})}); err == nil {
+			t.Errorf("an event at time %v encoded without error", bad)
+		}
+	}
+}
+
+// TestDurableRefusesNonFiniteTime: an event whose time is NaN or ±Inf is
+// refused before it is journaled or acknowledged, by the frame path (the
+// bytes arrive encoded) and by the in-process one (the engine encodes).
+// Accepted, it would put NaN in the swarm's UpSince (or +Inf in its
+// LastEvent), every later Checkpoint would fail in encoding/json, and a
+// restart would replay the frame.
+func TestDurableRefusesNonFiniteTime(t *testing.T) {
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	good := []Op{EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 0.5})}
+	if err := e.Submit(good); err != nil {
+		t.Fatal(err)
+	}
+	seq := e.WAL().LastSeq()
+
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// The frame as a peer's encoder without the check would send it.
+		frame, err := encodeKeyedOps(nil, "mon-nan", uint64(i+1), good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied, err := e.SubmitFrame(withLastTime(frame, bad)); err == nil {
+			t.Errorf("a frame holding an event at time %v was accepted (applied=%v)", bad, applied)
+		}
+		if err := e.Submit([]Op{good[0], EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: bad})}); err == nil {
+			t.Errorf("Submit accepted an event at time %v", bad)
+		}
+	}
+	if got := e.WAL().LastSeq(); got != seq {
+		t.Errorf("journal moved from seq %d to %d: a refused frame reached the WAL", seq, got)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after refused non-finite times: %v", err)
+	}
+	if st, ok := e.Swarm(1); !ok || st.Events != 1 {
+		t.Fatalf("swarm 1 = %+v (known=%v), want the one accepted event", st, ok)
+	}
+	// The key of a refused frame is not spent: the monitor's corrected
+	// retry under the same key applies.
+	if applied, err := e.SubmitKeyed("mon-nan", 1, good); err != nil || !applied {
+		t.Fatalf("retry under the refused frame's key: applied=%v err=%v", applied, err)
 	}
 }
 

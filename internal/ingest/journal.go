@@ -47,14 +47,26 @@ type metaWire struct {
 	HorizonDays float64         `json:"horizon_days"`
 }
 
+// errNonFiniteTime refuses an event whose time is NaN or ±Inf, on both
+// sides of the codec: such a time would poison the swarm's UpSince or
+// LastEvent, which no later checkpoint could then encode
+// (encoding/json), and a journaled frame would bring it back on every
+// restart.
+func errNonFiniteTime(i int, t float64) error {
+	return fmt.Errorf("ingest: event op %d has non-finite time %v", i, t)
+}
+
 // encodeOps appends the wire form of ops to dst: a version byte, an op
 // count, then each op.
 func encodeOps(dst []byte, ops []Op) ([]byte, error) {
 	dst = append(dst, opsCodecVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
-	for _, op := range ops {
+	for i, op := range ops {
 		switch op.kind {
 		case opEvent:
+			if t := op.rec.Time; t-t != 0 { // NaN or ±Inf
+				return nil, errNonFiniteTime(i, t)
+			}
 			dst = append(dst, byte(opEvent))
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(op.rec.SwarmID))
 			dst = binary.LittleEndian.AppendUint64(dst, op.rec.PeerID)
@@ -158,10 +170,11 @@ func splitFrame(data []byte) (source string, seq uint64, body []byte, err error)
 }
 
 // decodeOps parses one WAL frame back into ops. It is total: any input
-// — truncated, oversized counts, unknown kinds, bad JSON — returns an
-// error, never a panic or an over-allocation, because recovery feeds it
-// frames whose envelope checksum passed but whose payload may still be
-// foreign (a frame written by a different build, say).
+// — truncated, oversized counts, unknown kinds, bad JSON, a non-finite
+// event time — returns an error, never a panic or an over-allocation,
+// because recovery feeds it frames whose envelope checksum passed but
+// whose payload may still be foreign (a frame written by a different
+// build, say).
 func decodeOps(data []byte) ([]Op, error) { return decodeOpsInto(nil, data) }
 
 // decodeOpsInto appends into dst's backing array when it has the
@@ -201,6 +214,9 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 				Seed:    data[17]&1 != 0,
 				Online:  data[17]&2 != 0,
 				Time:    math.Float64frombits(binary.LittleEndian.Uint64(data[18:26])),
+			}
+			if t := rec.Time; t-t != 0 { // NaN or ±Inf
+				return nil, errNonFiniteTime(int(i), t)
 			}
 			ops = append(ops, EventOp(rec))
 			data = data[eventWireBytes:]

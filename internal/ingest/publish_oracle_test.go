@@ -144,7 +144,8 @@ type opStream struct {
 	swarms int
 	// nonFinite adds NaN and ±Inf to the hostile clocks. Off until the
 	// checkpoint is taken: encoding/json cannot carry them, so a swarm
-	// that saw one cannot be checkpointed (true of the engine too).
+	// that saw one cannot be checkpointed. (The op codec refuses them for
+	// that reason; a memory-only engine still hands them to apply.)
 	nonFinite bool
 }
 
@@ -212,6 +213,8 @@ type ringCoverage struct {
 	nonFinite      int // NaN and ±Inf timestamps
 	restoredFine   int // checkpointed bins landed by restore
 	restoredCoarse int
+	restoredOver   int // ...carrying a value larger than a slot can hold
+	foldOnFull     int // evicted fine bins folding into a coarse slot whose Busy is saturated
 }
 
 func (c *ringCoverage) observe(s *shard, op Op) {
@@ -254,8 +257,11 @@ func (c *ringCoverage) observe(s *shard, op Op) {
 			continue
 		}
 		c.fineEvicted++
-		if rec.Index/winFoldFactor > coarseFloor {
+		if cb := rec.Index / winFoldFactor; cb > coarseFloor {
 			c.coarseLanded++
+			if cb <= r.coarseHi && r.coarseSlot(cb).Busy == math.MaxUint32 {
+				c.foldOnFull++
+			}
 		} else {
 			c.evictedToVoid++
 		}
@@ -302,9 +308,29 @@ func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
 			if err := json.Unmarshal(wire, &ckpt); err != nil {
 				t.Fatal(err)
 			}
-			for _, rec := range ckpt.Swarms {
+			// Every other swarm's bins come back larger than a slot can
+			// hold, as a foreign or damaged checkpoint could carry them.
+			// restore must cut each value to its slot on both sides of the
+			// mirror, and what follows — events on a full fine slot,
+			// evictions folding into a full coarse one, their own eviction —
+			// must keep the ring and the aggregate one thing.
+			for i := range ckpt.Swarms {
+				rec := &ckpt.Swarms[i]
 				cov.restoredFine += len(rec.WinFine)
 				cov.restoredCoarse += len(rec.WinCoarse)
+				if i%2 == 1 {
+					continue
+				}
+				for j := range rec.WinFine {
+					rec.WinFine[j].Events += 1 << 32
+					rec.WinFine[j].Tracked += 1 << 40
+					cov.restoredOver += 2
+				}
+				if n := len(rec.WinCoarse); n > 0 {
+					rec.WinCoarse[n-1].Busy += 1 << 32
+					rec.WinCoarse[n-1].Events += 1 << 33
+					cov.restoredOver += 2
+				}
 			}
 			r := oracleShard()
 			r.install(&ckpt)
@@ -339,6 +365,8 @@ func TestPublishedViewMatchesRebuildOracle(t *testing.T) {
 				"late event behind the fine window": cov.lateCoarse, "late event beyond retention": cov.lateDropped,
 				"1e12 timestamp": cov.farFuture, "non-finite timestamp": cov.nonFinite,
 				"restored fine bin": cov.restoredFine, "restored coarse bin": cov.restoredCoarse,
+				"restored value past a slot's width": cov.restoredOver,
+				"fold into a saturated coarse slot":  cov.foldOnFull,
 			} {
 				if n == 0 {
 					t.Errorf("the op stream never drove: %s", name)

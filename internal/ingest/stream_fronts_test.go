@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,16 @@ func streamViolations(t *testing.T, addr string, state func() []byte) (stood uin
 	badCodec := func([]byte) []byte {
 		return wal.AppendFrame(nil, []byte{ingest.StreamFrameData, 0xEE, 0xFF, 0x00, 0x01, 0x02})
 	}
+	// A well-formed frame whose last event is timestamped NaN, as an
+	// encoder without the check would send it (EncodeFrame refuses to).
+	nanTime := func([]byte) []byte {
+		frame, err := ingest.EncodeFrame(nil, "mon-bad", 99, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(frame[len(frame)-8:], math.Float64bits(math.NaN()))
+		return wal.AppendFrame(nil, append([]byte{ingest.StreamFrameData}, frame...))
+	}
 	cases := []struct {
 		name     string
 		prefix   int // good frames pipelined ahead of the bad one (and two behind it)
@@ -120,6 +131,7 @@ func streamViolations(t *testing.T, addr string, state func() []byte) (stood uin
 			return wal.AppendFrame(nil, []byte{0x7F, 0x00})
 		}, ingest.StreamErrProto, false},
 		{"bad ops codec mid-burst", 3, badCodec, ingest.StreamErrCodec, false},
+		{"non-finite event time mid-burst", 2, nanTime, ingest.StreamErrCodec, false},
 		{"flipped payload bit mid-burst", 2, flipBit, ingest.StreamErrProto, false},
 		// Only the eight header bytes, claiming one byte past the bound: the
 		// refusal must come on the header alone, not after a payload the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"sync"
@@ -385,6 +386,15 @@ func FuzzOpCodec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(keyed)
+	}
+	// Non-finite event times: the decoder refuses them, so nothing the
+	// fuzzer grows from these may decode into an op the encoder refuses.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		frame, err := EncodeFrame(nil, "source-a", 42, recOps)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(withLastTime(frame, bad))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0})

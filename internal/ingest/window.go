@@ -19,6 +19,12 @@
 // included), and cluster partitioning keeps swarms whole, a merged
 // clustered WindowState is identical — and renders byte-identical — to
 // the WindowState of a single engine that saw the whole stream.
+//
+// A ring slot is narrower than the value that lands on it (fineBin,
+// coarseBin), so a slot field saturates: a delta is cut to the room left
+// in the slot before it is added anywhere. The cut depends on the slot
+// alone, so the ring stays a function of the swarm's own stream and every
+// sum downstream stays exact over what the rings hold.
 package ingest
 
 import (
@@ -34,8 +40,10 @@ import (
 // bin — far below the float64 noise floor of the inputs.
 const winUnitsPerBin = 1 << 30
 
-// winBin is one time bin of one swarm's ring. The JSON tags are the
-// checkpoint format: a winBinRecord embeds the bin as it is.
+// winBin is the contents of one time bin of one swarm as a value: the
+// delta an event lands, what a slot held when it is lifted, a checkpointed
+// bin. The JSON tags are the checkpoint format: a winBinRecord embeds the
+// bin as it is.
 type winBin struct {
 	Covered uint64 `json:"c,omitempty"` // seeded time, in winUnitsPerBin-ths of the bin width
 	Tracked uint64 `json:"t,omitempty"` // observed time, same units
@@ -45,6 +53,34 @@ type winBin struct {
 
 func (b *winBin) zero() bool {
 	return b.Covered|b.Tracked|b.Busy|b.Events == 0
+}
+
+// fineBin is a fine ring slot: 16 bytes, four to a cache line. A day-bin
+// holds at most one bin width of time (winUnitsPerBin = 2^30 units, plus
+// rounding), so 32 bits carry it with room to spare; the counters
+// saturate at 2^32-1 events (or busy starts) per swarm per bin.
+type fineBin struct {
+	Covered, Tracked, Busy, Events uint32
+}
+
+func (s *fineBin) zero() bool { return s.Covered|s.Tracked|s.Busy|s.Events == 0 }
+
+func (s *fineBin) wide() winBin {
+	return winBin{Covered: uint64(s.Covered), Tracked: uint64(s.Tracked), Busy: uint64(s.Busy), Events: uint64(s.Events)}
+}
+
+// coarseBin is a coarse ring slot: 24 bytes. It sums winFoldFactor fine
+// bins, so its time fields keep 64 bits; its counters saturate like a
+// fine slot's.
+type coarseBin struct {
+	Covered, Tracked uint64
+	Busy, Events     uint32
+}
+
+func (s *coarseBin) zero() bool { return s.Covered|s.Tracked|uint64(s.Busy|s.Events) == 0 }
+
+func (s *coarseBin) wide() winBin {
+	return winBin{Covered: s.Covered, Tracked: s.Tracked, Busy: uint64(s.Busy), Events: uint64(s.Events)}
 }
 
 // The window geometry: winFineBins bins of winBinDays days at full
@@ -73,11 +109,12 @@ const (
 // addressed modularly by absolute bin index; fineHi/coarseHi are the
 // newest absolute indices currently represented, so the live fine window
 // is [fineHi-winFineBins+1, fineHi]. The two rings are separate
-// allocations, made on a swarm's first event (DESIGN §7: one 3 KB block
-// for both measured ≈20% slower on the apply path).
+// allocations (1 024 B and 768 B, both exact size classes), made on a
+// swarm's first event (DESIGN §7: one block for both measured ≈20% slower
+// on the apply path).
 type winRing struct {
-	fine     *[winFineBins]winBin
-	coarse   *[winCoarseBins]winBin
+	fine     *[winFineBins]fineBin
+	coarse   *[winCoarseBins]coarseBin
 	fineHi   int64
 	coarseHi int64 // in coarse-bin units (fine index / winFoldFactor)
 }
@@ -86,16 +123,28 @@ func (r *winRing) inited() bool { return r.fine != nil }
 
 // fineSlot and coarseSlot return the ring slot of a non-negative
 // absolute bin index.
-func (r *winRing) fineSlot(b int64) *winBin    { return &r.fine[uint64(b)%winFineBins] }
-func (r *winRing) coarseSlot(cb int64) *winBin { return &r.coarse[uint64(cb)%winCoarseBins] }
+func (r *winRing) fineSlot(b int64) *fineBin      { return &r.fine[uint64(b)%winFineBins] }
+func (r *winRing) coarseSlot(cb int64) *coarseBin { return &r.coarse[uint64(cb)%winCoarseBins] }
 
-// binIndex maps a time in days to its absolute fine-bin index
-// (negative times clamp to bin 0).
+// winMaxBin is the largest absolute fine-bin index: binIndex saturates
+// there. Converting a float64 of 2^63 or more to int64 is
+// implementation-defined in Go (amd64 and arm64 disagree), which would
+// let one swarm's ring differ between the nodes of a mixed cluster; 2^62
+// leaves every index sum the ring computes inside int64.
+const winMaxBin = 1 << 62
+
+// binIndex maps a time in days to its absolute fine-bin index. It is
+// total: negative times and NaN clamp to bin 0, times past winMaxBin
+// (+Inf included) to winMaxBin.
 func binIndex(t float64) int64 {
-	if t <= 0 {
+	b := t / winBinDays
+	if !(b > 0) {
 		return 0
 	}
-	return int64(t / winBinDays)
+	if b >= winMaxBin {
+		return winMaxBin
+	}
+	return int64(b)
 }
 
 // quantize converts a span of d days to integer bin units; one rounding
@@ -120,8 +169,8 @@ func (r *winRing) advance(agg *winAgg, nb int64) {
 		nb = 0
 	}
 	if !r.inited() {
-		r.fine = new([winFineBins]winBin)
-		r.coarse = new([winCoarseBins]winBin)
+		r.fine = new([winFineBins]fineBin)
+		r.coarse = new([winCoarseBins]coarseBin)
 		r.fineHi = nb
 		r.coarseHi = nb / winFoldFactor
 		return
@@ -137,7 +186,8 @@ func (r *winRing) advance(agg *winAgg, nb int64) {
 	if nc := nb / winFoldFactor; nc > r.coarseHi {
 		for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= min(nc-winCoarseBins, r.coarseHi); cb++ {
 			if s := r.coarseSlot(cb); !s.zero() {
-				agg.coarse.lift(s, cb)
+				agg.coarse.lift(cb, s.wide())
+				*s = coarseBin{}
 			}
 		}
 		r.coarseHi = nc
@@ -147,13 +197,53 @@ func (r *winRing) advance(agg *winAgg, nb int64) {
 		if s.zero() {
 			continue
 		}
-		bin := *s
-		agg.fine.lift(s, b)
+		bin := s.wide()
+		agg.fine.lift(b, bin)
+		*s = fineBin{}
 		if cb := b / winFoldFactor; cb > r.coarseHi-winCoarseBins {
-			agg.coarse.land(r.coarseSlot(cb), cb, bin)
+			r.landCoarse(agg, cb, bin)
 		}
 	}
 	r.fineHi = nb
+}
+
+// landFine and landCoarse are the one way a slot of their ring grows:
+// fit the delta to the room left in the slot, mirror what fits into the
+// shard aggregate, add it to the slot. The aggregate therefore receives
+// exactly what the slot received — at the saturation bound too — and lift
+// later takes exactly that back out. (^x is the room above an unsigned x;
+// the coarse slot's 64-bit fields are fitted like the rest, so no field
+// of any slot can wrap.)
+func (r *winRing) landFine(agg *winAgg, b int64, d winBin) {
+	s := r.fineSlot(b)
+	d.Covered = min(d.Covered, uint64(^s.Covered))
+	d.Tracked = min(d.Tracked, uint64(^s.Tracked))
+	d.Busy = min(d.Busy, uint64(^s.Busy))
+	d.Events = min(d.Events, uint64(^s.Events))
+	if d.zero() {
+		return
+	}
+	agg.fine.land(b, d, s.zero())
+	s.Covered += uint32(d.Covered)
+	s.Tracked += uint32(d.Tracked)
+	s.Busy += uint32(d.Busy)
+	s.Events += uint32(d.Events)
+}
+
+func (r *winRing) landCoarse(agg *winAgg, cb int64, d winBin) {
+	s := r.coarseSlot(cb)
+	d.Covered = min(d.Covered, ^s.Covered)
+	d.Tracked = min(d.Tracked, ^s.Tracked)
+	d.Busy = min(d.Busy, uint64(^s.Busy))
+	d.Events = min(d.Events, uint64(^s.Events))
+	if d.zero() {
+		return
+	}
+	agg.coarse.land(cb, d, s.zero())
+	s.Covered += d.Covered
+	s.Tracked += d.Tracked
+	s.Busy += uint32(d.Busy)
+	s.Events += uint32(d.Events)
 }
 
 // add lands units on absolute fine bin b: in the fine window directly,
@@ -164,7 +254,7 @@ func (r *winRing) add(agg *winAgg, b int64, bin winBin) {
 		b = 0
 	}
 	if b > r.fineHi-winFineBins { // b <= fineHi by the advance contract
-		agg.fine.land(r.fineSlot(b), b, bin)
+		r.landFine(agg, b, bin)
 		return
 	}
 	r.addCoarse(agg, b/winFoldFactor, bin)
@@ -174,7 +264,7 @@ func (r *winRing) add(agg *winAgg, b int64, bin winBin) {
 // holds it.
 func (r *winRing) addCoarse(agg *winAgg, cb int64, bin winBin) {
 	if cb > r.coarseHi-winCoarseBins && cb <= r.coarseHi {
-		agg.coarse.land(r.coarseSlot(cb), cb, bin)
+		r.landCoarse(agg, cb, bin)
 	}
 }
 
@@ -233,26 +323,26 @@ func (r *winRing) fold(fine, coarse map[int64]*WindowBinState) {
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
 		if slot := r.fineSlot(b); !slot.zero() {
-			foldBin(fine, b, slot)
+			foldBin(fine, b, slot.wide())
 		}
 	}
 	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
 		if slot := r.coarseSlot(cb); !slot.zero() {
-			foldBin(coarse, cb, slot)
+			foldBin(coarse, cb, slot.wide())
 		}
 	}
 }
 
-func foldBin(m map[int64]*WindowBinState, idx int64, slot *winBin) {
+func foldBin(m map[int64]*WindowBinState, idx int64, bin winBin) {
 	agg := m[idx]
 	if agg == nil {
 		agg = &WindowBinState{Index: idx}
 		m[idx] = agg
 	}
-	agg.Covered += slot.Covered
-	agg.Tracked += slot.Tracked
-	agg.BusyStarts += slot.Busy
-	agg.Events += slot.Events
+	agg.Covered += bin.Covered
+	agg.Tracked += bin.Tracked
+	agg.BusyStarts += bin.Busy
+	agg.Events += bin.Events
 	agg.Swarms++
 }
 
@@ -263,8 +353,9 @@ func foldBin(m map[int64]*WindowBinState, idx int64, slot *winBin) {
 const aggSlots = 512
 
 // binAgg is the sum of one resolution's ring slots over a shard's
-// swarms, kept current at apply time: every ring mutation (land, lift)
-// applies the same integer delta here, so publishing the shard's window
+// swarms, kept current at apply time: every ring mutation (landFine,
+// landCoarse, advance's evictions) applies the same integer delta here
+// through land and lift, so publishing the shard's window
 // is a copy of the live bins instead of a fold over every swarm's ring.
 //
 // Bins live in a direct-mapped table indexed by the low bits of the
@@ -278,25 +369,17 @@ type binAgg struct {
 	far   map[int64]*WindowBinState
 }
 
-// land adds bin to one swarm's ring slot for absolute index idx and the
-// same integer delta to aggregate bin idx — the one way a ring slot
-// grows, so ring and aggregate cannot drift. A slot going from empty to
-// nonempty is its swarm joining the bin.
-func (a *binAgg) land(slot *winBin, idx int64, bin winBin) {
-	if bin.zero() {
-		return
-	}
+// land adds to aggregate bin idx the nonzero delta one swarm's ring slot
+// for that index is about to take (landFine, landCoarse). joins says the
+// slot was empty: its swarm is joining the bin.
+func (a *binAgg) land(idx int64, bin winBin, joins bool) {
 	s := &a.dense[idx&(aggSlots-1)]
 	if s.Index != idx || s.Swarms == 0 {
 		s = a.claim(idx, s)
 	}
-	if slot.zero() {
+	if joins {
 		s.Swarms++
 	}
-	slot.Covered += bin.Covered
-	slot.Tracked += bin.Tracked
-	slot.Busy += bin.Busy
-	slot.Events += bin.Events
 	s.Covered += bin.Covered
 	s.Tracked += bin.Tracked
 	s.BusyStarts += bin.Busy
@@ -321,24 +404,22 @@ func (a *binAgg) claim(idx int64, s *WindowBinState) *WindowBinState {
 	return f
 }
 
-// lift empties one swarm's nonempty ring slot for absolute index idx,
-// taking its contents and the swarm out of aggregate bin idx — the one
-// way a ring slot shrinks. The bin exists: the slot's contents landed
-// through it.
-func (a *binAgg) lift(slot *winBin, idx int64) {
+// lift takes one swarm and its nonempty ring slot's contents out of
+// aggregate bin idx; the caller (advance) then clears the slot — the one
+// way a ring slot shrinks. The bin exists: the contents landed through it.
+func (a *binAgg) lift(idx int64, bin winBin) {
 	s := &a.dense[idx&(aggSlots-1)]
 	inFar := s.Index != idx || s.Swarms == 0
 	if inFar {
 		s = a.far[idx]
 	}
-	s.Covered -= slot.Covered
-	s.Tracked -= slot.Tracked
-	s.BusyStarts -= slot.Busy
-	s.Events -= slot.Events
+	s.Covered -= bin.Covered
+	s.Tracked -= bin.Tracked
+	s.BusyStarts -= bin.Busy
+	s.Events -= bin.Events
 	if s.Swarms--; s.Swarms == 0 && inFar {
 		delete(a.far, idx)
 	}
-	*slot = winBin{}
 }
 
 // bins returns a copy of the live bins in index order.
@@ -392,12 +473,12 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
 		if slot := r.fineSlot(b); !slot.zero() {
-			fine = append(fine, winBinRecord{Index: b, winBin: *slot})
+			fine = append(fine, winBinRecord{Index: b, winBin: slot.wide()})
 		}
 	}
 	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
 		if slot := r.coarseSlot(cb); !slot.zero() {
-			coarse = append(coarse, winBinRecord{Index: cb, winBin: *slot})
+			coarse = append(coarse, winBinRecord{Index: cb, winBin: slot.wide()})
 		}
 	}
 	return fine, coarse
@@ -407,8 +488,9 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 // lastEvent, so a load reproduces the ring exactly. Every restored bin
 // lands through the same mirror as a live one, so a checkpoint load seeds
 // the shard aggregate — and through add/addCoarse, whose window tests
-// are the bounds check on indices read from disk: an index the ring at
-// this head has no slot for lands nowhere.
+// are the bounds check on indices read from disk (an index the ring at
+// this head has no slot for lands nowhere) and whose fit is the bounds
+// check on values: a bin larger than a slot can hold is cut to the slot.
 func (r *winRing) restore(agg *winAgg, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
 	if !touched && len(fine) == 0 && len(coarse) == 0 {
 		return

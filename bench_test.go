@@ -35,9 +35,9 @@ import (
 	"swarmavail/internal/wal"
 )
 
-// benchDriver runs one experiment driver per iteration and reports a
-// numeric headline extracted from its notes when extract is non-nil.
-func benchDriver(b *testing.B, id string, metric string, extract func(*experiments.Result) float64) {
+// benchDriver runs one experiment driver per iteration and reports the
+// headline the driver recorded under the key metric ("" reports none).
+func benchDriver(b *testing.B, id string, metric string) {
 	b.Helper()
 	d, ok := experiments.Lookup(id)
 	if !ok {
@@ -51,111 +51,78 @@ func benchDriver(b *testing.B, id string, metric string, extract func(*experimen
 		}
 		last = res
 	}
-	if extract != nil && last != nil {
-		b.ReportMetric(extract(last), metric)
+	if metric == "" {
+		return
 	}
-}
-
-// noteNumber pulls the last parseable float from the first note
-// containing substr.
-func noteNumber(res *experiments.Result, substr string) float64 {
-	for _, n := range res.Notes {
-		if !strings.Contains(n, substr) {
-			continue
-		}
-		fields := strings.FieldsFunc(n, func(r rune) bool {
-			return !(r == '.' || r == '-' || r == '+' || (r >= '0' && r <= '9'))
-		})
-		for i := len(fields) - 1; i >= 0; i-- {
-			if v, err := strconv.ParseFloat(strings.Trim(fields[i], ".+-"), 64); err == nil {
-				return v
-			}
-		}
+	v, ok := last.Value(metric)
+	if !ok {
+		b.Fatalf("%s records no headline %q", id, metric)
 	}
-	return -1
+	b.ReportMetric(v, metric)
 }
 
 // ---------------------------------------------------------------------------
 // One benchmark per paper artefact.
 
 func BenchmarkFig1SeedAvailabilityCDF(b *testing.B) {
-	benchDriver(b, "fig1", "pct_fully_seeded_month1", func(r *experiments.Result) float64 {
-		return noteNumber(r, "fully seeded")
-	})
+	benchDriver(b, "fig1", "pct_fully_seeded_month1")
 }
 
 func BenchmarkSec23BundlingExtent(b *testing.B) {
-	benchDriver(b, "sec2.3", "pct_seedless_bundles", func(r *experiments.Result) float64 {
-		return noteNumber(r, "seedless")
-	})
+	benchDriver(b, "sec2.3", "pct_seedless_bundles")
 }
 
 func BenchmarkFig2SamplePath(b *testing.B) {
-	benchDriver(b, "fig2", "busy_periods", func(r *experiments.Result) float64 {
-		return noteNumber(r, "busy periods")
-	})
+	benchDriver(b, "fig2", "busy_periods")
 }
 
 func BenchmarkFig3DownloadTimeVsK(b *testing.B) {
-	benchDriver(b, "fig3", "optimal_K_at_900", func(r *experiments.Result) float64 {
-		return noteNumber(r, "1/R=900")
-	})
+	benchDriver(b, "fig3", "optimal_K_at_900")
 }
 
 func BenchmarkFig4SeedlessAvailability(b *testing.B) {
-	benchDriver(b, "fig4", "peers_served_K10", func(r *experiments.Result) float64 {
-		return noteNumber(r, "K=10")
-	})
+	benchDriver(b, "fig4", "peers_served_K10")
 }
 
 func BenchmarkTableBmResidualBusyPeriods(b *testing.B) {
-	benchDriver(b, "table-bm", "", nil)
+	benchDriver(b, "table-bm", "")
 }
 
 func BenchmarkFig5PeerTimelines(b *testing.B) {
-	benchDriver(b, "fig5", "", nil)
+	benchDriver(b, "fig5", "")
 }
 
 func BenchmarkFig6aDownloadTimeVsK(b *testing.B) {
-	benchDriver(b, "fig6a", "testbed_optimal_K", func(r *experiments.Result) float64 {
-		return noteNumber(r, "testbed optimal")
-	})
+	benchDriver(b, "fig6a", "testbed_optimal_K")
 }
 
 func BenchmarkFig6bHeterogeneousUploads(b *testing.B) {
-	benchDriver(b, "fig6b", "optimal_K", func(r *experiments.Result) float64 {
-		return noteNumber(r, "optimal K")
-	})
+	benchDriver(b, "fig6b", "optimal_K")
 }
 
 func BenchmarkFig6cHeterogeneousDemand(b *testing.B) {
-	benchDriver(b, "fig6c", "bundle_mean_s", func(r *experiments.Result) float64 {
-		return noteNumber(r, "bundle mean")
-	})
+	benchDriver(b, "fig6c", "bundle_mean_s")
 }
 
 func BenchmarkFig7ArrivalPatterns(b *testing.B) {
-	benchDriver(b, "fig7", "", nil)
+	benchDriver(b, "fig7", "")
 }
 
 func BenchmarkTheoremScalingLaws(b *testing.B) {
-	benchDriver(b, "scaling-laws", "doubling_ratio", func(r *experiments.Result) float64 {
-		return noteNumber(r, "doubling-difference ratio")
-	})
+	benchDriver(b, "scaling-laws", "doubling_ratio")
 }
 
 func BenchmarkFluidBaselineComparison(b *testing.B) {
-	benchDriver(b, "fluid-baseline", "avail_model_optimum", func(r *experiments.Result) float64 {
-		return noteNumber(r, "availability model optimum")
-	})
+	benchDriver(b, "fluid-baseline", "avail_model_optimum")
 }
 
 func BenchmarkEq16ModelValidation(b *testing.B) {
 	// The §4.3.1 validation curve evaluated directly from the model.
-	model := core.SwarmParams{Lambda: 1.0 / 60, Size: 4000, Mu: 50, R: 1.0 / 900, U: 300}
+	tb := experiments.Sec43
+	model := tb.Model(tb.Lambda, tb.SizeKB)
 	var best int
 	for i := 0; i < b.N; i++ {
-		best, _ = model.OptimalBundleSizeThreshold(8, 9, core.ConstantPublisher)
+		best, _ = model.OptimalBundleSizeThreshold(8, tb.Threshold, core.ConstantPublisher)
 	}
 	b.ReportMetric(float64(best), "model_optimal_K")
 }
@@ -164,49 +131,47 @@ func BenchmarkEq16ModelValidation(b *testing.B) {
 // Ablations (DESIGN.md §4).
 
 func BenchmarkAblationCoverageThreshold(b *testing.B) {
-	benchDriver(b, "ablation-threshold", "", nil)
+	benchDriver(b, "ablation-threshold", "")
 }
 
 func BenchmarkAblationPatience(b *testing.B) {
-	benchDriver(b, "ablation-patience", "", nil)
+	benchDriver(b, "ablation-patience", "")
 }
 
 func BenchmarkAblationLingering(b *testing.B) {
-	benchDriver(b, "ablation-lingering", "", nil)
+	benchDriver(b, "ablation-lingering", "")
 }
 
 func BenchmarkAblationArrivalPattern(b *testing.B) {
-	benchDriver(b, "ablation-arrivals", "", nil)
+	benchDriver(b, "ablation-arrivals", "")
 }
 
 func BenchmarkAblationPieceSelection(b *testing.B) {
-	benchDriver(b, "ablation-pieces", "", nil)
+	benchDriver(b, "ablation-pieces", "")
 }
 
 func BenchmarkAblationBusyPeriodModel(b *testing.B) {
-	benchDriver(b, "ablation-busyperiod", "", nil)
+	benchDriver(b, "ablation-busyperiod", "")
 }
 
 func BenchmarkAblationWaitingGroup(b *testing.B) {
-	benchDriver(b, "ablation-waitinggroup", "", nil)
+	benchDriver(b, "ablation-waitinggroup", "")
 }
 
 func BenchmarkAblationDistributions(b *testing.B) {
-	benchDriver(b, "ablation-distributions", "", nil)
+	benchDriver(b, "ablation-distributions", "")
 }
 
 func BenchmarkAblationTraffic(b *testing.B) {
-	benchDriver(b, "ablation-traffic", "overhead_K4", func(r *experiments.Result) float64 {
-		return noteNumber(r, "K=4")
-	})
+	benchDriver(b, "ablation-traffic", "overhead_K4")
 }
 
 func BenchmarkAblationImpatience(b *testing.B) {
-	benchDriver(b, "ablation-impatience", "", nil)
+	benchDriver(b, "ablation-impatience", "")
 }
 
 func BenchmarkAblationUnchokeSlots(b *testing.B) {
-	benchDriver(b, "ablation-slots", "", nil)
+	benchDriver(b, "ablation-slots", "")
 }
 
 // ---------------------------------------------------------------------------
@@ -234,23 +199,9 @@ func BenchmarkResidualBusyPeriodTable(b *testing.B) {
 
 func BenchmarkSwarmSimulatorK4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		files := make([]swarm.FileSpec, 4)
-		for j := range files {
-			files[j] = swarm.FileSpec{SizeKB: 4000, Lambda: 1.0 / 60}
-		}
-		_, err := swarm.Run(swarm.Config{
-			Seed:                int64(i),
-			Files:               files,
-			PeerUpload:          dist.Deterministic{Value: 50},
-			PublisherUploadKBps: 100,
-			PublisherMode:       swarm.PublisherOnOff,
-			PublisherOn:         dist.NewExponentialFromMean(300),
-			PublisherOff:        dist.NewExponentialFromMean(900),
-			DepartureLagSeconds: 15,
-			ArrivalCutoff:       1200,
-			Horizon:             8000,
-		})
-		if err != nil {
+		cfg := experiments.Sec43.Swarm(experiments.Sec43.Files(4), int64(i), 8000)
+		cfg.ArrivalCutoff = 1200
+		if _, err := swarm.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,16 +1,6 @@
-// Command study runs the synthetic measurement campaign end to end: it
-// generates the seven-month availability study and the single-day
-// census, persists both as JSON-lines datasets, re-reads them, and
-// prints the §2 analysis — the full pipeline the paper's measurement
-// section describes, on the synthetic substrate.
-//
-// Usage:
-//
-//	study [-swarms 20000] [-census 100000] [-seed 42] [-dir data]
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,29 +12,30 @@ import (
 	"swarmavail/internal/trace"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// run is the command: it returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("study", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runStudy runs the synthetic measurement campaign end to end: it
+// generates the seven-month availability study and the single-day
+// census, persists both as JSON-lines datasets, re-reads them, and
+// prints the §2 analysis — the full pipeline the paper's measurement
+// section describes, on the synthetic substrate:
+//
+//	swarmavail study [-swarms 20000] [-census 100000] [-seed 42] [-dir data]
+func runStudy(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		swarms = fs.Int("swarms", 20000, "swarms in the availability study")
 		census = fs.Int("census", 100000, "swarms in the single-day census")
 		seed   = fs.Int64("seed", 42, "random seed")
 		dir    = fs.String("dir", "data", "output directory for the datasets")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	if err := study(stdout, *swarms, *census, *seed, *dir); err != nil {
-		fmt.Fprintf(stderr, "study: %v\n", err)
-		return 1
+	if *swarms < 1 {
+		return refuse("swarms", *swarms, "at least 1")
 	}
-	return 0
+	if *census < 1 {
+		return refuse("census", *census, "at least 1")
+	}
+	return study(stdout, *swarms, *census, *seed, *dir)
 }
 
 func study(stdout io.Writer, swarms, census int, seed int64, dir string) error {

@@ -80,8 +80,7 @@ func AblationWaitingGroup(_ Scale, _ int64) (*Result, error) {
 
 // AblationThreshold sweeps the coverage threshold m in Theorem 3.3.
 func AblationThreshold(_ Scale, _ int64) (*Result, error) {
-	p := core.SwarmParams{Lambda: 1.0 / 60, Size: 4000, Mu: 50, R: 1.0 / 900, U: 300}
-	b := p.Bundle(4, core.ScaledPublisher)
+	b := Sec43.Model(Sec43.Lambda, Sec43.SizeKB).Bundle(4, core.ScaledPublisher)
 	res := &Result{
 		ID:          "ablation-threshold",
 		Description: "Sensitivity of eq. (14)/(16) to the coverage threshold m",
@@ -163,7 +162,7 @@ func AblationArrivals(scale Scale, seed int64) (*Result, error) {
 		var acc stats.Accumulator
 		completed := 0
 		for run := 0; run < runs; run++ {
-			cfg := fig5Config(k, seed+int64(run)*17, 15000)
+			cfg := Sec43.Swarm(Sec43.Files(k), seed+int64(run)*17, 15000)
 			cfg.ArrivalCutoff = 1200
 			if flash {
 				// Same expected arrivals over the horizon, front-loaded.

@@ -10,12 +10,9 @@ import (
 	"swarmavail/internal/bittorrent/peer"
 	"swarmavail/internal/bittorrent/tracker"
 	"swarmavail/internal/faultnet"
+	"swarmavail/internal/obs"
 	"swarmavail/internal/plot"
 )
-
-// chaos.go threads the package metrics registry (SetMetrics) into every
-// live component it runs: the tracker, the peer fleet, and the fault
-// layer's counters after the run.
 
 func init() {
 	register(Driver{
@@ -33,13 +30,16 @@ func init() {
 // finish from each other through the injected churn. A fixed seed fixes
 // the fault decision stream, so the run is reproducible.
 func Chaos(scale Scale, seed int64) (*Result, error) {
-	res, _, err := chaosRun(scale, seed)
+	res, _, err := chaosRun(scale, seed, nil)
 	return res, err
 }
 
 // chaosRun is the driver body; tests use the returned fault stats to
-// assert the run actually rode through injected failures.
-func chaosRun(scale Scale, seed int64) (*Result, faultnet.Stats, error) {
+// assert the run actually rode through injected failures, and pass a
+// registry to see the whole fleet on it: the tracker and every peer
+// node record there (tracker_*, peer_*), and the fault layer's counters
+// land on it after the run (chaos_fault_*). nil records nothing.
+func chaosRun(scale Scale, seed int64, reg *obs.Registry) (*Result, faultnet.Stats, error) {
 	leechers := 4
 	fileKB := 24
 	deadline := 60 * time.Second
@@ -66,7 +66,6 @@ func chaosRun(scale Scale, seed int64) (*Result, faultnet.Stats, error) {
 
 	// Tracker + a K=2 bundle, the smallest configuration the paper's
 	// bundling story needs.
-	reg := metricsReg
 	srv := tracker.NewServer()
 	srv.Instrument(reg)
 	trkLn, closeTrk, err := srv.Serve("127.0.0.1:0")

@@ -16,9 +16,7 @@ func TestChaosSustainability(t *testing.T) {
 		t.Skip("live-swarm chaos run")
 	}
 	reg := obs.NewRegistry()
-	SetMetrics(reg)
-	defer SetMetrics(nil)
-	res, stats, err := chaosRun(Quick, 42)
+	res, stats, err := chaosRun(Quick, 42, reg)
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}
@@ -44,6 +42,6 @@ func TestChaosSustainability(t *testing.T) {
 		t.Fatalf("chaos result missing notes/timeline: %+v", res)
 	}
 	for _, note := range res.Notes {
-		t.Log(note)
+		t.Log(note.Text)
 	}
 }

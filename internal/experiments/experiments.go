@@ -1,17 +1,15 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, shared by cmd/figures (full-scale regeneration)
-// and the repository's benchmark harness (scaled-down regeneration with
-// reported metrics). Each driver returns a Result carrying the charts,
-// timelines, boxplots, tables and headline notes that together
-// reconstitute the published artefact.
+// paper's evaluation, shared by `swarmavail figures` (full-scale
+// regeneration) and the repository's benchmark harness (scaled-down
+// regeneration with reported metrics). Each driver returns a Result
+// carrying the charts, timelines, boxplots, tables and headline notes
+// that together reconstitute the published artefact.
 package experiments
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"swarmavail/internal/obs"
 	"swarmavail/internal/plot"
 )
 
@@ -53,12 +51,53 @@ type Result struct {
 	Tables      []Table
 	// Notes carries headline numbers (optima, fractions, factors) that
 	// EXPERIMENTS.md records against the paper's values.
-	Notes []string
+	Notes []Note
 }
 
-// Notef appends a formatted note.
+// Headline is a number a driver reports under a stable key: what
+// EXPERIMENTS.md records, a benchmark reports as a metric and a test
+// asserts on. Passed to Notef as an argument, it is printed under the
+// format's float verb and recorded on the note, so the line and the
+// value a reader gets by key are one number — nothing parses the line
+// back, and a "(paper: N)" beside it cannot be taken for it.
+type Headline struct {
+	Key   string
+	Value float64
+}
+
+// Format prints the value as the float64 it is.
+func (h Headline) Format(f fmt.State, verb rune) {
+	fmt.Fprintf(f, fmt.FormatString(f, verb), h.Value)
+}
+
+// Note is one line of a Result's notes: Text, and the Headlines it was
+// rendered from (none for plain prose).
+type Note struct {
+	Text      string
+	Headlines []Headline
+}
+
+// Notef appends a formatted note, keyed by the Headlines among args.
 func (r *Result) Notef(format string, args ...any) {
-	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+	n := Note{Text: fmt.Sprintf(format, args...)}
+	for _, a := range args {
+		if h, ok := a.(Headline); ok {
+			n.Headlines = append(n.Headlines, h)
+		}
+	}
+	r.Notes = append(r.Notes, n)
+}
+
+// Value returns the headline a driver recorded under key.
+func (r *Result) Value(key string) (float64, bool) {
+	for _, n := range r.Notes {
+		for _, h := range n.Headlines {
+			if h.Key == key {
+				return h.Value, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // Driver is a runnable experiment.
@@ -67,39 +106,6 @@ type Driver struct {
 	Description string
 	Run         func(scale Scale, seed int64) (*Result, error)
 }
-
-// Instrumented returns a copy of d whose Run also records
-// experiment_runs_total{id}, experiment_failures_total{id} and an
-// experiment_run_seconds{id} histogram on reg. A nil registry returns d
-// unchanged. The id label is bounded by the registry of drivers.
-func (d Driver) Instrumented(reg *obs.Registry) Driver {
-	if reg == nil {
-		return d
-	}
-	inner := d.Run
-	id := obs.L("id", d.ID)
-	d.Run = func(scale Scale, seed int64) (*Result, error) {
-		start := time.Now()
-		res, err := inner(scale, seed)
-		reg.Histogram("experiment_run_seconds", obs.LatencyBuckets, id).Observe(time.Since(start).Seconds())
-		reg.Counter("experiment_runs_total", id).Inc()
-		if err != nil {
-			reg.Counter("experiment_failures_total", id).Inc()
-		}
-		return res, err
-	}
-	return d
-}
-
-// metricsReg is the optional registry testbed-backed drivers (chaos)
-// thread into their peer fleet and tracker; see SetMetrics.
-var metricsReg *obs.Registry
-
-// SetMetrics installs a registry for drivers that run live components:
-// the chaos testbed passes it to its tracker and every peer node, so
-// one scrape shows the whole fleet (tracker_*, peer_*, chaos_fault_*
-// series). Call once at startup, before running drivers; nil disables.
-func SetMetrics(reg *obs.Registry) { metricsReg = reg }
 
 // registry holds all drivers keyed by ID.
 var registry = map[string]Driver{}

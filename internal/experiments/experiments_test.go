@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -42,7 +42,8 @@ func TestScaleString(t *testing.T) {
 }
 
 // runQuick executes a driver at Quick scale and does generic sanity
-// checks on its result.
+// checks on its result — among them, for every keyed headline, that the
+// value read by key is the value its note line was rendered from.
 func runQuick(t *testing.T, id string) *Result {
 	t.Helper()
 	d, ok := Lookup(id)
@@ -59,18 +60,81 @@ func runQuick(t *testing.T, id string) *Result {
 	if len(res.Charts)+len(res.Timelines)+len(res.Boxplots)+len(res.Tables)+len(res.Notes) == 0 {
 		t.Fatalf("%s produced nothing", id)
 	}
+	for _, n := range res.Notes {
+		for _, h := range n.Headlines {
+			if got := value(t, res, h.Key); got != h.Value {
+				t.Errorf("%s: key %q reads %v, its note %q was rendered from %v (duplicate key?)",
+					id, h.Key, got, n.Text, h.Value)
+			}
+			if !printedIn(n.Text, h.Value) {
+				t.Errorf("%s: note %q does not print its headline %s = %v", id, n.Text, h.Key, h.Value)
+			}
+		}
+	}
 	return res
 }
 
-func noteContaining(t *testing.T, res *Result, substr string) string {
+// value reads a headline by key; a driver that stopped recording it
+// fails the test.
+func value(t *testing.T, res *Result, key string) float64 {
 	t.Helper()
-	for _, n := range res.Notes {
-		if strings.Contains(n, substr) {
-			return n
+	v, ok := res.Value(key)
+	if !ok {
+		t.Fatalf("%s: no headline %q in %+v", res.ID, key, res.Notes)
+	}
+	return v
+}
+
+var number = regexp.MustCompile(`-?\d+(\.\d+)?`)
+
+// printedIn reports whether some number in text is v at the precision
+// that number was printed with.
+func printedIn(text string, v float64) bool {
+	for _, m := range number.FindAllStringSubmatch(text, -1) {
+		decimals := 0
+		if m[1] != "" {
+			decimals = len(m[1]) - 1
+		}
+		if strconv.FormatFloat(v, 'f', decimals, 64) == m[0] {
+			return true
 		}
 	}
-	t.Fatalf("%s: no note containing %q in %v", res.ID, substr, res.Notes)
-	return ""
+	return false
+}
+
+// TestHeadlineIsTheValueRendered pins the mechanism on the shape that
+// used to be misread: the paper's number in a closing parenthesis is
+// prose, the keyed value is the measurement, and the line is unchanged.
+func TestHeadlineIsTheValueRendered(t *testing.T) {
+	res := &Result{ID: "synthetic"}
+	res.Notef("testbed optimal K=%.0f (paper experiment: K=4)", Headline{"testbed_optimal_K", 6})
+	res.Notef("books seedless: all %.1f%% vs bundles %.1f%% (paper: 62%% vs 36%%)",
+		Headline{"all", 57.44}, Headline{"bundles", 28.571})
+	res.Notef("prose with a number: %d", 7)
+	for key, want := range map[string]float64{"testbed_optimal_K": 6, "all": 57.44, "bundles": 28.571} {
+		if got := value(t, res, key); got != want {
+			t.Errorf("Value(%q) = %v, want %v", key, got, want)
+		}
+	}
+	if _, ok := res.Value("paper"); ok {
+		t.Error("an unrecorded key has a value")
+	}
+	want := []string{
+		"testbed optimal K=6 (paper experiment: K=4)",
+		"books seedless: all 57.4% vs bundles 28.6% (paper: 62% vs 36%)",
+		"prose with a number: 7",
+	}
+	for i, n := range res.Notes {
+		if n.Text != want[i] {
+			t.Errorf("note %d renders %q, want %q", i, n.Text, want[i])
+		}
+	}
+	if len(res.Notes[2].Headlines) != 0 {
+		t.Errorf("prose note carries headlines: %+v", res.Notes[2])
+	}
+	if printedIn("optimal K=6 (paper: K=4)", 5) || !printedIn("mean 341 s (paper: 405 s)", 341.2) {
+		t.Error("printedIn does not compare at the printed precision")
+	}
 }
 
 func TestFig1Quick(t *testing.T) {
@@ -78,8 +142,14 @@ func TestFig1Quick(t *testing.T) {
 	if len(res.Charts) != 1 || len(res.Charts[0].Series) != 2 {
 		t.Fatal("fig1 must have one chart with two CDFs")
 	}
-	noteContaining(t, res, "fully seeded")
-	noteContaining(t, res, "availability ≤20%")
+	// Paper: <35% fully seeded through month one, ≈80% at most 20%
+	// available over the trace.
+	if v := value(t, res, "pct_fully_seeded_month1"); v < 25 || v > 40 {
+		t.Errorf("fully seeded through first month: %.1f%%, want 25–40", v)
+	}
+	if v := value(t, res, "pct_mostly_unavailable"); v < 70 || v > 90 {
+		t.Errorf("availability ≤20%% over whole trace: %.1f%%, want 70–90", v)
+	}
 }
 
 func TestSec23Quick(t *testing.T) {
@@ -90,9 +160,19 @@ func TestSec23Quick(t *testing.T) {
 	if len(res.Tables[0].Rows) != 3 {
 		t.Fatalf("extent table rows: %d", len(res.Tables[0].Rows))
 	}
-	noteContaining(t, res, "62%")
-	noteContaining(t, res, "largest franchise")
-	noteContaining(t, res, "odds ratio")
+	// The paper's direction (62% of all book swarms seedless vs 36% of
+	// bundles; 2578 vs 4216 mean downloads): bundles are seeded more
+	// often and fetched more.
+	all, bundles := value(t, res, "pct_seedless_all"), value(t, res, "pct_seedless_bundles")
+	if !(0 < bundles && bundles < all-10 && all < 100) {
+		t.Errorf("books seedless: all %.1f%% vs bundles %.1f%%, want bundles well below all", all, bundles)
+	}
+	if a, b := value(t, res, "mean_downloads_all"), value(t, res, "mean_downloads_bundles"); !(0 < a && a < b) {
+		t.Errorf("books mean downloads: all %.0f vs bundles %.0f, want bundles above all", a, b)
+	}
+	if v := value(t, res, "tv_odds_ratio"); v <= 1 {
+		t.Errorf("TV bundling/availability odds ratio %.2f, want > 1", v)
+	}
 }
 
 func TestFig3Quick(t *testing.T) {
@@ -189,6 +269,9 @@ func TestFig4Quick(t *testing.T) {
 	if final["K=10"] < final["K=1"]+5 {
 		t.Fatalf("K=10 (%v) not clearly above K=1 (%v)", final["K=10"], final["K=1"])
 	}
+	if v := value(t, res, "peers_served_K10"); v != final["K=10"] {
+		t.Errorf("peers_served_K10 = %v, the K=10 curve ends at %v", v, final["K=10"])
+	}
 }
 
 func TestFig5Quick(t *testing.T) {
@@ -217,13 +300,21 @@ func TestFig6aQuick(t *testing.T) {
 			best, bestK = v, i+1
 		}
 	}
+	// At this seed. Three runs per K do not pin the minimum in general
+	// (EXPERIMENTS.md, Figure 6(a), lists seeds that put it at K=1 and 2).
 	if bestK < 3 || bestK > 6 {
 		t.Errorf("testbed optimum K=%d outside [3,6]: %v", bestK, sim)
 	}
 	if sim[0] < 1.3*best {
 		t.Errorf("K=1 (%v) not clearly worse than optimum (%v)", sim[0], best)
 	}
-	noteContaining(t, res, "model optimal K=")
+	if v := value(t, res, "testbed_optimal_K"); v != float64(bestK) {
+		t.Errorf("testbed_optimal_K = %v, the testbed curve's minimum is at K=%d", v, bestK)
+	}
+	// Paper model: K=5.
+	if v := value(t, res, "model_optimal_K"); v < 4 || v > 6 {
+		t.Errorf("model optimal K=%v outside [4,6]", v)
+	}
 }
 
 func TestFig6cQuick(t *testing.T) {
@@ -249,49 +340,36 @@ func TestFig6cQuick(t *testing.T) {
 	}
 	// Model ordering: solo E[T] strictly increasing in 1/λ.
 	var modelSolo []float64
-	for _, n := range res.Notes {
-		if strings.Contains(n, "model: file") {
-			f := strings.Fields(n)
-			v, err := strconv.ParseFloat(f[len(f)-2], 64)
-			if err != nil {
-				t.Fatalf("cannot parse %q", n)
-			}
-			modelSolo = append(modelSolo, v)
-		}
-	}
-	if len(modelSolo) != 4 {
-		t.Fatalf("model notes missing: %v", res.Notes)
+	for _, key := range []string{"model_solo_s_file1", "model_solo_s_file2", "model_solo_s_file3", "model_solo_s_file4"} {
+		modelSolo = append(modelSolo, value(t, res, key))
 	}
 	for i := 1; i < len(modelSolo); i++ {
 		if modelSolo[i] < modelSolo[i-1] {
 			t.Fatalf("model solo ordering broken: %v", modelSolo)
 		}
 	}
-	noteContaining(t, res, "bundle mean")
+	if v := value(t, res, "bundle_mean_s"); v != bundle {
+		t.Errorf("bundle_mean_s = %v, the bundle's boxplot mean is %v", v, bundle)
+	}
 }
 
 func TestFig7Quick(t *testing.T) {
 	res := runQuick(t, "fig7")
-	noteContaining(t, res, "CV")
+	// A flash crowd is burstier than a steady old swarm (new ≫ old).
+	if young, old := value(t, res, "cv_new_swarm"), value(t, res, "cv_old_swarm"); young < 2*old {
+		t.Errorf("arrival-count CV: new swarm %.2f vs old swarm %.2f, want new ≫ old", young, old)
+	}
 }
 
 func TestScalingLawsQuick(t *testing.T) {
 	res := runQuick(t, "scaling-laws")
-	note := noteContaining(t, res, "doubling-difference ratio")
-	// Extract the trailing number and check it is near 4.
-	fields := strings.Fields(note)
-	v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-	if err != nil {
-		t.Fatalf("cannot parse ratio from %q", note)
-	}
-	if v < 3.5 || v > 4.5 {
+	if v := value(t, res, "doubling_ratio"); v < 3.5 || v > 4.5 {
 		t.Fatalf("scaling ratio %v, want ≈4", v)
 	}
 }
 
 func TestFluidBaselineQuick(t *testing.T) {
 	res := runQuick(t, "fluid-baseline")
-	noteContaining(t, res, "monotone increasing: true")
 	chart := res.Charts[0]
 	if len(chart.Series) != 2 {
 		t.Fatal("fluid chart needs two series")
@@ -307,6 +385,15 @@ func TestFluidBaselineQuick(t *testing.T) {
 	}
 	if !dips {
 		t.Fatalf("availability model curve never dips: %v", avail)
+	}
+	if k := value(t, res, "avail_model_optimum"); k < 2 || avail[int(k)-1] >= avail[0] {
+		t.Errorf("availability model optimum K=%v is not an interior dip of %v", k, avail)
+	}
+	fluid := chart.Series[1].Y
+	for k := 1; k < len(fluid); k++ {
+		if fluid[k] < fluid[k-1] {
+			t.Fatalf("fluid baseline not monotone increasing at K=%d: %v", k+1, fluid)
+		}
 	}
 }
 
@@ -336,7 +423,19 @@ func TestAblationThresholdMonotone(t *testing.T) {
 
 func TestFig6bQuick(t *testing.T) {
 	res := runQuick(t, "fig6b")
-	noteContaining(t, res, "optimal K=")
+	// Three runs per K under heavy-tailed capacities leave the quick
+	// curve too noisy for a range on the optimum (paper: K=5); what must
+	// hold is that the headline is the curve's minimum.
+	ys := res.Charts[0].Series[0].Y
+	k := int(value(t, res, "optimal_K"))
+	if k < 1 || k > len(ys) {
+		t.Fatalf("optimal K=%d outside the sweep: %v", k, ys)
+	}
+	for i, y := range ys {
+		if y < ys[k-1] {
+			t.Errorf("optimal_K = %d, but K=%d has the lower mean: %v", k, i+1, ys)
+		}
+	}
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {

@@ -55,9 +55,9 @@ func Fig1(scale Scale, seed int64) (*Result, error) {
 	h := measure.Headlines(traces)
 	res.Notef("swarms monitored: %d", h.Swarms)
 	res.Notef("fully seeded through first month: %.1f%% (paper: <35%%)",
-		100*h.FullyAvailableFirstMonth)
+		Headline{"pct_fully_seeded_month1", 100 * h.FullyAvailableFirstMonth})
 	res.Notef("availability ≤20%% over whole trace: %.1f%% (paper: ≈80%%)",
-		100*h.MostlyUnavailableOverall)
+		Headline{"pct_mostly_unavailable", 100 * h.MostlyUnavailableOverall})
 	return res, nil
 }
 
@@ -105,9 +105,9 @@ func Sec23(scale Scale, seed int64) (*Result, error) {
 		},
 	})
 	res.Notef("books seedless: all %.1f%% vs bundles %.1f%% (paper: 62%% vs 36%%)",
-		100*cmp.SeedlessAll, 100*cmp.SeedlessBundles)
+		Headline{"pct_seedless_all", 100 * cmp.SeedlessAll}, Headline{"pct_seedless_bundles", 100 * cmp.SeedlessBundles})
 	res.Notef("books mean downloads: all %.0f vs bundles %.0f (paper: 2578 vs 4216)",
-		cmp.MeanDownloadsAll, cmp.MeanDownloadsBundles)
+		Headline{"mean_downloads_all", cmp.MeanDownloadsAll}, Headline{"mean_downloads_bundles", cmp.MeanDownloadsBundles})
 
 	// The Friends-style case study (§2.3.2): the largest TV franchise's
 	// availability-by-bundling split.
@@ -125,7 +125,7 @@ func Sec23(scale Scale, seed int64) (*Result, error) {
 			cs.Swarms, 100*cs.BundleShareAvailable(), 100*cs.BundleShareUnavailable())
 	}
 	res.Notef("TV bundling/availability odds ratio: %.1f (strong positive correlation)",
-		measure.BundlingAvailabilityOddsRatio(snaps, trace.TV))
+		Headline{"tv_odds_ratio", measure.BundlingAvailabilityOddsRatio(snaps, trace.TV)})
 	return res, nil
 }
 
@@ -165,7 +165,8 @@ func Fig7(scale Scale, seed int64) (*Result, error) {
 			},
 		}},
 	}
-	res.Notef("arrival-count CV: new swarm %.2f vs old swarm %.2f (new ≫ old)", ycv, ocv)
+	res.Notef("arrival-count CV: new swarm %.2f vs old swarm %.2f (new ≫ old)",
+		Headline{"cv_new_swarm", ycv}, Headline{"cv_old_swarm", ocv})
 	return res, nil
 }
 

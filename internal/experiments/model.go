@@ -71,7 +71,7 @@ func Fig3(_ Scale, _ int64) (*Result, error) {
 			fmt.Sprintf("%.0f", curve[0]),
 			fmt.Sprintf("%.0f", curve[best-1]),
 		})
-		res.Notef("1/R=%.0f: optimal K=%d", invR, best)
+		res.Notef("1/R=%.0f: optimal K=%.0f", invR, Headline{fmt.Sprintf("optimal_K_at_%.0f", invR), float64(best)})
 	}
 	res.Charts = append(res.Charts, chart)
 	res.Tables = append(res.Tables, optima)
@@ -152,7 +152,7 @@ func ScalingLaws(_ Scale, _ int64) (*Result, error) {
 	// Quadratic-coefficient fit via doubling differences.
 	d1 := exps[3] - exps[1] // e(16)−e(8)
 	d2 := exps[5] - exps[3] // e(32)−e(16)
-	res.Notef("doubling-difference ratio (→4 for Θ(K²)): %.2f", d2/d1)
+	res.Notef("doubling-difference ratio (→4 for Θ(K²)): %.2f", Headline{"doubling_ratio", d2 / d1})
 
 	single := p.DownloadTime()
 	for _, k := range []int{2, 4, 8} {
@@ -203,7 +203,7 @@ func FluidBaseline(_ Scale, _ int64) (*Result, error) {
 			bestAvail = k
 		}
 	}
-	res.Notef("availability model optimum: K=%d", bestAvail)
+	res.Notef("availability model optimum: K=%.0f", Headline{"avail_model_optimum", float64(bestAvail)})
 	monotone := true
 	for k := 1; k < maxK; k++ {
 		if fluidCurve[k] < fluidCurve[k-1] {

@@ -29,8 +29,8 @@ func (o RenderOptions) withDefaults() RenderOptions {
 
 // WriteResult renders a Result: ASCII charts, timelines, boxplots and
 // tables to w, notes at the end, and (optionally) CSV artefacts to
-// opts.CSVDir. It is the single rendering path shared by cmd/figures
-// and any other consumer.
+// opts.CSVDir. It is the single rendering path shared by `swarmavail
+// figures` and any other consumer.
 func WriteResult(w io.Writer, res *Result, opts RenderOptions) error {
 	opts = opts.withDefaults()
 	for i, ch := range res.Charts {
@@ -61,7 +61,7 @@ func WriteResult(w io.Writer, res *Result, opts RenderOptions) error {
 		RenderTable(w, tb)
 	}
 	for _, n := range res.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
+		fmt.Fprintf(w, "  note: %s\n", n.Text)
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func sampleResult() *Result {
 			Header: []string{"k", "value"},
 			Rows:   [][]string{{"1", "10"}, {"22", "3"}},
 		}},
-		Notes: []string{"headline note"},
+		Notes: []Note{{Text: "headline note"}},
 	}
 }
 

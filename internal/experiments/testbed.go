@@ -44,31 +44,64 @@ func init() {
 	})
 }
 
-// fig5Config is the §4.3 testbed: λ = 1/60 per file, μ = 50 KBps peers,
-// 100 KBps publisher alternating on 300 s / off 900 s, 4 MB files.
-func fig5Config(k int, seed int64, horizon float64) swarm.Config {
+// Testbed describes a controlled experiment once. Swarm and Model are
+// its two realisations — the block-level simulator and the §3 model —
+// so the legs a figure compares cannot be handed different numbers.
+type Testbed struct {
+	Lambda     float64 // peer arrival rate per file (1/s)
+	SizeKB     float64 // file size
+	PeerUpKBps float64 // peer upload capacity: the model's μ
+	PubUpKBps  float64 // publisher upload capacity
+	OnSeconds  float64 // mean publisher on time: the model's u
+	OffSeconds float64 // mean publisher off time: the model's 1/r
+	LagSeconds float64 // client shutdown latency (see swarm.Config.DepartureLagSeconds)
+	Threshold  int     // coverage threshold m of eq. (14)/(16)
+}
+
+// Sec43 is the §4.3 testbed: λ = 1/60 per file, 4 MB files, 50 KBps
+// peers, a 100 KBps publisher alternating on 300 s / off 900 s, m = 9.
+var Sec43 = Testbed{
+	Lambda: 1.0 / 60, SizeKB: 4000, PeerUpKBps: 50, PubUpKBps: 100,
+	OnSeconds: 300, OffSeconds: 900, LagSeconds: 15, Threshold: 9,
+}
+
+// Files is a bundle of k of the testbed's files.
+func (t Testbed) Files(k int) []swarm.FileSpec {
 	files := make([]swarm.FileSpec, k)
 	for i := range files {
-		files[i] = swarm.FileSpec{SizeKB: 4000, Lambda: 1.0 / 60}
+		files[i] = swarm.FileSpec{SizeKB: t.SizeKB, Lambda: t.Lambda}
 	}
+	return files
+}
+
+// Swarm is the simulator's configuration of the testbed for one torrent
+// carrying files.
+func (t Testbed) Swarm(files []swarm.FileSpec, seed int64, horizon float64) swarm.Config {
 	return swarm.Config{
 		Seed:                seed,
 		Files:               files,
-		PeerUpload:          dist.Deterministic{Value: 50},
-		PublisherUploadKBps: 100,
+		PeerUpload:          dist.Deterministic{Value: t.PeerUpKBps},
+		PublisherUploadKBps: t.PubUpKBps,
 		PublisherMode:       swarm.PublisherOnOff,
-		PublisherOn:         dist.NewExponentialFromMean(300),
-		PublisherOff:        dist.NewExponentialFromMean(900),
-		DepartureLagSeconds: 15, // client shutdown latency (see Config doc)
+		PublisherOn:         dist.NewExponentialFromMean(t.OnSeconds),
+		PublisherOff:        dist.NewExponentialFromMean(t.OffSeconds),
+		DepartureLagSeconds: t.LagSeconds,
 		Horizon:             horizon,
 	}
+}
+
+// Model is the §3 model's view of a swarm of the testbed with aggregate
+// arrival rate lambda and content size sizeKB; its threshold quantities
+// are evaluated at t.Threshold.
+func (t Testbed) Model(lambda, sizeKB float64) core.SwarmParams {
+	return core.SwarmParams{Lambda: lambda, Size: sizeKB, Mu: t.PeerUpKBps, R: 1 / t.OffSeconds, U: t.OnSeconds}
 }
 
 // Fig2 produces the busy/idle-period illustration from a real simulated
 // sample path: peer and publisher spans plus the derived availability
 // intervals.
 func Fig2(_ Scale, seed int64) (*Result, error) {
-	cfg := fig5Config(2, seed, 3000)
+	cfg := Sec43.Swarm(Sec43.Files(2), seed, 3000)
 	res0, err := swarm.Run(cfg)
 	if err != nil {
 		return nil, err
@@ -103,7 +136,7 @@ func Fig2(_ Scale, seed int64) (*Result, error) {
 		Timelines:   []*plot.Timeline{tl, avail},
 	}
 	out.Notef("availability fraction on this path: %.2f", res0.AvailabilityFraction())
-	out.Notef("busy periods observed: %d", len(res0.AvailableIntervals))
+	out.Notef("busy periods observed: %.0f", Headline{"busy_periods", float64(len(res0.AvailableIntervals))})
 	return out, nil
 }
 
@@ -160,7 +193,8 @@ func Fig4(scale Scale, seed int64) (*Result, error) {
 			s.Y = append(s.Y, acc[b]/float64(runs))
 		}
 		chart.Series = append(chart.Series, s)
-		res.Notef("K=%d: %.1f peers served by t=%.0f s", k, acc[bins-1]/float64(runs), horizon)
+		res.Notef("K=%d: %.1f peers served by t=%.0f s", k,
+			Headline{fmt.Sprintf("peers_served_K%d", k), acc[bins-1] / float64(runs)}, horizon)
 	}
 	res.Charts = append(res.Charts, chart)
 
@@ -181,27 +215,12 @@ func Fig5(scale Scale, seed int64) (*Result, error) {
 		Description: "Peer sojourn timelines under an intermittent publisher",
 	}
 	for _, k := range []int{2, 3, 4} {
-		r, err := swarm.Run(fig5Config(k, seed+int64(k), horizon))
+		r, err := swarm.Run(Sec43.Swarm(Sec43.Files(k), seed+int64(k), horizon))
 		if err != nil {
 			return nil, err
 		}
-		tl := &plot.Timeline{
-			Title:   fmt.Sprintf("Figure 5: K=%d (| span = peer sojourn, = publisher online)", k),
-			Horizon: horizon,
-		}
-		for _, s := range r.PublisherSessions {
-			tl.Spans = append(tl.Spans, plot.Span{Label: "pub", Start: s.Start, End: s.End, Thick: true})
-		}
-		for _, p := range r.Records {
-			tl.Spans = append(tl.Spans, plot.Span{
-				Label: fmt.Sprintf("p%03d", p.ID),
-				Start: p.Arrive,
-				End:   p.Depart,
-				Open:  math.IsInf(p.Depart, 1),
-			})
-		}
-		plot.SortSpansByStart(tl.Spans)
-		res.Timelines = append(res.Timelines, tl)
+		res.Timelines = append(res.Timelines, PeerTimeline(
+			fmt.Sprintf("Figure 5: K=%d (| span = peer sojourn, = publisher online)", k), r))
 
 		// Flash-departure statistic: the largest number of completions
 		// inside any 30-second window (blocked peers released together).
@@ -210,6 +229,26 @@ func Fig5(scale Scale, seed int64) (*Result, error) {
 			k, r.CompletedCount(), burst)
 	}
 	return res, nil
+}
+
+// PeerTimeline draws a run the way Figure 5 does: a thick span per
+// publisher session and a span per admitted peer from arrival to
+// departure (open if it is still online at the horizon), by start time.
+func PeerTimeline(title string, r *swarm.Result) *plot.Timeline {
+	tl := &plot.Timeline{Title: title, Horizon: r.Horizon}
+	for _, s := range r.PublisherSessions {
+		tl.Spans = append(tl.Spans, plot.Span{Label: "pub", Start: s.Start, End: s.End, Thick: true})
+	}
+	for _, p := range r.Records {
+		tl.Spans = append(tl.Spans, plot.Span{
+			Label: fmt.Sprintf("p%03d", p.ID),
+			Start: p.Arrive,
+			End:   p.Depart,
+			Open:  math.IsInf(p.Depart, 1),
+		})
+	}
+	plot.SortSpansByStart(tl.Spans)
+	return tl
 }
 
 func maxCompletionsInWindow(times []float64, window float64) int {
@@ -226,42 +265,31 @@ func maxCompletionsInWindow(times []float64, window float64) int {
 	return best
 }
 
-// fig6Sweep runs the §4.3 download-time-vs-K sweep and returns the mean,
-// CI, and per-K samples.
-func fig6Sweep(ks []int, runs int, seed int64, upload dist.Dist) (means, cis []float64, samples map[int][]float64, err error) {
-	return fig6SweepCapped(ks, runs, seed, upload, nil)
-}
-
-// fig6SweepCapped additionally applies a per-peer download cap (nil =
+// fig6SweepCapped runs the §4.3 download-time-vs-K sweep and returns the
+// download times per K. download is a per-peer download cap (nil =
 // unconstrained) — needed for §4.3.2, where heterogeneous high-capacity
 // uploaders would otherwise drain blocked backlogs at rates no 2008
 // access link could receive.
-func fig6SweepCapped(ks []int, runs int, seed int64, upload, download dist.Dist) (means, cis []float64, samples map[int][]float64, err error) {
-	samples = make(map[int][]float64)
-	for _, k := range ks {
-		var all []float64
+func fig6SweepCapped(ks []int, runs int, seed int64, upload, download dist.Dist) ([]stats.Accumulator, error) {
+	accs := make([]stats.Accumulator, len(ks))
+	for i, k := range ks {
 		for run := 0; run < runs; run++ {
 			// Arrivals stop at 1200 s (the paper's run length) but the
 			// simulation continues so every admitted peer's download
 			// time — including stragglers blocked on the publisher — is
 			// measured without censoring bias.
-			cfg := fig5Config(k, seed+int64(run*100+k), 15000)
+			cfg := Sec43.Swarm(Sec43.Files(k), seed+int64(run*100+k), 15000)
 			cfg.ArrivalCutoff = 1200
 			cfg.PeerUpload = upload
 			cfg.PeerDownload = download
 			r, err := swarm.Run(cfg)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
-			all = append(all, r.DownloadTimes()...)
+			accs[i].AddAll(r.DownloadTimes())
 		}
-		samples[k] = all
-		var acc stats.Accumulator
-		acc.AddAll(all)
-		means = append(means, acc.Mean())
-		cis = append(cis, acc.CI95())
 	}
-	return means, cis, samples, nil
+	return accs, nil
 }
 
 // Fig6a regenerates Figure 6(a) (homogeneous 50 KBps peers) and overlays
@@ -272,14 +300,14 @@ func Fig6a(scale Scale, seed int64) (*Result, error) {
 	if scale == Full {
 		runs = 10 // the paper's 10 runs of 1200 s
 	}
-	means, cis, _, err := fig6Sweep(ks, runs, seed, dist.Deterministic{Value: 50})
+	accs, err := fig6SweepCapped(ks, runs, seed, dist.Deterministic{Value: Sec43.PeerUpKBps}, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	// Model overlay: s/μ = 80 s, λ = 1/60, 1/R = 900 s, u = 300 s, m = 9.
-	model := core.SwarmParams{Lambda: 1.0 / 60, Size: 4000, Mu: 50, R: 1.0 / 900, U: 300}
-	bestModel, modelCurve := model.OptimalBundleSizeThreshold(len(ks), 9, core.ConstantPublisher)
+	model := Sec43.Model(Sec43.Lambda, Sec43.SizeKB)
+	bestModel, modelCurve := model.OptimalBundleSizeThreshold(len(ks), Sec43.Threshold, core.ConstantPublisher)
 
 	res := &Result{
 		ID:          "fig6a",
@@ -299,24 +327,24 @@ func Fig6a(scale Scale, seed int64) (*Result, error) {
 	bestSim := 1
 	for i, k := range ks {
 		sim.X = append(sim.X, float64(k))
-		sim.Y = append(sim.Y, means[i])
+		sim.Y = append(sim.Y, accs[i].Mean())
 		mod.X = append(mod.X, float64(k))
 		mod.Y = append(mod.Y, modelCurve[i])
-		if means[i] < means[bestSim-1] {
+		if accs[i].Mean() < accs[bestSim-1].Mean() {
 			bestSim = k
 		}
 		tb.Rows = append(tb.Rows, []string{
 			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.0f", means[i]),
-			fmt.Sprintf("%.0f", cis[i]),
+			fmt.Sprintf("%.0f", accs[i].Mean()),
+			fmt.Sprintf("%.0f", accs[i].CI95()),
 			fmt.Sprintf("%.0f", modelCurve[i]),
 		})
 	}
 	chart.Series = append(chart.Series, sim, mod)
 	res.Charts = append(res.Charts, chart)
 	res.Tables = append(res.Tables, tb)
-	res.Notef("testbed optimal K=%d (paper experiment: K=4)", bestSim)
-	res.Notef("model optimal K=%d (paper model: K=5)", bestModel)
+	res.Notef("testbed optimal K=%.0f (paper experiment: K=4)", Headline{"testbed_optimal_K", float64(bestSim)})
+	res.Notef("model optimal K=%.0f (paper model: K=5)", Headline{"model_optimal_K", float64(bestModel)})
 	return res, nil
 }
 
@@ -328,7 +356,7 @@ func Fig6b(scale Scale, seed int64) (*Result, error) {
 	if scale == Full {
 		runs = 10
 	}
-	means, cis, _, err := fig6SweepCapped(ks, runs, seed,
+	accs, err := fig6SweepCapped(ks, runs, seed,
 		dist.BitTyrantUploadCapacities(), dist.Deterministic{Value: 1250})
 	if err != nil {
 		return nil, err
@@ -346,15 +374,15 @@ func Fig6b(scale Scale, seed int64) (*Result, error) {
 	best := 1
 	for i, k := range ks {
 		s.X = append(s.X, float64(k))
-		s.Y = append(s.Y, means[i])
-		if means[i] < means[best-1] {
+		s.Y = append(s.Y, accs[i].Mean())
+		if accs[i].Mean() < accs[best-1].Mean() {
 			best = k
 		}
-		_ = cis
 	}
 	chart.Series = append(chart.Series, s)
 	res.Charts = append(res.Charts, chart)
-	res.Notef("optimal K=%d with heterogeneous capacities (paper: K=5, ≥ homogeneous optimum)", best)
+	res.Notef("optimal K=%.0f with heterogeneous capacities (paper: K=5, ≥ homogeneous optimum)",
+		Headline{"optimal_K", float64(best)})
 	return res, nil
 }
 
@@ -372,18 +400,9 @@ func Fig6c(scale Scale, seed int64) (*Result, error) {
 	runExperiment := func(files []swarm.FileSpec, tag int) ([]float64, error) {
 		var all []float64
 		for run := 0; run < runs; run++ {
-			r, err := swarm.Run(swarm.Config{
-				Seed:                seed + int64(tag*1000+run),
-				Files:               files,
-				PeerUpload:          dist.Deterministic{Value: 50},
-				PublisherUploadKBps: 100,
-				PublisherMode:       swarm.PublisherOnOff,
-				PublisherOn:         dist.NewExponentialFromMean(300),
-				PublisherOff:        dist.NewExponentialFromMean(900),
-				DepartureLagSeconds: 15,
-				ArrivalCutoff:       horizon,
-				Horizon:             horizon + 12000,
-			})
+			cfg := Sec43.Swarm(files, seed+int64(tag*1000+run), horizon+12000)
+			cfg.ArrivalCutoff = horizon
+			r, err := swarm.Run(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -402,7 +421,7 @@ func Fig6c(scale Scale, seed int64) (*Result, error) {
 	}
 	var soloMeans []float64
 	for i, l := range lambdas {
-		times, err := runExperiment([]swarm.FileSpec{{SizeKB: 4000, Lambda: l}}, i+1)
+		times, err := runExperiment([]swarm.FileSpec{{SizeKB: Sec43.SizeKB, Lambda: l}}, i+1)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +438,7 @@ func Fig6c(scale Scale, seed int64) (*Result, error) {
 	}
 	bundleFiles := make([]swarm.FileSpec, len(lambdas))
 	for i, l := range lambdas {
-		bundleFiles[i] = swarm.FileSpec{SizeKB: 4000, Lambda: l}
+		bundleFiles[i] = swarm.FileSpec{SizeKB: Sec43.SizeKB, Lambda: l}
 	}
 	bundleTimes, err := runExperiment(bundleFiles, 5)
 	if err != nil {
@@ -446,12 +465,13 @@ func Fig6c(scale Scale, seed int64) (*Result, error) {
 	// ordering is washed out by whole-piece coverage noise (see
 	// EXPERIMENTS.md).
 	for i, l := range lambdas {
-		solo := core.SwarmParams{Lambda: l, Size: 4000, Mu: 50, R: 1.0 / 900, U: 300}
-		res.Notef("model: file %d solo E[T] = %.0f s", i+1, solo.SinglePublisherDownloadTime(9))
+		solo := Sec43.Model(l, Sec43.SizeKB).SinglePublisherDownloadTime(Sec43.Threshold)
+		res.Notef("model: file %d solo E[T] = %.0f s", i+1, Headline{fmt.Sprintf("model_solo_s_file%d", i+1), solo})
 	}
-	bundleModel := core.SwarmParams{Lambda: 1.0 / 3.84, Size: 16000, Mu: 50, R: 1.0 / 900, U: 300}
-	res.Notef("model: bundle E[T] = %.0f s", bundleModel.SinglePublisherDownloadTime(9))
-	res.Notef("bundle mean: %.0f s (paper: 405 s — above file 1's solo 329 s, below files 2–4)", fn.Mean)
+	bundleModel := Sec43.Model(1.0/3.84, 4*Sec43.SizeKB)
+	res.Notef("model: bundle E[T] = %.0f s", bundleModel.SinglePublisherDownloadTime(Sec43.Threshold))
+	res.Notef("bundle mean: %.0f s (paper: 405 s — above file 1's solo 329 s, below files 2–4)",
+		Headline{"bundle_mean_s", fn.Mean})
 	worse := 0
 	for _, m := range soloMeans[1:] {
 		if fn.Mean < m {

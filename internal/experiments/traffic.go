@@ -48,7 +48,7 @@ func AblationSlots(scale Scale, seed int64) (*Result, error) {
 		var acc stats.Accumulator
 		completed := 0
 		for run := 0; run < runs; run++ {
-			cfg := fig5Config(4, seed+int64(run*10+slots), 15000)
+			cfg := Sec43.Swarm(Sec43.Files(4), seed+int64(run*10+slots), 15000)
 			cfg.ArrivalCutoff = 1200
 			cfg.MaxUploads = slots
 			r, err := swarm.Run(cfg)
@@ -94,7 +94,7 @@ func AblationTraffic(scale Scale, seed int64) (*Result, error) {
 	for _, k := range []int{1, 2, 4, 6, 8} {
 		var delivered, wasted, overhead float64
 		for run := 0; run < runs; run++ {
-			cfg := fig5Config(k, seed+int64(run*10+k), 15000)
+			cfg := Sec43.Swarm(Sec43.Files(k), seed+int64(run*10+k), 15000)
 			cfg.ArrivalCutoff = 1200
 			r, err := swarm.Run(cfg)
 			if err != nil {
@@ -113,7 +113,8 @@ func AblationTraffic(scale Scale, seed int64) (*Result, error) {
 			fmt.Sprintf("%.1f", wasted/1000/float64(runs)),
 			fmt.Sprintf("%.2f", overhead),
 		})
-		res.Notef("K=%d: overhead %.2f× (pure bundling ceiling: %d×)", k, overhead, k)
+		res.Notef("K=%d: overhead %.2f× (pure bundling ceiling: %d×)", k,
+			Headline{fmt.Sprintf("overhead_K%d", k), overhead}, k)
 	}
 	chart.Series = append(chart.Series, s)
 	res.Charts = append(res.Charts, chart)
@@ -141,7 +142,7 @@ func AblationImpatience(scale Scale, seed int64) (*Result, error) {
 	for _, k := range []int{1, 2, 4, 6, 8} {
 		var arrivals, completed, abandoned int
 		for run := 0; run < runs; run++ {
-			cfg := fig5Config(k, seed+int64(run*10+k), 15000)
+			cfg := Sec43.Swarm(Sec43.Files(k), seed+int64(run*10+k), 15000)
 			cfg.ArrivalCutoff = 1200
 			cfg.AbandonMeanSeconds = 600
 			r, err := swarm.Run(cfg)

@@ -151,6 +151,22 @@ func (c *Config) withDefaults() Config {
 	return cc
 }
 
+// MaxPieces bounds the content of one torrent. Every peer holds a
+// have-flag per piece and the engine a copy count per piece, so memory
+// is pieces × (peers online + 1) bytes and up: at 2^20 pieces a
+// thousand concurrent peers are 1 GiB. It is 256 GiB of content at the
+// default piece size, four orders of magnitude above the paper's
+// largest bundle (10 × 4 MB = 157 pieces).
+const MaxPieces = 1 << 20
+
+// positive reports whether x is a finite number above zero. The
+// comparisons are written so that NaN fails them: x <= 0 is false for
+// NaN, which the event queue then panics on or never gets past.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports whether x is a finite number, zero or above.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	cc := c.withDefaults()
@@ -159,31 +175,47 @@ func (c *Config) Validate() error {
 	}
 	var lambda float64
 	for i, f := range cc.Files {
-		if f.SizeKB <= 0 {
-			return fmt.Errorf("swarm: file %d has non-positive size", i)
+		if !positive(f.SizeKB) {
+			return fmt.Errorf("swarm: file %d: size %v must be positive and finite", i, f.SizeKB)
 		}
-		if f.Lambda < 0 {
-			return fmt.Errorf("swarm: file %d has negative arrival rate", i)
+		if !nonNegative(f.Lambda) {
+			return fmt.Errorf("swarm: file %d: arrival rate %v must be non-negative and finite", i, f.Lambda)
 		}
 		lambda += f.Lambda
 	}
 	if lambda <= 0 && cc.Arrivals == nil {
 		return fmt.Errorf("swarm: aggregate arrival rate must be positive")
 	}
-	if cc.PieceSizeKB <= 0 {
-		return fmt.Errorf("swarm: piece size must be positive")
+	if !positive(cc.PieceSizeKB) {
+		return fmt.Errorf("swarm: piece size %v must be positive and finite", cc.PieceSizeKB)
+	}
+	if pieces := cc.TotalSizeKB() / cc.PieceSizeKB; pieces > MaxPieces {
+		return fmt.Errorf("swarm: %.3g pieces of content, at most %d", pieces, MaxPieces)
 	}
 	if cc.PeerUpload == nil {
 		return fmt.Errorf("swarm: PeerUpload distribution required")
 	}
-	if cc.PublisherUploadKBps <= 0 {
-		return fmt.Errorf("swarm: publisher upload capacity must be positive")
+	if !positive(cc.PublisherUploadKBps) {
+		return fmt.Errorf("swarm: publisher upload capacity %v must be positive and finite", cc.PublisherUploadKBps)
 	}
 	if cc.PublisherMode == PublisherOnOff && (cc.PublisherOn == nil || cc.PublisherOff == nil) {
 		return fmt.Errorf("swarm: PublisherOn/PublisherOff required for on-off mode")
 	}
-	if cc.Horizon <= 0 {
-		return fmt.Errorf("swarm: horizon must be positive")
+	if !positive(cc.Horizon) {
+		return fmt.Errorf("swarm: horizon %v must be positive and finite", cc.Horizon)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ArrivalCutoff", cc.ArrivalCutoff},
+		{"LingerMeanSeconds", cc.LingerMeanSeconds},
+		{"DepartureLagSeconds", cc.DepartureLagSeconds},
+		{"AbandonMeanSeconds", cc.AbandonMeanSeconds},
+	} {
+		if !nonNegative(f.v) {
+			return fmt.Errorf("swarm: %s %v must be non-negative and finite", f.name, f.v)
+		}
 	}
 	if cc.MaxUploads < 1 {
 		return fmt.Errorf("swarm: MaxUploads must be ≥ 1")

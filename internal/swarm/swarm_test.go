@@ -37,6 +37,27 @@ func TestValidateConfig(t *testing.T) {
 		func(c *Config) { c.PublisherMode = PublisherOnOff },
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.MaxUploads = -2 },
+		// x <= 0 is false for NaN: each of these used to pass, then
+		// panic in the event queue ("des: schedule at NaN"), never
+		// return, or die allocating 4·10⁹ pieces.
+		func(c *Config) { c.Files[0].SizeKB = math.NaN() },
+		func(c *Config) { c.Files[0].SizeKB = math.Inf(1) },
+		func(c *Config) { c.Files[0].SizeKB = 1e12 },
+		func(c *Config) { c.Files[0].SizeKB = MaxPieces*256 + 1 },
+		func(c *Config) { c.Files[0].Lambda = math.NaN() },
+		func(c *Config) { c.Files[0].Lambda = math.Inf(1) },
+		func(c *Config) { c.PieceSizeKB = math.NaN() },
+		func(c *Config) { c.PublisherUploadKBps = math.NaN() },
+		func(c *Config) { c.PublisherUploadKBps = math.Inf(1) },
+		func(c *Config) { c.Horizon = math.NaN() },
+		func(c *Config) { c.Horizon = math.Inf(1) },
+		func(c *Config) { c.ArrivalCutoff = math.NaN() },
+		func(c *Config) { c.ArrivalCutoff = math.Inf(1) },
+		func(c *Config) { c.LingerMeanSeconds = math.NaN() },
+		func(c *Config) { c.LingerMeanSeconds = -1 },
+		func(c *Config) { c.DepartureLagSeconds = math.Inf(1) },
+		func(c *Config) { c.DepartureLagSeconds = -1 },
+		func(c *Config) { c.AbandonMeanSeconds = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		c := oneFileConfig(1)
@@ -45,6 +66,11 @@ func TestValidateConfig(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	atBound := oneFileConfig(1)
+	atBound.Files = []FileSpec{{SizeKB: MaxPieces * 256, Lambda: 1.0 / 150}}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("MaxPieces pieces rejected: %v", err)
 	}
 }
 

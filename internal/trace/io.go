@@ -24,7 +24,7 @@ func WriteTraces(w io.Writer, traces []SwarmTrace) error {
 // Source is the streaming-read interface shared by Scanner (sequential
 // json.Decoder) and ParallelScanner (order-preserving worker-pool
 // decode). Consumers written against Source — the replay helpers,
-// ingest.HTTPClient.PushTraces, cmd/availd, cmd/study — work with
+// ingest.HTTPClient.PushTraces, cmd/availd, cmd/swarmavail — work with
 // either and can pick per workload: Scanner for small inputs or
 // single-core machines, ParallelScanner when decode is the bottleneck.
 type Source[T any] interface {

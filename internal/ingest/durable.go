@@ -111,6 +111,10 @@ const checkpointChunkSwarms = 1024
 // acknowledged (under the default fsync policy). The swarm keyspace is
 // re-partitioned by the engine's current shard count, so cfg.Shards may
 // differ from the run that wrote the checkpoint.
+//
+// A journal frame written under another ops codec version fails the
+// open with the directory untouched: cutting the log there, as is done
+// at a frame no build can read, would delete acknowledged records.
 func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error) {
 	var rs RecoveryStats
 	if d.Dir == "" {
@@ -153,6 +157,11 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	var badSeq uint64
 	replayErr := log.Replay(ckptSeq+1, func(seq uint64, payload []byte) error {
 		source, batchSeq, ops, derr := decodeFrame(payload)
+		if errors.Is(derr, errCodecVersion) {
+			// Another build's frame is not a bad frame: it is whole, and
+			// acknowledged. Refuse to boot and leave the journal as found.
+			return fmt.Errorf("ingest: WAL frame %d: %w; boot this directory once more with the build that wrote it, and stop that build with SIGTERM so its final checkpoint covers the journal", seq, derr)
+		}
 		if derr != nil {
 			badSeq = seq
 			return derr

@@ -94,23 +94,28 @@ func TestDecodeOpsRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"NaN time":        withLastTime(valid, math.NaN()),
-		"+Inf time":       withLastTime(valid, math.Inf(1)),
-		"-Inf time":       withLastTime(valid, math.Inf(-1)),
-		"empty":           nil,
-		"short":           {1, 0, 0},
-		"bad version":     append([]byte{99}, valid[1:]...),
-		"truncated op":    valid[:len(valid)-4],
-		"trailing bytes":  append(append([]byte{}, valid...), 0xee),
-		"absurd count":    {1, 0xff, 0xff, 0xff, 0xff, 0},
-		"unknown kind":    {1, 1, 0, 0, 0, 42},
-		"oversized aux":   {1, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f, 'x'},
-		"meta not json":   {1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 'n', 'o'},
-		"census not json": {1, 1, 0, 0, 0, 2, 2, 0, 0, 0, 'n', 'o'},
+		"NaN time":       withLastTime(valid, math.NaN()),
+		"+Inf time":      withLastTime(valid, math.Inf(1)),
+		"-Inf time":      withLastTime(valid, math.Inf(-1)),
+		"empty":          nil,
+		"short":          {opsCodecVersion, 0, 0},
+		"truncated op":   valid[:len(valid)-4],
+		"trailing bytes": append(append([]byte{}, valid...), 0xee),
+		"absurd count":   append([]byte{opsCodecVersion, 0xff, 0xff, 0xff, 0xff}, valid[opsHeaderSize:]...),
+		"count + 1":      append([]byte{opsCodecVersion, 2, 0, 0, 0}, valid[opsHeaderSize:]...),
+		"unknown kind":   append([]byte{opsCodecVersion, 1, 0, 0, 0, 42}, valid[opsHeaderSize+1:]...),
+		"unknown flags":  append(append([]byte{}, valid[:opsHeaderSize+17]...), append([]byte{4}, valid[opsHeaderSize+18:]...)...),
+		"short meta":     append([]byte{opsCodecVersion, 1, 0, 0, 0, byte(opMeta)}, valid[opsHeaderSize+1:]...),
+		"short census":   append([]byte{opsCodecVersion, 1, 0, 0, 0, byte(opCensus)}, valid[opsHeaderSize+1:]...),
 	}
 	for name, data := range cases {
-		if _, err := decodeOps(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := decodeOps(data); err == nil || errors.Is(err, errCodecVersion) {
+			t.Errorf("%s: decode error %v", name, err)
+		}
+	}
+	for _, v := range []byte{0, 1, keyedCodecVersion, opsCodecVersion + 1, 99} {
+		if _, err := decodeOps(append([]byte{v}, valid[1:]...)); !errors.Is(err, errCodecVersion) {
+			t.Errorf("version %d: decode error %v, want the codec version refusal", v, err)
 		}
 	}
 	if _, err := decodeOps(withLastTime(valid, -math.MaxFloat64)); err != nil {

@@ -240,7 +240,7 @@ type batch struct {
 	// this batch and is journaled verbatim (never re-encoded); otherwise
 	// the core encodes the frame itself into a pooled buffer.
 	wire []byte
-	body []byte // the v1 ops payload inside wire, set by the core
+	body []byte // the ops payload inside wire, set by the core
 	// pooled says ops is a pool-owned batch wholly for shard: ownership
 	// transfers to that shard (or back to the pool on every path that
 	// does not send it). Otherwise ops stays with the caller and is
@@ -570,14 +570,14 @@ func (e *Engine) SubmitKeyed(source string, seq uint64, ops []Op) (applied bool,
 	return err == nil && g[0].applied, err
 }
 
-// SubmitFrame applies one already-encoded wire frame (the v1/v2 ops
-// codec — exactly the bytes a binary stream DATA frame carries). This
+// SubmitFrame applies one already-encoded wire frame (the ops
+// codec, plain or keyed — exactly the bytes a binary stream DATA frame carries). This
 // is the streaming ingest hot path's whole point: the frame is decoded
 // once, and on a durable engine the received bytes are appended to the
 // journal verbatim — no intermediate structs, no re-encode — so the
 // wire format, the WAL format and the recovery format are one format.
 //
-// Keyed (v2) frames ride the same exactly-once windows as SubmitKeyed.
+// Keyed frames ride the same exactly-once windows as SubmitKeyed.
 // A frame that fails to decode is rejected before any state — journal
 // or shards — is touched.
 func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {

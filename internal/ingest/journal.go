@@ -2,25 +2,29 @@ package ingest
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"unicode/utf8"
 
 	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
 	"swarmavail/internal/wal"
 )
 
-// opsCodecVersion versions the WAL frame payload: a batch of Ops. Bump
-// it on any layout change; decodeOps rejects unknown versions so an old
-// binary never misreads a new journal.
-const opsCodecVersion = 1
+// opsCodecVersion versions the ops payload every surface carries — a
+// stream DATA frame, a WAL frame, a shipped frame. A layout change
+// replaces the layout and bumps this number; decodeOpsInto refuses any
+// other (errCodecVersion), so a build never parses another build's
+// frame as something it is not. (2 is taken: the payload's first byte
+// and keyedCodecVersion share one position.)
+const opsCodecVersion = 3
 
 // keyedCodecVersion marks a frame carrying a (source, seq) idempotency
-// key ahead of a complete v1 ops payload:
+// key ahead of a complete ops payload:
 //
-//	[ver=2][u16 len(source)][source bytes][u64 seq][v1 ops frame]
+//	[2][u16 len(source)][source bytes][u64 seq][ops payload]
 //
 // Keying the frame itself — rather than journaling a separate marker —
 // makes the batch and its key one atomic durability unit: a crash can
@@ -32,42 +36,98 @@ const keyedCodecVersion = 2
 // cannot claim an absurd header.
 const maxSourceLen = 256
 
-// Event ops use a fixed-width binary layout (the hot path: one frame
-// per flushed batch, almost all events); registration and census ops
-// carry their bulky payloads as length-prefixed JSON, reusing the
-// types' existing tags.
+// errCodecVersion is the refusal of an ops payload written under another
+// opsCodecVersion (errors.Is). It is not corruption: the frame is whole
+// and some other build reads it, so recovery must not cut the journal
+// at it (OpenDurable).
+var errCodecVersion = errors.New("ingest: foreign ops codec version")
+
+// An ops payload is [opsCodecVersion][u32 count] and then count ops,
+// each led by its kind byte. Everything is little-endian and fixed
+// width: an int travels as its two's-complement u64, a float as its
+// IEEE-754 bits, a string as [u32 len][UTF-8 bytes].
+//
+//	event   [0][u64 swarm][u64 peer][u8 flags: 1 seed, 2 online][f64 time]
+//	meta    [1][swarm meta][f64 horizon days]
+//	census  [2][swarm meta][u64 seeds][u64 leechers][u64 downloads]
+//
+//	swarm meta   [u64 id][u64 category][u64 group][f64 created day][str title]
+//	             [u32 nfiles][nfiles × ([str name][f64 size KB])]
+//
+// nfiles == nilFiles is a nil file list, which a checkpoint renders
+// differently from an empty one. No field is redundant and none has two
+// spellings — the decoder refuses unknown flag bits, invalid UTF-8 and
+// non-finite floats — so decoding a payload and encoding the result
+// reproduces its bytes.
 const (
+	opsHeaderSize  = 1 + 4             // version byte + op count
 	eventWireBytes = 1 + 8 + 8 + 1 + 8 // kind + swarm + peer + flags + time
-	auxWireMin     = 1 + 4             // kind + payload length
+	metaHeadBytes  = 8 + 8 + 8 + 8     // id + category + group + created day
+	fileWireMin    = 4 + 8             // name length + size
+	nilFiles       = math.MaxUint32
 )
 
-// metaWire is the JSON form of a registration op.
-type metaWire struct {
-	Meta        trace.SwarmMeta `json:"meta"`
-	HorizonDays float64         `json:"horizon_days"`
+// errNonFinite refuses an op carrying a NaN or ±Inf, on both sides of
+// the codec: an event time would poison the swarm's UpSince or
+// LastEvent, a created day, file size or horizon its registration, and
+// no later checkpoint could then encode the swarm (JSON has no spelling
+// for them) — while a journaled frame would bring the value back on
+// every restart.
+func errNonFinite(i int, what string, v float64) error {
+	return fmt.Errorf("ingest: op %d has non-finite %s %v", i, what, v)
 }
 
-// errNonFiniteTime refuses an event whose time is NaN or ±Inf, on both
-// sides of the codec: such a time would poison the swarm's UpSince or
-// LastEvent, which no later checkpoint could then encode
-// (encoding/json), and a journaled frame would bring it back on every
-// restart.
-func errNonFiniteTime(i int, t float64) error {
-	return fmt.Errorf("ingest: event op %d has non-finite time %v", i, t)
+// check is the codec's per-op admission test: the encoder applies it to
+// what it is handed, the decoder to what it read and StreamClient.Put
+// to an op before batching it, so no side lets through what another
+// refuses. i names the op in the error. The event case is all the hot
+// path runs, and is small enough to inline.
+func (op *Op) check(i int) error {
+	if op.kind == opEvent && op.rec.Time-op.rec.Time == 0 { // neither NaN nor ±Inf
+		return nil
+	}
+	return op.checkSlow(i)
 }
 
-// encodeOps appends the wire form of ops to dst: a version byte, an op
-// count, then each op.
+func (op *Op) checkSlow(i int) error {
+	switch op.kind {
+	case opEvent:
+		return errNonFinite(i, "event time", op.rec.Time)
+	case opMeta:
+		if h := op.aux.horizon; h-h != 0 {
+			return errNonFinite(i, "horizon", h)
+		}
+		return checkSwarmMeta(i, &op.aux.meta)
+	case opCensus:
+		return checkSwarmMeta(i, &op.aux.census.Meta)
+	}
+	return fmt.Errorf("ingest: op %d has unknown kind %d", i, op.kind)
+}
+
+func checkSwarmMeta(i int, m *trace.SwarmMeta) error {
+	if d := m.CreatedDay; d-d != 0 {
+		return errNonFinite(i, "created day", d)
+	}
+	for k := range m.Files {
+		if kb := m.Files[k].SizeKB; kb-kb != 0 {
+			return errNonFinite(i, "file size", kb)
+		}
+	}
+	return nil
+}
+
+// encodeOps appends the ops payload of ops to dst.
 func encodeOps(dst []byte, ops []Op) ([]byte, error) {
 	dst = append(dst, opsCodecVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
-	for i, op := range ops {
+	for i := range ops {
+		op := &ops[i]
+		if err := op.check(i); err != nil {
+			return nil, err
+		}
+		dst = append(dst, byte(op.kind))
 		switch op.kind {
 		case opEvent:
-			if t := op.rec.Time; t-t != 0 { // NaN or ±Inf
-				return nil, errNonFiniteTime(i, t)
-			}
-			dst = append(dst, byte(opEvent))
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(op.rec.SwarmID))
 			dst = binary.LittleEndian.AppendUint64(dst, op.rec.PeerID)
 			var flags byte
@@ -80,37 +140,59 @@ func encodeOps(dst []byte, ops []Op) ([]byte, error) {
 			dst = append(dst, flags)
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.rec.Time))
 		case opMeta:
-			payload, err := json.Marshal(metaWire{Meta: op.aux.meta, HorizonDays: op.aux.horizon})
-			if err != nil {
-				return nil, err
-			}
-			dst = append(dst, byte(opMeta))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-			dst = append(dst, payload...)
+			dst = appendSwarmMeta(dst, &op.aux.meta)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.aux.horizon))
 		case opCensus:
-			payload, err := json.Marshal(op.aux.census)
-			if err != nil {
-				return nil, err
-			}
-			dst = append(dst, byte(opCensus))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-			dst = append(dst, payload...)
-		default:
-			return nil, fmt.Errorf("ingest: cannot encode op kind %d", op.kind)
+			c := &op.aux.census
+			dst = appendSwarmMeta(dst, &c.Meta)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Seeds))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Leechers))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Downloads))
 		}
 	}
 	return dst, nil
 }
 
-// encodeKeyedOps appends the keyed (v2) wire form of ops to dst: the
-// key header followed by the complete v1 encoding.
-// opsHeaderSize is the fixed v1 frame prefix: version byte + op count.
-const opsHeaderSize = 1 + 4
+func appendSwarmMeta(dst []byte, m *trace.SwarmMeta) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.ID))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Category))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.GroupID))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.CreatedDay))
+	dst = appendString(dst, m.Title)
+	if m.Files == nil {
+		return binary.LittleEndian.AppendUint32(dst, nilFiles)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Files)))
+	for k := range m.Files {
+		dst = appendString(dst, m.Files[k].Name)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Files[k].SizeKB))
+	}
+	return dst
+}
 
-// keyedHeaderSize is the v2 prefix in front of the embedded v1 frame:
+// appendString appends [u32 len][bytes], coercing s to valid UTF-8 the
+// way json.Marshal does (each invalid byte becomes U+FFFD): what a
+// checkpoint would write for the string is what travels.
+func appendString(dst []byte, s string) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	if utf8.ValidString(s) {
+		dst = append(dst, s...)
+	} else {
+		for _, r := range s { // an invalid byte ranges as U+FFFD
+			dst = utf8.AppendRune(dst, r)
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// keyedHeaderSize is the keyed prefix in front of the ops payload:
 // version byte, source length + bytes, sequence number.
 func keyedHeaderSize(source string) int { return 1 + 2 + len(source) + 8 }
 
+// encodeKeyedOps appends the keyed wire form of ops to dst: the key
+// header followed by the complete ops payload.
 func encodeKeyedOps(dst []byte, source string, seq uint64, ops []Op) ([]byte, error) {
 	if source == "" || len(source) > maxSourceLen {
 		return nil, fmt.Errorf("ingest: bad idempotency source length %d", len(source))
@@ -122,10 +204,9 @@ func encodeKeyedOps(dst []byte, source string, seq uint64, ops []Op) ([]byte, er
 	return encodeOps(dst, ops)
 }
 
-// decodeFrame parses one WAL frame of either codec version: keyed (v2)
-// frames yield their idempotency key, plain (v1) frames yield
-// source == "". Like decodeOps it is total — corrupt headers return
-// errors, never panics.
+// decodeFrame parses one WAL frame, keyed or plain: a keyed frame
+// yields its idempotency key, a plain one source == "". Like decodeOps
+// it is total — corrupt headers return errors, never panics.
 func decodeFrame(data []byte) (source string, seq uint64, ops []Op, err error) {
 	return decodeFrameInto(nil, data)
 }
@@ -144,7 +225,7 @@ func decodeFrameInto(dst []Op, data []byte) (source string, seq uint64, ops []Op
 }
 
 // splitFrame parses a frame's key header without touching its ops:
-// body is the v1 ops payload (data itself for a plain frame), ready for
+// body is the ops payload (data itself for a plain frame), ready for
 // decodeOpsInto. The submit core needs every key of a group before it
 // decodes any batch, so the header parse stands alone.
 func splitFrame(data []byte) (source string, seq uint64, body []byte, err error) {
@@ -169,83 +250,85 @@ func splitFrame(data []byte) (source string, seq uint64, body []byte, err error)
 	return source, seq, data[3+srclen+8:], nil
 }
 
-// decodeOps parses one WAL frame back into ops. It is total: any input
-// — truncated, oversized counts, unknown kinds, bad JSON, a non-finite
-// event time — returns an error, never a panic or an over-allocation,
-// because recovery feeds it frames whose envelope checksum passed but
-// whose payload may still be foreign (a frame written by a different
-// build, say).
+// decodeOps parses one ops payload back into ops. It is total: any
+// input — truncated, oversized counts or lengths, unknown kinds or
+// flags, invalid UTF-8, a non-finite float — returns an error, never a
+// panic or an allocation the bytes present do not back, because
+// recovery feeds it frames whose envelope checksum passed but whose
+// payload may still be foreign (a frame written by a different build,
+// say).
 func decodeOps(data []byte) ([]Op, error) { return decodeOpsInto(nil, data) }
 
 // decodeOpsInto appends into dst's backing array when it has the
 // capacity, regrowing otherwise; see decodeFrameInto.
 func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
-	if len(data) < 5 {
+	if len(data) < opsHeaderSize {
 		return nil, fmt.Errorf("ingest: journal frame too short (%d bytes)", len(data))
 	}
 	if v := data[0]; v != opsCodecVersion {
-		return nil, fmt.Errorf("ingest: unknown journal codec version %d", v)
+		return nil, fmt.Errorf("%w %d (this build reads and writes only version %d)", errCodecVersion, v, opsCodecVersion)
 	}
 	count := binary.LittleEndian.Uint32(data[1:5])
-	data = data[5:]
-	// Every op occupies at least auxWireMin bytes, so a count claiming
-	// more ops than the payload could hold is corruption, not a reason
-	// to allocate.
-	if uint64(count)*auxWireMin > uint64(len(data)) {
+	data = data[opsHeaderSize:]
+	// No op is smaller than an event, so a count claiming more ops than
+	// the payload could hold is corruption, not a reason to allocate.
+	if uint64(count)*eventWireBytes > uint64(len(data)) {
 		return nil, fmt.Errorf("ingest: journal frame claims %d ops in %d bytes", count, len(data))
 	}
 	ops := dst[:0]
 	if cap(ops) < int(count) {
 		ops = make([]Op, 0, count)
 	}
-	for i := uint32(0); i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("ingest: journal frame truncated at op %d/%d", i, count)
 		}
-		kind := opKind(data[0])
-		switch kind {
+		var op Op
+		var err error
+		switch op.kind = opKind(data[0]); op.kind {
 		case opEvent:
 			if len(data) < eventWireBytes {
 				return nil, fmt.Errorf("ingest: truncated event op at %d/%d", i, count)
 			}
-			rec := Record{
+			if data[17] > 3 {
+				return nil, fmt.Errorf("ingest: event op %d has unknown flags %#x", i, data[17])
+			}
+			op.rec = Record{
 				SwarmID: int(int64(binary.LittleEndian.Uint64(data[1:9]))),
 				PeerID:  binary.LittleEndian.Uint64(data[9:17]),
 				Seed:    data[17]&1 != 0,
 				Online:  data[17]&2 != 0,
 				Time:    math.Float64frombits(binary.LittleEndian.Uint64(data[18:26])),
 			}
-			if t := rec.Time; t-t != 0 { // NaN or ±Inf
-				return nil, errNonFiniteTime(int(i), t)
-			}
-			ops = append(ops, EventOp(rec))
 			data = data[eventWireBytes:]
-		case opMeta, opCensus:
-			if len(data) < auxWireMin {
-				return nil, fmt.Errorf("ingest: truncated op header at %d/%d", i, count)
+		case opMeta:
+			op.aux = &opAux{}
+			if data, err = decodeSwarmMeta(&op.aux.meta, data[1:]); err == nil && len(data) < 8 {
+				err = errShortAux
 			}
-			n := binary.LittleEndian.Uint32(data[1:5])
-			if uint64(n) > uint64(len(data)-auxWireMin) {
-				return nil, fmt.Errorf("ingest: op payload length %d exceeds frame at %d/%d", n, i, count)
+			if err != nil {
+				return nil, fmt.Errorf("ingest: registration op %d/%d: %w", i, count, err)
 			}
-			payload := data[auxWireMin : auxWireMin+int(n)]
-			if kind == opMeta {
-				var w metaWire
-				if err := json.Unmarshal(payload, &w); err != nil {
-					return nil, fmt.Errorf("ingest: registration op: %w", err)
-				}
-				ops = append(ops, MetaOp(w.Meta, w.HorizonDays))
-			} else {
-				var snap trace.Snapshot
-				if err := json.Unmarshal(payload, &snap); err != nil {
-					return nil, fmt.Errorf("ingest: census op: %w", err)
-				}
-				ops = append(ops, CensusOp(snap))
+			op.aux.horizon = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		case opCensus:
+			op.aux = &opAux{}
+			c := &op.aux.census
+			if data, err = decodeSwarmMeta(&c.Meta, data[1:]); err == nil && len(data) < 24 {
+				err = errShortAux
 			}
-			data = data[auxWireMin+int(n):]
-		default:
-			return nil, fmt.Errorf("ingest: unknown op kind %d at %d/%d", kind, i, count)
+			if err != nil {
+				return nil, fmt.Errorf("ingest: census op %d/%d: %w", i, count, err)
+			}
+			c.Seeds = int(int64(binary.LittleEndian.Uint64(data[0:8])))
+			c.Leechers = int(int64(binary.LittleEndian.Uint64(data[8:16])))
+			c.Downloads = int(int64(binary.LittleEndian.Uint64(data[16:24])))
+			data = data[24:]
 		}
+		if err = op.check(i); err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("ingest: %d trailing bytes after %d ops", len(data), count)
@@ -253,18 +336,76 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// DecodeFrame parses one journal/wire frame of either codec version:
-// keyed (v2) frames yield their idempotency key, plain (v1) frames
-// yield source == "". It is total — corrupt input returns an error,
-// never a panic. Exported for the cluster gateway's binary stream
-// forwarding and for cross-package protocol tests; the engine's own
-// paths use it through SubmitFrame.
+var errShortAux = errors.New("payload truncated")
+
+// decodeSwarmMeta reads one swarm meta off the front of data into m and
+// returns the bytes after it.
+func decodeSwarmMeta(m *trace.SwarmMeta, data []byte) ([]byte, error) {
+	if len(data) < metaHeadBytes {
+		return nil, errShortAux
+	}
+	m.ID = int(int64(binary.LittleEndian.Uint64(data[0:8])))
+	m.Category = trace.Category(int64(binary.LittleEndian.Uint64(data[8:16])))
+	m.GroupID = int(int64(binary.LittleEndian.Uint64(data[16:24])))
+	m.CreatedDay = math.Float64frombits(binary.LittleEndian.Uint64(data[24:32]))
+	var err error
+	if m.Title, data, err = decodeString(data[metaHeadBytes:]); err != nil {
+		return nil, err
+	}
+	if len(data) < 4 {
+		return nil, errShortAux
+	}
+	n := binary.LittleEndian.Uint32(data)
+	data = data[4:]
+	if n == nilFiles {
+		return data, nil
+	}
+	// As with the op count: the bytes left bound the files they can hold.
+	if uint64(n)*fileWireMin > uint64(len(data)) {
+		return nil, fmt.Errorf("claims %d files in %d bytes", n, len(data))
+	}
+	m.Files = make([]trace.FileMeta, n)
+	for k := range m.Files {
+		f := &m.Files[k]
+		if f.Name, data, err = decodeString(data); err != nil {
+			return nil, err
+		}
+		if len(data) < 8 {
+			return nil, errShortAux
+		}
+		f.SizeKB = math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+	}
+	return data, nil
+}
+
+// decodeString reads one [u32 len][bytes] string off the front of data.
+func decodeString(data []byte) (string, []byte, error) {
+	if len(data) < 4 {
+		return "", nil, errShortAux
+	}
+	n := binary.LittleEndian.Uint32(data)
+	data = data[4:]
+	if uint64(n) > uint64(len(data)) {
+		return "", nil, fmt.Errorf("string length %d exceeds the %d bytes left", n, len(data))
+	}
+	if !utf8.Valid(data[:n]) {
+		return "", nil, errors.New("string is not valid UTF-8")
+	}
+	return string(data[:n]), data[n:], nil
+}
+
+// DecodeFrame parses one journal/wire frame, keyed or plain: a keyed
+// frame yields its idempotency key, a plain one source == "". It is
+// total — corrupt input returns an error, never a panic. Exported for
+// the cluster gateway's binary stream forwarding and for cross-package
+// protocol tests; the engine's own paths use it through SubmitFrame.
 func DecodeFrame(frame []byte) (source string, seq uint64, ops []Op, err error) {
 	return decodeFrame(frame)
 }
 
-// EncodeFrame appends the wire form of ops to dst: the keyed (v2)
-// layout when source is non-empty, the plain (v1) layout otherwise.
+// EncodeFrame appends the wire form of ops to dst: the keyed layout
+// when source is non-empty, the plain ops payload otherwise.
 // The bytes are exactly what a WAL frame or a binary stream DATA frame
 // carries — the two formats are one format.
 func EncodeFrame(dst []byte, source string, seq uint64, ops []Op) ([]byte, error) {

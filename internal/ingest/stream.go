@@ -22,7 +22,7 @@ import (
 // Frame payloads start with a one-byte type:
 //
 //	client → server
-//	  0x01 DATA   rest = one ops-codec frame (v1 plain or v2 keyed,
+//	  0x01 DATA   rest = one ops-codec frame (plain or keyed,
 //	              identical to the WAL payload format)
 //	  0x02 CLOSE  empty; asks for a final cumulative ACK, then close
 //

@@ -365,9 +365,9 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 }
 
 // FuzzOpCodec holds the codec to two properties on arbitrary bytes:
-// decoding never panics, and any frame that decodes has a canonical
-// form — re-encoding the decoded value and decoding again reproduces
-// the same bytes (encode∘decode is idempotent).
+// decoding never panics, and a frame that decodes is the one spelling
+// of its ops — encoding them reproduces the input bytes, so nothing the
+// decoder accepts is something the encoder refuses.
 func FuzzOpCodec(f *testing.F) {
 	recOps := []Op{
 		EventOp(Record{SwarmID: 5, PeerID: 11, Seed: true, Online: true, Time: 3.5}),
@@ -375,7 +375,15 @@ func FuzzOpCodec(f *testing.F) {
 	}
 	metaOps := []Op{MetaOp(trace.SwarmMeta{ID: 9, Title: "m"}, 30)}
 	censusOps := []Op{CensusOp(trace.Snapshot{Meta: trace.SwarmMeta{ID: 2}, Seeds: 1, Leechers: 4})}
-	for _, ops := range [][]Op{recOps, metaOps, censusOps} {
+	files := []trace.FileMeta{{Name: "01 – Ouverture.flac", SizeKB: 31744.25}, {Name: "02.flac", SizeKB: 0}, {Name: "", SizeKB: 1e300}}
+	richOps := []Op{
+		MetaOp(trace.SwarmMeta{ID: 12, Category: trace.Music, Title: "Бетховен — 交響曲第9番", GroupID: -4, CreatedDay: 187.25, Files: files}, 210),
+		EventOp(Record{SwarmID: 12, PeerID: 25, Seed: true, Online: true, Time: 0.5}),
+		CensusOp(trace.Snapshot{Meta: trace.SwarmMeta{ID: 12, Category: trace.Music, Title: "a\xffb", Files: files[:1]}, Seeds: 3, Leechers: 40, Downloads: 1 << 40}),
+		MetaOp(trace.SwarmMeta{ID: 13, Files: []trace.FileMeta{}}, 1),
+		MetaOp(trace.SwarmMeta{ID: 14, Files: nil}, 1),
+	}
+	for _, ops := range [][]Op{recOps, metaOps, censusOps, richOps} {
 		plain, err := EncodeFrame(nil, "", 0, ops)
 		if err != nil {
 			f.Fatal(err)
@@ -387,14 +395,26 @@ func FuzzOpCodec(f *testing.F) {
 		}
 		f.Add(keyed)
 	}
-	// Non-finite event times: the decoder refuses them, so nothing the
-	// fuzzer grows from these may decode into an op the encoder refuses.
+	// Non-finite floats: the decoder refuses them, so nothing the fuzzer
+	// grows from these may decode into an op the encoder refuses. A lone
+	// registration ends [last file's size][horizon]; its created day
+	// sits behind the kind byte, id, category and group.
+	events, err := EncodeFrame(nil, "source-a", 42, recOps)
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg, err := EncodeFrame(nil, "source-a", 42, richOps[:1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	createdDay := keyedHeaderSize("source-a") + opsHeaderSize + 1 + 24
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		frame, err := EncodeFrame(nil, "source-a", 42, recOps)
-		if err != nil {
-			f.Fatal(err)
+		f.Add(withLastTime(events, bad))
+		for _, off := range []int{createdDay, len(reg) - 16, len(reg) - 8} {
+			frame := append([]byte{}, reg...)
+			binary.LittleEndian.PutUint64(frame[off:], math.Float64bits(bad))
+			f.Add(frame)
 		}
-		f.Add(withLastTime(frame, bad))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0})
@@ -403,24 +423,12 @@ func FuzzOpCodec(f *testing.F) {
 		if err != nil {
 			return // rejected without panicking: all the contract asks
 		}
-		c1, err := EncodeFrame(nil, source, seq, ops)
+		enc, err := EncodeFrame(nil, source, seq, ops)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		s2, q2, ops2, err := DecodeFrame(c1)
-		if err != nil {
-			t.Fatalf("canonical form failed to decode: %v", err)
-		}
-		if s2 != source || q2 != seq || len(ops2) != len(ops) {
-			t.Fatalf("canonical decode changed key/shape: (%q,%d,%d) -> (%q,%d,%d)",
-				source, seq, len(ops), s2, q2, len(ops2))
-		}
-		c2, err := EncodeFrame(nil, s2, q2, ops2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c2) {
-			t.Fatalf("encode∘decode not idempotent:\n c1=%x\n c2=%x", c1, c2)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("a frame that decodes has a second spelling:\n in  %x\n out %x", data, enc)
 		}
 	})
 }

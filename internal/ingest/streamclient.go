@@ -143,8 +143,14 @@ func (c *StreamClient) Acked() uint64 {
 	return c.totalAcked
 }
 
-// Put appends one op, sending a DATA frame when the batch fills.
+// Put appends one op, sending a DATA frame when the batch fills. An op
+// the codec cannot carry (a non-finite time, size or horizon) is refused
+// here, alone, with the batch as it was: found only when the frame is
+// encoded, it would fail every later flush of the batch it sits in.
 func (c *StreamClient) Put(op Op) error {
+	if err := op.check(len(c.batch)); err != nil {
+		return err
+	}
 	c.batch = append(c.batch, op)
 	if len(c.batch) >= c.cfg.BatchSize {
 		return c.flushBatch()
@@ -164,9 +170,9 @@ func (c *StreamClient) flushBatch() error {
 		return nil
 	}
 	c.seq++
-	// Event ops encode to 26 bytes; meta/census are rare enough that a
-	// regrow on their account is fine.
-	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(c.cfg.Source) + opsHeaderSize + 26*len(c.batch)
+	// Sized for event ops; meta/census are rare enough that a regrow on
+	// their account is fine.
+	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(c.cfg.Source) + opsHeaderSize + eventWireBytes*len(c.batch)
 	env := make([]byte, wal.FrameHeaderSize, hint)
 	env = append(env, StreamFrameData)
 	env, err := encodeKeyedOps(env, c.cfg.Source, c.seq, c.batch)
@@ -182,11 +188,11 @@ func (c *StreamClient) flushBatch() error {
 	return c.sendEnvelope(env)
 }
 
-// PushFrame hands one pre-encoded ops-codec frame (v1 plain or v2
-// keyed — the bytes DecodeFrame accepts) to the window verbatim. The
-// cluster gateway forwards client frames through this without
-// re-encoding; callers mixing PushFrame with Put own the coherence of
-// their key space.
+// PushFrame hands one pre-encoded ops-codec frame (plain or keyed —
+// the bytes DecodeFrame accepts) to the window verbatim. The cluster
+// gateway forwards client frames through this without re-encoding;
+// callers mixing PushFrame with Put own the coherence of their key
+// space.
 func (c *StreamClient) PushFrame(frame []byte) error {
 	env := make([]byte, wal.FrameHeaderSize, wal.FrameHeaderSize+1+len(frame))
 	env = append(env, StreamFrameData)

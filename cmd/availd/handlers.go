@@ -129,16 +129,15 @@ func swarmID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return id, err == nil
 }
 
+// handleSwarm serves one swarm's stats, computed on its home shard: the
+// answer is read-your-writes, so ?consistent=1 is accepted and changes
+// nothing.
 func (s *server) handleSwarm(w http.ResponseWriter, r *http.Request) {
 	id, ok := swarmID(w, r)
 	if !ok {
 		return
 	}
-	lookup := s.engine.SwarmSnapshot
-	if ingest.WantConsistent(r) {
-		lookup = s.engine.Swarm
-	}
-	st, ok := lookup(id)
+	st, ok := s.engine.Swarm(id)
 	if !ok {
 		http.Error(w, "unknown swarm", http.StatusNotFound)
 		return

@@ -839,15 +839,19 @@ func (g *Gateway) ReadWindow(ctx context.Context, consistent bool) (*ingest.Wind
 
 // proxySwarm forwards a per-swarm read (GET /v1/swarm/{id} and its
 // /timeline) to the swarm's home node by ring slot, verbatim — the home
-// node owns the swarm outright, so there is nothing to merge.
+// node owns the swarm outright, so there is nothing to merge. The read
+// is fenced like a merged one: stamped with the slot epoch once known,
+// a node's 409 (stale or fenced) is a 503, never its state, and the
+// slot learns the epoch the node answered with.
 func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		http.Error(w, "bad swarm id", http.StatusBadRequest)
 		return
 	}
-	slot := g.ring.Node(id)
-	target := g.nodes[slot].route.Load().url + r.URL.Path
+	n := g.nodes[g.ring.Node(id)]
+	rt := n.route.Load()
+	target := rt.url + r.URL.Path
 	if q := r.URL.RawQuery; q != "" {
 		target += "?" + q
 	}
@@ -859,12 +863,22 @@ func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		req.Header.Set("If-None-Match", inm)
 	}
+	if rt.epoch != 0 {
+		req.Header.Set(EpochHeader, strconv.FormatUint(rt.epoch, 10))
+	}
 	resp, err := g.cfg.HealthClient.Do(req)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("node %s: %v", g.nodes[slot].cfg.name(), err), http.StatusServiceUnavailable)
+		http.Error(w, fmt.Sprintf("node %s: %v", n.cfg.name(), err), http.StatusServiceUnavailable)
 		return
 	}
 	defer resp.Body.Close()
+	nodeEpoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+	g.adoptEpoch(n, nodeEpoch)
+	if resp.StatusCode == http.StatusConflict {
+		conflict := &ingest.EpochConflictError{ClientEpoch: rt.epoch, NodeEpoch: nodeEpoch}
+		http.Error(w, fmt.Sprintf("node %s: %v", n.cfg.name(), conflict), http.StatusServiceUnavailable)
+		return
+	}
 	for _, h := range []string{"Content-Type", "ETag"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)

@@ -138,7 +138,7 @@ func TestCheckpointBytesReproducible(t *testing.T) {
 }
 
 // TestClosedEngineAnswersInPlace pins onShards' one fallback: everything
-// that runs on a shard — a timeline read, a flush-then-lookup, a
+// that runs on a shard — the two per-swarm reads (Timeline, Swarm), a
 // checkpoint capture — answers after Close exactly what it answers on a
 // live engine holding the same state.
 func TestClosedEngineAnswersInPlace(t *testing.T) {
@@ -171,7 +171,10 @@ func TestClosedEngineAnswersInPlace(t *testing.T) {
 		{"Swarm", func(t *testing.T, e *Engine, _ string) []byte {
 			var all []SwarmStats
 			for id := -1; id <= swarms; id++ {
-				st, _ := e.Swarm(id)
+				st, ok := e.Swarm(id)
+				if ok != (id >= 0 && id < swarms) {
+					t.Fatalf("Swarm(%d) ok = %v", id, ok)
+				}
 				all = append(all, st)
 			}
 			return marshal(t, all)

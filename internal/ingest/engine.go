@@ -76,8 +76,9 @@ func (p *batchPool) put(b []Op) {
 }
 
 // Engine is the sharded streaming-ingestion engine. Writes scale
-// across shards (one state-owning goroutine each); reads are served
-// from consistent per-shard snapshots merged on demand.
+// across shards (one state-owning goroutine each); aggregate reads are
+// served from consistent per-shard snapshots merged on demand, per-swarm
+// reads on the swarm's home shard.
 //
 // Lifecycle: New → any number of concurrent Submit/Writer producers and
 // Summary/Swarm readers → Flush (barrier) → Close. Close drains every
@@ -686,12 +687,34 @@ func (e *Engine) Summary() *Summary {
 	return sum
 }
 
-// Swarm is the barrier read of one swarm: a flush of its home shard,
-// then a lookup of the stats that flush published.
-func (e *Engine) Swarm(id int) (SwarmStats, bool) {
-	s := e.shardFor(id)
-	e.flush(s)
-	return s.lookup(id)
+// Swarm returns one swarm's stats, computed on its home shard behind
+// everything queued before the call: always read-your-writes, never a
+// publish. ok is false for unknown swarms.
+func (e *Engine) Swarm(id int) (st SwarmStats, ok bool) {
+	ok = e.onSwarm(id, func(s *swarmState) { st = s.stats() })
+	return st, ok
+}
+
+// Timeline returns one swarm's windowed history (per-bin observed and
+// seeded time, busy-period starts, event counts), folded from its ring
+// on its home shard like Swarm. ok is false for unknown swarms.
+func (e *Engine) Timeline(id int) (w *WindowState, ok bool) {
+	ok = e.onSwarm(id, func(s *swarmState) { w = s.timeline() })
+	return w, ok
+}
+
+// onSwarm is the one per-swarm read: fn runs with swarm id's state on
+// its home shard (onShards), if the shard knows the swarm. Nothing per
+// swarm is published, so the answer is as fresh as the queue it waited
+// in.
+func (e *Engine) onSwarm(id int, fn func(*swarmState)) (ok bool) {
+	e.onShards([]*shard{e.shardFor(id)}, func(s *shard) {
+		if st := s.swarms[id]; st != nil {
+			fn(st)
+			ok = true
+		}
+	})
+	return ok
 }
 
 // Metrics snapshots the engine's operational counters.

@@ -48,11 +48,11 @@ type ReadView interface {
 	ReadWindow(ctx context.Context, consistent bool) (win *WindowState, etag string, err error)
 }
 
-// WantConsistent reports whether the request opted out of the snapshot
+// wantConsistent reports whether the request opted out of the snapshot
 // path with ?consistent=1 — a full barrier that observes everything
 // submitted before the call, bypassing snapshot caches, conditional
 // GETs and scatter-gather collapsing.
-func WantConsistent(r *http.Request) bool {
+func wantConsistent(r *http.Request) bool {
 	v := r.URL.Query().Get("consistent")
 	return v != "" && v != "0"
 }
@@ -73,11 +73,11 @@ func RegisterReadHandlers(mux *http.ServeMux, v ReadView) {
 		return !NotModified(w, r, etag)
 	}
 	summary := func(w http.ResponseWriter, r *http.Request) (*Summary, bool) {
-		sum, etag, err := v.ReadSummary(r.Context(), WantConsistent(r))
+		sum, etag, err := v.ReadSummary(r.Context(), wantConsistent(r))
 		return sum, resolved(w, r, etag, err)
 	}
 	window := func(w http.ResponseWriter, r *http.Request) (*WindowState, bool) {
-		win, etag, err := v.ReadWindow(r.Context(), WantConsistent(r))
+		win, etag, err := v.ReadWindow(r.Context(), wantConsistent(r))
 		return win, resolved(w, r, etag, err)
 	}
 	mux.HandleFunc("GET /v1/summary", func(w http.ResponseWriter, r *http.Request) {

@@ -10,16 +10,19 @@
 // # Architecture
 //
 //	producers ──submit──▶ per-shard batch queues ──▶ shard goroutines
-//	                                                   │ (own all state,
+//	per-swarm reads ────▶ (same queues)                │ (own all state,
 //	                                                   │  no locks)
-//	readers ◀── published immutable snapshots ◀────────┘
+//	aggregate readers ◀── published snapshots ◀────────┘
 //
 // Swarm state is partitioned by swarm-id hash across N shard
 // goroutines, each owning its slice of the keyspace outright — the hot
-// path applies batches without taking any lock. Readers never block
-// writers: each shard publishes an immutable snapshot behind an atomic
-// pointer, and a barrier read is a flush through the queues followed by
-// a load of those snapshots; writers stall only on queue backpressure.
+// path applies batches without taking any lock. Aggregate readers never
+// block writers: each shard publishes an immutable snapshot of its
+// aggregates behind an atomic pointer, and a barrier read is a flush
+// through the queues followed by a load of those snapshots. A per-swarm
+// read (Swarm, Timeline) is a closure queued on the swarm's home shard,
+// so it waits its turn behind the writes queued before it and answers
+// read-your-writes; writers stall only on queue backpressure.
 // Per-shard sketches and counters merge losslessly (integer bin counts
 // and sums; see stats.QuantileSketch), which is what makes the sharded
 // aggregate equal to the unsharded one.

@@ -67,6 +67,14 @@ func statsKey(st SwarmStats) string {
 	return fmt.Sprintf("%+v census=%s", st, census)
 }
 
+// sameCounted compares two counted values field by field, a NaN
+// availability equal to a NaN (the hostile timestamps produce them).
+func sameCounted(a, b counted) bool {
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	return a.seeds == b.seeds && a.leechers == b.leechers && a.busy == b.busy && a.events == b.events &&
+		same(a.firstMonth, b.firstMonth) && same(a.full, b.full) && a.study == b.study && a.census == b.census
+}
+
 // viewJSON renders a shard's published aggregate view: the bodies it
 // contributes to /v1/state and /v1/window/state.
 func viewJSON(t *testing.T, s *shard) string {
@@ -85,7 +93,8 @@ func oracleShard() *shard {
 
 // checkPublished publishes s and asserts the published view equals the
 // oracle's rebuild: summary wire form (sketch bins, n, exact min/max and
-// category counters included), window state, every swarm's stats.
+// category counters included), window state, and what every swarm
+// counted — the mirror the next publish subtracts.
 func checkPublished(t *testing.T, s *shard, when string) {
 	t.Helper()
 	s.publish()
@@ -105,10 +114,16 @@ func checkPublished(t *testing.T, s *shard, when string) {
 	if got, want := mustJSON(snap.win), mustJSON(wantWin); got != want {
 		t.Fatalf("%s: published window diverged from the rebuild\n--- published ---\n%s\n--- oracle ---\n%s", when, got, want)
 	}
-	for id, want := range wantSwarms {
-		got, ok := s.lookup(id)
-		if !ok || statsKey(got) != statsKey(want) {
-			t.Fatalf("%s: swarm %d published %v (ok=%v), oracle %s", when, id, statsKey(got), ok, statsKey(want))
+	for id, stats := range wantSwarms {
+		// What the Summary counts for the swarm, derived from its exported
+		// stats rather than through count().
+		want := counted{
+			seeds: stats.SeedsOnline, leechers: stats.LeechersOnline, busy: stats.BusyPeriods,
+			events: stats.Events, firstMonth: stats.FirstMonth, full: stats.Full,
+			study: stats.Events > 0 || stats.Registered, census: stats.Census != nil,
+		}
+		if got := s.swarms[id].counted; !sameCounted(got, want) {
+			t.Fatalf("%s: swarm %d counted %+v, oracle %+v (stats %s)", when, id, got, want, statsKey(stats))
 		}
 	}
 	if len(s.dirtyList) != 0 {
@@ -389,6 +404,9 @@ func TestPublishRederivesSoleExtremeHolder(t *testing.T) {
 	seeded(1, 2) // full availability 0.2: the sole min
 	seeded(2, 5)
 	seeded(3, 8) // 0.8: the sole max
+	// A census-only swarm is outside the study: its zero availability must
+	// not come back as the min when the min is re-derived.
+	s.apply(CensusOp(trace.Snapshot{Meta: trace.SwarmMeta{ID: 4}}))
 	checkPublished(t, s, "three swarms")
 	if got := s.snap.Load().sum.Full; got.Min() != 0.2 || got.Max() != 0.8 {
 		t.Fatalf("min/max = %v/%v, want 0.2/0.8", got.Min(), got.Max())

@@ -52,6 +52,33 @@ func TestPublishCostFollowsDirtyNotResident(t *testing.T) {
 	}
 }
 
+// TestPublishAllocatesPerShard: a publish allocates the shard's new view
+// and nothing per swarm, so its allocations do not follow the dirty
+// count — the garbage a paced read leaves behind is a few objects per
+// shard, whatever the write rate.
+func TestPublishAllocatesPerShard(t *testing.T) {
+	const swarms = 2000
+	s := oracleShard()
+	for id := 0; id < swarms; id++ {
+		s.apply(MetaOp(trace.SwarmMeta{ID: id}, 60))
+		s.apply(EventOp(Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: float64(id%40) / 4}))
+	}
+	s.publish()
+	allocs := func(dirty int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			for id := 0; id < dirty; id++ {
+				s.markDirty(s.swarms[id])
+			}
+			s.publish()
+		})
+	}
+	one, all := allocs(1), allocs(swarms)
+	t.Logf("publish allocations: %v at 1 dirty swarm, %v at %d", one, all, swarms)
+	if all != one {
+		t.Fatalf("publish allocates %v objects at 1 dirty swarm but %v at %d", one, all, swarms)
+	}
+}
+
 // waitApplied polls until the engine has applied n ops (Submit returns
 // once they are queued).
 func waitApplied(t *testing.T, e *Engine, n uint64) {

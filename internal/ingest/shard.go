@@ -3,7 +3,6 @@ package ingest
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,11 +13,11 @@ import (
 
 // shardMsg is the single message type flowing through a shard's queue:
 // a batch to apply, or a closure to run with the shard's state to itself
-// (Engine.onShards — a flush barrier, a per-swarm timeline read, a
-// checkpoint capture). Either way it runs after everything queued before
-// it. Every other read is a flush followed by a load of the published
-// view, so reads stay ordered after the writes submitted before them
-// without a message kind per question asked.
+// (Engine.onShards — a flush barrier, a per-swarm read, a checkpoint
+// capture). Either way it runs after everything queued before it. Every
+// other read is a flush followed by a load of the published view, so
+// reads stay ordered after the writes submitted before them without a
+// message kind per question asked.
 type shardMsg struct {
 	ops []Op         // batch of work
 	do  func(*shard) // set when ops is nil
@@ -27,8 +26,7 @@ type shardMsg struct {
 // shardSnap is one shard's immutable published aggregate view. Readers
 // load it with a single atomic pointer load and never touch the shard
 // queue; the shard goroutine replaces it wholesale, never mutates it.
-// Per-swarm stats are published beside it, one immutable value per
-// swarm (swarmState.pub).
+// Nothing per swarm is published: a per-swarm read runs on the shard.
 type shardSnap struct {
 	epoch uint64    // apply watermark the snapshot reflects
 	built time.Time // publish time, for the staleness bound
@@ -37,16 +35,17 @@ type shardSnap struct {
 }
 
 // shard owns a partition of the swarm keyspace. Only its goroutine
-// touches the state — no locks anywhere on the apply path, bar the
-// uncontended one around the insertion of a new swarm.
+// touches the state — its swarms map included — so there are no locks
+// anywhere on the apply path.
 //
 // The read view is maintained, not rebuilt. agg follows every window
-// ring mutation at apply time; live is the shard Summary over the
-// swarms' *published* stats, corrected at publish for the swarms that
-// changed since the last one (the dirty list): subtract what was
-// published, add what is true now. A publish therefore costs the dirty
-// swarms plus a clone of the aggregates — flat in the number of swarms
-// resident.
+// ring mutation at apply time; live is the shard Summary over what each
+// swarm counted at its last publish (swarmState.counted), corrected at
+// publish for the swarms that changed since the last one (the dirty
+// list): subtract what was counted, add what is true now. A publish
+// therefore costs the dirty swarms plus a clone of the aggregates — flat
+// in the number of swarms resident — and allocates per shard, not per
+// swarm.
 type shard struct {
 	idx     int
 	in      chan shardMsg
@@ -54,13 +53,7 @@ type shard struct {
 	pool    *batchPool
 	maxAge  time.Duration
 	cats    map[trace.Category]*CategoryCounters
-
-	// swarms is written only by the shard goroutine, and only under mu;
-	// the shard goroutine reads it bare, any other goroutine under mu
-	// (lookup). New swarms are the only writes, so the apply path takes
-	// the lock once per swarm lifetime.
-	mu     sync.Mutex
-	swarms map[int]*swarmState
+	swarms  map[int]*swarmState
 
 	agg       winAgg
 	live      *Summary
@@ -94,36 +87,30 @@ func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, maxAge time.Dura
 // reset returns the shard to the empty state: everything apply and
 // install can touch. Only safe before the shard goroutine starts.
 func (s *shard) reset() {
-	s.mu.Lock()
 	s.swarms = make(map[int]*swarmState)
-	s.mu.Unlock()
 	s.cats = make(map[trace.Category]*CategoryCounters)
 	s.agg = winAgg{}
 	s.live = NewSummary()
 	s.dirtyList = nil
 }
 
-// publish brings the read view up to the applied state: each dirty
-// swarm's published stats are replaced and the live Summary corrected
-// by the difference, then the aggregates are cloned into a new
-// immutable shardSnap.
+// publish brings the read view up to the applied state: the live
+// Summary is corrected by each dirty swarm's difference between what it
+// counted and what it counts now, then the aggregates are cloned into a
+// new immutable shardSnap.
 func (s *shard) publish() {
 	start := time.Now()
 	for _, st := range s.dirtyList {
-		if old := st.pub.Load(); old != nil {
-			s.live.account(old, -1)
-		}
-		now := new(SwarmStats)
-		*now = st.stats()
-		s.live.account(now, +1)
-		st.pub.Store(now)
+		s.live.account(&st.counted, -1)
+		st.counted = st.count()
+		s.live.account(&st.counted, +1)
 		st.dirty = false
 	}
 	if s.live.FirstMonth.ExtremesLost() {
-		s.rederiveExtremes(s.live.FirstMonth, func(st *SwarmStats) float64 { return st.FirstMonth })
+		s.rederiveExtremes(s.live.FirstMonth, func(c *counted) float64 { return c.firstMonth })
 	}
 	if s.live.Full.ExtremesLost() {
-		s.rederiveExtremes(s.live.Full, func(st *SwarmStats) float64 { return st.Full })
+		s.rederiveExtremes(s.live.Full, func(c *counted) float64 { return c.full })
 	}
 	s.live.Swarms = len(s.swarms)
 
@@ -157,13 +144,12 @@ func (s *shard) publishDirty() {
 
 // rederiveExtremes restores a live sketch's exact min/max after the
 // last holder of one left (stats.QuantileSketch.ExtremesLost): one scan
-// of the shard's published values, which are exactly the sketch's
-// sample.
-func (s *shard) rederiveExtremes(sk *stats.QuantileSketch, value func(*SwarmStats) float64) {
+// of what the swarms counted, which is exactly the sketch's sample.
+func (s *shard) rederiveExtremes(sk *stats.QuantileSketch, value func(*counted) float64) {
 	sk.RederiveExtremes(func(observe func(float64)) {
 		for _, st := range s.swarms {
-			if pub := st.pub.Load(); pub != nil && pub.inStudy() {
-				observe(value(pub))
+			if st.counted.study {
+				observe(value(&st.counted))
 			}
 		}
 	})
@@ -204,7 +190,7 @@ func (s *shard) touch(id int) *swarmState {
 	st, ok := s.swarms[id]
 	if !ok {
 		st = &swarmState{}
-		s.adopt(id, st)
+		s.swarms[id] = st
 	}
 	if !st.dirty {
 		s.markDirty(st)
@@ -212,33 +198,10 @@ func (s *shard) touch(id int) *swarmState {
 	return st
 }
 
-// markDirty queues a swarm whose state differs from its published stats.
+// markDirty queues a swarm whose state may differ from what it counted.
 func (s *shard) markDirty(st *swarmState) {
 	st.dirty = true
 	s.dirtyList = append(s.dirtyList, st)
-}
-
-// adopt enters a new swarm into the index readers share.
-func (s *shard) adopt(id int, st *swarmState) {
-	s.mu.Lock()
-	s.swarms[id] = st
-	s.mu.Unlock()
-}
-
-// lookup returns a swarm's published stats from any goroutine (false
-// while the swarm is unknown or not yet published).
-func (s *shard) lookup(id int) (SwarmStats, bool) {
-	s.mu.Lock()
-	st := s.swarms[id]
-	s.mu.Unlock()
-	if st == nil {
-		return SwarmStats{}, false
-	}
-	pub := st.pub.Load()
-	if pub == nil {
-		return SwarmStats{}, false
-	}
-	return *pub, true
 }
 
 func (s *shard) apply(op Op) {
@@ -310,7 +273,7 @@ func (s *shard) install(snap *shardSnapshot) {
 	// recovery flush (or the first read) publishes it.
 	for _, r := range snap.Swarms {
 		st := r.state(&s.agg)
-		s.adopt(r.ID, st)
+		s.swarms[r.ID] = st
 		s.markDirty(st)
 	}
 	for _, cr := range snap.Cats {
@@ -321,22 +284,6 @@ func (s *shard) install(snap *shardSnapshot) {
 		}
 		cc.merge(cr.CategoryCounters)
 	}
-}
-
-// timelineOf folds one swarm's ring into a WindowState of its own
-// (nil when the swarm is unknown to this shard).
-func (s *shard) timelineOf(id int) *WindowState {
-	st, ok := s.swarms[id]
-	if !ok {
-		return nil
-	}
-	fine := make(map[int64]*WindowBinState)
-	coarse := make(map[int64]*WindowBinState)
-	st.win.fold(fine, coarse)
-	w := newWindowState()
-	w.Fine = sortedBins(fine)
-	w.Coarse = sortedBins(coarse)
-	return w
 }
 
 // summaryCounters is a Summary's integer counters: rolling gauges and
@@ -402,39 +349,35 @@ func (s *Summary) Merge(other *Summary) {
 	}
 }
 
-// inStudy is the availability study's membership test: the swarm has
-// events or a registration (a census-only swarm has neither).
-func (st *SwarmStats) inStudy() bool { return st.Events > 0 || st.Registered }
-
-// account adds (dir = +1) or removes (dir = -1) one swarm's published
-// stats: the gauges, the study and census memberships, the two headline
+// account adds (dir = +1) or removes (dir = -1) what one swarm counted:
+// the gauges, the study and census memberships, the two headline
 // counters and the two sketch observations. Both directions run the same
-// code on the same immutable value, so what a publish subtracts is
-// exactly what an earlier publish added.
-func (s *Summary) account(st *SwarmStats, dir int) {
-	s.SeedsOnline += dir * st.SeedsOnline
-	s.LeechersOnline += dir * st.LeechersOnline
-	s.BusyPeriods += dir * st.BusyPeriods
-	s.Events += uint64(dir) * st.Events // two's complement: −1 subtracts
-	if st.Census != nil {
+// code on the same value, so what a publish subtracts is exactly what an
+// earlier publish added — and the zero value counts nothing.
+func (s *Summary) account(c *counted, dir int) {
+	s.SeedsOnline += dir * c.seeds
+	s.LeechersOnline += dir * c.leechers
+	s.BusyPeriods += dir * c.busy
+	s.Events += uint64(dir) * c.events // two's complement: −1 subtracts
+	if c.census {
 		s.CensusSwarms += dir
 	}
-	if !st.inStudy() {
+	if !c.study {
 		return
 	}
 	s.StudySwarms += dir
-	if measure.IsFullyAvailable(st.FirstMonth) {
+	if measure.IsFullyAvailable(c.firstMonth) {
 		s.FullyAvailableFirstMonth += dir
 	}
-	if measure.IsMostlyUnavailable(st.Full) {
+	if measure.IsMostlyUnavailable(c.full) {
 		s.MostlyUnavailable += dir
 	}
 	if dir > 0 {
-		s.FirstMonth.Add(st.FirstMonth)
-		s.Full.Add(st.Full)
+		s.FirstMonth.Add(c.firstMonth)
+		s.Full.Add(c.full)
 	} else {
-		s.FirstMonth.Remove(st.FirstMonth)
-		s.Full.Remove(st.Full)
+		s.FirstMonth.Remove(c.firstMonth)
+		s.Full.Remove(c.full)
 	}
 }
 

@@ -115,14 +115,6 @@ func (e *Engine) Snapshot() Snapshot {
 	return snap
 }
 
-// SwarmSnapshot returns one swarm's stats from the lock-free snapshot
-// path (at most SnapshotMaxAge stale; Swarm is the barrier variant).
-func (e *Engine) SwarmSnapshot(id int) (SwarmStats, bool) {
-	s := e.shardFor(id)
-	e.freshSnap(s) // per-swarm stats are published with the shard's view
-	return s.lookup(id)
-}
-
 // Window is the barrier (?consistent=1) counterpart of
 // Snapshot().Window: a flush, then a fresh merge of the published shard
 // windows. It observes everything submitted before the call.
@@ -153,18 +145,6 @@ func (e *Engine) ReadWindow(_ context.Context, consistent bool) (*WindowState, s
 	}
 	snap := e.Snapshot()
 	return snap.Window, snap.ETag, nil
-}
-
-// Timeline returns one swarm's windowed history (per-bin observed and
-// seeded time, busy-period starts, event counts), read on the owning
-// shard behind everything queued before the call. Rings are not
-// published — 3 KB per swarm would cost more resident memory than the
-// whole read view — so this one read waits its turn in the queue. ok is
-// false for unknown swarms.
-func (e *Engine) Timeline(id int) (*WindowState, bool) {
-	var w *WindowState
-	e.onShards([]*shard{e.shardFor(id)}, func(s *shard) { w = s.timelineOf(id) })
-	return w, w != nil
 }
 
 // registerSnapshotGauges exposes the read path's health:

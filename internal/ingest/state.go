@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"sync/atomic"
-
 	"swarmavail/internal/measure"
 	"swarmavail/internal/trace"
 )
@@ -50,14 +48,34 @@ type swarmState struct {
 	// clustered windowed answers merge exactly.
 	win winRing
 
-	// pub is the swarm's published stats: what readers of /v1/swarm/{id}
-	// see and, exactly, what the shard's live Summary currently counts
-	// for this swarm (nil until the first publish after it appeared). The
-	// shard goroutine replaces it at publish; the value is immutable.
-	// dirty says the swarm changed since pub was stored and is queued on
-	// the shard's dirty list.
-	pub   atomic.Pointer[SwarmStats]
-	dirty bool
+	// counted is exactly what the shard's live Summary currently counts
+	// for this swarm (zero, which counts nothing, until the first publish
+	// after it appeared). dirty says the swarm changed since and is
+	// queued on the shard's dirty list.
+	counted counted
+	dirty   bool
+}
+
+// counted is one swarm's contribution to its shard's Summary, as of the
+// last publish: the gauges, the event count, the two availabilities and
+// the study and census memberships.
+type counted struct {
+	seeds, leechers, busy int
+	events                uint64
+	firstMonth, full      float64
+	study, census         bool
+}
+
+// count derives what the Summary should count for the swarm now.
+func (s *swarmState) count() counted {
+	fm, full := s.availability()
+	return counted{
+		seeds: s.SeedsOnline, leechers: s.LeechersOnline, busy: s.BusyPeriods, events: s.Events,
+		firstMonth: fm, full: full,
+		// The availability study is the swarms with events or a
+		// registration (a census-only swarm has neither).
+		study: s.Events > 0 || s.HasMeta, census: s.HasCensus,
+	}
 }
 
 // windows returns the two availability windows. Before registration the

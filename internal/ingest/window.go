@@ -333,6 +333,18 @@ func (r *winRing) fold(fine, coarse map[int64]*WindowBinState) {
 	}
 }
 
+// timeline folds the swarm's ring into a WindowState of its own: the
+// body of /v1/swarm/{id}/timeline.
+func (s *swarmState) timeline() *WindowState {
+	fine := make(map[int64]*WindowBinState)
+	coarse := make(map[int64]*WindowBinState)
+	s.win.fold(fine, coarse)
+	w := newWindowState()
+	w.Fine = sortedBins(fine)
+	w.Coarse = sortedBins(coarse)
+	return w
+}
+
 func foldBin(m map[int64]*WindowBinState, idx int64, bin winBin) {
 	agg := m[idx]
 	if agg == nil {

@@ -129,14 +129,17 @@ func TestBinIndexTotal(t *testing.T) {
 
 // TestResidentBytesPerSwarm is the in-tree twin of the benchmark's
 // ingest.heap_bytes_per_swarm: what one study swarm keeps on the heap —
-// its swarmState and map entry, its published SwarmStats, its
+// its swarmState (the counted mirror inline) and map entry, its
 // registration payload and its two window rings. The bound sits a little
 // above today's figure, so the change that fattens any of them names
 // itself here; the figure is logged so CI keeps its trajectory.
 func TestResidentBytesPerSwarm(t *testing.T) {
 	const (
 		swarms = 2000
-		bound  = 2600 // bytes; ≈3 750 with 32-byte ring slots
+		// bytes; ≈2 360 on go1.24 (≈2 475 with a published SwarmStats per
+		// swarm, ≈3 750 with 32-byte ring slots). Kept above the figure
+		// because go1.22's map layout, which CI runs, sizes differently.
+		bound = 2600
 	)
 	heap := func() uint64 {
 		// Two collections: the first frees what is unreachable, the second

@@ -213,7 +213,7 @@ func TestWindowEvictionConservesObservedTime(t *testing.T) {
 	const half = winUnitsPerBin / 2
 	at(0.5)
 	at(100.5)
-	w := s.timelineOf(1)
+	w := s.swarms[1].timeline()
 	if tracked, covered, events := total(w); tracked != 100*winUnitsPerBin+half || covered != 100*winUnitsPerBin || events != 2 {
 		t.Fatalf("rings hold %d tracked / %d covered units and %d events, want 100.5 / 100 days and 2", tracked, covered, events)
 	}
@@ -229,7 +229,7 @@ func TestWindowEvictionConservesObservedTime(t *testing.T) {
 	// Head to bin 400: retention is coarse bins (50-32, 50], days 152
 	// onwards, of which the fine ring [337, 400] holds the newest itself.
 	at(400.5)
-	w = s.timelineOf(1)
+	w = s.swarms[1].timeline()
 	const oldest = (400/winFoldFactor - winCoarseBins + 1) * winFoldFactor // first retained day
 	if tracked, covered, _ := total(w); tracked != (400-oldest)*winUnitsPerBin+half || covered != tracked {
 		t.Fatalf("after ageing out, rings hold %d tracked / %d covered units, want days %d–400.5", tracked, covered, oldest)

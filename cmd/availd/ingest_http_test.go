@@ -85,6 +85,15 @@ func TestIngestOversizedBodyRejected(t *testing.T) {
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("oversized body: got %d %s, want 413", rec.Code, rec.Body)
 		}
+		// Within the byte cap but past the records one journal frame
+		// carries: refused on every front alike, not journaled on one and
+		// a retryable 500 on another.
+		many := bytes.Repeat([]byte(`{"swarm_id":999}`+"\n"), ingest.MaxFrameOps+1)
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(many)))
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "records") {
+			t.Fatalf("%d records: got %d %s, want 413", ingest.MaxFrameOps+1, rec.Code, rec.Body)
+		}
 
 		e.Flush()
 		if after := e.Summary().Events; after != before {
@@ -118,6 +127,14 @@ func TestIngestMalformedBodyLeavesStateUnchanged(t *testing.T) {
 			strings.NewReader(valid+`{"swarm_id":2,"peer_id":1,"seed":true,"online":true,"t":1e999}`+"\n")))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad record 1") {
 			t.Fatalf("overflowing time: got %d %s, want 400 bad record 1", rec.Code, rec.Body)
+		}
+		// A finite time past the codec's ±2^62-day bound is a bad record
+		// too: a durable node could not journal it.
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest",
+			strings.NewReader(valid+`{"swarm_id":2,"peer_id":1,"seed":true,"online":true,"t":-1e300}`+"\n")))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad record 1") {
+			t.Fatalf("time past the bound: got %d %s, want 400 bad record 1", rec.Code, rec.Body)
 		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(valid))
 		req.Header.Set(ingest.HeaderSource, "src")

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -15,8 +16,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"swarmavail/internal/trace"
 	"swarmavail/internal/wal"
@@ -32,17 +35,25 @@ type wireField struct {
 }
 
 // goldenOpsFrame pins the ops payload layout by its bytes, not by the
-// functions that write them: one event, one registration (two files, a
-// non-ASCII title), one census (negative id, nil file list).
+// functions that write them: three events (every header bit, both peer
+// forms, a negative swarm), one registration (two files, a non-ASCII
+// title), one census (negative id, nil file list).
 var goldenOpsFrame = []wireField{
-	{"version", []byte{3}, false},
-	{"op count", []byte{3, 0, 0, 0}, true},
+	{"version", []byte{4}, false},
+	{"op count", []byte{5, 0, 0, 0}, true},
 
-	{"event kind", []byte{0}, false},
-	{"event swarm 7", []byte{7, 0, 0, 0, 0, 0, 0, 0}, false},
-	{"event peer 15", []byte{15, 0, 0, 0, 0, 0, 0, 0}, false},
-	{"event flags seed|online", []byte{3}, false},
-	{"event time 0.25", []byte{0, 0, 0, 0, 0, 0, 0xd0, 0x3f}, false},
+	{"event 0 header: seed|online", []byte{0x0c}, false},
+	{"event 0 swarm 7 (zigzag 14)", []byte{14}, false},
+	{"event 0 peer 15", []byte{15}, false},
+	{"event 0 time 0.25", []byte{0, 0, 0, 0, 0, 0, 0xd0, 0x3f}, false},
+
+	{"event 1 header: same swarm|same time|wide peer", []byte{0x70}, false},
+	{"event 1 peer 2^63+1", []byte{1, 0, 0, 0, 0, 0, 0, 0x80}, false},
+
+	{"event 2 header: seed", []byte{0x04}, false},
+	{"event 2 swarm -3 (zigzag 5)", []byte{5}, false},
+	{"event 2 peer 300", []byte{0xac, 0x02}, false},
+	{"event 2 time 0.5", []byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f}, false},
 
 	{"meta kind", []byte{1}, false},
 	{"meta id 7", []byte{7, 0, 0, 0, 0, 0, 0, 0}, false},
@@ -73,6 +84,8 @@ var goldenOpsFrame = []wireField{
 
 var goldenOps = []Op{
 	EventOp(Record{SwarmID: 7, PeerID: 15, Seed: true, Online: true, Time: 0.25}),
+	EventOp(Record{SwarmID: 7, PeerID: 1<<63 + 1, Time: 0.25}),
+	EventOp(Record{SwarmID: -3, PeerID: 300, Seed: true, Time: 0.5}),
 	MetaOp(trace.SwarmMeta{
 		ID: 7, Category: trace.TV, GroupID: 3, CreatedDay: 12.5, Title: "Friends — S01",
 		Files: []trace.FileMeta{{Name: "a.avi", SizeKB: 1024}, {Name: "", SizeKB: 0.5}},
@@ -220,6 +233,126 @@ func TestDecodeOpsAuxTruncatedOrInflated(t *testing.T) {
 	}
 }
 
+// rawEvents is an ops payload of hand-written event ops, one slice of
+// bytes per op.
+func rawEvents(evs ...[]byte) []byte {
+	p := binary.LittleEndian.AppendUint32([]byte{opsCodecVersion}, uint32(len(evs)))
+	for _, ev := range evs {
+		p = append(p, ev...)
+	}
+	return p
+}
+
+// namedFrame is a test payload and what it is.
+type namedFrame struct {
+	name string
+	data []byte
+}
+
+// secondSpellings are event payloads the encoder never writes, each
+// breaking one rule that makes the layout the one spelling of its ops.
+// Header 0x00 is a leecher going offline with every field written; the
+// time is 1.0 unless the name says otherwise.
+func secondSpellings() []namedFrame {
+	t1 := []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	ev := func(head ...byte) []byte { return append(head, t1...) }
+	return []namedFrame{
+		{"overlong swarm varint", rawEvents(ev(0x00, 0x82, 0x00, 0x01))},
+		{"overlong peer varint", rawEvents(ev(0x00, 0x02, 0x81, 0x00))},
+		{"overlong zero peer", rawEvents(ev(0x00, 0x02, 0x80, 0x00))},
+		{"swarm varint overflows", rawEvents(ev(0x00, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x01))},
+		{"swarm varint of 11 bytes", rawEvents(ev(0x00, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00, 0x01))},
+		{"first swarm 0 written", rawEvents(ev(0x00, 0x00, 0x01))},
+		{"swarm repeat written", rawEvents(ev(0x00, 0x02, 0x01), []byte{evSameTime, 0x02, 0x02})},
+		{"first time 0 written", rawEvents([]byte{0x00, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 0, 0})},
+		{"time repeat written", rawEvents(ev(0x00, 0x02, 0x01), ev(evSameSwarm, 0x02))},
+		{"wide peer below 2^56", rawEvents(ev(evWidePeer, 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00))},
+		{"peer varint of 2^56", rawEvents(ev(0x00, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))},
+		{"header bit 7", rawEvents(ev(0x80, 0x02, 0x01))},
+		{"header bit 7, every flag", rawEvents(ev(0xfc, 0x01))},
+		{"kind 3 with event bits", rawEvents(ev(0x07, 0x02, 0x01))},
+		{"registration kind, flagged", rawEvents(ev(byte(opMeta)|evSameSwarm, 0x02, 0x01))},
+	}
+}
+
+// TestDecodeOpsRefusesSecondSpellings: every second spelling of an event
+// is refused — so a frame that decodes re-encodes to its own bytes, the
+// property FuzzOpCodec searches for — and so is a payload cut anywhere
+// inside the longest varints an event carries.
+func TestDecodeOpsRefusesSecondSpellings(t *testing.T) {
+	for _, f := range secondSpellings() {
+		if ops, err := decodeOps(f.data); err == nil {
+			t.Errorf("%s: decoded to %+v", f.name, ops)
+		}
+	}
+	for _, frame := range longVarintFrames(t) {
+		for n := opsHeaderSize; n < len(frame); n++ {
+			if _, err := decodeOps(frame[:n]); err == nil {
+				t.Errorf("%x cut to %d bytes decoded", frame, n)
+			}
+		}
+	}
+}
+
+// longVarintFrames are valid payloads whose one event carries a 10-byte
+// swarm varint and an 8-byte peer varint, the longest each may be.
+func longVarintFrames(t testing.TB) [][]byte {
+	var frames [][]byte
+	for _, swarm := range []int{math.MinInt64, math.MaxInt64} {
+		frame, err := encodeOps(nil, []Op{EventOp(Record{SwarmID: swarm, PeerID: widePeerMin - 1, Time: 1})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != opsHeaderSize+1+10+8+8 {
+			t.Fatalf("swarm %d encodes to %d bytes: %x", swarm, len(frame), frame)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// TestDecodeOpsBoundsOpCount: an event can be two bytes, so a frame's
+// size no longer bounds the ops it decodes into; MaxFrameOps does, on
+// both sides of the codec. A MaxStreamFrame of two-byte events is
+// refused before anything is sized from its count, a frame at the bound
+// decodes into no more than MaxFrameOps ops, and the encoder refuses
+// one op more.
+func TestDecodeOpsBoundsOpCount(t *testing.T) {
+	allRepeat := func(n int) []byte {
+		p := binary.LittleEndian.AppendUint32([]byte{opsCodecVersion}, uint32(n))
+		for i := 0; i < n; i++ { // swarm 0, peer 1, time 0: the header says it all
+			p = append(p, evSameSwarm|evSameTime, 1)
+		}
+		return p
+	}
+	full := allRepeat((MaxStreamFrame - opsHeaderSize) / eventWireMin)
+	if err := decodeBounded(t, "MaxStreamFrame of 2-byte events", full); err == nil {
+		t.Fatalf("a %d-byte frame of %d ops decoded", len(full), (len(full)-opsHeaderSize)/2)
+	}
+
+	atBound := allRepeat(MaxFrameOps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ops, err := decodeOps(atBound)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(ops) != MaxFrameOps {
+		t.Fatalf("a frame of %d ops: %d decoded, %v", MaxFrameOps, len(ops), err)
+	}
+	bound := uint64(MaxFrameOps)*uint64(unsafe.Sizeof(Op{})) + 1<<20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Errorf("decoding %d ops allocated %d bytes, bound %d", MaxFrameOps, grew, bound)
+	}
+	t.Logf("%d two-byte ops: a %d-byte frame, %d bytes decoded", MaxFrameOps, len(atBound), after.TotalAlloc-before.TotalAlloc)
+
+	binary.LittleEndian.PutUint32(atBound[1:], MaxFrameOps+1)
+	if err := decodeBounded(t, "count past the bound", append(atBound, evSameSwarm|evSameTime, 1)); err == nil {
+		t.Error("a frame of MaxFrameOps+1 ops decoded")
+	}
+	if _, err := encodeOps(nil, make([]Op, MaxFrameOps+1)); err == nil {
+		t.Error("the encoder wrote MaxFrameOps+1 ops")
+	}
+}
+
 // TestDecodeOpsRefusesNonFiniteAux: NaN and ±Inf in a created day, a
 // file size or the horizon are refused by the decoder and by the
 // encoder, as in an event time — a checkpoint could not encode them.
@@ -252,13 +385,15 @@ func TestDecodeOpsRefusesNonFiniteAux(t *testing.T) {
 	}
 }
 
-// readV1Fixture returns the frames of testdata/ops_codec_v1.bin: an
-// event batch, a registration and a census, each plain and keyed,
-// written by the encoder of the commit before the aux payload went
-// binary (ops codec version 1, JSON aux).
-func readV1Fixture(t *testing.T) [][]byte {
+// readCodecFixture returns the frames of a foreign-version fixture: an
+// event batch, a registration and a census, each plain and keyed.
+// testdata/ops_codec_v1.bin was written by the encoder of the commit
+// before the aux payload went binary (ops codec version 1, JSON aux),
+// testdata/ops_codec_v3.bin by the one before the compact event op
+// (version 3, 26-byte fixed-width events).
+func readCodecFixture(t *testing.T, name string) [][]byte {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "ops_codec_v1.bin"))
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +423,12 @@ func readV1Fixture(t *testing.T) [][]byte {
 // recovery does at a frame no build can read, deleted acknowledged
 // records.
 func TestOpsCodecForeignVersionRefused(t *testing.T) {
-	frames := readV1Fixture(t)
+	for _, name := range []string{"ops_codec_v1.bin", "ops_codec_v3.bin"} {
+		t.Run(name, func(t *testing.T) { foreignVersionRefused(t, readCodecFixture(t, name)) })
+	}
+}
+
+func foreignVersionRefused(t *testing.T, frames [][]byte) {
 	for i, frame := range frames {
 		if _, _, _, err := DecodeFrame(frame); !errors.Is(err, errCodecVersion) {
 			t.Errorf("fixture frame %d: DecodeFrame error %v, want the codec version refusal", i, err)
@@ -416,8 +556,9 @@ func TestStreamClientRefusesBadOpAlone(t *testing.T) {
 // and the journaled frame brings it back on every restart) — and
 // whatever it refuses never reaches the journal. The golden frame's
 // created days, file sizes and horizon are redrawn from the extremes of
-// float64, finite and not; its one event keeps its time (the event
-// layout's own test is TestDurableRefusesNonFiniteTime).
+// float64, finite and not; its events keep their times (the event
+// layout's own tests are TestDurableRefusesNonFiniteTime and
+// TestEventTimeBounded).
 func TestAcceptedAuxFrameKeepsCheckpointing(t *testing.T) {
 	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
 	if err != nil {
@@ -460,5 +601,145 @@ func TestAcceptedAuxFrameKeepsCheckpointing(t *testing.T) {
 	}
 	if accepted == 0 || refused == 0 {
 		t.Fatalf("%d frames accepted, %d refused: the draw exercises one side only", accepted, refused)
+	}
+}
+
+// journaledBytesPerOp is what a fresh durable engine journals per op
+// while feed drives it: wal_appended_bytes_total over wal_appended_total,
+// so the frames' headers count and only the WAL envelope does not.
+func journaledBytesPerOp(t *testing.T, feed func(e *Engine)) (perOp float64, ops uint64) {
+	t.Helper()
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	feed(e)
+	reg := e.Registry()
+	ops = reg.Counter("wal_appended_total").Value()
+	return float64(reg.Counter("wal_appended_bytes_total").Value()) / float64(ops), ops
+}
+
+// streamOps sends ops into e down one StreamClient, as a monitor does.
+func streamOps(t *testing.T, e *Engine, ops []Op) {
+	t.Helper()
+	c := NewStreamClient(StreamClientConfig{Addr: startStreamServer(t, e)})
+	for _, op := range ops {
+		if err := c.Put(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fleetOps is one bt mon monitor's stream: ProbeDiff rounds five minutes
+// apart over one swarm, peers keyed by ObservationKey, a tenth of them
+// arriving or leaving each round and a few leechers completing.
+func fleetOps(rounds, pool int) []Op {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]uint64, pool)
+	for p := range keys {
+		keys[p] = ObservationKey(fmt.Sprintf("10.%d.%d.%d:6881", p>>16&255, p>>8&255, p&255))
+	}
+	present, seed := make([]bool, pool), make([]bool, pool)
+	d := NewProbeDiff(4242)
+	var ops []Op
+	day := func(r int) float64 { return 3.5 + float64(r)*5/1440 }
+	for r := 0; r < rounds; r++ {
+		var obs []PeerObservation
+		for p := range keys {
+			if rng.Float64() < 0.1 {
+				present[p] = !present[p]
+			}
+			if present[p] && rng.Float64() < 0.02 {
+				seed[p] = true
+			}
+			if present[p] {
+				obs = append(obs, PeerObservation{Key: keys[p], Seed: seed[p]})
+			}
+		}
+		ops = append(ops, d.Ops(day(r), obs)...)
+	}
+	return append(ops, d.Close(day(rounds))...)
+}
+
+// tailOps is the benchmark's live tail: Zipf(1.2) swarms over 66 000,
+// peers below 2 000 (even ids), each record toggling its peer, event
+// time rising by 1e-6 day a record.
+func tailOps(n int) []Op {
+	rng := rand.New(rand.NewSource(1 ^ 0x7a11))
+	zipf := rand.NewZipf(rng, 1.2, 1, 65_999)
+	on := make(map[[2]int]bool)
+	ops := make([]Op, n)
+	for i := range ops {
+		k := [2]int{int(zipf.Uint64()), rng.Intn(2000)}
+		on[k] = !on[k]
+		ops[i] = EventOp(Record{SwarmID: k[0], PeerID: uint64(k[1]) << 1, Seed: k[1] < 100, Online: on[k], Time: 210 + float64(i+1)*1e-6})
+	}
+	return ops
+}
+
+// eventOps is ops without its registrations and census ops.
+func eventOps(ops []Op) []Op {
+	var evs []Op
+	for _, op := range ops {
+		if op.kind == opEvent {
+			evs = append(evs, op)
+		}
+	}
+	return evs
+}
+
+// preloadOps is a generated study's publisher sessions in global time
+// order, as the benchmark preloads them (registrations left out).
+func preloadOps(swarms int) []Op {
+	ops := eventOps(studyOps(swarms, 1))
+	slices.SortStableFunc(ops, func(a, b Op) int { return cmp.Compare(a.rec.Time, b.rec.Time) })
+	return ops
+}
+
+// TestEventWireBytes: what an event op costs in the journal on the
+// traffic that produces it, each shape below its stated bound and all
+// below the 26 bytes of the fixed-width layout the compact one replaced.
+// Logged, so CI keeps the figures as a trajectory. The worst case —
+// swarm ids needing a ten-byte varint and wide peers, 27 B — is a
+// hostile stream's, not a bound (DESIGN §12).
+func TestEventWireBytes(t *testing.T) {
+	for _, shape := range []struct {
+		name  string
+		bound float64
+		feed  func(t *testing.T, e *Engine)
+	}{
+		// One swarm and one time per round: a header and a wide peer.
+		{"fleet: ProbeDiff rounds, ObservationKey peers, StreamClient", 10, func(t *testing.T, e *Engine) {
+			streamOps(t, e, fleetOps(200, 300))
+		}},
+		// One swarm's sessions in a row: the swarm is flagged, the time is not.
+		{"replay: a study's TraceOps events through a Writer", 11.5, func(t *testing.T, e *Engine) {
+			w := e.NewWriter()
+			for _, op := range eventOps(studyOps(300, 7)) {
+				if err := w.Put(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"bench tail: Zipf(1.2) over 66K swarms, 2K peers, StreamClient", 12.5, func(t *testing.T, e *Engine) {
+			streamOps(t, e, tailOps(20_480))
+		}},
+		// A new swarm nearly every op; at 66K swarms ids take a byte more.
+		{"preload: 1 000 study swarms in time order, StreamClient", 13.5, func(t *testing.T, e *Engine) {
+			streamOps(t, e, preloadOps(1000))
+		}},
+	} {
+		perOp, n := journaledBytesPerOp(t, func(e *Engine) { shape.feed(t, e) })
+		t.Logf("%-66s %6.2f B/op over %d ops", shape.name, perOp, n)
+		if n == 0 || perOp > shape.bound || perOp > 26 {
+			t.Errorf("%s: %.2f B/op over %d ops, bound %.1f", shape.name, perOp, n, shape.bound)
+		}
 	}
 }

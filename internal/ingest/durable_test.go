@@ -44,7 +44,15 @@ func TestOpsCodecRoundTrip(t *testing.T) {
 	for _, sn := range snaps {
 		ops = append(ops, CensusOp(sn))
 	}
-	ops = append(ops, EventOp(Record{SwarmID: -3, PeerID: math.MaxUint64, Seed: true, Online: true, Time: math.MaxFloat64}))
+	// The extremes of every event field: the time bound, both peer forms
+	// and the width where they meet, swarm ids needing ten varint bytes.
+	ops = append(ops,
+		EventOp(Record{SwarmID: -3, PeerID: math.MaxUint64, Seed: true, Online: true, Time: maxEventDays}),
+		EventOp(Record{SwarmID: math.MinInt64, PeerID: widePeerMin - 1, Time: -maxEventDays}),
+		EventOp(Record{SwarmID: math.MaxInt64, PeerID: widePeerMin, Online: true, Time: -maxEventDays}),
+		EventOp(Record{SwarmID: math.MaxInt64, PeerID: 0, Time: math.Copysign(0, -1)}),
+		EventOp(Record{SwarmID: 0, PeerID: 1, Time: 0}),
+	)
 
 	frame, err := encodeOps(nil, ops)
 	if err != nil {
@@ -93,38 +101,102 @@ func TestDecodeOpsRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withHeader := func(h byte) []byte {
+		frame := append([]byte{}, valid...)
+		frame[opsHeaderSize] = h
+		return frame
+	}
+	beyond := math.Nextafter(maxEventDays, math.Inf(1))
 	cases := map[string][]byte{
-		"NaN time":       withLastTime(valid, math.NaN()),
-		"+Inf time":      withLastTime(valid, math.Inf(1)),
-		"-Inf time":      withLastTime(valid, math.Inf(-1)),
-		"empty":          nil,
-		"short":          {opsCodecVersion, 0, 0},
-		"truncated op":   valid[:len(valid)-4],
-		"trailing bytes": append(append([]byte{}, valid...), 0xee),
-		"absurd count":   append([]byte{opsCodecVersion, 0xff, 0xff, 0xff, 0xff}, valid[opsHeaderSize:]...),
-		"count + 1":      append([]byte{opsCodecVersion, 2, 0, 0, 0}, valid[opsHeaderSize:]...),
-		"unknown kind":   append([]byte{opsCodecVersion, 1, 0, 0, 0, 42}, valid[opsHeaderSize+1:]...),
-		"unknown flags":  append(append([]byte{}, valid[:opsHeaderSize+17]...), append([]byte{4}, valid[opsHeaderSize+18:]...)...),
-		"short meta":     append([]byte{opsCodecVersion, 1, 0, 0, 0, byte(opMeta)}, valid[opsHeaderSize+1:]...),
-		"short census":   append([]byte{opsCodecVersion, 1, 0, 0, 0, byte(opCensus)}, valid[opsHeaderSize+1:]...),
+		"NaN time":              withLastTime(valid, math.NaN()),
+		"+Inf time":             withLastTime(valid, math.Inf(1)),
+		"-Inf time":             withLastTime(valid, math.Inf(-1)),
+		"time past +2^62":       withLastTime(valid, beyond),
+		"time past -2^62":       withLastTime(valid, -beyond),
+		"time -MaxFloat64":      withLastTime(valid, -math.MaxFloat64),
+		"empty":                 nil,
+		"short":                 {opsCodecVersion, 0, 0},
+		"truncated op":          valid[:len(valid)-4],
+		"trailing bytes":        append(append([]byte{}, valid...), 0xee),
+		"absurd count":          append([]byte{opsCodecVersion, 0xff, 0xff, 0xff, 0xff}, valid[opsHeaderSize:]...),
+		"count + 1":             append([]byte{opsCodecVersion, 2, 0, 0, 0}, valid[opsHeaderSize:]...),
+		"unknown kind":          withHeader(42),
+		"kind 3":                withHeader(3),
+		"header bit 7":          withHeader(0x80),
+		"meta kind, event bits": withHeader(byte(opMeta) | evSeed),
+		"short meta":            withHeader(byte(opMeta)),
+		"short census":          withHeader(byte(opCensus)),
 	}
 	for name, data := range cases {
 		if _, err := decodeOps(data); err == nil || errors.Is(err, errCodecVersion) {
 			t.Errorf("%s: decode error %v", name, err)
 		}
 	}
-	for _, v := range []byte{0, 1, keyedCodecVersion, opsCodecVersion + 1, 99} {
+	for _, v := range []byte{0, 1, keyedCodecVersion, 3, opsCodecVersion + 1, 99} {
 		if _, err := decodeOps(append([]byte{v}, valid[1:]...)); !errors.Is(err, errCodecVersion) {
 			t.Errorf("version %d: decode error %v, want the codec version refusal", v, err)
 		}
 	}
-	if _, err := decodeOps(withLastTime(valid, -math.MaxFloat64)); err != nil {
-		t.Errorf("a finite time was refused: %v", err)
+	for _, edge := range []float64{maxEventDays, -maxEventDays} {
+		if _, err := decodeOps(withLastTime(valid, edge)); err != nil {
+			t.Errorf("a time of %v days, at the bound, was refused: %v", edge, err)
+		}
 	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), beyond, -math.MaxFloat64} {
 		if _, err := encodeOps(nil, []Op{EventOp(Record{SwarmID: 1, Time: bad})}); err == nil {
 			t.Errorf("an event at time %v encoded without error", bad)
 		}
+	}
+}
+
+// TestEventTimeBounded: finite-but-extreme event times are refused at
+// admission. Two seed sessions from −MaxFloat64 to +MaxFloat64 on one
+// swarm summed its CoveredFull to +Inf, and every later Checkpoint
+// failed in encoding/json. At the bound, ±2^62 days, the same sessions
+// are accepted and checkpoint.
+func TestEventTimeBounded(t *testing.T) {
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sessions := func(swarm int, t0, t1 float64) []Op {
+		var ops []Op
+		for peer := uint64(1); peer <= 2; peer++ {
+			ops = append(ops,
+				EventOp(Record{SwarmID: swarm, PeerID: peer, Seed: true, Online: true, Time: t0}),
+				EventOp(Record{SwarmID: swarm, PeerID: peer, Seed: true, Online: false, Time: t1}))
+		}
+		return ops
+	}
+	seq := e.WAL().LastSeq()
+	extreme := sessions(1, -math.MaxFloat64, math.MaxFloat64)
+	if err := e.Submit(extreme); err == nil || !strings.Contains(err.Error(), "beyond ±2^62 days") {
+		t.Fatalf("Submit of sessions spanning ±MaxFloat64: %v", err)
+	}
+	edge, err := encodeKeyedOps(nil, "mon-edge", 1, sessions(1, -maxEventDays, maxEventDays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitFrame(withLastTime(edge, math.MaxFloat64)); err == nil {
+		t.Fatal("a frame whose last event is at +MaxFloat64 was accepted")
+	}
+	c := NewStreamClient(StreamClientConfig{Addr: "127.0.0.1:1"}) // never dials: Put refuses first
+	if err := c.Put(extreme[0]); err == nil {
+		t.Fatal("StreamClient.Put accepted an event at -MaxFloat64")
+	}
+	if got := e.WAL().LastSeq(); got != seq {
+		t.Fatalf("journal moved from seq %d to %d: a refused op reached the WAL", seq, got)
+	}
+
+	if applied, err := e.SubmitFrame(edge); err != nil || !applied {
+		t.Fatalf("sessions at ±2^62 days: applied=%v err=%v", applied, err)
+	}
+	if cs, err := e.Checkpoint(); err != nil || cs.Skipped {
+		t.Fatalf("checkpoint after sessions at ±2^62 days: %+v, %v", cs, err)
+	}
+	if st, ok := e.Swarm(1); !ok || st.Events != 4 {
+		t.Fatalf("swarm 1 = %+v (known=%v), want the four events at the bound", st, ok)
 	}
 }
 

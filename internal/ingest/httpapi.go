@@ -142,8 +142,9 @@ const parallelIngestBody = 1 << 20
 // The whole body is parsed before it returns, so a caller that touches
 // its engine or its nodes only on ok=true never applies part of a
 // request the client was told failed. On ok=false the response has been
-// written: 400 for a bad key (an over-long source included) or record,
-// 413 past MaxIngestBody.
+// written: 400 for a bad key (an over-long source included) or record
+// (an event time the codec refuses included), 413 past MaxIngestBody or
+// MaxFrameOps records.
 func ReadIngestRequest(w http.ResponseWriter, r *http.Request, each func(Record)) (source string, seq uint64, ok bool) {
 	if source = r.Header.Get(HeaderSource); source != "" {
 		// The frame codec's bound, checked at the edge: past it the key
@@ -170,7 +171,19 @@ func ReadIngestRequest(w http.ResponseWriter, r *http.Request, each func(Record)
 	}
 	n := 0
 	for ; src.Scan(); n++ {
-		each(src.Record())
+		// The codec's admission test and its frame bound, checked at the
+		// edge: past either the request could not be journaled as the one
+		// frame it is.
+		op := EventOp(src.Record())
+		if n == MaxFrameOps {
+			http.Error(w, fmt.Sprintf("body exceeds %d records", MaxFrameOps), http.StatusRequestEntityTooLarge)
+			return "", 0, false
+		}
+		if err := op.check(n); err != nil {
+			http.Error(w, fmt.Sprintf("bad record %d: %v", n, err), http.StatusBadRequest)
+			return "", 0, false
+		}
+		each(op.rec)
 	}
 	if err := src.Err(); err != nil {
 		var tooBig *http.MaxBytesError

@@ -142,7 +142,7 @@ type Config struct {
 	// BatchSize is the Writer's flush threshold in ops (default 512).
 	// Batches travel through the shard queues by ownership transfer —
 	// no copy — so larger batches only amortise the channel hop; 512
-	// ops ≈ 24 KiB per pooled buffer.
+	// ops ≈ 24 KiB per pooled buffer. At most MaxFrameOps.
 	BatchSize int
 	// QueueDepth is the per-shard queue capacity in batches
 	// (default 128). A full queue stalls the submitter until the shard
@@ -172,6 +172,7 @@ func (c Config) withDefaults(defaultShards int) Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 512
 	}
+	c.BatchSize = min(c.BatchSize, MaxFrameOps)
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -19,7 +20,7 @@ import (
 // other (errCodecVersion), so a build never parses another build's
 // frame as something it is not. (2 is taken: the payload's first byte
 // and keyedCodecVersion share one position.)
-const opsCodecVersion = 3
+const opsCodecVersion = 4
 
 // keyedCodecVersion marks a frame carrying a (source, seq) idempotency
 // key ahead of a complete ops payload:
@@ -43,29 +44,65 @@ const maxSourceLen = 256
 var errCodecVersion = errors.New("ingest: foreign ops codec version")
 
 // An ops payload is [opsCodecVersion][u32 count] and then count ops,
-// each led by its kind byte. Everything is little-endian and fixed
-// width: an int travels as its two's-complement u64, a float as its
-// IEEE-754 bits, a string as [u32 len][UTF-8 bytes].
+// each led by a byte whose low two bits are its kind. Fixed-width fields
+// are little-endian: an int travels as its two's-complement u64, a float
+// as its IEEE-754 bits, a string as [u32 len][UTF-8 bytes].
 //
-//	event   [0][u64 swarm][u64 peer][u8 flags: 1 seed, 2 online][f64 time]
+//	event   [header][swarm: zigzag varint][peer: uvarint | u64][time: f64]
 //	meta    [1][swarm meta][f64 horizon days]
 //	census  [2][swarm meta][u64 seeds][u64 leechers][u64 downloads]
 //
 //	swarm meta   [u64 id][u64 category][u64 group][f64 created day][str title]
 //	             [u32 nfiles][nfiles × ([str name][f64 size KB])]
 //
+// An event's header is kind 0 plus the evSeed … evWidePeer bits. The
+// swarm is omitted when it is the previous event's, the time when its
+// bits are the previous event's; "previous" starts each payload at swarm
+// 0 and time bits 0, so every payload decodes alone. A peer below
+// widePeerMin is a uvarint, one at or above it (an ObservationKey hash,
+// nearly always) eight fixed bytes under evWidePeer, so no peer costs
+// more than 8. An event is 2 to eventWireMax bytes.
+//
 // nfiles == nilFiles is a nil file list, which a checkpoint renders
 // differently from an empty one. No field is redundant and none has two
-// spellings — the decoder refuses unknown flag bits, invalid UTF-8 and
-// non-finite floats — so decoding a payload and encoding the result
-// reproduces its bytes.
+// spellings — the decoder refuses unknown header bits, an overlong
+// varint, a repeat written out instead of flagged, a wide peer that fits
+// a uvarint, invalid UTF-8 and non-finite floats — so decoding a payload
+// and encoding the result reproduces its bytes.
 const (
-	opsHeaderSize  = 1 + 4             // version byte + op count
-	eventWireBytes = 1 + 8 + 8 + 1 + 8 // kind + swarm + peer + flags + time
-	metaHeadBytes  = 8 + 8 + 8 + 8     // id + category + group + created day
-	fileWireMin    = 4 + 8             // name length + size
-	nilFiles       = math.MaxUint32
+	opsHeaderSize = 1 + 4         // version byte + op count
+	metaHeadBytes = 8 + 8 + 8 + 8 // id + category + group + created day
+	fileWireMin   = 4 + 8         // name length + size
+	nilFiles      = math.MaxUint32
+
+	opKindMask  = 0x03
+	evSeed      = 1 << 2
+	evOnline    = 1 << 3
+	evSameSwarm = 1 << 4 // swarm omitted: the previous event's
+	evSameTime  = 1 << 5 // time omitted: the previous event's bits
+	evWidePeer  = 1 << 6 // peer is a u64, not a uvarint
+	evKnownBits = 1<<7 - 1
+	widePeerMin = 1 << 56
+
+	eventWireMin = 1 + 1                             // header + a one-byte peer
+	eventWireMax = 1 + binary.MaxVarintLen64 + 8 + 8 // header + swarm + wide peer + time
 )
+
+// MaxFrameOps bounds the ops one payload carries, on both sides of the
+// codec. An event can be two bytes, so the bytes a frame holds no longer
+// bound what it decodes into; this does: 320 000 ops (15 MB of []Op) is
+// what an 8 MiB stream frame of 26-byte events decoded into under
+// version 3, and room for a whole POST /v1/ingest body (≈300K records)
+// as one frame. The encoder refuses more, so whatever is journaled
+// replays.
+const MaxFrameOps = 320_000
+
+// maxEventDays bounds an event's |time|. binIndex saturates there
+// already (winMaxBin bins of winBinDays), and a session no longer than
+// 2^63 days keeps every sum of them (CoveredFull, a swarm's tracked
+// time) finite: two sessions from −MaxFloat64 to +MaxFloat64 summed to
+// +Inf, which no later checkpoint could encode.
+const maxEventDays = winMaxBin * winBinDays
 
 // errNonFinite refuses an op carrying a NaN or ±Inf, on both sides of
 // the codec: an event time would poison the swarm's UpSince or
@@ -83,7 +120,7 @@ func errNonFinite(i int, what string, v float64) error {
 // refuses. i names the op in the error. The event case is all the hot
 // path runs, and is small enough to inline.
 func (op *Op) check(i int) error {
-	if op.kind == opEvent && op.rec.Time-op.rec.Time == 0 { // neither NaN nor ±Inf
+	if op.kind == opEvent && op.rec.Time <= maxEventDays && op.rec.Time >= -maxEventDays { // false for NaN
 		return nil
 	}
 	return op.checkSlow(i)
@@ -92,7 +129,10 @@ func (op *Op) check(i int) error {
 func (op *Op) checkSlow(i int) error {
 	switch op.kind {
 	case opEvent:
-		return errNonFinite(i, "event time", op.rec.Time)
+		if t := op.rec.Time; t-t != 0 {
+			return errNonFinite(i, "event time", t)
+		}
+		return fmt.Errorf("ingest: op %d has event time %v beyond ±2^62 days", i, op.rec.Time)
 	case opMeta:
 		if h := op.aux.horizon; h-h != 0 {
 			return errNonFinite(i, "horizon", h)
@@ -116,34 +156,36 @@ func checkSwarmMeta(i int, m *trace.SwarmMeta) error {
 	return nil
 }
 
+// prevEvent is what an event may refer back to instead of repeating it:
+// the previous event's swarm and time bits in the same payload.
+type prevEvent struct {
+	swarm int
+	tbits uint64
+}
+
 // encodeOps appends the ops payload of ops to dst.
 func encodeOps(dst []byte, ops []Op) ([]byte, error) {
+	if len(ops) > MaxFrameOps {
+		return nil, fmt.Errorf("ingest: %d ops exceed the %d one frame carries", len(ops), MaxFrameOps)
+	}
 	dst = append(dst, opsCodecVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
+	var prev prevEvent
 	for i := range ops {
 		op := &ops[i]
 		if err := op.check(i); err != nil {
 			return nil, err
 		}
-		dst = append(dst, byte(op.kind))
 		switch op.kind {
 		case opEvent:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(op.rec.SwarmID))
-			dst = binary.LittleEndian.AppendUint64(dst, op.rec.PeerID)
-			var flags byte
-			if op.rec.Seed {
-				flags |= 1
-			}
-			if op.rec.Online {
-				flags |= 2
-			}
-			dst = append(dst, flags)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.rec.Time))
+			dst = appendEvent(dst, &op.rec, &prev)
 		case opMeta:
+			dst = append(dst, byte(opMeta))
 			dst = appendSwarmMeta(dst, &op.aux.meta)
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.aux.horizon))
 		case opCensus:
 			c := &op.aux.census
+			dst = append(dst, byte(opCensus))
 			dst = appendSwarmMeta(dst, &c.Meta)
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Seeds))
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Leechers))
@@ -151,6 +193,46 @@ func encodeOps(dst []byte, ops []Op) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// appendEvent appends one event op: its header, then whichever of swarm,
+// peer and time the header does not say are the previous event's. It
+// grows dst once and writes in place: an append per field cost as much
+// as the fields.
+func appendEvent(dst []byte, r *Record, prev *prevEvent) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, eventWireMax)
+	b := (*[eventWireMax]byte)(dst[at : at+eventWireMax])
+	h := byte(opEvent)
+	if r.Seed {
+		h |= evSeed
+	}
+	if r.Online {
+		h |= evOnline
+	}
+	n := 1
+	if s := int64(r.SwarmID); r.SwarmID == prev.swarm {
+		h |= evSameSwarm
+	} else {
+		n += binary.PutUvarint(b[n:], uint64(s<<1^s>>63)) // zigzag
+	}
+	if r.PeerID < widePeerMin {
+		n += binary.PutUvarint(b[n:], r.PeerID)
+	} else {
+		h |= evWidePeer
+		binary.LittleEndian.PutUint64(b[n:], r.PeerID)
+		n += 8
+	}
+	if tbits := math.Float64bits(r.Time); tbits == prev.tbits {
+		h |= evSameTime
+	} else {
+		binary.LittleEndian.PutUint64(b[n:], tbits)
+		n += 8
+		prev.tbits = tbits
+	}
+	b[0] = h
+	prev.swarm = r.SwarmID
+	return dst[:at+n]
 }
 
 func appendSwarmMeta(dst []byte, m *trace.SwarmMeta) []byte {
@@ -270,38 +352,32 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 	}
 	count := binary.LittleEndian.Uint32(data[1:5])
 	data = data[opsHeaderSize:]
-	// No op is smaller than an event, so a count claiming more ops than
-	// the payload could hold is corruption, not a reason to allocate.
-	if uint64(count)*eventWireBytes > uint64(len(data)) {
+	// No op is smaller than eventWireMin and no payload carries more than
+	// MaxFrameOps, so a count past either is corruption, not a reason
+	// to allocate.
+	if count > MaxFrameOps || uint64(count)*eventWireMin > uint64(len(data)) {
 		return nil, fmt.Errorf("ingest: journal frame claims %d ops in %d bytes", count, len(data))
 	}
 	ops := dst[:0]
 	if cap(ops) < int(count) {
 		ops = make([]Op, 0, count)
 	}
+	var prev prevEvent
 	for i := 0; i < int(count); i++ {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("ingest: journal frame truncated at op %d/%d", i, count)
 		}
-		var op Op
+		ops = ops[:i+1] // within cap: count was checked above
+		op := &ops[i]
+		*op = Op{}
 		var err error
-		switch op.kind = opKind(data[0]); op.kind {
-		case opEvent:
-			if len(data) < eventWireBytes {
-				return nil, fmt.Errorf("ingest: truncated event op at %d/%d", i, count)
+		switch h := data[0]; {
+		case h&opKindMask == byte(opEvent):
+			if data, err = decodeEvent(&op.rec, &prev, data); err != nil {
+				return nil, fmt.Errorf("ingest: event op %d/%d: %w", i, count, err)
 			}
-			if data[17] > 3 {
-				return nil, fmt.Errorf("ingest: event op %d has unknown flags %#x", i, data[17])
-			}
-			op.rec = Record{
-				SwarmID: int(int64(binary.LittleEndian.Uint64(data[1:9]))),
-				PeerID:  binary.LittleEndian.Uint64(data[9:17]),
-				Seed:    data[17]&1 != 0,
-				Online:  data[17]&2 != 0,
-				Time:    math.Float64frombits(binary.LittleEndian.Uint64(data[18:26])),
-			}
-			data = data[eventWireBytes:]
-		case opMeta:
+		case h == byte(opMeta):
+			op.kind = opMeta
 			op.aux = &opAux{}
 			if data, err = decodeSwarmMeta(&op.aux.meta, data[1:]); err == nil && len(data) < 8 {
 				err = errShortAux
@@ -311,7 +387,8 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 			}
 			op.aux.horizon = math.Float64frombits(binary.LittleEndian.Uint64(data))
 			data = data[8:]
-		case opCensus:
+		case h == byte(opCensus):
+			op.kind = opCensus
 			op.aux = &opAux{}
 			c := &op.aux.census
 			if data, err = decodeSwarmMeta(&c.Meta, data[1:]); err == nil && len(data) < 24 {
@@ -324,11 +401,12 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 			c.Leechers = int(int64(binary.LittleEndian.Uint64(data[8:16])))
 			c.Downloads = int(int64(binary.LittleEndian.Uint64(data[16:24])))
 			data = data[24:]
+		default:
+			return nil, fmt.Errorf("ingest: op %d/%d has unknown kind byte %#x", i, count, h)
 		}
 		if err = op.check(i); err != nil {
 			return nil, err
 		}
-		ops = append(ops, op)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("ingest: %d trailing bytes after %d ops", len(data), count)
@@ -336,7 +414,91 @@ func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 	return ops, nil
 }
 
-var errShortAux = errors.New("payload truncated")
+// decodeEvent reads one event op off the front of data (data[0] is its
+// header, of kind opEvent) into r and returns the bytes after it. It
+// refuses every second spelling the encoder never writes.
+func decodeEvent(r *Record, prev *prevEvent, data []byte) ([]byte, error) {
+	h := data[0]
+	if h&^evKnownBits != 0 {
+		return nil, fmt.Errorf("unknown header bits %#x", h)
+	}
+	data = data[1:]
+	if h&evSameSwarm == 0 {
+		u, n := readUvarint(data)
+		if n <= 0 {
+			return nil, errVarint("swarm", n)
+		}
+		s := int(int64(u>>1) ^ -int64(u&1))
+		if s == prev.swarm {
+			return nil, errors.New("swarm repeats the previous event's but is written out")
+		}
+		prev.swarm = s
+		data = data[n:]
+	}
+	if h&evWidePeer == 0 {
+		u, n := readUvarint(data)
+		if n <= 0 {
+			return nil, errVarint("peer", n)
+		}
+		if u >= widePeerMin {
+			return nil, fmt.Errorf("peer %#x is a varint but takes the wide form", u)
+		}
+		r.PeerID = u
+		data = data[n:]
+	} else {
+		if len(data) < 8 {
+			return nil, errShortEvent
+		}
+		if r.PeerID = binary.LittleEndian.Uint64(data); r.PeerID < widePeerMin {
+			return nil, fmt.Errorf("wide peer %#x fits a varint", r.PeerID)
+		}
+		data = data[8:]
+	}
+	if h&evSameTime == 0 {
+		if len(data) < 8 {
+			return nil, errShortEvent
+		}
+		tbits := binary.LittleEndian.Uint64(data)
+		if tbits == prev.tbits {
+			return nil, errors.New("time repeats the previous event's but is written out")
+		}
+		prev.tbits = tbits
+		data = data[8:]
+	}
+	r.SwarmID = prev.swarm
+	r.Seed = h&evSeed != 0
+	r.Online = h&evOnline != 0
+	r.Time = math.Float64frombits(prev.tbits)
+	return data, nil
+}
+
+// readUvarint reads the one spelling of a uvarint off the front of b.
+// n is 0 when b ends inside it, negative when it overflows 64 bits or is
+// overlong (a last byte of zero after the first).
+func readUvarint(b []byte) (v uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) > 1 && b[1]-1 < 0x7f { // a second and last byte, not zero
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	}
+	if v, n = binary.Uvarint(b); n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
+func errVarint(field string, n int) error {
+	if n == 0 {
+		return errShortEvent
+	}
+	return fmt.Errorf("%s varint is overlong or overflows", field)
+}
+
+var (
+	errShortAux   = errors.New("payload truncated")
+	errShortEvent = errors.New("event truncated")
+)
 
 // decodeSwarmMeta reads one swarm meta off the front of data into m and
 // returns the bytes after it.
@@ -430,16 +592,18 @@ type journal struct {
 	// since.
 	lastCkpt uint64
 
-	appended     *obs.Counter   // wal_appended_total: ops made durable
-	appendFrames *obs.Histogram // wal_append_frames: frames per append (per fsync under -fsync batch)
-	bufs         sync.Pool      // *[]byte frame-encoding scratch
+	appended      *obs.Counter   // wal_appended_total: ops made durable
+	appendedBytes *obs.Counter   // wal_appended_bytes_total: their frames' payload bytes
+	appendFrames  *obs.Histogram // wal_append_frames: frames per append (per fsync under -fsync batch)
+	bufs          sync.Pool      // *[]byte frame-encoding scratch
 }
 
 func newJournal(log *wal.Log, reg *obs.Registry) *journal {
 	return &journal{
-		log:          log,
-		appended:     reg.Counter("wal_appended_total"),
-		appendFrames: reg.Histogram("wal_append_frames", obs.SizeBuckets),
+		log:           log,
+		appended:      reg.Counter("wal_appended_total"),
+		appendedBytes: reg.Counter("wal_appended_bytes_total"),
+		appendFrames:  reg.Histogram("wal_append_frames", obs.SizeBuckets),
 	}
 }
 
@@ -462,7 +626,12 @@ func (j *journal) release(frame []byte) { j.bufs.Put(&frame) }
 func (j *journal) append(frames [][]byte, nOps int) error {
 	_, err := j.log.Append(frames...)
 	if err == nil {
+		var n int
+		for _, f := range frames {
+			n += len(f)
+		}
 		j.appended.Add(uint64(nOps))
+		j.appendedBytes.Add(uint64(n))
 		j.appendFrames.Observe(float64(len(frames)))
 	}
 	return err

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"math"
 	"reflect"
 	"strconv"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
+	"swarmavail/internal/wal"
 )
 
 // TestMetricsSnapshotComplete runs a workload that exercises every
@@ -163,4 +165,54 @@ func TestSnapshotMetricsFollowReaders(t *testing.T) {
 	if got := dirty.Sum(); got != swarms {
 		t.Fatalf("ingest_snapshot_dirty_swarms sums to %v, want %d", got, swarms)
 	}
+}
+
+// TestWALAppendedBytes: wal_appended_bytes_total counts the payload
+// bytes of every journaled frame — the encoder's output for an
+// in-process batch, a stream's frame verbatim — and nothing for a
+// duplicate or a refused frame, so with wal_appended_total it reads the
+// journal's bytes per op off /metrics.
+func TestWALAppendedBytes(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, _, err := OpenDurable(Config{Shards: 2, Metrics: reg}, DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	bytesTotal := func() uint64 {
+		v, ok := reg.Value("wal_appended_bytes_total")
+		if !ok {
+			t.Fatal("wal_appended_bytes_total is not registered")
+		}
+		return uint64(v)
+	}
+
+	ops := studyOps(5, 3)
+	plain, err := EncodeFrame(nil, "", 0, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytesTotal(); got != uint64(len(plain)) {
+		t.Fatalf("after Submit: %d bytes, want the %d-byte frame", got, len(plain))
+	}
+	keyed := mustEncodeFrame(t, "mon-bytes", 1, ops)
+	for i := 0; i < 2; i++ { // the second is a duplicate: journaled once
+		if _, err := e.SubmitFrame(keyed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.SubmitFrame(withLastTime(keyed, math.NaN())); err == nil {
+		t.Fatal("a frame holding a NaN time was accepted")
+	}
+	want := uint64(len(plain) + len(keyed))
+	if got := bytesTotal(); got != want {
+		t.Fatalf("after SubmitFrame: %d bytes, want %d", got, want)
+	}
+	if v, _ := reg.Value("wal_appended_total"); uint64(v) != uint64(2*len(ops)) {
+		t.Fatalf("wal_appended_total = %v, want %d", v, 2*len(ops))
+	}
+	t.Logf("%.2f journaled bytes per op", float64(want)/float64(2*len(ops)))
 }

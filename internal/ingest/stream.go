@@ -68,9 +68,10 @@ const streamAckEvery = 64
 // A connection's read buffer starts at streamReadBuf and doubles, up to
 // streamReadBufMax, whenever a read fills it — the sender is ahead of
 // the server, which is exactly when a larger backlog buys a larger
-// group. The ceiling holds 19 full frames (512 event ops ≈ 13 KiB):
-// past that an fsync is a few percent of what the group's own decode
-// and apply cost, so more buffer would buy memory, not throughput. The
+// group. The ceiling holds ≈40 full frames (512 event ops ≈ 6.3 KiB at
+// the ≈12 B an event costs on a benchmark tail): past ≈20 an fsync is a
+// few percent of what the group's own decode and apply cost, so more
+// buffer would buy memory, not throughput. The
 // floor keeps a fleet of a thousand paced monitors at 64 KiB a
 // connection. A single frame larger than the buffer grows it to that
 // frame's size.

@@ -367,7 +367,8 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 // FuzzOpCodec holds the codec to two properties on arbitrary bytes:
 // decoding never panics, and a frame that decodes is the one spelling
 // of its ops — encoding them reproduces the input bytes, so nothing the
-// decoder accepts is something the encoder refuses.
+// decoder accepts is something the encoder refuses, and no overlong
+// varint, unflagged repeat or misplaced wide peer gets through.
 func FuzzOpCodec(f *testing.F) {
 	recOps := []Op{
 		EventOp(Record{SwarmID: 5, PeerID: 11, Seed: true, Online: true, Time: 3.5}),
@@ -418,6 +419,18 @@ func FuzzOpCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0})
+	// The event op's second spellings, each refused, and the longest
+	// varints an event carries cut at every byte: the fuzzer grows its
+	// inputs from the edges of the canonical rules.
+	for _, s := range secondSpellings() {
+		f.Add(s.data)
+	}
+	for _, frame := range longVarintFrames(f) {
+		f.Add(frame)
+		for n := opsHeaderSize + 2; n < opsHeaderSize+1+10+8; n++ {
+			f.Add(frame[:n])
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		source, seq, ops, err := DecodeFrame(data)
 		if err != nil {

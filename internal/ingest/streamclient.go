@@ -27,7 +27,7 @@ type StreamClientConfig struct {
 	// reconnects, never across concurrent clients.
 	Source string
 	// BatchSize is the ops accumulated per DATA frame (default 512,
-	// matching the engine's batch size).
+	// matching the engine's batch size; at most MaxFrameOps).
 	BatchSize int
 	// Window is the maximum unacknowledged DATA frames in flight;
 	// a full window blocks the producer (default 32).
@@ -51,6 +51,7 @@ func (c StreamClientConfig) withDefaults() StreamClientConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 512
 	}
+	c.BatchSize = min(c.BatchSize, MaxFrameOps)
 	if c.Window <= 0 {
 		c.Window = 32
 	}
@@ -170,9 +171,9 @@ func (c *StreamClient) flushBatch() error {
 		return nil
 	}
 	c.seq++
-	// Sized for event ops; meta/census are rare enough that a regrow on
-	// their account is fine.
-	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(c.cfg.Source) + opsHeaderSize + eventWireBytes*len(c.batch)
+	// Sized for the largest event ops; meta/census are rare enough that a
+	// regrow on their account is fine.
+	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(c.cfg.Source) + opsHeaderSize + eventWireMax*len(c.batch)
 	env := make([]byte, wal.FrameHeaderSize, hint)
 	env = append(env, StreamFrameData)
 	env, err := encodeKeyedOps(env, c.cfg.Source, c.seq, c.batch)

@@ -171,13 +171,7 @@ func TestClusterCrashFailover(t *testing.T) {
 		Nodes:       nodes,
 		HealthEvery: 50 * time.Millisecond,
 		FailAfter:   2,
-		SendPasses:  100,
-		ClientConfig: ingest.HTTPClientConfig{
-			MaxAttempts: 3,
-			BackoffBase: 5 * time.Millisecond,
-			BackoffCap:  50 * time.Millisecond,
-		},
-		Logf: t.Logf,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +248,7 @@ func TestClusterCrashFailover(t *testing.T) {
 
 	// SIGKILL node 0's leader: no drain, no final checkpoint. The
 	// gateway's health loop must promote its follower, and the rest of
-	// the campaign must land (pushes in flight ride the retry passes).
+	// the campaign must land (pushes in flight ride the retry loop).
 	children[0].kill()
 	for seq := batches / 2; seq < batches; seq++ {
 		push(seq)

@@ -156,18 +156,11 @@ func TestPartitionChaosFailover(t *testing.T) {
 		},
 		HealthEvery:    50 * time.Millisecond,
 		FailAfter:      2,
-		SendPasses:     100,
 		ProbeTimeout:   250 * time.Millisecond,
 		PromoteTimeout: 10 * time.Second,
-		HealthClient:   faultHTTP,
-		ClientConfig: ingest.HTTPClientConfig{
-			Client:      faultHTTP,
-			MaxAttempts: 3,
-			BackoffBase: 5 * time.Millisecond,
-			BackoffCap:  25 * time.Millisecond,
-		},
-		Metrics: reg,
-		Logf:    t.Logf,
+		Client:         faultHTTP,
+		Metrics:        reg,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

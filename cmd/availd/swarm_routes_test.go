@@ -265,3 +265,50 @@ func TestGatewaySwarmReadFenced(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayFencedNodeAtStart: a gateway started over a slot whose node
+// is already fenced serves none of that node's state — not even before
+// its first health tick, an hour away here. Before the slot has learned
+// an epoch the gateway stamps 1, so every read goes out stamped and
+// meets the fence; an unstamped read would be served.
+func TestGatewayFencedNodeAtStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := ingest.New(ingest.Config{Shards: 2})
+	defer e.Close()
+	api, _, done := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0"})
+	base := "http://" + api.String()
+	if err := pushBatch(base+"/v1/ingest", []ingest.Record{{SwarmID: 5, PeerID: 1, Seed: true, Online: true, Time: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get(t, base+"/v1/healthz", cluster.EpochHeader, "7"); code != http.StatusConflict {
+		t.Fatalf("stamped probe: %d %s, want 409 (the node demoting itself)", code, body)
+	}
+
+	g, err := cluster.NewGateway(cluster.GatewayConfig{
+		Nodes:       []cluster.NodeConfig{{Name: "node0", URL: base}},
+		HealthEvery: time.Hour,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	for _, path := range []string{"/v1/summary", "/v1/swarm/5", "/v1/swarm/5/timeline"} {
+		if code, body := get(t, gw.URL+path); code != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s from a slot fenced before the gateway started: %d %s, want 503", path, code, body)
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("node never shut down")
+	}
+}

@@ -3,13 +3,15 @@
 // swarms, never split — the same partitioning rule the engine's shards
 // use in-process), routes POST /v1/ingest and the -ingest-bin stream
 // through one splitter and delivers each request's per-node shares
-// concurrently through retrying clients (all-or-nothing ack; there is
-// no per-node queue to size), scatter-gathers availd's merged read
-// endpoints (/v1/summary, /v1/availability/cdf,
+// concurrently (all-or-nothing ack; no per-node queue), each retried
+// for as long as -health-every, -fail-after, -probe-timeout and
+// -promote-timeout say a failover of its node takes, scatter-gathers
+// availd's merged read endpoints (/v1/summary, /v1/availability/cdf,
 // /v1/availability/window, /v1/bundling/summary, /v1/state,
 // /v1/window/state — one shared handler set) by merging every node's
 // state, and — when followers are configured — promotes a node's warm
-// standby after consecutive failed health checks.
+// standby after consecutive failed health checks. Every request to a
+// node is stamped with its slot epoch: a fenced node is never merged.
 //
 //	availgw -listen :8650 \
 //	  -nodes http://n1:8647,http://n2:8647,http://n3:8647 \
@@ -44,7 +46,6 @@ type options struct {
 	nodeBins       string
 	followerBins   string
 	vnodes         int
-	sendPasses     int
 	healthEvery    time.Duration
 	failAfter      int
 	probeTimeout   time.Duration
@@ -65,7 +66,6 @@ func main() {
 	flag.StringVar(&opts.nodeBins, "node-bins", "", "comma-separated node binary ingest addresses (availd -ingest-bin), parallel to -nodes")
 	flag.StringVar(&opts.followerBins, "follower-bins", "", "comma-separated follower binary ingest addresses, parallel to -nodes (empty slots allowed)")
 	flag.IntVar(&opts.vnodes, "vnodes", 0, "virtual nodes per slot on the hash ring (0 = default)")
-	flag.IntVar(&opts.sendPasses, "send-passes", 0, "client retry cycles per push before reporting failure (0 = default)")
 	flag.DurationVar(&opts.healthEvery, "health-every", time.Second, "leader health-check cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed health checks before promoting the follower")
 	flag.DurationVar(&opts.probeTimeout, "probe-timeout", 0, "timeout per health probe (0 = health-every)")
@@ -145,7 +145,6 @@ func run(ctx context.Context, opts options, logf func(string, ...any), ready cha
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
 		Nodes:          nodes,
 		Vnodes:         opts.vnodes,
-		SendPasses:     opts.sendPasses,
 		HealthEvery:    opts.healthEvery,
 		FailAfter:      opts.failAfter,
 		ProbeTimeout:   opts.probeTimeout,

@@ -22,10 +22,6 @@ func BenchmarkGatewayIngest(b *testing.B) {
 	g, err := NewGateway(GatewayConfig{
 		Nodes:       nodes,
 		HealthEvery: time.Hour,
-		ClientConfig: ingest.HTTPClientConfig{
-			MaxAttempts: 2,
-			BackoffBase: time.Millisecond,
-		},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -11,15 +11,26 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
 	"swarmavail/internal/wal"
 )
 
-// EpochHeader is the cluster epoch header stamped on proxied requests
-// and echoed on every node response (re-exported from ingest, which
-// owns the wire constants).
-const EpochHeader = ingest.HeaderEpoch
+// EpochHeader carries the cluster slot epoch: the gateway's exchange
+// stamps it on every request it sends a node, and a node's EpochGate
+// fences by it and echoes its own epoch on every response.
+const EpochHeader = "X-Avail-Epoch"
+
+// EpochConflictError is a node's 409: its epoch (NodeEpoch) and the
+// request's stamp disagree, or it is fenced. Retrying at the same stamp
+// cannot change the verdict.
+type EpochConflictError struct {
+	ClientEpoch uint64
+	NodeEpoch   uint64
+}
+
+func (e *EpochConflictError) Error() string {
+	return fmt.Sprintf("cluster: epoch conflict (stamped %d, node at %d)", e.ClientEpoch, e.NodeEpoch)
+}
 
 // epochFile is the slot epoch's on-disk name inside a node's data dir,
 // next to the WAL segments and checkpoints it fences.

@@ -179,10 +179,7 @@ func (f *Follower) streamOnce(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
@@ -193,8 +190,7 @@ func (f *Follower) streamOnce(ctx context.Context) (int, error) {
 		}
 		return 1, nil // force another pass to stream past the checkpoint
 	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("cluster: wal stream: %s: %s", resp.Status, msg)
+		return 0, fmt.Errorf("cluster: wal stream: %w", statusError(resp))
 	}
 
 	r := wal.NewFrameReader(resp.Body)
@@ -238,13 +234,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cluster: wal checkpoint: %s: %s", resp.Status, msg)
+		return fmt.Errorf("cluster: wal checkpoint: %w", statusError(resp))
 	}
 	seqStr := resp.Header.Get("X-Checkpoint-Seq")
 	seq, err := strconv.ParseUint(seqStr, 10, 64)

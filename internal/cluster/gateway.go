@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -55,11 +57,6 @@ type GatewayConfig struct {
 	Nodes []NodeConfig
 	// Vnodes is the virtual-node count per slot (default DefaultVnodes).
 	Vnodes int
-	// SendPasses is how many full client retry cycles a push gets before
-	// the gateway reports failure (default 8). Each pass re-resolves the
-	// node's current client, so pushes in flight during a failover land
-	// on the promoted follower.
-	SendPasses int
 	// HealthEvery is the leader health-check cadence (default 1s).
 	HealthEvery time.Duration
 	// FailAfter is the consecutive health-check failures that trigger
@@ -70,19 +67,16 @@ type GatewayConfig struct {
 	ProbeTimeout time.Duration
 	// PromoteTimeout bounds one promotion attempt (default 30s).
 	PromoteTimeout time.Duration
-	// HealthClient, when set, carries the health probes and promotion
-	// calls (tests inject fault transports). Timeouts come from
-	// ProbeTimeout/PromoteTimeout contexts, not from the client.
-	HealthClient *http.Client
+	// Client carries every request the gateway sends a node (default: a
+	// plain http.Client; tests inject fault transports). Timeouts come
+	// from contexts — the push budget, ProbeTimeout, PromoteTimeout, the
+	// reader's request — not from the client.
+	Client *http.Client
 	// SourceID is the idempotency source stem for pushes the gateway
 	// originates keys for (default: a fresh random id). Unkeyed client
 	// batches are re-keyed per slot as "<SourceID>#<slot>"; batches that
 	// arrive already keyed keep their upstream key.
 	SourceID string
-	// ClientConfig is the template for per-node ingest clients; URL and
-	// BaseURL are overwritten per node. Tests inject fault transports
-	// and fast backoff here.
-	ClientConfig ingest.HTTPClientConfig
 	// Promote, when set, replaces the default promotion call (POST
 	// {follower}/v1/promote stamped with the successor epoch) and
 	// returns the promoted node's base URL. Implementations should make
@@ -95,9 +89,6 @@ type GatewayConfig struct {
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
-	if c.SendPasses <= 0 {
-		c.SendPasses = 8
-	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = time.Second
 	}
@@ -110,8 +101,8 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.PromoteTimeout <= 0 {
 		c.PromoteTimeout = 30 * time.Second
 	}
-	if c.HealthClient == nil {
-		c.HealthClient = &http.Client{}
+	if c.Client == nil {
+		c.Client = &http.Client{}
 	}
 	if c.SourceID == "" {
 		c.SourceID = ingest.NewSourceID()
@@ -121,16 +112,15 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 
 // slotRoute is where a slot's traffic goes and under which epoch: one
 // immutable value, replaced whole (reroute), so a reader never pairs
-// the promoted follower's URL with the old leader's client and the
+// the promoted follower's URL with the old leader's epoch and the
 // believed epoch never moves backwards.
 type slotRoute struct {
 	url     string // current base URL (leader, then follower)
 	binAddr string // current binary ingest address
-	// epoch is the slot epoch the gateway believes (0 = not yet learned;
-	// pre-epoch nodes never teach one). Promotion bumps it; probe
-	// responses and 409s raise it.
-	epoch  uint64
-	client *ingest.HTTPClient // speaks to url, stamping epoch
+	// epoch is the slot epoch the gateway believes (0 = not yet learned:
+	// the exchange stamps 1 until a node teaches it). Promotion bumps it;
+	// every node answer can raise it.
+	epoch uint64
 	// retired is the pre-promotion leader's URL until the gateway has
 	// fenced it (stamped it with the successor epoch); "" once done.
 	retired string
@@ -154,8 +144,8 @@ type gwNode struct {
 
 // share is one slot's part of a routed write — records from the HTTP
 // front, ops from the stream front — and the idempotency key it travels
-// under: stamped on every delivery attempt, so retries across passes
-// (and across a failover) deduplicate server-side.
+// under: stamped on every delivery attempt, so retries (across a
+// failover too) deduplicate server-side.
 type share[T any] struct {
 	slot   int
 	source string
@@ -169,10 +159,11 @@ type share[T any] struct {
 //
 //   - Writes are partitioned by the consistent-hash ring (whole swarms,
 //     never split: route) and each request's shares are delivered
-//     concurrently through per-node retrying clients. The request is
-//     acknowledged only when every node has journaled its share; a
-//     partial failure is reported as 503 and acknowledges nothing, so
-//     the monitor's retry preserves at-least-once delivery end to end.
+//     concurrently, each retried until its slot's push budget runs out.
+//     The request is acknowledged only when every node has journaled
+//     its share; a partial failure is reported as 503 and acknowledges
+//     nothing, so the monitor's retry preserves at-least-once delivery
+//     end to end.
 //   - Reads scatter-gather /v1/state (or /v1/window/state) from every
 //     node and merge with Summary.Merge (WindowState.Merge). The merge
 //     algebra is exact (integer counters, sums and sketch bin counts),
@@ -235,13 +226,24 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ring:   ring,
 		health: make(chan struct{}),
 		state: scatter[ingest.Summary]{
-			fetch:     (*ingest.HTTPClient).FetchStateTagged,
+			path: "/v1/state",
+			decode: func(d *json.Decoder) (*ingest.Summary, error) {
+				var st ingest.SummaryState
+				if err := d.Decode(&st); err != nil {
+					return nil, err
+				}
+				return st.Summary()
+			},
 			newMerged: func(*ingest.Summary) *ingest.Summary { return ingest.NewSummary() },
 			mergeInto: func(dst, part *ingest.Summary) error { dst.Merge(part); return nil },
 			cache:     make([]atomic.Pointer[nodeAnswer[ingest.Summary]], len(cfg.Nodes)),
 		},
 		window: scatter[ingest.WindowState]{
-			fetch: (*ingest.HTTPClient).FetchWindowState,
+			path: "/v1/window/state",
+			decode: func(d *json.Decoder) (win *ingest.WindowState, err error) {
+				win = new(ingest.WindowState)
+				return win, d.Decode(win)
+			},
 			// A fresh state carrying the cluster's shared geometry.
 			newMerged: func(first *ingest.WindowState) *ingest.WindowState {
 				return &ingest.WindowState{
@@ -270,7 +272,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: node %d has no URL", i)
 		}
 		n := &gwNode{cfg: nc, source: cfg.SourceID + "#" + strconv.Itoa(i)}
-		n.route.Store(&slotRoute{url: nc.URL, binAddr: nc.BinAddr, client: g.newClient(nc.URL, 0)})
+		n.route.Store(&slotRoute{url: nc.URL, binAddr: nc.BinAddr})
 		if reg := cfg.Metrics; reg != nil {
 			n.unhealthy = reg.Gauge("gateway_node_unhealthy", obs.L("node", nc.name()))
 			reg.GaugeFunc("gateway_slot_epoch",
@@ -289,21 +291,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// newClient builds a node client from the config template, stamping
-// epoch (0 = unstamped) on everything it sends.
-func (g *Gateway) newClient(baseURL string, epoch uint64) *ingest.HTTPClient {
-	cc := g.cfg.ClientConfig
-	cc.URL, cc.BaseURL = "", baseURL
-	cc.Epoch = epoch
-	return ingest.NewHTTPClient(cc)
-}
-
 // reroute replaces slot n's route with edit's revision of it, by
 // compare-and-swap: edit runs again over the winner's value when another
 // writer got in between, and returns false to leave the route alone
-// (reroute then reports false). It is the only writer of gwNode.route,
-// and it pairs every (url, epoch) with a client built for exactly that
-// pair.
+// (reroute then reports false). It is the only writer of gwNode.route.
 func (g *Gateway) reroute(n *gwNode, edit func(r *slotRoute) bool) bool {
 	for {
 		cur := n.route.Load()
@@ -311,17 +302,14 @@ func (g *Gateway) reroute(n *gwNode, edit func(r *slotRoute) bool) bool {
 		if !edit(&next) {
 			return false
 		}
-		if next.url != cur.url || next.epoch != cur.epoch {
-			next.client = g.newClient(next.url, next.epoch)
-		}
 		if n.route.CompareAndSwap(cur, &next) {
 			return true
 		}
 	}
 }
 
-// adoptEpoch raises slot n's epoch to epoch and swaps in a client
-// stamping it. Lower or equal epochs are no-ops.
+// adoptEpoch raises slot n's epoch to epoch. Lower or equal epochs are
+// no-ops.
 func (g *Gateway) adoptEpoch(n *gwNode, epoch uint64) {
 	raised := g.reroute(n, func(r *slotRoute) bool {
 		if epoch <= r.epoch {
@@ -368,45 +356,167 @@ func (g *Gateway) Close() {
 // step a draining availgw takes before its HTTP shutdown.
 func (g *Gateway) CloseStreams() { g.streams.Close() }
 
-// deliver pushes one share to its slot, re-resolving the slot's route
-// between passes so a failover mid-push redirects the retry to the
-// promoted follower rather than hammering a corpse.
+// nodeCall is one gateway→node request as its caller describes it; the
+// exchange addresses and stamps it.
+type nodeCall struct {
+	method, path string // path with its query
+	body         []byte
+	header       http.Header
+	// to and epoch address and stamp the call; "" is the slot's current
+	// node at the slot's epoch.
+	to    string
+	epoch uint64
+}
+
+// exchange is the gateway's one way to speak to a node: every
+// gateway→node HTTP request goes out here, on the one Client, stamped.
+// Each send reads slot n's route once and stamps its epoch — or 1, the
+// epoch every node starts at, so it fences no one, while the slot has
+// learned none: an unstamped read is served even by a fenced node, whose
+// state must not be merged. Every answer raises the slot's epoch to the
+// node's. A 409 from the slot's node ahead of the stamp is sent again,
+// stamped with what it taught; any other 409 is an *EpochConflictError.
+// Any other answer is the caller's to read and close.
+func (g *Gateway) exchange(ctx context.Context, n *gwNode, c nodeCall) (*http.Response, error) {
+	for {
+		rt := n.route.Load()
+		base, epoch := rt.url, max(rt.epoch, 1)
+		if c.to != "" {
+			base, epoch = c.to, c.epoch
+		}
+		req, err := http.NewRequestWithContext(ctx, c.method, base+c.path, bytes.NewReader(c.body))
+		if err != nil {
+			return nil, err
+		}
+		for k, v := range c.header {
+			req.Header[k] = v
+		}
+		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
+		resp, err := g.cfg.Client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		nodeEpoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+		g.adoptEpoch(n, nodeEpoch)
+		if resp.StatusCode != http.StatusConflict {
+			return resp, nil
+		}
+		drain(resp)
+		if c.to != "" || nodeEpoch <= epoch {
+			return nil, &EpochConflictError{ClientEpoch: epoch, NodeEpoch: nodeEpoch}
+		}
+	}
+}
+
+// drain discards what is left of an answer (up to 4 KiB, so the
+// connection can be reused) and closes it.
+func drain(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+}
+
+// statusError reports an answer other than the one asked for: its
+// status and the start of its body.
+func statusError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+}
+
+// retryBase is the first wait between attempts at a node; each further
+// wait doubles, up to one HealthEvery, so a retry follows every health
+// tick and sees every reroute.
+const retryBase = 10 * time.Millisecond
+
+// pause waits out the gap after failed attempt number attempt; false
+// when ctx ends first.
+func (g *Gateway) pause(ctx context.Context, attempt int) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(min(g.cfg.HealthEvery, retryBase<<min(attempt-1, 16))):
+		return true
+	}
+}
+
+// pushBudget is how long a push to slot n keeps trying: as long as the
+// config says a failover takes. The health loop calls a leader down
+// after FailAfter missed probes, each up to HealthEvery apart and
+// ProbeTimeout long — a node down for less is one the gateway would not
+// yet call down, so worth waiting for — and then, while the slot still
+// has a follower, spends up to PromoteTimeout promoting it. A slot that
+// cannot fail over stops at the first part: nothing is coming.
+func (g *Gateway) pushBudget(n *gwNode) time.Duration {
+	d := time.Duration(g.cfg.FailAfter) * (g.cfg.HealthEvery + g.cfg.ProbeTimeout)
+	if n.cfg.Follower != "" && !n.promoted.Load() {
+		d += g.cfg.PromoteTimeout
+	}
+	return d
+}
+
+// deliver pushes one share to its slot, retrying until the slot's push
+// budget runs out. Each attempt re-reads the slot's route (the exchange
+// does), so a failover mid-push sends the next attempt to the promoted
+// follower rather than hammering a corpse.
 func (g *Gateway) deliver(ctx context.Context, sh share[ingest.Record]) error {
 	n := g.nodes[sh.slot]
-	var lastErr error
-	for pass := 1; pass <= g.cfg.SendPasses; pass++ {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, rec := range sh.items {
+		if err := enc.Encode(rec); err != nil {
+			return fmt.Errorf("cluster: encoding record: %w", err)
 		}
-		rt := n.route.Load()
-		err := rt.client.PushKeyed(ctx, sh.source, sh.seq, sh.items)
+	}
+	c := nodeCall{method: http.MethodPost, path: "/v1/ingest", body: body.Bytes(),
+		header: http.Header{"Content-Type": {"application/x-ndjson"}}}
+	if sh.source != "" {
+		c.header.Set(ingest.HeaderSource, sh.source)
+		c.header.Set(ingest.HeaderSeq, strconv.FormatUint(sh.seq, 10))
+	}
+	budget := g.pushBudget(n)
+	bctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	for attempt := 1; ; attempt++ {
+		err := g.push(bctx, n, c, len(sh.items))
 		if err == nil {
 			return nil
 		}
-		// An epoch conflict from a node ahead of us is self-inflicted
-		// staleness, not a node failure: adopt the newer epoch and retry
-		// immediately with the re-stamped client.
-		var conflict *ingest.EpochConflictError
-		if errors.As(err, &conflict) && conflict.NodeEpoch > rt.epoch {
-			g.adoptEpoch(n, conflict.NodeEpoch)
-			lastErr = err
-			continue
-		}
-		lastErr = err
-		g.pushFails.Inc()
-		g.logf("gateway: push to %s failed (pass %d/%d): %v", n.cfg.name(), pass, g.cfg.SendPasses, err)
-		if pass == g.cfg.SendPasses {
-			break
-		}
-		// Give the health loop a beat to notice and promote before the
-		// next pass re-resolves the route.
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			return context.Cause(ctx)
-		case <-time.After(g.cfg.HealthEvery):
+		}
+		// A node fenced at the slot's epoch waits, like a dead one, for
+		// the health loop to fail the slot over.
+		g.pushFails.Inc()
+		g.logf("gateway: push to %s failed (attempt %d): %v", n.cfg.name(), attempt, err)
+		if !g.pause(bctx, attempt) {
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
+			}
+			return fmt.Errorf("node %s: no ack within the %v push budget: %w", n.cfg.name(), budget, err)
 		}
 	}
-	return lastErr
+}
+
+// push is one delivery attempt: nil when the node acknowledged every
+// record.
+func (g *Gateway) push(ctx context.Context, n *gwNode, c nodeCall, want int) error {
+	resp, err := g.exchange(ctx, n, c)
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return statusError(resp)
+	}
+	var ack struct {
+		Accepted int `json:"accepted"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return fmt.Errorf("bad ack: %w", err)
+	}
+	if ack.Accepted != want {
+		return fmt.Errorf("node accepted %d of %d records", ack.Accepted, want)
+	}
+	return nil
 }
 
 // healthLoop probes each slot's current leader and promotes its
@@ -428,7 +538,9 @@ func (g *Gateway) healthLoop() {
 				g.fenceRetired(n)
 				continue
 			}
-			if g.healthy(n) {
+			// Probed at the slot epoch: a leader that fell behind it answers
+			// 409, reads as unhealthy, and is demoted by this very probe.
+			if code, err := g.probe(n, "", 0); err == nil && code == http.StatusOK {
 				n.fails.Store(0)
 				n.unhealthy.Set(0)
 				continue
@@ -443,47 +555,21 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
-// stamped sends one bodyless request over the health client, stamped
-// with epoch (0 = unstamped), drains the answer, and reports its status
-// code and the epoch the node stamped on it (0 = none).
-func (g *Gateway) stamped(ctx context.Context, method, url string, epoch uint64) (code int, nodeEpoch uint64, err error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if epoch != 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	}
-	resp, err := g.cfg.HealthClient.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	nodeEpoch, _ = strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
-	return resp.StatusCode, nodeEpoch, nil
-}
-
-// probe is a stamped GET of base's /v1/healthz, bounded by ProbeTimeout
-// so a hung node reads as down, not as a stalled loop.
-func (g *Gateway) probe(base string, epoch uint64) (code int, nodeEpoch uint64, err error) {
+// probe GETs /v1/healthz from slot n's node (or to, stamped epoch),
+// bounded by ProbeTimeout so a hung node reads as down, not as a
+// stalled loop, and reports the status it answered, 409 included.
+func (g *Gateway) probe(n *gwNode, to string, epoch uint64) (int, error) {
 	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	return g.stamped(ctx, http.MethodGet, base+"/v1/healthz", epoch)
-}
-
-// healthy probes slot n's leader. The probe is stamped once the slot
-// epoch is known: a leader that fell behind the epoch answers 409, reads
-// as unhealthy, and is demoted by this very request. The slot learns the
-// node's epoch from the answer either way.
-func (g *Gateway) healthy(n *gwNode) bool {
-	rt := n.route.Load()
-	code, nodeEpoch, err := g.probe(rt.url, rt.epoch)
-	if err != nil {
-		return false
+	resp, err := g.exchange(ctx, n, nodeCall{method: http.MethodGet, path: "/v1/healthz", to: to, epoch: epoch})
+	if errors.As(err, new(*EpochConflictError)) {
+		return http.StatusConflict, nil
 	}
-	g.adoptEpoch(n, nodeEpoch)
-	return code == http.StatusOK
+	if err != nil {
+		return 0, err
+	}
+	drain(resp)
+	return resp.StatusCode, nil
 }
 
 // fenceRetired stamps the pre-promotion leader with the successor epoch
@@ -496,7 +582,7 @@ func (g *Gateway) fenceRetired(n *gwNode) {
 	if rt.retired == "" {
 		return
 	}
-	code, _, err := g.probe(rt.retired, rt.epoch)
+	code, err := g.probe(n, rt.retired, rt.epoch)
 	if err != nil {
 		return // unreachable; retry next tick — healing is when fencing matters
 	}
@@ -511,16 +597,18 @@ func (g *Gateway) fenceRetired(n *gwNode) {
 // the slot's route. A failed promotion is retried on the next health
 // tick (the miss counter stays over threshold).
 func (g *Gateway) failover(n *gwNode) {
-	promote := g.cfg.Promote
-	if promote == nil {
-		promote = g.httpPromote
-	}
 	// The successor epoch: one past what the slot last taught us, and
-	// never below 2 (a pre-epoch slot still moves to a numbered era on
-	// its first failover, fencing the old leader's implicit epoch 1).
+	// never below 2 (a slot still at the floor moves to a numbered era on
+	// its first failover, fencing the old leader's epoch 1).
 	newEpoch := max(n.route.Load().epoch+1, 2)
 	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.PromoteTimeout)
 	defer cancel()
+	promote := g.cfg.Promote
+	if promote == nil {
+		promote = func(ctx context.Context, _ NodeConfig, epoch uint64) (string, error) {
+			return g.httpPromote(ctx, n, epoch)
+		}
+	}
 	newURL, err := promote(ctx, n.cfg, newEpoch)
 	if err != nil {
 		g.logf("gateway: promoting follower of %s: %v", n.cfg.name(), err)
@@ -547,15 +635,16 @@ func (g *Gateway) failover(n *gwNode) {
 // stamped with the successor epoch, routing to the follower once it
 // answers 200 (it does so only after recovering the shipped state and
 // swapping into serving mode at that epoch).
-func (g *Gateway) httpPromote(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
-	code, _, err := g.stamped(ctx, http.MethodPost, n.Follower+"/v1/promote", epoch)
+func (g *Gateway) httpPromote(ctx context.Context, n *gwNode, epoch uint64) (string, error) {
+	resp, err := g.exchange(ctx, n, nodeCall{method: http.MethodPost, path: "/v1/promote", to: n.cfg.Follower, epoch: epoch})
 	if err != nil {
 		return "", err
 	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("cluster: promote %s: HTTP %d", n.Follower, code)
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("cluster: promote %s: %w", n.cfg.Follower, statusError(resp))
 	}
-	return n.Follower, nil
+	return n.cfg.Follower, nil
 }
 
 // Handler returns the gateway's HTTP API: the availd read/write surface
@@ -712,13 +801,14 @@ type flight[T any] struct {
 	err  error
 }
 
-// scatter is one scatter-gathered read over a mergeable type: how to
-// fetch a node's part, how to merge the parts, the per-node
-// conditional-GET caches, and the in-flight snapshot-path read that
-// concurrent identical reads wait for instead of each hitting every
-// node.
+// scatter is one scatter-gathered read over a mergeable type: where a
+// node serves its part and how to decode it, how to merge the parts,
+// the per-node conditional-GET caches, and the in-flight snapshot-path
+// read that concurrent identical reads wait for instead of each hitting
+// every node.
 type scatter[T any] struct {
-	fetch     func(c *ingest.HTTPClient, ctx context.Context, consistent bool, inm string) (*T, string, bool, error)
+	path      string
+	decode    func(d *json.Decoder) (*T, error)
 	newMerged func(first *T) *T
 	mergeInto func(dst, part *T) error
 	cache     []atomic.Pointer[nodeAnswer[T]]
@@ -778,9 +868,8 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 		wg.Add(1)
 		go func(i int, n *gwNode) {
 			defer wg.Done()
-			c := n.route.Load().client
 			if consistent {
-				parts[i], _, _, errs[i] = s.fetch(c, ctx, true, "")
+				parts[i], _, errs[i] = s.fetch(ctx, g, n, true, "")
 				return
 			}
 			var inm string
@@ -788,12 +877,12 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 			if cached != nil {
 				inm = cached.etag
 			}
-			val, etag, notModified, err := s.fetch(c, ctx, false, inm)
+			val, etag, err := s.fetch(ctx, g, n, false, inm)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if notModified {
+			if val == nil {
 				g.readCacheHits.Inc()
 				parts[i], etags[i] = cached.val, cached.etag
 				return
@@ -807,12 +896,8 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			// A stale-epoch answer must never be merged — but learn the
-			// newer epoch so the next read is stamped correctly.
-			var conflict *ingest.EpochConflictError
-			if errors.As(err, &conflict) {
-				g.adoptEpoch(g.nodes[i], conflict.NodeEpoch)
-			}
+			// A stale-epoch answer is never merged; the exchange has already
+			// learned the node's epoch for the next read.
 			return nil, "", fmt.Errorf("node %s: %w", g.nodes[i].cfg.name(), err)
 		}
 	}
@@ -823,6 +908,47 @@ func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*
 		}
 	}
 	return merged, joinETags(etags), nil
+}
+
+// readAttempts bounds the tries at one node's part of a read: a merged
+// read fails fast, all or nothing, rather than wait out a failover.
+const readAttempts = 3
+
+// fetch GETs slot n's part, conditional on inm when set: a few attempts,
+// none after an epoch conflict. A nil part with a nil error is a 304.
+func (s *scatter[T]) fetch(ctx context.Context, g *Gateway, n *gwNode, consistent bool, inm string) (*T, string, error) {
+	c := nodeCall{method: http.MethodGet, path: s.path}
+	if consistent {
+		c.path += "?consistent=1"
+	}
+	if inm != "" {
+		c.header = http.Header{"If-None-Match": {inm}}
+	}
+	for attempt := 1; ; attempt++ {
+		val, etag, err := s.fetchOnce(ctx, g, n, c, inm)
+		if err == nil || attempt == readAttempts || errors.As(err, new(*EpochConflictError)) || !g.pause(ctx, attempt) {
+			return val, etag, err
+		}
+	}
+}
+
+func (s *scatter[T]) fetchOnce(ctx context.Context, g *Gateway, n *gwNode, c nodeCall, inm string) (*T, string, error) {
+	resp, err := g.exchange(ctx, n, c)
+	if err != nil {
+		return nil, "", err
+	}
+	defer drain(resp)
+	switch {
+	case resp.StatusCode == http.StatusNotModified && inm != "":
+		return nil, inm, nil
+	case resp.StatusCode != http.StatusOK:
+		return nil, "", statusError(resp)
+	}
+	val, err := s.decode(json.NewDecoder(resp.Body))
+	if err != nil {
+		return nil, "", fmt.Errorf("bad %s answer: %w", s.path, err)
+	}
+	return val, resp.Header.Get("ETag"), nil
 }
 
 // ReadSummary and ReadWindow make the gateway an ingest.ReadView: the
@@ -839,10 +965,9 @@ func (g *Gateway) ReadWindow(ctx context.Context, consistent bool) (*ingest.Wind
 
 // proxySwarm forwards a per-swarm read (GET /v1/swarm/{id} and its
 // /timeline) to the swarm's home node by ring slot, verbatim — the home
-// node owns the swarm outright, so there is nothing to merge. The read
-// is fenced like a merged one: stamped with the slot epoch once known,
-// a node's 409 (stale or fenced) is a 503, never its state, and the
-// slot learns the epoch the node answered with.
+// node owns the swarm outright, so there is nothing to merge. It goes
+// through the exchange like every other request, so it is fenced like a
+// merged read: a node's 409 (stale or fenced) is a 503, never its state.
 func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
@@ -850,35 +975,16 @@ func (g *Gateway) proxySwarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := g.nodes[g.ring.Node(id)]
-	rt := n.route.Load()
-	target := rt.url + r.URL.Path
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
+	c := nodeCall{method: http.MethodGet, path: r.URL.RequestURI()}
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
+		c.header = http.Header{"If-None-Match": {inm}}
 	}
-	if rt.epoch != 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(rt.epoch, 10))
-	}
-	resp, err := g.cfg.HealthClient.Do(req)
+	resp, err := g.exchange(r.Context(), n, c)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("node %s: %v", n.cfg.name(), err), http.StatusServiceUnavailable)
 		return
 	}
 	defer resp.Body.Close()
-	nodeEpoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
-	g.adoptEpoch(n, nodeEpoch)
-	if resp.StatusCode == http.StatusConflict {
-		conflict := &ingest.EpochConflictError{ClientEpoch: rt.epoch, NodeEpoch: nodeEpoch}
-		http.Error(w, fmt.Sprintf("node %s: %v", n.cfg.name(), conflict), http.StatusServiceUnavailable)
-		return
-	}
 	for _, h := range []string{"Content-Type", "ETag"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)

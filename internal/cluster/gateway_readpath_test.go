@@ -25,10 +25,9 @@ func readPathCluster(t *testing.T, reg *obs.Registry) ([]*testNode, *Gateway, *h
 			{Name: "n1", URL: nodes[1].srv.URL},
 			{Name: "n2", URL: nodes[2].srv.URL},
 		},
-		ClientConfig: fastClient,
-		HealthEvery:  time.Hour,
-		Metrics:      reg,
-		Logf:         t.Logf,
+		HealthEvery: time.Hour,
+		Metrics:     reg,
+		Logf:        t.Logf,
 	}
 	g, err := NewGateway(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -138,9 +139,8 @@ func TestGatewayFanOutMergedReads(t *testing.T) {
 			{Name: "n1", URL: nodes[1].srv.URL},
 			{Name: "n2", URL: nodes[2].srv.URL},
 		},
-		ClientConfig: fastClient,
-		HealthEvery:  time.Hour, // health out of the way
-		Logf:         t.Logf,
+		HealthEvery: time.Hour, // health out of the way
+		Logf:        t.Logf,
 	}
 	g, err := NewGateway(cfg)
 	if err != nil {
@@ -234,7 +234,10 @@ func TestGatewayFanOutMergedReads(t *testing.T) {
 }
 
 // TestGatewayPartialFailureNoAck: if any node cannot journal its share,
-// the gateway must not acknowledge the batch.
+// the gateway must not acknowledge the batch — and, the node's slot
+// having no follower to fail over to, it says so within the push budget
+// the health settings derive: FailAfter × (HealthEvery + ProbeTimeout),
+// here 2 × (50 ms + 50 ms).
 func TestGatewayPartialFailureNoAck(t *testing.T) {
 	good, bad := newTestNode(t), newTestNode(t)
 	bad.failAll.Store(true)
@@ -243,13 +246,8 @@ func TestGatewayPartialFailureNoAck(t *testing.T) {
 			{Name: "good", URL: good.srv.URL},
 			{Name: "bad", URL: bad.srv.URL},
 		},
-		ClientConfig: func() ingest.HTTPClientConfig {
-			c := fastClient
-			c.MaxAttempts = 2
-			return c
-		}(),
-		SendPasses:  1,
-		HealthEvery: time.Hour,
+		HealthEvery: 50 * time.Millisecond,
+		FailAfter:   2,
 		Logf:        t.Logf,
 	}
 	g, err := NewGateway(cfg)
@@ -266,11 +264,21 @@ func TestGatewayPartialFailureNoAck(t *testing.T) {
 		c.BaseURL = gw.URL
 		return c
 	}())
+	budget := g.pushBudget(g.nodes[1])
+	if budget != 200*time.Millisecond {
+		t.Fatalf("push budget of a slot with no follower = %v, want FailAfter × (HealthEvery + ProbeTimeout) = 200ms", budget)
+	}
+	start := time.Now()
 	err = client.Push(context.Background(), mkRecords(64, 51, 0))
 	if err == nil {
 		t.Fatal("gateway acknowledged a batch one node refused to journal")
 	}
-	t.Logf("push correctly failed: %v", err)
+	// The last attempt is cut at the budget; what is left is one round
+	// trip to the gateway and back.
+	if took := time.Since(start); took > budget+time.Second {
+		t.Fatalf("the 503 took %v, past the %v push budget", took, budget)
+	}
+	t.Logf("push correctly failed after %v: %v", time.Since(start), err)
 }
 
 // TestGatewayFailover: when a node dies, the health loop promotes its
@@ -283,10 +291,8 @@ func TestGatewayFailover(t *testing.T) {
 			{Name: "n0", URL: alive.srv.URL},
 			{Name: "n1", URL: dying.srv.URL, Follower: standby.srv.URL},
 		},
-		ClientConfig: fastClient,
-		HealthEvery:  20 * time.Millisecond,
-		FailAfter:    2,
-		SendPasses:   40,
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
 		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
 			promoteCalls.Add(1)
 			return n.Follower, nil
@@ -338,17 +344,15 @@ func TestGatewayFailover(t *testing.T) {
 // monotonic across a failover. While Promote is in flight the slot
 // learns epoch 9 (what a 409 from a node another gateway already fenced
 // teaches it); the failover, which set out to install epoch 2, must not
-// take the slot back down — and the client it installs stamps what
-// /v1/cluster reports.
+// take the slot back down — and the push it redirects is stamped with
+// what /v1/cluster reports.
 func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	dying, standby := newTestNode(t), newTestNode(t)
 	var gwp atomic.Pointer[Gateway]
 	g, err := NewGateway(GatewayConfig{
-		Nodes:        []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: standby.srv.URL}},
-		ClientConfig: fastClient,
-		HealthEvery:  20 * time.Millisecond,
-		FailAfter:    2,
-		SendPasses:   40,
+		Nodes:       []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: standby.srv.URL}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
 		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
 			for gwp.Load() == nil {
 				time.Sleep(time.Millisecond)
@@ -395,9 +399,9 @@ func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 
 // TestGatewayCloseFailsPushInFlight: with no sender goroutines the
 // gateway's only goroutine is the health loop, and a push owns its
-// deliveries. Close while a push sits in deliver's between-pass wait
-// must answer that request 503 at once — not after HealthEvery ×
-// SendPasses — and leave no goroutine behind.
+// deliveries. Close while a push sits in deliver's retry loop must
+// answer that request 503 at once — not when the slot's push budget runs
+// out — and leave no goroutine behind.
 func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 	node := newTestNode(t)
 	node.failAll.Store(true)
@@ -405,16 +409,14 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
-	clientCfg := fastClient
-	clientCfg.MaxAttempts = 1
-	clientCfg.Client = &http.Client{Transport: nodeTr}
 	g, err := NewGateway(GatewayConfig{
-		Nodes:        []NodeConfig{{Name: "n0", URL: node.srv.URL}},
-		ClientConfig: clientCfg,
-		HealthClient: &http.Client{Transport: nodeTr},
-		HealthEvery:  5 * time.Second, // the between-pass wait; 8 passes = 40 s
-		Metrics:      reg,
-		Logf:         t.Logf,
+		Nodes:  []NodeConfig{{Name: "n0", URL: node.srv.URL}},
+		Client: &http.Client{Transport: nodeTr},
+		// The push budget: FailAfter × (HealthEvery + ProbeTimeout) =
+		// 3 × (5 s + 5 s) = 30 s.
+		HealthEvery: 5 * time.Second,
+		Metrics:     reg,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,13 +440,13 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		answered <- answer{code: resp.StatusCode, body: string(body)}
 	}()
-	// The first pass has failed: the push is now waiting out HealthEvery.
+	// The first attempt has failed: the push is now retrying.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if v, _ := reg.Value("gateway_push_failures_total"); v >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the push never reached its first failed pass")
+			t.Fatal("the push never reached its first failed attempt")
 		}
 	}
 
@@ -456,7 +458,7 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 			t.Fatalf("push caught by Close: %d %q %v, want 503 %q", a.code, a.body, a.err, ErrGatewayClosed)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close left the push waiting out its passes")
+		t.Fatal("Close left the push waiting out its budget")
 	}
 	t.Logf("push answered %v after Close", time.Since(start))
 
@@ -483,10 +485,8 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 			{Name: "n0", URL: alive.srv.URL},
 			{Name: "n1", URL: dying.srv.URL, Follower: standby.srv.URL},
 		},
-		ClientConfig: fastClient,
-		HealthEvery:  20 * time.Millisecond,
-		FailAfter:    2,
-		SendPasses:   100,
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
 		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
 			return n.Follower, nil
 		},
@@ -563,4 +563,251 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 	if merged := fetchBody(t, gw.URL+"/v1/state"); !bytes.Equal(merged, want.Body.Bytes()) {
 		t.Fatalf("merged /v1/state diverged from the single-engine reference\n--- gateway ---\n%s--- reference ---\n%s", merged, want.Body.Bytes())
 	}
+}
+
+// TestExchangeEpochConflict: the exchange stamps 1 before its slot has
+// learned an epoch, and adopts whatever epoch a node answers with. A 409
+// from a node ahead of the stamp is sent again at once, stamped with
+// what it taught — a push that meets one is not a failed attempt — and
+// a 409 from a node fenced at the stamp is an *EpochConflictError.
+func TestExchangeEpochConflict(t *testing.T) {
+	var own atomic.Uint64
+	var fenced atomic.Bool
+	own.Store(5)
+	var mu sync.Mutex
+	var stamps []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stamp := r.Header.Get(EpochHeader)
+		mu.Lock()
+		stamps = append(stamps, stamp)
+		mu.Unlock()
+		w.Header().Set(EpochHeader, strconv.FormatUint(own.Load(), 10))
+		if stamp != strconv.FormatUint(own.Load(), 10) || fenced.Load() {
+			http.Error(w, `{"error":"stale"}`, http.StatusConflict)
+			return
+		}
+		if r.URL.Path == "/v1/ingest" {
+			io.Copy(io.Discard, r.Body)
+			ingest.WriteJSON(w, map[string]int{"accepted": 1})
+			return
+		}
+		ingest.WriteJSON(w, map[string]string{"state": "serving"})
+	}))
+	defer srv.Close()
+	seen := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		s := stamps
+		stamps = nil
+		return s
+	}
+	reg := obs.NewRegistry()
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: srv.URL}},
+		HealthEvery: time.Hour,
+		Metrics:     reg,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	n := g.nodes[0]
+	healthz := nodeCall{method: http.MethodGet, path: "/v1/healthz"}
+
+	resp, err := g.exchange(context.Background(), n, healthz)
+	if err != nil {
+		t.Fatalf("exchange with a node at 5, slot epoch unlearned: %v", err)
+	}
+	drain(resp)
+	if got := seen(); fmt.Sprint(got) != "[1 5]" {
+		t.Fatalf("stamps %q, want [1 5]: the floor epoch, then what the node taught", got)
+	}
+	if got := n.route.Load().epoch; got != 5 {
+		t.Fatalf("slot at epoch %d after the node answered 5", got)
+	}
+
+	fenced.Store(true)
+	_, err = g.exchange(context.Background(), n, healthz)
+	var conflict *EpochConflictError
+	if !errors.As(err, &conflict) || conflict.ClientEpoch != 5 || conflict.NodeEpoch != 5 {
+		t.Fatalf("exchange with a node fenced at the slot's epoch: %v, want *EpochConflictError{5, 5}", err)
+	}
+	if got := seen(); fmt.Sprint(got) != "[5]" {
+		t.Fatalf("stamps %q, want [5]: a fenced node is asked once", got)
+	}
+
+	fenced.Store(false)
+	own.Store(6) // the node moves on: the push's first attempt is behind
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	if err := pushBatch(gw.URL, mkRecords(1, 1, 0)); err != nil {
+		t.Fatalf("push to a node one epoch ahead: %v", err)
+	}
+	if got := seen(); fmt.Sprint(got) != "[5 6]" {
+		t.Fatalf("push stamps %q, want [5 6]: one conflict, then a re-stamped send", got)
+	}
+	if v, _ := reg.Value("gateway_push_failures_total"); v != 0 {
+		t.Fatalf("gateway_push_failures_total = %v: a conflict with a node ahead is not a failure", v)
+	}
+}
+
+// pushBatch POSTs recs to a gateway's /v1/ingest once, unkeyed.
+func pushBatch(base string, recs []ingest.Record) error {
+	c := ingest.NewHTTPClient(ingest.HTTPClientConfig{BaseURL: base, MaxAttempts: 1})
+	return c.Push(context.Background(), recs)
+}
+
+// stampLog records the X-Avail-Epoch stamp of every request a set of
+// fake nodes sees, before their epoch gates judge it.
+type stampLog struct {
+	mu   sync.Mutex
+	seen []string // "node METHOD path stamp"
+}
+
+func (l *stampLog) record(node string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.seen = append(l.seen, fmt.Sprintf("%s %s %s %q", node, r.Method, r.URL.Path, r.Header.Get(EpochHeader)))
+		l.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// unstamped returns the recorded requests that carried no epoch, or
+// epoch 0, and how many requests were recorded.
+func (l *stampLog) unstamped() (bad []string, total int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.seen {
+		if strings.HasSuffix(s, ` ""`) || strings.HasSuffix(s, ` "0"`) {
+			bad = append(bad, s)
+		}
+	}
+	return bad, len(l.seen)
+}
+
+// gatedNode is a test node behind a memory-only EpochGate, with the
+// per-swarm route and the promotion call the gateway uses, every request
+// recorded. POST /v1/promote adopts its stamp and is not gated, as on a
+// standby availd.
+func gatedNode(t *testing.T, name string, log *stampLog) (*testNode, *EpochGate, *httptest.Server) {
+	t.Helper()
+	tn := newTestNode(t)
+	gate, err := OpenEpochGate("", obs.NewRegistry(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := http.NewServeMux()
+	api.Handle("/", tn.srv.Config.Handler)
+	api.HandleFunc("GET /v1/swarm/{id}", func(w http.ResponseWriter, r *http.Request) {
+		ingest.WriteJSON(w, map[string]string{"swarm": r.PathValue("id")})
+	})
+	gated := gate.Middleware(api)
+	srv := httptest.NewServer(log.record(name, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/promote" {
+			epoch, _ := strconv.ParseUint(r.Header.Get(EpochHeader), 10, 64)
+			if err := gate.Adopt(epoch); err != nil {
+				http.Error(w, err.Error(), http.StatusConflict)
+				return
+			}
+			ingest.WriteJSON(w, map[string]string{"state": "serving"})
+			return
+		}
+		gated.ServeHTTP(w, r)
+	})))
+	t.Cleanup(srv.Close)
+	return tn, gate, srv
+}
+
+// TestGatewayEveryNodeRequestStamped is the exchange's structural
+// invariant: whatever the gateway sends a node — a push, both scatter
+// reads, a per-swarm read, a health probe, a promotion, the retired
+// leader's fence — carries a non-zero epoch, and the slot's epoch never
+// decreases while all of it happens.
+func TestGatewayEveryNodeRequestStamped(t *testing.T) {
+	var log stampLog
+	leader, leaderGate, leaderSrv := gatedNode(t, "leader", &log)
+	_, followerGate, followerSrv := gatedNode(t, "follower", &log)
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, Follower: followerSrv.URL}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	// Sample the slot epoch throughout.
+	stop := make(chan struct{})
+	sampled := make(chan []uint64)
+	go func() {
+		var epochs []uint64
+		for {
+			if e := g.nodes[0].route.Load().epoch; len(epochs) == 0 || e != epochs[len(epochs)-1] {
+				epochs = append(epochs, e)
+			}
+			select {
+			case <-stop:
+				sampled <- epochs
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+
+	traffic := func(stage string) {
+		t.Helper()
+		if err := pushBatch(gw.URL, mkRecords(16, 7, 0)); err != nil {
+			t.Fatalf("%s: push: %v", stage, err)
+		}
+		for _, path := range []string{"/v1/summary", "/v1/window/state", "/v1/swarm/5"} {
+			resp, err := http.Get(gw.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: GET %s: %s", stage, path, resp.Status)
+			}
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	traffic("before the failover")
+	waitFor("a health tick", func() bool {
+		_, total := log.unstamped()
+		return total > 8
+	})
+	leader.healthy.Store(false) // the leader's /v1/healthz answers 503: failover
+	waitFor("the promotion", func() bool { return g.NodeURL(0) == followerSrv.URL })
+	waitFor("the retired leader's fence", leaderGate.Fenced)
+	traffic("after the failover")
+
+	close(stop)
+	epochs := <-sampled
+	for i := 1; i < len(epochs); i++ {
+		if epochs[i] < epochs[i-1] {
+			t.Fatalf("slot epoch went backwards: %v", epochs)
+		}
+	}
+	if got := followerGate.Epoch(); got != 2 || leaderGate.Epoch() != 2 {
+		t.Fatalf("follower at epoch %d, fenced leader at %d, want both at 2", got, leaderGate.Epoch())
+	}
+	bad, total := log.unstamped()
+	if len(bad) > 0 {
+		t.Fatalf("%d of %d node requests went out unstamped:\n%s", len(bad), total, strings.Join(bad, "\n"))
+	}
+	t.Logf("%d node requests, all stamped; slot epochs %v", total, epochs)
 }

@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Idempotency and epoch headers shared by the HTTP client, availd's
-// ingest handler, and the cluster gateway. They live here (not in
+// Idempotency headers shared by the HTTP client, availd's ingest
+// handler, and the cluster gateway. They live here (not in
 // internal/cluster) because cluster already imports ingest and the
 // client stamps them on every keyed push.
 const (
@@ -17,10 +17,6 @@ const (
 	// HeaderSeq carries the batch sequence within the source; together
 	// (source, seq) name one batch across retries.
 	HeaderSeq = "X-Ingest-Seq"
-	// HeaderEpoch carries the cluster slot epoch. Requests stamped with
-	// it are fenced by the node's epoch gate; responses always echo the
-	// node's current epoch.
-	HeaderEpoch = "X-Avail-Epoch"
 )
 
 // dedupWindowSize is how many batch sequences below a source's

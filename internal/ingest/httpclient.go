@@ -35,20 +35,6 @@ func NewSourceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// EpochConflictError reports a push or read rejected (or silently
-// re-homed) because the node's cluster epoch disagrees with the
-// client's. It is fatal to the attempt: retrying against the same node
-// cannot change the verdict — the caller must learn the newer epoch
-// first.
-type EpochConflictError struct {
-	ClientEpoch uint64
-	NodeEpoch   uint64
-}
-
-func (e *EpochConflictError) Error() string {
-	return fmt.Sprintf("ingest: epoch conflict (client %d, node %d)", e.ClientEpoch, e.NodeEpoch)
-}
-
 // HTTPClientConfig parameterises an HTTPClient. The zero value (plus a
 // URL or BaseURL) selects sensible defaults.
 type HTTPClientConfig struct {
@@ -56,7 +42,7 @@ type HTTPClientConfig struct {
 	// Derived from BaseURL when empty.
 	URL string
 	// BaseURL is the server root (e.g. http://127.0.0.1:8647) the GET
-	// helpers (FetchStateTagged, FetchSummary, FetchCDF) resolve against.
+	// helpers (FetchSummary, FetchCDF) resolve against.
 	// Derived from URL when empty by trimming the /v1/ingest suffix.
 	BaseURL string
 	// Client is the underlying HTTP client (default: 30s timeout). Tests
@@ -76,11 +62,6 @@ type HTTPClientConfig struct {
 	// sequence) on every push so server-side dedup makes retries
 	// exactly-once. Default: a fresh random id from NewSourceID.
 	Source string
-	// Epoch, when non-zero, stamps every request with the cluster slot
-	// epoch (X-Avail-Epoch). A node whose epoch disagrees answers 409,
-	// which surfaces as a fatal *EpochConflictError instead of burning
-	// retries.
-	Epoch uint64
 	// Logf, when set, receives one line per retried attempt.
 	Logf func(format string, args ...any)
 }
@@ -181,8 +162,8 @@ func (c *HTTPClient) Push(ctx context.Context, recs []Record) error {
 
 // PushKeyed delivers one batch under an explicit (source, seq)
 // idempotency key — for callers that relay batches on behalf of an
-// upstream sender and must preserve its key (the cluster gateway).
-// source may be "" to push unkeyed.
+// upstream sender and must preserve its key, or that replay one batch
+// to a second node. source may be "" to push unkeyed.
 func (c *HTTPClient) PushKeyed(ctx context.Context, source string, seq uint64, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -323,18 +304,14 @@ type fatalPushError struct{ err error }
 func (e *fatalPushError) Error() string { return e.err.Error() }
 func (e *fatalPushError) Unwrap() error { return e.err }
 
-// attempt is one request and the client's one response classifier:
-// build's request goes out stamped with the client's epoch; a transport
-// error, 5xx or 429 is retryable, an epoch conflict or any other 4xx
-// fatal; handle gets a 200 — and a 304 when the request was conditional
-// — and its error is retryable unless it says otherwise.
+// attempt is one request and the client's one response classifier: a
+// transport error, 5xx or 429 is retryable, any other non-200 fatal;
+// handle gets a 200, and its error is retryable unless it says
+// otherwise.
 func (c *HTTPClient) attempt(ctx context.Context, build func(context.Context) (*http.Request, error), handle func(*http.Response) error) error {
 	req, err := build(ctx)
 	if err != nil {
 		return &fatalPushError{err: err}
-	}
-	if c.cfg.Epoch != 0 {
-		req.Header.Set(HeaderEpoch, strconv.FormatUint(c.cfg.Epoch, 10))
 	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
@@ -344,11 +321,7 @@ func (c *HTTPClient) attempt(ctx context.Context, build func(context.Context) (*
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}()
-	if err := c.checkEpoch(resp); err != nil {
-		return err
-	}
-	revalidated := resp.StatusCode == http.StatusNotModified && req.Header.Get("If-None-Match") != ""
-	if resp.StatusCode != http.StatusOK && !revalidated {
+	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		statusErr := fmt.Errorf("ingest: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
@@ -359,112 +332,23 @@ func (c *HTTPClient) attempt(ctx context.Context, build func(context.Context) (*
 	return handle(resp)
 }
 
-// checkEpoch turns an epoch disagreement into a fatal
-// *EpochConflictError: a 409 carrying the node's epoch (the fencing
-// verdict), or a success from a node whose epoch no longer matches the
-// client's stamp (the node moved on between our stamp and its answer —
-// the caller must re-learn before trusting further requests).
-func (c *HTTPClient) checkEpoch(resp *http.Response) error {
-	nodeEpochStr := resp.Header.Get(HeaderEpoch)
-	if nodeEpochStr == "" {
-		return nil
-	}
-	nodeEpoch, err := strconv.ParseUint(nodeEpochStr, 10, 64)
-	if err != nil {
-		return nil // pre-epoch server or proxy noise; ignore
-	}
-	conflict := &fatalPushError{err: &EpochConflictError{ClientEpoch: c.cfg.Epoch, NodeEpoch: nodeEpoch}}
-	if resp.StatusCode == http.StatusConflict {
-		return conflict
-	}
-	if resp.StatusCode == http.StatusOK && c.cfg.Epoch != 0 && nodeEpoch != c.cfg.Epoch {
-		return conflict
-	}
-	return nil
-}
-
 // getJSON fetches BaseURL+path and decodes the body into v, with the
 // same retry discipline as Push: transport errors, 5xx and 429 are
 // retried with capped jittered backoff; other 4xx are fatal.
 func (c *HTTPClient) getJSON(ctx context.Context, path string, v any) error {
-	_, _, err := c.getJSONTagged(ctx, path, "", v)
-	return err
-}
-
-// getJSONTagged is getJSON with HTTP conditional-GET support: inm, when
-// non-empty, travels as If-None-Match, and a 304 answer reports
-// notModified=true with v left untouched. The returned etag is the
-// server's validator for whatever state the answer reflects (the echoed
-// inm on a 304).
-func (c *HTTPClient) getJSONTagged(ctx context.Context, path, inm string, v any) (etag string, notModified bool, err error) {
-	err = c.do(ctx, "get "+path, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
-		if err == nil && inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		return req, err
+	return c.do(ctx, "get "+path, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
 	}, func(resp *http.Response) error {
-		if resp.StatusCode == http.StatusNotModified {
-			etag, notModified = inm, true
-			return nil
-		}
 		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 			return fmt.Errorf("ingest: bad response body: %w", err)
 		}
-		etag = resp.Header.Get("ETag")
 		return nil
 	})
-	return etag, notModified, err
-}
-
-// consistentQuery appends the ?consistent=1 barrier flag.
-func consistentQuery(path string, consistent bool) string {
-	if consistent {
-		return path + "?consistent=1"
-	}
-	return path
-}
-
-// FetchStateTagged fetches the server's full mergeable summary state
-// (GET /v1/state) — the scatter-gather payload the cluster gateway
-// merges across nodes via Summary.Merge. consistent selects the
-// queue-barrier path on the node (default is the lock-free snapshot, at
-// most its SnapshotMaxAge stale), and inm makes the fetch conditional —
-// on 304 it returns (nil, inm, true, nil) and the caller reuses its
-// cached copy.
-func (c *HTTPClient) FetchStateTagged(ctx context.Context, consistent bool, inm string) (*Summary, string, bool, error) {
-	var st SummaryState
-	etag, notModified, err := c.getJSONTagged(ctx, consistentQuery("/v1/state", consistent), inm, &st)
-	if err != nil {
-		return nil, "", false, err
-	}
-	if notModified {
-		return nil, etag, true, nil
-	}
-	sum, err := st.Summary()
-	if err != nil {
-		return nil, "", false, err
-	}
-	return sum, etag, false, nil
-}
-
-// FetchWindowState fetches the server's mergeable windowed aggregate
-// (GET /v1/window/state) with the same controls as FetchStateTagged.
-func (c *HTTPClient) FetchWindowState(ctx context.Context, consistent bool, inm string) (*WindowState, string, bool, error) {
-	var win WindowState
-	etag, notModified, err := c.getJSONTagged(ctx, consistentQuery("/v1/window/state", consistent), inm, &win)
-	if err != nil {
-		return nil, "", false, err
-	}
-	if notModified {
-		return nil, etag, true, nil
-	}
-	return &win, etag, false, nil
 }
 
 // FetchSummary fetches the server's rendered GET /v1/summary response
 // (public counters + headlines; the sketches do not travel on this
-// endpoint — use FetchStateTagged for mergeable state).
+// endpoint — GET /v1/state carries the mergeable state).
 func (c *HTTPClient) FetchSummary(ctx context.Context) (*SummaryResponse, error) {
 	resp := &SummaryResponse{Summary: NewSummary()}
 	if err := c.getJSON(ctx, "/v1/summary", resp); err != nil {

@@ -176,38 +176,3 @@ func TestHTTPClientPerAttemptTimeoutRetries(t *testing.T) {
 		t.Fatalf("server saw %d attempts, want >= 3", hits.Load())
 	}
 }
-
-// TestHTTPClientEpochConflictFatal: a 409 carrying the node's epoch is
-// a cluster-membership fact, not a transient — Push must fail fast with
-// *EpochConflictError instead of burning the retry budget.
-func TestHTTPClientEpochConflictFatal(t *testing.T) {
-	var hits atomic.Uint64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if got := r.Header.Get(HeaderEpoch); got != "3" {
-			t.Errorf("request stamped %q, want epoch 3", got)
-		}
-		w.Header().Set(HeaderEpoch, "5")
-		http.Error(w, `{"error":"stale"}`, http.StatusConflict)
-	}))
-	defer srv.Close()
-
-	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
-		Epoch:       3,
-		MaxAttempts: 6,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
-	})
-	err := c.Push(context.Background(), []Record{{SwarmID: 1, PeerID: 1, Online: true}})
-	var conflict *EpochConflictError
-	if !errors.As(err, &conflict) {
-		t.Fatalf("Push returned %v, want *EpochConflictError", err)
-	}
-	if conflict.ClientEpoch != 3 || conflict.NodeEpoch != 5 {
-		t.Fatalf("conflict %+v, want client 3 node 5", conflict)
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("server saw %d attempts, want 1 (no retries on epoch conflict)", hits.Load())
-	}
-}

@@ -189,11 +189,11 @@ func BenchmarkEq9BusyPeriod(b *testing.B) {
 }
 
 func BenchmarkResidualBusyPeriodTable(b *testing.B) {
-	p := core.SwarmParams{Lambda: 1.0 / 150, Size: 4000, Mu: 33, R: 1.0 / 900, U: 300}
-	k6 := p.Bundle(6, core.ScaledPublisher)
+	tb := experiments.Sec42
+	k6 := tb.Model(tb.Lambda, tb.SizeKB).Bundle(6, core.ScaledPublisher)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = k6.SteadyStateResidualBusyPeriod(9)
+		_ = k6.SteadyStateResidualBusyPeriod(tb.Threshold)
 	}
 }
 

@@ -93,6 +93,12 @@ func (c *clusterChild) kill() {
 }
 
 // fetchJSON GETs url and decodes the body into v.
+// walStatus reads a leader's GET /v1/wal/status.
+func walStatus(baseURL string) (cluster.WALStatus, error) {
+	var st cluster.WALStatus
+	return st, fetchJSON(baseURL+"/v1/wal/status", &st)
+}
+
 func fetchJSON(url string, v any) error {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -226,7 +232,7 @@ func TestClusterCrashFailover(t *testing.T) {
 	for i := 0; i < nNodes; i++ {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			st, err := cluster.FetchWALStatus(http.DefaultClient, children[i].url)
+			st, err := walStatus(children[i].url)
 			if err != nil {
 				t.Fatalf("node %d wal status: %v", i, err)
 			}

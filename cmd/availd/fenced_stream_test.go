@@ -15,7 +15,7 @@ import (
 // it gates the API. A leader acks a stream flush; one request stamped
 // with a newer epoch fences it; the next flush on the same client is
 // refused with ERR state — on the open connection and on every redial —
-// until the client's attempt budget is spent, and nothing of it reaches
+// until the client's retry budget is spent, and nothing of it reaches
 // the engine.
 func TestStreamFencedNodeRefusesData(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -25,7 +25,7 @@ func TestStreamFencedNodeRefusesData(t *testing.T) {
 	base := "http://" + api.String()
 
 	c := ingest.NewStreamClient(ingest.StreamClientConfig{
-		Addr: bin.String(), MaxAttempts: 2, RetryBackoff: time.Millisecond,
+		Addr: bin.String(), RetryFor: 100 * time.Millisecond,
 	})
 	rec := ingest.Record{SwarmID: 3, PeerID: 1, Seed: true, Online: true, Time: 0.5}
 	if err := c.Observe(rec); err != nil {

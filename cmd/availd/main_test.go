@@ -39,7 +39,7 @@ func TestGracefulShutdownZeroLoss(t *testing.T) {
 	case err := <-served:
 		t.Fatalf("serve exited early: %v", err)
 	}
-	url := fmt.Sprintf("http://%s/v1/ingest", addr)
+	base := fmt.Sprintf("http://%s", addr)
 
 	// Concurrent pushers stream distinct swarms; acked counts records
 	// the server has taken responsibility for.
@@ -52,8 +52,7 @@ func TestGracefulShutdownZeroLoss(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			c := ingest.NewHTTPClient(ingest.HTTPClientConfig{
-				URL:         url,
-				Seed:        int64(p + 1),
+				BaseURL:     base,
 				MaxAttempts: 3,
 				BackoffBase: 2 * time.Millisecond,
 				BackoffCap:  10 * time.Millisecond,

@@ -235,11 +235,12 @@ func TestPartitionChaosFailover(t *testing.T) {
 	}
 	direct0 := ingest.NewHTTPClient(ingest.HTTPClientConfig{
 		BaseURL:     leader0.URL,
+		Source:      "probe", // its first push is ("probe", 1)
 		MaxAttempts: 3,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffCap:  25 * time.Millisecond,
 	})
-	if err := direct0.PushKeyed(ctx, "probe", 7, probe); err != nil {
+	if err := direct0.Push(ctx, probe); err != nil {
 		t.Fatalf("probe push: %v", err)
 	}
 	ledger = append(ledger, probe...)
@@ -248,7 +249,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 	// the partition, or promotion would lose acknowledged records.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := cluster.FetchWALStatus(http.DefaultClient, leader0.URL)
+		st, err := walStatus(leader0.URL)
 		if err != nil {
 			t.Fatalf("leader 0 wal status: %v", err)
 		}
@@ -295,11 +296,12 @@ func TestPartitionChaosFailover(t *testing.T) {
 	// against the promoted follower must be deduplicated, not re-applied.
 	directF := ingest.NewHTTPClient(ingest.HTTPClientConfig{
 		BaseURL:     followerURL,
+		Source:      "probe", // its first push is ("probe", 1)
 		MaxAttempts: 3,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffCap:  25 * time.Millisecond,
 	})
-	if err := directF.PushKeyed(ctx, "probe", 7, probe); err != nil {
+	if err := directF.Push(ctx, probe); err != nil {
 		t.Fatalf("probe retry against promoted follower: %v", err)
 	}
 	fseries := scrapeMetrics(t, fAddr)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"swarmavail/internal/cluster"
 	"swarmavail/internal/ingest"
 )
 
@@ -17,7 +16,7 @@ import (
 func waitShipped(t *testing.T, leaderURL, standbyURL string) {
 	t.Helper()
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-		st, err := cluster.FetchWALStatus(http.DefaultClient, leaderURL)
+		st, err := walStatus(leaderURL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +120,7 @@ func TestPromotedFollowerIsFullNode(t *testing.T) {
 	// (1) The binary listener bound at boot now takes a stream. One frame
 	// per flush, so under the default policy each would cost an fsync.
 	const frames = 200
-	c := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: bin.String(), MaxAttempts: 2})
+	c := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: bin.String(), RetryFor: 50 * time.Millisecond})
 	for f := 0; f < frames; f++ {
 		if err := c.Observe(ingest.Record{SwarmID: 100 + f%7, PeerID: uint64(f + 1), Online: true, Time: float64(f)}); err != nil {
 			t.Fatalf("stream observe %d: %v", f, err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"swarmavail/internal/ingest"
@@ -26,7 +27,7 @@ func pushStudy(ctx context.Context, url, path string, batch int) error {
 	}
 	defer f.Close()
 	c := ingest.NewHTTPClient(ingest.HTTPClientConfig{
-		URL: url,
+		BaseURL: strings.TrimSuffix(url, "/v1/ingest"),
 		Logf: func(format string, args ...any) {
 			fmt.Printf("availd: "+format+"\n", args...)
 		},

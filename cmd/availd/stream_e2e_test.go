@@ -278,17 +278,17 @@ func TestStreamCrashRecoverySIGKILL(t *testing.T) {
 	childBin.Store("")
 	c := ingest.NewStreamClient(ingest.StreamClientConfig{
 		Source: "crash-monitor",
-		Dial: func() (net.Conn, error) {
+		Dial: func(ctx context.Context) (net.Conn, error) {
 			addr, _ := childBin.Load().(string)
 			if addr == "" {
 				return nil, fmt.Errorf("child not up yet")
 			}
-			return net.DialTimeout("tcp", addr, time.Second)
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
 		},
-		BatchSize:    40,
-		Window:       32,
-		RetryBackoff: 20 * time.Millisecond,
-		MaxAttempts:  400,
+		BatchSize: 40,
+		Window:    32,
+		RetryFor:  5 * time.Minute,
 	})
 
 	const frames = 4000

@@ -45,7 +45,6 @@ type options struct {
 	followers      string
 	nodeBins       string
 	followerBins   string
-	vnodes         int
 	healthEvery    time.Duration
 	failAfter      int
 	probeTimeout   time.Duration
@@ -65,7 +64,6 @@ func main() {
 	flag.StringVar(&opts.ingestBin, "ingest-bin", "", "binary streaming ingest listen address (e.g. :8651); requires -node-bins")
 	flag.StringVar(&opts.nodeBins, "node-bins", "", "comma-separated node binary ingest addresses (availd -ingest-bin), parallel to -nodes")
 	flag.StringVar(&opts.followerBins, "follower-bins", "", "comma-separated follower binary ingest addresses, parallel to -nodes (empty slots allowed)")
-	flag.IntVar(&opts.vnodes, "vnodes", 0, "virtual nodes per slot on the hash ring (0 = default)")
 	flag.DurationVar(&opts.healthEvery, "health-every", time.Second, "leader health-check cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed health checks before promoting the follower")
 	flag.DurationVar(&opts.probeTimeout, "probe-timeout", 0, "timeout per health probe (0 = health-every)")
@@ -144,7 +142,6 @@ func run(ctx context.Context, opts options, logf func(string, ...any), ready cha
 	obs.RegisterProcessMetrics(reg)
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
 		Nodes:          nodes,
-		Vnodes:         opts.vnodes,
 		HealthEvery:    opts.healthEvery,
 		FailAfter:      opts.failAfter,
 		ProbeTimeout:   opts.probeTimeout,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -346,7 +347,7 @@ func TestWALServerStatus(t *testing.T) {
 	leader := newTestLeader(t)
 	leader.submit(t, 0, 8)
 	leader.submit(t, 1, 8)
-	st, err := FetchWALStatus(http.DefaultClient, leader.srv.URL)
+	st, err := fetchWALStatus(leader.srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestWALServerStatus(t *testing.T) {
 	if _, err := leader.e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = FetchWALStatus(http.DefaultClient, leader.srv.URL)
+	st, err = fetchWALStatus(leader.srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,4 +377,18 @@ func TestWALServerStatus(t *testing.T) {
 		t.Fatalf("stream from truncated seq: got %d, want 410", resp.StatusCode)
 	}
 	leader.e.Close()
+}
+
+// fetchWALStatus reads a leader's GET /v1/wal/status.
+func fetchWALStatus(baseURL string) (WALStatus, error) {
+	var st WALStatus
+	resp, err := http.Get(baseURL + "/v1/wal/status")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("wal status: %s", resp.Status)
+	}
+	return st, json.NewDecoder(resp.Body).Decode(&st)
 }

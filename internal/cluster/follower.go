@@ -24,13 +24,8 @@ type FollowerConfig struct {
 	// segments and bootstrap checkpoints land here, in exactly the
 	// layout ingest.OpenDurable expects, so promotion is a recovery.
 	Dir string
-	// Client is the HTTP client for leader requests (default 30s timeout).
-	Client *http.Client
 	// PollEvery is the catch-up poll cadence (default 250ms).
 	PollEvery time.Duration
-	// Fsync selects the local WAL sync policy (default per-append, the
-	// same guarantee the leader gives: a shipped frame survives SIGKILL).
-	Fsync wal.SyncPolicy
 	// Metrics, when set, registers follower gauges and counters.
 	Metrics *obs.Registry
 	// Logf, when set, receives progress lines.
@@ -38,9 +33,6 @@ type FollowerConfig struct {
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	if c.PollEvery <= 0 {
 		c.PollEvery = 250 * time.Millisecond
 	}
@@ -62,8 +54,9 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 // sequence, and any mismatch aborts the pass rather than corrupting
 // the copy.
 type Follower struct {
-	cfg FollowerConfig
-	log *wal.Log
+	cfg    FollowerConfig
+	log    *wal.Log     // synced per append, as the leader's: a shipped frame survives SIGKILL
+	client *http.Client // every leader request, each under a timeout
 
 	shipped    atomic.Uint64 // newest sequence durably copied locally
 	bootstraps atomic.Uint64
@@ -87,15 +80,16 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.LeaderURL == "" || cfg.Dir == "" {
 		return nil, errors.New("cluster: follower needs LeaderURL and Dir")
 	}
-	log, _, err := wal.Open(cfg.Dir, wal.Options{Policy: cfg.Fsync})
+	log, _, err := wal.Open(cfg.Dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
 	f := &Follower{
-		cfg:  cfg,
-		log:  log,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:    cfg,
+		log:    log,
+		client: &http.Client{Timeout: 30 * time.Second},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	shipped := log.LastSeq()
 	if _, ckptSeq, ok, err := ingest.NewestCheckpoint(cfg.Dir); err != nil {
@@ -175,7 +169,7 @@ func (f *Follower) streamOnce(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -230,7 +224,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -52,11 +52,10 @@ func (n NodeConfig) name() string {
 // GatewayConfig parameterises a Gateway.
 type GatewayConfig struct {
 	// Nodes is the cluster membership, in slot order. The ring maps
-	// swarms to slot indices, so order is part of the cluster identity:
-	// every gateway over the same ordered membership routes identically.
+	// swarms to slot indices (DefaultVnodes points each), so order is part
+	// of the cluster identity: every gateway over the same ordered
+	// membership routes identically.
 	Nodes []NodeConfig
-	// Vnodes is the virtual-node count per slot (default DefaultVnodes).
-	Vnodes int
 	// HealthEvery is the leader health-check cadence (default 1s).
 	HealthEvery time.Duration
 	// FailAfter is the consecutive health-check failures that trigger
@@ -72,16 +71,6 @@ type GatewayConfig struct {
 	// from contexts — the push budget, ProbeTimeout, PromoteTimeout, the
 	// reader's request — not from the client.
 	Client *http.Client
-	// SourceID is the idempotency source stem for pushes the gateway
-	// originates keys for (default: a fresh random id). Unkeyed client
-	// batches are re-keyed per slot as "<SourceID>#<slot>"; batches that
-	// arrive already keyed keep their upstream key.
-	SourceID string
-	// Promote, when set, replaces the default promotion call (POST
-	// {follower}/v1/promote stamped with the successor epoch) and
-	// returns the promoted node's base URL. Implementations should make
-	// the promoted node adopt epoch.
-	Promote func(ctx context.Context, n NodeConfig, epoch uint64) (string, error)
 	// Metrics, when set, registers gateway series.
 	Metrics *obs.Registry
 	// Logf, when set, receives lifecycle and failure lines.
@@ -103,9 +92,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.SourceID == "" {
-		c.SourceID = ingest.NewSourceID()
 	}
 	return c
 }
@@ -134,8 +120,9 @@ type gwNode struct {
 	fails    atomic.Int32 // consecutive failed health checks
 	promoted atomic.Bool  // failover done; no second standby
 
-	// source and seq key the writes the gateway originates for this slot:
-	// "<SourceID>#<slot>" and a counter.
+	// source and seq key the writes the gateway originates for this slot
+	// (unkeyed client batches; keyed ones keep their upstream key):
+	// "<random stem>#<slot>" and a counter.
 	source string
 	seq    atomic.Uint64
 
@@ -180,11 +167,14 @@ type Gateway struct {
 	nodes []*gwNode
 
 	// ctx ends at Close: it stops the health loop and fails the pushes
-	// in flight, whose contexts hang off it.
-	ctx      context.Context
-	cancel   context.CancelFunc
-	health   chan struct{} // closed when the health loop has exited
-	draining atomic.Bool
+	// in flight, whose contexts hang off it. Its child streamsCtx also
+	// ends at CloseStreams, abandoning the stream front's upstreams.
+	ctx        context.Context
+	cancel     context.CancelFunc
+	streamsCtx context.Context
+	endStreams context.CancelFunc
+	health     chan struct{} // closed when the health loop has exited
+	draining   atomic.Bool
 
 	records   *obs.Counter
 	batches   *obs.Counter
@@ -217,7 +207,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: gateway needs at least one node")
 	}
-	ring, err := NewRing(len(cfg.Nodes), cfg.Vnodes)
+	ring, err := NewRing(len(cfg.Nodes), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -267,11 +257,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		g.readCacheHits = reg.Counter("read_cache_hits_total")
 		g.collapsedReads = reg.Counter("gateway_collapsed_reads_total")
 	}
+	stem := ingest.NewSourceID()
 	for i, nc := range cfg.Nodes {
 		if nc.URL == "" {
 			return nil, fmt.Errorf("cluster: node %d has no URL", i)
 		}
-		n := &gwNode{cfg: nc, source: cfg.SourceID + "#" + strconv.Itoa(i)}
+		n := &gwNode{cfg: nc, source: stem + "#" + strconv.Itoa(i)}
 		n.route.Store(&slotRoute{url: nc.URL, binAddr: nc.BinAddr})
 		if reg := cfg.Metrics; reg != nil {
 			n.unhealthy = reg.Gauge("gateway_node_unhealthy", obs.L("node", nc.name()))
@@ -287,6 +278,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
+	g.streamsCtx, g.endStreams = context.WithCancel(g.ctx)
 	go g.healthLoop()
 	return g, nil
 }
@@ -353,8 +345,12 @@ func (g *Gateway) Close() {
 
 // CloseStreams cuts the stream front's connections and refuses new
 // ones, leaving the HTTP front to finish what it has in flight — the
-// step a draining availgw takes before its HTTP shutdown.
-func (g *Gateway) CloseStreams() { g.streams.Close() }
+// step a draining availgw takes before its HTTP shutdown. Unsettled
+// upstream frames are abandoned: the monitors resend them.
+func (g *Gateway) CloseStreams() {
+	g.endStreams()
+	g.streams.Close()
+}
 
 // nodeCall is one gateway→node request as its caller describes it; the
 // exchange addresses and stamps it.
@@ -376,7 +372,10 @@ type nodeCall struct {
 // state must not be merged. Every answer raises the slot's epoch to the
 // node's. A 409 from the slot's node ahead of the stamp is sent again,
 // stamped with what it taught; any other 409 is an *EpochConflictError.
-// Any other answer is the caller's to read and close.
+// An answer from the slot's node stamped behind the slot's epoch comes
+// from a leader retired while the call was in flight: it acknowledges
+// nothing and is never merged, and the call goes again on the current
+// route. Any other answer is the caller's to read and close.
 func (g *Gateway) exchange(ctx context.Context, n *gwNode, c nodeCall) (*http.Response, error) {
 	for {
 		rt := n.route.Load()
@@ -396,14 +395,19 @@ func (g *Gateway) exchange(ctx context.Context, n *gwNode, c nodeCall) (*http.Re
 		if err != nil {
 			return nil, err
 		}
-		nodeEpoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+		nodeEpoch, perr := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 		g.adoptEpoch(n, nodeEpoch)
-		if resp.StatusCode != http.StatusConflict {
+		switch {
+		case resp.StatusCode == http.StatusConflict:
+			drain(resp)
+			if c.to != "" || nodeEpoch <= epoch {
+				return nil, &EpochConflictError{ClientEpoch: epoch, NodeEpoch: nodeEpoch}
+			}
+		case c.to == "" && perr == nil && nodeEpoch < n.route.Load().epoch:
+			g.logf("gateway: %s answered at epoch %d, slot now at %d: sending again", n.cfg.name(), nodeEpoch, n.route.Load().epoch)
+			drain(resp)
+		default:
 			return resp, nil
-		}
-		drain(resp)
-		if c.to != "" || nodeEpoch <= epoch {
-			return nil, &EpochConflictError{ClientEpoch: epoch, NodeEpoch: nodeEpoch}
 		}
 	}
 }
@@ -603,19 +607,12 @@ func (g *Gateway) failover(n *gwNode) {
 	newEpoch := max(n.route.Load().epoch+1, 2)
 	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.PromoteTimeout)
 	defer cancel()
-	promote := g.cfg.Promote
-	if promote == nil {
-		promote = func(ctx context.Context, _ NodeConfig, epoch uint64) (string, error) {
-			return g.httpPromote(ctx, n, epoch)
-		}
-	}
-	newURL, err := promote(ctx, n.cfg, newEpoch)
-	if err != nil {
+	if err := g.promote(ctx, n, newEpoch); err != nil {
 		g.logf("gateway: promoting follower of %s: %v", n.cfg.name(), err)
 		return
 	}
 	g.reroute(n, func(r *slotRoute) bool {
-		r.retired, r.url = r.url, newURL
+		r.retired, r.url = r.url, n.cfg.Follower
 		if n.cfg.FollowerBin != "" {
 			r.binAddr = n.cfg.FollowerBin
 		}
@@ -628,23 +625,23 @@ func (g *Gateway) failover(n *gwNode) {
 	n.fails.Store(0)
 	n.unhealthy.Set(0)
 	g.failovers.Inc()
-	g.logf("gateway: promoted follower of %s at %s (epoch %d)", n.cfg.name(), newURL, n.route.Load().epoch)
+	g.logf("gateway: promoted follower of %s at %s (epoch %d)", n.cfg.name(), n.cfg.Follower, n.route.Load().epoch)
 }
 
-// httpPromote is the default promotion: POST {follower}/v1/promote
-// stamped with the successor epoch, routing to the follower once it
-// answers 200 (it does so only after recovering the shipped state and
-// swapping into serving mode at that epoch).
-func (g *Gateway) httpPromote(ctx context.Context, n *gwNode, epoch uint64) (string, error) {
+// promote is the promotion call: POST {follower}/v1/promote stamped
+// with the successor epoch. The follower answers 200 only after
+// recovering the shipped state and swapping into serving mode at that
+// epoch.
+func (g *Gateway) promote(ctx context.Context, n *gwNode, epoch uint64) error {
 	resp, err := g.exchange(ctx, n, nodeCall{method: http.MethodPost, path: "/v1/promote", to: n.cfg.Follower, epoch: epoch})
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("cluster: promote %s: %w", n.cfg.Follower, statusError(resp))
+		return fmt.Errorf("cluster: promote %s: %w", n.cfg.Follower, statusError(resp))
 	}
-	return n.cfg.Follower, nil
+	return nil
 }
 
 // Handler returns the gateway's HTTP API: the availd read/write surface

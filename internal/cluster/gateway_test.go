@@ -32,6 +32,10 @@ type testNode struct {
 	readDelay atomic.Int64  // ns to stall reads, for collapse tests
 	reads     atomic.Int64  // full (non-304) read bodies served
 	stamp     atomic.Uint64 // epoch stamped on the last ingest (0 = none)
+	promotes  atomic.Int32  // POST /v1/promote calls answered
+	// hold, when set, stalls every ingest (after recording its stamp)
+	// until it is closed: a leader paused mid-write.
+	hold atomic.Pointer[chan struct{}]
 }
 
 func newTestNode(t *testing.T) *testNode {
@@ -48,6 +52,9 @@ func startTestNode(cfg ingest.Config) *testNode {
 	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
 		stamp, _ := strconv.ParseUint(r.Header.Get(EpochHeader), 10, 64)
 		n.stamp.Store(stamp)
+		if hold := n.hold.Load(); hold != nil {
+			<-*hold
+		}
 		if n.failAll.Load() {
 			http.Error(w, "injected failure", http.StatusInternalServerError)
 			return
@@ -83,6 +90,12 @@ func startTestNode(cfg ingest.Config) *testNode {
 		if sw.status != http.StatusNotModified {
 			n.reads.Add(1)
 		}
+	})
+	// Every test node can stand in for a follower: it answers the
+	// gateway's promotion call, as a standby availd does once it serves.
+	mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
+		n.promotes.Add(1)
+		ingest.WriteJSON(w, map[string]string{"state": "serving"})
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !n.healthy.Load() {
@@ -285,7 +298,6 @@ func TestGatewayPartialFailureNoAck(t *testing.T) {
 // follower and in-flight pushes land there.
 func TestGatewayFailover(t *testing.T) {
 	alive, dying, standby := newTestNode(t), newTestNode(t), newTestNode(t)
-	var promoteCalls atomic.Int32
 	cfg := GatewayConfig{
 		Nodes: []NodeConfig{
 			{Name: "n0", URL: alive.srv.URL},
@@ -293,11 +305,7 @@ func TestGatewayFailover(t *testing.T) {
 		},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
-		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
-			promoteCalls.Add(1)
-			return n.Follower, nil
-		},
-		Logf: t.Logf,
+		Logf:        t.Logf,
 	}
 	g, err := NewGateway(cfg)
 	if err != nil {
@@ -327,8 +335,8 @@ func TestGatewayFailover(t *testing.T) {
 	if err := client.Push(ctx, mkRecords(64, 51, 1)); err != nil {
 		t.Fatalf("push during failover: %v", err)
 	}
-	if promoteCalls.Load() != 1 {
-		t.Fatalf("promote called %d times, want 1", promoteCalls.Load())
+	if got := standby.promotes.Load(); got != 1 {
+		t.Fatalf("promote called %d times, want 1", got)
 	}
 	if g.NodeURL(1) != standby.srv.URL {
 		t.Fatalf("slot 1 routes to %s, want standby %s", g.NodeURL(1), standby.srv.URL)
@@ -341,27 +349,32 @@ func TestGatewayFailover(t *testing.T) {
 }
 
 // TestGatewaySlotEpochNeverDecreases: a slot's believed epoch is
-// monotonic across a failover. While Promote is in flight the slot
-// learns epoch 9 (what a 409 from a node another gateway already fenced
-// teaches it); the failover, which set out to install epoch 2, must not
-// take the slot back down — and the push it redirects is stamped with
-// what /v1/cluster reports.
+// monotonic across a failover. While the promotion call is in flight the
+// slot learns epoch 9 (what a 409 from a node another gateway already
+// fenced teaches it); the failover, which set out to install epoch 2,
+// must not take the slot back down — and the push it redirects is
+// stamped with what /v1/cluster reports.
 func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	dying, standby := newTestNode(t), newTestNode(t)
 	var gwp atomic.Pointer[Gateway]
-	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: standby.srv.URL}},
-		HealthEvery: 20 * time.Millisecond,
-		FailAfter:   2,
-		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
+	// The standby, except that its promotion answer waits until the slot
+	// has learned epoch 9.
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/promote" {
 			for gwp.Load() == nil {
 				time.Sleep(time.Millisecond)
 			}
 			g := gwp.Load()
 			g.adoptEpoch(g.nodes[0], 9)
-			return n.Follower, nil
-		},
-		Logf: t.Logf,
+		}
+		standby.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer follower.Close()
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: follower.URL}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,10 +500,7 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 		},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
-		Promote: func(ctx context.Context, n NodeConfig, epoch uint64) (string, error) {
-			return n.Follower, nil
-		},
-		Logf: t.Logf,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -810,4 +820,58 @@ func TestGatewayEveryNodeRequestStamped(t *testing.T) {
 		t.Fatalf("%d of %d node requests went out unstamped:\n%s", len(bad), total, strings.Join(bad, "\n"))
 	}
 	t.Logf("%d node requests, all stamped; slot epochs %v", total, epochs)
+}
+
+// TestGatewayStaleAnswerAfterFailover: a push is in flight to a leader
+// that stalls — its gate has admitted the write at epoch 1 — while the
+// health loop promotes the follower at epoch 2. When the leader resumes
+// it journals the share and answers 200 stamped 1. That answer is behind
+// the slot and must not acknowledge anything: the share would exist only
+// on the retired node. The exchange sends it again to the promoted
+// follower, so the acknowledged push is there.
+func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
+	var log stampLog
+	leader, _, leaderSrv := gatedNode(t, "leader", &log)
+	follower, followerGate, followerSrv := gatedNode(t, "follower", &log)
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, Follower: followerSrv.URL}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	hold := make(chan struct{})
+	leader.hold.Store(&hold)
+	recs := mkRecords(16, 7, 0)
+	pushed := make(chan error, 1)
+	go func() { pushed <- pushBatch(gw.URL, recs) }()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the push to reach the leader", func() bool { return leader.stamp.Load() != 0 })
+	leader.healthy.Store(false) // stalled: its probes fail too
+	waitFor("the promotion", func() bool { return g.NodeURL(0) == followerSrv.URL })
+	close(hold) // the leader resumes and answers at the epoch it admitted
+
+	if err := <-pushed; err != nil {
+		t.Fatalf("push across the failover: %v", err)
+	}
+	follower.e.Flush()
+	if got, want := follower.e.Summary().Events, uint64(len(recs)); got != want {
+		t.Fatalf("the promoted node holds %d of the %d acknowledged records: the gateway took a retired leader's answer as an ack", got, want)
+	}
+	if got := follower.stamp.Load(); got != followerGate.Epoch() {
+		t.Fatalf("the resend was stamped %d, the promoted node is at %d", got, followerGate.Epoch())
+	}
 }

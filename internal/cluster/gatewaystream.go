@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"time"
 
 	"swarmavail/internal/ingest"
 )
@@ -23,6 +25,9 @@ import (
 // Unkeyed frames get gateway-originated per-slot keys, making the
 // upstream resend after a broken node connection exactly-once even
 // though the monitor asked only for at-least-once.
+//
+// Each upstream client redials for its slot's push budget, so a
+// failover under a stream costs the monitor a delay, not an ERR.
 //
 // ServeStream returns nil when ln closes or the gateway does, once every
 // stream connection has ended. Gateway.Close cuts the connections at a
@@ -60,7 +65,7 @@ type streamForwarder struct {
 	g       *Gateway
 	conn    net.Conn
 	sess    *ingest.StreamSession
-	clients []*ingest.StreamClient // lazy, per slot
+	clients []*ingest.StreamClient
 
 	// accepted counts downstream DATA frames fanned out on this
 	// connection; only the serve loop touches it.
@@ -84,19 +89,37 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 		acks:    make(chan streamAckJob, 128),
 		done:    make(chan struct{}),
 	}
+	for slot, n := range g.nodes {
+		// The dial re-reads the slot's binary address, so a reconnect after
+		// a failover lands on the promoted follower.
+		f.clients[slot] = ingest.NewStreamClient(ingest.StreamClientConfig{
+			Dial: func(ctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				return d.DialContext(ctx, "tcp", n.route.Load().binAddr)
+			},
+			Source:   n.source,
+			RetryFor: g.pushBudget(n),
+			Logf:     g.cfg.Logf,
+		})
+	}
+	// Cut short whatever an upstream client is waiting on when the stream
+	// front closes, serve loop included.
+	defer context.AfterFunc(g.streamsCtx, f.abandon)()
 	go f.relay()
 	err := f.serve()
+	if err != nil && !errors.Is(err, io.EOF) && !errors.As(err, new(*ingest.StreamError)) {
+		// The downstream is gone, not merely done sending: there is no one
+		// left to acknowledge, so the frames still unsettled upstream are
+		// the monitor's to resend under its keys, wherever it reconnects.
+		f.abandon()
+	}
 	// The relay settles and acknowledges everything fanned out before the
 	// stream ended, so a verdict's ERR follows the ACK of its prefix —
 	// the order a node answers in.
 	close(f.acks)
 	<-f.done
-	for _, c := range f.clients {
-		if c != nil {
-			c.Close()
-		}
-	}
-	if f.relayErr != nil {
+	f.abandon()
+	if f.relayErr != nil && !errors.Is(f.relayErr, ingest.ErrClosed) {
 		// The relay closed the connection under the serve loop; its
 		// error is the cause, the loop's read error the symptom.
 		return f.relayErr
@@ -104,21 +127,11 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 	return f.sess.End(err)
 }
 
-// client returns slot's upstream stream client, dialing lazily. The
-// dial func re-reads the slot's current binary address, so a reconnect
-// after a failover lands on the promoted follower.
-func (f *streamForwarder) client(slot int) *ingest.StreamClient {
-	if f.clients[slot] == nil {
-		n := f.g.nodes[slot]
-		f.clients[slot] = ingest.NewStreamClient(ingest.StreamClientConfig{
-			Dial: func() (net.Conn, error) {
-				return net.DialTimeout("tcp", n.route.Load().binAddr, 10*time.Second)
-			},
-			Source: n.source,
-			Logf:   f.g.cfg.Logf,
-		})
+// abandon drops every upstream client without settling it.
+func (f *streamForwarder) abandon() {
+	for _, c := range f.clients {
+		c.Abandon()
 	}
-	return f.clients[slot]
 }
 
 // serve is the downstream read loop: one iteration per frame, over the
@@ -164,7 +177,7 @@ func (f *streamForwarder) forward(frame []byte) error {
 				return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: fmt.Sprintf("re-encode for slot %d: %v", sh.slot, err)}
 			}
 		}
-		c := f.client(sh.slot)
+		c := f.clients[sh.slot]
 		if err := c.PushFrame(enc); err != nil {
 			return &ingest.StreamError{Code: ingest.StreamErrState, Msg: fmt.Sprintf("slot %d: %v", sh.slot, err)}
 		}
@@ -180,8 +193,9 @@ func (f *streamForwarder) forward(frame []byte) error {
 // the job is acknowledged upstream, then acknowledge downstream — once
 // per backlog, not per job: a job with others queued behind it is
 // covered by the last one's cumulative ack. On an upstream failure it
-// reports once, closes the downstream connection, and keeps draining so
-// the serve loop never blocks on the queue.
+// reports once, closes the downstream connection, abandons the other
+// upstreams (nothing more will be acknowledged on this stream) and
+// keeps draining so the serve loop never blocks on the queue.
 func (f *streamForwarder) relay() {
 	defer close(f.done)
 	for job := range f.acks {
@@ -191,6 +205,7 @@ func (f *streamForwarder) relay() {
 		if f.relayErr = f.settle(job); f.relayErr != nil {
 			f.sess.Err(ingest.StreamErrState, f.relayErr.Error())
 			f.conn.Close()
+			f.abandon()
 		} else if len(f.acks) == 0 {
 			_ = f.sess.Ack(job.count) // a dead downstream shows up in serve's read
 		}

@@ -75,7 +75,6 @@ func streamGateway(t *testing.T, nodes []*streamNode) (*Gateway, *httptest.Serve
 		Nodes:       cfgs,
 		HealthEvery: time.Hour, // no failover noise in these tests
 		Metrics:     obs.NewRegistry(),
-		SourceID:    "gwtest",
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -294,7 +293,7 @@ func TestGatewayCloseEndsStreams(t *testing.T) {
 
 	c := ingest.NewStreamClient(ingest.StreamClientConfig{
 		Addr: ln.Addr().String(), Source: "close-test",
-		MaxAttempts: 2, RetryBackoff: time.Millisecond,
+		RetryFor: 10 * time.Millisecond,
 	})
 	events := func() uint64 {
 		node.e.Flush()
@@ -334,6 +333,79 @@ func TestGatewayCloseEndsStreams(t *testing.T) {
 		t.Fatalf("node holds %d events after the gateway closed, want 1", got)
 	}
 	_ = c.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before NewGateway, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestGatewayCloseAbandonsDeadUpstream: with a slot's upstream down, a
+// stream handler sits in its upstream client's redial loop — for the
+// slot's whole push budget, here hours. Closing the listener and the
+// gateway must end it within a second anyway, abandoning the unsettled
+// frame (the monitor's to resend under its key), and leave no
+// goroutine behind.
+func TestGatewayCloseAbandonsDeadUpstream(t *testing.T) {
+	node := newStreamNode(t)
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close() // the slot's binary ingest refuses every dial
+	before := runtime.NumGoroutine()
+
+	reg := obs.NewRegistry()
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: deadAddr}},
+		HealthEvery: time.Hour,
+		Metrics:     reg,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- g.ServeStream(ln) }()
+
+	c := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: ln.Addr().String(), Source: "dead-upstream", BatchSize: 1})
+	defer c.Abandon()
+	if err := c.Observe(ingest.Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if v, _ := reg.Value("gateway_stream_conns_total"); v == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the gateway never accepted the stream")
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // the frame is in the upstream client's redial loop
+
+	start := time.Now()
+	ln.Close()
+	g.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ServeStream: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a stream handler was still waiting on the dead upstream 1s after Close")
+	}
+	t.Logf("stream front ended %v after Close", time.Since(start))
+	if c.Acked() != 0 {
+		t.Fatal("a frame that never reached a node was acknowledged")
+	}
+	c.Abandon()
 
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {

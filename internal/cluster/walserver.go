@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,7 +35,7 @@ type WALStatus struct {
 // catch-up: status (what's shippable), stream (the frames themselves,
 // re-framed with the same length+CRC envelope they carry on disk) and
 // checkpoint (bootstrap when the requested tail has been truncated).
-// All reads use wal.Log.Tail, which is safe alongside the engine's
+// All reads use wal.Log.Replay, which is safe alongside the engine's
 // appends, so shipping never stalls ingest.
 type WALServer struct {
 	Log *wal.Log
@@ -51,30 +50,17 @@ func (s *WALServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/wal/checkpoint", s.handleCheckpoint)
 }
 
-// Status reports the journal's shippable window.
-func (s *WALServer) Status() (WALStatus, error) {
-	st := WALStatus{FirstSeq: s.Log.FirstSeq(), LastSeq: s.Log.LastSeq()}
-	_, ckptSeq, ok, err := ingest.NewestCheckpoint(s.Dir)
-	if err != nil {
-		return st, err
-	}
-	if ok {
-		st.CheckpointSeq = ckptSeq
-	}
-	return st, nil
-}
-
 func (s *WALServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	st, err := s.Status()
+	_, ckptSeq, _, err := ingest.NewestCheckpoint(s.Dir) // 0 when there is none
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	ingest.WriteJSON(w, st)
+	ingest.WriteJSON(w, WALStatus{FirstSeq: s.Log.FirstSeq(), LastSeq: s.Log.LastSeq(), CheckpointSeq: ckptSeq})
 }
 
 // handleStream serves GET /v1/wal/stream?from=N: frames N, N+1, … (up
@@ -116,7 +102,7 @@ func (s *WALServer) handleStream(w http.ResponseWriter, r *http.Request) {
 		want   = from
 	)
 	errStop := fmt.Errorf("stream frame cap")
-	err = s.Log.Tail(from, func(seq uint64, payload []byte) error {
+	err = s.Log.Replay(from, func(seq uint64, payload []byte) error {
 		if served >= maxStreamFrames {
 			return errStop
 		}
@@ -165,22 +151,4 @@ func (s *WALServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Checkpoint-Seq", strconv.FormatUint(seq, 10))
 	_, _ = io.Copy(w, f)
-}
-
-// FetchWALStatus fetches a leader's /v1/wal/status.
-func FetchWALStatus(client *http.Client, baseURL string) (WALStatus, error) {
-	var st WALStatus
-	resp, err := client.Get(baseURL + "/v1/wal/status")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return st, fmt.Errorf("cluster: wal status: %s: %s", resp.Status, msg)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("cluster: wal status: %w", err)
-	}
-	return st, nil
 }

@@ -211,19 +211,9 @@ func AblationPieces(scale Scale, seed int64) (*Result, error) {
 	run := func(random bool) (int, error) {
 		total := 0
 		for i := 0; i < runs; i++ {
-			files := make([]swarm.FileSpec, k)
-			for j := range files {
-				files[j] = swarm.FileSpec{SizeKB: 4000, Lambda: 1.0 / 150}
-			}
-			r, err := swarm.Run(swarm.Config{
-				Seed:                 seed + int64(i)*31,
-				Files:                files,
-				PeerUpload:           dist.Deterministic{Value: 33},
-				PublisherUploadKBps:  50,
-				PublisherMode:        swarm.PublisherUntilFirstCompletion,
-				Horizon:              1500,
-				RandomPieceSelection: random,
-			})
+			cfg := Sec42.Swarm(Sec42.Files(k), seed+int64(i)*31, 1500)
+			cfg.RandomPieceSelection = random
+			r, err := swarm.Run(cfg)
 			if err != nil {
 				return 0, err
 			}

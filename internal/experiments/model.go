@@ -78,18 +78,13 @@ func Fig3(_ Scale, _ int64) (*Result, error) {
 	return res, nil
 }
 
-// Fig4ModelParams are the §4.2 parameters (sizes in KB, rates in KB/s).
-func Fig4ModelParams() core.SwarmParams {
-	return core.SwarmParams{Lambda: 1.0 / 150, Size: 4000, Mu: 33, R: 1.0 / 900, U: 300}
-}
-
 // TableBm regenerates the §4.2 table of steady-state residual busy
 // periods B(m) for m=9 and K=1..8 (the paper reports
 // (0, 0, 47, 569, 2816, 8835, 256446, 75276); the last two published
 // values are non-monotone, which the paper's own self-sustainability
 // reading suggests is a typo — our model yields a monotone explosion).
 func TableBm(_ Scale, _ int64) (*Result, error) {
-	base := Fig4ModelParams()
+	base := Sec42.Model(Sec42.Lambda, Sec42.SizeKB)
 	res := &Result{
 		ID:          "table-bm",
 		Description: "Residual busy periods B̄(9) vs bundle size (s = 4 MB, μ = 33 KBps, λ = 1/150)",
@@ -100,7 +95,7 @@ func TableBm(_ Scale, _ int64) (*Result, error) {
 	}
 	for k := 1; k <= 8; k++ {
 		b := base.Bundle(k, core.ScaledPublisher)
-		bm := b.SteadyStateResidualBusyPeriod(9)
+		bm := b.SteadyStateResidualBusyPeriod(Sec42.Threshold)
 		tb.Rows = append(tb.Rows, []string{
 			fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.2f", b.Rho()),

@@ -56,6 +56,18 @@ type Testbed struct {
 	OffSeconds float64 // mean publisher off time: the model's 1/r
 	LagSeconds float64 // client shutdown latency (see swarm.Config.DepartureLagSeconds)
 	Threshold  int     // coverage threshold m of eq. (14)/(16)
+	// Seedless makes the simulated publisher leave for good at the first
+	// completed download instead of alternating on and off; the model
+	// keeps its on/off reading (OnSeconds, OffSeconds).
+	Seedless bool
+}
+
+// Sec42 is the §4.2 seedless testbed: λ = 1/150 per file, 4 MB files,
+// 33 KBps peers, a 50 KBps publisher that leaves at the first completion;
+// the model reads it as on 300 s / off 900 s, m = 9.
+var Sec42 = Testbed{
+	Lambda: 1.0 / 150, SizeKB: 4000, PeerUpKBps: 33, PubUpKBps: 50,
+	OnSeconds: 300, OffSeconds: 900, Threshold: 9, Seedless: true,
 }
 
 // Sec43 is the §4.3 testbed: λ = 1/60 per file, 4 MB files, 50 KBps
@@ -77,12 +89,16 @@ func (t Testbed) Files(k int) []swarm.FileSpec {
 // Swarm is the simulator's configuration of the testbed for one torrent
 // carrying files.
 func (t Testbed) Swarm(files []swarm.FileSpec, seed int64, horizon float64) swarm.Config {
+	mode := swarm.PublisherOnOff
+	if t.Seedless {
+		mode = swarm.PublisherUntilFirstCompletion
+	}
 	return swarm.Config{
 		Seed:                seed,
 		Files:               files,
 		PeerUpload:          dist.Deterministic{Value: t.PeerUpKBps},
 		PublisherUploadKBps: t.PubUpKBps,
-		PublisherMode:       swarm.PublisherOnOff,
+		PublisherMode:       mode,
 		PublisherOn:         dist.NewExponentialFromMean(t.OnSeconds),
 		PublisherOff:        dist.NewExponentialFromMean(t.OffSeconds),
 		DepartureLagSeconds: t.LagSeconds,
@@ -166,18 +182,7 @@ func Fig4(scale Scale, seed int64) (*Result, error) {
 		bins := int(horizon/bucket) + 1
 		acc := make([]float64, bins)
 		for run := 0; run < runs; run++ {
-			files := make([]swarm.FileSpec, k)
-			for i := range files {
-				files[i] = swarm.FileSpec{SizeKB: 4000, Lambda: 1.0 / 150}
-			}
-			r, err := swarm.Run(swarm.Config{
-				Seed:                seed + int64(run*1000+k),
-				Files:               files,
-				PeerUpload:          dist.Deterministic{Value: 33},
-				PublisherUploadKBps: 50,
-				PublisherMode:       swarm.PublisherUntilFirstCompletion,
-				Horizon:             horizon,
-			})
+			r, err := swarm.Run(Sec42.Swarm(Sec42.Files(k), seed+int64(run*1000+k), horizon))
 			if err != nil {
 				return nil, err
 			}

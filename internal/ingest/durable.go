@@ -41,8 +41,6 @@ type DurabilityConfig struct {
 	Fsync wal.SyncPolicy
 	// SyncEvery is the background fsync cadence under wal.SyncInterval.
 	SyncEvery time.Duration
-	// SegmentBytes overrides the WAL segment rotation threshold.
-	SegmentBytes int64
 }
 
 // RecoveryStats reports what OpenDurable found on disk.
@@ -136,7 +134,6 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	// 2. Open the journal, repairing any torn tail.
 	reg := e.metrics.reg
 	log, ws, err := wal.Open(d.Dir, wal.Options{
-		SegmentBytes:      d.SegmentBytes,
 		Policy:            d.Fsync,
 		SyncEvery:         d.SyncEvery,
 		FsyncSeconds:      reg.Histogram("wal_fsync_seconds", obs.LatencyBuckets),
@@ -210,7 +207,7 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 
 // WAL returns the engine's journal log, or nil for an engine without a
 // durability layer (one built by New). The cluster's WAL-shipping
-// endpoints read from it with Tail, which is safe alongside the
+// endpoints read from it with Replay, which is safe alongside the
 // engine's appends.
 func (e *Engine) WAL() *wal.Log {
 	if e.journal == nil {

@@ -36,14 +36,11 @@ func NewSourceID() string {
 }
 
 // HTTPClientConfig parameterises an HTTPClient. The zero value (plus a
-// URL or BaseURL) selects sensible defaults.
+// BaseURL) selects sensible defaults.
 type HTTPClientConfig struct {
-	// URL is the ingest endpoint (e.g. http://127.0.0.1:8647/v1/ingest).
-	// Derived from BaseURL when empty.
-	URL string
-	// BaseURL is the server root (e.g. http://127.0.0.1:8647) the GET
-	// helpers (FetchSummary, FetchCDF) resolve against.
-	// Derived from URL when empty by trimming the /v1/ingest suffix.
+	// BaseURL is the server root (e.g. http://127.0.0.1:8647): pushes go
+	// to its /v1/ingest, and the GET helpers (FetchSummary, FetchCDF)
+	// resolve against it.
 	BaseURL string
 	// Client is the underlying HTTP client (default: 30s timeout). Tests
 	// inject fault-wrapped transports here.
@@ -55,9 +52,6 @@ type HTTPClientConfig struct {
 	// (defaults 100ms / 5s); each wait is jittered to [d/2, d).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Seed seeds the jitter stream (0 = fixed default; determinism is
-	// harmless here and useful in tests).
-	Seed int64
 	// Source is the idempotency source id stamped (with a per-client
 	// sequence) on every push so server-side dedup makes retries
 	// exactly-once. Default: a fresh random id from NewSourceID.
@@ -67,12 +61,7 @@ type HTTPClientConfig struct {
 }
 
 func (c HTTPClientConfig) withDefaults() HTTPClientConfig {
-	if c.URL == "" && c.BaseURL != "" {
-		c.URL = strings.TrimSuffix(c.BaseURL, "/") + "/v1/ingest"
-	}
-	if c.BaseURL == "" {
-		c.BaseURL = strings.TrimSuffix(c.URL, "/v1/ingest")
-	}
+	c.BaseURL = strings.TrimSuffix(c.BaseURL, "/")
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -84,9 +73,6 @@ func (c HTTPClientConfig) withDefaults() HTTPClientConfig {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 5 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x16e57
 	}
 	if c.Source == "" {
 		c.Source = NewSourceID()
@@ -115,10 +101,14 @@ type HTTPClient struct {
 	retries uint64 // attempts beyond the first, across all pushes
 }
 
-// NewHTTPClient returns a client for cfg.URL.
+// jitterSeed seeds every client's jitter stream: determinism is harmless
+// here and useful in tests.
+const jitterSeed = 0x16e57
+
+// NewHTTPClient returns a client for cfg.BaseURL.
 func NewHTTPClient(cfg HTTPClientConfig) *HTTPClient {
 	cfg = cfg.withDefaults()
-	return &HTTPClient{cfg: cfg, rng: mrand.New(mrand.NewSource(cfg.Seed))}
+	return &HTTPClient{cfg: cfg, rng: mrand.New(mrand.NewSource(jitterSeed))}
 }
 
 // Source returns the client's idempotency source id.
@@ -157,17 +147,10 @@ func (c *HTTPClient) logf(format string, args ...any) {
 // re-applied (exactly-once against dedup-aware servers; plain
 // at-least-once against older ones, which ignore the headers).
 func (c *HTTPClient) Push(ctx context.Context, recs []Record) error {
-	return c.PushKeyed(ctx, c.cfg.Source, c.seq.Add(1), recs)
-}
-
-// PushKeyed delivers one batch under an explicit (source, seq)
-// idempotency key — for callers that relay batches on behalf of an
-// upstream sender and must preserve its key, or that replay one batch
-// to a second node. source may be "" to push unkeyed.
-func (c *HTTPClient) PushKeyed(ctx context.Context, source string, seq uint64, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	seq := strconv.FormatUint(c.seq.Add(1), 10)
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for _, rec := range recs {
@@ -177,15 +160,13 @@ func (c *HTTPClient) PushKeyed(ctx context.Context, source string, seq uint64, r
 	}
 	payload, n := body.Bytes(), len(recs)
 	return c.do(ctx, "push", func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.URL, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/ingest", bytes.NewReader(payload))
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
-		if source != "" {
-			req.Header.Set(HeaderSource, source)
-			req.Header.Set(HeaderSeq, strconv.FormatUint(seq, 10))
-		}
+		req.Header.Set(HeaderSource, c.cfg.Source)
+		req.Header.Set(HeaderSeq, seq)
 		return req, nil
 	}, func(resp *http.Response) error {
 		var ack struct {

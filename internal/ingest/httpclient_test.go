@@ -32,7 +32,7 @@ func TestHTTPClientConcurrentPushes(t *testing.T) {
 	defer srv.Close()
 
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
+		BaseURL:     srv.URL,
 		MaxAttempts: 10,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,
@@ -81,7 +81,7 @@ func TestHTTPClientPushCancelMidBackoff(t *testing.T) {
 	defer srv.Close()
 
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
+		BaseURL:     srv.URL,
 		MaxAttempts: 10,
 		BackoffBase: 10 * time.Second,
 		BackoffCap:  10 * time.Second,
@@ -122,7 +122,7 @@ func TestHTTPClientPushCancelDuringAttempt(t *testing.T) {
 	defer srv.Close()
 
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
+		BaseURL:     srv.URL,
 		MaxAttempts: 10,
 		BackoffBase: 10 * time.Second,
 		BackoffCap:  10 * time.Second,
@@ -163,7 +163,7 @@ func TestHTTPClientPerAttemptTimeoutRetries(t *testing.T) {
 	defer srv.Close()
 
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
+		BaseURL:     srv.URL,
 		Client:      &http.Client{Timeout: 100 * time.Millisecond},
 		MaxAttempts: 6,
 		BackoffBase: time.Millisecond,

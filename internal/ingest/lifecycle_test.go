@@ -141,8 +141,7 @@ func TestHTTPClientRetriesToSuccess(t *testing.T) {
 	defer srv.Close()
 
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
-		Seed:        7,
+		BaseURL:     srv.URL,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  4 * time.Millisecond,
 	})
@@ -166,7 +165,7 @@ func TestHTTPClientFatalNotRetried(t *testing.T) {
 		http.Error(w, "bad record", http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	c := NewHTTPClient(HTTPClientConfig{URL: srv.URL, BackoffBase: time.Millisecond})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL, BackoffBase: time.Millisecond})
 	if err := c.Push(context.Background(), []Record{rec(1, 1, true, 0)}); err == nil {
 		t.Fatalf("push should fail on 400")
 	}
@@ -182,7 +181,7 @@ func TestHTTPClientHonoursContext(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewHTTPClient(HTTPClientConfig{
-		URL:         srv.URL,
+		BaseURL:     srv.URL,
 		BackoffBase: time.Hour, // would stall forever without the ctx
 		BackoffCap:  time.Hour,
 		MaxAttempts: 3,

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -321,13 +322,12 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 			defer wg.Done()
 			c := NewStreamClient(StreamClientConfig{
 				Source: fmt.Sprintf("mon-%d", ci),
-				Dial: func() (net.Conn, error) {
+				Dial: func(context.Context) (net.Conn, error) {
 					return fn.Dial("tcp", ln.Addr().String(), time.Second)
 				},
-				BatchSize:    perOp,
-				Window:       8,
-				RetryBackoff: 2 * time.Millisecond,
-				MaxAttempts:  100,
+				BatchSize: perOp,
+				Window:    8,
+				RetryFor:  time.Minute,
 			})
 			for f := 0; f < frames; f++ {
 				for k := 0; k < perOp; k++ {

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -17,10 +18,11 @@ type StreamClientConfig struct {
 	// Addr is the binary ingest listener's TCP address
 	// (availd -ingest-bin).
 	Addr string
-	// Dial, when set, replaces the default net.Dial — tests inject
-	// fault-wrapped connections, and the crash harness re-resolves the
-	// restarted server's port here.
-	Dial func() (net.Conn, error)
+	// Dial, when set, replaces the default dial of Addr — the cluster
+	// gateway re-reads a slot's address here, tests inject fault-wrapped
+	// connections, and the crash harness re-resolves the restarted
+	// server's port. ctx ends with the retry budget or at Abandon.
+	Dial func(ctx context.Context) (net.Conn, error)
 	// Source is the idempotency source id carried inside every keyed
 	// DATA frame (default: a fresh id from NewSourceID). One Source
 	// names one exactly-once sender stream — reuse it across
@@ -32,17 +34,24 @@ type StreamClientConfig struct {
 	// Window is the maximum unacknowledged DATA frames in flight;
 	// a full window blocks the producer (default 32).
 	Window int
-	// MaxAttempts bounds consecutive connection attempts that settle
-	// nothing — a failed dial, or a connection that ends before it
-	// acknowledges a frame (a fenced or draining server answering ERR) —
-	// before a send reports failure (default 8).
-	MaxAttempts int
-	// RetryBackoff is the wait after such an attempt, doubling up to
-	// 32× per consecutive failure (default 50ms).
-	RetryBackoff time.Duration
+	// RetryFor bounds how long the client keeps redialing without
+	// settling a frame — failed dials, and connections that end before
+	// they acknowledge one (a fenced or draining server answering ERR) —
+	// before a send reports failure (default 4.75s). It runs from the
+	// first dial since the last acknowledgement; the waits between
+	// attempts start at 50ms and double up to 1.6s, and no dial outlives
+	// what is left of it.
+	RetryFor time.Duration
 	// Logf, when set, receives one line per reconnect.
 	Logf func(format string, args ...any)
 }
+
+// retryBase is the first wait between redials; each further one doubles,
+// up to 32×. defaultRetryFor is the sum of the first seven waits.
+const (
+	retryBase       = 50 * time.Millisecond
+	defaultRetryFor = 4750 * time.Millisecond
+)
 
 func (c StreamClientConfig) withDefaults() StreamClientConfig {
 	if c.Source == "" {
@@ -55,11 +64,8 @@ func (c StreamClientConfig) withDefaults() StreamClientConfig {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
+	if c.RetryFor <= 0 {
+		c.RetryFor = defaultRetryFor
 	}
 	return c
 }
@@ -77,10 +83,16 @@ func (c StreamClientConfig) withDefaults() StreamClientConfig {
 // re-encodes structs.
 //
 // A StreamClient is a single-producer object like Writer: Put/Observe/
-// Flush/Close must come from one goroutine. Acked and WaitAcked are
-// safe to call from others (the cluster gateway's ack relay does).
+// Flush/Close must come from one goroutine. Acked, WaitAcked and
+// Abandon are safe to call from others (the cluster gateway's ack relay
+// and shutdown do).
 type StreamClient struct {
 	cfg StreamClientConfig
+
+	// ctx ends when the client closes: it cuts a dial or a wait between
+	// attempts short.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -100,10 +112,11 @@ type StreamClient struct {
 	totalAcked uint64 // DATA frames settled by acks, ever
 	reconnects uint64
 
-	pumping  bool  // a sender is mid-pump (writes happen unlocked)
-	attempts int   // dials since the last ack; the MaxAttempts budget
-	lastErr  error // newest transport error, for dial-exhausted reports
-	fatal    error // server verdict that retrying cannot change
+	pumping  bool      // a sender is mid-pump (writes happen unlocked)
+	attempts int       // dials since the last ack; they shape the next wait
+	stalled  time.Time // when the first of them began; RetryFor runs from here
+	lastErr  error     // newest transport error, for budget-exhausted reports
+	fatal    error     // server verdict that retrying cannot change
 	closed   bool
 
 	batch []Op // ops accumulating toward the next DATA frame
@@ -113,6 +126,7 @@ type StreamClient struct {
 // NewStreamClient returns a client ready to send; the first Put dials.
 func NewStreamClient(cfg StreamClientConfig) *StreamClient {
 	c := &StreamClient{cfg: cfg.withDefaults()}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -272,23 +286,34 @@ func (c *StreamClient) WaitAcked(n uint64) error {
 // the connection down. Idempotent; later sends return ErrClosed.
 func (c *StreamClient) Close() error {
 	err := c.Flush()
+	c.shut(true)
+	return err
+}
+
+// Abandon closes the client without settling its window: a dial or a
+// wait in progress ends, the connection is cut with no CLOSE, and every
+// blocked and later call returns ErrClosed. Frames not yet acknowledged
+// stay unacknowledged — whoever handed them over resends them under
+// their keys. Safe from any goroutine; idempotent.
+func (c *StreamClient) Abandon() { c.shut(false) }
+
+// shut marks the client closed and ends its connection, if it has one,
+// after a CLOSE frame when courtesy is set.
+func (c *StreamClient) shut(courtesy bool) {
+	c.cancel()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return err
-	}
-	c.closed = true
 	conn := c.conn
-	c.conn = nil
+	c.closed, c.conn = true, nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if conn != nil {
-		// Best effort: the window is already settled, so CLOSE is
-		// courtesy, not correctness.
-		_, _ = conn.Write(wal.AppendFrame(nil, []byte{StreamFrameClose}))
+		if courtesy {
+			// Best effort: the window is already settled, so CLOSE is
+			// courtesy, not correctness.
+			_, _ = conn.Write(wal.AppendFrame(nil, []byte{StreamFrameClose}))
+		}
 		conn.Close()
 	}
-	return err
 }
 
 // pumpLocked drives the connection until every unacked frame has been
@@ -316,25 +341,40 @@ func (c *StreamClient) pumpLocked() error {
 			return ErrClosed
 		}
 		if c.conn == nil {
-			if c.attempts >= c.cfg.MaxAttempts {
-				// The next send starts over with a full budget.
-				c.attempts = 0
-				return fmt.Errorf("ingest: stream made no progress in %d connection attempts: %w", c.cfg.MaxAttempts, c.lastErr)
-			}
-			if c.attempts > 0 {
+			if c.attempts == 0 {
+				c.stalled = time.Now()
+			} else if wait := min(retryBase<<min(c.attempts-1, 5), time.Until(c.stalled.Add(c.cfg.RetryFor))); wait > 0 {
+				// The gap after a failed attempt, cut short by the end of the
+				// budget or of the client (whose dial then fails at once).
+				t := time.NewTimer(wait)
 				c.mu.Unlock()
-				time.Sleep(c.backoff(c.attempts))
+				select {
+				case <-t.C:
+				case <-c.ctx.Done():
+					t.Stop()
+				}
 				c.mu.Lock()
 			}
+			if time.Since(c.stalled) >= c.cfg.RetryFor {
+				err := fmt.Errorf("ingest: stream made no progress in %v (%d connection attempts): %w", c.cfg.RetryFor, c.attempts, c.lastErr)
+				c.attempts = 0 // the next send starts over with a full budget
+				return err
+			}
 			c.attempts++
+			ctx, cancel := context.WithDeadline(c.ctx, c.stalled.Add(c.cfg.RetryFor))
 			c.mu.Unlock()
-			conn, err := c.dial()
+			conn, err := c.dial(ctx)
+			cancel()
 			c.mu.Lock()
 			if err != nil {
 				c.lastErr = err
 				if c.cfg.Logf != nil {
-					c.cfg.Logf("ingest stream: dial %d/%d failed: %v", c.attempts, c.cfg.MaxAttempts, err)
+					c.cfg.Logf("ingest stream: dial %d failed: %v", c.attempts, err)
 				}
+				continue
+			}
+			if c.closed {
+				conn.Close()
 				continue
 			}
 			c.gen++
@@ -375,19 +415,12 @@ func (c *StreamClient) pumpLocked() error {
 	}
 }
 
-func (c *StreamClient) backoff(fails int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < fails && d < 32*c.cfg.RetryBackoff; i++ {
-		d *= 2
-	}
-	return d
-}
-
-func (c *StreamClient) dial() (net.Conn, error) {
+func (c *StreamClient) dial(ctx context.Context) (net.Conn, error) {
 	if c.cfg.Dial != nil {
-		return c.cfg.Dial()
+		return c.cfg.Dial(ctx)
 	}
-	return net.DialTimeout("tcp", c.cfg.Addr, 10*time.Second)
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", c.cfg.Addr)
 }
 
 // dropConnLocked retires the current connection after a transport

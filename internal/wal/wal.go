@@ -147,8 +147,8 @@ type OpenStats struct {
 	DroppedSegments int
 }
 
-// Log is an open write-ahead log. Append/Sync/TruncateThrough are safe
-// for concurrent use; Replay must not run concurrently with Append.
+// Log is an open write-ahead log. Append, Sync, TruncateThrough and
+// Replay are safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -484,7 +484,7 @@ func (l *Log) LastSeq() uint64 {
 
 // FirstSeq returns the sequence number of the oldest frame still on
 // disk, or 0 when the log holds no frames (empty, or fully truncated by
-// a checkpoint). Together with LastSeq it bounds what Tail can serve: a
+// a checkpoint). Together with LastSeq it bounds what Replay can serve: a
 // reader asking for a sequence below FirstSeq must bootstrap from a
 // checkpoint instead.
 func (l *Log) FirstSeq() uint64 {
@@ -510,27 +510,21 @@ func (l *Log) Segments() int {
 	return n
 }
 
-// Replay streams every frame with sequence ≥ fromSeq, in order, to fn.
-// A non-nil error from fn aborts the replay and is returned. Replay
-// must not run concurrently with Append.
-func (l *Log) Replay(fromSeq uint64, fn func(seq uint64, payload []byte) error) error {
-	return l.Tail(fromSeq, fn)
-}
-
-// Tail streams every frame with sequence ≥ fromSeq that existed when the
-// call was made, in order, to fn. Unlike Replay's contract, Tail is safe
-// to run concurrently with Append: it snapshots the segment list (and
-// the active segment's valid length) under the lock, then reads only
-// that prefix — frames appended afterwards are simply not served, and a
-// torn tail beyond the snapshot is never touched. This is the WAL-
-// shipping read path: a follower polls Tail-backed HTTP responses while
-// the leader keeps appending.
+// Replay streams every frame with sequence ≥ fromSeq that existed when
+// the call was made, in order, to fn. A non-nil error from fn aborts the
+// replay and is returned. Replay is safe to run concurrently with
+// Append: it snapshots the segment list (and the active segment's valid
+// length) under the lock, then reads only that prefix — frames appended
+// afterwards are simply not served, and a torn tail beyond the snapshot
+// is never touched. Recovery reads the journal with it, and so does the
+// WAL-shipping read path: a follower polls Replay-backed HTTP responses
+// while the leader keeps appending.
 //
-// A segment deleted mid-read (checkpoint truncation racing the tail)
+// A segment deleted mid-read (checkpoint truncation racing the replay)
 // surfaces as a file-open error; callers that poll should treat it as a
 // cue to re-check FirstSeq and bootstrap from a checkpoint if a gap
 // opened.
-func (l *Log) Tail(fromSeq uint64, fn func(seq uint64, payload []byte) error) error {
+func (l *Log) Replay(fromSeq uint64, fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	segs := make([]segment, 0, len(l.sealed)+1)
 	segs = append(segs, l.sealed...)

@@ -9,6 +9,7 @@ package swarmavail
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -462,6 +464,62 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 		}
 		e.Close()
 	}
+}
+
+// BenchmarkStudyApply is the apply path at the paper's scale: the
+// steady-66k workload's preload (seed 1) — 66 000 registrations, then
+// every publisher session transition of the study in global time order —
+// through a 2-shard in-memory engine from one producer. ns/event is the
+// preload's wall time per event; heap-B/swarm is what the loaded engine
+// keeps per swarm after two collections, the in-process twin of the
+// benchmark's ingest.heap_bytes_per_swarm.
+func BenchmarkStudyApply(b *testing.B) {
+	const swarms = 66000
+	traces := GenerateStudy(DefaultStudyConfig(swarms, 1))
+	type event struct {
+		t      float64
+		swarm  int32
+		online bool
+	}
+	var events []event
+	for _, t := range traces {
+		for _, s := range t.SeedSessions {
+			events = append(events, event{s.Start, int32(t.Meta.ID), true}, event{s.End, int32(t.Meta.ID), false})
+		}
+	}
+	// Stable, so a swarm's back-to-back sessions keep off-before-on order
+	// at equal times.
+	slices.SortStableFunc(events, func(x, y event) int { return cmp.Compare(x.t, y.t) })
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var perSwarm float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heap()
+		b.StartTimer()
+		e := ingest.New(ingest.Config{Shards: 2})
+		w := e.NewWriter()
+		for _, t := range traces {
+			w.Put(ingest.MetaOp(t.Meta, t.MonitoredDays))
+		}
+		for _, ev := range events {
+			w.Put(ingest.EventOp(ingest.Record{SwarmID: int(ev.swarm), PeerID: uint64(ev.swarm)<<1 | 1, Seed: true, Online: ev.online, Time: ev.t}))
+		}
+		w.Flush()
+		e.Flush()
+		b.StopTimer()
+		perSwarm = (float64(heap()) - float64(before)) / swarms
+		e.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+	b.ReportMetric(perSwarm, "heap-B/swarm")
 }
 
 // benchRecords builds a deterministic monitor-record campaign shared by

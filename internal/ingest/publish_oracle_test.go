@@ -244,7 +244,7 @@ func (c *ringCoverage) observe(s *shard, op Op) {
 		c.farFuture++
 	}
 	st := s.swarms[op.rec.SwarmID]
-	if st == nil || !st.win.inited() {
+	if st == nil || !st.win.inited {
 		return
 	}
 	r := &st.win
@@ -274,7 +274,7 @@ func (c *ringCoverage) observe(s *shard, op Op) {
 		c.fineEvicted++
 		if cb := rec.Index / winFoldFactor; cb > coarseFloor {
 			c.coarseLanded++
-			if cb <= r.coarseHi && r.coarseSlot(cb).Busy == math.MaxUint32 {
+			if cb <= r.coarseHi && r.coarse(cb).Busy == math.MaxUint32 {
 				c.foldOnFull++
 			}
 		} else {

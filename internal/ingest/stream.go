@@ -29,7 +29,8 @@ import (
 //	server → client
 //	  0x81 ACK    u64 LE: cumulative count of DATA frames accepted on
 //	              this connection (applied or deduplicated — both are
-//	              acknowledgements)
+//	              acknowledgements); a repeat of the last count says the
+//	              server is waiting, not stopped (the gateway's keepalive)
 //	  0x82 ERR    u8 code + UTF-8 message; the connection closes after
 //
 // Acks are cumulative and coalesced, and so are commits — over the same

@@ -364,6 +364,64 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 		st.Resets, st.DialsDenied, m.Deduped)
 }
 
+// TestStreamClientFrozenUpstream: an upstream that accepts and then
+// neither reads, answers nor closes — a stopped process — costs a sender
+// its retry budget, not forever. The connection that acknowledges nothing
+// for RetryFor is dropped, the redial path finds the budget spent, and
+// Flush reports it within RetryFor plus one redial gap.
+func TestStreamClientFrozenUpstream(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn) // held open, never read
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+
+	const retryFor = 300 * time.Millisecond
+	c := NewStreamClient(StreamClientConfig{Addr: ln.Addr().String(), RetryFor: retryFor})
+	defer c.Abandon()
+	if err := c.Observe(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 1}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- c.Flush() }()
+	select {
+	case err := <-done:
+		took := time.Since(start)
+		if err == nil {
+			t.Fatal("Flush against a frozen upstream returned nil")
+		}
+		t.Logf("Flush: %v after %v", err, took)
+		if limit := retryFor + retryBase<<5; took < retryFor || took > limit {
+			t.Fatalf("Flush gave up after %v, want between RetryFor (%v) and %v", took, retryFor, limit)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush against a frozen upstream still waiting after 10s")
+	}
+}
+
 // FuzzOpCodec holds the codec to two properties on arbitrary bytes:
 // decoding never panics, and a frame that decodes is the one spelling
 // of its ops — encoding them reproduces the input bytes, so nothing the

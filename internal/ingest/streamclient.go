@@ -40,7 +40,10 @@ type StreamClientConfig struct {
 	// before a send reports failure (default 4.75s). It runs from the
 	// first dial since the last acknowledgement; the waits between
 	// attempts start at 50ms and double up to 1.6s, and no dial outlives
-	// what is left of it.
+	// what is left of it. It is also how long a connection with frames in
+	// flight may go without sending an ACK before it is dropped and the
+	// redials begin, so an upstream that stopped without closing costs a
+	// send about twice RetryFor at most.
 	RetryFor time.Duration
 	// Logf, when set, receives one line per reconnect.
 	Logf func(format string, args ...any)
@@ -118,6 +121,13 @@ type StreamClient struct {
 	lastErr  error     // newest transport error, for budget-exhausted reports
 	fatal    error     // server verdict that retrying cannot change
 	closed   bool
+
+	// ackDue is when the current connection, while it has frames in
+	// flight, must next send an ACK (zero while it has none); watch drops
+	// a connection that misses it, so an upstream that neither answers nor
+	// closes (a stopped process) costs the retry budget, not the sender.
+	ackDue time.Time
+	watch  *time.Timer
 
 	batch []Op // ops accumulating toward the next DATA frame
 	seq   uint64
@@ -304,6 +314,9 @@ func (c *StreamClient) shut(courtesy bool) {
 	c.mu.Lock()
 	conn := c.conn
 	c.closed, c.conn = true, nil
+	if c.watch != nil {
+		c.watch.Stop()
+	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if conn != nil {
@@ -398,6 +411,9 @@ func (c *StreamClient) pumpLocked() error {
 		toSend := make([][]byte, len(c.unacked)-inflight)
 		copy(toSend, c.unacked[inflight:])
 		c.sentOnConn += uint64(len(toSend))
+		if inflight == 0 {
+			c.awaitAckLocked()
+		}
 		conn, gen := c.conn, c.gen
 		c.mu.Unlock()
 		var werr error
@@ -428,8 +444,35 @@ func (c *StreamClient) dial(ctx context.Context) (net.Conn, error) {
 func (c *StreamClient) dropConnLocked(conn net.Conn, err error) {
 	c.lastErr = err
 	c.conn = nil
+	c.ackDue = time.Time{}
 	conn.Close()
 	c.cond.Broadcast()
+}
+
+// awaitAckLocked starts the current connection's ack clock: frames went
+// in flight on it, and it has RetryFor to acknowledge one.
+func (c *StreamClient) awaitAckLocked() {
+	c.ackDue = time.Now().Add(c.cfg.RetryFor)
+	if c.watch == nil {
+		c.watch = time.AfterFunc(c.cfg.RetryFor, c.checkAcks)
+	} else {
+		c.watch.Reset(c.cfg.RetryFor)
+	}
+}
+
+// checkAcks drops a connection whose ack clock ran out, or sleeps until
+// it will; the existing redial path and its budget then take over.
+func (c *StreamClient) checkAcks() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.conn == nil || c.ackDue.IsZero() || c.closed {
+		return
+	}
+	if wait := time.Until(c.ackDue); wait > 0 {
+		c.watch.Reset(wait)
+		return
+	}
+	c.dropConnLocked(c.conn, fmt.Errorf("ingest: no ack in %v with %d frames in flight", c.cfg.RetryFor, c.sentOnConn-c.ackedOnConn))
 }
 
 // readLoop consumes ACK/ERR frames for one connection. gen ties the
@@ -485,6 +528,13 @@ func (c *StreamClient) applyAck(conn net.Conn, gen, n uint64) bool {
 	delta := n - c.ackedOnConn
 	if delta > 0 {
 		c.attempts = 0
+	}
+	// Any ACK restarts the clock, one that repeats the count too: a
+	// gateway waiting out a failover upstream sends those, a frozen
+	// upstream sends nothing.
+	c.ackDue = time.Time{}
+	if n < c.sentOnConn {
+		c.ackDue = time.Now().Add(c.cfg.RetryFor)
 	}
 	c.ackedOnConn = n
 	c.totalAcked += delta

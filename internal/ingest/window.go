@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -55,31 +56,32 @@ func (b *winBin) zero() bool {
 	return b.Covered|b.Tracked|b.Busy|b.Events == 0
 }
 
-// fineBin is a fine ring slot: 16 bytes, four to a cache line. A day-bin
-// holds at most one bin width of time (winUnitsPerBin = 2^30 units, plus
-// rounding), so 32 bits carry it with room to spare; the counters
-// saturate at 2^32-1 events (or busy starts) per swarm per bin.
+// fineBin is what a fine ring slot holds: 16 bytes, the size of an
+// explicit fine entry and of the inline head. A day-bin holds at most one
+// bin width of time (winUnitsPerBin = 2^30 units, plus rounding), so 32
+// bits carry it with room to spare; the counters saturate at 2^32-1
+// events (or busy starts) per swarm per bin.
 type fineBin struct {
 	Covered, Tracked, Busy, Events uint32
 }
 
-func (s *fineBin) zero() bool { return s.Covered|s.Tracked|s.Busy|s.Events == 0 }
+func (s fineBin) zero() bool { return s.Covered|s.Tracked|s.Busy|s.Events == 0 }
 
-func (s *fineBin) wide() winBin {
+func (s fineBin) wide() winBin {
 	return winBin{Covered: uint64(s.Covered), Tracked: uint64(s.Tracked), Busy: uint64(s.Busy), Events: uint64(s.Events)}
 }
 
-// coarseBin is a coarse ring slot: 24 bytes. It sums winFoldFactor fine
-// bins, so its time fields keep 64 bits; its counters saturate like a
-// fine slot's.
+// coarseBin is what a coarse ring slot holds: 24 bytes, the size of an
+// explicit coarse entry. It sums winFoldFactor fine bins, so its time
+// fields keep 64 bits; its counters saturate like a fine slot's.
 type coarseBin struct {
 	Covered, Tracked uint64
 	Busy, Events     uint32
 }
 
-func (s *coarseBin) zero() bool { return s.Covered|s.Tracked|uint64(s.Busy|s.Events) == 0 }
+func (s coarseBin) zero() bool { return s.Covered|s.Tracked|uint64(s.Busy|s.Events) == 0 }
 
-func (s *coarseBin) wide() winBin {
+func (s coarseBin) wide() winBin {
 	return winBin{Covered: s.Covered, Tracked: s.Tracked, Busy: uint64(s.Busy), Events: uint64(s.Events)}
 }
 
@@ -104,27 +106,174 @@ const (
 	winRetentionBins = winFineBins + winCoarseBins*winFoldFactor
 )
 
+// The ring's codes are cut to this geometry: two-bit fine codes in 64-bit
+// words, a coarse code's day counts in four bits, and one bit per coarse
+// slot in a uint32. A constant out of uint8's range does not compile.
+const _ = uint8(-(winFineBins % 32)) + uint8(15-winFoldFactor) + uint8(32-winCoarseBins)
+
 // winRing is one swarm's windowed history: fine bins at full
 // resolution, coarse bins behind them, nothing beyond. Slots are
 // addressed modularly by absolute bin index; fineHi/coarseHi are the
 // newest absolute indices currently represented, so the live fine window
-// is [fineHi-winFineBins+1, fineHi]. The two rings are separate
-// allocations (1 024 B and 768 B, both exact size classes), made on a
-// swarm's first event (DESIGN §7: one block for both measured ≈20% slower
-// on the apply path).
+// is [fineHi-winFineBins+1, fineHi].
+//
+// A slot is stored by what its value is (DESIGN §13). Most slots of a
+// study swarm hold a whole day observed, wholly seeded or wholly not, with
+// no event in it — a value the clock implies — or a run of such days
+// folded into a coarse bin; those are a code. Any other value is
+// explicit: an entry of fineX or coarseX, which hold one entry per
+// explicit slot in slot order, so a slot's entry sits at the count of
+// explicit slots below it and names no slot. The head bin, where a live
+// event lands, is held inline in head; its slot's code is always empty.
+// One value has one representation (set stores a code whenever the value
+// has one), so what a ring stores is a function of its values.
 type winRing struct {
-	fine     *[winFineBins]fineBin
-	coarse   *[winCoarseBins]coarseBin
 	fineHi   int64
 	coarseHi int64 // in coarse-bin units (fine index / winFoldFactor)
+
+	fineX   []fineBin   // the explicit fine slots' values, in slot order
+	coarseX []coarseBin // the explicit coarse slots' values, in slot order
+
+	fineCode [winFineBins / 32]uint64 // two bits a slot: fineEmpty … fineExplicit
+	head     fineBin                  // the value of bin fineHi
+
+	// coarseCode is n<<4 | k for a slot holding n whole days, k of them
+	// seeded, and nothing else (1 ≤ n ≤ winFoldFactor); 0 for an empty or
+	// an explicit slot. coarseExplicit has a bit set per explicit slot, so
+	// a slot's rank in coarseX is one popcount.
+	coarseCode     [winCoarseBins]uint8
+	coarseExplicit uint32
+
+	inited bool
 }
 
-func (r *winRing) inited() bool { return r.fine != nil }
+// The fine slot codes.
+const (
+	fineEmpty     = iota
+	fineDay       // {Tracked: winUnitsPerBin}: a whole day observed unseeded
+	fineSeededDay // {Covered, Tracked: winUnitsPerBin}: a whole day seeded
+	fineExplicit  // an entry of fineX
+)
 
-// fineSlot and coarseSlot return the ring slot of a non-negative
-// absolute bin index.
-func (r *winRing) fineSlot(b int64) *fineBin      { return &r.fine[uint64(b)%winFineBins] }
-func (r *winRing) coarseSlot(cb int64) *coarseBin { return &r.coarse[uint64(cb)%winCoarseBins] }
+// fineCodeOf returns the code of fine slot i.
+func (r *winRing) fineCodeOf(i uint64) uint64 { return r.fineCode[i/32] >> (i % 32 * 2) & 3 }
+
+func (r *winRing) setFineCode(i, code uint64) {
+	w := &r.fineCode[i/32]
+	*w = *w&^(3<<(i%32*2)) | code<<(i%32*2)
+}
+
+// fineRank returns the number of explicit fine slots below slot i: the
+// index of slot i's entry in fineX.
+func (r *winRing) fineRank(i uint64) int {
+	explicit := func(w uint64) uint64 { return w & (w >> 1) & 0x5555555555555555 }
+	n := 0
+	for _, w := range r.fineCode[:i/32] {
+		n += bits.OnesCount64(explicit(w))
+	}
+	return n + bits.OnesCount64(explicit(r.fineCode[i/32])&(1<<(i%32*2)-1))
+}
+
+// fine returns the value of live fine bin b.
+func (r *winRing) fine(b int64) fineBin {
+	if b == r.fineHi {
+		return r.head
+	}
+	i := uint64(b) % winFineBins
+	switch r.fineCodeOf(i) {
+	case fineDay:
+		return fineBin{Tracked: winUnitsPerBin}
+	case fineSeededDay:
+		return fineBin{Covered: winUnitsPerBin, Tracked: winUnitsPerBin}
+	case fineExplicit:
+		return r.fineX[r.fineRank(i)]
+	}
+	return fineBin{}
+}
+
+// setFine makes v the value of live fine bin b.
+func (r *winRing) setFine(b int64, v fineBin) {
+	if b == r.fineHi {
+		r.head = v
+		return
+	}
+	r.storeFine(uint64(b)%winFineBins, v)
+}
+
+// storeFine makes v the value of fine slot i: its code when it has one,
+// else an entry of fineX.
+func (r *winRing) storeFine(i uint64, v fineBin) {
+	code := uint64(fineExplicit)
+	switch v {
+	case fineBin{}:
+		code = fineEmpty
+	case fineBin{Tracked: winUnitsPerBin}:
+		code = fineDay
+	case fineBin{Covered: winUnitsPerBin, Tracked: winUnitsPerBin}:
+		code = fineSeededDay
+	}
+	if was := r.fineCodeOf(i); code == fineExplicit || was == fineExplicit {
+		k := r.fineRank(i)
+		switch {
+		case was != fineExplicit:
+			r.fineX = insertAt(r.fineX, k, v)
+		case code != fineExplicit:
+			r.fineX = slices.Delete(r.fineX, k, k+1)
+		default:
+			r.fineX[k] = v
+		}
+	}
+	r.setFineCode(i, code)
+}
+
+// coarse returns the value of live coarse bin cb.
+func (r *winRing) coarse(cb int64) coarseBin {
+	i := uint64(cb) % winCoarseBins
+	if r.coarseExplicit>>i&1 != 0 {
+		return r.coarseX[bits.OnesCount32(r.coarseExplicit&(1<<i-1))]
+	}
+	c := r.coarseCode[i]
+	return coarseBin{Covered: uint64(c&15) * winUnitsPerBin, Tracked: uint64(c>>4) * winUnitsPerBin}
+}
+
+// setCoarse makes v the value of live coarse bin cb: its code when it
+// has one, else an entry of coarseX.
+func (r *winRing) setCoarse(cb int64, v coarseBin) {
+	i := uint64(cb) % winCoarseBins
+	n, k := v.Tracked/winUnitsPerBin, v.Covered/winUnitsPerBin
+	coded := v.Busy|v.Events == 0 && v.Tracked%winUnitsPerBin == 0 && v.Covered%winUnitsPerBin == 0 &&
+		k <= n && n <= winFoldFactor
+	bit := uint32(1) << i
+	rank := bits.OnesCount32(r.coarseExplicit & (bit - 1))
+	switch was := r.coarseExplicit&bit != 0; {
+	case coded && was:
+		r.coarseX = slices.Delete(r.coarseX, rank, rank+1)
+		r.coarseExplicit &^= bit
+	case !coded && was:
+		r.coarseX[rank] = v
+	case !coded:
+		r.coarseX = insertAt(r.coarseX, rank, v)
+		r.coarseExplicit |= bit
+	}
+	r.coarseCode[i] = 0
+	if coded {
+		r.coarseCode[i] = uint8(n<<4 | k)
+	}
+}
+
+// insertAt inserts v into s at index k. The first backing array holds
+// four entries and each next one twice as many, so a ring whose every
+// slot is explicit holds the slot arrays it replaces (64 × 16 B and
+// 32 × 24 B, both exact size classes) and no more.
+func insertAt[T any](s []T, k int, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(4, 2*cap(s))), s...)
+	}
+	s = s[:len(s)+1]
+	copy(s[k+1:], s[k:])
+	s[k] = v
+	return s
+}
 
 // winMaxBin is the largest absolute fine-bin index: binIndex saturates
 // there. Converting a float64 of 2^63 or more to int64 is
@@ -163,14 +312,14 @@ func quantize(d float64) uint64 {
 
 // advance moves the ring head to absolute fine bin nb, folding fine
 // bins that leave the window into their coarse bins and dropping coarse
-// bins that age out of retention. Allocates the rings on first touch.
+// bins that age out of retention. The head bin leaves the inline slot
+// for its coded one.
 func (r *winRing) advance(agg *winAgg, nb int64) {
 	if nb < 0 {
 		nb = 0
 	}
-	if !r.inited() {
-		r.fine = new([winFineBins]fineBin)
-		r.coarse = new([winCoarseBins]coarseBin)
+	if !r.inited {
+		r.inited = true
 		r.fineHi = nb
 		r.coarseHi = nb / winFoldFactor
 		return
@@ -185,24 +334,31 @@ func (r *winRing) advance(agg *winAgg, nb int64) {
 	// already emptied for their index.
 	if nc := nb / winFoldFactor; nc > r.coarseHi {
 		for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= min(nc-winCoarseBins, r.coarseHi); cb++ {
-			if s := r.coarseSlot(cb); !s.zero() {
+			if s := r.coarse(cb); !s.zero() {
 				agg.coarse.lift(cb, s.wide())
-				*s = coarseBin{}
+				r.setCoarse(cb, coarseBin{})
 			}
 		}
 		r.coarseHi = nc
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= min(nb-winFineBins, r.fineHi); b++ {
-		s := r.fineSlot(b)
+		s := r.fine(b)
 		if s.zero() {
 			continue
 		}
 		bin := s.wide()
 		agg.fine.lift(b, bin)
-		*s = fineBin{}
+		r.setFine(b, fineBin{})
 		if cb := b / winFoldFactor; cb > r.coarseHi-winCoarseBins {
 			r.landCoarse(agg, cb, bin)
 		}
+	}
+	// The old head, still in the window, moves from the inline slot to its
+	// coded one (evicted, it is zero already); the new head's slot was
+	// emptied above, or never held a live bin.
+	if !r.head.zero() {
+		r.storeFine(uint64(r.fineHi)%winFineBins, r.head)
+		r.head = fineBin{}
 	}
 	r.fineHi = nb
 }
@@ -215,7 +371,7 @@ func (r *winRing) advance(agg *winAgg, nb int64) {
 // the coarse slot's 64-bit fields are fitted like the rest, so no field
 // of any slot can wrap.)
 func (r *winRing) landFine(agg *winAgg, b int64, d winBin) {
-	s := r.fineSlot(b)
+	s := r.fine(b)
 	d.Covered = min(d.Covered, uint64(^s.Covered))
 	d.Tracked = min(d.Tracked, uint64(^s.Tracked))
 	d.Busy = min(d.Busy, uint64(^s.Busy))
@@ -228,10 +384,11 @@ func (r *winRing) landFine(agg *winAgg, b int64, d winBin) {
 	s.Tracked += uint32(d.Tracked)
 	s.Busy += uint32(d.Busy)
 	s.Events += uint32(d.Events)
+	r.setFine(b, s)
 }
 
 func (r *winRing) landCoarse(agg *winAgg, cb int64, d winBin) {
-	s := r.coarseSlot(cb)
+	s := r.coarse(cb)
 	d.Covered = min(d.Covered, ^s.Covered)
 	d.Tracked = min(d.Tracked, ^s.Tracked)
 	d.Busy = min(d.Busy, uint64(^s.Busy))
@@ -244,6 +401,7 @@ func (r *winRing) landCoarse(agg *winAgg, cb int64, d winBin) {
 	s.Tracked += d.Tracked
 	s.Busy += uint32(d.Busy)
 	s.Events += uint32(d.Events)
+	r.setCoarse(cb, s)
 }
 
 // add lands units on absolute fine bin b: in the fine window directly,
@@ -277,26 +435,47 @@ func (r *winRing) accrue(agg *winAgg, lo, hi float64, seeded bool) {
 		lo = 0
 	}
 	head := binIndex(hi)
+	// Time below the retention horizon lands nowhere; skip straight to
+	// the oldest bin that can still hold it.
+	b0 := max(binIndex(lo), head-winRetentionBins)
+	if hi > lo && r.inited && b0 == r.fineHi && head > b0 && head-b0 < winFineBins {
+		// The span leaves the head bin, which stays in the fine window: its
+		// piece lands on the same slot under the same fit before the head
+		// moves as after, and before it that slot is the inline one.
+		r.add(agg, b0, accrued(b0, lo, hi, seeded))
+		b0++
+	}
 	r.advance(agg, head)
 	if hi <= lo {
 		return
 	}
-	// Time below the retention horizon lands nowhere; skip straight to
-	// the oldest bin that can still hold it.
-	b0 := max(binIndex(lo), head-winRetentionBins)
 	for b := b0; b <= head; b++ {
-		s := math.Max(lo, float64(b)*winBinDays)
-		e := math.Min(hi, float64(b+1)*winBinDays)
-		if e <= s {
+		bin := accrued(b, lo, hi, seeded)
+		if i := uint64(b) % winFineBins; bin.Tracked == winUnitsPerBin && b != r.fineHi &&
+			b > r.fineHi-winFineBins && r.fineCodeOf(i) == fineEmpty {
+			// A whole day on an empty slot: nothing to fit, and the value is
+			// a code.
+			agg.fine.land(b, bin, true)
+			r.setFineCode(i, fineDay+bin.Covered/winUnitsPerBin)
 			continue
-		}
-		u := quantize(e - s)
-		bin := winBin{Tracked: u}
-		if seeded {
-			bin.Covered = u
 		}
 		r.add(agg, b, bin)
 	}
+}
+
+// accrued is what the part of [lo, hi) days inside bin b credits to it.
+func accrued(b int64, lo, hi float64, seeded bool) winBin {
+	s := math.Max(lo, float64(b)*winBinDays)
+	e := math.Min(hi, float64(b+1)*winBinDays)
+	if e <= s {
+		return winBin{}
+	}
+	u := quantize(e - s)
+	bin := winBin{Tracked: u}
+	if seeded {
+		bin.Covered = u
+	}
+	return bin
 }
 
 // mark lands per-event counters (one event, optionally one busy-period
@@ -304,7 +483,7 @@ func (r *winRing) accrue(agg *winAgg, lo, hi float64, seeded bool) {
 // the swarm's first touch.
 func (r *winRing) mark(agg *winAgg, t float64, busyStart bool) {
 	b := binIndex(t)
-	if !r.inited() || b > r.fineHi {
+	if !r.inited || b > r.fineHi {
 		r.advance(agg, b)
 	}
 	bin := winBin{Events: 1}
@@ -318,16 +497,16 @@ func (r *winRing) mark(agg *winAgg, t float64, busyStart bool) {
 // (fine and coarse keyed separately; coarse keys are coarse-bin
 // indices). Each nonempty bin counts this swarm once.
 func (r *winRing) fold(fine, coarse map[int64]*WindowBinState) {
-	if !r.inited() {
+	if !r.inited {
 		return
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
-		if slot := r.fineSlot(b); !slot.zero() {
+		if slot := r.fine(b); !slot.zero() {
 			foldBin(fine, b, slot.wide())
 		}
 	}
 	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
-		if slot := r.coarseSlot(cb); !slot.zero() {
+		if slot := r.coarse(cb); !slot.zero() {
 			foldBin(coarse, cb, slot.wide())
 		}
 	}
@@ -480,16 +659,16 @@ type winBinRecord struct {
 // ring was never touched). The head position is not serialized: it is
 // always binIndex(lastEvent), which the swarm record carries already.
 func (r *winRing) records() (fine, coarse []winBinRecord) {
-	if !r.inited() {
+	if !r.inited {
 		return nil, nil
 	}
 	for b := max(r.fineHi-winFineBins+1, 0); b <= r.fineHi; b++ {
-		if slot := r.fineSlot(b); !slot.zero() {
+		if slot := r.fine(b); !slot.zero() {
 			fine = append(fine, winBinRecord{Index: b, winBin: slot.wide()})
 		}
 	}
 	for cb := max(r.coarseHi-winCoarseBins+1, 0); cb <= r.coarseHi; cb++ {
-		if slot := r.coarseSlot(cb); !slot.zero() {
+		if slot := r.coarse(cb); !slot.zero() {
 			coarse = append(coarse, winBinRecord{Index: cb, winBin: slot.wide()})
 		}
 	}

@@ -10,23 +10,55 @@ import (
 )
 
 // TestWinRingSlotSizes pins what a swarm's window history costs: a field
-// added to a slot, or a slot widened, shows here before it shows as
-// resident memory at 66 000 swarms. Both ring sizes are exact Go size
-// classes, so the allocator adds nothing on top.
+// added to the ring or to an explicit entry, or an entry widened, shows
+// here before it shows as resident memory at 66 000 swarms. The inline
+// ring (codes, head, slice headers) is what every touched swarm pays;
+// the entries are what its explicit slots add.
 func TestWinRingSlotSizes(t *testing.T) {
-	var r winRing
 	for _, row := range []struct {
 		what      string
 		got, want uintptr
 	}{
 		{"fineBin", unsafe.Sizeof(fineBin{}), 16},
 		{"coarseBin", unsafe.Sizeof(coarseBin{}), 24},
-		{"fine ring", unsafe.Sizeof(*r.fine), 1024},
-		{"coarse ring", unsafe.Sizeof(*r.coarse), 768},
+		{"winRing", unsafe.Sizeof(winRing{}), 136},
 	} {
 		if row.got != row.want {
 			t.Errorf("%s is %d bytes, want %d", row.what, row.got, row.want)
 		}
+	}
+}
+
+// TestWinRingWorstCaseBytes: a ring whose every slot holds a value with no
+// code keeps no more than the two slot arrays it replaced — 64 fine and
+// 32 coarse slots, 1 792 B — beside its inline part. The input is a
+// checkpoint with an event in every fine and every coarse bin, the most
+// a ring can be asked to hold.
+func TestWinRingWorstCaseBytes(t *testing.T) {
+	const head = 1000
+	var fine, coarse []winBinRecord
+	for b := int64(head - winFineBins + 1); b <= head; b++ {
+		fine = append(fine, winBinRecord{Index: b, winBin: winBin{Tracked: 7, Events: 1}})
+	}
+	for cb := int64(head/winFoldFactor - winCoarseBins + 1); cb <= head/winFoldFactor; cb++ {
+		coarse = append(coarse, winBinRecord{Index: cb, winBin: winBin{Tracked: 7, Events: 1}})
+	}
+	var (
+		r   winRing
+		agg winAgg
+	)
+	r.restore(&agg, head+0.5, fine, coarse, true)
+	if got, _ := r.records(); len(got) != winFineBins {
+		t.Fatalf("restored %d fine bins, want %d", len(got), winFineBins)
+	}
+	// The head is inline; every other slot is an entry.
+	if len(r.fineX) != winFineBins-1 || len(r.coarseX) != winCoarseBins {
+		t.Fatalf("%d fine and %d coarse entries, want %d and %d", len(r.fineX), len(r.coarseX), winFineBins-1, winCoarseBins)
+	}
+	side := uintptr(cap(r.fineX))*unsafe.Sizeof(fineBin{}) + uintptr(cap(r.coarseX))*unsafe.Sizeof(coarseBin{})
+	t.Logf("every slot explicit: %d B of entries beside a %d B ring", side, unsafe.Sizeof(r))
+	if side > 1792 {
+		t.Fatalf("every slot explicit keeps %d B of entries, more than the 1 792 B slot arrays", side)
 	}
 }
 
@@ -57,7 +89,7 @@ func TestWinRingSaturates(t *testing.T) {
 		{
 			name:    "fine Events",
 			fine:    []winBinRecord{{Index: 100, winBin: winBin{Tracked: 7, Events: over}}},
-			slot:    func(r *winRing) winBin { return r.fineSlot(100).wide() },
+			slot:    func(r *winRing) winBin { return r.fine(100).wide() },
 			agg:     func(a *winAgg) WindowBinState { return binOf(a.fine.bins(), 100) },
 			counter: func(b winBin) uint64 { return b.Events },
 			markAt:  100.5,
@@ -67,7 +99,7 @@ func TestWinRingSaturates(t *testing.T) {
 			// coarse bin covering days 16–23.
 			name:      "coarse Busy",
 			coarse:    []winBinRecord{{Index: 2, winBin: winBin{Tracked: 7, Busy: over, Events: 1}}},
-			slot:      func(r *winRing) winBin { return r.coarseSlot(2).wide() },
+			slot:      func(r *winRing) winBin { return r.coarse(2).wide() },
 			agg:       func(a *winAgg) WindowBinState { return binOf(a.coarse.bins(), 2) },
 			counter:   func(b winBin) uint64 { return b.Busy },
 			markAt:    20.5,
@@ -129,17 +161,19 @@ func TestBinIndexTotal(t *testing.T) {
 
 // TestResidentBytesPerSwarm is the in-tree twin of the benchmark's
 // ingest.heap_bytes_per_swarm: what one study swarm keeps on the heap —
-// its swarmState (the counted mirror inline) and map entry, its
-// registration payload and its two window rings. The bound sits a little
+// its swarmState (the counted mirror and the ring's codes and head
+// inline) and map entry, its registration payload and its ring's
+// explicit entries. The bound sits a little
 // above today's figure, so the change that fattens any of them names
 // itself here; the figure is logged so CI keeps its trajectory.
 func TestResidentBytesPerSwarm(t *testing.T) {
 	const (
 		swarms = 2000
-		// bytes; ≈2 360 on go1.24 (≈2 475 with a published SwarmStats per
-		// swarm, ≈3 750 with 32-byte ring slots). Kept above the figure
-		// because go1.22's map layout, which CI runs, sizes differently.
-		bound = 2600
+		// bytes; ≈1 080 on go1.24 (≈2 360 with the rings as two slot
+		// arrays, ≈2 475 with a published SwarmStats per swarm, ≈3 750
+		// with 32-byte ring slots). Kept above the figure because go1.22's
+		// map layout, which CI runs, sizes differently.
+		bound = 1400
 	)
 	heap := func() uint64 {
 		// Two collections: the first frees what is unreachable, the second

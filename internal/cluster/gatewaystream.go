@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"time"
 
 	"swarmavail/internal/ingest"
 )
@@ -29,7 +27,9 @@ import (
 // though the monitor asked only for at-least-once.
 //
 // Each upstream client redials for its slot's push budget, so a
-// failover under a stream costs the monitor a delay, not an ERR.
+// failover under a stream costs the monitor a delay, not an ERR; the
+// session's keepalive repeats the last ACK to the monitor meanwhile, so
+// its StreamClient sees a gateway that waits, not one that stopped.
 //
 // ServeStream returns nil when ln closes or the gateway does, once every
 // stream connection has ended. Gateway.Close cuts the connections at a
@@ -44,13 +44,6 @@ func (g *Gateway) ServeStream(ln net.Listener) error {
 	}
 	return g.streams.Serve(ln)
 }
-
-// streamKeepalive is how often the stream front repeats its last ACK to a
-// monitor while a frame it read is not yet acknowledged. A gateway riding
-// out a failover is waiting, not frozen, and the repeated count is how
-// the monitor's StreamClient, which drops a connection that says nothing
-// for its RetryFor (4.75 s by default), tells the two apart.
-const streamKeepalive = time.Second
 
 // slotTarget is one slot's cumulative-sent watermark at the time a
 // downstream frame finished fanning out.
@@ -86,13 +79,6 @@ type streamForwarder struct {
 	acks     chan streamAckJob
 	done     chan struct{} // ack relay exited
 	relayErr error         // the relay's upstream failure; read after done
-
-	// wmu serialises the session's writers, the relay and its keepalive,
-	// and guards the two counts the keepalive compares: DATA frames read
-	// from the monitor, and the last count acknowledged to it.
-	wmu   sync.Mutex
-	read  uint64
-	acked uint64
 }
 
 func (g *Gateway) serveStreamConn(conn net.Conn) error {
@@ -160,9 +146,6 @@ func (f *streamForwarder) serve() error {
 		case err != nil:
 			return err
 		case typ == ingest.StreamFrameData:
-			f.wmu.Lock()
-			f.read++
-			f.wmu.Unlock()
 			if err := f.forward(frame); err != nil {
 				return err
 			}
@@ -216,53 +199,17 @@ func (f *streamForwarder) forward(frame []byte) error {
 // upstreams (nothing more will be acknowledged on this stream) and
 // keeps draining so the serve loop never blocks on the queue.
 func (f *streamForwarder) relay() {
-	quiet := make(chan struct{})
-	var keepalive sync.WaitGroup
-	keepalive.Add(1)
-	go func() {
-		defer keepalive.Done()
-		f.keepalive(quiet)
-	}()
-	defer func() {
-		close(quiet)
-		keepalive.Wait()
-		close(f.done)
-	}()
+	defer close(f.done)
 	for job := range f.acks {
 		if f.relayErr != nil {
 			continue
 		}
-		err := f.settle(job)
-		f.wmu.Lock()
-		if f.relayErr = err; err != nil {
-			f.sess.Err(ingest.StreamErrState, err.Error())
+		if f.relayErr = f.settle(job); f.relayErr != nil {
+			f.sess.Err(ingest.StreamErrState, f.relayErr.Error())
 			f.conn.Close()
+			f.abandon()
 		} else if len(f.acks) == 0 {
 			_ = f.sess.Ack(job.count) // a dead downstream shows up in serve's read
-			f.acked = job.count
-		}
-		f.wmu.Unlock()
-		if err != nil {
-			f.abandon()
-		}
-	}
-}
-
-// keepalive repeats the last ACK every streamKeepalive while a frame read
-// from the monitor is unacknowledged, until quiet closes.
-func (f *streamForwarder) keepalive(quiet <-chan struct{}) {
-	t := time.NewTicker(streamKeepalive)
-	defer t.Stop()
-	for {
-		select {
-		case <-quiet:
-			return
-		case <-t.C:
-			f.wmu.Lock()
-			if f.read > f.acked {
-				_ = f.sess.Ack(f.acked)
-			}
-			f.wmu.Unlock()
 		}
 	}
 }

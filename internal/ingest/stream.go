@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"swarmavail/internal/obs"
 	"swarmavail/internal/wal"
@@ -30,7 +31,7 @@ import (
 //	  0x81 ACK    u64 LE: cumulative count of DATA frames accepted on
 //	              this connection (applied or deduplicated — both are
 //	              acknowledgements); a repeat of the last count says the
-//	              server is waiting, not stopped (the gateway's keepalive)
+//	              server is waiting, not stopped (the session's keepalive)
 //	  0x82 ERR    u8 code + UTF-8 message; the connection closes after
 //
 // Acks are cumulative and coalesced, and so are commits — over the same
@@ -39,7 +40,8 @@ import (
 // — and then writes one ACK for it, so a fast sender pays one fsync and
 // one ack per burst, not per frame, while a lone frame commits alone.
 // Group size is set by how many frames arrived during the previous
-// commit; there is no timer.
+// commit, not by a timer; a connection's one timer is the keepalive,
+// which repeats the last ACK while a commit waits (streamKeepalive).
 const (
 	StreamFrameData  = 0x01
 	StreamFrameClose = 0x02
@@ -81,6 +83,14 @@ const (
 	streamReadBufMax = 256 << 10
 )
 
+// streamKeepalive is how often a server repeats its last ACK while a DATA
+// frame it read is not yet acknowledged: a node waiting on its gate (a
+// checkpoint write holds it) or a gateway waiting out a failover upstream
+// is waiting, not stopped, and the repeated count is how a StreamClient,
+// which drops a connection that says nothing for its RetryFor (4.75 s by
+// default) with frames in flight, tells the two apart.
+const streamKeepalive = time.Second
+
 // MaxStreamFrame bounds one stream frame's payload, on a node and on
 // the gateway that forwards to it. Far below wal.MaxFrameBytes: a
 // single DATA frame is one client batch, and a length claiming more
@@ -112,8 +122,9 @@ type StreamServer struct {
 	// this surface as it covers the HTTP one.
 	Fenced func() bool
 
-	e    *Engine
-	logf func(format string, args ...any)
+	e         *Engine
+	logf      func(format string, args ...any)
+	keepalive time.Duration // every session's; streamKeepalive outside tests
 
 	frames    *obs.Counter   // ingest_stream_frames_total: DATA frames accepted
 	bytes     *obs.Counter   // ingest_stream_bytes_total: wire bytes received
@@ -131,6 +142,7 @@ func NewStreamServer(e *Engine, logf func(format string, args ...any)) *StreamSe
 	s := &StreamServer{
 		e:         e,
 		logf:      logf,
+		keepalive: streamKeepalive,
 		frames:    reg.Counter("ingest_stream_frames_total"),
 		bytes:     reg.Counter("ingest_stream_bytes_total"),
 		conns:     reg.Counter("ingest_stream_conns_total"),
@@ -230,15 +242,16 @@ func (a *StreamAcceptor) Close() {
 }
 
 // StreamSession is the server half of the protocol on one connection:
-// the buffer-owning frame reader, its verdicts, and the ACK/ERR writers.
-// StreamServer.ServeConn and the cluster gateway's stream front are both
-// written on it, so a frame is bounded, judged and refused the same way
-// whichever of them a monitor dialed.
+// the buffer-owning frame reader, its verdicts, the ACK/ERR writers and
+// the keepalive. StreamServer.ServeConn and the cluster gateway's stream
+// front are both written on it, so a frame is bounded, judged, refused
+// and waited on the same way whichever of them a monitor dialed.
 //
 // Next belongs to the connection's one reading goroutine. The writers
-// (Ack, Err, End) share no state with it, so they may run on another —
-// the gateway's ack relay does — but one at a time: the gateway's serve
-// loop calls End only after its relay has exited.
+// (Ack, Err, End) may run on another — the gateway's ack relay does —
+// and are serialised with each other and with the keepalive, which
+// repeats the last ACK every keepalive interval while a DATA frame Next
+// returned is unacknowledged. End (or Err) stops it.
 type StreamSession struct {
 	conn io.ReadWriter
 
@@ -249,14 +262,23 @@ type StreamSession struct {
 	r, w int
 	full bool
 
-	wbuf []byte // outbound frame scratch
+	// wmu serialises the writers and guards what the keepalive compares:
+	// DATA frames Next returned, the count last acknowledged, and whether
+	// the stream has ended (no frame is written after an ERR or a failed
+	// write).
+	wmu          sync.Mutex
+	wbuf         []byte // outbound frame scratch
+	read, acked  uint64
+	ended, armed bool
+	beat         *time.Timer // the keepalive; armed while read > acked
+	every        time.Duration
 
 	bytes, errs *obs.Counter // a StreamServer's series; nil on a gateway
 }
 
 // NewStreamSession starts the protocol's server half on conn.
 func NewStreamSession(conn io.ReadWriter) *StreamSession {
-	return &StreamSession{conn: conn, buf: make([]byte, streamReadBuf)}
+	return &StreamSession{conn: conn, buf: make([]byte, streamReadBuf), every: streamKeepalive}
 }
 
 // Next returns the next frame: its type (StreamFrameData or
@@ -280,6 +302,14 @@ func (s *StreamSession) Next(wait bool) (typ byte, body []byte, err error) {
 			s.r += size
 			if typ = payload[0]; typ != StreamFrameData && typ != StreamFrameClose {
 				return 0, nil, protoError("unknown frame type 0x%02x", typ)
+			}
+			if typ == StreamFrameData {
+				s.wmu.Lock()
+				s.read++
+				if !s.armed && !s.ended {
+					s.armLocked()
+				}
+				s.wmu.Unlock()
 			}
 			return typ, payload[1:], nil
 		case !wait:
@@ -331,6 +361,9 @@ func (s *StreamSession) fill(need int) error {
 // everything acknowledged stands, everything else was never applied),
 // err otherwise, after sending the ERR frame a verdict is owed.
 func (s *StreamSession) End(err error) error {
+	s.wmu.Lock()
+	s.endLocked()
+	s.wmu.Unlock()
 	if errors.Is(err, io.EOF) {
 		return nil
 	}
@@ -344,17 +377,30 @@ func (s *StreamSession) End(err error) error {
 // Ack writes one ACK frame: count DATA frames accepted on this
 // connection so far.
 func (s *StreamSession) Ack(count uint64) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.acked = count
+	return s.ackLocked()
+}
+
+func (s *StreamSession) ackLocked() error {
 	var p [9]byte
 	p[0] = StreamFrameAck
-	binary.LittleEndian.PutUint64(p[1:], count)
+	binary.LittleEndian.PutUint64(p[1:], s.acked)
 	s.wbuf = wal.AppendFrame(s.wbuf[:0], p[:])
 	_, err := s.conn.Write(s.wbuf)
+	if err != nil {
+		s.endLocked()
+	}
 	return err
 }
 
 // Err writes one ERR frame, best effort (the connection is about to
-// close either way).
+// close either way), and ends the stream.
 func (s *StreamSession) Err(code byte, msg string) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.endLocked()
 	s.errs.Inc()
 	if len(msg) > 512 {
 		msg = msg[:512]
@@ -364,6 +410,38 @@ func (s *StreamSession) Err(code byte, msg string) {
 	p = append(p, msg...)
 	s.wbuf = wal.AppendFrame(s.wbuf[:0], p)
 	_, _ = s.conn.Write(s.wbuf)
+}
+
+// armLocked schedules the next keepalive.
+func (s *StreamSession) armLocked() {
+	s.armed = true
+	if s.beat == nil {
+		s.beat = time.AfterFunc(s.every, s.keepalive)
+	} else {
+		s.beat.Reset(s.every)
+	}
+}
+
+// keepalive repeats the last ACK while a frame read is unacknowledged,
+// and schedules itself again for as long as one is.
+func (s *StreamSession) keepalive() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.armed = false
+	if s.ended || s.read == s.acked {
+		return
+	}
+	if s.ackLocked() == nil {
+		s.armLocked()
+	}
+}
+
+// endLocked stops the keepalive for good.
+func (s *StreamSession) endLocked() {
+	s.ended = true
+	if s.beat != nil {
+		s.beat.Stop()
+	}
 }
 
 // streamConn is one node connection: a session plus the commit group.
@@ -391,8 +469,9 @@ type streamConn struct {
 func (s *StreamServer) ServeConn(conn net.Conn) error {
 	s.conns.Inc()
 	c := &streamConn{s: s, sess: StreamSession{
-		conn: conn, buf: make([]byte, streamReadBuf), bytes: s.bytes, errs: s.errs,
+		conn: conn, buf: make([]byte, streamReadBuf), every: s.keepalive, bytes: s.bytes, errs: s.errs,
 	}}
+	defer c.sess.End(nil) // stops the keepalive on every way out
 	for {
 		// Staged frames alias the read buffer: wait only with none.
 		typ, body, err := c.sess.Next(len(c.group) == 0)

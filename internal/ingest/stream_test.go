@@ -422,6 +422,69 @@ func TestStreamClientFrozenUpstream(t *testing.T) {
 	}
 }
 
+// TestStreamRidesOutCheckpoint: a node whose commit waits on a checkpoint
+// — the gate held, as Checkpoint holds it through its file write, for
+// more than twice the sender's RetryFor — is waiting, not stopped. Its
+// session repeats the last ACK meanwhile, so the sender keeps its one
+// connection and the send lands once the gate opens.
+func TestStreamRidesOutCheckpoint(t *testing.T) {
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := NewStreamServer(e, nil)
+	ss.keepalive = 50 * time.Millisecond
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = ss.Serve(ln)
+	}()
+	defer func() {
+		ln.Close()
+		ss.Close()
+		<-done
+	}()
+
+	const retryFor = 300 * time.Millisecond
+	c := NewStreamClient(StreamClientConfig{Addr: ln.Addr().String(), Source: "mon", RetryFor: retryFor})
+	defer c.Abandon()
+	send := func(t float64) error {
+		if err := c.Observe(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: t}); err != nil {
+			return err
+		}
+		return c.Flush()
+	}
+	if err := send(1); err != nil {
+		t.Fatal(err)
+	}
+
+	const hold = 4 * retryFor
+	e.journal.gate.Lock()
+	flushed := make(chan error, 1)
+	go func() { flushed <- send(2) }()
+	select {
+	case err := <-flushed:
+		e.journal.gate.Unlock()
+		t.Fatalf("Flush returned %v with the gate still held", err)
+	case <-time.After(hold):
+	}
+	e.journal.gate.Unlock()
+	if err := <-flushed; err != nil {
+		t.Fatalf("Flush through a %v checkpoint: %v", hold, err)
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Fatalf("the sender reconnected %d times", n)
+	}
+	if got := e.Metrics().Records; got != 2 {
+		t.Fatalf("applied %d records, want 2", got)
+	}
+}
+
 // FuzzOpCodec holds the codec to two properties on arbitrary bytes:
 // decoding never panics, and a frame that decodes is the one spelling
 // of its ops — encoding them reproduces the input bytes, so nothing the

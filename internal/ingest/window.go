@@ -450,16 +450,7 @@ func (r *winRing) accrue(agg *winAgg, lo, hi float64, seeded bool) {
 		return
 	}
 	for b := b0; b <= head; b++ {
-		bin := accrued(b, lo, hi, seeded)
-		if i := uint64(b) % winFineBins; bin.Tracked == winUnitsPerBin && b != r.fineHi &&
-			b > r.fineHi-winFineBins && r.fineCodeOf(i) == fineEmpty {
-			// A whole day on an empty slot: nothing to fit, and the value is
-			// a code.
-			agg.fine.land(b, bin, true)
-			r.setFineCode(i, fineDay+bin.Covered/winUnitsPerBin)
-			continue
-		}
-		r.add(agg, b, bin)
+		r.add(agg, b, accrued(b, lo, hi, seeded))
 	}
 }
 

@@ -189,7 +189,6 @@ func TestClusterCrashFailover(t *testing.T) {
 	client := ingest.NewHTTPClient(ingest.HTTPClientConfig{
 		BaseURL:     gw.URL,
 		MaxAttempts: 4,
-		BackoffBase: 20 * time.Millisecond,
 	})
 
 	const (

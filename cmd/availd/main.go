@@ -139,7 +139,7 @@ func main() {
 	flag.StringVar(&opts.census, "census", "", "census JSONL to stream through the engine")
 	flag.IntVar(&opts.writers, "writers", 4, "concurrent replay writers")
 	flag.BoolVar(&opts.verify, "verify", false, "check online statistics against the offline analysis")
-	flag.StringVar(&opts.push, "push", "", "push -replay records to a remote availd ingest URL (e.g. http://host:8647/v1/ingest) instead of the local engine")
+	flag.StringVar(&opts.push, "push", "", "stream the -replay study to a node's or gateway's -ingest-bin address (e.g. host:8649) instead of the local engine")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durability directory for the WAL and checkpoints; empty = in-memory only")
 	flag.StringVar(&opts.fsync, "fsync", "batch", "WAL fsync policy: batch (acked = durable: one fsync per committed group — a lone frame, or a stream's backlog of frames — before any ack), interval, or off")
 	flag.DurationVar(&opts.fsyncInterval, "fsync-interval", 100*time.Millisecond, "fsync cadence under -fsync interval")
@@ -152,8 +152,8 @@ func main() {
 
 	opts.logger = obs.NewLogger(os.Stderr, "availd", obs.ParseLevel(*logLevel), *logJSON)
 
-	// SIGINT/SIGTERM end this context; both the server and the push
-	// client drain gracefully from it.
+	// SIGINT/SIGTERM end this context: the server drains gracefully
+	// from it, and a push abandons its client.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -54,8 +54,6 @@ func TestGracefulShutdownZeroLoss(t *testing.T) {
 			c := ingest.NewHTTPClient(ingest.HTTPClientConfig{
 				BaseURL:     base,
 				MaxAttempts: 3,
-				BackoffBase: 2 * time.Millisecond,
-				BackoffCap:  10 * time.Millisecond,
 			})
 			for seq := 0; ; seq++ {
 				recs := make([]ingest.Record, batch)
@@ -108,7 +106,8 @@ func TestGracefulShutdownZeroLoss(t *testing.T) {
 }
 
 // TestPushStudyRoundTrip replays a small archived study over the
-// network into a second daemon and checks every monitor record arrives.
+// network into a second daemon's binary ingest listener and checks every
+// monitor record arrives.
 func TestPushStudyRoundTrip(t *testing.T) {
 	var lines []byte
 	const swarms, sessions = 20, 3
@@ -132,13 +131,9 @@ func TestPushStudyRoundTrip(t *testing.T) {
 
 	e := ingest.New(ingest.Config{Shards: 2})
 	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	served := make(chan error, 1)
-	go func() { served <- serve(ctx, e, options{listen: "127.0.0.1:0"}, ready, nil) }()
-	addr := <-ready
+	_, bin, served := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0", ingestBin: "127.0.0.1:0"})
 
-	url := fmt.Sprintf("http://%s/v1/ingest", addr)
-	if err := pushStudy(context.Background(), url, path, 32); err != nil {
+	if err := pushStudy(context.Background(), bin.String(), path, 32); err != nil {
 		t.Fatalf("pushStudy: %v", err)
 	}
 	cancel()

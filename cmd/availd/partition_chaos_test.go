@@ -173,8 +173,6 @@ func TestPartitionChaosFailover(t *testing.T) {
 		BaseURL:     gw.URL,
 		Source:      "campaign",
 		MaxAttempts: 6,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  100 * time.Millisecond,
 	})
 
 	const (
@@ -237,8 +235,6 @@ func TestPartitionChaosFailover(t *testing.T) {
 		BaseURL:     leader0.URL,
 		Source:      "probe", // its first push is ("probe", 1)
 		MaxAttempts: 3,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffCap:  25 * time.Millisecond,
 	})
 	if err := direct0.Push(ctx, probe); err != nil {
 		t.Fatalf("probe push: %v", err)
@@ -298,8 +294,6 @@ func TestPartitionChaosFailover(t *testing.T) {
 		BaseURL:     followerURL,
 		Source:      "probe", // its first push is ("probe", 1)
 		MaxAttempts: 3,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffCap:  25 * time.Millisecond,
 	})
 	if err := directF.Push(ctx, probe); err != nil {
 		t.Fatalf("probe retry against promoted follower: %v", err)

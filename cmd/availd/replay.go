@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"sort"
 	"strings"
@@ -16,31 +18,73 @@ import (
 )
 
 // pushStudy is replay-over-network: it streams an archived availability
-// study's monitor records to a remote availd's /v1/ingest through the
-// retrying HTTP client, riding out transient outages with backoff. The
+// study to a node's or a gateway's binary ingest listener (-ingest-bin)
+// through ingest.StreamClient, the client monitors write with. Each
+// swarm travels as ingest.TraceOps, its registration first and then its
+// sessions — the ops a local -replay applies — so the remote ends up
+// with the state a replay of the same file builds. Outages are ridden on
+// the client's retry budget; ctx ending abandons the client at once. The
 // trace file is decoded in parallel so the sender, not JSON parsing, is
 // the bottleneck.
-func pushStudy(ctx context.Context, url, path string, batch int) error {
+func pushStudy(ctx context.Context, addr, path string, batch int) error {
+	if err := checkPushAddr(addr); err != nil {
+		return err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	c := ingest.NewHTTPClient(ingest.HTTPClientConfig{
-		BaseURL: strings.TrimSuffix(url, "/v1/ingest"),
+	c := ingest.NewStreamClient(ingest.StreamClientConfig{
+		Addr:      addr,
+		BatchSize: batch,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("availd: "+format+"\n", args...)
 		},
 	})
+	defer c.Abandon()
+	defer context.AfterFunc(ctx, c.Abandon)()
 	sc := trace.NewParallelTraceScanner(f, 0)
 	defer sc.Close()
 	start := time.Now()
-	st, err := c.PushTraces(ctx, sc, batch)
+	var swarms, records int
+	err = func() error {
+		for sc.Scan() {
+			ops := ingest.TraceOps(sc.Record())
+			for _, op := range ops {
+				if err := c.Put(op); err != nil {
+					return err
+				}
+			}
+			swarms++
+			records += len(ops) - 1 // every op after the registration is a monitor record
+		}
+		if err := sc.Err(); err != nil {
+			return err
+		}
+		return c.Close()
+	}()
 	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err() // the client was abandoned under the send
+		}
 		return err
 	}
-	fmt.Printf("pushed %d records from %d swarms to %s in %v (%d retries)\n",
-		st.Records, st.Swarms, url, time.Since(start).Round(time.Millisecond), c.Retries())
+	fmt.Printf("pushed %d records from %d swarms to %s in %v (%d reconnects)\n",
+		records, swarms, addr, time.Since(start).Round(time.Millisecond), c.Reconnects())
+	return nil
+}
+
+// checkPushAddr refuses a -push value that is not a bare host:port, such
+// as the http://host:8647/v1/ingest URL the flag once took.
+func checkPushAddr(addr string) error {
+	_, port, err := net.SplitHostPort(addr)
+	if err == nil && (port == "" || strings.Contains(addr, "/")) {
+		err = errors.New("want host:port")
+	}
+	if err != nil {
+		return fmt.Errorf("-push %q: takes the binary ingest address of a node or gateway (their -ingest-bin, e.g. host:8649): %v", addr, err)
+	}
 	return nil
 }
 

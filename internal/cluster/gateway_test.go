@@ -119,11 +119,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// fastClient is a retry-quick client template for tests.
+// fastClient is the tests' client template: three attempts, so a push
+// that keeps failing gives up after the schedule's first two waits.
 var fastClient = ingest.HTTPClientConfig{
 	MaxAttempts: 3,
-	BackoffBase: 2 * time.Millisecond,
-	BackoffCap:  10 * time.Millisecond,
 }
 
 func mkRecords(n, swarms, salt int) []ingest.Record {

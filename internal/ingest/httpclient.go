@@ -9,16 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"swarmavail/internal/trace"
 )
 
 // NewSourceID returns a fresh random idempotency source id (8 bytes,
@@ -29,7 +25,7 @@ func NewSourceID() string {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// crypto/rand failing is a broken platform; fall back to the
-		// jitter PRNG's seed space rather than refusing to start.
+		// clock rather than refusing to start.
 		return "src-" + strconv.FormatInt(time.Now().UnixNano(), 36)
 	}
 	return hex.EncodeToString(b[:])
@@ -45,19 +41,14 @@ type HTTPClientConfig struct {
 	// Client is the underlying HTTP client (default: 30s timeout). Tests
 	// inject fault-wrapped transports here.
 	Client *http.Client
-	// MaxAttempts bounds tries per batch, first attempt included
-	// (default 6).
+	// MaxAttempts bounds tries per request, first attempt included
+	// (default 6). The waits between them are StreamClient's: 50ms,
+	// doubling up to 1.6s.
 	MaxAttempts int
-	// BackoffBase/BackoffCap shape the capped exponential retry backoff
-	// (defaults 100ms / 5s); each wait is jittered to [d/2, d).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Source is the idempotency source id stamped (with a per-client
 	// sequence) on every push so server-side dedup makes retries
 	// exactly-once. Default: a fresh random id from NewSourceID.
 	Source string
-	// Logf, when set, receives one line per retried attempt.
-	Logf func(format string, args ...any)
 }
 
 func (c HTTPClientConfig) withDefaults() HTTPClientConfig {
@@ -68,12 +59,6 @@ func (c HTTPClientConfig) withDefaults() HTTPClientConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 6
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 5 * time.Second
-	}
 	if c.Source == "" {
 		c.Source = NewSourceID()
 	}
@@ -81,63 +66,28 @@ func (c HTTPClientConfig) withDefaults() HTTPClientConfig {
 }
 
 // HTTPClient pushes monitor records to an availd /v1/ingest endpoint
-// with at-least-once delivery: each batch is retried with capped,
-// jittered exponential backoff through transient failures (transport
-// errors, 5xx, 429) and abandoned only on a fatal server verdict (other
-// 4xx) or when the context ends. A batch is acknowledged once the
-// server has accepted every record into its engine queues — which a
-// gracefully shut down availd drains before exiting, so acked records
-// survive a SIGTERM on either end of the connection.
+// with at-least-once delivery: each batch is retried through transient
+// failures (transport errors, 5xx, 429) and abandoned only on a fatal
+// server verdict (other 4xx) or when the context ends. A batch is
+// acknowledged once the server has accepted every record into its
+// engine queues — which a gracefully shut down availd drains before
+// exiting, so acked records survive a SIGTERM on either end of the
+// connection. Safe for concurrent use.
 type HTTPClient struct {
 	cfg HTTPClientConfig
 
 	// seq numbers the batches pushed under cfg.Source; retries of one
 	// batch reuse its number, which is what lets the server deduplicate.
 	seq atomic.Uint64
-
-	mu  sync.Mutex
-	rng *mrand.Rand
-
-	retries uint64 // attempts beyond the first, across all pushes
 }
-
-// jitterSeed seeds every client's jitter stream: determinism is harmless
-// here and useful in tests.
-const jitterSeed = 0x16e57
 
 // NewHTTPClient returns a client for cfg.BaseURL.
 func NewHTTPClient(cfg HTTPClientConfig) *HTTPClient {
-	cfg = cfg.withDefaults()
-	return &HTTPClient{cfg: cfg, rng: mrand.New(mrand.NewSource(jitterSeed))}
+	return &HTTPClient{cfg: cfg.withDefaults()}
 }
 
 // Source returns the client's idempotency source id.
 func (c *HTTPClient) Source() string { return c.cfg.Source }
-
-// Retries reports attempts beyond the first across the client's
-// lifetime — the cost of the faults it rode through.
-func (c *HTTPClient) Retries() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
-}
-
-func (c *HTTPClient) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << (attempt - 1)
-	if d > c.cfg.BackoffCap || d <= 0 {
-		d = c.cfg.BackoffCap
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retries++
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-}
-
-func (c *HTTPClient) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
 
 // Push delivers one batch of records, retrying transient failures until
 // the server acknowledges all of them or ctx ends. Returns nil exactly
@@ -184,35 +134,30 @@ func (c *HTTPClient) Push(ctx context.Context, recs []Record) error {
 
 // do is the client's one attempt loop: it runs attempt until it
 // succeeds, the verdict is fatal, ctx ends or MaxAttempts is spent,
-// waiting out a capped jittered backoff between tries. what names the
-// operation in log lines and the final error.
+// waiting out retryWait between tries. what names the operation in the
+// final error.
 func (c *HTTPClient) do(ctx context.Context, what string, build func(context.Context) (*http.Request, error), handle func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			wait := c.backoff(attempt - 1)
-			c.logf("ingest %s failed (attempt %d/%d, retrying in %v): %v",
-				what, attempt-1, c.cfg.MaxAttempts, wait, lastErr)
+			t := time.NewTimer(retryWait(attempt - 1))
 			select {
 			case <-ctx.Done():
+				t.Stop()
 				return ctx.Err()
-			case <-time.After(wait):
+			case <-t.C:
 			}
 		}
 		err := c.attempt(ctx, build, handle)
 		if err == nil {
-			if attempt > 1 {
-				c.logf("ingest %s recovered after %d failed attempts", what, attempt-1)
-			}
 			return nil
 		}
 		// The caller's context ending is fatal: either it was cancelled
 		// (give the cancel back promptly instead of burning the remaining
-		// backoff budget) or its own deadline passed. A per-attempt
-		// timeout from http.Client.Timeout also surfaces as
-		// context.DeadlineExceeded (since Go 1.16) but with ctx still
-		// live — that one stays retryable, which slow-network fault tests
-		// depend on.
+		// attempts) or its own deadline passed. A per-attempt timeout from
+		// http.Client.Timeout also surfaces as context.DeadlineExceeded
+		// (since Go 1.16) but with ctx still live — that one stays
+		// retryable, which slow-network fault tests depend on.
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -226,57 +171,6 @@ func (c *HTTPClient) do(ctx context.Context, what string, build func(context.Con
 		lastErr = err
 	}
 	return fmt.Errorf("ingest: %s failed after %d attempts: %w", what, c.cfg.MaxAttempts, lastErr)
-}
-
-// PushStats summarises one PushTraces run.
-type PushStats struct {
-	// Records is the number of monitor records acknowledged by the
-	// server; Swarms the number of study traces they came from.
-	Records int
-	Swarms  int
-}
-
-// PushTraces streams an archived availability study's monitor records
-// to the server in acknowledged batches of `batch` records (default
-// 256): replay-over-network. src is any trace source — pair it with
-// trace.NewParallelTraceScanner so decode keeps up with the network.
-// Registrations carry no event record and travel only on the local
-// path; see TraceOps. On error, the returned stats count what was
-// acknowledged before the failure.
-func (c *HTTPClient) PushTraces(ctx context.Context, src trace.Source[trace.SwarmTrace], batch int) (PushStats, error) {
-	if batch <= 0 {
-		batch = 256
-	}
-	var st PushStats
-	buf := make([]Record, 0, batch)
-	flush := func() error {
-		if err := c.Push(ctx, buf); err != nil {
-			return err
-		}
-		st.Records += len(buf)
-		buf = buf[:0]
-		return nil
-	}
-	for src.Scan() {
-		t := src.Record()
-		st.Swarms++
-		for _, op := range TraceOps(t) {
-			rec, ok := op.EventRecord()
-			if !ok {
-				continue
-			}
-			buf = append(buf, rec)
-			if len(buf) >= batch {
-				if err := flush(); err != nil {
-					return st, err
-				}
-			}
-		}
-	}
-	if err := src.Err(); err != nil {
-		return st, err
-	}
-	return st, flush()
 }
 
 // fatalPushError marks a server verdict that retrying cannot change.
@@ -315,7 +209,7 @@ func (c *HTTPClient) attempt(ctx context.Context, build func(context.Context) (*
 
 // getJSON fetches BaseURL+path and decodes the body into v, with the
 // same retry discipline as Push: transport errors, 5xx and 429 are
-// retried with capped jittered backoff; other 4xx are fatal.
+// retried; other 4xx are fatal.
 func (c *HTTPClient) getJSON(ctx context.Context, path string, v any) error {
 	return c.do(ctx, "get "+path, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,30 +14,21 @@ import (
 )
 
 // TestHTTPClientConcurrentPushes drives one shared HTTPClient from two
-// goroutines whose pushes all fail once before succeeding, so both hit
-// the jittered-backoff path concurrently. Run under -race (CI does)
-// this is the regression test for the data race on the client's rng:
-// backoff() must serialise jitter draws and the retry counter behind
-// the client mutex.
+// goroutines: every push must carry the client's one source id and a
+// sequence number no other push got, or the server's dedup would drop
+// one pusher's batch as a retry of the other's.
 func TestHTTPClientConcurrentPushes(t *testing.T) {
-	var hits atomic.Uint64
+	var mu sync.Mutex
+	keys := map[string]int{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Fail every other request: each Push's first attempt bounces
-		// with a retryable 503, forcing a backoff draw per push.
-		if hits.Add(1)%2 == 1 {
-			http.Error(w, "transient", http.StatusServiceUnavailable)
-			return
-		}
+		mu.Lock()
+		keys[r.Header.Get(HeaderSource)+"/"+r.Header.Get(HeaderSeq)]++
+		mu.Unlock()
 		w.Write([]byte(`{"accepted":1}`))
 	}))
 	defer srv.Close()
 
-	c := NewHTTPClient(HTTPClientConfig{
-		BaseURL:     srv.URL,
-		MaxAttempts: 10,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
-	})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL})
 
 	const pushers, pushes = 2, 32
 	var wg sync.WaitGroup
@@ -60,19 +52,22 @@ func TestHTTPClientConcurrentPushes(t *testing.T) {
 			t.Fatalf("pusher %d: %v", p, err)
 		}
 	}
-	if got := c.Retries(); got == 0 {
-		t.Fatalf("no retries recorded; the backoff path was never exercised")
-	} else {
-		t.Logf("retries across %d concurrent pushes: %d", pushers*pushes, got)
+	if len(keys) != pushers*pushes {
+		t.Fatalf("%d pushes arrived under %d distinct keys", pushers*pushes, len(keys))
+	}
+	for seq := 1; seq <= pushers*pushes; seq++ {
+		if k := c.Source() + "/" + strconv.Itoa(seq); keys[k] != 1 {
+			t.Fatalf("key %s arrived %d times, want once", k, keys[k])
+		}
 	}
 }
 
 // TestHTTPClientPushCancelMidBackoff is the regression test for prompt
-// cancellation: with a multi-second backoff pending between attempts
-// against an always-failing server, cancelling the context must return
-// immediately — not after the backoff timer or the remaining attempt
-// budget drains.
+// cancellation: with an 800ms wait pending after the fifth failed
+// attempt against an always-failing server, cancelling the context must
+// return at once — not after the wait or the remaining attempts.
 func TestHTTPClientPushCancelMidBackoff(t *testing.T) {
+	t.Parallel() // sleeps out the retry schedule; overlaps the other waiting client tests
 	attempted := make(chan struct{}, 16)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		attempted <- struct{}{}
@@ -80,18 +75,21 @@ func TestHTTPClientPushCancelMidBackoff(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewHTTPClient(HTTPClientConfig{
-		BaseURL:     srv.URL,
-		MaxAttempts: 10,
-		BackoffBase: 10 * time.Second,
-		BackoffCap:  10 * time.Second,
-	})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL, MaxAttempts: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		done <- c.Push(ctx, []Record{{SwarmID: 1, PeerID: 1, Online: true}})
 	}()
-	<-attempted // first attempt has failed; the client is now in backoff
+	const failed = 5
+	for i := 0; i < failed; i++ {
+		<-attempted
+	}
+	// The fifth attempt has failed; the client now waits retryWait(5).
+	pending := retryWait(failed)
+	if pending < 800*time.Millisecond {
+		t.Fatalf("wait after attempt %d is %v; the test needs one of at least 800ms", failed, pending)
+	}
 	start := time.Now()
 	cancel()
 	select {
@@ -99,11 +97,11 @@ func TestHTTPClientPushCancelMidBackoff(t *testing.T) {
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("Push returned %v, want context.Canceled", err)
 		}
-		if wait := time.Since(start); wait > 2*time.Second {
-			t.Fatalf("Push took %v to honour cancellation; it sat out the backoff", wait)
+		if wait := time.Since(start); wait > pending/2 {
+			t.Fatalf("Push took %v to honour cancellation; it sat out the %v wait", wait, pending)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Push still running 5s after cancel — stuck in the 10s backoff")
+		t.Fatal("Push still running 5s after cancel")
 	}
 }
 
@@ -121,12 +119,7 @@ func TestHTTPClientPushCancelDuringAttempt(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewHTTPClient(HTTPClientConfig{
-		BaseURL:     srv.URL,
-		MaxAttempts: 10,
-		BackoffBase: 10 * time.Second,
-		BackoffCap:  10 * time.Second,
-	})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL, MaxAttempts: 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -149,6 +142,7 @@ func TestHTTPClientPushCancelDuringAttempt(t *testing.T) {
 // caller's ctx still live. That must stay retryable — the slow-network
 // fault tests depend on the client riding through per-attempt stalls.
 func TestHTTPClientPerAttemptTimeoutRetries(t *testing.T) {
+	t.Parallel() // sleeps out the retry schedule; overlaps the other waiting client tests
 	var hits atomic.Uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= 2 {
@@ -166,8 +160,6 @@ func TestHTTPClientPerAttemptTimeoutRetries(t *testing.T) {
 		BaseURL:     srv.URL,
 		Client:      &http.Client{Timeout: 100 * time.Millisecond},
 		MaxAttempts: 6,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
 	})
 	if err := c.Push(context.Background(), []Record{{SwarmID: 1, PeerID: 1, Online: true}}); err != nil {
 		t.Fatalf("Push did not ride through per-attempt timeouts: %v", err)

@@ -140,20 +140,13 @@ func TestHTTPClientRetriesToSuccess(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewHTTPClient(HTTPClientConfig{
-		BaseURL:     srv.URL,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  4 * time.Millisecond,
-	})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL})
 	err := c.Push(context.Background(), []Record{rec(1, 1, true, 0), rec(1, 1, false, 1)})
 	if err != nil {
 		t.Fatalf("push: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3", got)
-	}
-	if c.Retries() != 2 {
-		t.Fatalf("client counted %d retries, want 2", c.Retries())
 	}
 }
 
@@ -165,7 +158,7 @@ func TestHTTPClientFatalNotRetried(t *testing.T) {
 		http.Error(w, "bad record", http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL, BackoffBase: time.Millisecond})
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL})
 	if err := c.Push(context.Background(), []Record{rec(1, 1, true, 0)}); err == nil {
 		t.Fatalf("push should fail on 400")
 	}
@@ -174,26 +167,35 @@ func TestHTTPClientFatalNotRetried(t *testing.T) {
 	}
 }
 
-// Context cancellation aborts the retry loop promptly.
+// A context deadline aborts the retry loop promptly: one that passes
+// during the 800ms wait after the fifth failed attempt ends the push
+// then, not when the wait is over.
 func TestHTTPClientHonoursContext(t *testing.T) {
+	t.Parallel() // sleeps out the retry schedule; overlaps the other waiting client tests
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
-	c := NewHTTPClient(HTTPClientConfig{
-		BaseURL:     srv.URL,
-		BackoffBase: time.Hour, // would stall forever without the ctx
-		BackoffCap:  time.Hour,
-		MaxAttempts: 3,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
+	c := NewHTTPClient(HTTPClientConfig{BaseURL: srv.URL, MaxAttempts: 10})
+	// The fifth attempt starts no sooner than the first four waits; the
+	// sixth no sooner than the fifth wait after it. The deadline falls
+	// halfway between.
+	var before time.Duration
+	for n := 1; n < 5; n++ {
+		before += retryWait(n)
+	}
+	pending := retryWait(5)
+	if pending < 800*time.Millisecond {
+		t.Fatalf("wait after attempt 5 is %v; the test needs one of at least 800ms", pending)
+	}
 	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), before+pending/2)
+	defer cancel()
 	err := c.Push(ctx, []Record{rec(1, 1, true, 0)})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("push: got %v, want context deadline", err)
 	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("push ignored the context for %v", time.Since(start))
+	if took := time.Since(start); took >= before+pending {
+		t.Fatalf("push ignored the context for %v: it sat out the %v wait", took, pending)
 	}
 }

@@ -56,6 +56,10 @@ const (
 	defaultRetryFor = 4750 * time.Millisecond
 )
 
+// retryWait is the wait after the nth failed attempt: the one retry
+// schedule both ingest clients keep.
+func retryWait(n int) time.Duration { return retryBase << min(n-1, 5) }
+
 func (c StreamClientConfig) withDefaults() StreamClientConfig {
 	if c.Source == "" {
 		c.Source = NewSourceID()
@@ -356,7 +360,7 @@ func (c *StreamClient) pumpLocked() error {
 		if c.conn == nil {
 			if c.attempts == 0 {
 				c.stalled = time.Now()
-			} else if wait := min(retryBase<<min(c.attempts-1, 5), time.Until(c.stalled.Add(c.cfg.RetryFor))); wait > 0 {
+			} else if wait := min(retryWait(c.attempts), time.Until(c.stalled.Add(c.cfg.RetryFor))); wait > 0 {
 				// The gap after a failed attempt, cut short by the end of the
 				// budget or of the client (whose dial then fails at once).
 				t := time.NewTimer(wait)

@@ -24,9 +24,9 @@ func WriteTraces(w io.Writer, traces []SwarmTrace) error {
 // Source is the streaming-read interface shared by Scanner (sequential
 // json.Decoder) and ParallelScanner (order-preserving worker-pool
 // decode). Consumers written against Source — the replay helpers,
-// ingest.HTTPClient.PushTraces, cmd/availd, cmd/swarmavail — work with
-// either and can pick per workload: Scanner for small inputs or
-// single-core machines, ParallelScanner when decode is the bottleneck.
+// cmd/availd, cmd/swarmavail — work with either and can pick per
+// workload: Scanner for small inputs or single-core machines,
+// ParallelScanner when decode is the bottleneck.
 type Source[T any] interface {
 	// Scan advances to the next record; false at end of input or on the
 	// first decode error (Err distinguishes).

@@ -206,7 +206,9 @@ func TestStreamPushCancelReturnsPromptly(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the push never connected")
 	}
-	time.Sleep(100 * time.Millisecond) // frames in flight, none acknowledged
+	// Give the frames time to go in flight. The cancel must be prompt from
+	// any point; this one is meant to find the push waiting on acks.
+	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
 	cancel()
 	select {

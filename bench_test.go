@@ -439,7 +439,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 		e := ingest.New(ingest.Config{Shards: 1})
 		w := e.NewWriter()
 		for id := 0; id < swarms; id++ {
-			w.RegisterSwarm(trace.SwarmMeta{ID: id}, 60)
+			w.Put(ingest.MetaOp(trace.SwarmMeta{ID: id}, 60))
 			w.Observe(ingest.Record{SwarmID: id, PeerID: 1, Seed: true, Online: true, Time: float64(id%40) / 4})
 		}
 		w.Flush()

@@ -2,8 +2,9 @@ package swarmavail
 
 // Public facade over the runnable BitTorrent stack: torrents (including
 // multi-file bundles), the HTTP tracker, live peers, and the §2-style
-// monitoring probe. See examples/livetorrent for an end-to-end swarm on
-// localhost.
+// monitoring probe. The bt tool (cmd/bt: bt tracker, bt node, bt mon)
+// runs an end-to-end swarm on localhost, and TestBitTorrentFacadeEndToEnd
+// drives one through this facade.
 
 import (
 	"time"

@@ -61,3 +61,36 @@ func ExampleEvaluateBundle() {
 	// niche solo:   713 s
 	// in the bundle: 160 s
 }
+
+// Mixed bundling (§4.3.3): a catalog of one hit and a long tail behind
+// a publisher that is absent most of the time (r = 1/2000 s⁻¹,
+// u = 300 s). One bundle of everything rescues the tail at a cost to
+// the hit's fans; keeping the hit solo and bundling only the tail
+// rescues the tail and leaves the hit as fast as it was.
+func ExampleBundleOf() {
+	titles := []string{"blockbuster", "cult-classic", "deep-cut-1", "deep-cut-2", "archive-gem"}
+	var catalog []swarmavail.SwarmParams
+	for _, lambda := range []float64{1.0 / 10, 1.0 / 120, 1.0 / 400, 1.0 / 600, 1.0 / 900} {
+		catalog = append(catalog, swarmavail.SwarmParams{Lambda: lambda, Size: 4000, Mu: 50, R: 1.0 / 2000, U: 300})
+	}
+	all := swarmavail.BundleOf(catalog, 1.0/2000, 300)
+	tail := swarmavail.BundleOf(catalog[1:], 1.0/2000, 300)
+	fmt.Printf("P: hit solo %.3f, tail bundle %.2f, all-in-one %.1e\n",
+		catalog[0].Unavailability(), tail.Unavailability(), all.Unavailability())
+	fmt.Printf("%-14s %10s %10s %10s\n", "E[T] (s)", "solo", "all-in-one", "mixed")
+	for i, p := range catalog {
+		mixed := tail.DownloadTime()
+		if i == 0 {
+			mixed = p.DownloadTime()
+		}
+		fmt.Printf("%-14s %10.0f %10.0f %10.0f\n", titles[i], p.DownloadTime(), all.DownloadTime(), mixed)
+	}
+	// Output:
+	// P: hit solo 0.049, tail bundle 0.24, all-in-one 3.6e-18
+	// E[T] (s)             solo all-in-one      mixed
+	// blockbuster           178        400        178
+	// cult-classic         1759        400        806
+	// deep-cut-1           1790        400        806
+	// deep-cut-2           1794        400        806
+	// archive-gem          1797        400        806
+}

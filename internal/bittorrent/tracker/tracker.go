@@ -3,7 +3,7 @@
 // client announcers. The tracker keeps per-swarm peer lists, counts
 // seeds ("complete") and leechers ("incomplete"), serves compact peer
 // lists, and answers scrape requests — the §2 monitoring pipeline and
-// the runnable examples both use it over localhost.
+// bt tracker (cmd/bt) both use it over localhost.
 package tracker
 
 import (

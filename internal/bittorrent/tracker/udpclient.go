@@ -1,4 +1,4 @@
-// BEP 15 client side: AnnounceUDP/ScrapeUDP with the spec's
+// BEP 15 client side: UDPClient.Announce and Scrape with the spec's
 // 15·2^n-second retransmit schedule, connection-id caching (reused for
 // one minute, reconnect on the server's expiry verdict), and the same
 // classified *Error scheme as the HTTP announcer — so the peers' and
@@ -329,10 +329,4 @@ func (c *UDPClient) roundTrip(conn net.Conn, addr string, pkt []byte, wantAction
 		}
 	}
 	return nil, fmt.Errorf("%w after %d attempts to %s", errUDPTimeout, c.retransmits()+1, addr)
-}
-
-// AnnounceUDP performs one BEP 15 announce with the default client —
-// the UDP twin of Announce for callers that already know the scheme.
-func AnnounceUDP(req AnnounceRequest) (*AnnounceResponse, error) {
-	return DefaultUDP.Announce(req)
 }

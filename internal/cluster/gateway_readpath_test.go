@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -219,4 +220,32 @@ func TestGatewayCollapsedReads(t *testing.T) {
 		t.Fatalf("gateway_collapsed_reads_total = %v, want ≥ 1 with %d concurrent identical reads", collapsed, readers)
 	}
 	t.Logf("collapsed %v of %d concurrent reads", collapsed, readers)
+}
+
+// TestReadHandlersRefuseBadQuantiles: a ?q= entry outside [0, 1] —
+// NaN included, in any case and anywhere in the list — is a 400 on a
+// node's read handlers and on the gateway, which serves the same set.
+func TestReadHandlersRefuseBadQuantiles(t *testing.T) {
+	n := newTestNode(t)
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: n.srv.URL}},
+		HealthEvery: time.Hour,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	gw := httptest.NewServer(g.Handler())
+	t.Cleanup(gw.Close)
+	for _, base := range []string{n.srv.URL, gw.URL} {
+		if code, _, body := getTagged(t, base+"/v1/availability/cdf?q=0,0.5,1", ""); code != http.StatusOK {
+			t.Fatalf("%s: q=0,0.5,1 answered %d: %s", base, code, body)
+		}
+		for _, q := range []string{"NaN", "nan", "0.5,NaN", "Inf", "-0.1", "1.5"} {
+			if code, _, _ := getTagged(t, base+"/v1/availability/cdf?q="+url.QueryEscape(q), ""); code != http.StatusBadRequest {
+				t.Errorf("%s: q=%s answered %d, want 400", base, q, code)
+			}
+		}
+	}
 }

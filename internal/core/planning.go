@@ -126,7 +126,7 @@ func (p SwarmParams) SeedingCost(uploadKBps float64) float64 {
 // swarms sharing one publisher process: it returns the per-title
 // download times if everything is bundled together versus solo, and the
 // bundle's unavailability. It is a convenience over BundleOf +
-// DownloadTime for the examples and tools.
+// DownloadTime, re-exported by the root package's EvaluateBundle.
 type PlanBundle struct {
 	Bundle         SwarmParams
 	SoloTimes      []float64

@@ -24,25 +24,6 @@ func ZipfWeights(n int, delta float64) []float64 {
 	return w
 }
 
-// SplitRate partitions an aggregate arrival rate lambda across n classes
-// according to weights (which need not be normalised). It returns the
-// per-class rates λ_k = p_k·Λ used when a bundle aggregates files of
-// different popularity.
-func SplitRate(lambda float64, weights []float64) []float64 {
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	out := make([]float64, len(weights))
-	if sum <= 0 {
-		return out
-	}
-	for i, w := range weights {
-		out[i] = lambda * w / sum
-	}
-	return out
-}
-
 // Categorical samples an index in [0, len(weights)) with probability
 // proportional to weights.
 type Categorical struct {
@@ -88,9 +69,6 @@ func (c *Categorical) Sample(r *rand.Rand) int {
 	}
 	return lo
 }
-
-// Len returns the number of categories.
-func (c *Categorical) Len() int { return len(c.cum) }
 
 // PoissonCount samples a Poisson random count with the given mean using
 // Knuth's product method for small means and a normal approximation with

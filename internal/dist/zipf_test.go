@@ -47,38 +47,6 @@ func TestZipfWeightsEmpty(t *testing.T) {
 	}
 }
 
-func TestSplitRate(t *testing.T) {
-	rates := SplitRate(1.0/3.84, []float64{1.0 / 8, 1.0 / 16, 1.0 / 24, 1.0 / 32})
-	// §4.3.3: λi = 1/(8i); aggregate 1/3.84. The split should return the
-	// same per-file rates.
-	want := []float64{1.0 / 8, 1.0 / 16, 1.0 / 24, 1.0 / 32}
-	var sumw float64
-	for _, w := range want {
-		sumw += w
-	}
-	for i := range want {
-		expect := (1.0 / 3.84) * want[i] / sumw
-		if math.Abs(rates[i]-expect) > 1e-12 {
-			t.Fatalf("rate %d = %v, want %v", i, rates[i], expect)
-		}
-	}
-	// And because Σλi = 1/3.84 exactly, split must reproduce λi.
-	for i := range want {
-		if math.Abs(rates[i]-want[i]) > 1e-9 {
-			t.Fatalf("rate %d = %v, want %v", i, rates[i], want[i])
-		}
-	}
-}
-
-func TestSplitRateZeroWeights(t *testing.T) {
-	rates := SplitRate(5, []float64{0, 0})
-	for _, r := range rates {
-		if r != 0 {
-			t.Fatalf("zero weights must give zero rates, got %v", rates)
-		}
-	}
-}
-
 func TestCategoricalFrequencies(t *testing.T) {
 	c := NewCategorical([]float64{1, 2, 7})
 	r := NewRand(21)

@@ -230,11 +230,14 @@ func NewestCheckpoint(dir string) (path string, seq uint64, ok bool, err error) 
 
 // Checkpoint serializes the engine's full state to a checkpoint file in
 // the durability directory and drops the WAL segments it makes
-// redundant. Concurrent producers stall only for the snapshot capture
-// (per-shard state copy), not for the file write. Calling it on a
-// closed engine still works — the drained final state is captured —
-// provided the engine was closed by Close (which leaves checkpointing
-// to the caller) rather than crashed.
+// redundant. It holds the journal gate exclusively from the snapshot
+// capture through writeCheckpoint's encode, write and fsync, the WAL's
+// TruncateThrough and the checkpoint prune, so every concurrent
+// producer stalls for the whole checkpoint, file write included
+// (ROADMAP.md item 2(a) is the fix: hold the gate for the capture
+// only). Calling it on a closed engine still works — the drained final
+// state is captured — provided the engine was closed by Close (which
+// leaves checkpointing to the caller) rather than crashed.
 func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	j := e.journal
 	if j == nil {

@@ -591,11 +591,6 @@ func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {
 // Writer on hot paths).
 func (e *Engine) Observe(rec Record) error { return e.Submit([]Op{EventOp(rec)}) }
 
-// RegisterSwarm ingests a swarm registration.
-func (e *Engine) RegisterSwarm(meta trace.SwarmMeta, horizonDays float64) error {
-	return e.Submit([]Op{MetaOp(meta, horizonDays)})
-}
-
 // ObserveCensus ingests a census observation.
 func (e *Engine) ObserveCensus(snap trace.Snapshot) error {
 	return e.Submit([]Op{CensusOp(snap)})
@@ -765,11 +760,6 @@ func (w *Writer) Put(op Op) error {
 
 // Observe appends a monitor record.
 func (w *Writer) Observe(rec Record) error { return w.Put(EventOp(rec)) }
-
-// RegisterSwarm appends a swarm registration.
-func (w *Writer) RegisterSwarm(meta trace.SwarmMeta, horizonDays float64) error {
-	return w.Put(MetaOp(meta, horizonDays))
-}
 
 // ObserveCensus appends a census observation.
 func (w *Writer) ObserveCensus(snap trace.Snapshot) error {

@@ -230,7 +230,7 @@ func TestSeedUnionSemantics(t *testing.T) {
 	e := New(Config{Shards: 2})
 	defer e.Close()
 	meta := trace.SwarmMeta{ID: 1, Category: trace.TV}
-	e.RegisterSwarm(meta, 100)
+	e.Submit([]Op{MetaOp(meta, 100)})
 	evs := []Record{
 		{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 0},
 		{SwarmID: 1, PeerID: 2, Seed: true, Online: true, Time: 5},
@@ -265,7 +265,7 @@ func TestSeedUnionSemantics(t *testing.T) {
 func TestOpenIntervalLowerBound(t *testing.T) {
 	e := New(Config{Shards: 1})
 	defer e.Close()
-	e.RegisterSwarm(trace.SwarmMeta{ID: 4}, 200)
+	e.Submit([]Op{MetaOp(trace.SwarmMeta{ID: 4}, 200)})
 	e.Observe(Record{SwarmID: 4, PeerID: 1, Seed: true, Online: true, Time: 10})
 	e.Observe(Record{SwarmID: 4, PeerID: 9, Seed: false, Online: true, Time: 40})
 	e.Flush()

@@ -254,7 +254,7 @@ func WriteCDF(w http.ResponseWriter, sum *Summary, qs []float64) {
 }
 
 // ParseQuantiles parses a ?q=0.25,0.5,… list; an empty argument selects
-// DefaultCDFQuantiles.
+// DefaultCDFQuantiles. Every entry must lie in [0, 1], so NaN is refused.
 func ParseQuantiles(arg string) ([]float64, error) {
 	if arg == "" {
 		return DefaultCDFQuantiles, nil
@@ -262,7 +262,7 @@ func ParseQuantiles(arg string) ([]float64, error) {
 	var qs []float64
 	for _, part := range strings.Split(arg, ",") {
 		q, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || q < 0 || q > 1 {
+		if err != nil || !(q >= 0 && q <= 1) {
 			return nil, fmt.Errorf("bad quantile list")
 		}
 		qs = append(qs, q)

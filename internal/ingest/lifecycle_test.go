@@ -33,8 +33,8 @@ func TestSubmitAfterCloseReturnsError(t *testing.T) {
 	if err := e.Submit([]Op{EventOp(rec(1, 1, false, 1))}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: got %v, want ErrClosed", err)
 	}
-	if err := e.RegisterSwarm(trace.SwarmMeta{ID: 9}, 30); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RegisterSwarm after close: got %v, want ErrClosed", err)
+	if err := e.Submit([]Op{MetaOp(trace.SwarmMeta{ID: 9}, 30)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("registration after close: got %v, want ErrClosed", err)
 	}
 	// The writer still buffers op 2 from before the close: Flush must
 	// surface the loss instead of panicking or dropping silently.

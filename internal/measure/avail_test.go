@@ -25,9 +25,9 @@ func TestSharedAvailabilityDefinitions(t *testing.T) {
 		MonitoredDays: 200,
 	}
 	fm, full := Availability(tr)
-	if fm != tr.FirstMonthAvailability() || full != tr.FullAvailability() {
+	if fm != tr.AvailabilityOver(30) || full != tr.AvailabilityOver(tr.MonitoredDays) {
 		t.Fatalf("Availability() = %v/%v, trace methods %v/%v",
-			fm, full, tr.FirstMonthAvailability(), tr.FullAvailability())
+			fm, full, tr.AvailabilityOver(30), tr.AvailabilityOver(tr.MonitoredDays))
 	}
 }
 

@@ -63,67 +63,6 @@ func (e *ECDF) Points() (xs, fs []float64) {
 	return xs, fs
 }
 
-// Histogram is a fixed-width binned count over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over
-// [lo, hi). It panics on invalid parameters.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float edge case at Hi-ε
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the counts below Lo and at/above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the normalised density estimate per bin (integrates to
-// the in-range fraction).
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(h.total) * w)
-	}
-	return out
-}
-
 // TimeSeries bins (time, value-less) events into fixed-width time buckets
 // and reports per-bucket counts — the building block of Figure 7 (peer
 // arrivals per interval) and Figure 4 (completions over time).
@@ -166,16 +105,6 @@ func (ts *TimeSeries) Counts() []int {
 	return out
 }
 
-// Cumulative returns the running total per bucket (e.g. cumulative
-// completed downloads over time, Figure 4).
-func (ts *TimeSeries) Cumulative() []int {
-	cs := ts.Counts()
-	for i := 1; i < len(cs); i++ {
-		cs[i] += cs[i-1]
-	}
-	return cs
-}
-
 // CoefficientOfVariation returns stddev/mean of the bucket counts — the
 // statistic that separates bursty new-swarm arrivals from steady
 // old-swarm arrivals in §4.3.4.
@@ -192,45 +121,4 @@ func (ts *TimeSeries) CoefficientOfVariation() float64 {
 		return 0
 	}
 	return acc.StdDev() / acc.Mean()
-}
-
-// KSDistance returns the Kolmogorov–Smirnov statistic
-// sup_x |F_a(x) − F_b(x)| between two empirical CDFs — the measure used
-// to compare the first-month and whole-trace availability distributions
-// of Figure 1. It returns NaN when either sample is empty.
-func KSDistance(a, b *ECDF) float64 {
-	if a.N() == 0 || b.N() == 0 {
-		return math.NaN()
-	}
-	var d float64
-	// The supremum is attained at a sample point of either CDF.
-	for _, xs := range [][]float64{a.sorted, b.sorted} {
-		for _, x := range xs {
-			if diff := math.Abs(a.At(x) - b.At(x)); diff > d {
-				d = diff
-			}
-		}
-	}
-	return d
-}
-
-// Correlation returns the Pearson correlation coefficient of the paired
-// samples, or NaN when undefined.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	var ax, ay Accumulator
-	ax.AddAll(xs)
-	ay.AddAll(ys)
-	var cov float64
-	for i := range xs {
-		cov += (xs[i] - ax.Mean()) * (ys[i] - ay.Mean())
-	}
-	cov /= float64(len(xs) - 1)
-	den := ax.StdDev() * ay.StdDev()
-	if den == 0 {
-		return math.NaN()
-	}
-	return cov / den
 }

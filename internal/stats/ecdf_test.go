@@ -59,56 +59,6 @@ func TestECDFQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range: %d %d", under, over)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Fatalf("counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("bin center = %v", got)
-	}
-}
-
-func TestHistogramDensityIntegratesToInRangeFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for i := 0; i < 90; i++ {
-		h.Add(float64(i%10) / 10)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(5) // out of range
-	}
-	d := h.Density()
-	var integral float64
-	for _, v := range d {
-		integral += v * 0.1
-	}
-	if !almostEqual(integral, 0.9, 1e-9) {
-		t.Fatalf("density integral = %v, want 0.9", integral)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(10)
 	for _, tm := range []float64{0, 5, 9.99, 10, 25, 25, -3} {
@@ -124,15 +74,11 @@ func TestTimeSeries(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", counts, want)
 		}
 	}
-	cum := ts.Cumulative()
-	if cum[2] != 6 {
-		t.Fatalf("cumulative = %v", cum)
-	}
 }
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	ts := NewTimeSeries(1)
-	if ts.Counts() != nil || ts.Cumulative() != nil {
+	if ts.Counts() != nil {
 		t.Fatal("empty series must return nil")
 	}
 	if ts.CoefficientOfVariation() != 0 {
@@ -161,72 +107,6 @@ func TestTimeSeriesCVSeparatesBurstyFromSteady(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("perfect correlation = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("perfect anticorrelation = %v", got)
-	}
-	if !math.IsNaN(Correlation(xs, ys[:3])) {
-		t.Fatal("mismatched lengths must yield NaN")
-	}
-	if !math.IsNaN(Correlation([]float64{1, 1}, []float64{2, 3})) {
-		t.Fatal("zero-variance input must yield NaN")
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := NewECDF([]float64{1, 2, 3, 4})
-	if got := KSDistance(a, a); got != 0 {
-		t.Fatalf("self distance %v", got)
-	}
-	// Disjoint supports: distance 1.
-	b := NewECDF([]float64{10, 11, 12})
-	if got := KSDistance(a, b); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("disjoint distance %v", got)
-	}
-	// Known case: {1,2} vs {2,3}: F_a(1)=.5 vs F_b(1)=0 → D = 0.5.
-	c := NewECDF([]float64{1, 2})
-	d := NewECDF([]float64{2, 3})
-	if got := KSDistance(c, d); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("KS = %v, want 0.5", got)
-	}
-	// Symmetry.
-	if KSDistance(c, d) != KSDistance(d, c) {
-		t.Fatal("KS not symmetric")
-	}
-	if !math.IsNaN(KSDistance(a, NewECDF(nil))) {
-		t.Fatal("empty sample must give NaN")
-	}
-}
-
-// Property: KS distance is within [0,1] and zero against itself.
-func TestKSDistanceProperty(t *testing.T) {
-	f := func(raw1, raw2 []int8) bool {
-		if len(raw1) == 0 || len(raw2) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw1))
-		for i, v := range raw1 {
-			xs[i] = float64(v)
-		}
-		ys := make([]float64, len(raw2))
-		for i, v := range raw2 {
-			ys[i] = float64(v)
-		}
-		a, b := NewECDF(xs), NewECDF(ys)
-		d := KSDistance(a, b)
-		return d >= 0 && d <= 1 && KSDistance(a, a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: ECDF is monotone non-decreasing and bounded in [0,1].
 func TestECDFMonotoneProperty(t *testing.T) {
 	f := func(raw []int8, probe []int8) bool {
@@ -250,25 +130,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 			prev = v
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram never loses observations.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		h := NewHistogram(-100, 100, 13)
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		var in int
-		for _, c := range h.Counts {
-			in += c
-		}
-		under, over := h.OutOfRange()
-		return in+under+over == h.Total() && h.Total() == len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics used by the measurement
 // analysis, the simulators, and the experiment harness: streaming
-// accumulators, quantiles, empirical CDFs, histograms, boxplot summaries,
-// confidence intervals, and time-binned series.
+// accumulators, quantiles, empirical CDFs, mergeable quantile sketches,
+// boxplot summaries, confidence intervals, and time-binned series.
 //
 // Everything is plain float64 math on slices — no external numeric
 // dependencies — with the numerically stable formulations (Welford) where
@@ -119,25 +119,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// MustMean is Mean for callers that have already checked non-emptiness.
-func MustMean(xs []float64) float64 {
-	m, err := Mean(xs)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	var acc Accumulator
-	acc.AddAll(xs)
-	return acc.Var(), nil
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear

@@ -78,27 +78,21 @@ func TestMeanErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Fatalf("err = %v", err)
 	}
-	if m := MustMean([]float64{1, 2, 3}); !almostEqual(m, 2, 1e-12) {
-		t.Fatalf("MustMean = %v", m)
+	if m, err := Mean([]float64{1, 2, 3}); err != nil || !almostEqual(m, 2, 1e-12) {
+		t.Fatalf("Mean = %v, %v", m, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustMean should panic on empty")
-		}
-	}()
-	MustMean(nil)
 }
 
 func TestVariance(t *testing.T) {
-	v, err := Variance([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 5.0/3, 1e-12) {
+	var a Accumulator
+	a.AddAll([]float64{1, 2, 3, 4})
+	if v := a.Var(); !almostEqual(v, 5.0/3, 1e-12) {
 		t.Fatalf("var = %v", v)
 	}
-	if _, err := Variance([]float64{1}); err == nil {
-		t.Fatal("variance of single sample should error")
+	var one Accumulator
+	one.Add(1)
+	if v := one.Var(); v != 0 {
+		t.Fatalf("variance of a single sample = %v, want 0", v)
 	}
 }
 
@@ -184,7 +178,7 @@ func TestAccumulatorMatchesTwoPassProperty(t *testing.T) {
 		}
 		var a Accumulator
 		a.AddAll(xs)
-		m := MustMean(xs)
+		m, _ := Mean(xs)
 		var ss float64
 		for _, x := range xs {
 			ss += (x - m) * (x - m)

@@ -347,18 +347,6 @@ func (r *Result) DownloadTimes() []float64 {
 	return out
 }
 
-// DownloadTimesByClass returns completed download times for peers of one
-// file class.
-func (r *Result) DownloadTimesByClass(class int) []float64 {
-	var out []float64
-	for _, p := range r.Records {
-		if p.Class == class && p.Completed() {
-			out = append(out, p.DownloadTime())
-		}
-	}
-	return out
-}
-
 // CompletionTimes returns the sorted times at which downloads completed —
 // the series plotted in Figure 4.
 func (r *Result) CompletionTimes() []float64 {

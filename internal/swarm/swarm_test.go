@@ -362,13 +362,6 @@ func TestDownloadTimesHelpers(t *testing.T) {
 	if len(all) != res.CompletedCount() {
 		t.Fatalf("download times %d vs completed %d", len(all), res.CompletedCount())
 	}
-	byClass := res.DownloadTimesByClass(0)
-	if len(byClass) != len(all) {
-		t.Fatalf("single-class swarm: %d vs %d", len(byClass), len(all))
-	}
-	if len(res.DownloadTimesByClass(5)) != 0 {
-		t.Fatal("unknown class must be empty")
-	}
 	ct := res.CompletionTimes()
 	for i := 1; i < len(ct); i++ {
 		if ct[i] < ct[i-1] {

@@ -40,10 +40,10 @@ func TestSwarmTraceAvailability(t *testing.T) {
 		SeedSessions:  []dist.Interval{{Start: 0, End: 15}, {Start: 100, End: 110}},
 		MonitoredDays: 200,
 	}
-	if got := tr.FirstMonthAvailability(); math.Abs(got-0.5) > 1e-12 {
+	if got := tr.AvailabilityOver(30); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("first month availability %v, want 0.5", got)
 	}
-	if got := tr.FullAvailability(); math.Abs(got-25.0/200) > 1e-12 {
+	if got := tr.AvailabilityOver(tr.MonitoredDays); math.Abs(got-25.0/200) > 1e-12 {
 		t.Fatalf("full availability %v", got)
 	}
 	// Clamping beyond the horizon.

@@ -116,12 +116,6 @@ func (t SwarmTrace) AvailabilityOver(days float64) float64 {
 	return dist.AvailableFraction(t.SeedSessions, days)
 }
 
-// FirstMonthAvailability is AvailabilityOver(30).
-func (t SwarmTrace) FirstMonthAvailability() float64 { return t.AvailabilityOver(30) }
-
-// FullAvailability is the availability over the whole monitored window.
-func (t SwarmTrace) FullAvailability() float64 { return t.AvailabilityOver(t.MonitoredDays) }
-
 // Snapshot is one swarm's state in the single-day dataset (§2.3):
 // instantaneous seed/leecher counts plus the cumulative download
 // counter.

@@ -14,8 +14,8 @@
 //     the paper's seven-month availability study and bundling census
 //     (GenerateStudy, GenerateSnapshot, Headlines, …);
 //   - a runnable mini-BitTorrent (tracker, wire protocol, peers) for
-//     end-to-end localhost swarms (see internal/bittorrent and the
-//     examples).
+//     end-to-end localhost swarms (see internal/bittorrent and the bt
+//     tool).
 //
 // # Quick start
 //
@@ -32,8 +32,10 @@
 //	fmt.Println(p.Unavailability(), p.DownloadTime())
 //	k, curve := p.OptimalBundleSize(10, swarmavail.ScaledPublisher)
 //
-// See the examples directory for complete programs, and DESIGN.md /
-// EXPERIMENTS.md for the paper-reproduction map.
+// The package's Example functions are checked by go test; the complete
+// programs are the tools under cmd/ (swarmavail model|sim|figures|study
+// and bt tracker|node|mon). DESIGN.md / EXPERIMENTS.md map the paper
+// reproduction.
 package swarmavail
 
 import (

@@ -27,6 +27,11 @@ func TestFacadeModelRoundTrip(t *testing.T) {
 	if b.Lambda != 2*p.Lambda || b.Size != 2*p.Size {
 		t.Fatalf("facade bundle %+v", b)
 	}
+	singles, zb := ZipfBundle(4, 1.0/15, 1, p.Size, p.Mu, p.R, p.U, 4*p.R, 4*p.U)
+	if len(singles) != 4 || singles[0].Lambda <= singles[3].Lambda ||
+		math.Abs(zb.Lambda-1.0/15) > 1e-12 || zb.Size != 4*p.Size || zb.R != 4*p.R {
+		t.Fatalf("facade Zipf bundle %+v of %+v", zb, singles)
+	}
 }
 
 func TestFacadeSimulate(t *testing.T) {

@@ -97,8 +97,7 @@ type options struct {
 	// Durability: with dataDir set the engine journals every accepted
 	// batch to a WAL and recovers checkpoint + tail on boot.
 	dataDir         string
-	fsync           string        // WAL sync policy: batch, interval or off
-	fsyncInterval   time.Duration // cadence under -fsync interval
+	fsync           string        // WAL sync policy: batch or off
 	checkpointEvery time.Duration // periodic checkpoint cadence (0 = shutdown only)
 
 	// Clustering: with follow set this process is a warm standby that
@@ -141,8 +140,7 @@ func main() {
 	flag.BoolVar(&opts.verify, "verify", false, "check online statistics against the offline analysis")
 	flag.StringVar(&opts.push, "push", "", "stream the -replay study to a node's or gateway's -ingest-bin address (e.g. host:8649) instead of the local engine")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durability directory for the WAL and checkpoints; empty = in-memory only")
-	flag.StringVar(&opts.fsync, "fsync", "batch", "WAL fsync policy: batch (acked = durable: one fsync per committed group — a lone frame, or a stream's backlog of frames — before any ack), interval, or off")
-	flag.DurationVar(&opts.fsyncInterval, "fsync-interval", 100*time.Millisecond, "fsync cadence under -fsync interval")
+	flag.StringVar(&opts.fsync, "fsync", "batch", "WAL fsync policy: batch (acked = durable: one fsync per committed group — a lone frame, or a stream's backlog of frames — before any ack) or off (the OS flushes when it pleases)")
 	flag.DurationVar(&opts.checkpointEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint cadence (0 = checkpoint only on shutdown)")
 	flag.StringVar(&opts.follow, "follow", "", "run as a warm standby shipping this leader's WAL (e.g. http://host:8647); requires -listen and -data-dir")
 	flag.DurationVar(&opts.followPoll, "follow-poll", 250*time.Millisecond, "WAL-shipping poll cadence under -follow")

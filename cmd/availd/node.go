@@ -75,11 +75,7 @@ func newEngineFromOpts(opts options, reg *obs.Registry) (*ingest.Engine, error) 
 		return nil, err
 	}
 	start := time.Now()
-	e, rs, err := ingest.OpenDurable(cfg, ingest.DurabilityConfig{
-		Dir:       opts.dataDir,
-		Fsync:     policy,
-		SyncEvery: opts.fsyncInterval,
-	})
+	e, rs, err := ingest.OpenDurable(cfg, ingest.DurabilityConfig{Dir: opts.dataDir, Fsync: policy})
 	if err != nil {
 		return nil, fmt.Errorf("recover %s: %w", opts.dataDir, err)
 	}

@@ -46,15 +46,16 @@ type ProbeConfig struct {
 	// learned — the §2 methodology's answer to trackers that return
 	// only a sample of the swarm.
 	PEX bool
-	// MaxPeers caps the total peers probed per Probe call, PEX
-	// discoveries included (256 if 0).
-	MaxPeers int
-	// NumWant is the announce's peer-count request (200 if 0).
-	NumWant int
-	// Port is the advisory port announced (6881 if 0); the agent never
-	// accepts connections.
-	Port int
 }
+
+// A probe asks the tracker for up to probeNumWant peers, probes at most
+// probeMaxPeers per call (PEX discoveries included), and announces the
+// advisory port probePort: the agent never accepts connections.
+const (
+	probeMaxPeers = 256
+	probeNumWant  = 200
+	probePort     = 6881
+)
 
 func (c ProbeConfig) withDefaults() ProbeConfig {
 	if c.DialTimeout <= 0 {
@@ -65,15 +66,6 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	}
 	if c.BitfieldWait <= 0 {
 		c.BitfieldWait = c.DialTimeout
-	}
-	if c.MaxPeers <= 0 {
-		c.MaxPeers = 256
-	}
-	if c.NumWant <= 0 {
-		c.NumWant = 200
-	}
-	if c.Port <= 0 {
-		c.Port = 6881
 	}
 	return c
 }
@@ -101,9 +93,9 @@ func Probe(t *metainfo.Torrent, cfg ProbeConfig) ([]ProbeResult, error) {
 		TrackerURL: t.Announce,
 		InfoHash:   ih,
 		PeerID:     id,
-		Port:       cfg.Port,
+		Port:       probePort,
 		Left:       info.TotalLength(),
-		NumWant:    cfg.NumWant,
+		NumWant:    probeNumWant,
 		IP:         "127.0.0.1",
 	}
 	resp, err := tracker.AnnounceWith(cfg.HTTPClient, cfg.UDP, req)
@@ -121,7 +113,7 @@ func Probe(t *metainfo.Torrent, cfg ProbeConfig) ([]ProbeResult, error) {
 	}
 	seen := make(map[string]bool, len(frontier))
 	var out []ProbeResult
-	for i := 0; i < len(frontier) && len(seen) < cfg.MaxPeers; i++ {
+	for i := 0; i < len(frontier) && len(seen) < probeMaxPeers; i++ {
 		addr := frontier[i]
 		if seen[addr] {
 			continue
@@ -232,9 +224,11 @@ func probeOne(cfg ProbeConfig, addr string, ih metainfo.InfoHash, id [20]byte, n
 						}
 					}
 				}
-			case wire.ExtPexID, pexSubID(pexID):
+			case wire.ExtPexID, byte(pexID):
 				// Accept both our advertised sub-ID and the one the
-				// remote declared for itself.
+				// remote declared for itself (ParseExtendedHandshake
+				// keeps it in 1..255; an unset id is 0, which the
+				// handshake case above already takes).
 				if pex, err := wire.ParsePex(body); err == nil {
 					for _, p := range pex.Added {
 						discovered = append(discovered, p.String())
@@ -249,14 +243,4 @@ func probeOne(cfg ProbeConfig, addr string, ih metainfo.InfoHash, id [20]byte, n
 			return finish()
 		}
 	}
-}
-
-// pexSubID folds the remote-advertised PEX sub-ID into the switch above.
-// An unset (or out-of-range) id maps to wire.ExtPexID, which the
-// constant case already covers, so it never widens the match.
-func pexSubID(id int64) byte {
-	if id <= 0 || id > 255 {
-		return wire.ExtPexID
-	}
-	return byte(id)
 }

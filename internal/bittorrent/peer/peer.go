@@ -7,9 +7,10 @@
 // swarm deployable on localhost — the repository's stand-in for the
 // paper's PlanetLab testbed (§4.1). The protocol implementation is the
 // mainline wire protocol with whole-piece requests, BEP-10/11 peer
-// exchange, and either a trivially generous choking policy (the default,
-// adequate for cooperative controlled experiments) or the real
-// tit-for-tat choker with an optimistic slot (Config.TitForTat).
+// exchange, and a generous choking policy: interest is answered with an
+// immediate unchoke. That is the policy of the §4 simulator
+// (internal/swarm), whose upload slots are MaxUploads with no
+// reciprocation ranking, and of every controlled experiment here.
 package peer
 
 import (
@@ -28,6 +29,14 @@ import (
 	"swarmavail/internal/bittorrent/tracker"
 	"swarmavail/internal/bittorrent/wire"
 	"swarmavail/internal/obs"
+)
+
+// Connection limits: a node dials no new peer while it holds maxPeers
+// connections (also its announce's numwant), and keeps at most pipeline
+// whole-piece requests outstanding per connection.
+const (
+	maxPeers = 30
+	pipeline = 2
 )
 
 // DefaultDialTimeout bounds outgoing peer dials when Config.DialTimeout
@@ -49,11 +58,6 @@ type Config struct {
 	ListenAddr string
 	// AnnounceInterval overrides the tracker-provided interval (tests).
 	AnnounceInterval time.Duration
-	// MaxPeers caps concurrent connections (default 30).
-	MaxPeers int
-	// Pipeline is the number of outstanding piece requests per
-	// connection (default 2).
-	Pipeline int
 	// DisableTrackerPeers stops the node from dialing tracker-reported
 	// peers; it still announces (so others can find it) but discovers
 	// neighbours only via Bootstrap and PEX. Used to demonstrate and
@@ -61,19 +65,6 @@ type Config struct {
 	DisableTrackerPeers bool
 	// Bootstrap is a list of peer addresses dialed at Start.
 	Bootstrap []string
-	// DisablePex turns the BEP-11 peer exchange off.
-	DisablePex bool
-	// TitForTat enables the mainline choking algorithm: only the
-	// interested peers that reciprocated the most data in the last
-	// window are unchoked, plus one optimistic slot. When false (the
-	// default, used by the controlled experiments) everyone is unchoked
-	// on request.
-	TitForTat bool
-	// ChokeInterval is the choker re-evaluation period (10 s if 0).
-	ChokeInterval time.Duration
-	// UnchokeSlots is the number of reciprocation-ranked unchoke slots
-	// (3 if 0); the optimistic slot is additional.
-	UnchokeSlots int
 	// DialTimeout bounds each outgoing peer dial (DefaultDialTimeout
 	// if 0). Flaky-network deployments want this well below the announce
 	// interval so one dead peer cannot stall a discovery round.
@@ -139,11 +130,6 @@ type Node struct {
 	uploaded   atomic.Int64
 	downloaded atomic.Int64
 
-	// Tit-for-tat state.
-	connSeq       int
-	optimistic    *conn
-	optimisticRng *mrand.Rand
-
 	m nodeMetrics
 }
 
@@ -159,14 +145,6 @@ type conn struct {
 	// Extension state.
 	remoteExts bool  // remote set the BEP-10 reserved bit
 	pexID      int64 // remote's ut_pex sub-ID (0 = none yet)
-	// Choking state (tit-for-tat).
-	seq               int   // creation order, for deterministic tie-breaks
-	remoteInterested  bool  // the remote wants our pieces
-	weAreChoking      bool  // we are withholding service
-	bytesFromPeer     int64 // verified piece bytes received from the remote
-	bytesToPeer       int64 // piece bytes served to the remote
-	prevBytesFromPeer int64 // window bookkeeping for the choker
-	prevBytesToPeer   int64
 }
 
 // New creates a node. If cfg.Content is non-nil it must match the
@@ -185,12 +163,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.MaxPeers == 0 {
-		cfg.MaxPeers = 30
-	}
-	if cfg.Pipeline == 0 {
-		cfg.Pipeline = 2
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
@@ -218,7 +190,6 @@ func New(cfg Config) (*Node, error) {
 	for _, b := range n.peerID[8:16] {
 		rngSeed = rngSeed<<8 | int64(b)
 	}
-	n.optimisticRng = mrand.New(mrand.NewSource(rngSeed))
 	n.backoffRng = mrand.New(mrand.NewSource(rngSeed ^ 0x5eed))
 	if cfg.Content != nil {
 		if int64(len(cfg.Content)) != info.TotalLength() {
@@ -269,10 +240,6 @@ func (n *Node) Start() error {
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.announceLoop()
-	if n.cfg.TitForTat {
-		n.wg.Add(1)
-		go n.chokerLoop()
-	}
 	n.dialAddrs(n.cfg.Bootstrap)
 	return nil
 }
@@ -426,7 +393,7 @@ func (n *Node) announceReq(event string) tracker.AnnounceRequest {
 		Downloaded: n.downloaded.Load(),
 		Left:       n.BytesLeft(),
 		Event:      event,
-		NumWant:    n.cfg.MaxPeers,
+		NumWant:    maxPeers,
 		IP:         "127.0.0.1",
 	}
 }
@@ -535,7 +502,7 @@ func (n *Node) dialAddrs(addrs []string) {
 			continue
 		}
 		n.mu.Lock()
-		skip := n.dialed[addr] || n.stopped || len(n.conns) >= n.cfg.MaxPeers ||
+		skip := n.dialed[addr] || n.stopped || len(n.conns) >= maxPeers ||
 			now.Before(n.nextDial[addr])
 		if !skip {
 			n.dialed[addr] = true
@@ -581,9 +548,6 @@ func (n *Node) dialAddrs(addrs []string) {
 // connection (BEP-11; idempotent for receivers, which dedupe by
 // address).
 func (n *Node) broadcastPex() {
-	if n.cfg.DisablePex {
-		return
-	}
 	addrs := n.knownAddrs()
 	if len(addrs) == 0 {
 		return
@@ -657,7 +621,7 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	hs := wire.Handshake{
 		InfoHash:   n.infoHash,
 		PeerID:     n.peerID,
-		Extensions: !n.cfg.DisablePex,
+		Extensions: true,
 	}
 	var remote wire.Handshake
 	var err error
@@ -679,20 +643,17 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	_ = netc.SetDeadline(time.Time{})
 
 	c := &conn{
-		node:         n,
-		c:            netc,
-		choked:       true,
-		weAreChoking: n.cfg.TitForTat,
-		inflight:     make(map[int]bool),
-		remoteExts:   remote.Extensions,
+		node:       n,
+		c:          netc,
+		choked:     true,
+		inflight:   make(map[int]bool),
+		remoteExts: remote.Extensions,
 	}
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
 		return
 	}
-	c.seq = n.connSeq
-	n.connSeq++
 	n.conns[c] = struct{}{}
 	bf := n.have.Clone()
 	n.mu.Unlock()
@@ -702,7 +663,7 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	if err := c.write(&wire.Message{Type: wire.MsgBitfield, Bitfield: bf}); err != nil {
 		return
 	}
-	if c.remoteExts && !n.cfg.DisablePex {
+	if c.remoteExts {
 		body, err := wire.MarshalExtendedHandshake(wire.ExtendedHandshake{
 			PexID: wire.ExtPexID,
 			Port:  int64(n.Port()),
@@ -786,18 +747,8 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 			n.requestMore(c)
 		}
 	case wire.MsgInterested:
-		c.mu.Lock()
-		c.remoteInterested = true
-		c.mu.Unlock()
-		if !n.cfg.TitForTat {
-			// Generous policy: unchoke everyone immediately.
-			return c.write(&wire.Message{Type: wire.MsgUnchoke})
-		}
-		// Tit-for-tat: the choker decides at its next tick.
-	case wire.MsgNotInterested:
-		c.mu.Lock()
-		c.remoteInterested = false
-		c.mu.Unlock()
+		// Generous policy: unchoke everyone immediately.
+		return c.write(&wire.Message{Type: wire.MsgUnchoke})
 	case wire.MsgChoke:
 		c.mu.Lock()
 		c.choked = true
@@ -835,9 +786,6 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 // (learning the remote's PEX sub-ID and listen port) and incoming
 // ut_pex gossip (learning new peer addresses).
 func (n *Node) handleExtended(c *conn, m *wire.Message) error {
-	if n.cfg.DisablePex {
-		return nil
-	}
 	subID, body, err := wire.SplitExtendedPayload(m.Block)
 	if err != nil {
 		return err
@@ -897,7 +845,7 @@ func (n *Node) remoteHasUseful(c *conn) bool {
 func (n *Node) requestMore(c *conn) {
 	for {
 		c.mu.Lock()
-		if c.choked || len(c.inflight) >= n.cfg.Pipeline || c.remoteBF == nil {
+		if c.choked || len(c.inflight) >= pipeline || c.remoteBF == nil {
 			c.mu.Unlock()
 			return
 		}
@@ -940,17 +888,9 @@ func (n *Node) requestMore(c *conn) {
 	}
 }
 
-// servePiece answers a whole-piece request. Requests from peers we are
-// choking are dropped, per the protocol.
+// servePiece answers a whole-piece request; under the generous policy
+// no peer is ever choked, so every request for a piece we hold is served.
 func (n *Node) servePiece(c *conn, m *wire.Message) error {
-	if n.cfg.TitForTat {
-		c.mu.Lock()
-		choking := c.weAreChoking
-		c.mu.Unlock()
-		if choking {
-			return nil
-		}
-	}
 	idx := int(m.Index)
 	n.mu.Lock()
 	if idx < 0 || idx >= n.info.NumPieces() || !n.have.Has(idx) {
@@ -967,9 +907,6 @@ func (n *Node) servePiece(c *conn, m *wire.Message) error {
 	if err := c.write(&wire.Message{Type: wire.MsgPiece, Index: m.Index, Begin: 0, Block: block}); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.bytesToPeer += int64(len(block))
-	c.mu.Unlock()
 	n.uploaded.Add(int64(len(block)))
 	n.m.bytesTx.Add(uint64(len(block)))
 	return nil
@@ -981,9 +918,6 @@ func (n *Node) receivePiece(c *conn, m *wire.Message) error {
 	if idx < 0 || idx >= n.info.NumPieces() {
 		return fmt.Errorf("peer: piece index %d out of range", idx)
 	}
-	c.mu.Lock()
-	c.bytesFromPeer += int64(len(m.Block))
-	c.mu.Unlock()
 	n.downloaded.Add(int64(len(m.Block)))
 	n.m.bytesRx.Add(uint64(len(m.Block)))
 	if !n.info.VerifyPiece(idx, m.Block) {

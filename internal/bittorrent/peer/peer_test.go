@@ -15,6 +15,7 @@ import (
 
 	"swarmavail/internal/bittorrent/metainfo"
 	"swarmavail/internal/bittorrent/tracker"
+	"swarmavail/internal/bittorrent/wire"
 )
 
 // makeTorrent builds a torrent + content over the given tracker URL.
@@ -225,6 +226,38 @@ func TestStopIsIdempotent(t *testing.T) {
 	n := startNode(t, Config{Torrent: tor, Content: content})
 	n.Stop()
 	n.Stop() // must not panic or deadlock
+}
+
+func TestGenerousPolicyUnchanged(t *testing.T) {
+	// Interest is answered with an immediate unchoke: a node never
+	// chokes, so nothing ranks peers by reciprocation.
+	announce := startTracker(t)
+	tor, content := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 8 * 1024}}, 4096, 207)
+	seeder := startNode(t, Config{Torrent: tor, Content: content})
+
+	c, err := net.Dial("tcp", seeder.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ih, _ := tor.Info.Hash()
+	_ = wire.WriteHandshake(c, wire.Handshake{InfoHash: ih, PeerID: [20]byte{7}})
+	if _, err := wire.ReadHandshake(c); err != nil {
+		t.Fatal(err)
+	}
+	_ = wire.WriteMessage(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.NewBitfield(2)})
+	_ = wire.WriteMessage(c, &wire.Message{Type: wire.MsgInterested})
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		m, err := wire.ReadMessage(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != nil && m.Type == wire.MsgUnchoke {
+			return
+		}
+	}
 }
 
 func TestTrackerSeesSeedTransition(t *testing.T) {

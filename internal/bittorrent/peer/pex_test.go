@@ -40,40 +40,6 @@ func TestPexDiscovery(t *testing.T) {
 		isolated.NumConns())
 }
 
-// TestPexDisabled verifies the DisablePex switch: with tracker peers
-// also disabled and no gossip, the isolated node reaches only its
-// bootstrap neighbour.
-func TestPexDisabled(t *testing.T) {
-	announce := startTracker(t)
-	tor, content := makeTorrent(t, announce,
-		[]metainfo.File{{Path: "f.bin", Length: 16 * 1024}}, 4096, 101)
-
-	// Nobody uses tracker peer lists, so connectivity is exactly the
-	// bootstrap topology plus whatever PEX adds.
-	seeder := startNode(t, Config{Torrent: tor, Content: content, DisableTrackerPeers: true})
-	helper := startNode(t, Config{
-		Torrent:             tor,
-		DisableTrackerPeers: true,
-		Bootstrap:           []string{seeder.Addr()},
-	})
-	waitDone(t, helper, 15*time.Second)
-
-	isolated := startNode(t, Config{
-		Torrent:             tor,
-		DisableTrackerPeers: true,
-		DisablePex:          true,
-		Bootstrap:           []string{seeder.Addr()},
-	})
-	waitDone(t, isolated, 15*time.Second)
-	// Give any (erroneous) gossip time to arrive. Without PEX the
-	// isolated node never advertises a listen port and never dials
-	// gossiped addresses, so its only connection stays the bootstrap.
-	time.Sleep(700 * time.Millisecond)
-	if got := isolated.NumConns(); got > 1 {
-		t.Fatalf("PEX-disabled node has %d connections, want 1", got)
-	}
-}
-
 // TestPexSurvivesBootstrapDeparture: after learning the swarm via PEX,
 // the isolated node can keep downloading when its bootstrap goes away.
 func TestPexSurvivesBootstrapDeparture(t *testing.T) {

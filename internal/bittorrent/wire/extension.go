@@ -39,10 +39,11 @@ const (
 // sender's listen port (the "p" key), which PEX needs to advertise
 // dialable addresses.
 type ExtendedHandshake struct {
-	// PexID is the sub-ID the sender assigned to ut_pex (0 = PEX not
-	// supported).
+	// PexID is the sub-ID the sender assigned to ut_pex, 1..255
+	// (0 = PEX not supported).
 	PexID int64
-	// Port is the sender's TCP listen port (0 = not listening).
+	// Port is the sender's TCP listen port, 1..65535 (0 = not
+	// listening).
 	Port int64
 }
 
@@ -59,7 +60,10 @@ func MarshalExtendedHandshake(h ExtendedHandshake) ([]byte, error) {
 	return bencode.Encode(d)
 }
 
-// ParseExtendedHandshake decodes the handshake dictionary.
+// ParseExtendedHandshake decodes the handshake dictionary. A ut_pex id
+// outside 1..255 cannot name a one-byte sub-ID other than the handshake's
+// own, and a port outside 1..65535 cannot be dialed, so either reads as 0:
+// not advertised.
 func ParseExtendedHandshake(payload []byte) (ExtendedHandshake, error) {
 	var out ExtendedHandshake
 	v, err := bencode.Decode(payload)
@@ -70,13 +74,21 @@ func ParseExtendedHandshake(payload []byte) (ExtendedHandshake, error) {
 	if !ok {
 		return out, errors.New("wire: extended handshake is not a dictionary")
 	}
-	out.Port, _ = d.Int("p")
+	out.Port = inRange(d, "p", 65535)
 	m, ok := d.Sub("m")
 	if !ok {
 		return out, nil // no extensions advertised
 	}
-	out.PexID, _ = m.Int("ut_pex")
+	out.PexID = inRange(m, "ut_pex", 255)
 	return out, nil
+}
+
+// inRange returns d's integer under key if it lies in 1..hi, else 0.
+func inRange(d bencode.Dict, key string, hi int64) int64 {
+	if v, ok := d.Int(key); ok && v >= 1 && v <= hi {
+		return v
+	}
+	return 0
 }
 
 // PexMessage is a ut_pex payload: peers recently added to and dropped

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -72,6 +73,35 @@ func TestExtendedHandshakeErrors(t *testing.T) {
 	}
 	if _, err := ParseExtendedHandshake([]byte("le")); err == nil {
 		t.Fatal("non-dict accepted")
+	}
+}
+
+// TestExtendedHandshakeOutOfRange: a ut_pex id outside 1..255 or a
+// port outside 1..65535 reads as 0, "not advertised". Trusted as sent,
+// 256 would put PEX gossip under byte(256) = 0, the handshake's own
+// sub-ID; −3 would go out as 253; and port 70000 would be remembered
+// and re-gossiped as 4464 through a uint16.
+func TestExtendedHandshakeOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		pex, port         int64
+		wantPex, wantPort int64
+	}{
+		{256, 70000, 0, 0},
+		{-3, -5, 0, 0},
+		{0, 0, 0, 0},
+		{1, 1, 1, 1},
+		{255, 65535, 255, 65535},
+		{256, 6881, 0, 6881},
+		{7, 65536, 7, 0},
+	} {
+		raw := fmt.Sprintf("d1:md6:ut_pexi%dee1:pi%dee", tc.pex, tc.port)
+		got, err := ParseExtendedHandshake([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if want := (ExtendedHandshake{PexID: tc.wantPex, Port: tc.wantPort}); got != want {
+			t.Errorf("%s decodes to %+v, want %+v", raw, got, want)
+		}
 	}
 }
 

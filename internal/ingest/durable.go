@@ -39,8 +39,6 @@ type DurabilityConfig struct {
 	// Fsync selects the WAL sync policy (default wal.SyncEachAppend:
 	// an acked Submit survives SIGKILL).
 	Fsync wal.SyncPolicy
-	// SyncEvery is the background fsync cadence under wal.SyncInterval.
-	SyncEvery time.Duration
 }
 
 // RecoveryStats reports what OpenDurable found on disk.
@@ -135,7 +133,6 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	reg := e.metrics.reg
 	log, ws, err := wal.Open(d.Dir, wal.Options{
 		Policy:            d.Fsync,
-		SyncEvery:         d.SyncEvery,
 		FsyncSeconds:      reg.Histogram("wal_fsync_seconds", obs.LatencyBuckets),
 		SegmentBytesGauge: reg.Gauge("wal_segment_bytes"),
 	})

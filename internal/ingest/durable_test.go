@@ -742,7 +742,7 @@ func TestOpenDurableRequiresDir(t *testing.T) {
 }
 
 func TestDurableFsyncPolicies(t *testing.T) {
-	for _, p := range []wal.SyncPolicy{wal.SyncEachAppend, wal.SyncInterval, wal.SyncNone} {
+	for _, p := range []wal.SyncPolicy{wal.SyncEachAppend, wal.SyncNone} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: dir, Fsync: p})

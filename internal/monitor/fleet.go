@@ -31,8 +31,8 @@ type Config struct {
 	Monitors int
 	// Interval is the probe cadence per monitor (10s if 0). Monitor 0
 	// starts at once; every other monitor's rounds are offset by a
-	// deterministic jittered phase in [0, Interval) so a thousand
-	// monitors do not thunder in step.
+	// jittered phase in [0, Interval), drawn from a fixed seed, so a
+	// thousand monitors do not thunder in step.
 	Interval time.Duration
 	// Rounds bounds the probe rounds per monitor (0 = until ctx ends).
 	Rounds int
@@ -58,12 +58,7 @@ type Config struct {
 	// swarm before its first transition arrives.
 	Meta        *trace.SwarmMeta
 	HorizonDays float64
-	// Epoch anchors the trace clock: record Time = now - Epoch, in
-	// days (time.Now at Run if zero).
-	Epoch time.Time
 
-	// Seed fixes the jitter phases (0 is a valid fixed seed).
-	Seed int64
 	// Logf, when set, receives per-round fleet progress lines.
 	Logf func(format string, args ...any)
 	// Metrics, when set, receives the btmon_* series (a private
@@ -169,12 +164,10 @@ func (f *Fleet) streaming() bool {
 // is cancelled, then flushes all streams and returns the tally. On
 // cancellation each monitor still closes its differ (emitting final
 // departures) and flushes, so Ctrl-C loses nothing that was observed.
+// The trace clock starts at Run: a record's Time is the days since.
 func (f *Fleet) Run(ctx context.Context) (Stats, error) {
 	cfg := f.cfg
-	epoch := cfg.Epoch
-	if epoch.IsZero() {
-		epoch = time.Now()
-	}
+	epoch := time.Now()
 
 	// Register the swarm before any monitor can emit an event for it.
 	if f.streaming() && cfg.Meta != nil {
@@ -190,7 +183,7 @@ func (f *Fleet) Run(ctx context.Context) (Stats, error) {
 	// The dial budget is claimed per probe round, not per fleet member:
 	// a waiting monitor costs a goroutine, not a socket.
 	budget := make(chan struct{}, cfg.DialBudget)
-	phaseRng := mrand.New(mrand.NewSource(cfg.Seed))
+	phaseRng := mrand.New(mrand.NewSource(0))
 	phases := make([]time.Duration, cfg.Monitors)
 	for i := range phases {
 		phases[i] = time.Duration(phaseRng.Int63n(int64(cfg.Interval)))

@@ -27,9 +27,8 @@
 // mismatch), deleting any later segments — the recovered log is always
 // a clean prefix of what was appended. Under SyncEachAppend every frame
 // of an Append (one frame or a group) is fsynced before it returns, so
-// an acknowledged append survives SIGKILL; the softer policies trade
-// that guarantee for throughput and bound the loss to the sync interval
-// (or the OS flush horizon).
+// an acknowledged append survives SIGKILL; SyncNone trades that
+// guarantee for throughput and bounds the loss to the OS flush horizon.
 package wal
 
 import (
@@ -61,37 +60,28 @@ const (
 	// survives power loss. The default, and the policy the
 	// zero-acked-loss crash tests assume.
 	SyncEachAppend SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (Options.SyncEvery):
-	// a crash loses at most the last interval of acknowledged appends.
-	SyncInterval
 	// SyncNone never fsyncs explicitly; the OS flushes when it pleases.
 	SyncNone
 )
 
 // String names the policy for flags and logs.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
+	if p == SyncNone {
 		return "off"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
-// ParseSyncPolicy converts a -fsync flag value ("batch", "interval",
-// "off") to a policy.
+// ParseSyncPolicy converts a -fsync flag value ("batch" or "off") to a
+// policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "batch", "always", "each":
 		return SyncEachAppend, nil
-	case "interval":
-		return SyncInterval, nil
 	case "off", "none", "never":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch, interval or off)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch or off)", s)
 }
 
 // Options parameterises Open. The zero value selects per-append fsync
@@ -103,9 +93,6 @@ type Options struct {
 	SegmentBytes int64
 	// Policy selects the fsync policy (default SyncEachAppend).
 	Policy SyncPolicy
-	// SyncEvery is the background fsync cadence under SyncInterval
-	// (default 100ms).
-	SyncEvery time.Duration
 	// FsyncSeconds, when set, observes the duration of every fsync
 	// (wal_fsync_seconds). Nil-safe, like all obs instruments.
 	FsyncSeconds *obs.Histogram
@@ -117,9 +104,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
 	}
 	return o
 }
@@ -165,9 +149,6 @@ type Log struct {
 	// writeHook, when set, replaces the segment write — tests inject
 	// short writes through it.
 	writeHook func(f *os.File, p []byte) (int, error)
-
-	stop chan struct{} // interval syncer shutdown
-	done chan struct{}
 }
 
 // Open opens (creating if needed) the log in dir, repairing any torn
@@ -244,12 +225,6 @@ func Open(dir string, opts Options) (*Log, OpenStats, error) {
 		st.Segments++
 	}
 	opts.SegmentBytesGauge.Set(float64(l.active.size))
-
-	if opts.Policy == SyncInterval {
-		l.stop = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.syncLoop()
-	}
 	return l, st, nil
 }
 
@@ -415,25 +390,6 @@ func (l *Log) Sync() error {
 		return ErrClosed
 	}
 	return l.fsyncLocked()
-}
-
-// syncLoop is the SyncInterval background fsync.
-func (l *Log) syncLoop() {
-	defer close(l.done)
-	t := time.NewTicker(l.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				_ = l.fsyncLocked()
-			}
-			l.mu.Unlock()
-		}
-	}
 }
 
 // sealLocked syncs and closes the active segment, moving it to the
@@ -709,8 +665,8 @@ func frameOffset(seg segment, n uint64) (int64, error) {
 // Close syncs and closes the log. Further operations return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
@@ -721,11 +677,6 @@ func (l *Log) Close() error {
 			err = cerr
 		}
 		l.f = nil
-	}
-	l.mu.Unlock()
-	if l.stop != nil {
-		close(l.stop)
-		<-l.done
 	}
 	return err
 }

@@ -124,19 +124,6 @@ func finalCheckpoint(e *ingest.Engine, opts options) {
 		"bytes", cs.Bytes, "skipped", cs.Skipped, "duration", cs.Duration)
 }
 
-// newHTTPServer applies the shared slow-client protections: a peer that
-// stalls mid-headers or mid-body cannot pin a connection goroutine
-// forever.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       60 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-}
-
 // serve runs one node until ctx ends, then takes it down gracefully
 // (see down): every record acknowledged to a client before the signal
 // is applied before exit. With an engine the node leads from boot; with
@@ -188,14 +175,14 @@ func serve(ctx context.Context, e *ingest.Engine, opts options, ready, adminRead
 		return err
 	}
 
-	srv := newHTTPServer(obs.LogRequests(opts.logger, s))
+	srv := obs.NewServer(obs.LogRequests(opts.logger, s))
 	go func() { s.errc <- srv.Serve(ln) }()
 	if ready != nil {
 		ready <- ln.Addr()
 	}
 	var adminSrv *http.Server
 	if adminLn != nil {
-		adminSrv = newHTTPServer(obs.LogRequests(opts.logger, obs.AdminHandler(s.reg, opts.pprof)))
+		adminSrv = obs.NewServer(obs.LogRequests(opts.logger, obs.AdminHandler(s.reg, opts.pprof)))
 		fmt.Printf("availd: admin on %s (pprof %v)\n", adminLn.Addr(), opts.pprof)
 		opts.logger.Info("admin listener up", "addr", adminLn.Addr().String(), "pprof", opts.pprof)
 		go func() { s.errc <- adminSrv.Serve(adminLn) }()

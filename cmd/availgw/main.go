@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -163,13 +162,7 @@ func run(ctx context.Context, opts options, logf func(string, ...any), ready cha
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       60 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
+	srv := obs.NewServer(h)
 	fmt.Printf("availgw: serving on %s over %d nodes\n", ln.Addr(), len(nodes))
 	if ready != nil {
 		ready <- ln.Addr()

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"crypto/rand"
+	"errors"
 	"net"
 	"net/http"
 	"sort"
@@ -158,6 +159,10 @@ func probeOne(cfg ProbeConfig, addr string, ih metainfo.InfoHash, id [20]byte, n
 	remote, err := wire.ReadHandshake(c)
 	if err != nil {
 		return res, nil, err
+	}
+	if remote.InfoHash != ih {
+		// BEP 3: a peer answering for another torrent is not in this swarm.
+		return res, nil, errors.New("peer answered the handshake for another torrent")
 	}
 
 	// From here on, the peer is reachable: every exit path below is an

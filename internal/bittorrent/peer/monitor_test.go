@@ -182,6 +182,36 @@ func TestProbeCountsQuietPeerAsLeecher(t *testing.T) {
 	}
 }
 
+// TestProbeSkipsPeerOfAnotherTorrent: a listed peer whose handshake
+// names another info hash is not in the swarm (BEP 3). Counting it as a
+// quiet leecher would skew the measured seed fraction down.
+func TestProbeSkipsPeerOfAnotherTorrent(t *testing.T) {
+	announce := startTracker(t)
+	tor, _ := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 16 * 1024}}, 4096, 7)
+	ih, err := tor.Info.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := ih
+	foreign[0] ^= 0xff
+	stranger := fakeQuietLeecher(t, foreign)
+	registerPeer(t, announce, ih, stranger, 's')
+
+	results, err := Probe(tor, ProbeConfig{
+		DialTimeout:  2 * time.Second,
+		BitfieldWait: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Addr == stranger {
+			t.Fatalf("peer of another torrent observed as %+v, want skipped", r)
+		}
+	}
+}
+
 // TestProbeCountsHaveOnlyPeer covers the have-only variant: piece
 // announcements without a bitfield must accumulate into the observed
 // piece count.

@@ -228,7 +228,7 @@ func (s *Server) applyAnnounce(a announceArgs) announceResult {
 	}
 	// Hand out up to numWant peers other than the announcer itself.
 	for idStr, p := range sw.peers {
-		if len(res.compact) >= a.numWant*6 {
+		if len(res.compact)/6 >= a.numWant { // entries, not bytes: numWant*6 can overflow
 			break
 		}
 		if idStr == string(a.peerID[:]) {

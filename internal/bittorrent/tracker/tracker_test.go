@@ -3,6 +3,7 @@ package tracker
 import (
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -336,6 +337,8 @@ func TestServeStandalone(t *testing.T) {
 	}
 }
 
+// TestNumWantLimitsPeerList: numwant caps the list, and a numwant past
+// the swarm — however large, up to MaxInt64 — lists every other peer.
 func TestNumWantLimitsPeerList(t *testing.T) {
 	_, announceURL, client := startTestTracker(t)
 	ih := testHash(7)
@@ -347,15 +350,19 @@ func TestNumWantLimitsPeerList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := Announce(client, AnnounceRequest{
-		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('Z'),
-		Port: 7300, Left: 100, NumWant: 3, IP: "127.0.0.1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Peers) != 3 {
-		t.Fatalf("numwant ignored: %d peers", len(resp.Peers))
+	for _, c := range []struct{ numWant, want int }{
+		{3, 3}, {1000, 10}, {1537228672809129302, 10}, {math.MaxInt64, 10},
+	} {
+		resp, err := Announce(client, AnnounceRequest{
+			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('Z'),
+			Port: 7300, Left: 100, NumWant: c.numWant, IP: "127.0.0.1",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Peers) != c.want {
+			t.Fatalf("numwant=%d: %d peers, want %d", c.numWant, len(resp.Peers), c.want)
+		}
 	}
 }
 

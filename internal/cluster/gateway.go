@@ -188,10 +188,8 @@ type Gateway struct {
 	streamFrames *obs.Counter
 
 	// readCacheHits counts node answers served from the conditional-GET
-	// caches (304); collapsedReads counts scatter-gathers that rode an
-	// identical in-flight one instead of fanning out again.
-	readCacheHits  *obs.Counter
-	collapsedReads *obs.Counter
+	// caches (304).
+	readCacheHits *obs.Counter
 
 	// The two scatter-gathered reads: every node's /v1/state merged with
 	// Summary.Merge, and every node's /v1/window/state merged with
@@ -255,7 +253,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		g.streamConns = reg.Counter("gateway_stream_conns_total")
 		g.streamFrames = reg.Counter("gateway_stream_frames_total")
 		g.readCacheHits = reg.Counter("read_cache_hits_total")
-		g.collapsedReads = reg.Counter("gateway_collapsed_reads_total")
 	}
 	stem := ingest.NewSourceID()
 	for i, nc := range cfg.Nodes {
@@ -790,73 +787,25 @@ type nodeAnswer[T any] struct {
 	val  *T
 }
 
-// flight is one in-flight collapsed scatter-gather.
-type flight[T any] struct {
-	done chan struct{}
-	val  *T
-	etag string
-	err  error
-}
-
 // scatter is one scatter-gathered read over a mergeable type: where a
 // node serves its part and how to decode it, how to merge the parts,
-// the per-node conditional-GET caches, and the in-flight snapshot-path
-// read that concurrent identical reads wait for instead of each hitting
-// every node.
+// and the per-node conditional-GET caches.
 type scatter[T any] struct {
 	path      string
 	decode    func(d *json.Decoder) (*T, error)
 	newMerged func(first *T) *T
 	mergeInto func(dst, part *T) error
 	cache     []atomic.Pointer[nodeAnswer[T]]
-
-	mu       sync.Mutex
-	inflight *flight[T]
 }
 
-// read returns the merged answer. All-or-nothing: a partial merge would
-// silently undercount, so one unreachable node fails the read.
-// Snapshot-path reads (the default) ride the per-node conditional-GET
-// caches and collapse into one flight; the returned etag validates the
-// merged answer. Consistent reads do neither and carry no etag — each
-// must observe its own prior writes. A follower whose leader was
-// cancelled retries as its own leader (a cancelled leader must not fail
-// an unrelated caller).
-func (s *scatter[T]) read(ctx context.Context, g *Gateway, consistent bool) (*T, string, error) {
-	if consistent {
-		val, _, err := s.gather(ctx, g, true)
-		return val, "", err
-	}
-	for {
-		s.mu.Lock()
-		if f := s.inflight; f != nil {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-					continue
-				}
-				g.collapsedReads.Inc()
-				return f.val, f.etag, f.err
-			case <-ctx.Done():
-				return nil, "", ctx.Err()
-			}
-		}
-		f := &flight[T]{done: make(chan struct{})}
-		s.inflight = f
-		s.mu.Unlock()
-		f.val, f.etag, f.err = s.gather(ctx, g, false)
-		s.mu.Lock()
-		s.inflight = nil
-		s.mu.Unlock()
-		close(f.done)
-		return f.val, f.etag, f.err
-	}
-}
-
-// gather fetches every node's part in parallel and merges them in slot
+// read fetches every node's part in parallel and merges them in slot
 // order into a fresh value — node caches are never mutated.
-func (s *scatter[T]) gather(ctx context.Context, g *Gateway, consistent bool) (*T, string, error) {
+// All-or-nothing: a partial merge would silently undercount, so one
+// unreachable node fails the read. Snapshot-path reads (the default)
+// revalidate each node's cached part with a conditional GET; the
+// returned etag validates the merged answer. Consistent reads skip the
+// caches and carry no etag — each must observe its own prior writes.
+func (s *scatter[T]) read(ctx context.Context, g *Gateway, consistent bool) (*T, string, error) {
 	parts := make([]*T, len(g.nodes))
 	etags := make([]string, len(g.nodes))
 	errs := make([]error, len(g.nodes))

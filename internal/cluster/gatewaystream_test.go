@@ -151,7 +151,7 @@ func TestGatewayStreamParity(t *testing.T) {
 		if err := c.Put(ingest.CensusOp(sn)); err != nil {
 			t.Fatal(err)
 		}
-		if err := lone.ObserveCensus(sn); err != nil {
+		if err := lone.Submit([]ingest.Op{ingest.CensusOp(sn)}); err != nil {
 			t.Fatal(err)
 		}
 	}

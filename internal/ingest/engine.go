@@ -591,11 +591,6 @@ func (e *Engine) SubmitFrame(frame []byte) (applied bool, err error) {
 // Writer on hot paths).
 func (e *Engine) Observe(rec Record) error { return e.Submit([]Op{EventOp(rec)}) }
 
-// ObserveCensus ingests a census observation.
-func (e *Engine) ObserveCensus(snap trace.Snapshot) error {
-	return e.Submit([]Op{CensusOp(snap)})
-}
-
 // Flush blocks until every op submitted before the call has been
 // applied and published (a barrier through every shard queue; shards
 // publish their read snapshot before acknowledging). After Close it

@@ -164,7 +164,9 @@ func TestCensusMatchesOffline(t *testing.T) {
 	// classification counters.
 	before := sum.Categories[trace.Books].Swarms
 	for _, s := range snaps[:100] {
-		e.ObserveCensus(s)
+		if err := e.Submit([]Op{CensusOp(s)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.Flush()
 	if after := e.Summary().Categories[trace.Books].Swarms; after != before {

@@ -130,12 +130,6 @@ func RegisterReadHandlers(mux *http.ServeMux, v ReadView) {
 // this.
 const MaxIngestBody = 32 << 20
 
-// parallelIngestBody is the body size from which /v1/ingest decodes
-// with the worker-pool scanner. Below it the pool's goroutine setup
-// costs more than it buys; above it JSON decode is the endpoint's CPU
-// bill and fans out across cores.
-const parallelIngestBody = 1 << 20
-
 // ReadIngestRequest reads one POST /v1/ingest request — the write-side
 // twin of RegisterReadHandlers: the idempotency key headers (source ""
 // = unkeyed) and the JSONL body, each record handed to each in order.
@@ -161,14 +155,7 @@ func ReadIngestRequest(w http.ResponseWriter, r *http.Request, each func(Record)
 		}
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBody)
-	var src trace.Source[Record]
-	if r.ContentLength >= parallelIngestBody {
-		sc := trace.NewParallelScanner[Record](r.Body, 0)
-		defer sc.Close()
-		src = sc
-	} else {
-		src = trace.NewScanner[Record](r.Body)
-	}
+	src := trace.NewScanner[Record](r.Body)
 	n := 0
 	for ; src.Scan(); n++ {
 		// The codec's admission test and its frame bound, checked at the
@@ -409,17 +396,16 @@ type WindowResponse struct {
 // fall back to the coarse (downsampled) ring, clamped to retention.
 func NewWindowResponse(win *WindowState, days float64) WindowResponse {
 	resp := WindowResponse{WindowDays: days, BinDays: win.BinDays, Resolution: "fine"}
-	bins, n := win.Fine, int64(math.Ceil(days/win.BinDays))
-	if n > int64(win.FineBins) {
+	// Bin counts stay in float until clamped: a span past retention can
+	// exceed int64.
+	bins, n := win.Fine, math.Ceil(days/win.BinDays)
+	if n > float64(win.FineBins) {
 		resp.Resolution = "coarse"
 		resp.BinDays = win.BinDays * float64(win.FoldFactor)
-		bins, n = win.Coarse, int64(math.Ceil(days/resp.BinDays))
-		if n > int64(win.CoarseBins) {
-			n = int64(win.CoarseBins)
-		}
+		bins, n = win.Coarse, math.Min(math.Ceil(days/resp.BinDays), float64(win.CoarseBins))
 	}
-	resp.Bins = renderBins(bins, resp.BinDays, n)
-	resp.Availability = windowAvailability(bins, n)
+	resp.Bins = renderBins(bins, resp.BinDays, int64(n))
+	resp.Availability = windowAvailability(bins, int64(n))
 	return resp
 }
 

@@ -76,6 +76,19 @@ func InstrumentHandler(reg *Registry, handler string, h http.Handler) http.Handl
 	})
 }
 
+// NewServer returns an http.Server for h with the daemons' slow-client
+// protections: a peer that stalls mid-headers or mid-body cannot pin a
+// connection goroutine forever.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       60 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 // LogRequests wraps h with structured request logging: one Info record
 // per request with method, path, status, bytes and duration. A nil
 // logger returns h unchanged.

@@ -285,7 +285,7 @@ func BenchmarkTrackerAnnounce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(req.PeerID[:], strconv.Itoa(i%500))
-		if _, err := tracker.Announce(ts.Client(), req); err != nil {
+		if _, err := tracker.AnnounceWith(ts.Client(), nil, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,9 @@ package peer
 
 import (
 	"crypto/rand"
-	"errors"
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
@@ -143,109 +141,51 @@ func Probe(t *metainfo.Torrent, cfg ProbeConfig) ([]ProbeResult, error) {
 // hold zero pieces legitimately never send a bitfield, and dropping
 // them (the old behavior) inflated measured seed fractions. With
 // cfg.PEX the connection also collects gossiped addresses until the
-// wait expires.
+// wait expires. A peer of another torrent, or one that sends a message
+// the node would refuse, is an error: it is not counted.
 func probeOne(cfg ProbeConfig, addr string, ih metainfo.InfoHash, id [20]byte, numPieces int) (ProbeResult, []string, error) {
-	res := ProbeResult{Addr: addr}
 	c, err := cfg.Dial("tcp", addr, cfg.DialTimeout)
 	if err != nil {
-		return res, nil, err
+		return ProbeResult{}, nil, err
 	}
 	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(cfg.DialTimeout))
-	hs := wire.Handshake{InfoHash: ih, PeerID: id, Extensions: cfg.PEX}
-	if err := wire.WriteHandshake(c, hs); err != nil {
-		return res, nil, err
-	}
-	remote, err := wire.ReadHandshake(c)
+	hs, err := handshake(c, wire.Handshake{InfoHash: ih, PeerID: id, Extensions: cfg.PEX}, true)
 	if err != nil {
-		return res, nil, err
-	}
-	if remote.InfoHash != ih {
-		// BEP 3: a peer answering for another torrent is not in this swarm.
-		return res, nil, errors.New("peer answered the handshake for another torrent")
+		return ProbeResult{}, nil, err
 	}
 
-	// From here on, the peer is reachable: every exit path below is an
+	// From here on, the peer is reachable: silence or teardown is an
 	// observation, not an error.
-	deadline := time.Now().Add(cfg.BitfieldWait)
-	_ = c.SetDeadline(deadline)
-	have := wire.NewBitfield(numPieces)
-	count := 0
+	_ = c.SetDeadline(time.Now().Add(cfg.BitfieldWait))
+	if cfg.PEX && hs.Extensions {
+		_ = wire.WriteMessage(c, extHandshake(0))
+	}
+	r := newRemote(numPieces, addr)
 	var discovered []string
-	var pexID int64
-	sawBitfield := false
-
-	if cfg.PEX && remote.Extensions {
-		body, err := wire.MarshalExtendedHandshake(wire.ExtendedHandshake{PexID: wire.ExtPexID})
-		if err == nil {
-			_ = wire.WriteMessage(c, &wire.Message{
-				Type:  wire.MsgExtended,
-				Block: wire.ExtendedPayload(wire.ExtHandshakeID, body),
-			})
-		}
-	}
-
-	finish := func() (ProbeResult, []string, error) {
-		res.Pieces = count
-		res.Seed = numPieces > 0 && count == numPieces
-		return res, discovered, nil
-	}
 	for {
 		m, err := wire.ReadMessage(c)
 		if err != nil {
-			return finish() // silence or teardown: classify from what we saw
+			break // silence or teardown: classify from what we saw
 		}
 		if m == nil {
 			continue // keep-alive
 		}
-		switch m.Type {
-		case wire.MsgBitfield:
-			have = m.Bitfield.Clone()
-			count = have.Count(numPieces)
-			sawBitfield = true
-		case wire.MsgHave:
-			if idx := int(m.Index); idx >= 0 && idx < numPieces && !have.Has(idx) {
-				have.Set(idx)
-				count++
-			}
-		case wire.MsgExtended:
-			if !cfg.PEX {
-				continue
-			}
-			subID, body, err := wire.SplitExtendedPayload(m.Block)
-			if err != nil {
-				continue
-			}
-			switch subID {
-			case wire.ExtHandshakeID:
-				if eh, err := wire.ParseExtendedHandshake(body); err == nil {
-					pexID = eh.PexID
-					if eh.Port > 0 {
-						if host, _, err := net.SplitHostPort(addr); err == nil {
-							listen := net.JoinHostPort(host, strconv.FormatInt(eh.Port, 10))
-							if listen != addr {
-								discovered = append(discovered, listen)
-							}
-						}
-					}
-				}
-			case wire.ExtPexID, byte(pexID):
-				// Accept both our advertised sub-ID and the one the
-				// remote declared for itself (ParseExtendedHandshake
-				// keeps it in 1..255; an unset id is 0, which the
-				// handshake case above already takes).
-				if pex, err := wire.ParsePex(body); err == nil {
-					for _, p := range pex.Added {
-						discovered = append(discovered, p.String())
-					}
-				}
-			}
+		listen, gossip, err := r.read(m)
+		if err != nil {
+			return ProbeResult{}, nil, err
 		}
-		// A bitfield settles the classification; without PEX there is
-		// nothing more to learn, so return early rather than idling out
-		// the deadline on every probed peer.
-		if sawBitfield && !cfg.PEX {
-			return finish()
+		if cfg.PEX {
+			if listen != "" {
+				discovered = append(discovered, listen)
+			}
+			discovered = append(discovered, gossip...)
+		} else if m.Type == wire.MsgBitfield {
+			// A bitfield settles the classification; without PEX there
+			// is nothing more to learn, so leave rather than idle out
+			// the deadline on every probed peer.
+			break
 		}
 	}
+	return ProbeResult{Addr: addr, Seed: r.seed(), Pieces: r.pieces}, discovered, nil
 }

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"io"
 	mrand "math/rand"
 	"net"
 	"strconv"
@@ -12,11 +13,10 @@ import (
 	"swarmavail/internal/bittorrent/wire"
 )
 
-// fakeQuietLeecher is a raw TCP peer that completes the BitTorrent
-// handshake and then sends nothing — exactly what a freshly-joined
-// leecher with zero pieces looks like on the wire (no bitfield is
-// sent when the bitfield would be all-zero).
-func fakeQuietLeecher(t *testing.T, ih metainfo.InfoHash) (addr string) {
+// fakePeer is a raw TCP peer: it answers every handshake for ih (with
+// the BEP-10 bit when ext is set), writes script's messages, then reads
+// until the other side leaves.
+func fakePeer(t *testing.T, ih metainfo.InfoHash, ext bool, script ...*wire.Message) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,62 +35,35 @@ func fakeQuietLeecher(t *testing.T, ih metainfo.InfoHash) (addr string) {
 					return
 				}
 				var id [20]byte
-				copy(id[:], "-SAQUIET-fakepeer000")
-				if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: ih, PeerID: id}); err != nil {
+				copy(id[:], "-SAFAKE-fakepeer0000")
+				if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: ih, PeerID: id, Extensions: ext}); err != nil {
 					return
 				}
-				// Say nothing: hold the connection open until the probe
-				// gives up waiting.
-				buf := make([]byte, 256)
-				for {
-					if _, err := c.Read(buf); err != nil {
+				for _, m := range script {
+					if err := wire.WriteMessage(c, m); err != nil {
 						return
 					}
 				}
+				_, _ = io.Copy(io.Discard, c)
 			}(c)
 		}
 	}()
 	return ln.Addr().String()
 }
 
+// fakeQuietLeecher completes the handshake and then sends nothing —
+// exactly what a freshly-joined leecher with zero pieces looks like on
+// the wire (no bitfield is sent when the bitfield would be all-zero).
+func fakeQuietLeecher(t *testing.T, ih metainfo.InfoHash) (addr string) {
+	return fakePeer(t, ih, false)
+}
+
 // fakeHaveOnlyPeer handshakes and then advertises two pieces via bare
 // have messages, never sending a bitfield — the other legitimate
 // no-bitfield pattern.
 func fakeHaveOnlyPeer(t *testing.T, ih metainfo.InfoHash) (addr string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				if _, err := wire.ReadHandshake(c); err != nil {
-					return
-				}
-				var id [20]byte
-				copy(id[:], "-SAHAVES-fakepeer000")
-				if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: ih, PeerID: id}); err != nil {
-					return
-				}
-				_ = wire.WriteMessage(c, &wire.Message{Type: wire.MsgHave, Index: 0})
-				_ = wire.WriteMessage(c, &wire.Message{Type: wire.MsgHave, Index: 2})
-				buf := make([]byte, 256)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-	return ln.Addr().String()
+	return fakePeer(t, ih, false,
+		&wire.Message{Type: wire.MsgHave, Index: 0}, &wire.Message{Type: wire.MsgHave, Index: 2})
 }
 
 // registerPeer announces addr to the tracker so a probe will find it,
@@ -109,7 +82,7 @@ func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr stri
 	for i := range id {
 		id[i] = idByte
 	}
-	resp, err := tracker.Announce(nil, tracker.AnnounceRequest{
+	resp, err := tracker.AnnounceWith(nil, nil, tracker.AnnounceRequest{
 		TrackerURL: announce, InfoHash: ih, PeerID: id,
 		Port: port, Left: 1 << 20, Event: "started", IP: host,
 	})
@@ -243,6 +216,41 @@ func TestProbeCountsHaveOnlyPeer(t *testing.T) {
 		return
 	}
 	t.Fatalf("have-only peer missing from results %+v", results)
+}
+
+// TestProbeSkipsMisSizedBitfield: BEP 3 sizes a bitfield at
+// (numPieces+7)/8 bytes, and a node drops a peer that sends another
+// size. The probe must not count that peer either: a 0-byte bitfield
+// followed by four haves of piece 0 on a 4-piece torrent once read as a
+// seed with PEX on and as a zero-piece leecher with it off.
+func TestProbeSkipsMisSizedBitfield(t *testing.T) {
+	announce := startTracker(t)
+	tor, _ := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 16 * 1024}}, 4096, 10)
+	ih, err := tor.Info.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	have0 := &wire.Message{Type: wire.MsgHave, Index: 0}
+	addr := fakePeer(t, ih, false,
+		&wire.Message{Type: wire.MsgBitfield, Bitfield: wire.Bitfield{}}, have0, have0, have0, have0)
+	registerPeer(t, announce, ih, addr, 'b')
+
+	for _, pex := range []bool{false, true} {
+		results, err := Probe(tor, ProbeConfig{
+			DialTimeout:  2 * time.Second,
+			BitfieldWait: 300 * time.Millisecond,
+			PEX:          pex,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Addr == addr {
+				t.Fatalf("PEX=%v: peer with a 0-byte bitfield observed as %+v, want skipped", pex, r)
+			}
+		}
+	}
 }
 
 // TestProbePexDiscovery exercises PEX-assisted discovery: peer B

@@ -20,6 +20,7 @@ import (
 	mrand "math/rand"
 	"net"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -135,16 +136,12 @@ type Node struct {
 
 // conn is one peer connection.
 type conn struct {
-	node     *Node
 	c        net.Conn
 	writeMu  sync.Mutex
-	mu       sync.Mutex
-	remoteBF wire.Bitfield
+	mu       sync.Mutex // guards remote, choked and inflight
+	remote   *remote
 	choked   bool // we are choked by the remote
 	inflight map[int]bool
-	// Extension state.
-	remoteExts bool  // remote set the BEP-10 reserved bit
-	pexID      int64 // remote's ut_pex sub-ID (0 = none yet)
 }
 
 // New creates a node. If cfg.Content is non-nil it must match the
@@ -548,27 +545,15 @@ func (n *Node) dialAddrs(addrs []string) {
 // connection (BEP-11; idempotent for receivers, which dedupe by
 // address).
 func (n *Node) broadcastPex() {
-	addrs := n.knownAddrs()
-	if len(addrs) == 0 {
-		return
-	}
 	var added []wire.PexPeer
-	for _, a := range addrs {
-		host, portStr, err := net.SplitHostPort(a)
-		if err != nil {
-			continue
+	for _, a := range n.knownAddrs() {
+		ap, err := netip.ParseAddrPort(a)
+		if ip := ap.Addr().Unmap(); err == nil && ip.Is4() {
+			added = append(added, wire.PexPeer{IP: ip.AsSlice(), Port: ap.Port()})
 		}
-		port, err := strconv.Atoi(portStr)
-		if err != nil {
-			continue
-		}
-		ip := net.ParseIP(host)
-		if ip == nil || ip.To4() == nil {
-			continue
-		}
-		added = append(added, wire.PexPeer{IP: ip, Port: uint16(port)})
 	}
-	if len(added) == 0 {
+	body, err := wire.MarshalPex(wire.PexMessage{Added: added})
+	if len(added) == 0 || err != nil {
 		return
 	}
 	n.mu.Lock()
@@ -579,19 +564,11 @@ func (n *Node) broadcastPex() {
 	n.mu.Unlock()
 	for _, c := range conns {
 		c.mu.Lock()
-		pexID := c.pexID
+		pexID := c.remote.pexID
 		c.mu.Unlock()
-		if pexID == 0 {
-			continue
+		if pexID != 0 {
+			_ = c.write(&wire.Message{Type: wire.MsgExtended, Block: wire.ExtendedPayload(byte(pexID), body)})
 		}
-		body, err := wire.MarshalPex(wire.PexMessage{Added: added})
-		if err != nil {
-			continue
-		}
-		_ = c.write(&wire.Message{
-			Type:  wire.MsgExtended,
-			Block: wire.ExtendedPayload(byte(pexID), body),
-		})
 	}
 }
 
@@ -618,36 +595,17 @@ func (n *Node) acceptLoop() {
 func (n *Node) runConn(netc net.Conn, initiator bool) {
 	defer netc.Close()
 	_ = netc.SetDeadline(time.Now().Add(10 * time.Second))
-	hs := wire.Handshake{
-		InfoHash:   n.infoHash,
-		PeerID:     n.peerID,
-		Extensions: true,
-	}
-	var remote wire.Handshake
-	var err error
-	if initiator {
-		if err = wire.WriteHandshake(netc, hs); err != nil {
-			return
-		}
-		if remote, err = wire.ReadHandshake(netc); err != nil || remote.InfoHash != n.infoHash {
-			return
-		}
-	} else {
-		if remote, err = wire.ReadHandshake(netc); err != nil || remote.InfoHash != n.infoHash {
-			return
-		}
-		if err = wire.WriteHandshake(netc, hs); err != nil {
-			return
-		}
+	hs, err := handshake(netc, wire.Handshake{InfoHash: n.infoHash, PeerID: n.peerID, Extensions: true}, initiator)
+	if err != nil {
+		return
 	}
 	_ = netc.SetDeadline(time.Time{})
 
 	c := &conn{
-		node:       n,
-		c:          netc,
-		choked:     true,
-		inflight:   make(map[int]bool),
-		remoteExts: remote.Extensions,
+		c:        netc,
+		remote:   newRemote(n.info.NumPieces(), netc.RemoteAddr().String()),
+		choked:   true,
+		inflight: make(map[int]bool),
 	}
 	n.mu.Lock()
 	if n.stopped {
@@ -663,17 +621,8 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	if err := c.write(&wire.Message{Type: wire.MsgBitfield, Bitfield: bf}); err != nil {
 		return
 	}
-	if c.remoteExts {
-		body, err := wire.MarshalExtendedHandshake(wire.ExtendedHandshake{
-			PexID: wire.ExtPexID,
-			Port:  int64(n.Port()),
-		})
-		if err == nil {
-			_ = c.write(&wire.Message{
-				Type:  wire.MsgExtended,
-				Block: wire.ExtendedPayload(wire.ExtHandshakeID, body),
-			})
-		}
+	if hs.Extensions {
+		_ = c.write(extHandshake(n.Port()))
 	}
 	for {
 		_ = netc.SetReadDeadline(time.Now().Add(2 * time.Minute))
@@ -692,17 +641,17 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 
 func (n *Node) dropConn(c *conn) {
 	n.m.connections.Add(-1)
+	c.mu.Lock() // c.mu before n.mu, as in requestMore
 	n.mu.Lock()
 	delete(n.conns, c)
-	c.mu.Lock()
 	for piece := range c.inflight {
 		if n.pending[piece] == c {
 			delete(n.pending, piece)
 		}
 	}
 	c.inflight = make(map[int]bool)
-	c.mu.Unlock()
 	n.mu.Unlock()
+	c.mu.Unlock()
 	// Other connections may now pick up the orphaned pieces.
 	n.mu.Lock()
 	conns := make([]*conn, 0, len(n.conns))
@@ -724,23 +673,21 @@ func (c *conn) write(m *wire.Message) error {
 
 func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 	switch m.Type {
-	case wire.MsgBitfield:
+	case wire.MsgBitfield, wire.MsgHave, wire.MsgExtended:
 		c.mu.Lock()
-		c.remoteBF = m.Bitfield.Clone()
+		listen, gossip, err := c.remote.read(m)
 		c.mu.Unlock()
-		if n.remoteHasUseful(c) {
-			if err := c.write(&wire.Message{Type: wire.MsgInterested}); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
-	case wire.MsgHave:
-		c.mu.Lock()
-		if c.remoteBF == nil {
-			c.remoteBF = wire.NewBitfield(n.info.NumPieces())
+		if listen != "" {
+			n.rememberAddrs([]string{listen})
 		}
-		c.remoteBF.Set(int(m.Index))
-		c.mu.Unlock()
-		if n.remoteHasUseful(c) {
+		if len(gossip) > 0 {
+			n.rememberAddrs(gossip)
+			n.dialAddrs(gossip)
+		}
+		if m.Type != wire.MsgExtended && n.remoteHasUseful(c) {
 			if err := c.write(&wire.Message{Type: wire.MsgInterested}); err != nil {
 				return err
 			}
@@ -776,48 +723,6 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 		return n.receivePiece(c, m)
 	case wire.MsgCancel:
 		// Whole-piece transfers: nothing useful to cancel mid-write.
-	case wire.MsgExtended:
-		return n.handleExtended(c, m)
-	}
-	return nil
-}
-
-// handleExtended processes BEP-10 messages: the extended handshake
-// (learning the remote's PEX sub-ID and listen port) and incoming
-// ut_pex gossip (learning new peer addresses).
-func (n *Node) handleExtended(c *conn, m *wire.Message) error {
-	subID, body, err := wire.SplitExtendedPayload(m.Block)
-	if err != nil {
-		return err
-	}
-	switch subID {
-	case wire.ExtHandshakeID:
-		eh, err := wire.ParseExtendedHandshake(body)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.pexID = eh.PexID
-		c.mu.Unlock()
-		// The remote's listen address (its IP from the socket, its port
-		// from the handshake) joins the gossip set.
-		if eh.Port > 0 {
-			host, _, err := net.SplitHostPort(c.c.RemoteAddr().String())
-			if err == nil {
-				n.rememberAddrs([]string{net.JoinHostPort(host, strconv.FormatInt(eh.Port, 10))})
-			}
-		}
-	case wire.ExtPexID:
-		pex, err := wire.ParsePex(body)
-		if err != nil {
-			return err
-		}
-		addrs := make([]string, 0, len(pex.Added))
-		for _, p := range pex.Added {
-			addrs = append(addrs, p.String())
-		}
-		n.rememberAddrs(addrs)
-		n.dialAddrs(addrs)
 	}
 	return nil
 }
@@ -825,15 +730,11 @@ func (n *Node) handleExtended(c *conn, m *wire.Message) error {
 // remoteHasUseful reports whether c's remote holds a piece we lack.
 func (n *Node) remoteHasUseful(c *conn) bool {
 	c.mu.Lock()
-	bf := c.remoteBF
-	c.mu.Unlock()
-	if bf == nil {
-		return false
-	}
+	defer c.mu.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i := 0; i < n.info.NumPieces(); i++ {
-		if bf.Has(i) && !n.have.Has(i) {
+		if c.remote.have.Has(i) && !n.have.Has(i) {
 			return true
 		}
 	}
@@ -845,11 +746,11 @@ func (n *Node) remoteHasUseful(c *conn) bool {
 func (n *Node) requestMore(c *conn) {
 	for {
 		c.mu.Lock()
-		if c.choked || len(c.inflight) >= pipeline || c.remoteBF == nil {
+		if c.choked || len(c.inflight) >= pipeline {
 			c.mu.Unlock()
 			return
 		}
-		bf := c.remoteBF
+		bf := c.remote.have
 		n.mu.Lock()
 		piece := -1
 		for i := 0; i < n.info.NumPieces(); i++ {

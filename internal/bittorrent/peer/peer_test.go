@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -273,7 +274,7 @@ func TestTrackerSeesSeedTransition(t *testing.T) {
 	// scrape counters should eventually show 2 seeds.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := tracker.Announce(nil, tracker.AnnounceRequest{
+		resp, err := tracker.AnnounceWith(nil, nil, tracker.AnnounceRequest{
 			TrackerURL: tor.Announce,
 			InfoHash:   leecher.InfoHash(),
 			PeerID:     [20]byte{1, 2, 3},
@@ -458,5 +459,46 @@ func TestDialBackoffSkipsDeadPeer(t *testing.T) {
 	n.wg.Wait()
 	if got := dials.Load(); got >= 5 {
 		t.Fatalf("%d dials in 10 rounds, want backoff to suppress most", got)
+	}
+}
+
+// TestNodeDropsMisSizedBitfield: BEP 3 sizes a bitfield at
+// (numPieces+7)/8 bytes. A peer that sends one byte short is refused:
+// the node hangs up and forgets the connection.
+func TestNodeDropsMisSizedBitfield(t *testing.T) {
+	announce := startTracker(t)
+	tor, content := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 64 * 1024}}, 4096, 11) // 16 pieces, 2 bytes
+	n := startNode(t, Config{Torrent: tor, Content: content})
+
+	c, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	var id [20]byte
+	copy(id[:], "-SASHORT-fakepeer000")
+	if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: n.InfoHash(), PeerID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHandshake(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteMessage(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.Bitfield{0xff}}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err = wire.ReadMessage(c); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("after a 1-byte bitfield for 16 pieces the node's side read %v, want EOF", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); n.NumConns() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node still holds %d connections", n.NumConns())
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package peer
 
 import (
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
+	"swarmavail/internal/bittorrent/wire"
 )
 
 // TestPexDiscovery exercises the §2.2 discovery path: a node that never
@@ -67,4 +70,53 @@ func TestPexSurvivesBootstrapDeparture(t *testing.T) {
 	}
 	seeder.Stop()
 	waitDone(t, isolated, 15*time.Second)
+}
+
+// TestGossipUnderDeclaredSubID: a peer that gossips ut_pex under the
+// sub-ID it declared for itself (7), not the one we advertised, is
+// still heard, by a node and by the probe alike.
+func TestGossipUnderDeclaredSubID(t *testing.T) {
+	announce := startTracker(t)
+	tor, _ := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 16 * 1024}}, 4096, 12)
+	ih, err := tor.Info.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := fakeQuietLeecher(t, ih)
+	hs, err := wire.MarshalExtendedHandshake(wire.ExtendedHandshake{PexID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := netip.MustParseAddrPort(third)
+	pex, err := wire.MarshalPex(wire.PexMessage{Added: []wire.PexPeer{{IP: ap.Addr().AsSlice(), Port: ap.Port()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gossiper := fakePeer(t, ih, true,
+		&wire.Message{Type: wire.MsgExtended, Block: wire.ExtendedPayload(wire.ExtHandshakeID, hs)},
+		&wire.Message{Type: wire.MsgExtended, Block: wire.ExtendedPayload(7, pex)})
+
+	n := startNode(t, Config{Torrent: tor, DisableTrackerPeers: true, Bootstrap: []string{gossiper}})
+	for deadline := time.Now().Add(5 * time.Second); !slices.Contains(n.knownAddrs(), third); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node never learned %s from gossip under sub-ID 7; knows %v", third, n.knownAddrs())
+		}
+	}
+
+	registerPeer(t, announce, ih, gossiper, 'g')
+	results, err := Probe(tor, ProbeConfig{
+		DialTimeout:  2 * time.Second,
+		BitfieldWait: 300 * time.Millisecond,
+		PEX:          true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Addr == third {
+			return
+		}
+	}
+	t.Fatalf("probe never reached %s from gossip under sub-ID 7; results %+v", third, results)
 }

@@ -406,22 +406,14 @@ type AnnounceResponse struct {
 // misbehaving (or malicious) tracker, not a peer list.
 const maxAnnounceBody = 1 << 20
 
-// Announce performs one announce, dispatching on the tracker URL's
-// scheme: http/https go over HTTP, udp:// uses DefaultUDP's BEP 15
-// exchange (use AnnounceWith to supply a custom UDPClient). Failures
-// come back as a classified *Error: transport problems, timeouts, 5xx
-// statuses, and unparseable responses are Temporary; an in-band
-// "failure reason" / UDP error packet (also surfaced in the response's
-// FailureMsg for compatibility) or a non-5xx HTTP error status is
-// fatal.
-func Announce(client *http.Client, req AnnounceRequest) (*AnnounceResponse, error) {
-	return AnnounceWith(client, nil, req)
-}
-
-// AnnounceWith is Announce with an explicit UDP client for udp://
-// tracker URLs (nil = DefaultUDP). The HTTP client is used only for
-// http(s) URLs, the UDP client only for udp ones, so callers can wire
-// both unconditionally.
+// AnnounceWith performs one announce, dispatching on the tracker URL's
+// scheme: http/https go over client (nil = http.DefaultClient), udp://
+// is uc's BEP 15 exchange (nil = DefaultUDP), so callers can wire both
+// unconditionally. Failures come back as a classified *Error: transport
+// problems, timeouts, 5xx statuses, and unparseable responses are
+// Temporary; an in-band "failure reason" / UDP error packet (also
+// surfaced in the response's FailureMsg for compatibility) or a non-5xx
+// HTTP error status is fatal.
 func AnnounceWith(client *http.Client, uc *UDPClient, req AnnounceRequest) (*AnnounceResponse, error) {
 	u, err := url.Parse(req.TrackerURL)
 	if err != nil {

@@ -44,7 +44,7 @@ func TestAnnounceRegistersAndLists(t *testing.T) {
 	ih := testHash(1)
 
 	// A seed announces.
-	resp, err := Announce(client, AnnounceRequest{
+	resp, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('a'),
 		Port: 7001, Left: 0, Event: "started", IP: "127.0.0.1",
 	})
@@ -65,7 +65,7 @@ func TestAnnounceRegistersAndLists(t *testing.T) {
 	}
 
 	// A leecher announces and should see the seed.
-	resp, err = Announce(client, AnnounceRequest{
+	resp, err = AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('b'),
 		Port: 7002, Left: 1000, Event: "started", IP: "127.0.0.1",
 	})
@@ -95,11 +95,11 @@ func TestAnnounceStoppedRemovesPeer(t *testing.T) {
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('c'),
 		Port: 7003, Left: 0, IP: "127.0.0.1",
 	}
-	if _, err := Announce(client, req); err != nil {
+	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
 	}
 	req.Event = "stopped"
-	if _, err := Announce(client, req); err != nil {
+	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
 	}
 	if s, l := srv.Counts(ih); s != 0 || l != 0 {
@@ -114,7 +114,7 @@ func TestCompletedTransitionsLeecherToSeed(t *testing.T) {
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('d'),
 		Port: 7004, Left: 500, IP: "127.0.0.1",
 	}
-	if _, err := Announce(client, req); err != nil {
+	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
 	}
 	if s, l := srv.Counts(ih); s != 0 || l != 1 {
@@ -122,7 +122,7 @@ func TestCompletedTransitionsLeecherToSeed(t *testing.T) {
 	}
 	req.Left = 0
 	req.Event = "completed"
-	if _, err := Announce(client, req); err != nil {
+	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
 	}
 	if s, l := srv.Counts(ih); s != 1 || l != 0 {
@@ -134,7 +134,7 @@ func TestScrape(t *testing.T) {
 	_, announceURL, client := startTestTracker(t)
 	ih := testHash(4)
 	for i, left := range []int64{0, 100, 100} {
-		if _, err := Announce(client, AnnounceRequest{
+		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID(byte('x' + i)),
 			Port: 7100 + i, Left: left, IP: "127.0.0.1",
 		}); err != nil {
@@ -209,7 +209,7 @@ func TestAnnounceFailureCases(t *testing.T) {
 	}
 	for i, req := range cases {
 		req.PeerID = testPeerID('z')
-		resp, err := Announce(client, req)
+		resp, err := AnnounceWith(client, nil, req)
 		if err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
@@ -235,7 +235,7 @@ func TestAnnounceErrorClassification(t *testing.T) {
 	}
 
 	// Unreachable tracker: temporary.
-	_, err := Announce(nil, valid("http://127.0.0.1:1/announce"))
+	_, err := AnnounceWith(nil, nil, valid("http://127.0.0.1:1/announce"))
 	if err == nil || !IsTemporary(err) {
 		t.Fatalf("unreachable tracker: %v, want temporary", err)
 	}
@@ -254,7 +254,7 @@ func TestAnnounceErrorClassification(t *testing.T) {
 			w.WriteHeader(tc.status)
 			_, _ = io.WriteString(w, tc.body)
 		}))
-		_, err := Announce(srv.Client(), valid(srv.URL+"/announce"))
+		_, err := AnnounceWith(srv.Client(), nil, valid(srv.URL+"/announce"))
 		if err == nil {
 			t.Fatalf("status %d accepted", tc.status)
 		}
@@ -280,7 +280,7 @@ func TestPeerExpiry(t *testing.T) {
 	now := time.Now()
 	srv.now = func() time.Time { return now }
 	ih := testHash(5)
-	if _, err := Announce(client, AnnounceRequest{
+	if _, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('e'),
 		Port: 7050, Left: 0, IP: "127.0.0.1",
 	}); err != nil {
@@ -292,7 +292,7 @@ func TestPeerExpiry(t *testing.T) {
 	// Advance time beyond the TTL; the next announce (by someone else)
 	// triggers expiry.
 	now = now.Add(5 * DefaultInterval)
-	if _, err := Announce(client, AnnounceRequest{
+	if _, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('f'),
 		Port: 7051, Left: 10, IP: "127.0.0.1",
 	}); err != nil {
@@ -325,7 +325,7 @@ func TestServeStandalone(t *testing.T) {
 	}
 	defer closeFn()
 	url := "http://" + ln.Addr().String() + "/announce"
-	resp, err := Announce(nil, AnnounceRequest{
+	resp, err := AnnounceWith(nil, nil, AnnounceRequest{
 		TrackerURL: url, InfoHash: testHash(6), PeerID: testPeerID('g'),
 		Port: 7060, Left: 0, IP: "127.0.0.1",
 	})
@@ -343,7 +343,7 @@ func TestNumWantLimitsPeerList(t *testing.T) {
 	_, announceURL, client := startTestTracker(t)
 	ih := testHash(7)
 	for i := 0; i < 10; i++ {
-		if _, err := Announce(client, AnnounceRequest{
+		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID(byte('A' + i)),
 			Port: 7200 + i, Left: 100, IP: "127.0.0.1",
 		}); err != nil {
@@ -353,7 +353,7 @@ func TestNumWantLimitsPeerList(t *testing.T) {
 	for _, c := range []struct{ numWant, want int }{
 		{3, 3}, {1000, 10}, {1537228672809129302, 10}, {math.MaxInt64, 10},
 	} {
-		resp, err := Announce(client, AnnounceRequest{
+		resp, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('Z'),
 			Port: 7300, Left: 100, NumWant: c.numWant, IP: "127.0.0.1",
 		})
@@ -383,7 +383,7 @@ func TestAnnounceBodyCapExactEOF(t *testing.T) {
 		_, _ = w.Write(oversize)
 	}))
 	defer ts.Close()
-	_, err := Announce(ts.Client(), AnnounceRequest{
+	_, err := AnnounceWith(ts.Client(), nil, AnnounceRequest{
 		TrackerURL: ts.URL, InfoHash: testHash(21), PeerID: testPeerID(1),
 		Port: 7000, IP: "127.0.0.1",
 	})
@@ -412,7 +412,7 @@ func TestAnnounceThreadsUploadedDownloaded(t *testing.T) {
 		_, _ = w.Write(resp)
 	}))
 	defer ts.Close()
-	_, err := Announce(ts.Client(), AnnounceRequest{
+	_, err := AnnounceWith(ts.Client(), nil, AnnounceRequest{
 		TrackerURL: ts.URL, InfoHash: testHash(22), PeerID: testPeerID(2),
 		Port: 7000, IP: "127.0.0.1", Uploaded: 12345, Downloaded: 67890,
 	})

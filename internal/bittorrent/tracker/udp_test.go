@@ -258,7 +258,7 @@ func TestUDPHTTPAnnounceParity(t *testing.T) {
 		if i >= 2 {
 			left = 1000
 		}
-		if _, err := Announce(client, AnnounceRequest{
+		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: httpURL, InfoHash: ih, PeerID: testPeerID(byte(10 + i)),
 			Port: 7100 + i, Left: left, Event: "started", IP: "127.0.0.1",
 		}); err != nil {
@@ -276,7 +276,7 @@ func TestUDPHTTPAnnounceParity(t *testing.T) {
 		if viaUDP {
 			resp, err = uc.Announce(req)
 		} else {
-			resp, err = Announce(client, req)
+			resp, err = AnnounceWith(client, nil, req)
 		}
 		if err != nil {
 			t.Fatalf("observer announce (udp=%v): %v", viaUDP, err)
@@ -286,7 +286,7 @@ func TestUDPHTTPAnnounceParity(t *testing.T) {
 		if viaUDP {
 			_, err = uc.Announce(req)
 		} else {
-			_, err = Announce(client, req)
+			_, err = AnnounceWith(client, nil, req)
 		}
 		if err != nil {
 			t.Fatalf("observer stop (udp=%v): %v", viaUDP, err)

@@ -280,7 +280,6 @@ func BenchmarkTrackerAnnounce(b *testing.B) {
 		InfoHash:   ih,
 		Port:       7000,
 		Left:       1000,
-		IP:         "127.0.0.1",
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

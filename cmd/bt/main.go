@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
 	"swarmavail/internal/obs"
@@ -121,7 +120,7 @@ func startAdmin(name, addr string, reg *obs.Registry, pprof bool, stdout, stderr
 	if err != nil {
 		return nil, fmt.Errorf("admin listen: %w", err)
 	}
-	srv := &http.Server{Handler: obs.AdminHandler(reg, pprof), ReadHeaderTimeout: 5 * time.Second}
+	srv := obs.NewServer(obs.AdminHandler(reg, pprof))
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(stderr, "%s: admin server: %v\n", name, err)

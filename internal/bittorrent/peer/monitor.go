@@ -95,7 +95,6 @@ func Probe(t *metainfo.Torrent, cfg ProbeConfig) ([]ProbeResult, error) {
 		Port:       probePort,
 		Left:       info.TotalLength(),
 		NumWant:    probeNumWant,
-		IP:         "127.0.0.1",
 	}
 	resp, err := tracker.AnnounceWith(cfg.HTTPClient, cfg.UDP, req)
 	if err != nil {

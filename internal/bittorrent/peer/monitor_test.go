@@ -70,7 +70,7 @@ func fakeHaveOnlyPeer(t *testing.T, ih metainfo.InfoHash) (addr string) {
 // and returns what the tracker said about the swarm.
 func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr string, idByte byte) *tracker.AnnounceResponse {
 	t.Helper()
-	host, portStr, err := net.SplitHostPort(addr)
+	_, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func registerPeer(t *testing.T, announce string, ih metainfo.InfoHash, addr stri
 	}
 	resp, err := tracker.AnnounceWith(nil, nil, tracker.AnnounceRequest{
 		TrackerURL: announce, InfoHash: ih, PeerID: id,
-		Port: port, Left: 1 << 20, Event: "started", IP: host,
+		Port: port, Left: 1 << 20, Event: "started",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +249,26 @@ func TestProbeSkipsMisSizedBitfield(t *testing.T) {
 			if r.Addr == addr {
 				t.Fatalf("PEX=%v: peer with a 0-byte bitfield observed as %+v, want skipped", pex, r)
 			}
+		}
+	}
+}
+
+// TestProbeAnnouncesOwnAddress: the probe does not tell the tracker an
+// address of its choosing, so a probe against a remote tracker is not
+// listed to the swarm as a loopback address.
+func TestProbeAnnouncesOwnAddress(t *testing.T) {
+	announce, queries := recordingTracker(t)
+	tor, _ := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 4096}}, 1024, 13)
+	if _, err := Probe(tor, ProbeConfig{DialTimeout: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if len(queries) == 0 {
+		t.Fatal("probe never announced")
+	}
+	for len(queries) > 0 { // the announce and its "stopped"
+		if q := <-queries; q.Has("ip") {
+			t.Fatalf("probe announced ip=%q (event %q)", q.Get("ip"), q.Get("event"))
 		}
 	}
 }

@@ -391,7 +391,6 @@ func (n *Node) announceReq(event string) tracker.AnnounceRequest {
 		Left:       n.BytesLeft(),
 		Event:      event,
 		NumWant:    maxPeers,
-		IP:         "127.0.0.1",
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +47,40 @@ func startTracker(t *testing.T) string {
 	}
 	t.Cleanup(func() { _ = closeFn() })
 	return "http://" + ln.Addr().String() + "/announce"
+}
+
+// recordingTracker answers every announce with an empty peer list and
+// hands each announce's query to the returned channel.
+func recordingTracker(t *testing.T) (announce string, queries <-chan url.Values) {
+	t.Helper()
+	ch := make(chan url.Values, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case ch <- r.URL.Query():
+		default:
+		}
+		_, _ = io.WriteString(w, "d8:intervali30e5:peers0:e")
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL + "/announce", ch
+}
+
+// TestNodeAnnouncesOwnAddress: a node does not tell the tracker an
+// address of its choosing; the tracker registers the one the announce
+// came from, so a node on a public address is listed under it.
+func TestNodeAnnouncesOwnAddress(t *testing.T) {
+	announce, queries := recordingTracker(t)
+	tor, content := makeTorrent(t, announce,
+		[]metainfo.File{{Path: "f.bin", Length: 4096}}, 1024, 12)
+	startNode(t, Config{Torrent: tor, Content: content})
+	select {
+	case q := <-queries:
+		if q.Has("ip") {
+			t.Fatalf("node announced ip=%q", q.Get("ip"))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("node never announced")
+	}
 }
 
 // startNode creates and starts a node, registering cleanup.
@@ -280,7 +316,6 @@ func TestTrackerSeesSeedTransition(t *testing.T) {
 			PeerID:     [20]byte{1, 2, 3},
 			Port:       9999,
 			Left:       1,
-			IP:         "127.0.0.1",
 		})
 		if err == nil && resp.Seeders >= 2 {
 			return

@@ -7,6 +7,7 @@
 package tracker
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +26,10 @@ import (
 
 // DefaultInterval is the re-announce interval handed to clients.
 const DefaultInterval = 30 * time.Second
+
+// defaultNumWant is the peer-list length for an announce that names
+// none (HTTP without numwant, UDP with num_want -1).
+const defaultNumWant = 50
 
 // peerEntry is one registered peer in a swarm.
 type peerEntry struct {
@@ -53,10 +58,9 @@ type Server struct {
 	peerTTL time.Duration
 	now     func() time.Time
 
-	// UDP connection-id table (BEP 15): id → expiry. Guarded by udpMu,
-	// not mu — connect storms must not contend with announce handling.
-	udpMu  sync.Mutex
-	udpIDs map[uint64]time.Time
+	// connKey keys the BEP 15 connection-id MAC (connID). Drawn once,
+	// never written again, so the UDP connect path takes no lock.
+	connKey [32]byte
 
 	// Instruments, set by Instrument; nil (no-op) until then.
 	mAnnounces        *obs.Counter
@@ -70,13 +74,16 @@ type Server struct {
 
 // NewServer returns a tracker with the default announce interval.
 func NewServer() *Server {
-	return &Server{
+	s := &Server{
 		swarms:   make(map[metainfo.InfoHash]*swarmState),
 		interval: DefaultInterval,
 		peerTTL:  4 * DefaultInterval,
 		now:      time.Now,
-		udpIDs:   make(map[uint64]time.Time),
 	}
+	if _, err := rand.Read(s.connKey[:]); err != nil {
+		panic("tracker: connection-id key: " + err.Error())
+	}
+	return s
 }
 
 // Handler returns the tracker's HTTP handler (announce on /announce,
@@ -108,58 +115,54 @@ func parseInfoHash(q url.Values) (metainfo.InfoHash, error) {
 
 func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	s.mAnnounces.Inc()
+	fail := func(msg string) {
+		s.mAnnounceFailures.Inc()
+		failure(w, msg)
+	}
 	q := r.URL.Query()
 	ih, err := parseInfoHash(q)
 	if err != nil {
-		s.mAnnounceFailures.Inc()
-		failure(w, err.Error())
+		fail(err.Error())
 		return
 	}
 	peerIDRaw := q.Get("peer_id")
 	if len(peerIDRaw) != 20 {
-		s.mAnnounceFailures.Inc()
-		failure(w, "peer_id must be 20 bytes")
+		fail("peer_id must be 20 bytes")
 		return
 	}
-	port, err := strconv.Atoi(q.Get("port"))
-	if err != nil || port <= 0 || port > 65535 {
-		s.mAnnounceFailures.Inc()
-		failure(w, "invalid port")
+	port, err := strconv.ParseUint(q.Get("port"), 10, 16)
+	if err != nil {
+		fail("invalid port")
 		return
 	}
-	left, _ := strconv.ParseInt(q.Get("left"), 10, 64)
-	event := q.Get("event")
-	numWant := 50
-	if nw := q.Get("numwant"); nw != "" {
-		if v, err := strconv.Atoi(nw); err == nil && v >= 0 {
-			numWant = v
-		}
+	left, err := strconv.ParseInt(q.Get("left"), 10, 64)
+	if err != nil {
+		fail("invalid left")
+		return
 	}
-
+	numWant := -1
+	if v, err := strconv.Atoi(q.Get("numwant")); err == nil {
+		numWant = v
+	}
 	host := q.Get("ip")
 	if host == "" {
 		host, _, _ = net.SplitHostPort(r.RemoteAddr)
 	}
-	ip := net.ParseIP(host)
-	if ip == nil {
-		s.mAnnounceFailures.Inc()
-		failure(w, "cannot determine peer IP")
-		return
-	}
 
-	var key [20]byte
-	copy(key[:], peerIDRaw)
-
-	res := s.applyAnnounce(announceArgs{
+	a := announceArgs{
 		ih:      ih,
-		peerID:  key,
-		ip:      ip,
+		ip:      net.ParseIP(host),
 		port:    uint16(port),
 		left:    left,
-		event:   event,
+		event:   q.Get("event"),
 		numWant: numWant,
-	})
-
+	}
+	copy(a.peerID[:], peerIDRaw)
+	res, err := s.applyAnnounce(a)
+	if err != nil {
+		fail(err.Error())
+		return
+	}
 	resp := map[string]any{
 		"interval":   int64(res.interval / time.Second),
 		"complete":   int64(res.seeds),
@@ -176,11 +179,11 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 type announceArgs struct {
 	ih      metainfo.InfoHash
 	peerID  [20]byte
-	ip      net.IP
+	ip      net.IP // nil when the front end could not determine one
 	port    uint16
 	left    int64
 	event   string // "", "started", "completed", "stopped"
-	numWant int
+	numWant int    // < 0: defaultNumWant
 }
 
 // announceResult is the protocol-independent announce answer.
@@ -190,10 +193,23 @@ type announceResult struct {
 	compact         []byte // 6-byte IPv4+port entries, announcer excluded
 }
 
-// applyAnnounce registers (or removes) the peer and computes the reply.
-// Sharing this core between the HTTP and UDP front ends is what makes
-// the two protocols answer identically for identical swarm state.
-func (s *Server) applyAnnounce(a announceArgs) announceResult {
+// applyAnnounce admits the announce, registers (or removes) the peer
+// and computes the reply. Every semantic rule lives here, and the HTTP
+// and UDP front ends both call it, so the two protocols admit the same
+// announces and answer identically for identical swarm state. An error
+// is the reason the announce was refused; nothing was registered.
+func (s *Server) applyAnnounce(a announceArgs) (announceResult, error) {
+	switch {
+	case a.ip == nil:
+		return announceResult{}, errors.New("cannot determine peer IP")
+	case a.port == 0:
+		return announceResult{}, errors.New("invalid port")
+	case a.left < 0:
+		return announceResult{}, errors.New("invalid left")
+	}
+	if a.numWant < 0 {
+		a.numWant = defaultNumWant
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := s.swarms[a.ih]
@@ -219,13 +235,7 @@ func (s *Server) applyAnnounce(a announceArgs) announceResult {
 		}
 	}
 	res := announceResult{interval: s.interval}
-	for _, p := range sw.peers {
-		if p.seed {
-			res.seeds++
-		} else {
-			res.leechers++
-		}
-	}
+	res.seeds, res.leechers = sw.tally()
 	// Hand out up to numWant peers other than the announcer itself.
 	for idStr, p := range sw.peers {
 		if len(res.compact)/6 >= a.numWant { // entries, not bytes: numWant*6 can overflow
@@ -238,12 +248,21 @@ func (s *Server) applyAnnounce(a announceArgs) announceResult {
 		if ip4 == nil {
 			continue // compact format is IPv4-only
 		}
-		entry := make([]byte, 6)
-		copy(entry, ip4)
-		binary.BigEndian.PutUint16(entry[4:], p.port)
-		res.compact = append(res.compact, entry...)
+		res.compact = binary.BigEndian.AppendUint16(append(res.compact, ip4...), p.port)
 	}
-	return res
+	return res, nil
+}
+
+// tally counts the swarm's seeds and leechers.
+func (sw *swarmState) tally() (seeds, leechers int) {
+	for _, p := range sw.peers {
+		if p.seed {
+			seeds++
+		} else {
+			leechers++
+		}
+	}
+	return seeds, leechers
 }
 
 // scrapeCounts answers one scrape entry: seeds, leechers, downloads.
@@ -255,13 +274,7 @@ func (s *Server) scrapeCounts(ih metainfo.InfoHash) (seeds, leechers int, downlo
 		return 0, 0, 0
 	}
 	s.expireLocked(sw)
-	for _, p := range sw.peers {
-		if p.seed {
-			seeds++
-		} else {
-			leechers++
-		}
-	}
+	seeds, leechers = sw.tally()
 	return seeds, leechers, sw.downloads
 }
 
@@ -299,21 +312,9 @@ func (s *Server) expireLocked(sw *swarmState) {
 }
 
 // Counts returns the current seed/leecher counts for a swarm (testing
-// and monitoring convenience).
+// and monitoring convenience), as a scrape reads them.
 func (s *Server) Counts(ih metainfo.InfoHash) (seeds, leechers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw := s.swarms[ih]
-	if sw == nil {
-		return 0, 0
-	}
-	for _, p := range sw.peers {
-		if p.seed {
-			seeds++
-		} else {
-			leechers++
-		}
-	}
+	seeds, leechers, _ = s.scrapeCounts(ih)
 	return seeds, leechers
 }
 
@@ -388,18 +389,14 @@ type AnnounceRequest struct {
 	Downloaded int64
 	Event      string // "", "started", "completed", "stopped"
 	NumWant    int
-	// IP optionally overrides the address the tracker registers (needed
-	// when many peers share one loopback host).
-	IP string
 }
 
 // AnnounceResponse is the parsed tracker reply.
 type AnnounceResponse struct {
-	Interval   time.Duration
-	Seeders    int
-	Leechers   int
-	Peers      []PeerAddr
-	FailureMsg string
+	Interval time.Duration
+	Seeders  int
+	Leechers int
+	Peers    []PeerAddr
 }
 
 // maxAnnounceBody caps an HTTP announce response; anything larger is a
@@ -411,9 +408,8 @@ const maxAnnounceBody = 1 << 20
 // is uc's BEP 15 exchange (nil = DefaultUDP), so callers can wire both
 // unconditionally. Failures come back as a classified *Error: transport
 // problems, timeouts, 5xx statuses, and unparseable responses are
-// Temporary; an in-band "failure reason" / UDP error packet (also
-// surfaced in the response's FailureMsg for compatibility) or a non-5xx
-// HTTP error status is fatal.
+// Temporary; an in-band "failure reason" / UDP error packet (its text
+// in Error.Reason) or a non-5xx HTTP error status is fatal.
 func AnnounceWith(client *http.Client, uc *UDPClient, req AnnounceRequest) (*AnnounceResponse, error) {
 	u, err := url.Parse(req.TrackerURL)
 	if err != nil {
@@ -446,9 +442,6 @@ func announceHTTP(client *http.Client, u *url.URL, req AnnounceRequest) (*Announ
 	if req.NumWant > 0 {
 		q.Set("numwant", strconv.Itoa(req.NumWant))
 	}
-	if req.IP != "" {
-		q.Set("ip", req.IP)
-	}
 	u.RawQuery = q.Encode()
 
 	httpResp, err := client.Get(u.String())
@@ -477,31 +470,31 @@ func announceHTTP(client *http.Client, u *url.URL, req AnnounceRequest) (*Announ
 		return nil, &Error{URL: req.TrackerURL, Temporary: true,
 			Err: errors.New("response too large")}
 	}
-	resp, err := ParseAnnounceResponse(body)
+	resp, reason, err := parseAnnounceResponse(body)
 	if err != nil {
 		return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
 	}
-	if resp.FailureMsg != "" {
-		return resp, &Error{URL: req.TrackerURL, Reason: resp.FailureMsg}
+	if reason != "" {
+		return nil, &Error{URL: req.TrackerURL, Reason: reason}
 	}
 	return resp, nil
 }
 
-// ParseAnnounceResponse decodes a bencoded announce reply.
-func ParseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
+// parseAnnounceResponse decodes a bencoded announce reply: the parsed
+// response, or the tracker's in-band failure reason.
+func parseAnnounceResponse(body []byte) (resp *AnnounceResponse, reason string, err error) {
 	v, err := bencode.Decode(body)
 	if err != nil {
-		return nil, fmt.Errorf("tracker: malformed response: %w", err)
+		return nil, "", fmt.Errorf("tracker: malformed response: %w", err)
 	}
 	d, ok := bencode.AsDict(v)
 	if !ok {
-		return nil, errors.New("tracker: response is not a dictionary")
+		return nil, "", errors.New("tracker: response is not a dictionary")
 	}
-	resp := &AnnounceResponse{}
 	if msg, ok := d.Str("failure reason"); ok {
-		resp.FailureMsg = msg
-		return resp, nil
+		return nil, msg, nil
 	}
+	resp = &AnnounceResponse{}
 	if iv, ok := d.Int("interval"); ok {
 		resp.Interval = time.Duration(iv) * time.Second
 	}
@@ -513,18 +506,29 @@ func ParseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 	}
 	compact, ok := d.Str("peers")
 	if !ok {
-		return nil, errors.New("tracker: missing peers")
+		return nil, "", errors.New("tracker: missing peers")
 	}
-	if len(compact)%6 != 0 {
-		return nil, fmt.Errorf("tracker: compact peers length %d", len(compact))
+	if resp.Peers, err = parseCompact([]byte(compact)); err != nil {
+		return nil, "", err
 	}
-	for off := 0; off < len(compact); off += 6 {
-		resp.Peers = append(resp.Peers, PeerAddr{
-			IP:   net.IPv4(compact[off], compact[off+1], compact[off+2], compact[off+3]),
-			Port: binary.BigEndian.Uint16([]byte(compact[off+4 : off+6])),
+	return resp, "", nil
+}
+
+// parseCompact decodes a compact peer list, 6 bytes a peer: an IPv4
+// address and a big-endian port. Both the HTTP and the UDP reply carry
+// one.
+func parseCompact(b []byte) ([]PeerAddr, error) {
+	if len(b)%6 != 0 {
+		return nil, fmt.Errorf("tracker: compact peers length %d", len(b))
+	}
+	var peers []PeerAddr
+	for off := 0; off < len(b); off += 6 {
+		peers = append(peers, PeerAddr{
+			IP:   net.IPv4(b[off], b[off+1], b[off+2], b[off+3]),
+			Port: binary.BigEndian.Uint16(b[off+4 : off+6]),
 		})
 	}
-	return resp, nil
+	return peers, nil
 }
 
 // Serve starts the tracker on addr (e.g. "127.0.0.1:0") and returns the
@@ -534,7 +538,7 @@ func (s *Server) Serve(addr string) (net.Listener, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := obs.NewServer(s.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	return ln, srv.Close, nil
 }

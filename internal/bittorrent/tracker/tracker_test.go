@@ -1,9 +1,12 @@
 package tracker
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +16,7 @@ import (
 
 	"swarmavail/internal/bittorrent/bencode"
 	"swarmavail/internal/bittorrent/metainfo"
+	"swarmavail/internal/obs"
 )
 
 func testHash(b byte) metainfo.InfoHash {
@@ -46,13 +50,10 @@ func TestAnnounceRegistersAndLists(t *testing.T) {
 	// A seed announces.
 	resp, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('a'),
-		Port: 7001, Left: 0, Event: "started", IP: "127.0.0.1",
+		Port: 7001, Left: 0, Event: "started",
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resp.FailureMsg != "" {
-		t.Fatalf("failure: %s", resp.FailureMsg)
 	}
 	if resp.Seeders != 1 || resp.Leechers != 0 {
 		t.Fatalf("counts %d/%d", resp.Seeders, resp.Leechers)
@@ -67,7 +68,7 @@ func TestAnnounceRegistersAndLists(t *testing.T) {
 	// A leecher announces and should see the seed.
 	resp, err = AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('b'),
-		Port: 7002, Left: 1000, Event: "started", IP: "127.0.0.1",
+		Port: 7002, Left: 1000, Event: "started",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestAnnounceStoppedRemovesPeer(t *testing.T) {
 	ih := testHash(2)
 	req := AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('c'),
-		Port: 7003, Left: 0, IP: "127.0.0.1",
+		Port: 7003, Left: 0,
 	}
 	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestCompletedTransitionsLeecherToSeed(t *testing.T) {
 	ih := testHash(3)
 	req := AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('d'),
-		Port: 7004, Left: 500, IP: "127.0.0.1",
+		Port: 7004, Left: 500,
 	}
 	if _, err := AnnounceWith(client, nil, req); err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestScrape(t *testing.T) {
 	for i, left := range []int64{0, 100, 100} {
 		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID(byte('x' + i)),
-			Port: 7100 + i, Left: left, IP: "127.0.0.1",
+			Port: 7100 + i, Left: left,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +191,11 @@ func TestAnnounceValidation(t *testing.T) {
 	defer resp.Body.Close()
 	buf := make([]byte, 1024)
 	n, _ := resp.Body.Read(buf)
-	parsed, err := ParseAnnounceResponse(buf[:n])
+	_, reason, err := parseAnnounceResponse(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.FailureMsg == "" {
+	if reason == "" {
 		t.Fatal("bad info_hash accepted")
 	}
 }
@@ -203,13 +204,12 @@ func TestAnnounceFailureCases(t *testing.T) {
 	_, announceURL, client := startTestTracker(t)
 	ih := testHash(9)
 	cases := []AnnounceRequest{
-		{TrackerURL: announceURL, InfoHash: ih, Port: 0, IP: "127.0.0.1"},     // bad port
-		{TrackerURL: announceURL, InfoHash: ih, Port: 70000, IP: "127.0.0.1"}, // bad port
-		{TrackerURL: announceURL, InfoHash: ih, Port: 7000, IP: "not-an-ip"},  // bad ip
+		{TrackerURL: announceURL, InfoHash: ih, Port: 0},     // bad port
+		{TrackerURL: announceURL, InfoHash: ih, Port: 70000}, // bad port
 	}
 	for i, req := range cases {
 		req.PeerID = testPeerID('z')
-		resp, err := AnnounceWith(client, nil, req)
+		_, err := AnnounceWith(client, nil, req)
 		if err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
@@ -220,10 +220,60 @@ func TestAnnounceFailureCases(t *testing.T) {
 		if IsTemporary(err) {
 			t.Errorf("case %d: in-band rejection classified temporary", i)
 		}
-		// The in-band reason stays readable on the response too.
-		if resp == nil || resp.FailureMsg == "" {
-			t.Errorf("case %d: FailureMsg not preserved", i)
-		}
+	}
+}
+
+// TestAnnounceAdmission: the HTTP and UDP front ends refuse the same
+// announces, each in its own failure form, register nothing, and count
+// the refusal in tracker_announce_failures_total. HTTP alone carries a
+// left that can be missing or unparseable, or an ip that is not one.
+func TestAnnounceAdmission(t *testing.T) {
+	ih := testHash(12)
+	pid := testPeerID('q')
+	from := mustUDPAddr("10.0.0.1:6881")
+	for _, c := range []struct {
+		name  string
+		query string          // the HTTP query after info_hash and peer_id
+		udp   *udpAnnounceReq // nil: no UDP form
+	}{
+		{"port 0", "port=0&left=0", &udpAnnounceReq{Port: 0, Left: 0}},
+		{"negative left", "port=7000&left=-5", &udpAnnounceReq{Port: 7000, Left: -5}},
+		{"missing left", "port=7000", nil},
+		{"unparseable left", "port=7000&left=garbage", nil},
+		{"ip not an ip", "port=7000&left=0&ip=not-an-ip", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := NewServer()
+			reg := obs.NewRegistry()
+			srv.Instrument(reg)
+			refused := func(front string, want float64) {
+				t.Helper()
+				if s, l := srv.Counts(ih); s != 0 || l != 0 {
+					t.Errorf("%s: registered %d seeds / %d leechers", front, s, l)
+				}
+				if got, _ := reg.Value("tracker_announce_failures_total"); got != want {
+					t.Errorf("%s: tracker_announce_failures_total = %v, want %v", front, got, want)
+				}
+			}
+
+			rec := httptest.NewRecorder()
+			target := "/announce?info_hash=" + urlEscapeHash(ih) + "&peer_id=" + string(pid[:]) + "&" + c.query
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			if resp, reason, err := parseAnnounceResponse(rec.Body.Bytes()); err != nil || reason == "" {
+				t.Errorf("http: got %+v, reason %q, err %v; want a failure reason", resp, reason, err)
+			}
+			refused("http", 1)
+
+			if c.udp == nil {
+				return
+			}
+			req := *c.udp
+			req.ConnID, req.Tx, req.InfoHash, req.PeerID, req.NumWant = udpConnect(t, srv, from), 9, ih, pid, -1
+			if action, msg := udpAsk(t, srv, from, marshalAnnounceReq(req)); action != udpActionError || msg == "" {
+				t.Errorf("udp: answer action %d (%q), want an error packet", action, msg)
+			}
+			refused("udp", 2)
+		})
 	}
 }
 
@@ -231,7 +281,7 @@ func TestAnnounceErrorClassification(t *testing.T) {
 	ih := testHash(11)
 	valid := func(url string) AnnounceRequest {
 		return AnnounceRequest{TrackerURL: url, InfoHash: ih,
-			PeerID: testPeerID('c'), Port: 7000, IP: "127.0.0.1"}
+			PeerID: testPeerID('c'), Port: 7000}
 	}
 
 	// Unreachable tracker: temporary.
@@ -282,19 +332,22 @@ func TestPeerExpiry(t *testing.T) {
 	ih := testHash(5)
 	if _, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('e'),
-		Port: 7050, Left: 0, IP: "127.0.0.1",
+		Port: 7050, Left: 0,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if s, _ := srv.Counts(ih); s != 1 {
 		t.Fatal("peer not registered")
 	}
-	// Advance time beyond the TTL; the next announce (by someone else)
-	// triggers expiry.
+	// Advance time beyond the TTL: Counts reads what a scrape would,
+	// so the peer is gone before anyone announces again.
 	now = now.Add(5 * DefaultInterval)
+	if s, l := srv.Counts(ih); s != 0 || l != 0 {
+		t.Fatalf("stale peer counted before any re-announce: %d/%d", s, l)
+	}
 	if _, err := AnnounceWith(client, nil, AnnounceRequest{
 		TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('f'),
-		Port: 7051, Left: 10, IP: "127.0.0.1",
+		Port: 7051, Left: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +364,7 @@ func TestParseAnnounceResponseErrors(t *testing.T) {
 		[]byte("d5:peers5:abcdee"), // peers not multiple of 6
 	}
 	for i, raw := range bad {
-		if _, err := ParseAnnounceResponse(raw); err == nil {
+		if _, _, err := parseAnnounceResponse(raw); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -327,13 +380,39 @@ func TestServeStandalone(t *testing.T) {
 	url := "http://" + ln.Addr().String() + "/announce"
 	resp, err := AnnounceWith(nil, nil, AnnounceRequest{
 		TrackerURL: url, InfoHash: testHash(6), PeerID: testPeerID('g'),
-		Port: 7060, Left: 0, IP: "127.0.0.1",
+		Port: 7060, Left: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seeders != 1 {
 		t.Fatalf("standalone tracker counts: %+v", resp)
+	}
+}
+
+// TestServeDropsStalledClient: the standalone tracker (bt tracker)
+// closes a connection that stalls inside its request line, as every
+// obs.NewServer listener does, instead of holding it open forever.
+func TestServeDropsStalledClient(t *testing.T) {
+	t.Parallel()
+	ln, closeFn, err := NewServer().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFn()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /announce?info_ha"); err != nil {
+		t.Fatal(err)
+	}
+	// ReadHeaderTimeout (5 s) plus a second of slack. The server may
+	// answer 400 before it hangs up; what matters is the EOF.
+	_ = c.SetReadDeadline(time.Now().Add(6 * time.Second))
+	if _, err := io.ReadAll(c); err != nil {
+		t.Fatalf("stalled client: %v, want EOF", err)
 	}
 }
 
@@ -345,7 +424,7 @@ func TestNumWantLimitsPeerList(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID(byte('A' + i)),
-			Port: 7200 + i, Left: 100, IP: "127.0.0.1",
+			Port: 7200 + i, Left: 100,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +434,7 @@ func TestNumWantLimitsPeerList(t *testing.T) {
 	} {
 		resp, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: announceURL, InfoHash: ih, PeerID: testPeerID('Z'),
-			Port: 7300, Left: 100, NumWant: c.numWant, IP: "127.0.0.1",
+			Port: 7300, Left: 100, NumWant: c.numWant,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +464,7 @@ func TestAnnounceBodyCapExactEOF(t *testing.T) {
 	defer ts.Close()
 	_, err := AnnounceWith(ts.Client(), nil, AnnounceRequest{
 		TrackerURL: ts.URL, InfoHash: testHash(21), PeerID: testPeerID(1),
-		Port: 7000, IP: "127.0.0.1",
+		Port: 7000,
 	})
 	if err == nil {
 		t.Fatal("oversize announce body accepted")
@@ -414,7 +493,7 @@ func TestAnnounceThreadsUploadedDownloaded(t *testing.T) {
 	defer ts.Close()
 	_, err := AnnounceWith(ts.Client(), nil, AnnounceRequest{
 		TrackerURL: ts.URL, InfoHash: testHash(22), PeerID: testPeerID(2),
-		Port: 7000, IP: "127.0.0.1", Uploaded: 12345, Downloaded: 67890,
+		Port: 7000, Uploaded: 12345, Downloaded: 67890,
 	})
 	if err != nil {
 		t.Fatalf("announce: %v", err)
@@ -423,4 +502,38 @@ func TestAnnounceThreadsUploadedDownloaded(t *testing.T) {
 		t.Fatalf("tracker saw uploaded=%q downloaded=%q, want 12345/67890",
 			gotUploaded, gotDownloaded)
 	}
+}
+
+// FuzzAnnounceResponse feeds both reply parsers, which share
+// parseCompact. Neither may panic, and a reply that parses returns
+// peers that re-encode, 6 bytes each, to exactly the compact bytes it
+// carried.
+func FuzzAnnounceResponse(f *testing.F) {
+	f.Add([]byte("d8:intervali30e5:peers6:\x7f\x00\x00\x01\x1a\xe1e"))
+	f.Add([]byte("d14:failure reason4:nopee"))
+	f.Add([]byte("d5:peers5:abcdee"))
+	f.Add(marshalAnnounceResp(1, time.Second, 2, 3, []byte{127, 0, 0, 1, 0x1a, 0xe1}))
+	f.Add(marshalAnnounceResp(1, time.Second, 2, 3, []byte{1, 2, 3}))
+	encode := func(peers []PeerAddr) []byte {
+		var b []byte
+		for _, p := range peers {
+			b = binary.BigEndian.AppendUint16(append(b, p.IP.To4()...), p.Port)
+		}
+		return b
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if resp, err := parseAnnounceResp(p); err == nil {
+			if got := encode(resp.Peers); !bytes.Equal(got, p[announceRespLen:]) {
+				t.Fatalf("udp reply peers re-encode to %x, carried %x", got, p[announceRespLen:])
+			}
+		}
+		if resp, _, err := parseAnnounceResponse(p); err == nil && resp != nil {
+			v, _ := bencode.Decode(p)
+			d, _ := bencode.AsDict(v)
+			compact, _ := d.Str("peers")
+			if got := encode(resp.Peers); !bytes.Equal(got, []byte(compact)) {
+				t.Fatalf("http reply peers re-encode to %x, carried %x", got, compact)
+			}
+		}
+	})
 }

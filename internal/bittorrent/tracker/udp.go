@@ -25,13 +25,15 @@
 //	error response     int32 action = 3, int32 transaction_id,
 //	                   UTF-8 message
 //
-// Connection ids are minted on connect, expire after udpConnIDTTL
-// (2 minutes, per the BEP), and every announce/scrape must present a
-// live one — that is the protocol's anti-spoofing handshake.
+// Connection ids are a MAC of the clock and the client's IP (connID),
+// live at least udpConnIDTTL (2 minutes, per the BEP), and every
+// announce/scrape must present a live one from the IP it was issued to
+// — that is the protocol's anti-spoofing handshake.
 package tracker
 
 import (
-	"crypto/rand"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,8 +56,9 @@ const (
 	udpEventStarted   = 2
 	udpEventStopped   = 3
 
-	// udpConnIDTTL is how long the server honours a connection id
-	// (BEP 15 mandates two minutes).
+	// udpConnIDTTL is the least time the server honours a connection id
+	// (BEP 15 mandates two minutes), and the width of connID's clock
+	// bucket.
 	udpConnIDTTL = 2 * time.Minute
 
 	// udpConnIDReuse is how long a client keeps reusing a connection id
@@ -214,22 +217,16 @@ func parseAnnounceResp(p []byte) (*AnnounceResponse, error) {
 	if len(p) < announceRespLen {
 		return nil, fmt.Errorf("tracker: announce response is %d bytes, want ≥%d", len(p), announceRespLen)
 	}
-	compact := p[announceRespLen:]
-	if len(compact)%6 != 0 {
-		return nil, fmt.Errorf("tracker: compact peers length %d", len(compact))
+	peers, err := parseCompact(p[announceRespLen:])
+	if err != nil {
+		return nil, err
 	}
-	resp := &AnnounceResponse{
+	return &AnnounceResponse{
 		Interval: time.Duration(binary.BigEndian.Uint32(p[8:12])) * time.Second,
 		Leechers: int(binary.BigEndian.Uint32(p[12:16])),
 		Seeders:  int(binary.BigEndian.Uint32(p[16:20])),
-	}
-	for off := 0; off < len(compact); off += 6 {
-		resp.Peers = append(resp.Peers, PeerAddr{
-			IP:   net.IPv4(compact[off], compact[off+1], compact[off+2], compact[off+3]),
-			Port: binary.BigEndian.Uint16(compact[off+4 : off+6]),
-		})
-	}
-	return resp, nil
+		Peers:    peers,
+	}, nil
 }
 
 func marshalScrapeReq(connID uint64, tx uint32, hashes []metainfo.InfoHash) []byte {
@@ -318,37 +315,30 @@ func udpRespHeader(p []byte) (action, tx uint32, ok bool) {
 // ---------------------------------------------------------------------------
 // Server.
 
-// mintConnID issues a fresh random connection id valid for
-// udpConnIDTTL, opportunistically expiring dead ids.
-func (s *Server) mintConnID() (uint64, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 0, err
-	}
-	id := binary.BigEndian.Uint64(b[:])
-	now := s.now()
-	s.udpMu.Lock()
-	for old, exp := range s.udpIDs {
-		if exp.Before(now) {
-			delete(s.udpIDs, old)
-		}
-	}
-	s.udpIDs[id] = now.Add(udpConnIDTTL)
-	s.udpMu.Unlock()
-	return id, nil
+// connID is the connection id the server issues to ip in clock
+// bucket b: HMAC-SHA256(connKey, b ‖ ip) truncated to 8 bytes. Binding
+// the id to the IP a connect came from means a spoofed announce cannot
+// aim its answer, up to 20 + 6·udpMaxNumWant bytes, at another host.
+// It binds the IP and not the port: UDPClient dials a fresh socket for
+// each exchange and reuses a cached id.
+func (s *Server) connID(b int64, ip net.IP) uint64 {
+	var buf [8 + net.IPv6len]byte
+	binary.BigEndian.PutUint64(buf[:8], uint64(b))
+	copy(buf[8:], ip.To16())
+	m := hmac.New(sha256.New, s.connKey[:])
+	m.Write(buf[:])
+	return binary.BigEndian.Uint64(m.Sum(nil))
 }
 
-// validConnID reports whether id was minted within the TTL.
-func (s *Server) validConnID(id uint64) bool {
-	now := s.now()
-	s.udpMu.Lock()
-	exp, ok := s.udpIDs[id]
-	if ok && exp.Before(now) {
-		delete(s.udpIDs, id)
-		ok = false
-	}
-	s.udpMu.Unlock()
-	return ok
+// connIDBucket is the clock bucket of t for connID.
+func connIDBucket(t time.Time) int64 { return t.UnixNano() / int64(udpConnIDTTL) }
+
+// validConnID reports whether id was issued to ip in the current clock
+// bucket or the one before: an id lives at least udpConnIDTTL and less
+// than twice that.
+func (s *Server) validConnID(id uint64, ip net.IP) bool {
+	b := connIDBucket(s.now())
+	return id == s.connID(b, ip) || id == s.connID(b-1, ip)
 }
 
 // ServeUDP answers BEP 15 datagrams on pc until it is closed. Run it
@@ -386,6 +376,7 @@ func (s *Server) handleUDPPacket(p []byte, from net.Addr) []byte {
 	if len(p) < 16 {
 		return nil // too short to carry action + transaction id
 	}
+	fromIP := addrIP(from)
 	action := binary.BigEndian.Uint32(p[8:12])
 	switch action {
 	case udpActionConnect:
@@ -393,13 +384,8 @@ func (s *Server) handleUDPPacket(p []byte, from net.Addr) []byte {
 		if !ok {
 			return nil // wrong magic: not a BitTorrent UDP client
 		}
-		id, err := s.mintConnID()
-		if err != nil {
-			s.mUDPErrors.Inc()
-			return marshalErrorResp(tx, "tracker unavailable")
-		}
 		s.mUDPConnects.Inc()
-		return marshalConnectResp(tx, id)
+		return marshalConnectResp(tx, s.connID(connIDBucket(s.now()), fromIP))
 
 	case udpActionAnnounce:
 		req, ok := parseAnnounceReq(p)
@@ -407,33 +393,29 @@ func (s *Server) handleUDPPacket(p []byte, from net.Addr) []byte {
 			s.mUDPErrors.Inc()
 			return marshalErrorResp(binary.BigEndian.Uint32(p[12:16]), "malformed announce")
 		}
-		if !s.validConnID(req.ConnID) {
+		if !s.validConnID(req.ConnID, fromIP) {
 			s.mUDPErrors.Inc()
 			return marshalErrorResp(req.Tx, udpErrExpiredConnID)
 		}
 		s.mAnnounces.Inc()
-		ip := udpSourceIP(req.IP, from)
-		if ip == nil {
-			s.mAnnounceFailures.Inc()
-			s.mUDPErrors.Inc()
-			return marshalErrorResp(req.Tx, "cannot determine peer IP")
+		ip := fromIP
+		if req.IP != 0 { // the ?ip= override of HTTP
+			ip = binary.BigEndian.AppendUint32(nil, req.IP)
 		}
-		numWant := int(req.NumWant)
-		if numWant < 0 {
-			numWant = 50 // the HTTP handler's default, for parity
-		}
-		if numWant > udpMaxNumWant {
-			numWant = udpMaxNumWant
-		}
-		res := s.applyAnnounce(announceArgs{
+		res, err := s.applyAnnounce(announceArgs{
 			ih:      req.InfoHash,
 			peerID:  req.PeerID,
 			ip:      ip,
 			port:    req.Port,
 			left:    req.Left,
 			event:   udpEventString(req.Event),
-			numWant: numWant,
+			numWant: min(int(req.NumWant), udpMaxNumWant),
 		})
+		if err != nil {
+			s.mAnnounceFailures.Inc()
+			s.mUDPErrors.Inc()
+			return marshalErrorResp(req.Tx, err.Error())
+		}
 		return marshalAnnounceResp(req.Tx, res.interval, res.leechers, res.seeds, res.compact)
 
 	case udpActionScrape:
@@ -442,7 +424,7 @@ func (s *Server) handleUDPPacket(p []byte, from net.Addr) []byte {
 			s.mUDPErrors.Inc()
 			return marshalErrorResp(binary.BigEndian.Uint32(p[12:16]), "malformed scrape")
 		}
-		if !s.validConnID(connID) {
+		if !s.validConnID(connID, fromIP) {
 			s.mUDPErrors.Inc()
 			return marshalErrorResp(tx, udpErrExpiredConnID)
 		}
@@ -457,23 +439,12 @@ func (s *Server) handleUDPPacket(p []byte, from net.Addr) []byte {
 	return nil // unknown action: drop
 }
 
-// udpSourceIP resolves the peer IP an announce registers: the packet's
-// explicit IPv4 field when nonzero (the ?ip= override of HTTP), else
-// the datagram's source address.
-func udpSourceIP(field uint32, from net.Addr) net.IP {
-	if field != 0 {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], field)
-		return net.IPv4(b[0], b[1], b[2], b[3])
-	}
-	switch a := from.(type) {
-	case *net.UDPAddr:
+// addrIP is the IP of a datagram's source address.
+func addrIP(from net.Addr) net.IP {
+	if a, ok := from.(*net.UDPAddr); ok {
 		return a.IP
 	}
-	host, _, err := net.SplitHostPort(from.String())
-	if err != nil {
-		return nil
-	}
+	host, _, _ := net.SplitHostPort(from.String())
 	return net.ParseIP(host)
 }
 

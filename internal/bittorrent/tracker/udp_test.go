@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"net"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"swarmavail/internal/bittorrent/metainfo"
+	"swarmavail/internal/obs"
 )
 
 // startUDPTracker runs a BEP 15 listener over srv and returns its
@@ -132,13 +134,13 @@ func TestUDPAnnounceAndScrape(t *testing.T) {
 	// A seed and a leecher join.
 	if _, err := uc.Announce(AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(1), Port: 7001,
-		Left: 0, Event: "started", IP: "127.0.0.1",
+		Left: 0, Event: "started",
 	}); err != nil {
 		t.Fatalf("seed announce: %v", err)
 	}
 	resp, err := uc.Announce(AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(2), Port: 7002,
-		Left: 500, Event: "started", IP: "127.0.0.1",
+		Left: 500, Event: "started",
 	})
 	if err != nil {
 		t.Fatalf("leecher announce: %v", err)
@@ -167,7 +169,7 @@ func TestUDPAnnounceAndScrape(t *testing.T) {
 	// Completing flips the leecher to a seed and bumps downloads.
 	if _, err := uc.Announce(AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(2), Port: 7002,
-		Left: 0, Event: "completed", IP: "127.0.0.1",
+		Left: 0, Event: "completed",
 	}); err != nil {
 		t.Fatalf("completed announce: %v", err)
 	}
@@ -182,6 +184,8 @@ func TestUDPAnnounceAndScrape(t *testing.T) {
 
 func TestUDPConnIDExpiryReconnect(t *testing.T) {
 	srv := NewServer()
+	reg := obs.NewRegistry()
+	srv.Instrument(reg)
 	var skew atomic.Int64 // server clock offset, read by the serve goroutine
 	srv.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 	u := startUDPTracker(t, srv)
@@ -190,21 +194,105 @@ func TestUDPConnIDExpiryReconnect(t *testing.T) {
 
 	if _, err := uc.Announce(AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(1), Port: 7001,
-		Left: 0, IP: "127.0.0.1",
+		Left: 0,
 	}); err != nil {
 		t.Fatalf("first announce: %v", err)
 	}
 
-	// The server's clock jumps past the 2-minute TTL; the client still
-	// holds its cached id (its own clock is real time, inside the
-	// 1-minute reuse window) — the announce must transparently
-	// reconnect, not fail.
-	skew.Store(int64(udpConnIDTTL + time.Second))
+	// The server's clock jumps past the id's longest life (twice the
+	// 2-minute TTL); the client still holds its cached id (its own clock
+	// is real time, inside the 1-minute reuse window) — the announce
+	// must transparently reconnect, not fail.
+	skew.Store(int64(2 * udpConnIDTTL))
 	if _, err := uc.Announce(AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(1), Port: 7001,
-		Left: 0, IP: "127.0.0.1",
+		Left: 0,
 	}); err != nil {
 		t.Fatalf("announce after server-side expiry: %v", err)
+	}
+	if n, _ := reg.Value("tracker_udp_connects_total"); n != 2 {
+		t.Fatalf("tracker_udp_connects_total = %v, want 2 (one reconnect)", n)
+	}
+}
+
+// udpConnect runs a connect exchange through srv's packet handler as
+// from and returns the connection id it issued.
+func udpConnect(t *testing.T, srv *Server, from net.Addr) uint64 {
+	t.Helper()
+	id, err := parseConnectResp(srv.handleUDPPacket(marshalConnectReq(1), from))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// udpAsk hands srv one request datagram from from and returns the
+// answer's action and, for an error packet, its message.
+func udpAsk(t *testing.T, srv *Server, from net.Addr, pkt []byte) (action uint32, msg string) {
+	t.Helper()
+	resp := srv.handleUDPPacket(pkt, from)
+	action, _, ok := udpRespHeader(resp)
+	if !ok {
+		t.Fatalf("no answer to a %d-byte request", len(pkt))
+	}
+	if action == udpActionError {
+		msg = string(resp[8:])
+	}
+	return action, msg
+}
+
+// testUDPAnnounce is a valid announce request carrying connection id id.
+func testUDPAnnounce(id uint64) []byte {
+	return marshalAnnounceReq(udpAnnounceReq{ConnID: id, Tx: 9, InfoHash: testHash(13),
+		PeerID: testPeerID(1), Left: 100, NumWant: -1, Port: 7000})
+}
+
+// TestUDPConnIDBoundToAddress: an id answers only the IP it was issued
+// to, so a spoofed request cannot aim an announce or scrape answer at
+// another host. The port may differ: the client dials a fresh socket
+// for each exchange.
+func TestUDPConnIDBoundToAddress(t *testing.T) {
+	srv := NewServer()
+	id := udpConnect(t, srv, mustUDPAddr("10.0.0.1:6881"))
+	other := mustUDPAddr("10.0.0.2:6881")
+	if action, msg := udpAsk(t, srv, other, testUDPAnnounce(id)); action != udpActionError || msg != udpErrExpiredConnID {
+		t.Fatalf("announce from another IP: action %d %q, want the %q error", action, msg, udpErrExpiredConnID)
+	}
+	scrape := marshalScrapeReq(id, 9, []metainfo.InfoHash{testHash(13)})
+	if action, msg := udpAsk(t, srv, other, scrape); action != udpActionError || msg != udpErrExpiredConnID {
+		t.Fatalf("scrape from another IP: action %d %q, want the %q error", action, msg, udpErrExpiredConnID)
+	}
+	if action, msg := udpAsk(t, srv, mustUDPAddr("10.0.0.1:6999"), testUDPAnnounce(id)); action != udpActionAnnounce {
+		t.Fatalf("announce from the same IP, another port: action %d %q, want an announce answer", action, msg)
+	}
+}
+
+// TestUDPConnIDLifetime: whatever the phase of its clock bucket an id
+// is issued in, it is accepted for udpConnIDTTL (BEP 15's two minutes)
+// and refused from twice that on.
+func TestUDPConnIDLifetime(t *testing.T) {
+	srv := NewServer()
+	var now time.Time
+	srv.now = func() time.Time { return now }
+	from := mustUDPAddr("10.0.0.1:6881")
+	bucketStart := time.Unix(0, 0).Add(1000 * udpConnIDTTL)
+	for _, phase := range []time.Duration{0, time.Nanosecond, udpConnIDTTL / 2, udpConnIDTTL - time.Nanosecond} {
+		now = bucketStart.Add(phase)
+		issued := now
+		id := udpConnect(t, srv, from)
+		for _, c := range []struct {
+			age time.Duration
+			ok  bool
+		}{
+			{0, true}, {udpConnIDTTL / 2, true}, {udpConnIDTTL, true},
+			{2 * udpConnIDTTL, false}, {3 * udpConnIDTTL, false},
+		} {
+			now = issued.Add(c.age)
+			action, msg := udpAsk(t, srv, from, testUDPAnnounce(id))
+			if got := action == udpActionAnnounce; got != c.ok {
+				t.Errorf("phase %v, age %v: action %d %q, accepted %v, want %v", phase, c.age, action, msg, got, c.ok)
+			}
+		}
 	}
 }
 
@@ -221,7 +309,7 @@ func TestUDPAnnounceTimeoutIsTemporary(t *testing.T) {
 	uc := &UDPClient{Timeout: 30 * time.Millisecond, MaxRetransmits: 1}
 	_, err = uc.Announce(AnnounceRequest{
 		TrackerURL: "udp://" + addr, InfoHash: testHash(5), PeerID: testPeerID(1),
-		Port: 7001, IP: "127.0.0.1",
+		Port: 7001,
 	})
 	if err == nil {
 		t.Fatal("announce to a dead tracker succeeded")
@@ -260,7 +348,7 @@ func TestUDPHTTPAnnounceParity(t *testing.T) {
 		}
 		if _, err := AnnounceWith(client, nil, AnnounceRequest{
 			TrackerURL: httpURL, InfoHash: ih, PeerID: testPeerID(byte(10 + i)),
-			Port: 7100 + i, Left: left, Event: "started", IP: "127.0.0.1",
+			Port: 7100 + i, Left: left, Event: "started",
 		}); err != nil {
 			t.Fatalf("populate %d: %v", i, err)
 		}
@@ -269,7 +357,7 @@ func TestUDPHTTPAnnounceParity(t *testing.T) {
 	observe := func(trackerURL string, viaUDP bool, port int) *AnnounceResponse {
 		req := AnnounceRequest{
 			TrackerURL: trackerURL, InfoHash: ih, PeerID: testPeerID(99),
-			Port: port, Left: 1000, NumWant: 50, IP: "127.0.0.1",
+			Port: port, Left: 1000, NumWant: 50,
 		}
 		var resp *AnnounceResponse
 		var err error
@@ -341,8 +429,23 @@ func FuzzUDPTrackerPacket(f *testing.F) {
 
 	srv := NewServer()
 	from := mustUDPAddr("127.0.0.1:9999")
+	elsewhere := mustUDPAddr("127.0.0.2:9999")
+	id, err := parseConnectResp(srv.handleUDPPacket(marshalConnectReq(1), from))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		_ = srv.handleUDPPacket(p, from)
+		// The same packet carrying from's id, sent from another IP, must
+		// never get an announce or scrape answer.
+		if len(p) >= 8 {
+			spoofed := append([]byte(nil), p...)
+			binary.BigEndian.PutUint64(spoofed, id)
+			if action, _, ok := udpRespHeader(srv.handleUDPPacket(spoofed, elsewhere)); ok &&
+				(action == udpActionAnnounce || action == udpActionScrape) {
+				t.Fatalf("id issued to %v answered from %v with action %d", from, elsewhere, action)
+			}
+		}
 		_, _ = parseConnectResp(p)
 		_, _ = parseAnnounceResp(p)
 		_, _ = parseScrapeResp(p)
@@ -372,7 +475,7 @@ func BenchmarkUDPAnnounce(b *testing.B) {
 	ih := testHash(9)
 	req := AnnounceRequest{
 		TrackerURL: u, InfoHash: ih, PeerID: testPeerID(1), Port: 7001,
-		Left: 100, IP: "127.0.0.1", NumWant: 50,
+		Left: 100, NumWant: 50,
 	}
 	if _, err := uc.Announce(req); err != nil {
 		b.Fatalf("warmup: %v", err)

@@ -117,24 +117,11 @@ func (e *udpServerError) isConnIDError() bool {
 }
 
 // Announce performs one BEP 15 announce against req.TrackerURL
-// (a udp:// URL). Timeouts and transport failures come back as
-// Temporary *Error; an in-band error packet is fatal (with Reason set),
-// except an expired-connection-id verdict, which triggers one
-// transparent reconnect-and-retry.
+// (a udp:// URL). Failures are classified as exchange describes.
 func (c *UDPClient) Announce(req AnnounceRequest) (*AnnounceResponse, error) {
-	addr, err := udpTrackerAddr(req.TrackerURL)
-	if err != nil {
-		return nil, err
-	}
 	event, err := udpEventCode(req.Event)
 	if err != nil {
 		return nil, &Error{URL: req.TrackerURL, Err: err}
-	}
-	var ipField uint32
-	if req.IP != "" {
-		if ip4 := net.ParseIP(req.IP).To4(); ip4 != nil {
-			ipField = binary.BigEndian.Uint32(ip4)
-		}
 	}
 	numWant := int32(-1)
 	if req.NumWant > 0 {
@@ -144,109 +131,93 @@ func (c *UDPClient) Announce(req AnnounceRequest) (*AnnounceResponse, error) {
 	if err != nil {
 		return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
 	}
-
-	conn, err := c.dial(addr)
+	payload, err := c.exchange(req.TrackerURL, udpActionAnnounce, marshalAnnounceReq(udpAnnounceReq{
+		InfoHash:   req.InfoHash,
+		PeerID:     req.PeerID,
+		Downloaded: req.Downloaded,
+		Left:       req.Left,
+		Uploaded:   req.Uploaded,
+		Event:      event,
+		Key:        key,
+		NumWant:    numWant,
+		Port:       uint16(req.Port),
+	}))
+	if err != nil {
+		return nil, err
+	}
+	resp, err := parseAnnounceResp(payload)
 	if err != nil {
 		return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
 	}
-	defer conn.Close()
-
-	// One reconnect-and-retry when the server reports our connection id
-	// expired (we raced the two-minute TTL).
-	for attempt := 0; ; attempt++ {
-		connID, err := c.connID(conn, addr, req.TrackerURL)
-		if err != nil {
-			return nil, err
-		}
-		tx, err := newTx()
-		if err != nil {
-			return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
-		}
-		pkt := marshalAnnounceReq(udpAnnounceReq{
-			ConnID:     connID,
-			Tx:         tx,
-			InfoHash:   req.InfoHash,
-			PeerID:     req.PeerID,
-			Downloaded: req.Downloaded,
-			Left:       req.Left,
-			Uploaded:   req.Uploaded,
-			Event:      event,
-			IP:         ipField,
-			Key:        key,
-			NumWant:    numWant,
-			Port:       uint16(req.Port),
-		})
-		payload, err := c.roundTrip(conn, addr, pkt, udpActionAnnounce, tx)
-		if err != nil {
-			var serr *udpServerError
-			if errors.As(err, &serr) {
-				if serr.isConnIDError() && attempt == 0 {
-					c.invalidate(addr)
-					continue
-				}
-				return &AnnounceResponse{FailureMsg: serr.msg},
-					&Error{URL: req.TrackerURL, Reason: serr.msg}
-			}
-			return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
-		}
-		resp, err := parseAnnounceResp(payload)
-		if err != nil {
-			return nil, &Error{URL: req.TrackerURL, Temporary: true, Err: err}
-		}
-		return resp, nil
-	}
+	return resp, nil
 }
 
 // Scrape performs one BEP 15 scrape for up to 74 info-hashes.
 func (c *UDPClient) Scrape(trackerURL string, hashes []metainfo.InfoHash) ([]ScrapeCount, error) {
-	addr, err := udpTrackerAddr(trackerURL)
+	if len(hashes) == 0 || len(hashes) > udpMaxScrape {
+		return nil, fmt.Errorf("tracker: scrape wants 1..%d hashes, got %d", udpMaxScrape, len(hashes))
+	}
+	payload, err := c.exchange(trackerURL, udpActionScrape, marshalScrapeReq(0, 0, hashes))
 	if err != nil {
 		return nil, err
 	}
-	if len(hashes) == 0 || len(hashes) > udpMaxScrape {
-		return nil, fmt.Errorf("tracker: scrape wants 1..%d hashes, got %d", udpMaxScrape, len(hashes))
+	counts, err := parseScrapeResp(payload)
+	if err != nil {
+		return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
+	}
+	if len(counts) != len(hashes) {
+		return nil, &Error{URL: trackerURL, Temporary: true,
+			Err: fmt.Errorf("tracker: scrape answered %d entries for %d hashes", len(counts), len(hashes))}
+	}
+	return counts, nil
+}
+
+// exchange sends the request pkt (an announce or scrape, whose
+// connection id and transaction id exchange fills in) to the udp://
+// tracker at trackerURL and returns the payload of the matching
+// answer. On the server's expired-connection-id verdict it reconnects
+// once and resends. An in-band error packet is a fatal *Error with
+// Reason set; timeouts and transport failures are Temporary.
+func (c *UDPClient) exchange(trackerURL string, action uint32, pkt []byte) ([]byte, error) {
+	addr, err := udpTrackerAddr(trackerURL)
+	if err != nil {
+		return nil, err
 	}
 	conn, err := c.dial(addr)
 	if err != nil {
 		return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
 	}
 	defer conn.Close()
-	for attempt := 0; ; attempt++ {
-		connID, err := c.connID(conn, addr, trackerURL)
-		if err != nil {
-			return nil, err
-		}
-		tx, err := newTx()
-		if err != nil {
-			return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
-		}
-		payload, err := c.roundTrip(conn, addr, marshalScrapeReq(connID, tx, hashes), udpActionScrape, tx)
-		if err != nil {
-			var serr *udpServerError
-			if errors.As(err, &serr) {
-				if serr.isConnIDError() && attempt == 0 {
-					c.invalidate(addr)
-					continue
-				}
-				return nil, &Error{URL: trackerURL, Reason: serr.msg}
-			}
-			return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
-		}
-		counts, err := parseScrapeResp(payload)
-		if err != nil {
-			return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
-		}
-		if len(counts) != len(hashes) {
-			return nil, &Error{URL: trackerURL, Temporary: true,
-				Err: fmt.Errorf("tracker: scrape answered %d entries for %d hashes", len(counts), len(hashes))}
-		}
-		return counts, nil
+	payload, err := c.send(conn, addr, action, pkt)
+	var serr *udpServerError
+	if errors.As(err, &serr) && serr.isConnIDError() {
+		c.mu.Lock()
+		delete(c.conns, addr)
+		c.mu.Unlock()
+		payload, err = c.send(conn, addr, action, pkt)
 	}
+	switch {
+	case err == nil:
+		return payload, nil
+	case errors.As(err, &serr):
+		return nil, &Error{URL: trackerURL, Reason: serr.msg}
+	}
+	return nil, &Error{URL: trackerURL, Temporary: true, Err: err}
+}
+
+// send stamps pkt with a live connection id and runs one round trip.
+func (c *UDPClient) send(conn net.Conn, addr string, action uint32, pkt []byte) ([]byte, error) {
+	connID, err := c.connID(conn, addr)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint64(pkt[0:8], connID)
+	return c.roundTrip(conn, addr, pkt, action)
 }
 
 // connID returns a live connection id for addr: the cached one when
 // younger than udpConnIDReuse, else a fresh connect exchange.
-func (c *UDPClient) connID(conn net.Conn, addr, trackerURL string) (uint64, error) {
+func (c *UDPClient) connID(conn net.Conn, addr string) (uint64, error) {
 	now := c.now()
 	c.mu.Lock()
 	cached, ok := c.conns[addr]
@@ -254,21 +225,13 @@ func (c *UDPClient) connID(conn net.Conn, addr, trackerURL string) (uint64, erro
 	if ok && now.Sub(cached.minted) < udpConnIDReuse {
 		return cached.id, nil
 	}
-	tx, err := newTx()
+	payload, err := c.roundTrip(conn, addr, marshalConnectReq(0), udpActionConnect)
 	if err != nil {
-		return 0, &Error{URL: trackerURL, Temporary: true, Err: err}
-	}
-	payload, err := c.roundTrip(conn, addr, marshalConnectReq(tx), udpActionConnect, tx)
-	if err != nil {
-		var serr *udpServerError
-		if errors.As(err, &serr) {
-			return 0, &Error{URL: trackerURL, Reason: serr.msg}
-		}
-		return 0, &Error{URL: trackerURL, Temporary: true, Err: err}
+		return 0, err
 	}
 	id, err := parseConnectResp(payload)
 	if err != nil {
-		return 0, &Error{URL: trackerURL, Temporary: true, Err: err}
+		return 0, err
 	}
 	c.mu.Lock()
 	if c.conns == nil {
@@ -279,20 +242,20 @@ func (c *UDPClient) connID(conn net.Conn, addr, trackerURL string) (uint64, erro
 	return id, nil
 }
 
-// invalidate drops the cached connection id for addr.
-func (c *UDPClient) invalidate(addr string) {
-	c.mu.Lock()
-	delete(c.conns, addr)
-	c.mu.Unlock()
-}
-
-// roundTrip sends pkt and waits for the matching response, following
-// the BEP 15 retransmit schedule: attempt n times out after
-// Timeout·2^n, and the request is resent up to MaxRetransmits times.
-// Datagrams with the wrong transaction id or an unexpected action are
-// strays (late retransmit answers, cross-talk) and are skipped. An
-// error packet for our transaction comes back as *udpServerError.
-func (c *UDPClient) roundTrip(conn net.Conn, addr string, pkt []byte, wantAction, tx uint32) ([]byte, error) {
+// roundTrip stamps pkt (any request: each carries its transaction id
+// at bytes 12–16) with a fresh transaction id, sends it and waits for
+// the matching response, following the BEP 15 retransmit schedule:
+// attempt n times out after Timeout·2^n, and the request is resent up
+// to MaxRetransmits times. Datagrams with the wrong transaction id or
+// an unexpected action are strays (late retransmit answers,
+// cross-talk) and are skipped. An error packet for our transaction
+// comes back as *udpServerError.
+func (c *UDPClient) roundTrip(conn net.Conn, addr string, pkt []byte, wantAction uint32) ([]byte, error) {
+	tx, err := newTx()
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(pkt[12:16], tx)
 	buf := make([]byte, 4096)
 	timeout := c.timeout()
 	for n := 0; n <= c.retransmits(); n++ {

@@ -63,7 +63,7 @@ func newFleetHarness(t testing.TB) *fleetHarness {
 		addr string
 		left int64
 	}{{h.seed, 0}, {h.leecher, 1 << 20}} {
-		host, portStr, err := net.SplitHostPort(reg.addr)
+		_, portStr, err := net.SplitHostPort(reg.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func newFleetHarness(t testing.TB) *fleetHarness {
 		id[0] = byte('A' + i)
 		if _, err := uc.Announce(tracker.AnnounceRequest{
 			TrackerURL: udpURL, InfoHash: ih, PeerID: id,
-			Port: port, Left: reg.left, Event: "started", IP: host,
+			Port: port, Left: reg.left, Event: "started",
 		}); err != nil {
 			t.Fatalf("register fake peer %d: %v", i, err)
 		}

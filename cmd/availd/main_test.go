@@ -29,7 +29,7 @@ func TestGracefulShutdownZeroLoss(t *testing.T) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
 	defer stop()
 
-	e := ingest.New(ingest.Config{Shards: 4, QueueDepth: 16})
+	e := ingest.New(ingest.Config{Shards: 4})
 	ready := make(chan net.Addr, 1)
 	served := make(chan error, 1)
 	go func() { served <- serve(ctx, e, options{listen: "127.0.0.1:0"}, ready, nil) }()

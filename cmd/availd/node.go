@@ -378,8 +378,8 @@ func (s *server) down(srv, adminSrv *http.Server) error {
 		<-s.ckptDone // no checkpoint racing the drain
 	}
 	s.engine.Close()
-	applied := s.engine.Metrics().Applied
-	fmt.Printf("availd: drained, %d records applied\n", applied)
+	applied := s.engine.Registry().Sum("ingest_applied_total")
+	fmt.Printf("availd: drained, %.0f records applied\n", applied)
 	s.opts.logger.Info("drained", "applied", applied)
 	if s.opts.dataDir != "" {
 		// The drained final state — every record acknowledged before the

@@ -214,10 +214,10 @@ func TestPartitionChaosFailover(t *testing.T) {
 	if dropper.count() != 1 {
 		t.Fatalf("injected %d ack losses, want 1", dropper.count())
 	}
-	if d := e0.Metrics().Deduped; d == 0 {
+	if d := e0.Registry().Sum("ingest_deduped_total"); d == 0 {
 		t.Fatal("retry of the dropped-ack batch was not deduplicated on the leader")
 	} else {
-		t.Logf("leader 0 deduplicated %d records from the lost-ack retry", d)
+		t.Logf("leader 0 deduplicated %.0f records from the lost-ack retry", d)
 	}
 
 	// A keyed probe pushed straight to leader 0: in the ledger once. Its

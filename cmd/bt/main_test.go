@@ -178,7 +178,7 @@ func TestLoopbackSmoke(t *testing.T) {
 		t.Fatalf("a streaming fleet printed per-round lines:\n%s", out)
 	}
 	e.Flush()
-	if applied := e.Metrics().Applied; applied != records {
+	if applied := uint64(e.Registry().Sum("ingest_applied_total")); applied != records {
 		t.Fatalf("engine applied %d ops, fleet reported records=%d: lost or duplicated", applied, records)
 	}
 	st, ok := e.Swarm(swarm)

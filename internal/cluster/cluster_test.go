@@ -246,6 +246,59 @@ func TestFollowerResume(t *testing.T) {
 	leader.e.Close()
 }
 
+// TestFollowerResumeAfterBootstrap: a follower restarted after a
+// checkpoint bootstrap resumes past the checkpoint. Its journal holds no
+// frame at or below the checkpoint, so the reopened journal must be
+// advanced to it, or the leader's next frame lands under a wrong
+// sequence and every poll fails until the numbering catches up.
+func TestFollowerResumeAfterBootstrap(t *testing.T) {
+	leader := newTestLeader(t)
+	for r := 0; r < 8; r++ {
+		leader.submit(t, r, 32)
+	}
+	leader.e.Flush()
+	if _, err := leader.e.Checkpoint(); err != nil {
+		t.Fatalf("leader checkpoint: %v", err)
+	}
+	dir := t.TempDir()
+	f1, err := NewFollower(FollowerConfig{LeaderURL: leader.srv.URL, Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f1.Sync(context.Background()); err != nil {
+		t.Fatalf("first sync: %v", err)
+	}
+	if f1.Bootstraps() != 1 || f1.Shipped() != 8 {
+		t.Fatalf("first sync: %d bootstraps, shipped %d; want one bootstrap to seq 8", f1.Bootstraps(), f1.Shipped())
+	}
+	if err := f1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f2, err := NewFollower(FollowerConfig{LeaderURL: leader.srv.URL, Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f2.Shipped() != 8 {
+		t.Fatalf("restarted follower at %d, want the checkpoint's 8", f2.Shipped())
+	}
+	for r := 8; r < 12; r++ {
+		leader.submit(t, r, 32)
+	}
+	if err := f2.Sync(context.Background()); err != nil {
+		t.Fatalf("sync after restart: %v", err)
+	}
+	promoted, _, err := promote(f2, ingest.Config{Shards: 2})
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	defer promoted.Close()
+	if got, want := stateBytes(t, promoted), stateBytes(t, leader.e); string(got) != string(want) {
+		t.Fatalf("promoted state diverged from leader (%d bytes, leader %d)", len(got), len(want))
+	}
+	leader.e.Close()
+}
+
 // TestWALStreamTruncationRace: a checkpoint can truncate the leader's
 // journal between a follower's status fetch and its stream request —
 // or mid-stream. The follower must come through every such race via a

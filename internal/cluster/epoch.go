@@ -32,6 +32,12 @@ func (e *EpochConflictError) Error() string {
 	return fmt.Sprintf("cluster: epoch conflict (stamped %d, node at %d)", e.ClientEpoch, e.NodeEpoch)
 }
 
+// behind reports whether an answer from epoch e is behind slot n: it
+// comes from a leader retired since the request went out, so it
+// acknowledges nothing and is never merged. The exchange judges a node's
+// answer by it, and an upstream stream connection the ACKs it reads.
+func (n *gwNode) behind(e uint64) bool { return e < n.route.Load().epoch }
+
 // epochFile is the slot epoch's on-disk name inside a node's data dir,
 // next to the WAL segments and checkpoints it fences.
 const epochFile = "cluster-epoch.json"

@@ -58,7 +58,6 @@ type Follower struct {
 	log    *wal.Log     // synced per append, as the leader's: a shipped frame survives SIGKILL
 	client *http.Client // every leader request, each under a timeout
 
-	shipped    atomic.Uint64 // newest sequence durably copied locally
 	bootstraps atomic.Uint64
 
 	shippedFrames *obs.Counter
@@ -73,8 +72,10 @@ type Follower struct {
 
 // NewFollower opens (or resumes) a follower over dir. An existing
 // directory resumes where the last run stopped: the shipped watermark
-// is the newer of the local journal's tail and the newest local
-// checkpoint.
+// is the local journal's tail, advanced to the newest local checkpoint
+// when that is past it — as ingest.OpenDurable advances it after loading
+// one — so a restart after a bootstrap appends the leader's next frame
+// at its own sequence.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg = cfg.withDefaults()
 	if cfg.LeaderURL == "" || cfg.Dir == "" {
@@ -91,24 +92,25 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	shipped := log.LastSeq()
-	if _, ckptSeq, ok, err := ingest.NewestCheckpoint(cfg.Dir); err != nil {
+	_, ckptSeq, ok, err := ingest.NewestCheckpoint(cfg.Dir)
+	if err == nil && ok && ckptSeq > log.LastSeq() {
+		err = log.AdvanceTo(ckptSeq)
+	}
+	if err != nil {
 		log.Close()
 		return nil, err
-	} else if ok && ckptSeq > shipped {
-		shipped = ckptSeq
 	}
-	f.shipped.Store(shipped)
 	if reg := cfg.Metrics; reg != nil {
-		reg.GaugeFunc("follower_shipped_seq", func() float64 { return float64(f.shipped.Load()) })
+		reg.GaugeFunc("follower_shipped_seq", func() float64 { return float64(f.Shipped()) })
 		reg.GaugeFunc("follower_bootstraps_total", func() float64 { return float64(f.bootstraps.Load()) })
 		f.shippedFrames = reg.Counter("follower_shipped_frames_total")
 	}
 	return f, nil
 }
 
-// Shipped returns the newest sequence durably copied locally.
-func (f *Follower) Shipped() uint64 { return f.shipped.Load() }
+// Shipped returns the newest sequence durably copied locally: the local
+// journal's tail.
+func (f *Follower) Shipped() uint64 { return f.log.LastSeq() }
 
 // Bootstraps returns how many times the follower re-based on a leader
 // checkpoint because its catch-up point had been truncated.
@@ -163,7 +165,7 @@ func (f *Follower) Sync(ctx context.Context) error {
 // streamOnce pulls one /v1/wal/stream response and appends its frames.
 // Returns the number of frames appended.
 func (f *Follower) streamOnce(ctx context.Context) (int, error) {
-	from := f.shipped.Load() + 1
+	from := f.Shipped() + 1
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/wal/stream?from=%d", f.cfg.LeaderURL, from), nil)
 	if err != nil {
@@ -206,11 +208,11 @@ func (f *Follower) streamOnce(ctx context.Context) (int, error) {
 			return appended, aerr
 		}
 		if seq != want {
-			// The local log disagrees about the next sequence — a gap that
+			// The watermark is the journal's tail, so this cannot happen
+			// unless something else appended to the journal: a gap that
 			// replaying would silently misnumber. Refuse loudly.
 			return appended, fmt.Errorf("cluster: follower appended seq %d, want %d", seq, want)
 		}
-		f.shipped.Store(seq)
 		f.shippedFrames.Inc()
 		want++
 		appended++
@@ -250,7 +252,6 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err := f.log.AdvanceTo(seq); err != nil {
 		return err
 	}
-	f.shipped.Store(seq)
 	f.bootstraps.Add(1)
 	f.logf("follower bootstrapped from leader checkpoint at seq %d", seq)
 	return nil

@@ -400,7 +400,7 @@ func (g *Gateway) exchange(ctx context.Context, n *gwNode, c nodeCall) (*http.Re
 			if c.to != "" || nodeEpoch <= epoch {
 				return nil, &EpochConflictError{ClientEpoch: epoch, NodeEpoch: nodeEpoch}
 			}
-		case c.to == "" && perr == nil && nodeEpoch < n.route.Load().epoch:
+		case c.to == "" && perr == nil && n.behind(nodeEpoch):
 			g.logf("gateway: %s answered at epoch %d, slot now at %d: sending again", n.cfg.name(), nodeEpoch, n.route.Load().epoch)
 			drain(resp)
 		default:

@@ -45,6 +45,28 @@ func (g *Gateway) ServeStream(ln net.Listener) error {
 	return g.streams.Serve(ln)
 }
 
+// epochConn is an upstream stream connection and the slot epoch it was
+// dialed under, the exchange's stamp: max(route epoch, 1). An ACK read
+// once the slot has moved past that epoch comes from a leader retired
+// while the frame was in flight — the frame may exist only there — so
+// the read fails instead: the client drops the connection, redials the
+// slot's current node and resends its unacknowledged frames under their
+// keys, which that node applies or deduplicates.
+type epochConn struct {
+	net.Conn
+	n     *gwNode
+	epoch uint64
+}
+
+func (c *epochConn) Read(p []byte) (int, error) {
+	k, err := c.Conn.Read(p)
+	if c.n.behind(c.epoch) {
+		c.Conn.Close()
+		return 0, fmt.Errorf("cluster: %s stream dialed at epoch %d, slot now at %d", c.n.cfg.name(), c.epoch, c.n.route.Load().epoch)
+	}
+	return k, err
+}
+
 // slotTarget is one slot's cumulative-sent watermark at the time a
 // downstream frame finished fanning out.
 type slotTarget struct {
@@ -92,14 +114,18 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 		done:    make(chan struct{}),
 	}
 	for slot, n := range g.nodes {
-		// The dial re-reads the slot's binary address, so a reconnect after
-		// a failover lands on the promoted follower.
+		// The dial re-reads the slot's route, so a reconnect after a
+		// failover lands on the promoted follower.
 		f.clients[slot] = ingest.NewStreamClient(ingest.StreamClientConfig{
 			Dial: func(ctx context.Context) (net.Conn, error) {
+				rt := n.route.Load()
 				var d net.Dialer
-				return d.DialContext(ctx, "tcp", n.route.Load().binAddr)
+				conn, err := d.DialContext(ctx, "tcp", rt.binAddr)
+				if err != nil {
+					return nil, err
+				}
+				return &epochConn{Conn: conn, n: n, epoch: max(rt.epoch, 1)}, nil
 			},
-			Source:   n.source,
 			RetryFor: g.pushBudget(n),
 			Logf:     g.cfg.Logf,
 		})

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +44,13 @@ func newStreamNode(t *testing.T) *streamNode {
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
+	return &streamNode{e: e, srv: srv, binAddr: serveBin(t, e)}
+}
 
+// serveBin serves e's binary stream protocol on a loopback listener
+// until the test ends, returning its address.
+func serveBin(t *testing.T, e *ingest.Engine) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +66,7 @@ func newStreamNode(t *testing.T) *streamNode {
 		ss.Close()
 		<-done
 	})
-	return &streamNode{e: e, srv: srv, binAddr: ln.Addr().String()}
+	return ln.Addr().String()
 }
 
 // streamGateway wires nodes into a gateway with its binary stream
@@ -98,6 +105,10 @@ func streamGateway(t *testing.T, nodes []*streamNode) (*Gateway, *httptest.Serve
 	})
 	return g, srv, ln.Addr().String()
 }
+
+// series reads one of an engine's counts from its registry, summed over
+// label sets.
+func series(e *ingest.Engine, name string) uint64 { return uint64(e.Registry().Sum(name)) }
 
 func fetchBody(t *testing.T, url string) []byte {
 	t.Helper()
@@ -238,9 +249,8 @@ func TestGatewayStreamKeyedReplayForwardsVerbatim(t *testing.T) {
 	base := fetchBody(t, gwSrv.URL+"/v1/summary")
 	var applied, deduped uint64
 	for _, n := range nodes {
-		m := n.e.Metrics()
-		applied += m.Records
-		deduped += m.Deduped
+		applied += series(n.e, "ingest_records_total")
+		deduped += series(n.e, "ingest_deduped_total")
 	}
 	if want := uint64(len(ops)); applied != want {
 		t.Fatalf("nodes applied %d records, want %d", applied, want)
@@ -252,9 +262,8 @@ func TestGatewayStreamKeyedReplayForwardsVerbatim(t *testing.T) {
 	push() // the lost-ack retry
 	var applied2, deduped2 uint64
 	for _, n := range nodes {
-		m := n.e.Metrics()
-		applied2 += m.Records
-		deduped2 += m.Deduped
+		applied2 += series(n.e, "ingest_records_total")
+		deduped2 += series(n.e, "ingest_deduped_total")
 	}
 	if applied2 != applied {
 		t.Fatalf("replay re-applied: %d -> %d records", applied, applied2)
@@ -412,5 +421,132 @@ func TestGatewayCloseAbandonsDeadUpstream(t *testing.T) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines before NewGateway, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// holdProxy relays TCP connections to target until the test ends:
+// bytes toward target pass at once, bytes back are held until release is
+// closed — a leader whose answers are stuck on the way to the gateway.
+func holdProxy(t *testing.T, target string, release <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			mu.Lock()
+			conns = append(conns, down, up)
+			mu.Unlock()
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(up, down)
+			}()
+			go func() {
+				defer wg.Done()
+				select {
+				case <-release:
+					_, _ = io.Copy(down, up)
+				case <-done:
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestGatewayStreamStaleAckAfterFailover is the stream front's
+// stale-answer test: the leader applies a forwarded frame at epoch 1,
+// its ACK is held on the way back while the health loop promotes the
+// follower at epoch 2, and then it arrives. That ACK is behind the slot
+// and must not acknowledge anything — the frame may exist only on the
+// retired node. The forwarder redials the promoted follower and resends
+// the frame under its key, so the frame the monitor sees acknowledged is
+// there.
+func TestGatewayStreamStaleAckAfterFailover(t *testing.T) {
+	var log stampLog
+	leader, _, leaderSrv := gatedNode(t, "leader", &log)
+	follower, _, followerSrv := gatedNode(t, "follower", &log)
+	release := make(chan struct{})
+	g, err := NewGateway(GatewayConfig{
+		Nodes: []NodeConfig{{
+			Name: "n0", URL: leaderSrv.URL, Follower: followerSrv.URL,
+			BinAddr: holdProxy(t, serveBin(t, leader.e), release), FollowerBin: serveBin(t, follower.e),
+		}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = g.ServeStream(ln)
+	}()
+	defer func() { ln.Close(); <-served }()
+
+	recs := mkRecords(16, 7, 0)
+	mon := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: ln.Addr().String(), BatchSize: len(recs)})
+	defer mon.Abandon()
+	for _, rec := range recs {
+		if err := mon.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- mon.Flush() }()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the leader to apply the frame", func() bool { return leader.e.Summary().Events == uint64(len(recs)) })
+	leader.healthy.Store(false)
+	waitFor("the promotion", func() bool { return g.NodeURL(0) == followerSrv.URL })
+	close(release) // the leader's ACK, from epoch 1, reaches the gateway
+
+	if err := <-flushed; err != nil {
+		t.Fatalf("monitor flush across the failover: %v", err)
+	}
+	if got, want := follower.e.Summary().Events, uint64(len(recs)); got != want {
+		t.Fatalf("the promoted node holds %d of the %d acknowledged records: the gateway took a retired leader's ACK", got, want)
 	}
 }

@@ -60,7 +60,7 @@ func TestStreamDedupSurvivesPromotion(t *testing.T) {
 	// The reconnect-after-failover resend: every frame again, against
 	// the promoted engine. Nothing may re-apply, and every duplicate op
 	// must land in ingest_deduped_total.
-	base := promoted.Metrics()
+	baseRecords, baseDeduped := series(promoted, "ingest_records_total"), series(promoted, "ingest_deduped_total")
 	var dupOps uint64
 	for i, frame := range frames {
 		applied, err := promoted.SubmitFrame(frame)
@@ -72,12 +72,11 @@ func TestStreamDedupSurvivesPromotion(t *testing.T) {
 		}
 		dupOps += 2
 	}
-	m := promoted.Metrics()
-	if m.Records != base.Records {
-		t.Fatalf("records moved %d -> %d across replay", base.Records, m.Records)
+	if records := series(promoted, "ingest_records_total"); records != baseRecords {
+		t.Fatalf("records moved %d -> %d across replay", baseRecords, records)
 	}
-	if want := base.Deduped + dupOps; m.Deduped != want {
-		t.Fatalf("deduped %d, want %d", m.Deduped, want)
+	if deduped, want := series(promoted, "ingest_deduped_total"), baseDeduped+dupOps; deduped != want {
+		t.Fatalf("deduped %d, want %d", deduped, want)
 	}
 	if got := stateBytes(t, promoted); string(got) != string(leaderState) {
 		t.Fatal("state changed across a fully deduplicated replay")

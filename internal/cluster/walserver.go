@@ -95,7 +95,6 @@ func (s *WALServer) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-From-Seq", strconv.FormatUint(from, 10))
 	var (
 		buf    []byte
 		served int

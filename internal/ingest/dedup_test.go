@@ -46,12 +46,11 @@ func TestSubmitKeyedDedup(t *testing.T) {
 	e.Flush()
 
 	const wantApplied = 4 * 10
-	snap := e.Metrics()
-	if snap.Applied != wantApplied {
-		t.Fatalf("applied %d ops, want %d", snap.Applied, wantApplied)
+	if n := series(e, "ingest_applied_total"); n != wantApplied {
+		t.Fatalf("applied %d ops, want %d", n, wantApplied)
 	}
-	if snap.Deduped != 10 {
-		t.Fatalf("deduped %d ops, want 10", snap.Deduped)
+	if n := series(e, "ingest_deduped_total"); n != 10 {
+		t.Fatalf("deduped %d ops, want 10", n)
 	}
 
 	// Empty source: at-least-once Submit, never deduplicated.
@@ -95,8 +94,8 @@ func TestSubmitKeyedConcurrentRetries(t *testing.T) {
 	if wins != 1 {
 		t.Fatalf("%d racers applied the batch, want exactly 1", wins)
 	}
-	if snap := e.Metrics(); snap.Applied != uint64(len(ops)) {
-		t.Fatalf("applied %d ops, want %d", snap.Applied, len(ops))
+	if n := series(e, "ingest_applied_total"); n != uint64(len(ops)) {
+		t.Fatalf("applied %d ops, want %d", n, len(ops))
 	}
 }
 
@@ -232,8 +231,8 @@ func TestDurableKeyedDedupSurvivesRestart(t *testing.T) {
 			t.Fatalf("post-recovery retry of batch %d: applied=%v err=%v", i, applied, kerr)
 		}
 	}
-	if snap := e2.Metrics(); snap.Deduped != 5*20 {
-		t.Fatalf("deduped %d ops post-recovery, want %d", snap.Deduped, 5*20)
+	if n := series(e2, "ingest_deduped_total"); n != 5*20 {
+		t.Fatalf("deduped %d ops post-recovery, want %d", n, 5*20)
 	}
 
 	ref := New(Config{Shards: 3})

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"strconv"
@@ -16,23 +15,6 @@ import (
 
 // ErrClosed is returned by writes submitted after Close.
 var ErrClosed = errors.New("ingest: engine closed")
-
-// ClosedError is the error returned when a Writer's buffered batch is
-// dropped because the engine closed underneath it. It wraps ErrClosed
-// (errors.Is(err, ErrClosed) is true) and carries the number of ops
-// lost, so callers can account for the data loss instead of guessing.
-// The same count is added to the ingest_writer_dropped_total counter.
-type ClosedError struct {
-	// Dropped is the number of buffered ops that were discarded.
-	Dropped int
-}
-
-func (e *ClosedError) Error() string {
-	return fmt.Sprintf("ingest: engine closed (%d buffered ops dropped)", e.Dropped)
-}
-
-// Unwrap makes errors.Is(err, ErrClosed) hold.
-func (e *ClosedError) Unwrap() error { return ErrClosed }
 
 // batchPool recycles the []Op batch buffers that travel through the
 // shard queues. A buffer's life cycle is: Writer/Submit fills it →
@@ -95,7 +77,7 @@ func (p *batchPool) put(b []Op) {
 type Engine struct {
 	cfg     Config
 	shards  []*shard
-	metrics *Metrics
+	metrics *metrics
 	pool    batchPool
 	commits sync.Pool // *commit: the submit core's per-call scratch
 	wg      sync.WaitGroup
@@ -160,10 +142,10 @@ func newEngine(cfg Config) *Engine {
 	}
 	// Enough parked buffers for every queue slot plus the batches being
 	// filled and decoded at the edges.
-	e.pool.init(cfg.Shards*cfg.QueueDepth + 2*cfg.Shards + 8)
+	e.pool.init(cfg.Shards*cfg.queueDepth + 2*cfg.Shards + 8)
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		e.shards[i] = newShard(i, cfg.QueueDepth, e.metrics, &e.pool, cfg.SnapshotMaxAge)
+		e.shards[i] = newShard(i, cfg.queueDepth, e.metrics, &e.pool, cfg.maxAge)
 		s := e.shards[i]
 		e.metrics.reg.GaugeFunc("ingest_shard_queue_depth",
 			func() float64 { return float64(len(s.in)) },
@@ -707,22 +689,13 @@ func (e *Engine) onSwarm(id int, fn func(*swarmState)) (ok bool) {
 	return ok
 }
 
-// Metrics snapshots the engine's operational counters.
-func (e *Engine) Metrics() MetricsSnapshot {
-	depths := make([]int, len(e.shards))
-	for i, s := range e.shards {
-		depths[i] = len(s.in)
-	}
-	return e.metrics.snapshot(depths)
-}
-
 // Writer is a per-producer batching front end: ops accumulate in
 // per-shard buffers and flush to the shard queues when BatchSize is
 // reached (or on Flush). One Writer must not be shared between
 // goroutines; open one per producer — per-swarm ordering is preserved
 // because a swarm's ops always travel through the same shard buffer in
-// append order. Writes after Engine.Close return a *ClosedError
-// reporting how many buffered ops were dropped.
+// append order. Writes after Engine.Close return ErrClosed, and the
+// buffered ops they drop are counted in ingest_writer_dropped_total.
 //
 // Buffers come from the engine's batch pool and are handed to the
 // shard whole — the shard applies the batch and recycles the buffer —
@@ -763,8 +736,7 @@ func (w *Writer) ObserveCensus(snap trace.Snapshot) error {
 
 // flushShard hands shard i's buffer to its queue. If the engine closed
 // underneath the writer the batch cannot be delivered: the loss is
-// counted in ingest_writer_dropped_total and reported through the
-// returned *ClosedError instead of being discarded silently.
+// counted in ingest_writer_dropped_total, not discarded silently.
 func (w *Writer) flushShard(i int) error {
 	buf := w.bufs[i]
 	if len(buf) == 0 {
@@ -776,32 +748,19 @@ func (w *Writer) flushShard(i int) error {
 	_, err := w.e.submit(g[:])
 	if errors.Is(err, ErrClosed) {
 		w.e.metrics.writerDropped.Add(uint64(n))
-		return &ClosedError{Dropped: n}
 	}
 	return err
 }
 
-// Flush pushes every buffered op to its shard. It does not wait for
-// application; use Engine.Flush for a barrier. If the engine closed,
-// the returned *ClosedError totals the dropped ops across all shard
-// buffers.
+// Flush pushes every buffered op to its shard and returns the first
+// error. It does not wait for application; use Engine.Flush for a
+// barrier.
 func (w *Writer) Flush() error {
-	var dropped int
 	var first error
 	for i := range w.bufs {
-		err := w.flushShard(i)
-		if err == nil {
-			continue
-		}
-		var ce *ClosedError
-		if errors.As(err, &ce) {
-			dropped += ce.Dropped
-		} else if first == nil {
+		if err := w.flushShard(i); err != nil && first == nil {
 			first = err
 		}
-	}
-	if dropped > 0 {
-		return &ClosedError{Dropped: dropped}
 	}
 	return first
 }

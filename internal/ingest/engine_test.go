@@ -20,7 +20,7 @@ func replayStudy(t *testing.T, traces []trace.SwarmTrace, shards, writers int) *
 	if err := trace.WriteTraces(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Shards: shards, BatchSize: 64, QueueDepth: 16})
+	e := New(Config{Shards: shards, BatchSize: 64, queueDepth: 16})
 	n, err := ReplayTraces(e, trace.NewTraceScanner(&buf), writers)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestCensusMatchesOffline(t *testing.T) {
 // goroutines while readers snapshot concurrently — the -race test for
 // the concurrent hot path.
 func TestConcurrentWritersAndReaders(t *testing.T) {
-	e := New(Config{Shards: 4, BatchSize: 32, QueueDepth: 8})
+	e := New(Config{Shards: 4, BatchSize: 32, queueDepth: 8})
 	const writers = 8
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
@@ -211,7 +211,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				}
 				_ = e.Summary()
 				_, _ = e.Swarm(ri * 997)
-				_ = e.Metrics()
+				_ = e.Registry().Sum("ingest_applied_total")
 			}
 		}(ri)
 	}
@@ -219,9 +219,9 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	e.Flush()
-	m := e.Metrics()
-	if m.Records != writers*2000 || m.Applied != writers*2000 {
-		t.Fatalf("records %d applied %d, want %d", m.Records, m.Applied, writers*2000)
+	records, applied := series(e, "ingest_records_total"), series(e, "ingest_applied_total")
+	if records != writers*2000 || applied != writers*2000 {
+		t.Fatalf("records %d applied %d, want %d", records, applied, writers*2000)
 	}
 	e.Close()
 }
@@ -316,21 +316,16 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	w.Flush()
 	e.Flush()
-	m := e.Metrics()
-	if m.Records != uint64(total) || m.Applied != uint64(total) {
-		t.Fatalf("records %d applied %d, want %d", m.Records, m.Applied, total)
+	records, applied := series(e, "ingest_records_total"), series(e, "ingest_applied_total")
+	if records != uint64(total) || applied != uint64(total) {
+		t.Fatalf("records %d applied %d, want %d", records, applied, total)
 	}
-	if m.Batches == 0 || m.MeanBatchSize <= 0 || m.MeanBatchSize > 10 {
-		t.Fatalf("batch stats: %+v", m)
+	m := e.metrics
+	if mean := m.batchSize.Mean(); m.batches.Value() == 0 || mean <= 0 || mean > 10 {
+		t.Fatalf("batch stats: %d batches, mean size %v", m.batches.Value(), mean)
 	}
-	if m.LatencyP50 <= 0 || m.LatencyP99 < m.LatencyP50/2 {
-		t.Fatalf("latency quantiles: p50 %v p99 %v", m.LatencyP50, m.LatencyP99)
-	}
-	if len(m.ShardDepths) != 2 {
-		t.Fatalf("shard depths %v", m.ShardDepths)
-	}
-	if m.RecordsPerSecond <= 0 {
-		t.Fatalf("rate %v", m.RecordsPerSecond)
+	if p50, p99 := m.batchLatency.Quantile(0.5), m.batchLatency.Quantile(0.99); p50 <= 0 || p99 < p50/2 {
+		t.Fatalf("latency quantiles: p50 %v p99 %v", p50, p99)
 	}
 	e.Close()
 }

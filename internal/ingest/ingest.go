@@ -147,26 +147,32 @@ type Config struct {
 	// no copy — so larger batches only amortise the channel hop; 512
 	// ops ≈ 24 KiB per pooled buffer. At most MaxFrameOps.
 	BatchSize int
-	// QueueDepth is the per-shard queue capacity in batches
-	// (default 128). A full queue stalls the submitter until the shard
-	// drains — lossless backpressure.
-	QueueDepth int
 	// Metrics is an optional observability registry the engine
 	// registers its instruments on (ingest_* series). Nil means a
-	// private registry — Engine.Metrics still works, nothing is
-	// exported. Run at most one live engine per registry: a second
-	// engine on the same registry merges its series into the first's.
+	// private registry, still read through Engine.Registry. Run at most
+	// one live engine per registry: a second engine on the same registry
+	// merges its series into the first's.
 	Metrics *obs.Registry
 
-	// SnapshotMaxAge bounds how stale the lock-free read snapshots may
-	// get (default 100ms). Under sustained writes each shard republishes
-	// its snapshot once this much time has passed since the last
-	// publish; on an idle engine a reader that observes a snapshot both
-	// older than this and behind the shard's apply watermark nudges a
-	// refresh through the queue. Either way a snapshot read is never
-	// more than SnapshotMaxAge behind the applied stream.
-	SnapshotMaxAge time.Duration
+	// queueDepth and maxAge replace shardQueueDepth and snapshotMaxAge
+	// when set: tests reach for a one-slot queue or a one-nanosecond age.
+	queueDepth int
+	maxAge     time.Duration
 }
+
+// shardQueueDepth is the per-shard queue capacity in batches. A full
+// queue stalls the submitter until the shard drains — lossless
+// backpressure.
+const shardQueueDepth = 128
+
+// snapshotMaxAge bounds how stale the lock-free read snapshots may get.
+// Under sustained writes each shard republishes its snapshot once this
+// much time has passed since the last publish; on an idle engine a
+// reader that observes a snapshot both older than this and behind the
+// shard's apply watermark nudges a refresh through the queue. Either way
+// a snapshot read is never more than snapshotMaxAge behind the applied
+// stream.
+const snapshotMaxAge = 100 * time.Millisecond
 
 func (c Config) withDefaults(defaultShards int) Config {
 	if c.Shards <= 0 {
@@ -176,11 +182,11 @@ func (c Config) withDefaults(defaultShards int) Config {
 		c.BatchSize = 512
 	}
 	c.BatchSize = min(c.BatchSize, MaxFrameOps)
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 128
+	if c.queueDepth <= 0 {
+		c.queueDepth = shardQueueDepth
 	}
-	if c.SnapshotMaxAge <= 0 {
-		c.SnapshotMaxAge = 100 * time.Millisecond
+	if c.maxAge <= 0 {
+		c.maxAge = snapshotMaxAge
 	}
 	return c
 }

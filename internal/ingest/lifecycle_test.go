@@ -62,7 +62,7 @@ func TestSubmitAfterCloseReturnsError(t *testing.T) {
 // Close must drain every batch already queued: ops submitted (and
 // acknowledged) before Close are all visible afterwards.
 func TestCloseDrainsQueuedWork(t *testing.T) {
-	e := New(Config{Shards: 2, QueueDepth: 256})
+	e := New(Config{Shards: 2, queueDepth: 256})
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := e.Observe(rec(i, 1, true, 0)); err != nil {
@@ -73,15 +73,15 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 	if got := e.Summary().Swarms; got != n {
 		t.Fatalf("after Close: %d swarms, want %d", got, n)
 	}
-	if m := e.Metrics(); m.Applied != n {
-		t.Fatalf("after Close: applied %d, want %d", m.Applied, n)
+	if got := series(e, "ingest_applied_total"); got != n {
+		t.Fatalf("after Close: applied %d, want %d", got, n)
 	}
 }
 
 // Concurrent submitters racing Flush and Close: no panics, no lost
 // acknowledged ops, late submitters get ErrClosed. Run with -race.
 func TestConcurrentSubmitRacingClose(t *testing.T) {
-	e := New(Config{Shards: 4, QueueDepth: 8})
+	e := New(Config{Shards: 4, queueDepth: 8})
 	var accepted atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -7,22 +7,20 @@ import (
 	"swarmavail/internal/obs"
 )
 
-// Metrics owns the engine's operational instruments, all registered on
+// metrics owns the engine's operational instruments, all registered on
 // an obs.Registry: ingest volume, per-shard applied
 // counters, batch sizes and per-batch apply latency. Counter and
 // histogram updates are single atomic operations — nothing on the
 // per-record hot path takes a lock.
 //
-// The registry is the single source of truth: MetricsSnapshot is built
-// from it in one place (snapshot), so a scrape of /metrics and a call
-// to Engine.Metrics can never disagree.
-type Metrics struct {
-	start time.Time
-	reg   *obs.Registry
+// The registry is the only place the engine's counts live: /metrics
+// serves it, and Engine.Registry reads it.
+type metrics struct {
+	reg *obs.Registry
 
 	records       *obs.Counter   // ops accepted by Submit/Writer
 	deduped       *obs.Counter   // keyed ops acked without re-applying (duplicates)
-	writerDropped *obs.Counter   // buffered Writer ops lost to Close (see ClosedError)
+	writerDropped *obs.Counter   // buffered Writer ops lost to Close
 	batches       *obs.Counter   // batches applied
 	applied       []*obs.Counter // ops applied, labeled shard="i"
 	batchLatency  *obs.Histogram // batch apply seconds
@@ -39,15 +37,13 @@ type Metrics struct {
 }
 
 // newMetrics registers the engine's instruments on reg (a private
-// registry when nil, so Engine.Metrics works without one). Sharing one
-// registry between two live engines merges their series; run one
-// engine per registry.
-func newMetrics(reg *obs.Registry, shards int) *Metrics {
+// registry when nil). Sharing one registry between two live engines
+// merges their series; run one engine per registry.
+func newMetrics(reg *obs.Registry, shards int) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	m := &Metrics{
-		start:         time.Now(),
+	m := &metrics{
 		reg:           reg,
 		records:       reg.Counter("ingest_records_total"),
 		deduped:       reg.Counter("ingest_deduped_total"),
@@ -70,7 +66,7 @@ func newMetrics(reg *obs.Registry, shards int) *Metrics {
 }
 
 // observeBatch records one batch applied by shard i.
-func (m *Metrics) observeBatch(shard, n int, d time.Duration) {
+func (m *metrics) observeBatch(shard, n int, d time.Duration) {
 	m.applied[shard].Add(uint64(n))
 	m.batches.Inc()
 	sec := d.Seconds()
@@ -84,65 +80,7 @@ func (m *Metrics) observeBatch(shard, n int, d time.Duration) {
 
 // observePublish records one shard snapshot publish that visited dirty
 // swarms.
-func (m *Metrics) observePublish(dirty int, d time.Duration) {
+func (m *metrics) observePublish(dirty int, d time.Duration) {
 	m.publishTime.Observe(d.Seconds())
 	m.publishDirty.Observe(float64(dirty))
-}
-
-// MetricsSnapshot is a point-in-time copy of the engine's counters.
-type MetricsSnapshot struct {
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	Records          uint64  `json:"records"`
-	Applied          uint64  `json:"applied"`
-	Batches          uint64  `json:"batches"`
-	RecordsPerSecond float64 `json:"records_per_second"`
-	// Deduped counts keyed ops acknowledged without re-applying because
-	// their (source, seq) batch was already journaled.
-	Deduped uint64 `json:"deduped"`
-	// ReadCacheHits counts Snapshot() reads served from the memoized
-	// merged snapshot (no per-shard re-merge).
-	ReadCacheHits uint64  `json:"read_cache_hits"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	MaxBatchSize  float64 `json:"max_batch_size"`
-	// Batch apply latency quantiles in seconds (histogram-accurate:
-	// exact to within one factor-2 bucket).
-	LatencyP50 float64 `json:"latency_p50_seconds"`
-	LatencyP99 float64 `json:"latency_p99_seconds"`
-	// ShardDepths are instantaneous queue depths in batches;
-	// ShardApplied are cumulative applied ops per shard.
-	ShardDepths  []int    `json:"shard_depths"`
-	ShardApplied []uint64 `json:"shard_applied"`
-}
-
-// snapshot is the single place a MetricsSnapshot is assembled — every
-// field is read from the registry-backed instruments here, so handlers
-// cannot skip a counter by copying fields themselves.
-// TestMetricsSnapshotComplete enforces (by reflection) that every
-// exported field is populated.
-func (m *Metrics) snapshot(depths []int) MetricsSnapshot {
-	up := time.Since(m.start).Seconds()
-	perShard := make([]uint64, len(m.applied))
-	var applied uint64
-	for i, c := range m.applied {
-		perShard[i] = c.Value()
-		applied += perShard[i]
-	}
-	snap := MetricsSnapshot{
-		UptimeSeconds: up,
-		Records:       m.records.Value(),
-		Deduped:       m.deduped.Value(),
-		Applied:       applied,
-		Batches:       m.batches.Value(),
-		ReadCacheHits: m.readCacheHits.Value(),
-		MeanBatchSize: m.batchSize.Mean(),
-		MaxBatchSize:  m.batchSizeMax.Value(),
-		LatencyP50:    m.batchLatency.Quantile(0.5),
-		LatencyP99:    m.batchLatency.Quantile(0.99),
-		ShardDepths:   depths,
-		ShardApplied:  perShard,
-	}
-	if up > 0 {
-		snap.RecordsPerSecond = float64(applied) / up
-	}
-	return snap
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"math"
-	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -13,14 +12,15 @@ import (
 	"swarmavail/internal/wal"
 )
 
-// TestMetricsSnapshotComplete runs a workload that exercises every
-// instrument, then checks by reflection that no
-// exported MetricsSnapshot field is left at its zero value. Adding a
-// field to MetricsSnapshot without populating it in snapshot() fails
-// here, which is the regression this guards: handlers used to copy
-// fields by hand and silently skip new ones.
-func TestMetricsSnapshotComplete(t *testing.T) {
-	e := New(Config{Shards: 2, BatchSize: 8, QueueDepth: 1})
+// series reads one of an engine's counts from its registry, summed over
+// label sets (ingest_applied_total has one series per shard).
+func series(e *Engine, name string) uint64 { return uint64(e.Registry().Sum(name)) }
+
+// TestEngineSeriesPopulated runs a workload that exercises every
+// instrument the engine counts with, then requires each of their series
+// to read non-zero: a count the engine keeps is one /metrics serves.
+func TestEngineSeriesPopulated(t *testing.T) {
+	e := New(Config{Shards: 2, BatchSize: 8, queueDepth: 1})
 	defer e.Close()
 
 	traces := trace.GenerateStudy(trace.DefaultStudyConfig(40, 3))
@@ -32,7 +32,7 @@ func TestMetricsSnapshotComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exercise the exactly-once path: the second submit of the same
-	// (source, seq) key is a duplicate and populates Deduped.
+	// (source, seq) key is a duplicate and counts in ingest_deduped_total.
 	if applied, err := e.SubmitKeyed("metrics-test", 1, ops[:1]); err != nil || !applied {
 		t.Fatalf("first keyed submit: applied=%v err=%v", applied, err)
 	}
@@ -41,28 +41,33 @@ func TestMetricsSnapshotComplete(t *testing.T) {
 	}
 	e.Flush()
 	// Exercise the snapshot read cache: back-to-back lock-free reads of
-	// a quiet engine serve the memoized merge, populating ReadCacheHits.
+	// a quiet engine serve the memoized merge.
 	e.Snapshot()
 	e.Snapshot()
 
-	snap := e.Metrics()
-	v := reflect.ValueOf(snap)
-	typ := v.Type()
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Errorf("MetricsSnapshot.%s is zero after a full-coverage workload — snapshot() missed it", typ.Field(i).Name)
+	reg := e.Registry()
+	names := []string{"ingest_records_total", "ingest_batches_total", "ingest_deduped_total", "read_cache_hits_total", "ingest_batch_size_max"}
+	for i := 0; i < e.Shards(); i++ {
+		if v, ok := reg.Value("ingest_applied_total", obs.L("shard", strconv.Itoa(i))); !ok || v == 0 {
+			t.Errorf("ingest_applied_total{shard=%d} = %v (registered %v) after a full-coverage workload", i, v, ok)
 		}
 	}
-	// ShardDepths may legitimately hold zeros but must cover every shard.
-	if len(snap.ShardDepths) != e.Shards() || len(snap.ShardApplied) != e.Shards() {
-		t.Errorf("per-shard slices sized %d/%d, want %d", len(snap.ShardDepths), len(snap.ShardApplied), e.Shards())
+	for _, name := range names {
+		if v, ok := reg.Value(name); !ok || v == 0 {
+			t.Errorf("%s = %v (registered %v) after a full-coverage workload", name, v, ok)
+		}
+	}
+	for name, buckets := range map[string][]float64{"ingest_batch_size": obs.SizeBuckets, "ingest_batch_apply_seconds": obs.LatencyBuckets} {
+		if h := reg.Histogram(name, buckets); h.Count() == 0 || h.Sum() == 0 {
+			t.Errorf("%s observed %d values summing to %v after a full-coverage workload", name, h.Count(), h.Sum())
+		}
 	}
 }
 
 // TestShardCountersConcurrent drives parallel writers into a sharded
 // engine on a shared registry and checks that the per-shard applied
-// counters, their registry-wide sum, and the snapshot all agree with
-// the number of ops submitted. Run under -race.
+// counters and their registry-wide sum agree with the number of ops
+// submitted. Run under -race.
 func TestShardCountersConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Config{Shards: 4, BatchSize: 16, Metrics: reg})
@@ -88,13 +93,10 @@ func TestShardCountersConcurrent(t *testing.T) {
 	e.Flush()
 
 	const want = writers * perWriter
-	snap := e.Metrics()
-	if snap.Applied != want || snap.Records != want {
-		t.Fatalf("snapshot applied %d records %d, want %d", snap.Applied, snap.Records, want)
-	}
 	var perShard uint64
-	for _, n := range snap.ShardApplied {
-		perShard += n
+	for i := 0; i < e.Shards(); i++ {
+		v, _ := reg.Value("ingest_applied_total", obs.L("shard", strconv.Itoa(i)))
+		perShard += uint64(v)
 	}
 	if perShard != want {
 		t.Fatalf("per-shard applied sums to %d, want %d", perShard, want)
@@ -119,7 +121,7 @@ func TestShardCountersConcurrent(t *testing.T) {
 // age 0 however far behind the view is.
 func TestSnapshotMetricsFollowReaders(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := New(Config{Shards: 1, Metrics: reg, SnapshotMaxAge: time.Hour})
+	e := New(Config{Shards: 1, Metrics: reg, maxAge: time.Hour})
 	defer e.Close()
 	age := func() float64 {
 		v, ok := reg.Value("ingest_snapshot_age_seconds")
@@ -146,10 +148,10 @@ func TestSnapshotMetricsFollowReaders(t *testing.T) {
 		t.Fatalf("age = %v with the view behind but never read, want 0", got)
 	}
 
-	// A reader loads the (still stale, within SnapshotMaxAge) snapshot:
+	// A reader loads the (still stale, within its max age) snapshot:
 	// now somebody is being served it, and its age counts.
 	if got := e.Snapshot().Summary.Events; got != 0 {
-		t.Fatalf("snapshot within SnapshotMaxAge shows %d events, want the boot view", got)
+		t.Fatalf("snapshot within its max age shows %d events, want the boot view", got)
 	}
 	if got := age(); got <= 0 {
 		t.Fatalf("age = %v with a reader holding a stale snapshot, want > 0", got)

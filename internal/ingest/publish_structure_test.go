@@ -84,21 +84,21 @@ func TestPublishAllocatesPerShard(t *testing.T) {
 func waitApplied(t *testing.T, e *Engine, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for e.Metrics().Applied < n {
+	for series(e, "ingest_applied_total") < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine applied %d of %d ops", e.Metrics().Applied, n)
+			t.Fatalf("engine applied %d of %d ops", series(e, "ingest_applied_total"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestWriteOnlyEngineNeverSelfPublishes: the throttled publish is on
-// demand. With SnapshotMaxAge at its minimum every batch is "due", yet a
+// demand. With the max age at its minimum every batch is "due", yet a
 // stream nobody reads builds no view at all; the first read afterwards
 // reflects every applied op, and from then on — somebody is looking —
 // the shard republishes by itself.
 func TestWriteOnlyEngineNeverSelfPublishes(t *testing.T) {
-	e := New(Config{Shards: 1, SnapshotMaxAge: time.Nanosecond})
+	e := New(Config{Shards: 1, maxAge: time.Nanosecond})
 	defer e.Close()
 	publishes := func() uint64 { return e.metrics.publishTime.Count() }
 	boot := publishes() // the empty snapshot newShard publishes

@@ -49,7 +49,7 @@ type shardSnap struct {
 type shard struct {
 	idx     int
 	in      chan shardMsg
-	metrics *Metrics
+	metrics *metrics
 	pool    *batchPool
 	maxAge  time.Duration
 	cats    map[trace.Category]*CategoryCounters
@@ -70,7 +70,7 @@ type shard struct {
 	wanted  atomic.Bool
 }
 
-func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, maxAge time.Duration) *shard {
+func newShard(idx, queueDepth int, m *metrics, pool *batchPool, maxAge time.Duration) *shard {
 	s := &shard{
 		idx:     idx,
 		in:      make(chan shardMsg, queueDepth),

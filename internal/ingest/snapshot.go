@@ -58,15 +58,15 @@ func snapNonce() string {
 
 // freshSnap returns shard s's published snapshot, first nudging a
 // republish through the queue when the snapshot is both behind the
-// shard's apply watermark and older than SnapshotMaxAge. Loading the
+// shard's apply watermark and older than snapshotMaxAge. Loading the
 // snapshot marks it wanted, which is what keeps the shard republishing
 // on its own under sustained writes, so the nudge fires only for the
 // first reader after a stretch nobody read in; on an idle engine the
 // queue is empty and the barrier costs two channel hops. Either way the
-// returned snapshot is at most SnapshotMaxAge behind the applied stream.
+// returned snapshot is at most snapshotMaxAge behind the applied stream.
 func (e *Engine) freshSnap(s *shard) *shardSnap {
 	snap := s.snap.Load()
-	if s.applied.Load() != snap.epoch && time.Since(snap.built) > e.cfg.SnapshotMaxAge {
+	if s.applied.Load() != snap.epoch && time.Since(snap.built) > e.cfg.maxAge {
 		// The shard publishes before acknowledging (and, once closed, the
 		// final publish is the complete state), so this reload observes
 		// everything applied before the barrier.
@@ -85,7 +85,7 @@ func (e *Engine) freshSnap(s *shard) *shardSnap {
 // back-to-back calls under a quiet engine hit the cache
 // (read_cache_hits_total) and return the identical Snapshot.
 //
-// The view is consistent per shard and at most SnapshotMaxAge stale; it
+// The view is consistent per shard and at most snapshotMaxAge stale; it
 // may interleave shards mid-write. For a full barrier read use
 // Summary/Window (the ?consistent=1 path).
 func (e *Engine) Snapshot() Snapshot {

@@ -40,12 +40,12 @@ func TestSnapshotFreshAfterFlush(t *testing.T) {
 
 	// Idle engine: the validator is stable and the memoized merge serves
 	// repeat reads (the serving cache).
-	hits := e.Metrics().ReadCacheHits
+	hits := series(e, "read_cache_hits_total")
 	again := e.Snapshot()
 	if again.ETag != snap.ETag || again.Epoch != snap.Epoch {
 		t.Fatalf("idle snapshot validator moved: %q/%d → %q/%d", snap.ETag, snap.Epoch, again.ETag, again.Epoch)
 	}
-	if got := e.Metrics().ReadCacheHits; got <= hits {
+	if got := series(e, "read_cache_hits_total"); got <= hits {
 		t.Fatalf("repeat snapshot read did not hit the cache (hits %d → %d)", hits, got)
 	}
 
@@ -62,10 +62,10 @@ func TestSnapshotFreshAfterFlush(t *testing.T) {
 
 // TestSnapshotStalenessBound checks the reader-side freshness nudge: an
 // engine left idle after unflushed writes still serves a snapshot no
-// older than SnapshotMaxAge, because a stale read pays one queue
+// older than its max age, because a stale read pays one queue
 // barrier to republish.
 func TestSnapshotStalenessBound(t *testing.T) {
-	e := New(Config{Shards: 1, BatchSize: 4, SnapshotMaxAge: 5 * time.Millisecond})
+	e := New(Config{Shards: 1, BatchSize: 4, maxAge: 5 * time.Millisecond})
 	defer e.Close()
 	if err := e.Submit([]Op{EventOp(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true})}); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestSnapshotStalenessBound(t *testing.T) {
 	before := e.Snapshot()
 
 	// A write the engine has applied but not republished (no flush, no
-	// reads): after SnapshotMaxAge the next read must surface it.
+	// reads): after the max age the next read must surface it.
 	if err := e.Submit([]Op{EventOp(Record{SwarmID: 2, PeerID: 1, Seed: true, Online: true})}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSnapshotStalenessBound(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshot still stale long past SnapshotMaxAge: epoch %d, swarms %d", snap.Epoch, snap.Summary.Swarms)
+			t.Fatalf("snapshot still stale long past its max age: epoch %d, swarms %d", snap.Epoch, snap.Summary.Swarms)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -127,7 +127,7 @@ func TestSnapshotAfterClose(t *testing.T) {
 // freshness — the test is that every interleaving is memory-safe and
 // returns a coherent view.
 func TestSnapshotReadersRaceWritersAndClose(t *testing.T) {
-	e := New(Config{Shards: 4, SnapshotMaxAge: time.Millisecond})
+	e := New(Config{Shards: 4, maxAge: time.Millisecond})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 

@@ -211,7 +211,7 @@ func TestStreamCorruptFramesLeaveStateUnchanged(t *testing.T) {
 	}
 	defer e.Close()
 	stood := streamViolations(t, serveStreamNode(t, e), func() []byte { return stateOf(e) })
-	if got, want := e.Metrics().Records, stood+1; got != want { // the first frame carries two ops
+	if got, want := e.Registry().Counter("ingest_records_total").Value(), stood+1; got != want { // the first frame carries two ops
 		t.Fatalf("records = %d across rejected frames, want %d", got, want)
 	}
 	if got := e.WAL().LastSeq(); got != stood {

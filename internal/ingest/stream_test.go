@@ -110,9 +110,8 @@ func TestStreamSummaryParity(t *testing.T) {
 	if !bytes.Equal(jsonCDF, binCDF) {
 		t.Fatalf("cdf diverged\n--- json ---\n%s\n--- binary ---\n%s", jsonCDF, binCDF)
 	}
-	if binE.Metrics().Records != jsonE.Metrics().Records {
-		t.Fatalf("record counts diverged: binary %d, json %d",
-			binE.Metrics().Records, jsonE.Metrics().Records)
+	if b, j := series(binE, "ingest_records_total"), series(jsonE, "ingest_records_total"); b != j {
+		t.Fatalf("record counts diverged: binary %d, json %d", b, j)
 	}
 }
 
@@ -168,9 +167,11 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := e.Metrics()
-	if want := uint64(5 * len(ops)); base.Records != want {
-		t.Fatalf("applied %d records, want %d", base.Records, want)
+	records := func() uint64 { return series(e, "ingest_records_total") }
+	deduped := func() uint64 { return series(e, "ingest_deduped_total") }
+	baseRecords, baseDeduped := records(), deduped()
+	if want := uint64(5 * len(ops)); baseRecords != want {
+		t.Fatalf("applied %d records, want %d", baseRecords, want)
 	}
 
 	// The reconnect-shaped replay: same source, frames 2..4 again.
@@ -183,12 +184,12 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if m.Records != base.Records {
-		t.Fatalf("replay re-applied: records %d -> %d", base.Records, m.Records)
+	mRecords, mDeduped := records(), deduped()
+	if mRecords != baseRecords {
+		t.Fatalf("replay re-applied: records %d -> %d", baseRecords, mRecords)
 	}
-	if want := base.Deduped + uint64(3*len(ops)); m.Deduped != want {
-		t.Fatalf("deduped %d, want %d", m.Deduped, want)
+	if want := baseDeduped + uint64(3*len(ops)); mDeduped != want {
+		t.Fatalf("deduped %d, want %d", mDeduped, want)
 	}
 
 	// The same key twice inside one pipelined burst — one commit group:
@@ -208,12 +209,12 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 		}
 		acked = binary.LittleEndian.Uint64(payload[1:])
 	}
-	burstM := e.Metrics()
-	if want := m.Records + uint64(2*len(ops)); burstM.Records != want {
-		t.Fatalf("burst with a repeated key applied %d records, want %d", burstM.Records-m.Records, 2*len(ops))
+	burstRecords, burstDeduped := records(), deduped()
+	if want := mRecords + uint64(2*len(ops)); burstRecords != want {
+		t.Fatalf("burst with a repeated key applied %d records, want %d", burstRecords-mRecords, 2*len(ops))
 	}
-	if want := m.Deduped + uint64(len(ops)); burstM.Deduped != want {
-		t.Fatalf("burst with a repeated key deduplicated %d ops, want one batch of %d", burstM.Deduped-m.Deduped, len(ops))
+	if want := mDeduped + uint64(len(ops)); burstDeduped != want {
+		t.Fatalf("burst with a repeated key deduplicated %d ops, want one batch of %d", burstDeduped-mDeduped, len(ops))
 	}
 }
 
@@ -278,8 +279,8 @@ func TestStreamCrossedSourcesDoNotDeadlock(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got, want := e.Metrics().Records, uint64(2*frames*len(ops)); got != want {
-		t.Fatalf("applied %d records, want %d (deduped %d)", got, want, e.Metrics().Deduped)
+	if got, want := series(e, "ingest_records_total"), uint64(2*frames*len(ops)); got != want {
+		t.Fatalf("applied %d records, want %d (deduped %d)", got, want, series(e, "ingest_deduped_total"))
 	}
 }
 
@@ -355,13 +356,13 @@ func TestStreamConcurrentClientsWithResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Flush()
-	m := e.Metrics()
-	if want := uint64(clients * frames * perOp); m.Records != want {
-		t.Fatalf("applied %d records, want exactly %d (deduped %d)", m.Records, want, m.Deduped)
+	records, deduped := series(e, "ingest_records_total"), series(e, "ingest_deduped_total")
+	if want := uint64(clients * frames * perOp); records != want {
+		t.Fatalf("applied %d records, want exactly %d (deduped %d)", records, want, deduped)
 	}
 	st := fn.Stats()
 	t.Logf("faultnet: %d resets, %d dials denied; engine deduped %d replayed records",
-		st.Resets, st.DialsDenied, m.Deduped)
+		st.Resets, st.DialsDenied, deduped)
 }
 
 // TestStreamClientFrozenUpstream: an upstream that accepts and then
@@ -480,7 +481,7 @@ func TestStreamRidesOutCheckpoint(t *testing.T) {
 	if n := c.Reconnects(); n != 0 {
 		t.Fatalf("the sender reconnected %d times", n)
 	}
-	if got := e.Metrics().Records; got != 2 {
+	if got := series(e, "ingest_records_total"); got != 2 {
 		t.Fatalf("applied %d records, want 2", got)
 	}
 }

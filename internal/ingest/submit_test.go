@@ -100,12 +100,12 @@ func TestSubmitPathsAgree(t *testing.T) {
 				// replay retries the last batch under its original key and
 				// returns how many ops the engine deduplicated.
 				replay := func(e *Engine) uint64 {
-					before := e.Metrics().Deduped
+					before := series(e, "ingest_deduped_total")
 					applied, err := p.feed(e, uint64(len(batches)), last)
 					if err != nil || applied {
 						t.Fatalf("replayed key: applied=%v err=%v, want a deduplicated ack", applied, err)
 					}
-					return e.Metrics().Deduped - before
+					return series(e, "ingest_deduped_total") - before
 				}
 
 				e := open()
@@ -151,7 +151,7 @@ func TestSubmitPathsAgree(t *testing.T) {
 				if got := stateBytes(e); !bytes.Equal(got, want) {
 					t.Fatalf("state diverged from the reference\ngot:  %s\nwant: %s", got, want)
 				}
-				if got := e.Metrics().Records; got != uint64(len(ops)) {
+				if got := series(e, "ingest_records_total"); got != uint64(len(ops)) {
 					t.Fatalf("ingest_records_total = %d, want %d", got, len(ops))
 				}
 				e.Close()

@@ -188,7 +188,7 @@ func TestResidentBytesPerSwarm(t *testing.T) {
 	// empty engine is in the baseline, and a one-slot queue of short
 	// batches keeps the batch pool (≈2 MB parked at the defaults, half of
 	// this study's footprint) out of the figure.
-	e := New(Config{Shards: 1, QueueDepth: 1, BatchSize: 64})
+	e := New(Config{Shards: 1, queueDepth: 1, BatchSize: 64})
 	defer e.Close()
 	before := heap()
 	for _, tr := range trace.GenerateStudy(trace.DefaultStudyConfig(swarms, 1)) {

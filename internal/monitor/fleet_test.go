@@ -178,11 +178,11 @@ func runFleetTest(t *testing.T, h *fleetHarness, cfg Config) Stats {
 	// An ack means queued (and journaled), not yet applied: barrier
 	// before counting applied ops.
 	h.engine.Flush()
-	m := h.engine.Metrics()
+	applied := uint64(h.engine.Registry().Sum("ingest_applied_total"))
 	wantApplied := stats.RecordsEmitted + 1 // + the MetaOp registration
-	if m.Applied != wantApplied {
+	if applied != wantApplied {
 		t.Fatalf("engine applied %d ops, fleet emitted %d (+1 meta): lost/duplicated records",
-			m.Applied, stats.RecordsEmitted)
+			applied, stats.RecordsEmitted)
 	}
 	if stats.Rounds == 0 || stats.Rounds == stats.ProbeFailures {
 		t.Fatalf("no successful probe rounds (rounds=%d failures=%d)", stats.Rounds, stats.ProbeFailures)

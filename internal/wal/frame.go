@@ -93,17 +93,21 @@ func ParseFrame(buf []byte) (payload []byte, size int, err error) {
 	return payload, size, nil
 }
 
-// frameReader decodes frames from a byte stream.
-type frameReader struct {
+// FrameReader decodes a stream of frames written by AppendFrame.
+type FrameReader struct {
 	r   io.Reader
 	buf []byte
 }
 
-// next returns the next frame's payload. io.EOF marks a clean end;
-// ErrCorrupt (wrapped) marks a torn or invalid frame. The envelope is
-// read into one buffer and judged by ParseFrame, so a stream and a
-// byte slice are held to the same rules.
-func (fr *frameReader) next() ([]byte, error) {
+// NewFrameReader reads frames from r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next returns the next frame's payload, valid until the following
+// call. io.EOF marks a clean end of stream; a torn or invalid frame
+// returns an error wrapping ErrCorrupt. The envelope is read into one
+// buffer and judged by ParseFrame, so a stream and a byte slice are held
+// to the same rules.
+func (fr *FrameReader) Next() ([]byte, error) {
 	if cap(fr.buf) < FrameHeaderSize {
 		fr.buf = make([]byte, FrameHeaderSize)
 	}
@@ -128,18 +132,3 @@ func (fr *frameReader) next() ([]byte, error) {
 	payload, _, err := ParseFrame(env)
 	return payload, err
 }
-
-// FrameReader decodes a stream of frames written by AppendFrame.
-type FrameReader struct {
-	fr frameReader
-}
-
-// NewFrameReader reads frames from r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{fr: frameReader{r: r}}
-}
-
-// Next returns the next frame's payload, valid until the following
-// call. io.EOF marks a clean end of stream; a torn or invalid frame
-// returns an error wrapping ErrCorrupt.
-func (r *FrameReader) Next() ([]byte, error) { return r.fr.next() }

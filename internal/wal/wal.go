@@ -76,21 +76,20 @@ func (p SyncPolicy) String() string {
 // policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "batch", "always", "each":
+	case "", "batch":
 		return SyncEachAppend, nil
-	case "off", "none", "never":
+	case "off":
 		return SyncNone, nil
 	}
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch or off)", s)
 }
 
-// Options parameterises Open. The zero value selects per-append fsync
-// and 64 MiB segments.
+// segmentBytes is the rotation threshold: an append that finds the
+// active segment at or past it seals the segment first.
+const segmentBytes = 64 << 20
+
+// Options parameterises Open. The zero value selects per-append fsync.
 type Options struct {
-	// SegmentBytes is the rotation threshold: an append that finds the
-	// active segment at or past it seals the segment first
-	// (default 64 MiB).
-	SegmentBytes int64
 	// Policy selects the fsync policy (default SyncEachAppend).
 	Policy SyncPolicy
 	// FsyncSeconds, when set, observes the duration of every fsync
@@ -99,13 +98,10 @@ type Options struct {
 	// SegmentBytesGauge, when set, tracks the active segment's size
 	// (wal_segment_bytes).
 	SegmentBytesGauge *obs.Gauge
-}
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	return o
+	// segmentMax, when set, replaces segmentBytes: tests rotate small
+	// segments.
+	segmentMax int64
 }
 
 // segment is one on-disk segment file.
@@ -156,7 +152,9 @@ type Log struct {
 // frame and later segments are deleted, so what remains is a clean
 // prefix of the appended frames.
 func Open(dir string, opts Options) (*Log, OpenStats, error) {
-	opts = opts.withDefaults()
+	if opts.segmentMax <= 0 {
+		opts.segmentMax = segmentBytes
+	}
 	var st OpenStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, st, err
@@ -263,9 +261,9 @@ func scanSegment(path string) (frames uint64, validSize, totalSize int64, err er
 		return 0, 0, 0, err
 	}
 	totalSize = info.Size()
-	r := &frameReader{r: f}
+	r := NewFrameReader(f)
 	for {
-		payload, err := r.next()
+		payload, err := r.Next()
 		if err != nil {
 			// io.EOF, a torn tail, or corruption: the valid prefix ends
 			// here either way; the caller truncates to validSize.
@@ -308,7 +306,7 @@ func (l *Log) Append(payloads ...[]byte) (uint64, error) {
 	l.buf = l.buf[:0]
 	pending := uint64(0) // frames assembled in buf, not yet written
 	for _, p := range payloads {
-		if l.f != nil && l.active.size+int64(len(l.buf)) >= l.opts.SegmentBytes {
+		if l.f != nil && l.active.size+int64(len(l.buf)) >= l.opts.segmentMax {
 			if err := l.writeLocked(pending); err != nil {
 				return 0, err
 			}
@@ -506,9 +504,9 @@ func replaySegment(seg segment, fromSeq uint64, fn func(uint64, []byte) error) e
 		return err
 	}
 	defer f.Close()
-	r := &frameReader{r: io.LimitReader(f, seg.size)}
+	r := NewFrameReader(io.LimitReader(f, seg.size))
 	for i := uint64(0); i < seg.frames; i++ {
-		payload, err := r.next()
+		payload, err := r.Next()
 		if err != nil {
 			return fmt.Errorf("wal: segment %s frame %d: %w", filepath.Base(seg.path), i, err)
 		}

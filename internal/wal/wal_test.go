@@ -59,7 +59,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("group=%d", group), func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny segments force several rotations — inside a group too.
-			l, _ := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
+			l, _ := openT(t, dir, Options{segmentMax: 64, Policy: SyncNone})
 			const n = 50
 			for i := 1; i <= n; i += group {
 				var frames [][]byte
@@ -99,7 +99,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			layouts = append(layouts, segmentLayout(t, dir))
 
 			// Reopen: everything survives, appends continue the sequence.
-			l2, st := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
+			l2, st := openT(t, dir, Options{segmentMax: 64, Policy: SyncNone})
 			defer l2.Close()
 			if st.Frames != n || st.TruncatedBytes != 0 || st.DroppedSegments != 0 {
 				t.Fatalf("reopen stats %+v", st)
@@ -263,7 +263,7 @@ func TestFailedWriteNeverBuriesLaterFrames(t *testing.T) {
 
 func TestCorruptMiddleDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 32, Policy: SyncNone})
+	l, _ := openT(t, dir, Options{segmentMax: 32, Policy: SyncNone})
 	for i := 0; i < 20; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("payload-%02d", i))); err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestCorruptMiddleDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, st := openT(t, dir, Options{SegmentBytes: 32, Policy: SyncNone})
+	l2, st := openT(t, dir, Options{segmentMax: 32, Policy: SyncNone})
 	defer l2.Close()
 	if st.DroppedSegments != segs-1 {
 		t.Fatalf("DroppedSegments = %d, want %d", st.DroppedSegments, segs-1)
@@ -302,7 +302,7 @@ func TestCorruptMiddleDropsSuffix(t *testing.T) {
 
 func TestTruncateThroughDropsSealedSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 48, Policy: SyncNone})
+	l, _ := openT(t, dir, Options{segmentMax: 48, Policy: SyncNone})
 	defer l.Close()
 	for i := 1; i <= 30; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
@@ -353,7 +353,7 @@ func TestTruncateThroughDropsSealedSegments(t *testing.T) {
 
 func TestReopenAfterTruncateThroughKeepsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 48, Policy: SyncNone})
+	l, _ := openT(t, dir, Options{segmentMax: 48, Policy: SyncNone})
 	for i := 1; i <= 30; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func TestReopenAfterTruncateThroughKeepsSuffix(t *testing.T) {
 
 	// Reopen: the log no longer starts at sequence 1 — the surviving
 	// suffix must be kept intact, not mistaken for corruption.
-	l2, st := openT(t, dir, Options{SegmentBytes: 48, Policy: SyncNone})
+	l2, st := openT(t, dir, Options{segmentMax: 48, Policy: SyncNone})
 	defer l2.Close()
 	if st.DroppedSegments != 0 || st.TruncatedBytes != 0 {
 		t.Fatalf("reopen after checkpoint-truncate repaired a healthy log: %+v", st)
@@ -424,7 +424,7 @@ func TestAdvanceTo(t *testing.T) {
 
 func TestTruncateFromCutsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{SegmentBytes: 64, Policy: SyncNone})
+	l, _ := openT(t, dir, Options{segmentMax: 64, Policy: SyncNone})
 	defer l.Close()
 	for i := 1; i <= 20; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
@@ -478,7 +478,8 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"everysooften", "interval"} {
+	// The old aliases are refused too: -fsync has one spelling per policy.
+	for _, in := range []string{"everysooften", "interval", "always", "each", "none", "never"} {
 		if _, err := ParseSyncPolicy(in); err == nil || !strings.Contains(err.Error(), "want batch or off") {
 			t.Errorf("ParseSyncPolicy(%q) error = %v; want a refusal naming batch and off", in, err)
 		}

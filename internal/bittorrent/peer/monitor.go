@@ -160,7 +160,7 @@ func probeOne(cfg ProbeConfig, addr string, ih metainfo.InfoHash, id [20]byte, n
 	if cfg.PEX && hs.Extensions {
 		_ = wire.WriteMessage(c, extHandshake(0))
 	}
-	r := newRemote(numPieces, addr)
+	r := newRemote(numPieces, addr, nil)
 	var discovered []string
 	for {
 		m, err := wire.ReadMessage(c)

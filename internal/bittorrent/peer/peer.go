@@ -10,7 +10,8 @@
 // exchange, and a generous choking policy: interest is answered with an
 // immediate unchoke. That is the policy of the §4 simulator
 // (internal/swarm), whose upload slots are MaxUploads with no
-// reciprocation ranking, and of every controlled experiment here.
+// reciprocation ranking, and of every controlled experiment here. Its
+// piece picker is the simulator's too, swarm.PickPiece over its peers.
 package peer
 
 import (
@@ -30,6 +31,7 @@ import (
 	"swarmavail/internal/bittorrent/tracker"
 	"swarmavail/internal/bittorrent/wire"
 	"swarmavail/internal/obs"
+	"swarmavail/internal/swarm"
 )
 
 // Connection limits: a node dials no new peer while it holds maxPeers
@@ -108,7 +110,8 @@ type Node struct {
 	content   []byte
 	have      wire.Bitfield
 	haveCount int
-	pending   map[int]*conn // piece → connection it is requested from
+	copies    []int         // per piece: connected remotes that hold it
+	pending   map[int]*conn // piece → the connection it is requested from: the only record of a request
 	conns     map[*conn]struct{}
 	dialed    map[string]bool
 	known     map[string]bool // peer listen addresses learned (tracker, PEX, handshakes)
@@ -117,9 +120,9 @@ type Node struct {
 	// Dial-failure backoff (guarded by mu): consecutive failures per
 	// address and the earliest next attempt, capped exponential with
 	// jitter so a dead peer is not hammered every announce round.
-	dialFails  map[string]int
-	nextDial   map[string]time.Time
-	backoffRng *mrand.Rand
+	dialFails map[string]int
+	nextDial  map[string]time.Time
+	rng       *mrand.Rand // backoff jitter and the piece picker's tie-break
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -138,10 +141,10 @@ type Node struct {
 type conn struct {
 	c        net.Conn
 	writeMu  sync.Mutex
-	mu       sync.Mutex // guards remote, choked and inflight
+	mu       sync.Mutex // guards remote and choked
 	remote   *remote
-	choked   bool // we are choked by the remote
-	inflight map[int]bool
+	choked   bool // we are choked by the remote, or it dropped
+	requests int  // pieces n.pending claims for this connection (guarded by n.mu)
 }
 
 // New creates a node. If cfg.Content is non-nil it must match the
@@ -169,6 +172,7 @@ func New(cfg Config) (*Node, error) {
 		info:      info,
 		infoHash:  ih,
 		have:      wire.NewBitfield(info.NumPieces()),
+		copies:    make([]int, info.NumPieces()),
 		pending:   make(map[int]*conn),
 		conns:     make(map[*conn]struct{}),
 		dialed:    make(map[string]bool),
@@ -187,7 +191,7 @@ func New(cfg Config) (*Node, error) {
 	for _, b := range n.peerID[8:16] {
 		rngSeed = rngSeed<<8 | int64(b)
 	}
-	n.backoffRng = mrand.New(mrand.NewSource(rngSeed ^ 0x5eed))
+	n.rng = mrand.New(mrand.NewSource(rngSeed ^ 0x5eed))
 	if cfg.Content != nil {
 		if int64(len(cfg.Content)) != info.TotalLength() {
 			return nil, fmt.Errorf("peer: content is %d bytes, torrent says %d",
@@ -285,10 +289,6 @@ func (n *Node) Bytes() []byte {
 func (n *Node) BytesLeft() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.bytesLeftLocked()
-}
-
-func (n *Node) bytesLeftLocked() int64 {
 	var left int64
 	for i := 0; i < n.info.NumPieces(); i++ {
 		if !n.have.Has(i) {
@@ -307,10 +307,7 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	conns := make([]*conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
+	conns := n.connsBut(nil)
 	n.mu.Unlock()
 
 	close(n.stopCh)
@@ -452,7 +449,7 @@ func (n *Node) announceLoop() {
 				base = 50 * time.Millisecond
 			}
 			n.mu.Lock()
-			wait = backoffAfter(failures, base, interval, n.backoffRng)
+			wait = backoffAfter(failures, base, interval, n.rng)
 			n.mu.Unlock()
 		}
 		select {
@@ -518,7 +515,7 @@ func (n *Node) dialAddrs(addrs []string) {
 				delete(n.dialed, addr) // allow a retry once the backoff passes
 				n.dialFails[addr]++
 				wait := backoffAfter(n.dialFails[addr],
-					250*time.Millisecond, 15*time.Second, n.backoffRng)
+					250*time.Millisecond, 15*time.Second, n.rng)
 				n.nextDial[addr] = time.Now().Add(wait)
 				fails := n.dialFails[addr]
 				n.mu.Unlock()
@@ -556,10 +553,7 @@ func (n *Node) broadcastPex() {
 		return
 	}
 	n.mu.Lock()
-	conns := make([]*conn, 0, len(n.conns))
-	for c := range n.conns {
-		conns = append(conns, c)
-	}
+	conns := n.connsBut(nil)
 	n.mu.Unlock()
 	for _, c := range conns {
 		c.mu.Lock()
@@ -598,17 +592,17 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	if err != nil {
 		return
 	}
-	_ = netc.SetDeadline(time.Time{})
 
 	c := &conn{
-		c:        netc,
-		remote:   newRemote(n.info.NumPieces(), netc.RemoteAddr().String()),
-		choked:   true,
-		inflight: make(map[int]bool),
+		c:      netc,
+		remote: newRemote(n.info.NumPieces(), netc.RemoteAddr().String(), n.copies),
+		choked: true,
 	}
+	c.writeMu.Lock() // our bitfield goes out before any have receivePiece sends c (BEP 3)
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
+		c.writeMu.Unlock()
 		return
 	}
 	n.conns[c] = struct{}{}
@@ -617,7 +611,10 @@ func (n *Node) runConn(netc net.Conn, initiator bool) {
 	n.m.connections.Add(1)
 
 	defer n.dropConn(c)
-	if err := c.write(&wire.Message{Type: wire.MsgBitfield, Bitfield: bf}); err != nil {
+	// Under the handshake's deadline; c.write and the read loop set their own.
+	err = wire.WriteMessage(netc, &wire.Message{Type: wire.MsgBitfield, Bitfield: bf})
+	c.writeMu.Unlock()
+	if err != nil {
 		return
 	}
 	if hs.Extensions {
@@ -643,22 +640,43 @@ func (n *Node) dropConn(c *conn) {
 	c.mu.Lock() // c.mu before n.mu, as in requestMore
 	n.mu.Lock()
 	delete(n.conns, c)
-	for piece := range c.inflight {
-		if n.pending[piece] == c {
-			delete(n.pending, piece)
-		}
-	}
-	c.inflight = make(map[int]bool)
+	c.remote.tally(-1)
+	c.choked = true // requestMore claims nothing more for c
 	n.mu.Unlock()
 	c.mu.Unlock()
-	// Other connections may now pick up the orphaned pieces.
-	n.mu.Lock()
+	n.release(c, -1)
+}
+
+// connsBut lists the live connections other than except; n.mu must be
+// held.
+func (n *Node) connsBut(except *conn) []*conn {
 	conns := make([]*conn, 0, len(n.conns))
-	for oc := range n.conns {
-		conns = append(conns, oc)
+	for c := range n.conns {
+		if c != except {
+			conns = append(conns, c)
+		}
+	}
+	return conns
+}
+
+// release ends c's claim on piece, or on every piece it claims when piece
+// is negative; n.pending holds the only record of a claim, so this is
+// where every claim ends. A freed piece the node still lacks is offered
+// to the other connections.
+func (n *Node) release(c *conn, piece int) {
+	n.mu.Lock()
+	var others []*conn // set once a freed piece is still missing
+	for p, holder := range n.pending {
+		if holder == c && (piece < 0 || p == piece) {
+			delete(n.pending, p)
+			c.requests--
+			if others == nil && !n.have.Has(p) {
+				others = n.connsBut(c)
+			}
+		}
 	}
 	n.mu.Unlock()
-	for _, oc := range conns {
+	for _, oc := range others {
 		n.requestMore(oc)
 	}
 }
@@ -673,8 +691,11 @@ func (c *conn) write(m *wire.Message) error {
 func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 	switch m.Type {
 	case wire.MsgBitfield, wire.MsgHave, wire.MsgExtended:
-		c.mu.Lock()
+		c.mu.Lock() // c.mu before n.mu: read keeps n.copies
+		n.mu.Lock()
 		listen, gossip, err := c.remote.read(m)
+		useful := m.Type != wire.MsgExtended && n.wants(c.remote.have)
+		n.mu.Unlock()
 		c.mu.Unlock()
 		if err != nil {
 			return err
@@ -686,7 +707,7 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 			n.rememberAddrs(gossip)
 			n.dialAddrs(gossip)
 		}
-		if m.Type != wire.MsgExtended && n.remoteHasUseful(c) {
+		if useful {
 			if err := c.write(&wire.Message{Type: wire.MsgInterested}); err != nil {
 				return err
 			}
@@ -698,19 +719,8 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 	case wire.MsgChoke:
 		c.mu.Lock()
 		c.choked = true
-		orphans := make([]int, 0, len(c.inflight))
-		for p := range c.inflight {
-			orphans = append(orphans, p)
-		}
-		c.inflight = make(map[int]bool)
 		c.mu.Unlock()
-		n.mu.Lock()
-		for _, p := range orphans {
-			if n.pending[p] == c {
-				delete(n.pending, p)
-			}
-		}
-		n.mu.Unlock()
+		n.release(c, -1)
 	case wire.MsgUnchoke:
 		c.mu.Lock()
 		c.choked = false
@@ -726,63 +736,41 @@ func (n *Node) handleMessage(c *conn, m *wire.Message) error {
 	return nil
 }
 
-// remoteHasUseful reports whether c's remote holds a piece we lack.
-func (n *Node) remoteHasUseful(c *conn) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// wants reports whether bf holds a piece n lacks; n.mu must be held.
+func (n *Node) wants(bf wire.Bitfield) bool {
 	for i := 0; i < n.info.NumPieces(); i++ {
-		if c.remote.have.Has(i) && !n.have.Has(i) {
+		if bf.Has(i) && !n.have.Has(i) {
 			return true
 		}
 	}
 	return false
 }
 
-// requestMore fills c's request pipeline with pieces the remote has and
-// nobody else is fetching.
+// requestMore fills c's request pipeline with the pieces swarm.PickPiece
+// picks among those the remote has and nobody is fetching: rarest first
+// over the node's connections.
 func (n *Node) requestMore(c *conn) {
 	for {
 		c.mu.Lock()
-		if c.choked || len(c.inflight) >= pipeline {
-			c.mu.Unlock()
-			return
-		}
-		bf := c.remote.have
 		n.mu.Lock()
 		piece := -1
-		for i := 0; i < n.info.NumPieces(); i++ {
-			if bf.Has(i) && !n.have.Has(i) && n.pending[i] == nil {
-				piece = i
-				break
-			}
+		if !c.choked && c.requests < pipeline {
+			piece = swarm.PickPiece(n.info.NumPieces(), func(i int) bool {
+				return c.remote.have.Has(i) && !n.have.Has(i) && n.pending[i] == nil
+			}, n.copies, false, n.rng)
 		}
-		if piece < 0 {
-			n.mu.Unlock()
-			c.mu.Unlock()
-			return
+		if piece >= 0 {
+			n.pending[piece] = c
+			c.requests++
 		}
-		n.pending[piece] = c
-		c.inflight[piece] = true
-		size := n.info.PieceSize(piece)
 		n.mu.Unlock()
 		c.mu.Unlock()
-		err := c.write(&wire.Message{
-			Type:   wire.MsgRequest,
-			Index:  uint32(piece),
-			Begin:  0,
-			Length: uint32(size),
-		})
-		if err != nil {
-			n.mu.Lock()
-			if n.pending[piece] == c {
-				delete(n.pending, piece)
-			}
-			n.mu.Unlock()
-			c.mu.Lock()
-			delete(c.inflight, piece)
-			c.mu.Unlock()
+		if piece < 0 {
+			return
+		}
+		req := &wire.Message{Type: wire.MsgRequest, Index: uint32(piece), Length: uint32(n.info.PieceSize(piece))}
+		if err := c.write(req); err != nil {
+			_ = c.c.Close() // its reader ends, and dropConn releases c's claims
 			return
 		}
 	}
@@ -822,15 +810,7 @@ func (n *Node) receivePiece(c *conn, m *wire.Message) error {
 	n.m.bytesRx.Add(uint64(len(m.Block)))
 	if !n.info.VerifyPiece(idx, m.Block) {
 		n.m.hashFailures.Inc()
-		// Hash failure: drop the in-flight claim so it can be re-fetched.
-		n.mu.Lock()
-		if n.pending[idx] == c {
-			delete(n.pending, idx)
-		}
-		n.mu.Unlock()
-		c.mu.Lock()
-		delete(c.inflight, idx)
-		c.mu.Unlock()
+		n.release(c, idx) // so another connection re-fetches it
 		return fmt.Errorf("peer: piece %d failed hash check", idx)
 	}
 
@@ -846,19 +826,10 @@ func (n *Node) receivePiece(c *conn, m *wire.Message) error {
 		n.have.Set(idx)
 		n.haveCount++
 	}
-	if n.pending[idx] == c {
-		delete(n.pending, idx)
-	}
 	complete := n.haveCount == n.info.NumPieces()
-	conns := make([]*conn, 0, len(n.conns))
-	for oc := range n.conns {
-		conns = append(conns, oc)
-	}
+	conns := n.connsBut(nil)
 	n.mu.Unlock()
-
-	c.mu.Lock()
-	delete(c.inflight, idx)
-	c.mu.Unlock()
+	n.release(c, idx)
 
 	if fresh {
 		n.m.piecesDone.Inc()

@@ -506,23 +506,11 @@ func TestNodeDropsMisSizedBitfield(t *testing.T) {
 		[]metainfo.File{{Path: "f.bin", Length: 64 * 1024}}, 4096, 11) // 16 pieces, 2 bytes
 	n := startNode(t, Config{Torrent: tor, Content: content})
 
-	c, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-	var id [20]byte
-	copy(id[:], "-SASHORT-fakepeer000")
-	if err := wire.WriteHandshake(c, wire.Handshake{InfoHash: n.InfoHash(), PeerID: id}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadHandshake(c); err != nil {
-		t.Fatal(err)
-	}
+	c := dialRaw(t, n)
 	if err := wire.WriteMessage(c, &wire.Message{Type: wire.MsgBitfield, Bitfield: wire.Bitfield{0xff}}); err != nil {
 		t.Fatal(err)
 	}
+	var err error
 	for {
 		if _, err = wire.ReadMessage(c); err != nil {
 			break

@@ -56,12 +56,25 @@ type remote struct {
 	numPieces int
 	have      wire.Bitfield
 	pieces    int   // set bits of have below numPieces
+	told      bool  // a bitfield or have has arrived
 	pexID     int64 // the remote's declared ut_pex sub-ID (0 = none yet)
+	// copies is the node's per-piece count of remotes holding it, under
+	// its mu (nil on the probe): read adds r's pieces, dropConn removes them.
+	copies []int
 }
 
-func newRemote(numPieces int, addr string) *remote {
+func newRemote(numPieces int, addr string, copies []int) *remote {
 	host, _, _ := net.SplitHostPort(addr)
-	return &remote{host: host, numPieces: numPieces, have: wire.NewBitfield(numPieces)}
+	return &remote{host: host, numPieces: numPieces, have: wire.NewBitfield(numPieces), copies: copies}
+}
+
+// tally adds delta to the count of every piece r holds.
+func (r *remote) tally(delta int) {
+	for i := range r.copies {
+		if r.have.Has(i) {
+			r.copies[i] += delta
+		}
+	}
 }
 
 // seed reports whether the remote holds every piece.
@@ -71,20 +84,30 @@ func (r *remote) seed() bool { return r.numPieces > 0 && r.pieces == r.numPieces
 // messages leave it as it is. It returns the remote's listen address
 // from its extended handshake and the addresses it gossips over ut_pex,
 // under the sub-ID we advertised or the one it declared. It refuses a
-// bitfield of any size but (numPieces+7)/8 bytes (BEP 3) and an extended
-// body that does not decode; a have at or past numPieces is ignored.
+// bitfield of any size but (numPieces+7)/8 bytes, a bitfield after a
+// bitfield or have (BEP 3 allows one, first), and an extended body that
+// does not decode; a have at or past numPieces is ignored.
 func (r *remote) read(m *wire.Message) (listen string, gossip []string, err error) {
 	switch m.Type {
 	case wire.MsgBitfield:
+		if r.told {
+			return "", nil, errors.New("peer: bitfield after the remote's first bitfield or have")
+		}
 		if len(m.Bitfield) != len(r.have) {
 			return "", nil, fmt.Errorf("peer: bitfield of %d bytes for %d pieces", len(m.Bitfield), r.numPieces)
 		}
-		copy(r.have, m.Bitfield)
+		r.told = true
+		copy(r.have, m.Bitfield) // onto an empty have: tally counts each piece once
 		r.pieces = r.have.Count(r.numPieces)
+		r.tally(1)
 	case wire.MsgHave:
+		r.told = true
 		if i := int(m.Index); i < r.numPieces && !r.have.Has(i) {
 			r.have.Set(i)
 			r.pieces++
+			if r.copies != nil {
+				r.copies[i]++
+			}
 		}
 	case wire.MsgExtended:
 		subID, body, err := wire.SplitExtendedPayload(m.Block)

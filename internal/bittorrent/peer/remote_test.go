@@ -44,6 +44,9 @@ func TestRemoteRead(t *testing.T) {
 		{name: "have past numPieces", msgs: []*wire.Message{have(numPieces), have(1 << 31)}},
 		{name: "repeated have", msgs: []*wire.Message{have(3), have(3)}, pieces: 1},
 		{name: "have after bitfield", msgs: []*wire.Message{bitfield(0x80, 0), have(0), have(9)}, pieces: 2},
+		{name: "bitfield after bitfield", msgs: []*wire.Message{bitfield(0xff, 0xc0), bitfield(0, 0)}, wantErr: true},
+		{name: "bitfield after have", msgs: []*wire.Message{have(3), bitfield(0, 0)}, wantErr: true},
+		{name: "bitfield after extended handshake", msgs: []*wire.Message{hs(7, 0), bitfield(0x80, 0)}, pieces: 1},
 		{name: "extended handshake with port", msgs: []*wire.Message{hs(7, 51413)}, listen: "10.0.0.1:51413"},
 		{name: "extended handshake without port", msgs: []*wire.Message{hs(7, 0)}},
 		{name: "gossip under our sub-ID", msgs: []*wire.Message{ext(wire.ExtPexID, pex)}, gossip: gossiped},
@@ -57,7 +60,8 @@ func TestRemoteRead(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRemote(numPieces, "10.0.0.1:6881")
+			copies := make([]int, numPieces)
+			r := newRemote(numPieces, "10.0.0.1:6881", copies)
 			var listen string
 			var gossip []string
 			var err error
@@ -74,6 +78,11 @@ func TestRemoteRead(t *testing.T) {
 			}
 			if r.pieces != tc.pieces || r.seed() != (tc.pieces == numPieces) {
 				t.Errorf("pieces = %d seed = %v, want %d", r.pieces, r.seed(), tc.pieces)
+			}
+			for i, n := range copies { // the one remote is every count
+				if (n == 1) != r.have.Has(i) || n > 1 {
+					t.Errorf("copies[%d] = %d, but the remote holding it is %v", i, n, r.have.Has(i))
+				}
 			}
 			if listen != tc.listen || !slices.Equal(gossip, tc.gossip) {
 				t.Errorf("read returned listen %q gossip %v, want %q %v", listen, gossip, tc.listen, tc.gossip)

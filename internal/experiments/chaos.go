@@ -17,18 +17,20 @@ import (
 func init() {
 	register(Driver{
 		ID:          "chaos",
-		Description: "Seedless sustainability on the live TCP testbed under injected churn (resets + publisher departure)",
+		Description: "Completion on the live TCP testbed after the publisher departs, under injected churn (resets)",
 		Run:         Chaos,
 	})
 }
 
-// Chaos re-runs the §4.2 seedless-sustainability experiment at reduced
-// scale on the *real* BitTorrent stack — tracker, TCP peers, PEX — with
-// a faultnet layer injecting latency and mid-stream connection resets
-// throughout. The publisher departs the moment the first leecher
-// completes (exactly the paper's protocol); the remaining leechers must
-// finish from each other through the injected churn. A fixed seed fixes
-// the fault decision stream, so the run is reproducible.
+// Chaos runs a small swarm on the *real* BitTorrent stack — tracker,
+// TCP peers, PEX — with a faultnet layer injecting latency and
+// mid-stream connection resets throughout. The publisher departs the
+// moment the first leecher completes; every leecher must still finish
+// through the injected churn. Completers are never stopped, so the first
+// stays on as a seed: the run checks completion through faults after the
+// publisher leaves, not §4.2's seedless sustainability, where completers
+// depart too. A fixed seed fixes the fault decision stream, so the run is
+// reproducible.
 func Chaos(scale Scale, seed int64) (*Result, error) {
 	res, _, err := chaosRun(scale, seed, nil)
 	return res, err
@@ -173,7 +175,7 @@ func chaosRun(scale Scale, seed int64, reg *obs.Registry) (*Result, faultnet.Sta
 	reg.Counter("chaos_fault_conns_wrapped_total").Add(stats.Conns)
 	res := &Result{
 		ID:          "chaos",
-		Description: "Live-swarm seedless sustainability under fault injection",
+		Description: "Live-swarm completion after the publisher departs, under fault injection",
 	}
 	tl := &plot.Timeline{
 		Title:   "chaos: leecher downloads (publisher departs at first completion)",

@@ -6,11 +6,12 @@ import (
 	"swarmavail/internal/obs"
 )
 
-// TestChaosSustainability is the PR's headline robustness check: a real
-// TCP swarm, a seeded fault layer resetting connections mid-stream, and
-// a publisher that departs at first completion — the scaled-down §4.2
-// run must still complete. The seed is fixed, so the fault decision
-// stream is reproducible run to run.
+// TestChaosSustainability is the headline robustness check: a real TCP
+// swarm, a seeded fault layer resetting connections mid-stream, and a
+// publisher that departs at first completion — every leecher must still
+// complete. The first completer stays on as a seed, so this is not the
+// seedless §4.2 protocol. The seed is fixed, so the fault decision stream
+// is reproducible run to run.
 func TestChaosSustainability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-swarm chaos run")

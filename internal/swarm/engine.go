@@ -399,7 +399,7 @@ func (e *engine) tryStart(u *node) bool {
 		if d.incomingFrom[u.id] > 0 {
 			continue
 		}
-		if e.usefulPiece(u, d) >= 0 {
+		if e.useful(u, d) {
 			eligible = append(eligible, d)
 		}
 	}
@@ -412,17 +412,15 @@ func (e *engine) tryStart(u *node) bool {
 
 // tryStartPair starts one transfer u → d if eligible.
 func (e *engine) tryStartPair(u, d *node) bool {
-	if len(u.outgoing) >= e.cfg.MaxUploads || d.have == e.totalPieces {
+	if len(u.outgoing) >= e.cfg.MaxUploads || d.have == e.totalPieces || d.incomingFrom[u.id] > 0 {
 		return false
 	}
-	if d.incomingFrom[u.id] > 0 || e.usefulPiece(u, d) < 0 {
-		return false
-	}
-	return e.startTransfer(u, d)
+	return e.startTransfer(u, d) // false, drawing nothing, when u has nothing for d
 }
 
 func (e *engine) startTransfer(u, d *node) bool {
-	piece := e.pickRarest(u, d)
+	piece := PickPiece(e.totalPieces, func(i int) bool { return e.sendable(u, d, i) },
+		e.copies, e.cfg.RandomPieceSelection, e.rng)
 	if piece < 0 {
 		return false
 	}
@@ -441,42 +439,49 @@ func (e *engine) startTransfer(u, d *node) bool {
 	return true
 }
 
-// usefulPiece returns any piece u could send d, or -1.
-func (e *engine) usefulPiece(u, d *node) int {
-	for i := 0; i < e.totalPieces; i++ {
-		if !d.pieces[i] && d.incoming[i] == nil && e.has(u, i) {
-			return i
-		}
-	}
-	return -1
+// sendable reports whether u can send d piece i: d lacks it, has no
+// transfer of it in flight, and u holds it.
+func (e *engine) sendable(u, d *node, i int) bool {
+	return !d.pieces[i] && d.incoming[i] == nil && e.has(u, i)
 }
 
-// pickRarest returns the eligible piece with the fewest online copies
-// (rarest-first), breaking ties uniformly at random. Under the
-// RandomPieceSelection ablation every eligible piece is a tie.
-func (e *engine) pickRarest(u, d *node) int {
+// useful reports whether u holds any piece it could send d.
+func (e *engine) useful(u, d *node) bool {
+	for i := 0; i < e.totalPieces; i++ {
+		if e.sendable(u, d, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// PickPiece is the piece picker of both the simulator and the live node:
+// among the pieces 0..n-1 that are eligible it returns the one with the
+// fewest copies (rarest-first), breaking ties uniformly with rng. With
+// random set every eligible piece is a tie (the RandomPieceSelection
+// ablation). It returns -1, drawing nothing, when no piece is eligible.
+func PickPiece(n int, eligible func(int) bool, copies []int, random bool, rng *rand.Rand) int {
 	best := math.MaxInt
 	var ties []int
-	for i := 0; i < e.totalPieces; i++ {
-		if d.pieces[i] || d.incoming[i] != nil || !e.has(u, i) {
+	for i := 0; i < n; i++ {
+		if !eligible(i) {
 			continue
 		}
 		c := 0
-		if !e.cfg.RandomPieceSelection {
-			c = e.copies[i]
+		if !random {
+			c = copies[i]
 		}
 		if c < best {
-			best = c
-			ties = ties[:0]
-			ties = append(ties, i)
-		} else if c == best {
+			best, ties = c, ties[:0]
+		}
+		if c == best {
 			ties = append(ties, i)
 		}
 	}
 	if len(ties) == 0 {
 		return -1
 	}
-	return ties[e.rng.Intn(len(ties))]
+	return ties[rng.Intn(len(ties))]
 }
 
 // targetRate is the per-transfer rate under endpoint fair sharing: the

@@ -99,9 +99,9 @@ func AblationThreshold(_ Scale, _ int64) (*Result, error) {
 	chart.Series = append(chart.Series, s)
 	res.Charts = append(res.Charts, chart)
 	res.Notef("P(m=0) = %.3g vs P(m=9) = %.3g vs P(m=20) = %.3g",
-		b.SinglePublisherUnavailability(0),
-		b.SinglePublisherUnavailability(9),
-		b.SinglePublisherUnavailability(20))
+		Headline{"unavail_m0", b.SinglePublisherUnavailability(0)},
+		Headline{"unavail_m9", b.SinglePublisherUnavailability(9)},
+		Headline{"unavail_m20", b.SinglePublisherUnavailability(20)})
 	return res, nil
 }
 
@@ -146,7 +146,7 @@ func AblationLingering(_ Scale, _ int64) (*Result, error) {
 	// one vs the lingering the solo swarm would need.
 	need := core.LingeringForEquivalentLoad(100, 8000, 0.0005, 0.05, 50)
 	res.Notef("eq. (15): matching a bundle's load requires 1/γ = %.0f s of lingering "+
-		"per peer of the unpopular file", need)
+		"per peer of the unpopular file", Headline{"lingering_equivalent_s", need})
 	return res, nil
 }
 

@@ -53,7 +53,7 @@ func Fig1(scale Scale, seed int64) (*Result, error) {
 		}},
 	}
 	h := measure.Headlines(traces)
-	res.Notef("swarms monitored: %d", h.Swarms)
+	res.Notef("swarms monitored: %.0f", Headline{"swarms", float64(h.Swarms)})
 	res.Notef("fully seeded through first month: %.1f%% (paper: <35%%)",
 		Headline{"pct_fully_seeded_month1", 100 * h.FullyAvailableFirstMonth})
 	res.Notef("availability ≤20%% over whole trace: %.1f%% (paper: ≈80%%)",

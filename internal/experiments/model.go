@@ -153,7 +153,7 @@ func ScalingLaws(_ Scale, _ int64) (*Result, error) {
 	for _, k := range []int{2, 4, 8} {
 		bundle := p.Bundle(k, core.ScaledPublisher).DownloadTime()
 		res.Notef("Theorem 3.2 bracket at K=%d: E[T_B]/E[T] = %.3f (≤ K = %d)",
-			k, bundle/single, k)
+			k, Headline{fmt.Sprintf("bracket_ratio_K%d", k), bundle / single}, k)
 	}
 	return res, nil
 }

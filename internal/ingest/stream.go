@@ -395,6 +395,11 @@ func (s *StreamSession) ackLocked() error {
 	return err
 }
 
+// maxStreamReply bounds a server's reply payload: an ACK is 9 bytes and
+// an ERR is its type and code bytes plus a message Err cuts to fit. A
+// StreamClient refuses a reply header that claims more.
+const maxStreamReply = 2 + 512
+
 // Err writes one ERR frame, best effort (the connection is about to
 // close either way), and ends the stream.
 func (s *StreamSession) Err(code byte, msg string) {
@@ -402,8 +407,8 @@ func (s *StreamSession) Err(code byte, msg string) {
 	defer s.wmu.Unlock()
 	s.endLocked()
 	s.errs.Inc()
-	if len(msg) > 512 {
-		msg = msg[:512]
+	if len(msg) > maxStreamReply-2 {
+		msg = msg[:maxStreamReply-2]
 	}
 	p := make([]byte, 0, 2+len(msg))
 	p = append(p, StreamFrameErr, code)

@@ -423,6 +423,95 @@ func TestStreamClientFrozenUpstream(t *testing.T) {
 	}
 }
 
+// TestStreamClientRefusesOversizeReply: a reply header that claims more
+// than any server sends (here the 64 MiB the journal's frame bound
+// allows) drops the connection at once, and the unacked frame is resent
+// on a new one, well inside RetryFor.
+func TestStreamClientRefusesOversizeReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	lied := make(chan time.Time, 1)
+	redialed := make(chan time.Time, 1)
+	go func() {
+		for n := 0; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			if n > 0 {
+				select {
+				case redialed <- time.Now():
+				default: // only the first redial is timed
+				}
+			}
+			go func(first bool) {
+				fr := wal.NewFrameReader(conn)
+				var acked uint64
+				for {
+					payload, err := fr.Next()
+					if err != nil || payload[0] != StreamFrameData {
+						return
+					}
+					if first {
+						var hdr [wal.FrameHeaderSize]byte
+						binary.LittleEndian.PutUint32(hdr[:], wal.MaxFrameBytes)
+						_, _ = conn.Write(hdr[:])
+						lied <- time.Now()
+						return // held open, never written to again
+					}
+					acked++
+					var ack [9]byte
+					ack[0] = StreamFrameAck
+					binary.LittleEndian.PutUint64(ack[1:], acked)
+					if _, err := conn.Write(wal.AppendFrame(nil, ack[:])); err != nil {
+						return
+					}
+				}
+			}(n == 0)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+
+	c := NewStreamClient(StreamClientConfig{Addr: ln.Addr().String(), RetryFor: 10 * time.Second})
+	defer c.Abandon()
+	if err := c.Observe(Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Flush() }()
+	sent := <-lied
+	select {
+	case at := <-redialed:
+		if took := at.Sub(sent); took > time.Second {
+			t.Fatalf("redialed %v after the oversize reply header, want within 1s", took)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("no redial 3s after a reply header claiming 64 MiB")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got := c.Acked(); got != 1 {
+		t.Fatalf("acked %d frames, want 1", got)
+	}
+}
+
 // TestStreamRidesOutCheckpoint: a node whose commit waits on a checkpoint
 // — the gate held, as Checkpoint holds it through its file write, for
 // more than twice the sender's RetryFor — is waiting, not stopped. Its

@@ -483,8 +483,17 @@ func (c *StreamClient) checkAcks() {
 // loop to its connection: bookkeeping is applied only while the client
 // still considers conn current.
 func (c *StreamClient) readLoop(conn net.Conn, gen uint64) {
-	fr := wal.NewFrameReader(bufio.NewReaderSize(conn, 4<<10))
+	br := bufio.NewReaderSize(conn, 4<<10)
+	fr := wal.NewFrameReader(br)
 	for {
+		// A reply is judged on its header: a length past maxStreamReply
+		// drops the connection before anything is sized from it.
+		if hdr, err := br.Peek(wal.FrameHeaderSize); err == nil {
+			if n := binary.LittleEndian.Uint32(hdr); n > maxStreamReply {
+				c.connFailed(conn, gen, fmt.Errorf("ingest: reply frame of %d bytes, over %d", n, maxStreamReply))
+				return
+			}
+		}
 		payload, err := fr.Next()
 		if err != nil {
 			c.connFailed(conn, gen, err)

@@ -477,18 +477,26 @@ func BenchmarkStudyApply(b *testing.B) {
 	traces := GenerateStudy(DefaultStudyConfig(swarms, 1))
 	type event struct {
 		t      float64
+		i      int32 // position before the sort
 		swarm  int32
 		online bool
 	}
 	var events []event
 	for _, t := range traces {
 		for _, s := range t.SeedSessions {
-			events = append(events, event{s.Start, int32(t.Meta.ID), true}, event{s.End, int32(t.Meta.ID), false})
+			id := int32(t.Meta.ID)
+			events = append(events, event{s.Start, int32(len(events)), id, true}, event{s.End, int32(len(events) + 1), id, false})
 		}
 	}
-	// Stable, so a swarm's back-to-back sessions keep off-before-on order
-	// at equal times.
-	slices.SortStableFunc(events, func(x, y event) int { return cmp.Compare(x.t, y.t) })
+	// Ties broken by input position: the order of a stable sort (a
+	// swarm's back-to-back sessions keep off-before-on order at equal
+	// times) at the cost of an unstable one.
+	slices.SortFunc(events, func(x, y event) int {
+		if c := cmp.Compare(x.t, y.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()

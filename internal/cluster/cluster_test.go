@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"swarmavail/internal/ingest"
+	"swarmavail/internal/wal"
 )
 
 // testLeader is an in-process durable engine with the WAL-shipping
@@ -123,6 +126,70 @@ func TestFollowerCatchUpAndPromote(t *testing.T) {
 		t.Fatalf("promoted state diverged from leader\n--- promoted ---\n%s\n--- leader ---\n%s", got, want)
 	}
 	leader.e.Close()
+}
+
+// TestFollowerOfConcurrentWriters: a leader taking keyed submits from two
+// writers at once on one swarm — each toggling its own seed under a
+// clock both share — and a follower shipping its WAL. After catch-up the
+// promoted follower must serve the leader's /v1/state byte for byte:
+// the journal the follower ships is the order the leader's shards
+// applied. Each round is a fresh pair; unordered commits diverged in a
+// few percent of rounds.
+func TestFollowerOfConcurrentWriters(t *testing.T) {
+	const rounds, writers, calls = 80, 2, 300
+	diverged := 0
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		leader, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		(&WALServer{Log: leader.WAL(), Dir: dir}).Register(mux)
+		srv := httptest.NewServer(mux)
+
+		var clock atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < calls; k++ {
+					ev := ingest.Record{SwarmID: 1, PeerID: uint64(w + 1), Seed: true, Online: k%2 == 0, Time: float64(clock.Add(1)) / 100}
+					if _, err := leader.SubmitKeyed(fmt.Sprintf("writer-%d", w), uint64(k+1), []ingest.Op{ingest.EventOp(ev)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		f, err := NewFollower(FollowerConfig{LeaderURL: srv.URL, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(context.Background()); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		promoted, _, err := promote(f, ingest.Config{Shards: 2})
+		if err != nil {
+			t.Fatalf("promote: %v", err)
+		}
+		got, want := stateBytes(t, promoted), stateBytes(t, leader)
+		promoted.Close()
+		srv.Close()
+		leader.Close()
+		if string(got) != string(want) {
+			if diverged == 0 {
+				t.Errorf("round %d: the follower diverged from its leader\n--- follower ---\n%s\n--- leader ---\n%s", round, got, want)
+			}
+			diverged++
+		}
+	}
+	if diverged > 0 {
+		t.Fatalf("%d of %d followers served a state their leader never served", diverged, rounds)
+	}
 }
 
 // TestFollowerCheckpointBootstrap: a follower arriving after the leader

@@ -3,7 +3,6 @@ package ingest
 import (
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Idempotency headers shared by the HTTP client, availd's ingest
@@ -30,14 +29,14 @@ const dedupWindowSize = 1024
 // sequence observed plus the set of individually seen sequences inside
 // the trailing window (pushes from one client can complete out of
 // order, so a plain high-watermark would misclassify a late first
-// attempt as a duplicate).
+// attempt as a duplicate). Every window is read and written under the
+// engine's commit lock.
 type sourceWindow struct {
-	mu   sync.Mutex
 	max  uint64
 	seen map[uint64]struct{}
 }
 
-// observed reports whether seq was already applied. Caller holds mu.
+// observed reports whether seq was already applied.
 func (w *sourceWindow) observed(seq uint64) bool {
 	if w.max >= dedupWindowSize && seq <= w.max-dedupWindowSize {
 		return true
@@ -47,7 +46,7 @@ func (w *sourceWindow) observed(seq uint64) bool {
 }
 
 // mark records seq as applied and evicts sequences that fell out of the
-// window. Caller holds mu.
+// window.
 func (w *sourceWindow) mark(seq uint64) {
 	if w.seen == nil {
 		w.seen = make(map[uint64]struct{})
@@ -68,18 +67,15 @@ func (w *sourceWindow) mark(seq uint64) {
 	}
 }
 
-// dedupState is the engine's per-source window table. Sources are
-// never evicted (a monitor fleet is a bounded population; see DESIGN.md
-// §11 for the accounting).
+// dedupState is the engine's per-source window table, under the
+// engine's commit lock. Sources are never evicted (a monitor fleet is a
+// bounded population; see DESIGN.md §11 for the accounting).
 type dedupState struct {
-	mu      sync.Mutex
 	sources map[string]*sourceWindow
 }
 
 // window returns source's window, creating it on first use.
 func (d *dedupState) window(source string) *sourceWindow {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.sources == nil {
 		d.sources = make(map[string]*sourceWindow)
 	}
@@ -99,19 +95,16 @@ type dedupRecord struct {
 }
 
 // records snapshots every window, sorted by source for deterministic
-// checkpoint bytes. Checkpoint calls it with the journal gate held
-// exclusively, so no submit is concurrently marking.
+// checkpoint bytes. Checkpoint calls it in its capture, under the commit
+// lock, so the windows are exactly the ones the journal's prefix
+// produced.
 func (d *dedupState) records() []dedupRecord {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]dedupRecord, 0, len(d.sources))
 	for source, w := range d.sources {
-		w.mu.Lock()
 		rec := dedupRecord{Source: source, Max: w.max, Seen: make([]uint64, 0, len(w.seen))}
 		for s := range w.seen {
 			rec.Seen = append(rec.Seen, s)
 		}
-		w.mu.Unlock()
 		slices.Sort(rec.Seen)
 		out = append(out, rec)
 	}
@@ -122,8 +115,6 @@ func (d *dedupState) records() []dedupRecord {
 // install replaces the table with recs — recovery only, before any
 // producer exists.
 func (d *dedupState) install(recs []dedupRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.sources = make(map[string]*sourceWindow, len(recs))
 	for _, rec := range recs {
 		w := &sourceWindow{max: rec.Max}

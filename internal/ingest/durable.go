@@ -73,7 +73,7 @@ type CheckpointStats struct {
 	Swarms int `json:"swarms"`
 	// Bytes is the checkpoint file size.
 	Bytes int64 `json:"bytes"`
-	// Duration is the wall time spent, gate acquisition included.
+	// Duration is the wall time spent, lock acquisition included.
 	Duration time.Duration `json:"duration"`
 	// Skipped is true when nothing was journaled since the previous
 	// checkpoint and no file was written.
@@ -227,14 +227,15 @@ func NewestCheckpoint(dir string) (path string, seq uint64, ok bool, err error) 
 
 // Checkpoint serializes the engine's full state to a checkpoint file in
 // the durability directory and drops the WAL segments it makes
-// redundant. It holds the journal gate exclusively from the snapshot
-// capture through writeCheckpoint's encode, write and fsync, the WAL's
-// TruncateThrough and the checkpoint prune, so every concurrent
-// producer stalls for the whole checkpoint, file write included
-// (ROADMAP.md item 2(a) is the fix: hold the gate for the capture
-// only). Calling it on a closed engine still works — the drained final
-// state is captured — provided the engine was closed by Close (which
-// leaves checkpointing to the caller) rather than crashed.
+// redundant. It holds the engine's commit lock only for its capture —
+// the journal's last sequence, every shard's snapshot and the dedup
+// windows — and encodes, writes, fsyncs, renames, truncates and prunes
+// with writers running; checkpoints are serialised among themselves.
+// Nothing at or below the captured sequence is truncated before the
+// file and its directory are durable. Calling it on a closed engine
+// still works — the drained final state is captured — provided the
+// engine was closed by Close (which leaves checkpointing to the caller)
+// rather than crashed.
 func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	j := e.journal
 	if j == nil {
@@ -242,29 +243,31 @@ func (e *Engine) Checkpoint() (cs CheckpointStats, err error) {
 	}
 	start := time.Now()
 	defer func() { cs.Duration = time.Since(start) }()
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
 
-	j.gate.Lock()
-	defer j.gate.Unlock()
-	// With the gate held exclusively, every journaled batch has been
-	// sent to its shard queues (submit spans append+send under RLock),
-	// so a capture queued now observes everything ≤ seq.
+	// Under the commit lock every journaled batch is in its shard queue,
+	// so a capture queued now observes exactly the prefix ≤ seq, and no
+	// keyed submit is mid-mark.
+	e.commitMu.Lock()
 	seq := j.log.LastSeq()
 	if seq == j.lastCkpt {
+		e.commitMu.Unlock()
 		cs.Seq, cs.Skipped = seq, true
 		return cs, nil
 	}
-
 	snaps := make([]*shardSnapshot, len(e.shards))
 	e.onShards(e.shards, func(s *shard) { snaps[s.idx] = s.snapshot() })
+	dedup := e.dedup.records()
+	e.commitMu.Unlock()
 	for _, s := range snaps {
 		cs.Swarms += len(s.Swarms)
 	}
 
-	// The gate is held exclusively, so no keyed submit is mid-mark: the
-	// windows captured here are exactly the ones the journaled prefix
-	// ≤ seq produced. writeCheckpoint refuses a file that would not load,
-	// so the truncation below never runs behind one.
-	bytes, err := writeCheckpoint(j.log.Dir(), seq, snaps, e.dedup.records())
+	// writeCheckpoint refuses a file that would not load and returns once
+	// the file and its directory are synced, so the truncation below
+	// never runs behind a file that is not there.
+	bytes, err := writeCheckpoint(j.log.Dir(), seq, snaps, dedup)
 	if err != nil {
 		return cs, err
 	}
@@ -431,25 +434,38 @@ func loadCheckpoint(path string, wantSeq uint64, shards []*shard) (int, []dedupR
 		return 0, nil, fmt.Errorf("ingest: checkpoint header seq %d does not match file name %d", hdr.Seq, wantSeq)
 	}
 
-	// Parse everything before installing anything, so a torn tail can't
-	// leave half a checkpoint in the shard maps.
+	// Each shard frame is installed as it is decoded, so the loader holds
+	// one frame's records at a time; a frame that fails leaves a partial
+	// install, which loadNewestCheckpoint resets before it falls back.
 	// The header's counts are input, not trusted sizes: nothing is
 	// allocated from them, and a count the file does not back runs into
 	// the end of the frames.
-	var snaps []*shardSnapshot
+	var swarms int
+	n := len(shards)
 	for i := 0; i < hdr.Shards; i++ {
 		frame, err := r.Next()
 		if err != nil {
 			return 0, nil, fmt.Errorf("ingest: checkpoint shard frame %d/%d: %w", i, hdr.Shards, err)
 		}
-		snap := &shardSnapshot{}
-		if err := json.Unmarshal(frame, snap); err != nil {
+		var snap shardSnapshot
+		if err := json.Unmarshal(frame, &snap); err != nil {
 			return 0, nil, fmt.Errorf("ingest: checkpoint shard frame %d/%d: %w", i, hdr.Shards, err)
 		}
 		if snap.Idx < 0 {
 			return 0, nil, fmt.Errorf("ingest: checkpoint shard frame %d/%d: shard index %d", i, hdr.Shards, snap.Idx)
 		}
-		snaps = append(snaps, snap)
+		routed := make([]shardSnapshot, n)
+		for _, rec := range snap.Swarms {
+			dst := shardIndex(rec.ID, n)
+			routed[dst].Swarms = append(routed[dst].Swarms, rec)
+		}
+		swarms += len(snap.Swarms)
+		// Category counters are additive across shards; land the old
+		// shard's counters on one current shard, preserving totals.
+		routed[snap.Idx%n].Cats = snap.Cats
+		for dst := range routed {
+			shards[dst].install(&routed[dst])
+		}
 	}
 	frame, err = r.Next()
 	if err != nil {
@@ -458,36 +474,6 @@ func loadCheckpoint(path string, wantSeq uint64, shards []*shard) (int, []dedupR
 	var dedup []dedupRecord
 	if err := json.Unmarshal(frame, &dedup); err != nil {
 		return 0, nil, fmt.Errorf("ingest: checkpoint dedup frame: %w", err)
-	}
-
-	var swarms int
-	n := len(shards)
-	for _, snap := range snaps {
-		routed := make(map[int]*shardSnapshot)
-		for _, rec := range snap.Swarms {
-			dst := shardIndex(rec.ID, n)
-			rs, ok := routed[dst]
-			if !ok {
-				rs = &shardSnapshot{Idx: dst}
-				routed[dst] = rs
-			}
-			rs.Swarms = append(rs.Swarms, rec)
-			swarms++
-		}
-		// Category counters are additive across shards; land the old
-		// shard's counters on one current shard, preserving totals.
-		if len(snap.Cats) > 0 {
-			dst := snap.Idx % n
-			rs, ok := routed[dst]
-			if !ok {
-				rs = &shardSnapshot{Idx: dst}
-				routed[dst] = rs
-			}
-			rs.Cats = snap.Cats
-		}
-		for dst, rs := range routed {
-			shards[dst].install(rs)
-		}
 	}
 	return swarms, dedup, nil
 }

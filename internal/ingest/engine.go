@@ -3,9 +3,7 @@ package ingest
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -70,8 +68,8 @@ func (p *batchPool) put(b []Op) {
 //
 // The lifecycle fast path is lock-free: producers and readers pay one
 // atomic increment, one atomic flag load, and one atomic decrement per
-// queue interaction — no RWMutex, so there is no reader-count cache
-// line being bounced between cores per Submit. Close is the only slow
+// queue interaction. Producers also commit one at a time under the
+// commit lock (submit); readers take no lock. Close is the only slow
 // path: it flips the closed flag, waits the in-flight queue users out,
 // closes the queues, and joins the shard goroutines.
 type Engine struct {
@@ -79,7 +77,6 @@ type Engine struct {
 	shards  []*shard
 	metrics *metrics
 	pool    batchPool
-	commits sync.Pool // *commit: the submit core's per-call scratch
 	wg      sync.WaitGroup
 
 	// journal, when non-nil, makes every accepted batch durable before
@@ -88,10 +85,16 @@ type Engine struct {
 	// in submit is safe.
 	journal *journal
 
-	// dedup holds the per-source exactly-once windows consulted by
-	// submit. On a durable engine its contents are recovered from
-	// the checkpoint and keyed WAL frames before any producer exists.
-	dedup dedupState
+	// commitMu is the commit lock. submit holds it from the dedup check
+	// through the journal append, the shard sends and the marks, so the
+	// journal's order is the order in which the shards apply; Checkpoint
+	// holds it for its capture only. It guards commit (the submit core's
+	// scratch) and dedup (the per-source exactly-once windows, recovered
+	// on a durable engine from the checkpoint and keyed WAL frames
+	// before any producer exists).
+	commitMu sync.Mutex
+	commit   commit
+	dedup    dedupState
 
 	// closed is the lifecycle fast-path flag: once set, no new queue
 	// user may enter. inflight counts producers and readers currently
@@ -140,6 +143,7 @@ func newEngine(cfg Config) *Engine {
 		drained:   make(chan struct{}, 1),
 		snapNonce: snapNonce(),
 	}
+	e.commit.parts = make([][]Op, cfg.Shards)
 	// Enough parked buffers for every queue slot plus the batches being
 	// filled and decoded at the edges.
 	e.pool.init(cfg.Shards*cfg.queueDepth + 2*cfg.Shards + 8)
@@ -242,96 +246,50 @@ type heldBatch struct {
 	ops   []Op
 }
 
-// lockedWindow is one of a group's distinct source windows, held locked.
-type lockedWindow struct {
-	source string
-	w      *sourceWindow
-}
-
 // pendingMark is a key to mark once its batch is journaled and sent.
 type pendingMark struct {
 	w   *sourceWindow
 	seq uint64
 }
 
-// commit is the submit core's per-call scratch, recycled through
-// Engine.commits so a steady-state submit allocates nothing.
+// commit is the submit core's scratch, one per engine under its commit
+// lock, so a steady-state submit allocates nothing.
 type commit struct {
 	parts   [][]Op      // per shard: the held batch still being filled
 	held    []heldBatch // filled batches, in send order
 	wires   [][]byte    // frames to journal, in group order
 	encoded [][]byte    // the wires the core encoded itself (pooled)
 	nOps    int         // ops behind wires/held
-	wins    []lockedWindow
 	marks   []pendingMark
 	scratch []Op // decode buffer for wire-only batches
 }
 
-func (e *Engine) getCommit() *commit {
-	if v := e.commits.Get(); v != nil {
-		return v.(*commit)
-	}
-	return &commit{parts: make([][]Op, len(e.shards))}
-}
-
-// putCommit recycles c, dropping every reference it holds to caller
-// memory. parts and held are already empty: the core releases them.
-func (e *Engine) putCommit(c *commit) {
+// reset drops every reference c holds to caller memory and hands the
+// frames it encoded back to j. parts and held are already empty: the
+// core releases them.
+func (c *commit) reset(j *journal) {
 	for _, wire := range c.encoded {
-		e.journal.release(wire)
+		j.release(wire)
 	}
 	clear(c.encoded)
 	clear(c.wires)
-	clear(c.wins)
 	clear(c.marks)
-	c.encoded, c.wires, c.wins, c.marks = c.encoded[:0], c.wires[:0], c.wins[:0], c.marks[:0]
+	c.encoded, c.wires, c.marks = c.encoded[:0], c.wires[:0], c.marks[:0]
 	c.nOps = 0
-	e.commits.Put(c)
 }
 
-// lockWindows locks the group's distinct source windows in source
-// order — one global order, so two groups carrying the same sources in
-// opposite orders cannot deadlock.
-func (c *commit) lockWindows(d *dedupState, group []batch) {
-	for i := range group {
-		// Consecutive frames mostly share a source; skipping the repeats
-		// keeps the sort below to the sources, not the frames.
-		if s := group[i].source; s != "" && (len(c.wins) == 0 || c.wins[len(c.wins)-1].source != s) {
-			c.wins = append(c.wins, lockedWindow{source: s})
-		}
-	}
-	if len(c.wins) > 1 {
-		slices.SortFunc(c.wins, func(a, b lockedWindow) int { return strings.Compare(a.source, b.source) })
-		c.wins = slices.CompactFunc(c.wins, func(a, b lockedWindow) bool { return a.source == b.source })
-	}
-	for i := range c.wins {
-		c.wins[i].w = d.window(c.wins[i].source)
-		c.wins[i].w.mu.Lock()
-	}
-}
-
-func (c *commit) unlockWindows() {
-	for _, lw := range c.wins {
-		lw.w.mu.Unlock()
-	}
-}
-
-// seen reports whether (source, seq) was already applied, or is about to
-// be by an earlier batch of this group.
-func (c *commit) seen(source string, seq uint64) (*sourceWindow, bool) {
-	i, _ := slices.BinarySearchFunc(c.wins, source, func(lw lockedWindow, s string) int {
-		return strings.Compare(lw.source, s)
-	})
-	w := c.wins[i].w
+// seen reports whether seq was already applied in w, or is about to be
+// by an earlier batch of this group.
+func (c *commit) seen(w *sourceWindow, seq uint64) bool {
 	if w.observed(seq) {
-		return w, true
+		return true
 	}
 	for _, m := range c.marks {
 		if m.w == w && m.seq == seq {
-			return w, true
+			return true
 		}
 	}
-	return w, false
+	return false
 }
 
 // hold stages one batch for its shards without sending anything: a
@@ -392,7 +350,7 @@ func (c *commit) release(e *Engine, committed bool) {
 // DESIGN.md §11 lives here and nowhere else. It commits an ordered
 // group of batches:
 //
-//	enter → journal gate (shared) → lock the group's source windows →
+//	split each wire-only batch's key → commit lock → enter →
 //	per batch: decode if wire-only, dedup check, hold for its shards →
 //	one journal append of the group's frames (one write, one fsync) →
 //	send the held batches in order → mark each key
@@ -412,13 +370,14 @@ func (c *commit) release(e *Engine, committed bool) {
 //
 // With a journal attached every frame of the group is durable before
 // any shard sees any of its batches, so a batch whose submit returned
-// nil survives a crash. The gate is held shared across the append *and*
-// the sends, so when Checkpoint takes it exclusively every journaled
-// batch is in its shard queues — a checkpoint never falls inside a
-// group. Lock order is gate → source windows (in source order), because
-// Checkpoint snapshots the windows under the gate; holding a window
-// across append+send also serialises retries of one key — the loser
-// observes the winner's mark.
+// nil survives a crash. The commit lock is held from the dedup check
+// through the sends and the marks, so across every writer the journal's
+// order is the shards' order — recovery and a follower replaying the
+// journal apply what the live shards applied, in the same order — and
+// a retry of one key observes the first attempt's mark. Checkpoint takes
+// the same lock for its capture, so a checkpoint never falls inside a
+// group. The lock is taken before enter, so a submit waiting for it is
+// not a queue user Close waits for.
 func (e *Engine) submit(group []batch) (accepted int, err error) {
 	all := group
 	defer func() {
@@ -428,13 +387,6 @@ func (e *Engine) submit(group []batch) (accepted int, err error) {
 			}
 		}
 	}()
-	if !e.enter() {
-		return 0, ErrClosed
-	}
-	defer e.exit()
-
-	// Keys first: the windows are locked in source order before any
-	// batch is judged.
 	for i := range group {
 		b := &group[i]
 		if b.ops != nil {
@@ -445,15 +397,15 @@ func (e *Engine) submit(group []batch) (accepted int, err error) {
 			break
 		}
 	}
-	c := e.getCommit()
-	defer e.putCommit(c)
-	j := e.journal
-	if j != nil {
-		j.gate.RLock()
-		defer j.gate.RUnlock()
+
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	if !e.enter() {
+		return 0, ErrClosed
 	}
-	c.lockWindows(&e.dedup, group)
-	defer c.unlockWindows()
+	defer e.exit()
+	c, j := &e.commit, e.journal
+	defer c.reset(j)
 
 	for i := range group {
 		b := &group[i]
@@ -469,7 +421,8 @@ func (e *Engine) submit(group []batch) (accepted int, err error) {
 		var w *sourceWindow
 		dup := false
 		if b.source != "" {
-			w, dup = c.seen(b.source, b.seq)
+			w = e.dedup.window(b.source)
+			dup = c.seen(w, b.seq)
 		}
 		switch {
 		case len(ops) == 0:

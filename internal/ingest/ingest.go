@@ -22,10 +22,12 @@
 // through the queues followed by a load of those snapshots. A per-swarm
 // read (Swarm, Timeline) is a closure queued on the swarm's home shard,
 // so it waits its turn behind the writes queued before it and answers
-// read-your-writes. Writers stall on queue backpressure and, on a
-// durable engine, for the whole of a Checkpoint, which holds the journal
-// gate from the capture through the file write, its fsync and the WAL
-// truncation (ROADMAP.md item 2(a) narrows the hold to the capture).
+// read-your-writes. Writers commit one at a time under the engine's
+// commit lock, which spans the journal append and the shard sends, so
+// the journal's order is the shards' order. They stall on queue
+// backpressure and, on a durable engine, for a Checkpoint's capture,
+// which holds the same lock; its file write, fsync and WAL truncation
+// run with writers going.
 // Per-shard sketches and counters merge losslessly (integer bin counts
 // and sums; see stats.QuantileSketch), which is what makes the sharded
 // aggregate equal to the unsharded one.

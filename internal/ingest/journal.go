@@ -577,19 +577,16 @@ func EncodeFrame(dst []byte, source string, seq uint64, ops []Op) ([]byte, error
 	return encodeKeyedOps(dst, source, seq, ops)
 }
 
-// journal couples the engine's write path to a wal.Log. Its gate is the
-// checkpoint/append ordering lock: submit holds it shared across the
-// journal-append *and* the queue sends, so when Checkpoint acquires it
-// exclusively, every journaled batch is also in its shard queues — and
-// a capture queued afterwards (onShards) therefore observes everything
-// the journal covers.
+// journal couples the engine's write path to a wal.Log. Its appends
+// run under the engine's commit lock, which also covers the shard sends
+// behind each one, so the log's order is the order the shards apply.
 type journal struct {
-	gate sync.RWMutex
-	log  *wal.Log
+	log *wal.Log
 
-	// lastCkpt (under gate, exclusive) is the sequence of the newest
-	// checkpoint, letting Checkpoint skip when nothing was appended
-	// since.
+	// ckptMu serialises checkpoints; lastCkpt (under it) is the
+	// sequence of the newest checkpoint, letting Checkpoint skip when
+	// nothing was appended since.
+	ckptMu   sync.Mutex
 	lastCkpt uint64
 
 	appended      *obs.Counter   // wal_appended_total: ops made durable

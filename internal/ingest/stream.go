@@ -84,11 +84,12 @@ const (
 )
 
 // streamKeepalive is how often a server repeats its last ACK while a DATA
-// frame it read is not yet acknowledged: a node waiting on its gate (a
-// checkpoint write holds it) or a gateway waiting out a failover upstream
-// is waiting, not stopped, and the repeated count is how a StreamClient,
-// which drops a connection that says nothing for its RetryFor (4.75 s by
-// default) with frames in flight, tells the two apart.
+// frame it read is not yet acknowledged: a node waiting on its commit
+// lock (a checkpoint's capture holds it) or a gateway waiting out a
+// failover upstream is waiting, not stopped, and the repeated count is
+// how a StreamClient, which drops a connection that says nothing for its
+// RetryFor (4.75 s by default) with frames in flight, tells the two
+// apart.
 const streamKeepalive = time.Second
 
 // MaxStreamFrame bounds one stream frame's payload, on a node and on

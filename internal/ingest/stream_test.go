@@ -21,6 +21,15 @@ import (
 // loopback listener, torn down with the test.
 func startStreamServer(t testing.TB, e *Engine) string {
 	t.Helper()
+	addr, stop := serveStream(t, e)
+	t.Cleanup(stop)
+	return addr
+}
+
+// serveStream serves the binary streaming protocol for e on a loopback
+// listener until stop is called.
+func serveStream(t testing.TB, e *Engine) (addr string, stop func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -31,12 +40,11 @@ func startStreamServer(t testing.TB, e *Engine) string {
 		defer close(done)
 		_ = ss.Serve(ln)
 	}()
-	t.Cleanup(func() {
+	return ln.Addr().String(), func() {
 		ln.Close()
 		ss.Close()
 		<-done
-	})
-	return ln.Addr().String()
+	}
 }
 
 // studyOps renders a generated availability study as one flat op
@@ -218,17 +226,18 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	}
 }
 
-// TestStreamCrossedSourcesDoNotDeadlock is the lock-order proof for
+// TestStreamCrossedSourcesDoNotDeadlock is the deadlock proof for
 // multi-source groups: two connections pipeline frames carrying the
 // same two sources in opposite orders, without pausing for acks, so
 // each server connection always has a backlog and every commit group
-// needs both source windows. The windows are taken in one global order,
-// so both streams finish; taken in arrival order they deadlock (each
-// connection holding one window and waiting for the other) and the
-// deadline fails the test. Run under -race in CI.
+// needs both source windows. The windows are judged under the engine's
+// one commit lock, so both streams finish; per-window locks taken in
+// arrival order would deadlock (each connection holding one window and
+// waiting for the other) and the deadline would fail the test. Run
+// under -race in CI.
 func TestStreamCrossedSourcesDoNotDeadlock(t *testing.T) {
-	// Durable with fsync on: the windows are held across a real fsync, so
-	// the two connections contend for them on every group.
+	// Durable with fsync on: the lock is held across a real fsync, so
+	// the two connections contend for it on every group.
 	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -512,11 +521,11 @@ func TestStreamClientRefusesOversizeReply(t *testing.T) {
 	}
 }
 
-// TestStreamRidesOutCheckpoint: a node whose commit waits on a checkpoint
-// — the gate held, as Checkpoint holds it through its file write, for
-// more than twice the sender's RetryFor — is waiting, not stopped. Its
-// session repeats the last ACK meanwhile, so the sender keeps its one
-// connection and the send lands once the gate opens.
+// TestStreamRidesOutCheckpoint: a node whose commit waits on the commit
+// lock — held here, as a checkpoint's capture holds it, for more than
+// twice the sender's RetryFor — is waiting, not stopped. Its session
+// repeats the last ACK meanwhile, so the sender keeps its one connection
+// and the send lands once the lock is released.
 func TestStreamRidesOutCheckpoint(t *testing.T) {
 	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: t.TempDir()})
 	if err != nil {
@@ -554,16 +563,16 @@ func TestStreamRidesOutCheckpoint(t *testing.T) {
 	}
 
 	const hold = 4 * retryFor
-	e.journal.gate.Lock()
+	e.commitMu.Lock()
 	flushed := make(chan error, 1)
 	go func() { flushed <- send(2) }()
 	select {
 	case err := <-flushed:
-		e.journal.gate.Unlock()
-		t.Fatalf("Flush returned %v with the gate still held", err)
+		e.commitMu.Unlock()
+		t.Fatalf("Flush returned %v with the commit lock still held", err)
 	case <-time.After(hold):
 	}
-	e.journal.gate.Unlock()
+	e.commitMu.Unlock()
 	if err := <-flushed; err != nil {
 		t.Fatalf("Flush through a %v checkpoint: %v", hold, err)
 	}

@@ -35,12 +35,15 @@ func TestClusterNodeChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("child recover: %v", err)
 	}
-	relay := make(chan net.Addr, 1)
+	relay, binRelay := make(chan net.Addr, 1), make(chan net.Addr, 1)
 	go func() {
-		fmt.Printf("CHILD_ADDR %s\n", <-relay)
+		api := <-relay
+		fmt.Printf("CHILD_ADDR %s %s\n", api, <-binRelay)
 	}()
 	err = serve(context.Background(), e, options{
 		listen:          "127.0.0.1:0",
+		ingestBin:       "127.0.0.1:0",
+		binReady:        binRelay,
 		dataDir:         dir,
 		checkpointEvery: 100 * time.Millisecond,
 	}, relay, nil)
@@ -49,8 +52,8 @@ func TestClusterNodeChild(t *testing.T) {
 
 // clusterChild manages one re-exec'd leader process.
 type clusterChild struct {
-	cmd *exec.Cmd
-	url string
+	cmd      *exec.Cmd
+	url, bin string
 }
 
 func startClusterChild(t *testing.T, exe, dir string) *clusterChild {
@@ -77,8 +80,9 @@ func startClusterChild(t *testing.T, exe, dir string) *clusterChild {
 		io.Copy(io.Discard, stdout)
 	}()
 	select {
-	case addr := <-addrCh:
-		return &clusterChild{cmd: cmd, url: "http://" + addr}
+	case addrs := <-addrCh:
+		api, bin, _ := strings.Cut(addrs, " ")
+		return &clusterChild{cmd: cmd, url: "http://" + api, bin: bin}
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -139,13 +143,15 @@ func TestClusterCrashFailover(t *testing.T) {
 
 	// Followers: in-process standby serve instances shipping each leader's
 	// WAL, promotable over HTTP exactly as in production.
-	followerURLs := make([]string, nNodes)
+	followerURLs, followerBins := make([]string, nNodes), make([]string, nNodes)
 	followerDone := make([]chan error, nNodes)
 	for i := range followerURLs {
-		ready := make(chan net.Addr, 1)
+		ready, binReady := make(chan net.Addr, 1), make(chan net.Addr, 1)
 		done := make(chan error, 1)
 		opts := options{
 			listen:     "127.0.0.1:0",
+			ingestBin:  "127.0.0.1:0",
+			binReady:   binReady,
 			dataDir:    t.TempDir(),
 			follow:     children[i].url,
 			followPoll: 25 * time.Millisecond,
@@ -155,7 +161,7 @@ func TestClusterCrashFailover(t *testing.T) {
 		go func() { done <- serve(ctx, nil, opts, ready, nil) }()
 		select {
 		case addr := <-ready:
-			followerURLs[i] = "http://" + addr.String()
+			followerURLs[i], followerBins[i] = "http://"+addr.String(), (<-binReady).String()
 		case err := <-done:
 			t.Fatalf("follower %d exited early: %v", i, err)
 		case <-time.After(10 * time.Second):
@@ -168,9 +174,11 @@ func TestClusterCrashFailover(t *testing.T) {
 	nodes := make([]cluster.NodeConfig, nNodes)
 	for i := range nodes {
 		nodes[i] = cluster.NodeConfig{
-			Name:     fmt.Sprintf("node%d", i),
-			URL:      children[i].url,
-			Follower: followerURLs[i],
+			Name:        fmt.Sprintf("node%d", i),
+			URL:         children[i].url,
+			BinAddr:     children[i].bin,
+			Follower:    followerURLs[i],
+			FollowerBin: followerBins[i],
 		}
 	}
 	g, err := cluster.NewGateway(cluster.GatewayConfig{

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,8 +15,8 @@ import (
 )
 
 // ingestFronts runs f against both daemons' POST /v1/ingest — a node's
-// own handler (memory-only and durable), and a gateway fanning out to a
-// node — over one engine. All read the request through
+// own handler (memory-only and durable), and a gateway writing to a
+// node's stream — over one engine. All read the request through
 // ingest.ReadIngestRequest, so all owe the same verdicts and the same
 // transactional guarantee.
 func ingestFronts(t *testing.T, f func(t *testing.T, e *ingest.Engine, h http.Handler)) {
@@ -38,7 +39,7 @@ func ingestFronts(t *testing.T, f func(t *testing.T, e *ingest.Engine, h http.Ha
 		node := httptest.NewServer((&server{engine: e}).handler())
 		defer node.Close()
 		g, err := cluster.NewGateway(cluster.GatewayConfig{
-			Nodes: []cluster.NodeConfig{{Name: "node0", URL: node.URL}},
+			Nodes: []cluster.NodeConfig{{Name: "node0", URL: node.URL, BinAddr: serveStream(t, e, nil)}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -46,6 +47,30 @@ func ingestFronts(t *testing.T, f func(t *testing.T, e *ingest.Engine, h http.Ha
 		defer g.Close()
 		f(t, e, g.Handler())
 	})
+}
+
+// serveStream serves e's binary stream protocol on a loopback listener
+// until the test ends, returning its address: the BinAddr a gateway
+// writes to. fenced, when set, is the stream's fence, as availd's gate is.
+func serveStream(t *testing.T, e *ingest.Engine, fenced func() bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := ingest.NewStreamServer(e, nil)
+	ss.Fenced = fenced
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = ss.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		ss.Close()
+		<-done
+	})
+	return ln.Addr().String()
 }
 
 // TestIngestOversizedBodyRejected pins the /v1/ingest body cap: a

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -10,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,64 +23,140 @@ import (
 	"swarmavail/internal/wal"
 )
 
-// ackDropper wraps a leader's handler and, for armed idempotency keys,
-// lets the request journal and apply normally but answers 503 — the
-// lost-ack fault: the node has the batch, the sender doesn't know.
-type ackDropper struct {
-	inner http.Handler
-	mu    sync.Mutex
-	armed map[string]bool
-	drops int
+// streamCutter relays the gateway's stream connections to a leader's
+// binary ingest and plays the two faults of the write hop: the lost ACK
+// — for an armed idempotency key the leader journals and applies the
+// frame, but the ACK that covers it never reaches the gateway, whose
+// connection is cut — and the partition: while down, every relayed
+// connection is cut and every new one refused.
+type streamCutter struct {
+	target string
+	mu     sync.Mutex
+	armed  map[string]bool
+	drops  int
+	down   bool
+	conns  []net.Conn
 }
 
-func (d *ackDropper) arm(source string, seq uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.armed == nil {
-		d.armed = make(map[string]bool)
+// listen starts relaying on a loopback listener until the test ends and
+// returns its address.
+func (c *streamCutter) listen(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.armed[source+"|"+strconv.FormatUint(seq, 10)] = true
-}
-
-func (d *ackDropper) count() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.drops
-}
-
-func (d *ackDropper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	drop := false
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/ingest" {
-		key := r.Header.Get(ingest.HeaderSource) + "|" + r.Header.Get(ingest.HeaderSeq)
-		d.mu.Lock()
-		if d.armed[key] {
-			delete(d.armed, key)
-			d.drops++
-			drop = true
+	t.Cleanup(func() { ln.Close(); c.partition(true) })
+	go func() {
+		for {
+			gw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			node, err := net.Dial("tcp", c.target)
+			c.mu.Lock()
+			if err != nil || c.down {
+				c.mu.Unlock()
+				gw.Close()
+				if node != nil {
+					node.Close()
+				}
+				continue
+			}
+			c.conns = append(c.conns, gw, node)
+			c.mu.Unlock()
+			go c.relay(gw, node)
 		}
-		d.mu.Unlock()
+	}()
+	return ln.Addr().String()
+}
+
+func (c *streamCutter) arm(source string, seq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		c.armed = make(map[string]bool)
 	}
-	if !drop {
-		d.inner.ServeHTTP(w, r)
-		return
+	c.armed[source+"|"+strconv.FormatUint(seq, 10)] = true
+}
+
+// take disarms and counts the key when it is armed.
+func (c *streamCutter) take(source string, seq uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := source + "|" + strconv.FormatUint(seq, 10)
+	if !c.armed[key] {
+		return false
 	}
-	rec := httptest.NewRecorder()
-	d.inner.ServeHTTP(rec, r)
-	if rec.Code != http.StatusOK {
-		for k, vs := range rec.Header() {
-			for _, v := range vs {
-				w.Header().Add(k, v)
+	delete(c.armed, key)
+	c.drops++
+	return true
+}
+
+func (c *streamCutter) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.drops
+}
+
+// partition cuts every relayed connection and refuses new ones (down) or
+// lets them through again.
+func (c *streamCutter) partition(down bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.down = down
+	if down {
+		for _, conn := range c.conns {
+			conn.Close()
+		}
+		c.conns = nil
+	}
+}
+
+// relay copies frames both ways. dropAt is the DATA frame, counted on
+// this connection, whose ACK is lost: an ACK covering it cuts the
+// connection instead of reaching the gateway.
+func (c *streamCutter) relay(gw, node net.Conn) {
+	defer gw.Close()
+	defer node.Close()
+	var dropAt atomic.Uint64
+	go func() {
+		defer node.Close()
+		fr := wal.NewFrameReader(bufio.NewReader(gw))
+		for n := uint64(0); ; {
+			payload, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if payload[0] == ingest.StreamFrameData {
+				n++
+				if source, seq, _, err := ingest.DecodeFrame(payload[1:]); err == nil && c.take(source, seq) {
+					dropAt.Store(n)
+				}
+			}
+			if _, err := node.Write(wal.AppendFrame(nil, payload)); err != nil {
+				return
 			}
 		}
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-		return
+	}()
+	fr := wal.NewFrameReader(bufio.NewReader(node))
+	for {
+		payload, err := fr.Next()
+		if err != nil {
+			return
+		}
+		if at := dropAt.Load(); at != 0 && payload[0] == ingest.StreamFrameAck && binary.LittleEndian.Uint64(payload[1:]) >= at {
+			return
+		}
+		if _, err := gw.Write(wal.AppendFrame(nil, payload)); err != nil {
+			return
+		}
 	}
-	http.Error(w, "injected ack loss", http.StatusServiceUnavailable)
 }
 
 // TestPartitionChaosFailover is the split-brain acceptance test: an
-// asymmetric partition cuts the gateway off from slot 0's leader while
+// asymmetric partition cuts the gateway off from slot 0's leader — its
+// HTTP API through the fault network, its stream through a cutter —
+// while
 // the leader's follower (on clean transports) keeps shipping its WAL.
 // The gateway promotes the follower under epoch 2 mid-campaign; the
 // old leader stays alive, takes a zombie write, and is fenced the
@@ -94,9 +173,10 @@ func TestPartitionChaosFailover(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Leaders: durable engines behind the real availd handler (epoch
-	// gate included), as in-process listeners the fault layer can cut.
-	mkLeader := func(dir string) (*ingest.Engine, http.Handler) {
+	// Leaders: durable engines behind the real availd handler and stream
+	// (epoch gate included), as in-process listeners the fault layer and
+	// the cutter can cut.
+	mkLeader := func(dir string) (*ingest.Engine, http.Handler, string) {
 		e, _, err := ingest.OpenDurable(
 			ingest.Config{Shards: 2, BatchSize: 32},
 			ingest.DurabilityConfig{Dir: dir, Fsync: wal.SyncNone},
@@ -109,15 +189,15 @@ func TestPartitionChaosFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &server{engine: e, opts: options{dataDir: dir}, gate: gate}
-		return e, s.handler()
+		return e, s.handler(), serveStream(t, e, gate.Fenced)
 	}
 	dir0 := t.TempDir()
-	e0, h0 := mkLeader(dir0)
+	e0, h0, bin0 := mkLeader(dir0)
 	defer e0.Close()
-	dropper := &ackDropper{inner: h0}
-	leader0 := httptest.NewServer(dropper)
+	cutter := &streamCutter{target: bin0}
+	leader0 := httptest.NewServer(h0)
 	defer leader0.Close()
-	e1, h1 := mkLeader(t.TempDir())
+	e1, h1, bin1 := mkLeader(t.TempDir())
 	defer e1.Close()
 	leader1 := httptest.NewServer(h1)
 	defer leader1.Close()
@@ -125,11 +205,13 @@ func TestPartitionChaosFailover(t *testing.T) {
 	// Slot 0's follower: a real standby serve on clean transports, so it
 	// keeps shipping the leader's WAL through the gateway-side partition
 	// — the asymmetry that makes promotion lossless.
-	fready := make(chan net.Addr, 1)
+	fready, fbinReady := make(chan net.Addr, 1), make(chan net.Addr, 1)
 	fdone := make(chan error, 1)
 	go func() {
 		fdone <- serve(ctx, nil, options{
 			listen:     "127.0.0.1:0",
+			ingestBin:  "127.0.0.1:0",
+			binReady:   fbinReady,
 			dataDir:    t.TempDir(),
 			follow:     leader0.URL,
 			followPoll: 20 * time.Millisecond,
@@ -145,14 +227,15 @@ func TestPartitionChaosFailover(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("follower never became ready")
 	}
-	followerURL := "http://" + fAddr.String()
+	followerURL, followerBin := "http://"+fAddr.String(), (<-fbinReady).String()
 
-	// The gateway reaches the nodes only through the fault network.
+	// The gateway reaches the nodes only through the fault network and,
+	// for slot 0's writes, the cutter.
 	reg := obs.NewRegistry()
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
 		Nodes: []cluster.NodeConfig{
-			{Name: "slot0", URL: leader0.URL, Follower: followerURL},
-			{Name: "slot1", URL: leader1.URL},
+			{Name: "slot0", URL: leader0.URL, BinAddr: cutter.listen(t), Follower: followerURL, FollowerBin: followerBin},
+			{Name: "slot1", URL: leader1.URL, BinAddr: bin1},
 		},
 		HealthEvery:    50 * time.Millisecond,
 		FailAfter:      2,
@@ -205,14 +288,15 @@ func TestPartitionChaosFailover(t *testing.T) {
 	}
 
 	// Phase A: healthy cluster, with one lost ack. The client's third
-	// Push carries key ("campaign", 3); slot 0 journals its share, drops
-	// the ack, and the gateway's retry of the same key must dedup there.
-	dropper.arm(client.Source(), 3)
+	// Push carries key ("campaign", 3); slot 0 journals its share, its
+	// ack is lost, and the gateway's resend of the same key must dedup
+	// there.
+	cutter.arm(client.Source(), 3)
 	for salt := 0; salt < 6; salt++ {
 		push(salt)
 	}
-	if dropper.count() != 1 {
-		t.Fatalf("injected %d ack losses, want 1", dropper.count())
+	if cutter.count() != 1 {
+		t.Fatalf("injected %d ack losses, want 1", cutter.count())
 	}
 	if d := e0.Registry().Sum("ingest_deduped_total"); d == 0 {
 		t.Fatal("retry of the dropped-ack batch was not deduplicated on the leader")
@@ -269,6 +353,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 	// first push below rides through the promotion.
 	leader0Host := strings.TrimPrefix(leader0.URL, "http://")
 	fnet.KillHost(leader0Host)
+	cutter.partition(true)
 	for salt := 6; salt < 12; salt++ {
 		push(salt)
 	}
@@ -329,6 +414,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 	// Phase C: heal. The gateway's health loop fences the retired leader
 	// with an epoch-2 stamp; from then on even direct writes are 409.
 	fnet.RestoreHost(leader0Host)
+	cutter.partition(false)
 	deadline = time.Now().Add(15 * time.Second)
 	for {
 		if v, ok := e0.Registry().Value("cluster_fenced_requests_total"); ok && v > 0 {

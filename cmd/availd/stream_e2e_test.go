@@ -393,7 +393,7 @@ func TestStreamCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("final recovery: %v", err)
 	}
 	defer e.Close()
-	t.Logf("recovery: %+v; client sent %d frames, %d reconnects", rs, c.Sent(), c.Reconnects())
+	t.Logf("recovery: %+v; client had %d frames acknowledged, %d reconnects", rs, c.Acked(), c.Reconnects())
 
 	ref := ingest.New(ingest.Config{Shards: 3})
 	defer ref.Close()

@@ -118,15 +118,16 @@ func TestSwarmRoutesReadYourWrites(t *testing.T) {
 // that node answers itself; the other node has never heard of the swarm.
 func TestGatewaySwarmRoutesToHomeSlot(t *testing.T) {
 	var nodes []*httptest.Server
+	var bins []string
 	for i := 0; i < 2; i++ {
 		e := ingest.New(ingest.Config{Shards: 2})
 		defer e.Close()
 		node := httptest.NewServer((&server{engine: e}).handler())
 		defer node.Close()
-		nodes = append(nodes, node)
+		nodes, bins = append(nodes, node), append(bins, serveStream(t, e, nil))
 	}
 	g, err := cluster.NewGateway(cluster.GatewayConfig{Nodes: []cluster.NodeConfig{
-		{Name: "node0", URL: nodes[0].URL}, {Name: "node1", URL: nodes[1].URL},
+		{Name: "node0", URL: nodes[0].URL, BinAddr: bins[0]}, {Name: "node1", URL: nodes[1].URL, BinAddr: bins[1]},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -174,17 +175,17 @@ func TestGatewaySwarmRoutesToHomeSlot(t *testing.T) {
 func TestGatewaySwarmReadFenced(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var bases []string
+	var bases, bins []string
 	var served []chan error
 	for i := 0; i < 2; i++ {
 		e := ingest.New(ingest.Config{Shards: 2})
 		defer e.Close()
-		api, _, done := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0"})
-		bases = append(bases, "http://"+api.String())
+		api, bin, done := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0", ingestBin: "127.0.0.1:0"})
+		bases, bins = append(bases, "http://"+api.String()), append(bins, bin.String())
 		served = append(served, done)
 	}
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
-		Nodes:       []cluster.NodeConfig{{Name: "node0", URL: bases[0]}, {Name: "node1", URL: bases[1]}},
+		Nodes:       []cluster.NodeConfig{{Name: "node0", URL: bases[0], BinAddr: bins[0]}, {Name: "node1", URL: bases[1], BinAddr: bins[1]}},
 		HealthEvery: 20 * time.Millisecond,
 		Logf:        t.Logf,
 	})
@@ -278,7 +279,7 @@ func TestGatewayFencedNodeAtStart(t *testing.T) {
 	defer cancel()
 	e := ingest.New(ingest.Config{Shards: 2})
 	defer e.Close()
-	api, _, done := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0"})
+	api, bin, done := startAvaild(t, ctx, e, options{listen: "127.0.0.1:0", ingestBin: "127.0.0.1:0"})
 	base := "http://" + api.String()
 	if err := pushBatch(base+"/v1/ingest", []ingest.Record{{SwarmID: 5, PeerID: 1, Seed: true, Online: true, Time: 0.5}}); err != nil {
 		t.Fatal(err)
@@ -288,7 +289,7 @@ func TestGatewayFencedNodeAtStart(t *testing.T) {
 	}
 
 	g, err := cluster.NewGateway(cluster.GatewayConfig{
-		Nodes:       []cluster.NodeConfig{{Name: "node0", URL: base}},
+		Nodes:       []cluster.NodeConfig{{Name: "node0", URL: base, BinAddr: bin.String()}},
 		HealthEvery: time.Hour,
 		Logf:        t.Logf,
 	})

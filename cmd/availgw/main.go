@@ -2,9 +2,9 @@
 // availd nodes. It consistent-hashes swarms across the nodes (whole
 // swarms, never split — the same partitioning rule the engine's shards
 // use in-process), routes POST /v1/ingest and the -ingest-bin stream
-// through one splitter and delivers each request's per-node shares
-// concurrently (all-or-nothing ack; no per-node queue), each retried
-// for as long as -health-every, -fail-after, -probe-timeout and
+// through one splitter and writes every per-node share to the node's
+// binary stream (-node-bins; all-or-nothing ack), each redialed for as
+// long as -health-every, -fail-after, -probe-timeout and
 // -promote-timeout say a failover of its node takes, scatter-gathers
 // availd's merged read endpoints (/v1/summary, /v1/availability/cdf,
 // /v1/availability/window, /v1/bundling/summary, /v1/state,
@@ -15,7 +15,9 @@
 //
 //	availgw -listen :8650 \
 //	  -nodes http://n1:8647,http://n2:8647,http://n3:8647 \
-//	  -followers http://f1:8657,http://f2:8657,http://f3:8657
+//	  -node-bins n1:8649,n2:8649,n3:8649 \
+//	  -followers http://f1:8657,http://f2:8657,http://f3:8657 \
+//	  -follower-bins f1:8659,f2:8659,f3:8659
 //
 // Node order is part of the cluster identity: every gateway (and every
 // restart) must list the same nodes in the same order, or swarms route
@@ -60,9 +62,9 @@ func main() {
 	flag.StringVar(&opts.listen, "listen", ":8650", "HTTP listen address")
 	flag.StringVar(&opts.nodes, "nodes", "", "comma-separated leader base URLs, in slot order (required)")
 	flag.StringVar(&opts.followers, "followers", "", "comma-separated follower base URLs, parallel to -nodes (empty slots allowed)")
-	flag.StringVar(&opts.ingestBin, "ingest-bin", "", "binary streaming ingest listen address (e.g. :8651); requires -node-bins")
-	flag.StringVar(&opts.nodeBins, "node-bins", "", "comma-separated node binary ingest addresses (availd -ingest-bin), parallel to -nodes")
-	flag.StringVar(&opts.followerBins, "follower-bins", "", "comma-separated follower binary ingest addresses, parallel to -nodes (empty slots allowed)")
+	flag.StringVar(&opts.ingestBin, "ingest-bin", "", "binary streaming ingest listen address (e.g. :8651)")
+	flag.StringVar(&opts.nodeBins, "node-bins", "", "comma-separated node binary ingest addresses (availd -ingest-bin), parallel to -nodes (required: every write goes there)")
+	flag.StringVar(&opts.followerBins, "follower-bins", "", "comma-separated follower binary ingest addresses, parallel to -followers (required with -followers)")
 	flag.DurationVar(&opts.healthEvery, "health-every", time.Second, "leader health-check cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed health checks before promoting the follower")
 	flag.DurationVar(&opts.probeTimeout, "probe-timeout", 0, "timeout per health probe (0 = health-every)")
@@ -124,6 +126,12 @@ func parseNodes(nodes, followers, nodeBins, followerBins string) ([]cluster.Node
 		}
 		if fbins != nil {
 			nc.FollowerBin = strings.TrimSpace(fbins[i])
+		}
+		switch {
+		case nc.BinAddr == "":
+			return nil, fmt.Errorf("node %d has no -node-bins address", i)
+		case nc.Follower != "" && nc.FollowerBin == "":
+			return nil, fmt.Errorf("node %d has a follower but no -follower-bins address", i)
 		}
 		out = append(out, nc)
 	}

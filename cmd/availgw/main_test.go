@@ -12,11 +12,10 @@ import (
 	"time"
 
 	"swarmavail/internal/ingest"
-	"swarmavail/internal/trace"
 )
 
 func TestParseNodes(t *testing.T) {
-	nodes, err := parseNodes("http://a:1, http://b:2/ ,http://c:3", "http://fa:1,,http://fc:3", "", "")
+	nodes, err := parseNodes("http://a:1, http://b:2/ ,http://c:3", "http://fa:1,,http://fc:3", "a:9,b:9, c:9", "fa:9,,fc:9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +31,24 @@ func TestParseNodes(t *testing.T) {
 	if nodes[0].Name != "node0" || nodes[2].Name != "node2" {
 		t.Fatalf("bad names: %+v", nodes)
 	}
+	if nodes[2].BinAddr != "c:9" || nodes[0].FollowerBin != "fa:9" || nodes[1].FollowerBin != "" {
+		t.Fatalf("bad binary addresses: %+v", nodes)
+	}
 
 	if _, err := parseNodes("", "", "", ""); err == nil {
 		t.Fatal("empty -nodes accepted")
 	}
-	if _, err := parseNodes("http://a:1,http://b:2", "http://f:1", "", ""); err == nil {
+	if _, err := parseNodes("http://a:1,http://b:2", "http://f:1", "a:9,b:9", ""); err == nil {
 		t.Fatal("mismatched -followers length accepted")
 	}
-	if _, err := parseNodes("http://a:1,,http://c:3", "", "", ""); err == nil {
+	if _, err := parseNodes("http://a:1,,http://c:3", "", "a:9,b:9,c:9", ""); err == nil {
 		t.Fatal("empty node URL accepted")
+	}
+	if _, err := parseNodes("http://a:1", "", "", ""); err == nil {
+		t.Fatal("a node without -node-bins accepted: the gateway could not write to it")
+	}
+	if _, err := parseNodes("http://a:1,http://b:2", "http://fa:1,", "a:9,b:9", ""); err == nil {
+		t.Fatal("a follower without -follower-bins accepted: writes after its promotion would go to the retired leader")
 	}
 }
 
@@ -49,23 +57,15 @@ func TestParseNodes(t *testing.T) {
 func TestRunServesCluster(t *testing.T) {
 	e := ingest.New(ingest.Config{Shards: 2, BatchSize: 16})
 	defer e.Close()
+	binLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := ingest.NewStreamServer(e, nil)
+	go ss.Serve(binLn)
+	defer ss.Close()
+	defer binLn.Close()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
-		sc := trace.NewScanner[ingest.Record](r.Body)
-		var ops []ingest.Op
-		for sc.Scan() {
-			ops = append(ops, ingest.EventOp(sc.Record()))
-		}
-		if err := sc.Err(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := e.Submit(ops); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		ingest.WriteJSON(w, map[string]int{"accepted": len(ops)})
-	})
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
 		e.Flush()
 		ingest.WriteState(w, e.Summary())
@@ -84,6 +84,7 @@ func TestRunServesCluster(t *testing.T) {
 		done <- run(ctx, options{
 			listen:      "127.0.0.1:0",
 			nodes:       node.URL,
+			nodeBins:    binLn.Addr().String(),
 			healthEvery: time.Hour,
 		}, t.Logf, ready)
 	}()
@@ -141,6 +142,7 @@ func TestGatewayHealthzDrainTransition(t *testing.T) {
 		done <- run(ctx, options{
 			listen:      "127.0.0.1:0",
 			nodes:       node.URL,
+			nodeBins:    "127.0.0.1:1", // never dialed: nothing is written
 			healthEvery: time.Hour,
 			drainGrace:  500 * time.Millisecond,
 		}, t.Logf, ready)

@@ -10,14 +10,13 @@ import (
 )
 
 // BenchmarkGatewayIngest measures end-to-end gateway throughput: HTTP
-// in, ring partitioning, per-node fan-out over HTTP, engine Submit on
-// every node. Three in-process nodes, batches of 512 records.
+// in, ring partitioning, per-node fan-out over the binary stream, engine
+// commit on every node. Three in-process nodes, batches of 512 records.
 func BenchmarkGatewayIngest(b *testing.B) {
 	nodes := make([]NodeConfig, 3)
 	for i := range nodes {
-		n := startTestNode(ingest.Config{Shards: 2, BatchSize: 256})
-		b.Cleanup(func() { n.srv.Close(); n.e.Close() })
-		nodes[i] = NodeConfig{URL: n.srv.URL}
+		n := startTestNode(b, ingest.Config{Shards: 2, BatchSize: 256})
+		nodes[i] = NodeConfig{URL: n.srv.URL, BinAddr: n.bin}
 	}
 	g, err := NewGateway(GatewayConfig{
 		Nodes:       nodes,

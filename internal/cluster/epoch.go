@@ -16,7 +16,7 @@ import (
 )
 
 // EpochHeader carries the cluster slot epoch: the gateway's exchange
-// stamps it on every request it sends a node, and a node's EpochGate
+// stamps it on every HTTP request it sends a node, and a node's EpochGate
 // fences by it and echoes its own epoch on every response.
 const EpochHeader = "X-Avail-Epoch"
 

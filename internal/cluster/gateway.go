@@ -34,11 +34,11 @@ type NodeConfig struct {
 	// slot). The follower must be running availd -follow against URL.
 	Follower string
 	// BinAddr is the leader's binary streaming ingest address (availd
-	// -ingest-bin). Required on every node for Gateway.ServeStream.
+	// -ingest-bin), where the gateway sends every write to the slot, from
+	// both fronts. Required.
 	BinAddr string
-	// FollowerBin is the follower's binary ingest address; after a
-	// promotion stream forwarding redials here ("" = binary forwarding
-	// for this slot keeps dialing BinAddr).
+	// FollowerBin is the follower's binary ingest address, where writes go
+	// once it is promoted. Required with Follower.
 	FollowerBin string
 }
 
@@ -66,10 +66,11 @@ type GatewayConfig struct {
 	ProbeTimeout time.Duration
 	// PromoteTimeout bounds one promotion attempt (default 30s).
 	PromoteTimeout time.Duration
-	// Client carries every request the gateway sends a node (default: a
-	// plain http.Client; tests inject fault transports). Timeouts come
-	// from contexts — the push budget, ProbeTimeout, PromoteTimeout, the
-	// reader's request — not from the client.
+	// Client carries every HTTP request the gateway sends a node — reads,
+	// probes, promotions; writes go over the stream (default: a plain
+	// http.Client; tests inject fault transports). Timeouts come from
+	// contexts — ProbeTimeout, PromoteTimeout, the reader's request — not
+	// from the client.
 	Client *http.Client
 	// Metrics, when set, registers gateway series.
 	Metrics *obs.Registry
@@ -129,28 +130,26 @@ type gwNode struct {
 	unhealthy *obs.Gauge
 }
 
-// share is one slot's part of a routed write — records from the HTTP
-// front, ops from the stream front — and the idempotency key it travels
-// under: stamped on every delivery attempt, so retries (across a
-// failover too) deduplicate server-side.
-type share[T any] struct {
+// share is one slot's part of a routed write and the idempotency key its
+// frame carries, so a resend (across a failover too) deduplicates
+// server-side.
+type share struct {
 	slot   int
 	source string
 	seq    uint64
-	items  []T
+	ops    []ingest.Op
 }
 
 // Gateway is the cluster front door. It speaks the same API as a
 // single availd — POST /v1/ingest and the merged read endpoints of
 // ingest.RegisterReadHandlers — over N nodes:
 //
-//   - Writes are partitioned by the consistent-hash ring (whole swarms,
-//     never split: route) and each request's shares are delivered
-//     concurrently, each retried until its slot's push budget runs out.
-//     The request is acknowledged only when every node has journaled
-//     its share; a partial failure is reported as 503 and acknowledges
-//     nothing, so the monitor's retry preserves at-least-once delivery
-//     end to end.
+//   - Writes, from either front, are partitioned by the consistent-hash
+//     ring (whole swarms, never split: route) and each share rides its
+//     slot's upstream stream client (push). A write is acknowledged only
+//     when every node has journaled its share; a partial failure is
+//     reported as 503 (ERR on the stream) and acknowledges nothing, so
+//     the monitor's retry preserves at-least-once delivery end to end.
 //   - Reads scatter-gather /v1/state (or /v1/window/state) from every
 //     node and merge with Summary.Merge (WindowState.Merge). The merge
 //     algebra is exact (integer counters, sums and sketch bin counts),
@@ -166,9 +165,9 @@ type Gateway struct {
 	ring  *Ring
 	nodes []*gwNode
 
-	// ctx ends at Close: it stops the health loop and fails the pushes
-	// in flight, whose contexts hang off it. Its child streamsCtx also
-	// ends at CloseStreams, abandoning the stream front's upstreams.
+	// ctx ends at Close: it stops the health loop and the calls it makes.
+	// Its child streamsCtx also ends at CloseStreams, abandoning the
+	// stream front's upstreams.
 	ctx        context.Context
 	cancel     context.CancelFunc
 	streamsCtx context.Context
@@ -180,6 +179,10 @@ type Gateway struct {
 	batches   *obs.Counter
 	pushFails *obs.Counter
 	failovers *obs.Counter
+
+	// upstreams carry the HTTP front's shares, one client per slot for the
+	// gateway's lifetime, shared by every request; Close abandons them.
+	upstreams []*ingest.StreamClient
 
 	// streams accepts the stream front's connections (ServeStream) and
 	// cuts them at Close.
@@ -256,8 +259,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	stem := ingest.NewSourceID()
 	for i, nc := range cfg.Nodes {
-		if nc.URL == "" {
+		switch {
+		case nc.URL == "":
 			return nil, fmt.Errorf("cluster: node %d has no URL", i)
+		case nc.BinAddr == "":
+			return nil, fmt.Errorf("cluster: node %d (%s) has no BinAddr", i, nc.name())
+		case nc.Follower != "" && nc.FollowerBin == "":
+			return nil, fmt.Errorf("cluster: node %d (%s) has a Follower but no FollowerBin", i, nc.name())
 		}
 		n := &gwNode{cfg: nc, source: stem + "#" + strconv.Itoa(i)}
 		n.route.Store(&slotRoute{url: nc.URL, binAddr: nc.BinAddr})
@@ -268,6 +276,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 				obs.L("node", nc.name()))
 		}
 		g.nodes = append(g.nodes, n)
+		g.upstreams = append(g.upstreams, g.upstream(n))
 	}
 	g.streams.Handle = func(conn net.Conn) {
 		if err := g.serveStreamConn(conn); err != nil {
@@ -331,19 +340,24 @@ func (g *Gateway) NodeURL(i int) string { return g.nodes[i].route.Load().url }
 // -drain-grace sequence).
 func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
 
-// Close stops the health loop, fails the pushes in flight with
-// ErrGatewayClosed and cuts the stream front (CloseStreams), so nothing
-// is forwarded through a closed gateway. Idempotent.
+// Close stops the health loop, cuts the stream front (CloseStreams) and
+// abandons the HTTP front's upstreams, failing its pushes in flight with
+// ErrGatewayClosed, so nothing is forwarded through a closed gateway.
+// Idempotent.
 func (g *Gateway) Close() {
 	g.cancel()
 	<-g.health
 	g.CloseStreams()
+	for _, c := range g.upstreams {
+		c.Abandon()
+	}
 }
 
 // CloseStreams cuts the stream front's connections and refuses new
-// ones, leaving the HTTP front to finish what it has in flight — the
-// step a draining availgw takes before its HTTP shutdown. Unsettled
-// upstream frames are abandoned: the monitors resend them.
+// ones, leaving the HTTP front, whose upstreams it keeps, to finish what
+// it has in flight — the step a draining availgw takes before its HTTP
+// shutdown. Unsettled upstream frames are abandoned: the monitors resend
+// them.
 func (g *Gateway) CloseStreams() {
 	g.endStreams()
 	g.streams.Close()
@@ -353,7 +367,6 @@ func (g *Gateway) CloseStreams() {
 // exchange addresses and stamps it.
 type nodeCall struct {
 	method, path string // path with its query
-	body         []byte
 	header       http.Header
 	// to and epoch address and stamp the call; "" is the slot's current
 	// node at the slot's epoch.
@@ -380,7 +393,7 @@ func (g *Gateway) exchange(ctx context.Context, n *gwNode, c nodeCall) (*http.Re
 		if c.to != "" {
 			base, epoch = c.to, c.epoch
 		}
-		req, err := http.NewRequestWithContext(ctx, c.method, base+c.path, bytes.NewReader(c.body))
+		req, err := http.NewRequestWithContext(ctx, c.method, base+c.path, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -423,9 +436,9 @@ func statusError(resp *http.Response) error {
 	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 }
 
-// retryBase is the first wait between attempts at a node; each further
-// wait doubles, up to one HealthEvery, so a retry follows every health
-// tick and sees every reroute.
+// retryBase is the first wait between a read's attempts at a node; each
+// further wait doubles, up to one HealthEvery, so a retry follows every
+// health tick and sees every reroute.
 const retryBase = 10 * time.Millisecond
 
 // pause waits out the gap after failed attempt number attempt; false
@@ -439,13 +452,14 @@ func (g *Gateway) pause(ctx context.Context, attempt int) bool {
 	}
 }
 
-// pushBudget is how long a push to slot n keeps trying: as long as the
-// config says a failover takes. The health loop calls a leader down
-// after FailAfter missed probes, each up to HealthEvery apart and
-// ProbeTimeout long — a node down for less is one the gateway would not
-// yet call down, so worth waiting for — and then, while the slot still
-// has a follower, spends up to PromoteTimeout promoting it. A slot that
-// cannot fail over stops at the first part: nothing is coming.
+// pushBudget is how long an upstream client to slot n keeps redialing
+// without an ack: as long as the config says a failover takes. The
+// health loop calls a leader down after FailAfter missed probes, each up
+// to HealthEvery apart and ProbeTimeout long — a node down for less is
+// one the gateway would not yet call down, so worth waiting for — and
+// then, while the slot still has a follower, spends up to PromoteTimeout
+// promoting it. A slot that cannot fail over stops at the first part:
+// nothing is coming. A client keeps the budget it was built with.
 func (g *Gateway) pushBudget(n *gwNode) time.Duration {
 	d := time.Duration(g.cfg.FailAfter) * (g.cfg.HealthEvery + g.cfg.ProbeTimeout)
 	if n.cfg.Follower != "" && !n.promoted.Load() {
@@ -454,70 +468,25 @@ func (g *Gateway) pushBudget(n *gwNode) time.Duration {
 	return d
 }
 
-// deliver pushes one share to its slot, retrying until the slot's push
-// budget runs out. Each attempt re-reads the slot's route (the exchange
-// does), so a failover mid-push sends the next attempt to the promoted
-// follower rather than hammering a corpse.
-func (g *Gateway) deliver(ctx context.Context, sh share[ingest.Record]) error {
-	n := g.nodes[sh.slot]
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, rec := range sh.items {
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("cluster: encoding record: %w", err)
-		}
-	}
-	c := nodeCall{method: http.MethodPost, path: "/v1/ingest", body: body.Bytes(),
-		header: http.Header{"Content-Type": {"application/x-ndjson"}}}
-	if sh.source != "" {
-		c.header.Set(ingest.HeaderSource, sh.source)
-		c.header.Set(ingest.HeaderSeq, strconv.FormatUint(sh.seq, 10))
-	}
-	budget := g.pushBudget(n)
-	bctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	for attempt := 1; ; attempt++ {
-		err := g.push(bctx, n, c, len(sh.items))
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		// A node fenced at the slot's epoch waits, like a dead one, for
-		// the health loop to fail the slot over.
-		g.pushFails.Inc()
-		g.logf("gateway: push to %s failed (attempt %d): %v", n.cfg.name(), attempt, err)
-		if !g.pause(bctx, attempt) {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
+// upstream builds a stream client to slot n, the one way the gateway
+// writes to a node. Its dial re-reads the slot's route, so a redial after
+// a failover lands on the promoted follower, and stamps the connection
+// with the slot's epoch (epochConn), so an ACK from a leader retired
+// meanwhile acknowledges nothing. It redials for the slot's push budget.
+func (g *Gateway) upstream(n *gwNode) *ingest.StreamClient {
+	return ingest.NewStreamClient(ingest.StreamClientConfig{
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			rt := n.route.Load()
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", rt.binAddr)
+			if err != nil {
+				return nil, err
 			}
-			return fmt.Errorf("node %s: no ack within the %v push budget: %w", n.cfg.name(), budget, err)
-		}
-	}
-}
-
-// push is one delivery attempt: nil when the node acknowledged every
-// record.
-func (g *Gateway) push(ctx context.Context, n *gwNode, c nodeCall, want int) error {
-	resp, err := g.exchange(ctx, n, c)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
-	var ack struct {
-		Accepted int `json:"accepted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return fmt.Errorf("bad ack: %w", err)
-	}
-	if ack.Accepted != want {
-		return fmt.Errorf("node accepted %d of %d records", ack.Accepted, want)
-	}
-	return nil
+			return &epochConn{Conn: conn, n: n, epoch: max(rt.epoch, 1)}, nil
+		},
+		RetryFor: g.pushBudget(n),
+		Logf:     g.cfg.Logf,
+	})
 }
 
 // healthLoop probes each slot's current leader and promotes its
@@ -609,10 +578,7 @@ func (g *Gateway) failover(n *gwNode) {
 		return
 	}
 	g.reroute(n, func(r *slotRoute) bool {
-		r.retired, r.url = r.url, n.cfg.Follower
-		if n.cfg.FollowerBin != "" {
-			r.binAddr = n.cfg.FollowerBin
-		}
+		r.retired, r.url, r.binAddr = r.url, n.cfg.Follower, n.cfg.FollowerBin
 		// Never below an epoch a 409 taught the slot while the promotion
 		// was in flight.
 		r.epoch = max(r.epoch, newEpoch)
@@ -672,94 +638,129 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // route is the gateway's one router: it splits a write along the ring
-// (whole swarms, never split; swarm names an item's) into per-slot
-// shares in slot order, each with the key it travels under. A write that
-// arrives keyed keeps its upstream key on every share — slots are
-// independent dedup domains, so the client's retry of a lost gateway ack
-// (or a second gateway's replay) still deduplicates at every node; an
-// unkeyed one gets the slot's own gateway-originated key. whole reports
-// a keyed write owned by a single slot: its one share is the write
-// exactly as it arrived, key and all, so a front holding the encoded
-// frame may forward those bytes verbatim.
-func route[T any](g *Gateway, source string, seq uint64, items []T, swarm func(T) int) (shares []share[T], whole bool) {
-	slots := make([]int, len(items))
-	at := make([]int, len(g.nodes)) // per slot: its item count, then its index in shares
+// (whole swarms, never split) into per-slot shares in slot order, each
+// with the key it travels under. A write that arrives keyed keeps its
+// upstream key on every share — slots are independent dedup domains, so
+// the client's retry of a lost gateway ack (or a second gateway's
+// replay) still deduplicates at every node; an unkeyed one gets the
+// slot's own gateway-originated key. whole reports a keyed write owned
+// by a single slot: its one share is the write exactly as it arrived,
+// key and all, so a front holding the encoded frame may forward those
+// bytes verbatim.
+func (g *Gateway) route(source string, seq uint64, ops []ingest.Op) (shares []share, whole bool) {
+	slots := make([]int, len(ops))
+	at := make([]int, len(g.nodes)) // per slot: its op count, then its index in shares
 	owners := 0
-	for i, it := range items {
-		slots[i] = g.ring.Node(swarm(it))
+	for i, op := range ops {
+		slots[i] = g.ring.Node(op.SwarmID())
 		if at[slots[i]]++; at[slots[i]] == 1 {
 			owners++
 		}
 	}
-	shares = make([]share[T], 0, owners)
+	shares = make([]share, 0, owners)
 	for slot, n := range at {
 		if n == 0 {
 			continue
 		}
-		sh := share[T]{slot: slot, source: source, seq: seq}
+		sh := share{slot: slot, source: source, seq: seq}
 		if source == "" {
 			sh.source, sh.seq = g.nodes[slot].source, g.nodes[slot].seq.Add(1)
 		}
 		if owners == 1 {
-			sh.items = items
+			sh.ops = ops
 			return append(shares, sh), source != ""
 		}
-		sh.items = make([]T, 0, n)
+		sh.ops = make([]ingest.Op, 0, n)
 		at[slot] = len(shares)
 		shares = append(shares, sh)
 	}
-	for i, it := range items {
+	for i, op := range ops {
 		sh := &shares[at[slots[i]]]
-		sh.items = append(sh.items, it)
+		sh.ops = append(sh.ops, op)
 	}
 	return shares, false
 }
 
-// handleIngest routes the batch and delivers its shares concurrently.
-// 200 {"accepted": n} means every node journaled its share; any other
-// outcome acknowledges nothing, and the retrying client replays the
-// batch — nodes that did accept their share see the replay again
-// (at-least-once, the same contract a lone availd's lost-ack retry
-// already imposes, and exactly-once under the key they kept).
+// slotTarget is one share's watermark on its slot's upstream client: the
+// share is journaled once the client's acks cover it.
+type slotTarget struct {
+	slot int
+	sent uint64
+}
+
+// push is the gateway's one write fan-out, both fronts': route the ops,
+// give each share one keyed frame — frame itself when the write is keyed
+// and one slot owns it all, else the share encoded under its key — and
+// hand it to its slot's client in clients. It returns each share's
+// watermark for the caller to settle.
+func (g *Gateway) push(clients []*ingest.StreamClient, source string, seq uint64, ops []ingest.Op, frame []byte) ([]slotTarget, error) {
+	shares, whole := g.route(source, seq, ops)
+	targets := make([]slotTarget, 0, len(shares))
+	for _, sh := range shares {
+		enc := frame
+		if !whole || frame == nil {
+			var err error
+			if enc, err = ingest.EncodeFrame(nil, sh.source, sh.seq, sh.ops); err != nil {
+				return nil, fmt.Errorf("encoding node %s's share: %w", g.nodes[sh.slot].cfg.name(), err)
+			}
+		}
+		sent, err := clients[sh.slot].PushFrame(enc)
+		if err != nil {
+			g.pushFails.Inc()
+			return nil, fmt.Errorf("node %s: %w", g.nodes[sh.slot].cfg.name(), err)
+		}
+		targets = append(targets, slotTarget{slot: sh.slot, sent: sent})
+	}
+	return targets, nil
+}
+
+// settle waits until the acks cover every target: every node has
+// journaled its share.
+func (g *Gateway) settle(clients []*ingest.StreamClient, targets []slotTarget) error {
+	for _, t := range targets {
+		if err := clients[t.slot].WaitAcked(t.sent); err != nil {
+			g.pushFails.Inc()
+			return fmt.Errorf("node %s: %w", g.nodes[t.slot].cfg.name(), err)
+		}
+	}
+	return nil
+}
+
+// handleIngest pushes the batch through the slots' shared upstream
+// clients and answers once every share is settled. 200 {"accepted": n}
+// means every node journaled its share; any other outcome acknowledges
+// nothing, and the retrying client replays the batch — nodes that did
+// take their share see the replay again (at-least-once, the same
+// contract a lone availd's lost-ack retry already imposes, and
+// exactly-once under the key they kept).
 //
 // No queue orders one request's shares against another's: requests on
 // one connection are served one after another, and a client that wants
 // batch k applied before batch k+1 waits for k's ack — as every client
-// of this API does — so per-swarm order is the client's order.
+// of this API does — so per-swarm order is the client's order. What is
+// in flight is bounded by the upstream clients' windows.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var recs []ingest.Record
+	var ops []ingest.Op
 	source, seq, ok := ingest.ReadIngestRequest(w, r, func(rec ingest.Record) {
-		recs = append(recs, rec)
+		ops = append(ops, ingest.EventOp(rec))
 	})
 	if !ok {
 		return
 	}
-	// The pushes end with the request or with the gateway, whichever
-	// goes first.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	defer context.AfterFunc(g.ctx, func() { cancel(ErrGatewayClosed) })()
-
-	shares, _ := route(g, source, seq, recs, func(rec ingest.Record) int { return rec.SwarmID })
-	errs := make([]error, len(shares))
-	var wg sync.WaitGroup
-	for i, sh := range shares {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = g.deliver(ctx, sh)
-		}()
+	targets, err := g.push(g.upstreams, source, seq, ops, nil)
+	if err == nil {
+		err = g.settle(g.upstreams, targets)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
+	if errors.Is(err, ingest.ErrClosed) {
+		err = ErrGatewayClosed // only Close closes these clients
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
 	}
 	g.batches.Inc()
-	g.records.Add(uint64(len(recs)))
-	ingest.WriteJSON(w, map[string]int{"accepted": len(recs)})
+	g.records.Add(uint64(len(ops)))
+	ingest.WriteJSON(w, map[string]int{"accepted": len(ops)})
 }
 
 // joinETags derives the gateway's validator from the per-node ones: the

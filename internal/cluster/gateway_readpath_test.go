@@ -24,9 +24,9 @@ func readPathCluster(t *testing.T, reg *obs.Registry) ([]*testNode, *Gateway, *h
 	nodes := []*testNode{newTestNode(t), newTestNode(t), newTestNode(t)}
 	cfg := GatewayConfig{
 		Nodes: []NodeConfig{
-			{Name: "n0", URL: nodes[0].srv.URL},
-			{Name: "n1", URL: nodes[1].srv.URL},
-			{Name: "n2", URL: nodes[2].srv.URL},
+			{Name: "n0", URL: nodes[0].srv.URL, BinAddr: nodes[0].bin},
+			{Name: "n1", URL: nodes[1].srv.URL, BinAddr: nodes[1].bin},
+			{Name: "n2", URL: nodes[2].srv.URL, BinAddr: nodes[2].bin},
 		},
 		HealthEvery: time.Hour,
 		Metrics:     reg,
@@ -261,7 +261,7 @@ func TestGatewayConcurrentReadsAgree(t *testing.T) {
 func TestReadHandlersRefuseBadQuantiles(t *testing.T) {
 	n := newTestNode(t)
 	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: n.srv.URL}},
+		Nodes:       []NodeConfig{{Name: "n0", URL: n.srv.URL, BinAddr: n.bin}},
 		HealthEvery: time.Hour,
 		Logf:        t.Logf,
 	})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,63 +18,41 @@ import (
 	"testing"
 	"time"
 
+	"swarmavail/internal/faultnet"
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
-	"swarmavail/internal/trace"
+	"swarmavail/internal/wal"
 )
 
 // testNode is an in-process stand-in for one availd: engine plus the
-// slice of the API the gateway talks to.
+// slice of the API the gateway talks to — the binary stream it writes
+// to, and the HTTP reads, probes and promotion call.
 type testNode struct {
 	e         *ingest.Engine
 	srv       *httptest.Server
+	bin       string // the stream listener's address (NodeConfig.BinAddr)
+	kill      func() // closes both listeners: a node that died
 	healthy   atomic.Bool
-	failAll   atomic.Bool   // 500 every ingest, for partial-failure tests
-	readDelay atomic.Int64  // ns to stall reads, for collapse tests
-	reads     atomic.Int64  // full (non-304) read bodies served
-	stamp     atomic.Uint64 // epoch stamped on the last ingest (0 = none)
-	promotes  atomic.Int32  // POST /v1/promote calls answered
-	// hold, when set, stalls every ingest (after recording its stamp)
-	// until it is closed: a leader paused mid-write.
+	failAll   atomic.Bool  // refuse every write (ERR state), for partial-failure tests
+	readDelay atomic.Int64 // ns to stall reads, for collapse tests
+	reads     atomic.Int64 // full (non-304) read bodies served
+	writes    atomic.Int64 // stream commits the node was asked for
+	promotes  atomic.Int32 // POST /v1/promote calls answered
+	// hold, when set, stalls every commit (after counting it) until it is
+	// closed: a leader paused mid-write.
 	hold atomic.Pointer[chan struct{}]
 }
 
 func newTestNode(t *testing.T) *testNode {
 	t.Helper()
-	n := startTestNode(ingest.Config{Shards: 2, BatchSize: 16})
-	t.Cleanup(func() { n.srv.Close(); n.e.Close() })
-	return n
+	return startTestNode(t, ingest.Config{Shards: 2, BatchSize: 16})
 }
 
-func startTestNode(cfg ingest.Config) *testNode {
+func startTestNode(tb testing.TB, cfg ingest.Config) *testNode {
+	tb.Helper()
 	n := &testNode{e: ingest.New(cfg)}
 	n.healthy.Store(true)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
-		stamp, _ := strconv.ParseUint(r.Header.Get(EpochHeader), 10, 64)
-		n.stamp.Store(stamp)
-		if hold := n.hold.Load(); hold != nil {
-			<-*hold
-		}
-		if n.failAll.Load() {
-			http.Error(w, "injected failure", http.StatusInternalServerError)
-			return
-		}
-		sc := trace.NewScanner[ingest.Record](r.Body)
-		var ops []ingest.Op
-		for sc.Scan() {
-			ops = append(ops, ingest.EventOp(sc.Record()))
-		}
-		if err := sc.Err(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := n.e.Submit(ops); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		ingest.WriteJSON(w, map[string]int{"accepted": len(ops)})
-	})
 	// The read endpoints are availd's real shared handlers, wrapped for
 	// the mock's hooks: an injectable delay, a flush up front so either
 	// path sees every acked push — the read-your-writes discipline the
@@ -105,6 +84,32 @@ func startTestNode(cfg ingest.Config) *testNode {
 		ingest.WriteJSON(w, map[string]string{"state": "serving"})
 	})
 	n.srv = httptest.NewServer(mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ss := ingest.NewStreamServer(n.e, nil)
+	// The commit hook: where a write is counted, held or refused.
+	ss.Fenced = func() bool {
+		n.writes.Add(1)
+		if hold := n.hold.Load(); hold != nil {
+			<-*hold
+		}
+		return n.failAll.Load()
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = ss.Serve(ln)
+	}()
+	n.bin = ln.Addr().String()
+	n.kill = func() {
+		n.srv.Close()
+		ln.Close()
+		ss.Close()
+		<-served
+	}
+	tb.Cleanup(func() { n.kill(); n.e.Close() })
 	return n
 }
 
@@ -147,9 +152,9 @@ func TestGatewayFanOutMergedReads(t *testing.T) {
 	nodes := []*testNode{newTestNode(t), newTestNode(t), newTestNode(t)}
 	cfg := GatewayConfig{
 		Nodes: []NodeConfig{
-			{Name: "n0", URL: nodes[0].srv.URL},
-			{Name: "n1", URL: nodes[1].srv.URL},
-			{Name: "n2", URL: nodes[2].srv.URL},
+			{Name: "n0", URL: nodes[0].srv.URL, BinAddr: nodes[0].bin},
+			{Name: "n1", URL: nodes[1].srv.URL, BinAddr: nodes[1].bin},
+			{Name: "n2", URL: nodes[2].srv.URL, BinAddr: nodes[2].bin},
 		},
 		HealthEvery: time.Hour, // health out of the way
 		Logf:        t.Logf,
@@ -255,8 +260,8 @@ func TestGatewayPartialFailureNoAck(t *testing.T) {
 	bad.failAll.Store(true)
 	cfg := GatewayConfig{
 		Nodes: []NodeConfig{
-			{Name: "good", URL: good.srv.URL},
-			{Name: "bad", URL: bad.srv.URL},
+			{Name: "good", URL: good.srv.URL, BinAddr: good.bin},
+			{Name: "bad", URL: bad.srv.URL, BinAddr: bad.bin},
 		},
 		HealthEvery: 50 * time.Millisecond,
 		FailAfter:   2,
@@ -285,8 +290,8 @@ func TestGatewayPartialFailureNoAck(t *testing.T) {
 	if err == nil {
 		t.Fatal("gateway acknowledged a batch one node refused to journal")
 	}
-	// The last attempt is cut at the budget; what is left is one round
-	// trip to the gateway and back.
+	// The slot's upstream client gives up at the budget; what is left is
+	// one round trip to the gateway and back.
 	if took := time.Since(start); took > budget+time.Second {
 		t.Fatalf("the 503 took %v, past the %v push budget", took, budget)
 	}
@@ -299,8 +304,8 @@ func TestGatewayFailover(t *testing.T) {
 	alive, dying, standby := newTestNode(t), newTestNode(t), newTestNode(t)
 	cfg := GatewayConfig{
 		Nodes: []NodeConfig{
-			{Name: "n0", URL: alive.srv.URL},
-			{Name: "n1", URL: dying.srv.URL, Follower: standby.srv.URL},
+			{Name: "n0", URL: alive.srv.URL, BinAddr: alive.bin},
+			{Name: "n1", URL: dying.srv.URL, BinAddr: dying.bin, Follower: standby.srv.URL, FollowerBin: standby.bin},
 		},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
@@ -324,8 +329,8 @@ func TestGatewayFailover(t *testing.T) {
 		t.Fatalf("pre-failure push: %v", err)
 	}
 
-	// Kill node 1: its listener vanishes, pushes and health checks fail.
-	dying.srv.Close()
+	// Kill node 1: its listeners vanish, pushes and health checks fail.
+	dying.kill()
 
 	// This push includes swarms homed on the dead node; the sender must
 	// ride through the failover and land them on the standby.
@@ -351,8 +356,8 @@ func TestGatewayFailover(t *testing.T) {
 // monotonic across a failover. While the promotion call is in flight the
 // slot learns epoch 9 (what a 409 from a node another gateway already
 // fenced teaches it); the failover, which set out to install epoch 2,
-// must not take the slot back down — and the push it redirects is
-// stamped with what /v1/cluster reports.
+// must not take the slot back down — and the push it redirects lands on
+// the promoted node.
 func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	dying, standby := newTestNode(t), newTestNode(t)
 	var gwp atomic.Pointer[Gateway]
@@ -370,7 +375,7 @@ func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	}))
 	defer follower.Close()
 	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: dying.srv.URL, Follower: follower.URL}},
+		Nodes:       []NodeConfig{{Name: "n0", URL: dying.srv.URL, BinAddr: dying.bin, Follower: follower.URL, FollowerBin: standby.bin}},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
 		Logf:        t.Logf,
@@ -383,7 +388,7 @@ func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	gw := httptest.NewServer(g.Handler())
 	defer gw.Close()
 
-	dying.srv.Close()
+	dying.kill()
 	client := ingest.NewHTTPClient(func() ingest.HTTPClientConfig {
 		c := fastClient
 		c.BaseURL = gw.URL
@@ -391,7 +396,8 @@ func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	}())
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := client.Push(ctx, mkRecords(16, 5, 0)); err != nil {
+	recs := mkRecords(16, 5, 0)
+	if err := client.Push(ctx, recs); err != nil {
 		t.Fatalf("push across the failover: %v", err)
 	}
 
@@ -404,16 +410,17 @@ func TestGatewaySlotEpochNeverDecreases(t *testing.T) {
 	if got := status.Nodes[0]; !got.Promoted || got.Epoch < 9 {
 		t.Fatalf("slot after failover: promoted=%v epoch=%d, want promoted at epoch >= 9 (an epoch once learned is never unlearned)", got.Promoted, got.Epoch)
 	}
-	if got, want := standby.stamp.Load(), status.Nodes[0].Epoch; got != want {
-		t.Fatalf("push to the promoted follower stamped epoch %d, slot is at %d", got, want)
+	standby.e.Flush()
+	if got, want := standby.e.Summary().Events, uint64(len(recs)); got != want {
+		t.Fatalf("the promoted follower holds %d of the %d pushed records", got, want)
 	}
 }
 
-// TestGatewayCloseFailsPushInFlight: with no sender goroutines the
-// gateway's only goroutine is the health loop, and a push owns its
-// deliveries. Close while a push sits in deliver's retry loop must
-// answer that request 503 at once — not when the slot's push budget runs
-// out — and leave no goroutine behind.
+// TestGatewayCloseFailsPushInFlight: the gateway's goroutines are the
+// health loop and its upstream clients' readers. Close while a push sits
+// in its slot's upstream redial loop must answer that request 503 at
+// once — not when the slot's push budget runs out — and leave no
+// goroutine behind.
 func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 	node := newTestNode(t)
 	node.failAll.Store(true)
@@ -422,7 +429,7 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	g, err := NewGateway(GatewayConfig{
-		Nodes:  []NodeConfig{{Name: "n0", URL: node.srv.URL}},
+		Nodes:  []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: node.bin}},
 		Client: &http.Client{Transport: nodeTr},
 		// The push budget: FailAfter × (HealthEvery + ProbeTimeout) =
 		// 3 × (5 s + 5 s) = 30 s.
@@ -454,7 +461,7 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 	}()
 	// The first attempt has failed: the push is now retrying.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if v, _ := reg.Value("gateway_push_failures_total"); v >= 1 {
+		if node.writes.Load() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -494,8 +501,8 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 	alive, dying, standby := newTestNode(t), newTestNode(t), newTestNode(t)
 	g, err := NewGateway(GatewayConfig{
 		Nodes: []NodeConfig{
-			{Name: "n0", URL: alive.srv.URL},
-			{Name: "n1", URL: dying.srv.URL, Follower: standby.srv.URL},
+			{Name: "n0", URL: alive.srv.URL, BinAddr: alive.bin},
+			{Name: "n1", URL: dying.srv.URL, BinAddr: dying.bin, Follower: standby.srv.URL, FollowerBin: standby.bin},
 		},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
@@ -512,7 +519,7 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 
 	// The node dies with nothing on it, so nothing the reference holds is
 	// lost with it; every push below races the failover.
-	dying.srv.Close()
+	dying.kill()
 
 	const clients, batches, perBatch, swarmsEach = 8, 6, 48, 13
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -577,8 +584,9 @@ func TestGatewayConcurrentPushesAcrossFailover(t *testing.T) {
 // TestExchangeEpochConflict: the exchange stamps 1 before its slot has
 // learned an epoch, and adopts whatever epoch a node answers with. A 409
 // from a node ahead of the stamp is sent again at once, stamped with
-// what it taught — a push that meets one is not a failed attempt — and
-// a 409 from a node fenced at the stamp is an *EpochConflictError.
+// what it taught — a read that meets one is not a failed attempt, and a
+// push, which rides the stream, meets none — and a 409 from a node
+// fenced at the stamp is an *EpochConflictError.
 func TestExchangeEpochConflict(t *testing.T) {
 	var own atomic.Uint64
 	var fenced atomic.Bool
@@ -595,11 +603,6 @@ func TestExchangeEpochConflict(t *testing.T) {
 			http.Error(w, `{"error":"stale"}`, http.StatusConflict)
 			return
 		}
-		if r.URL.Path == "/v1/ingest" {
-			io.Copy(io.Discard, r.Body)
-			ingest.WriteJSON(w, map[string]int{"accepted": 1})
-			return
-		}
 		ingest.WriteJSON(w, map[string]string{"state": "serving"})
 	}))
 	defer srv.Close()
@@ -610,9 +613,11 @@ func TestExchangeEpochConflict(t *testing.T) {
 		stamps = nil
 		return s
 	}
+	e := ingest.New(ingest.Config{Shards: 2})
+	defer e.Close()
 	reg := obs.NewRegistry()
 	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: srv.URL}},
+		Nodes:       []NodeConfig{{Name: "n0", URL: srv.URL, BinAddr: serveBin(t, e)}},
 		HealthEvery: time.Hour,
 		Metrics:     reg,
 		Logf:        t.Logf,
@@ -653,11 +658,16 @@ func TestExchangeEpochConflict(t *testing.T) {
 	if err := pushBatch(gw.URL, mkRecords(1, 1, 0)); err != nil {
 		t.Fatalf("push to a node one epoch ahead: %v", err)
 	}
+	resp, err = http.Get(gw.URL + "/v1/swarm/1")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("read from a node one epoch ahead: %v %v", resp.Status, err)
+	}
+	drain(resp)
 	if got := seen(); fmt.Sprint(got) != "[5 6]" {
-		t.Fatalf("push stamps %q, want [5 6]: one conflict, then a re-stamped send", got)
+		t.Fatalf("read stamps %q, want [5 6]: one conflict, then a re-stamped send", got)
 	}
 	if v, _ := reg.Value("gateway_push_failures_total"); v != 0 {
-		t.Fatalf("gateway_push_failures_total = %v: a conflict with a node ahead is not a failure", v)
+		t.Fatalf("gateway_push_failures_total = %v: a push to a node ahead is not a failure", v)
 	}
 }
 
@@ -696,9 +706,9 @@ func (l *stampLog) unstamped() (bad []string, total int) {
 	return bad, len(l.seen)
 }
 
-// gatedNode is a test node behind a memory-only EpochGate, with the
-// per-swarm route and the promotion call the gateway uses, every request
-// recorded. POST /v1/promote adopts its stamp and is not gated, as on a
+// gatedNode is a test node whose HTTP API is behind a memory-only
+// EpochGate, with the per-swarm route and the promotion call the gateway
+// uses, every request recorded. POST /v1/promote adopts its stamp and is not gated, as on a
 // standby availd.
 func gatedNode(t *testing.T, name string, log *stampLog) (*testNode, *EpochGate, *httptest.Server) {
 	t.Helper()
@@ -730,16 +740,16 @@ func gatedNode(t *testing.T, name string, log *stampLog) (*testNode, *EpochGate,
 }
 
 // TestGatewayEveryNodeRequestStamped is the exchange's structural
-// invariant: whatever the gateway sends a node — a push, both scatter
-// reads, a per-swarm read, a health probe, a promotion, the retired
-// leader's fence — carries a non-zero epoch, and the slot's epoch never
-// decreases while all of it happens.
+// invariant: whatever the gateway sends a node over HTTP while pushes
+// go by — both scatter reads, a per-swarm read, a health probe, a
+// promotion, the retired leader's fence — carries a non-zero epoch, and
+// the slot's epoch never decreases while all of it happens.
 func TestGatewayEveryNodeRequestStamped(t *testing.T) {
 	var log stampLog
 	leader, leaderGate, leaderSrv := gatedNode(t, "leader", &log)
-	_, followerGate, followerSrv := gatedNode(t, "follower", &log)
+	follower, followerGate, followerSrv := gatedNode(t, "follower", &log)
 	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, Follower: followerSrv.URL}},
+		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, BinAddr: leader.bin, Follower: followerSrv.URL, FollowerBin: follower.bin}},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
 		Logf:        t.Logf,
@@ -821,19 +831,19 @@ func TestGatewayEveryNodeRequestStamped(t *testing.T) {
 	t.Logf("%d node requests, all stamped; slot epochs %v", total, epochs)
 }
 
-// TestGatewayStaleAnswerAfterFailover: a push is in flight to a leader
-// that stalls — its gate has admitted the write at epoch 1 — while the
-// health loop promotes the follower at epoch 2. When the leader resumes
-// it journals the share and answers 200 stamped 1. That answer is behind
-// the slot and must not acknowledge anything: the share would exist only
-// on the retired node. The exchange sends it again to the promoted
-// follower, so the acknowledged push is there.
+// TestGatewayStaleAnswerAfterFailover: a POST's share is in flight to a
+// leader that stalls mid-commit, on an upstream connection dialed at
+// epoch 1, while the health loop promotes the follower at epoch 2. When
+// the leader resumes it journals the share and acknowledges it. That ACK
+// is behind the slot and must not acknowledge anything: the share would
+// exist only on the retired node. The upstream client resends it to the
+// promoted follower, so the acknowledged push is there.
 func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
 	var log stampLog
 	leader, _, leaderSrv := gatedNode(t, "leader", &log)
 	follower, followerGate, followerSrv := gatedNode(t, "follower", &log)
 	g, err := NewGateway(GatewayConfig{
-		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, Follower: followerSrv.URL}},
+		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, BinAddr: leader.bin, Follower: followerSrv.URL, FollowerBin: follower.bin}},
 		HealthEvery: 20 * time.Millisecond,
 		FailAfter:   2,
 		Logf:        t.Logf,
@@ -858,7 +868,7 @@ func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
 			}
 		}
 	}
-	waitFor("the push to reach the leader", func() bool { return leader.stamp.Load() != 0 })
+	waitFor("the push to reach the leader", func() bool { return leader.writes.Load() != 0 })
 	leader.healthy.Store(false) // stalled: its probes fail too
 	waitFor("the promotion", func() bool { return g.NodeURL(0) == followerSrv.URL })
 	close(hold) // the leader resumes and answers at the epoch it admitted
@@ -870,7 +880,211 @@ func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
 	if got, want := follower.e.Summary().Events, uint64(len(recs)); got != want {
 		t.Fatalf("the promoted node holds %d of the %d acknowledged records: the gateway took a retired leader's answer as an ack", got, want)
 	}
-	if got := follower.stamp.Load(); got != followerGate.Epoch() {
-		t.Fatalf("the resend was stamped %d, the promoted node is at %d", got, followerGate.Epoch())
+	if got := g.nodes[0].route.Load().epoch; got != followerGate.Epoch() {
+		t.Fatalf("the resend went out at slot epoch %d, the promoted node is at %d", got, followerGate.Epoch())
+	}
+}
+
+// postKeyed POSTs recs to base's /v1/ingest once, under (source, seq),
+// and returns the answer's status and body.
+func postKeyed(t *testing.T, base, source string, seq uint64, recs []ingest.Record) (int, string) {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/ingest", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(ingest.HeaderSource, source)
+	req.Header.Set(ingest.HeaderSeq, strconv.FormatUint(seq, 10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(answer)
+}
+
+// TestGatewayHTTPFrontCarriesWidestBatch: a POST of MaxFrameOps records
+// at the codec's widest encoding — two swarms past 2^62 in turn, peers
+// past 2^56, a new time each — is one a lone node takes, so the gateway
+// must carry it to its node as one stream frame: 200, and the node's
+// state is the lone node's.
+func TestGatewayHTTPFrontCarriesWidestBatch(t *testing.T) {
+	node := newTestNode(t)
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: node.bin}},
+		HealthEvery: time.Hour,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	recs := make([]ingest.Record, ingest.MaxFrameOps)
+	ops := make([]ingest.Op, len(recs))
+	for i := range recs {
+		recs[i] = ingest.Record{SwarmID: 1<<62 + i%2, PeerID: 1<<56 + uint64(i%2), Online: i/2%2 == 0, Time: float64(i)}
+		ops[i] = ingest.EventOp(recs[i])
+	}
+	if code, body := postKeyed(t, gw.URL, "mon-widest", 1, recs); code != http.StatusOK {
+		t.Fatalf("POST of %d widest records through the gateway: %d %s", len(recs), code, body)
+	}
+	lone := ingest.New(ingest.Config{Shards: 2, BatchSize: 16})
+	defer lone.Close()
+	if _, err := lone.SubmitKeyed("mon-widest", 1, ops); err != nil {
+		t.Fatal(err)
+	}
+	lone.Flush()
+	want := httptest.NewRecorder()
+	ingest.WriteState(want, lone.Summary())
+	if got := fetchBody(t, gw.URL+"/v1/state"); !bytes.Equal(got, want.Body.Bytes()) {
+		t.Fatalf("the gateway's /v1/state is not the lone node's\n--- gateway ---\n%s--- lone ---\n%s", got, want.Body.Bytes())
+	}
+}
+
+// TestGatewayHTTPFrontJournalsSubmitKeyedBytes: a keyed POST through the
+// gateway makes each node journal exactly EncodeFrame(source, seq,
+// share) — the bytes a lone node's SubmitKeyed journals for that share —
+// so a write's journal bytes do not depend on which front it came in by.
+func TestGatewayHTTPFrontJournalsSubmitKeyedBytes(t *testing.T) {
+	open := func() *ingest.Engine {
+		e, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	journal := func(e *ingest.Engine) [][]byte {
+		t.Helper()
+		var frames [][]byte
+		if err := e.WAL().Replay(1, func(_ uint64, payload []byte) error {
+			frames = append(frames, bytes.Clone(payload))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return frames
+	}
+	nodes := []*ingest.Engine{open(), open()}
+	cfgs := make([]NodeConfig, len(nodes))
+	for i, e := range nodes {
+		cfgs[i] = NodeConfig{Name: fmt.Sprintf("n%d", i), URL: "http://127.0.0.1:1", BinAddr: serveBin(t, e)} // no HTTP call is made
+	}
+	g, err := NewGateway(GatewayConfig{Nodes: cfgs, HealthEvery: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	recs := mkRecords(200, 61, 3)
+	if code, body := postKeyed(t, gw.URL, "mon-journal", 9, recs); code != http.StatusOK {
+		t.Fatalf("keyed POST through the gateway: %d %s", code, body)
+	}
+	shares := make([][]ingest.Op, len(nodes))
+	for _, rec := range recs {
+		slot := g.Ring().Node(rec.SwarmID)
+		shares[slot] = append(shares[slot], ingest.EventOp(rec))
+	}
+	for i, e := range nodes {
+		if len(shares[i]) == 0 {
+			t.Fatalf("node %d owns none of the records: the test needs both slots", i)
+		}
+		want, err := ingest.EncodeFrame(nil, "mon-journal", 9, shares[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone := open()
+		if _, err := lone.SubmitKeyed("mon-journal", 9, shares[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := journal(lone); len(got) != 1 || !bytes.Equal(got[0], want) {
+			t.Fatalf("a lone node's SubmitKeyed journaled %d frames, not EncodeFrame's %d bytes", len(got), len(want))
+		}
+		if got := journal(e); len(got) != 1 || !bytes.Equal(got[0], want) {
+			t.Fatalf("node %d journaled %d frames, not the one frame of %d bytes SubmitKeyed journals", i, len(got), len(want))
+		}
+	}
+}
+
+// TestGatewayFollowerNeedsBinAddr: a follower without a binary address
+// is refused — promoted, it would leave the slot's writes going to the
+// retired leader's stream, which answers until something fences it —
+// and a failover moves the slot's writes to the follower's stream even
+// when only the leader's HTTP is cut, so the leader is never fenced.
+func TestGatewayFollowerNeedsBinAddr(t *testing.T) {
+	leader, follower := newTestNode(t), newTestNode(t)
+	if _, err := NewGateway(GatewayConfig{
+		Nodes: []NodeConfig{{Name: "n0", URL: leader.srv.URL, BinAddr: leader.bin, Follower: follower.srv.URL}},
+	}); err == nil {
+		t.Fatal("NewGateway accepted a follower without a binary address")
+	}
+
+	fnet := faultnet.New(faultnet.Config{Seed: 1})
+	g, err := NewGateway(GatewayConfig{
+		Nodes: []NodeConfig{{
+			Name: "n0", URL: leader.srv.URL, BinAddr: leader.bin,
+			Follower: follower.srv.URL, FollowerBin: follower.bin,
+		}},
+		HealthEvery: 20 * time.Millisecond,
+		FailAfter:   2,
+		Client:      &http.Client{Transport: fnet.RoundTripper(nil)},
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = g.ServeStream(ln)
+	}()
+	defer func() { ln.Close(); <-served }()
+
+	fnet.KillHost(strings.TrimPrefix(leader.srv.URL, "http://")) // HTTP only: the stream still answers
+	for deadline := time.Now().Add(10 * time.Second); g.NodeURL(0) != follower.srv.URL; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower was never promoted")
+		}
+	}
+	recs := mkRecords(64, 13, 0)
+	mon := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: ln.Addr().String(), BatchSize: 16})
+	defer mon.Abandon()
+	lone := ingest.New(ingest.Config{Shards: 2, BatchSize: 16})
+	defer lone.Close()
+	for _, rec := range recs {
+		if err := mon.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := lone.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mon.Flush(); err != nil {
+		t.Fatalf("stream after the failover: %v", err)
+	}
+	lone.Flush()
+	want := httptest.NewRecorder()
+	ingest.WriteState(want, lone.Summary())
+	if got := fetchBody(t, follower.srv.URL+"/v1/state"); !bytes.Equal(got, want.Body.Bytes()) {
+		leader.e.Flush()
+		t.Fatalf("the promoted follower's /v1/state is not the frames' (%d events on the retired leader)\n--- follower ---\n%s--- frames ---\n%s", leader.e.Summary().Events, got, want.Body.Bytes())
 	}
 }

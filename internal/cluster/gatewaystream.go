@@ -12,19 +12,13 @@ import (
 
 // ServeStream serves the binary streaming ingest protocol cluster-wide:
 // it accepts monitor stream connections on ln and forwards each DATA
-// frame's ops to the owning slots over upstream stream connections
-// (every node's BinAddr), acknowledging a frame downstream only after
-// every upstream share is acknowledged.
-//
-// A keyed frame whose ops all land on one slot is forwarded byte for
-// byte — the node journals exactly the bytes the monitor signed with
-// its CRC. Frames that straddle slots are split along the ring and
-// re-encoded per slot under the same (source, seq) key, so a retry
-// after a lost downstream ack still deduplicates at every node (each
-// node sees at most one share per key, exactly as the HTTP fan-out).
-// Unkeyed frames get gateway-originated per-slot keys, making the
-// upstream resend after a broken node connection exactly-once even
-// though the monitor asked only for at-least-once.
+// frame through the gateway's one write fan-out (push), over upstream
+// clients of the connection's own, acknowledging a frame downstream only
+// once every share is acknowledged upstream. A keyed frame one slot owns
+// travels byte for byte — the node journals the bytes the monitor signed
+// with its CRC — and an unkeyed one gets the slots' gateway-originated
+// keys, so the upstream resend after a broken node connection is
+// exactly-once though the monitor asked only for at-least-once.
 //
 // Each upstream client redials for its slot's push budget, so a
 // failover under a stream costs the monitor a delay, not an ERR; the
@@ -36,14 +30,7 @@ import (
 // frame boundary, as a node's StreamServer.Close does: frames already
 // acknowledged downstream stand, the monitor resends the rest under its
 // keys to whichever gateway it reconnects to.
-func (g *Gateway) ServeStream(ln net.Listener) error {
-	for i, n := range g.nodes {
-		if n.route.Load().binAddr == "" {
-			return fmt.Errorf("cluster: node %d (%s) has no BinAddr for stream forwarding", i, n.cfg.name())
-		}
-	}
-	return g.streams.Serve(ln)
-}
+func (g *Gateway) ServeStream(ln net.Listener) error { return g.streams.Serve(ln) }
 
 // epochConn is an upstream stream connection and the slot epoch it was
 // dialed under, the exchange's stamp: max(route epoch, 1). An ACK read
@@ -65,13 +52,6 @@ func (c *epochConn) Read(p []byte) (int, error) {
 		return 0, fmt.Errorf("cluster: %s stream dialed at epoch %d, slot now at %d", c.n.cfg.name(), c.epoch, c.n.route.Load().epoch)
 	}
 	return k, err
-}
-
-// slotTarget is one slot's cumulative-sent watermark at the time a
-// downstream frame finished fanning out.
-type slotTarget struct {
-	slot int
-	sent uint64
 }
 
 // streamAckJob asks the ack relay to acknowledge the first count
@@ -114,21 +94,7 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 		done:    make(chan struct{}),
 	}
 	for slot, n := range g.nodes {
-		// The dial re-reads the slot's route, so a reconnect after a
-		// failover lands on the promoted follower.
-		f.clients[slot] = ingest.NewStreamClient(ingest.StreamClientConfig{
-			Dial: func(ctx context.Context) (net.Conn, error) {
-				rt := n.route.Load()
-				var d net.Dialer
-				conn, err := d.DialContext(ctx, "tcp", rt.binAddr)
-				if err != nil {
-					return nil, err
-				}
-				return &epochConn{Conn: conn, n: n, epoch: max(rt.epoch, 1)}, nil
-			},
-			RetryFor: g.pushBudget(n),
-			Logf:     g.cfg.Logf,
-		})
+		f.clients[slot] = g.upstream(n)
 	}
 	// Cut short whatever an upstream client is waiting on when the stream
 	// front closes, serve loop included.
@@ -186,34 +152,22 @@ func (f *streamForwarder) serve() error {
 	}
 }
 
-// forward routes one DATA frame's ops to their slots and queues the ack
+// forward pushes one DATA frame's ops to their slots and queues the ack
 // watermarks. A refusal comes back as the ERR verdict the monitor is
-// owed: codec for a frame that does not decode (or re-encode), state for
-// an upstream that will not take its share.
+// owed: codec for a frame that does not decode, state for an upstream
+// that will not take its share.
 func (f *streamForwarder) forward(frame []byte) error {
 	source, seq, ops, err := ingest.DecodeFrame(frame)
 	if err != nil {
 		return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: err.Error()}
 	}
-	shares, whole := route(f.g, source, seq, ops, ingest.Op.SwarmID)
-	job := streamAckJob{count: f.accepted + 1}
-	for _, sh := range shares {
-		// A keyed frame owned by one slot travels as the bytes received.
-		enc := frame
-		if !whole {
-			if enc, err = ingest.EncodeFrame(nil, sh.source, sh.seq, sh.items); err != nil {
-				return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: fmt.Sprintf("re-encode for slot %d: %v", sh.slot, err)}
-			}
-		}
-		c := f.clients[sh.slot]
-		if err := c.PushFrame(enc); err != nil {
-			return &ingest.StreamError{Code: ingest.StreamErrState, Msg: fmt.Sprintf("slot %d: %v", sh.slot, err)}
-		}
-		job.targets = append(job.targets, slotTarget{slot: sh.slot, sent: c.Sent()})
+	targets, err := f.g.push(f.clients, source, seq, ops, frame)
+	if err != nil {
+		return &ingest.StreamError{Code: ingest.StreamErrState, Msg: err.Error()}
 	}
 	f.g.streamFrames.Inc()
 	f.accepted++
-	f.acks <- job
+	f.acks <- streamAckJob{count: f.accepted, targets: targets}
 	return nil
 }
 
@@ -230,7 +184,7 @@ func (f *streamForwarder) relay() {
 		if f.relayErr != nil {
 			continue
 		}
-		if f.relayErr = f.settle(job); f.relayErr != nil {
+		if f.relayErr = f.g.settle(f.clients, job.targets); f.relayErr != nil {
 			f.sess.Err(ingest.StreamErrState, f.relayErr.Error())
 			f.conn.Close()
 			f.abandon()
@@ -238,13 +192,4 @@ func (f *streamForwarder) relay() {
 			_ = f.sess.Ack(job.count) // a dead downstream shows up in serve's read
 		}
 	}
-}
-
-func (f *streamForwarder) settle(job streamAckJob) error {
-	for _, t := range job.targets {
-		if err := f.clients[t.slot].WaitAcked(t.sent); err != nil {
-			return fmt.Errorf("slot %d: %w", t.slot, err)
-		}
-	}
-	return nil
 }

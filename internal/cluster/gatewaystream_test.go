@@ -238,7 +238,7 @@ func TestGatewayStreamKeyedReplayForwardsVerbatim(t *testing.T) {
 
 	push := func() {
 		c := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: streamAddr, Source: "mon-verbatim"})
-		if err := c.PushFrame(frame); err != nil {
+		if _, err := c.PushFrame(frame); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Close(); err != nil {

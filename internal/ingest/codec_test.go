@@ -537,8 +537,8 @@ func TestStreamClientRefusesBadOpAlone(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush after refused ops: %v", err)
 	}
-	if c.Sent() == 0 || c.Acked() != c.Sent() {
-		t.Fatalf("sent %d frames, %d acknowledged", c.Sent(), c.Acked())
+	if c.Acked() != 2 { // six good ops in batches of four
+		t.Fatalf("sent 2 frames, %d acknowledged", c.Acked())
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -93,10 +93,13 @@ const (
 const streamKeepalive = time.Second
 
 // MaxStreamFrame bounds one stream frame's payload, on a node and on
-// the gateway that forwards to it. Far below wal.MaxFrameBytes: a
-// single DATA frame is one client batch, and a length claiming more
-// than this is a framing desync, not a batch.
-const MaxStreamFrame = 8 << 20
+// the gateway that forwards to it: the largest DATA frame of events the
+// codec writes — the type byte, a key header at maxSourceLen
+// (keyedHeaderSize), the ops header and MaxFrameOps events at
+// eventWireMax — so every batch a node's SubmitKeyed journals travels
+// as one frame (≈8.2 MiB, far below wal.MaxFrameBytes). A length
+// claiming more is a framing desync, not a batch.
+const MaxStreamFrame = 1 + (1 + 2 + maxSourceLen + 8) + opsHeaderSize + MaxFrameOps*eventWireMax
 
 // errFenced is the refusal a fenced node's stream surface gives.
 var errFenced = errors.New("ingest: node fenced by a newer cluster epoch")

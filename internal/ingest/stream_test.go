@@ -106,7 +106,7 @@ func TestStreamSummaryParity(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Acked(), c.Sent(); got != want {
+	if got, want := c.Acked(), uint64((len(ops)+96)/97); got != want {
 		t.Fatalf("acked %d of %d sent frames", got, want)
 	}
 
@@ -168,7 +168,7 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	}
 	c1 := NewStreamClient(StreamClientConfig{Addr: addr, Source: "mon-replay"})
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := c1.PushFrame(mustEncodeFrame(t, "mon-replay", seq, ops)); err != nil {
+		if _, err := c1.PushFrame(mustEncodeFrame(t, "mon-replay", seq, ops)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestStreamKeyedReplayDedups(t *testing.T) {
 	// The reconnect-shaped replay: same source, frames 2..4 again.
 	c2 := NewStreamClient(StreamClientConfig{Addr: addr, Source: "mon-replay"})
 	for seq := uint64(2); seq <= 4; seq++ {
-		if err := c2.PushFrame(mustEncodeFrame(t, "mon-replay", seq, ops)); err != nil {
+		if _, err := c2.PushFrame(mustEncodeFrame(t, "mon-replay", seq, ops)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -664,4 +664,97 @@ func FuzzOpCodec(f *testing.F) {
 			t.Fatalf("a frame that decodes has a second spelling:\n in  %x\n out %x", data, enc)
 		}
 	})
+}
+
+// widestEvents returns n events at the codec's widest encoding,
+// eventWireMax bytes each: two swarms past 2^62 in turn (so no event
+// repeats the previous swarm), peers past widePeerMin and a new time
+// each.
+func widestEvents(n int) []Op {
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = EventOp(Record{SwarmID: 1<<62 + i%2, PeerID: widePeerMin + uint64(i%2), Online: i/2%2 == 0, Time: float64(i)})
+	}
+	return ops
+}
+
+// TestStreamFrameHoldsWidestBatch: a batch of MaxFrameOps events at the
+// widest encoding is one a node's SubmitKeyed journals, so the stream
+// must carry it as one frame: MaxStreamFrame comes from the codec. At a
+// fixed 8 MiB the server refused the 8.6 MB frame on every redial and
+// Flush failed once the whole RetryFor had passed.
+func TestStreamFrameHoldsWidestBatch(t *testing.T) {
+	ops := widestEvents(MaxFrameOps)
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	c := NewStreamClient(StreamClientConfig{Addr: startStreamServer(t, e), BatchSize: MaxFrameOps, RetryFor: 2 * time.Second})
+	defer c.Abandon()
+	frame := mustEncodeFrame(t, c.Source(), 1, ops)
+	if size := 1 + len(frame); size <= 8<<20 || size > MaxStreamFrame {
+		t.Fatalf("the widest frame is %d bytes: want it past 8 MiB and within MaxStreamFrame (%d)", size, MaxStreamFrame)
+	}
+	for _, op := range ops {
+		if err := c.Put(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush of one widest batch: %v", err)
+	}
+	if got := series(e, "ingest_records_total"); got != MaxFrameOps {
+		t.Fatalf("the node applied %d of %d records", got, MaxFrameOps)
+	}
+}
+
+// TestStreamClientPushFrameManyProducers: producers sharing one client
+// each push keyed frames and wait for the watermark PushFrame returned —
+// their own frame's — over a window small enough that they block on each
+// other; the node applies every frame exactly once.
+func TestStreamClientPushFrameManyProducers(t *testing.T) {
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	c := NewStreamClient(StreamClientConfig{Addr: startStreamServer(t, e), Window: 4})
+	defer c.Abandon()
+	const producers, frames = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			source := fmt.Sprintf("producer-%d", p)
+			for seq := uint64(1); seq <= frames; seq++ {
+				frame, err := EncodeFrame(nil, source, seq, []Op{EventOp(Record{SwarmID: p, PeerID: seq, Online: true, Time: float64(seq)})})
+				if err != nil {
+					errs <- err
+					return
+				}
+				mark, err := c.PushFrame(frame)
+				if err == nil {
+					err = c.WaitAcked(mark)
+				}
+				if err == nil && c.Acked() < mark {
+					err = fmt.Errorf("WaitAcked(%d) returned at %d acknowledged", mark, c.Acked())
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s seq %d: %w", source, seq, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := series(e, "ingest_records_total"), uint64(producers*frames); got != want {
+		t.Fatalf("the node applied %d records, want %d", got, want)
+	}
+	if got := series(e, "ingest_deduped_total"); got != 0 {
+		t.Fatalf("the node deduplicated %d records: a frame went twice", got)
+	}
+	if got := c.Acked(); got != producers*frames {
+		t.Fatalf("%d frames acknowledged, want %d", got, producers*frames)
+	}
 }

@@ -89,10 +89,11 @@ func (c StreamClientConfig) withDefaults() StreamClientConfig {
 // what the in-flight window retains, so a retry resends bytes, not
 // re-encodes structs.
 //
-// A StreamClient is a single-producer object like Writer: Put/Observe/
-// Flush/Close must come from one goroutine. Acked, WaitAcked and
-// Abandon are safe to call from others (the cluster gateway's ack relay
-// and shutdown do).
+// Put/Observe/Flush/Close batch ops for a single producer, like Writer:
+// they must come from one goroutine. PushFrame is safe for many
+// producers at once — each gets back its own frame's watermark to wait
+// on — and Acked, WaitAcked and Abandon are safe from any goroutine (the
+// cluster gateway's HTTP handlers, ack relay and shutdown use them so).
 type StreamClient struct {
 	cfg StreamClientConfig
 
@@ -157,14 +158,6 @@ func (c *StreamClient) Reconnects() uint64 {
 	return c.reconnects
 }
 
-// Sent returns the cumulative DATA frames handed to the in-flight
-// window.
-func (c *StreamClient) Sent() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalSent
-}
-
 // Acked returns the cumulative DATA frames the server has settled.
 func (c *StreamClient) Acked() uint64 {
 	c.mu.Lock()
@@ -214,40 +207,43 @@ func (c *StreamClient) flushBatch() error {
 		return err
 	}
 	c.batch = c.batch[:0]
-	return c.sendEnvelope(env)
+	_, err = c.sendEnvelope(env)
+	return err
 }
 
 // PushFrame hands one pre-encoded ops-codec frame (plain or keyed —
-// the bytes DecodeFrame accepts) to the window verbatim. The cluster
-// gateway forwards client frames through this without re-encoding;
-// callers mixing PushFrame with Put own the coherence of their key
-// space.
-func (c *StreamClient) PushFrame(frame []byte) error {
+// the bytes DecodeFrame accepts) to the window verbatim and returns its
+// watermark: the frame is settled once WaitAcked of that value returns.
+// The watermark is assigned under the client's lock, so producers
+// sharing one client each wait for their own frame. The cluster gateway
+// forwards frames through this without re-encoding them; callers mixing
+// PushFrame with Put own the coherence of their key space.
+func (c *StreamClient) PushFrame(frame []byte) (uint64, error) {
 	env := make([]byte, wal.FrameHeaderSize, wal.FrameHeaderSize+1+len(frame))
 	env = append(env, StreamFrameData)
 	env = append(env, frame...)
 	env, err := wal.FinishFrame(env)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	return c.sendEnvelope(env)
 }
 
-// sendEnvelope blocks while the window is full, then appends env and
-// pumps the connection.
-func (c *StreamClient) sendEnvelope(env []byte) error {
+// sendEnvelope blocks while the window is full, then appends env, pumps
+// the connection and returns env's watermark.
+func (c *StreamClient) sendEnvelope(env []byte) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	for len(c.unacked) >= c.cfg.Window {
 		if c.fatal != nil {
-			return c.fatal
+			return 0, c.fatal
 		}
 		if c.conn == nil {
 			if err := c.pumpLocked(); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 		}
@@ -255,7 +251,8 @@ func (c *StreamClient) sendEnvelope(env []byte) error {
 	}
 	c.unacked = append(c.unacked, env)
 	c.totalSent++
-	return c.pumpLocked()
+	mark := c.totalSent // pumpLocked unlocks: other producers may append
+	return mark, c.pumpLocked()
 }
 
 // Flush sends any buffered ops and blocks until every sent frame is

@@ -89,25 +89,20 @@ func parseNodes(nodes, followers, nodeBins, followerBins string) ([]cluster.Node
 		return nil, fmt.Errorf("-nodes is required")
 	}
 	urls := strings.Split(nodes, ",")
-	parallel := func(flagName, v string) ([]string, error) {
-		if strings.TrimSpace(v) == "" {
-			return nil, nil
-		}
+	var err error // set by parallel at the first list that does not match -nodes
+	parallel := func(flagName, v string) []string {
 		parts := strings.Split(v, ",")
-		if len(parts) != len(urls) {
-			return nil, fmt.Errorf("%s has %d entries for %d nodes", flagName, len(parts), len(urls))
+		if strings.TrimSpace(v) == "" {
+			return make([]string, len(urls))
 		}
-		return parts, nil
+		if len(parts) != len(urls) && err == nil {
+			err = fmt.Errorf("%s has %d entries for %d nodes", flagName, len(parts), len(urls))
+		}
+		return parts
 	}
-	fws, err := parallel("-followers", followers)
-	if err != nil {
-		return nil, err
-	}
-	bins, err := parallel("-node-bins", nodeBins)
-	if err != nil {
-		return nil, err
-	}
-	fbins, err := parallel("-follower-bins", followerBins)
+	fws := parallel("-followers", followers)
+	bins := parallel("-node-bins", nodeBins)
+	fbins := parallel("-follower-bins", followerBins)
 	if err != nil {
 		return nil, err
 	}
@@ -117,15 +112,12 @@ func parseNodes(nodes, followers, nodeBins, followerBins string) ([]cluster.Node
 		if u == "" {
 			return nil, fmt.Errorf("node %d has an empty URL", i)
 		}
-		nc := cluster.NodeConfig{Name: fmt.Sprintf("node%d", i), URL: u}
-		if fws != nil {
-			nc.Follower = strings.TrimSuffix(strings.TrimSpace(fws[i]), "/")
-		}
-		if bins != nil {
-			nc.BinAddr = strings.TrimSpace(bins[i])
-		}
-		if fbins != nil {
-			nc.FollowerBin = strings.TrimSpace(fbins[i])
+		nc := cluster.NodeConfig{
+			Name:        fmt.Sprintf("node%d", i),
+			URL:         u,
+			BinAddr:     strings.TrimSpace(bins[i]),
+			Follower:    strings.TrimSuffix(strings.TrimSpace(fws[i]), "/"),
+			FollowerBin: strings.TrimSpace(fbins[i]),
 		}
 		switch {
 		case nc.BinAddr == "":

@@ -180,9 +180,10 @@ type Gateway struct {
 	pushFails *obs.Counter
 	failovers *obs.Counter
 
-	// upstreams carry the HTTP front's shares, one client per slot for the
-	// gateway's lifetime, shared by every request; Close abandons them.
-	upstreams []*ingest.StreamClient
+	// upstreams carry the HTTP front's shares: one client per slot, shared
+	// by every request and replaced when it fails a share (renew); Close
+	// abandons them.
+	upstreams []atomic.Pointer[ingest.StreamClient]
 
 	// streams accepts the stream front's connections (ServeStream) and
 	// cuts them at Close.
@@ -213,9 +214,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		ring:   ring,
-		health: make(chan struct{}),
+		cfg:       cfg,
+		ring:      ring,
+		health:    make(chan struct{}),
+		upstreams: make([]atomic.Pointer[ingest.StreamClient], len(cfg.Nodes)),
 		state: scatter[ingest.Summary]{
 			path: "/v1/state",
 			decode: func(d *json.Decoder) (*ingest.Summary, error) {
@@ -276,7 +278,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 				obs.L("node", nc.name()))
 		}
 		g.nodes = append(g.nodes, n)
-		g.upstreams = append(g.upstreams, g.upstream(n))
+		g.upstreams[i].Store(g.upstream(n))
 	}
 	g.streams.Handle = func(conn net.Conn) {
 		if err := g.serveStreamConn(conn); err != nil {
@@ -348,8 +350,8 @@ func (g *Gateway) Close() {
 	g.cancel()
 	<-g.health
 	g.CloseStreams()
-	for _, c := range g.upstreams {
-		c.Abandon()
+	for i := range g.upstreams {
+		g.upstreams[i].Load().Abandon()
 	}
 }
 
@@ -681,19 +683,20 @@ func (g *Gateway) route(source string, seq uint64, ops []ingest.Op) (shares []sh
 	return shares, false
 }
 
-// slotTarget is one share's watermark on its slot's upstream client: the
-// share is journaled once the client's acks cover it.
+// slotTarget is one share's watermark on the upstream client it was
+// pushed to: the share is journaled once that client's acks cover it.
 type slotTarget struct {
 	slot int
+	c    *ingest.StreamClient
 	sent uint64
 }
 
 // push is the gateway's one write fan-out, both fronts': route the ops,
 // give each share one keyed frame — frame itself when the write is keyed
 // and one slot owns it all, else the share encoded under its key — and
-// hand it to its slot's client in clients. It returns each share's
-// watermark for the caller to settle.
-func (g *Gateway) push(clients []*ingest.StreamClient, source string, seq uint64, ops []ingest.Op, frame []byte) ([]slotTarget, error) {
+// hand it to client(slot). It returns each share's watermark for the
+// caller to settle.
+func (g *Gateway) push(client func(slot int) *ingest.StreamClient, source string, seq uint64, ops []ingest.Op, frame []byte) ([]slotTarget, error) {
 	shares, whole := g.route(source, seq, ops)
 	targets := make([]slotTarget, 0, len(shares))
 	for _, sh := range shares {
@@ -704,26 +707,39 @@ func (g *Gateway) push(clients []*ingest.StreamClient, source string, seq uint64
 				return nil, fmt.Errorf("encoding node %s's share: %w", g.nodes[sh.slot].cfg.name(), err)
 			}
 		}
-		sent, err := clients[sh.slot].PushFrame(enc)
+		c := client(sh.slot)
+		sent, err := c.PushFrame(enc)
 		if err != nil {
-			g.pushFails.Inc()
-			return nil, fmt.Errorf("node %s: %w", g.nodes[sh.slot].cfg.name(), err)
+			return nil, g.renew(sh.slot, c, err)
 		}
-		targets = append(targets, slotTarget{slot: sh.slot, sent: sent})
+		targets = append(targets, slotTarget{slot: sh.slot, c: c, sent: sent})
 	}
 	return targets, nil
 }
 
 // settle waits until the acks cover every target: every node has
 // journaled its share.
-func (g *Gateway) settle(clients []*ingest.StreamClient, targets []slotTarget) error {
+func (g *Gateway) settle(targets []slotTarget) error {
 	for _, t := range targets {
-		if err := clients[t.slot].WaitAcked(t.sent); err != nil {
-			g.pushFails.Inc()
-			return fmt.Errorf("node %s: %w", g.nodes[t.slot].cfg.name(), err)
+		if err := t.c.WaitAcked(t.sent); err != nil {
+			return g.renew(t.slot, t.c, err)
 		}
 	}
 	return nil
+}
+
+// renew reports a share that failed on client c, abandons c and, while c
+// is still slot's HTTP-front client, puts a fresh one in its place: the
+// frames in c's window belong to requests answered 503, so none is
+// resent on their account, and the next request starts on a new
+// connection with a budget of its own.
+func (g *Gateway) renew(slot int, c *ingest.StreamClient, err error) error {
+	g.pushFails.Inc()
+	if fresh := g.upstream(g.nodes[slot]); g.upstreams[slot].CompareAndSwap(c, fresh) && g.ctx.Err() != nil {
+		fresh.Abandon() // Close has begun: nothing goes out through a closed gateway
+	}
+	c.Abandon()
+	return fmt.Errorf("node %s: %w", g.nodes[slot].cfg.name(), err)
 }
 
 // handleIngest pushes the batch through the slots' shared upstream
@@ -732,7 +748,8 @@ func (g *Gateway) settle(clients []*ingest.StreamClient, targets []slotTarget) e
 // nothing, and the retrying client replays the batch — nodes that did
 // take their share see the replay again (at-least-once, the same
 // contract a lone availd's lost-ack retry already imposes, and
-// exactly-once under the key they kept).
+// exactly-once under the key they kept). A client that hangs up ends
+// the wait; its shares settle or fail without it.
 //
 // No queue orders one request's shares against another's: requests on
 // one connection are served one after another, and a client that wants
@@ -747,12 +764,22 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	targets, err := g.push(g.upstreams, source, seq, ops, nil)
-	if err == nil {
-		err = g.settle(g.upstreams, targets)
+	res := make(chan error, 1)
+	go func() {
+		targets, err := g.push(func(slot int) *ingest.StreamClient { return g.upstreams[slot].Load() }, source, seq, ops, nil)
+		if err == nil {
+			err = g.settle(targets)
+		}
+		res <- err
+	}()
+	var err error
+	select {
+	case err = <-res:
+	case <-r.Context().Done():
+		return
 	}
-	if errors.Is(err, ingest.ErrClosed) {
-		err = ErrGatewayClosed // only Close closes these clients
+	if err != nil && g.ctx.Err() != nil {
+		err = ErrGatewayClosed
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -491,6 +491,182 @@ func TestGatewayCloseFailsPushInFlight(t *testing.T) {
 	}
 }
 
+// codecVerdictNode stands in front of a node's stream at target: while
+// refuse is set it answers each connection's first frame with ERR codec,
+// the verdict a StreamClient takes as final, and otherwise relays to
+// target.
+func codecVerdictNode(t *testing.T, target string, refuse *atomic.Bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer down.Close()
+				if refuse.Load() {
+					if _, err := wal.NewFrameReader(down).Next(); err == nil {
+						_, _ = down.Write(wal.AppendFrame(nil, append([]byte{ingest.StreamFrameErr, ingest.StreamErrCodec}, "refused"...)))
+					}
+					return
+				}
+				up, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				go func() { _, _ = io.Copy(up, down); up.Close() }()
+				_, _ = io.Copy(down, up)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestGatewayHTTPFrontRenewsFailedUpstream: a slot's shared upstream
+// client that fails a share — on a verdict no resend can change, or
+// after its node refused every resend for the push budget — is
+// replaced. Once the node takes writes again the next POST is 200, and
+// the records of the POST answered 503 are not resent behind it.
+func TestGatewayHTTPFrontRenewsFailedUpstream(t *testing.T) {
+	for _, fatal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("codecVerdict=%v", fatal), func(t *testing.T) {
+			node := newTestNode(t)
+			var refuse atomic.Bool
+			bin := node.bin
+			if fatal {
+				bin = codecVerdictNode(t, node.bin, &refuse)
+				refuse.Store(true)
+			} else {
+				node.failAll.Store(true)
+			}
+			g, err := NewGateway(GatewayConfig{
+				Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: bin}},
+				HealthEvery: 50 * time.Millisecond,
+				FailAfter:   2,
+				Logf:        t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			gw := httptest.NewServer(g.Handler())
+			defer gw.Close()
+
+			if err := pushBatch(gw.URL, mkRecords(16, 7, 0)); err == nil {
+				t.Fatal("gateway acknowledged a batch its node refused")
+			}
+			refuse.Store(false)
+			node.failAll.Store(false)
+			recs := mkRecords(16, 7, 1)
+			if err := pushBatch(gw.URL, recs); err != nil {
+				t.Fatalf("push once the node takes writes again: %v", err)
+			}
+			node.e.Flush()
+			if got, want := node.e.Summary().Events, uint64(len(recs)); got != want {
+				t.Fatalf("node holds %d events, want the %d of the acknowledged push alone", got, want)
+			}
+		})
+	}
+}
+
+// TestGatewayDeadSlotAnswersEachPushWithinBudget: concurrent POSTs to a
+// dead slot that cannot fail over share its upstream client, and each
+// is answered 503 within its push budget: one request's failure must not
+// hand the next a fresh budget behind it.
+func TestGatewayDeadSlotAnswersEachPushWithinBudget(t *testing.T) {
+	node := newTestNode(t)
+	node.kill()
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: node.bin}},
+		HealthEvery: 250 * time.Millisecond,
+		FailAfter:   2,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	budget := g.pushBudget(g.nodes[0])
+	const pushes = 4
+	var wg sync.WaitGroup
+	took := make([]time.Duration, pushes)
+	errs := make([]error, pushes)
+	for i := range pushes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			errs[i] = pushBatch(gw.URL, mkRecords(8, 5, i))
+			took[i] = time.Since(start)
+		}()
+	}
+	wg.Wait()
+	for i := range pushes {
+		if errs[i] == nil {
+			t.Fatalf("push %d to a dead slot was acknowledged", i)
+		}
+		if took[i] > budget+budget/2 {
+			t.Fatalf("push %d answered after %v, past its %v push budget (all: %v)", i, took[i], budget, took)
+		}
+	}
+	t.Logf("%d pushes answered 503 after %v (budget %v)", pushes, took, budget)
+}
+
+// TestGatewayPushEndsWithItsClient: a POST whose client hangs up while
+// its share waits on a refusing node ends there, not when the slot's
+// push budget runs out.
+func TestGatewayPushEndsWithItsClient(t *testing.T) {
+	node := newTestNode(t)
+	node.failAll.Store(true)
+	g, err := NewGateway(GatewayConfig{
+		Nodes:       []NodeConfig{{Name: "n0", URL: node.srv.URL, BinAddr: node.bin}},
+		HealthEvery: 5 * time.Second, // a push budget of 30 s
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	posted := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, gw.URL+"/v1/ingest",
+			strings.NewReader(`{"swarm_id":1,"peer_id":1,"seed":true,"online":true,"t":0}`+"\n"))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		posted <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); node.writes.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the push never reached its node")
+		}
+	}
+	cancel()
+	<-posted
+	closed := make(chan struct{})
+	go func() { gw.Close(); close(closed) }() // returns once every handler has
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the handler kept waiting after its client hung up")
+	}
+}
+
 // TestGatewayConcurrentPushesAcrossFailover: eight clients push disjoint
 // swarms through one gateway while one node's follower is promoted
 // under them. No queue serialises the requests; each must land
@@ -841,7 +1017,7 @@ func TestGatewayEveryNodeRequestStamped(t *testing.T) {
 func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
 	var log stampLog
 	leader, _, leaderSrv := gatedNode(t, "leader", &log)
-	follower, followerGate, followerSrv := gatedNode(t, "follower", &log)
+	follower, _, followerSrv := gatedNode(t, "follower", &log)
 	g, err := NewGateway(GatewayConfig{
 		Nodes:       []NodeConfig{{Name: "n0", URL: leaderSrv.URL, BinAddr: leader.bin, Follower: followerSrv.URL, FollowerBin: follower.bin}},
 		HealthEvery: 20 * time.Millisecond,
@@ -880,9 +1056,9 @@ func TestGatewayStaleAnswerAfterFailover(t *testing.T) {
 	if got, want := follower.e.Summary().Events, uint64(len(recs)); got != want {
 		t.Fatalf("the promoted node holds %d of the %d acknowledged records: the gateway took a retired leader's answer as an ack", got, want)
 	}
-	if got := g.nodes[0].route.Load().epoch; got != followerGate.Epoch() {
-		t.Fatalf("the resend went out at slot epoch %d, the promoted node is at %d", got, followerGate.Epoch())
-	}
+	// The leader did journal the share and answer it: that answer is the
+	// one the gateway refused.
+	waitFor("the retired leader's commit", func() bool { leader.e.Flush(); return leader.e.Summary().Events == uint64(len(recs)) })
 }
 
 // postKeyed POSTs recs to base's /v1/ingest once, under (source, seq),

@@ -161,7 +161,7 @@ func (f *streamForwarder) forward(frame []byte) error {
 	if err != nil {
 		return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: err.Error()}
 	}
-	targets, err := f.g.push(f.clients, source, seq, ops, frame)
+	targets, err := f.g.push(func(slot int) *ingest.StreamClient { return f.clients[slot] }, source, seq, ops, frame)
 	if err != nil {
 		return &ingest.StreamError{Code: ingest.StreamErrState, Msg: err.Error()}
 	}
@@ -184,7 +184,7 @@ func (f *streamForwarder) relay() {
 		if f.relayErr != nil {
 			continue
 		}
-		if f.relayErr = f.g.settle(f.clients, job.targets); f.relayErr != nil {
+		if f.relayErr = f.g.settle(job.targets); f.relayErr != nil {
 			f.sess.Err(ingest.StreamErrState, f.relayErr.Error())
 			f.conn.Close()
 			f.abandon()

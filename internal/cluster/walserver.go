@@ -45,16 +45,12 @@ type WALServer struct {
 
 // Register mounts the WAL-shipping routes on mux.
 func (s *WALServer) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/wal/status", s.handleStatus)
-	mux.HandleFunc("/v1/wal/stream", s.handleStream)
-	mux.HandleFunc("/v1/wal/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("GET /v1/wal/status", s.handleStatus)
+	mux.HandleFunc("GET /v1/wal/stream", s.handleStream)
+	mux.HandleFunc("GET /v1/wal/checkpoint", s.handleCheckpoint)
 }
 
 func (s *WALServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	_, ckptSeq, _, err := ingest.NewestCheckpoint(s.Dir) // 0 when there is none
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -73,10 +69,6 @@ func (s *WALServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 //     re-bootstrap from /v1/wal/checkpoint.
 //   - 400: bad or missing from.
 func (s *WALServer) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil || from == 0 {
 		http.Error(w, "bad from sequence", http.StatusBadRequest)
@@ -100,8 +92,13 @@ func (s *WALServer) handleStream(w http.ResponseWriter, r *http.Request) {
 		served int
 		want   = from
 	)
+	// Frames already written are valid whatever happened after them: the
+	// follower appends the clean prefix it received and re-polls. The cap
+	// is not an error at all, and a mid-stream failure (segment deleted
+	// by a racing checkpoint truncation) just ends the response early —
+	// status 200 was committed with the first byte anyway.
 	errStop := fmt.Errorf("stream frame cap")
-	err = s.Log.Replay(from, func(seq uint64, payload []byte) error {
+	_ = s.Log.Replay(from, func(seq uint64, payload []byte) error {
 		if served >= maxStreamFrames {
 			return errStop
 		}
@@ -116,22 +113,12 @@ func (s *WALServer) handleStream(w http.ResponseWriter, r *http.Request) {
 		want++
 		return nil
 	})
-	// Frames already written are valid whatever happened after them: the
-	// follower appends the clean prefix it received and re-polls. The cap
-	// is not an error at all, and a mid-stream failure (segment deleted
-	// by a racing checkpoint truncation) just ends the response early —
-	// status 200 was committed with the first byte anyway.
-	_ = err
 }
 
 // handleCheckpoint serves the newest checkpoint file whole, with its
 // coverage sequence in X-Checkpoint-Seq. 404 when no checkpoint exists
 // yet (the follower then streams the journal from seq 1).
 func (s *WALServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	path, seq, ok, err := ingest.NewestCheckpoint(s.Dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -14,6 +14,14 @@ import (
 // ErrClosed is returned by writes submitted after Close.
 var ErrClosed = errors.New("ingest: engine closed")
 
+// codecError is submit's refusal of a frame that does not decode: a
+// verdict on its bytes, which a resend cannot change — unlike a failed
+// journal append or a closing engine, which refuse the write, not the
+// frame.
+type codecError struct{ error }
+
+func (e codecError) Unwrap() error { return e.error }
+
 // batchPool recycles the []Op batch buffers that travel through the
 // shard queues. A buffer's life cycle is: Writer/Submit fills it →
 // ownership transfers through the queue (no copy) → the shard applies
@@ -393,7 +401,7 @@ func (e *Engine) submit(group []batch) (accepted int, err error) {
 			continue
 		}
 		if b.source, b.seq, b.body, err = splitFrame(b.wire); err != nil {
-			group = group[:i]
+			group, err = group[:i], codecError{err}
 			break
 		}
 	}
@@ -413,7 +421,7 @@ func (e *Engine) submit(group []batch) (accepted int, err error) {
 		if ops == nil {
 			var derr error
 			if ops, derr = decodeOpsInto(c.scratch, b.body); derr != nil {
-				group, err = group[:i], derr
+				group, err = group[:i], codecError{derr}
 				break
 			}
 			c.scratch = ops[:0]

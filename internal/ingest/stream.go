@@ -55,8 +55,8 @@ const (
 const (
 	// StreamErrCodec: a DATA frame's ops payload failed to decode.
 	StreamErrCodec = 1
-	// StreamErrState: the node refused the write (closing, closed or
-	// fenced).
+	// StreamErrState: the node refused the write (closing, closed,
+	// fenced, or its journal failed the append): a resend may land.
 	StreamErrState = 2
 	// StreamErrProto: a torn or corrupt envelope, or an unknown frame
 	// type — the stream is unsynchronized and cannot continue.
@@ -506,8 +506,10 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 
 // commit submits the staged frames as one group and acknowledges the
 // accepted prefix. A frame the engine rejects ends the stream: the ACK
-// for the frames before it goes out first, then the ERR. A fenced node
-// submits nothing: the whole group is refused.
+// for the frames before it goes out first, then the ERR: codec for a
+// frame that does not decode, state for anything else (a fenced or
+// closing node, a failed journal append), which the sender resends. A
+// fenced node submits nothing: the whole group is refused.
 func (c *streamConn) commit() error {
 	if len(c.group) == 0 {
 		return nil
@@ -529,9 +531,9 @@ func (c *streamConn) commit() error {
 		}
 	}
 	if err != nil {
-		code := byte(StreamErrCodec)
-		if errors.Is(err, ErrClosed) || errors.Is(err, errFenced) {
-			code = StreamErrState
+		code := byte(StreamErrState)
+		if errors.As(err, new(codecError)) {
+			code = StreamErrCodec
 		}
 		c.sess.Err(code, err.Error())
 		return fmt.Errorf("data frame rejected: %w", err)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -581,6 +582,70 @@ func TestStreamRidesOutCheckpoint(t *testing.T) {
 	}
 	if got := series(e, "ingest_records_total"); got != 2 {
 		t.Fatalf("applied %d records, want 2", got)
+	}
+}
+
+// TestStreamJournalFailureIsNotACodecVerdict: a node whose journal fails
+// an append (here its log is closed under the engine, as a full disk or
+// an I/O error fails a write) refuses the write, not the frame: it
+// answers ERR state, so the sender keeps its window and redials instead
+// of failing for good, and the frame lands once the journal takes
+// appends again.
+func TestStreamJournalFailureIsNotACodecVerdict(t *testing.T) {
+	dir := t.TempDir()
+	e, _, err := OpenDurable(Config{Shards: 2}, DurabilityConfig{Dir: dir, Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	addr, stop := serveStream(t, e)
+	defer stop()
+
+	e.commitMu.Lock()
+	e.journal.log.Close()
+	e.commitMu.Unlock()
+	redialed := make(chan struct{}, 1)
+	c := NewStreamClient(StreamClientConfig{Addr: addr, Source: "mon", RetryFor: 30 * time.Second, Logf: func(format string, args ...any) {
+		if strings.HasPrefix(format, "ingest stream: reconnected") {
+			select {
+			case redialed <- struct{}{}:
+			default:
+			}
+		}
+	}})
+	defer c.Abandon()
+	rec := Record{SwarmID: 1, PeerID: 1, Seed: true, Online: true, Time: 1}
+	if err := c.Observe(rec); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	select {
+	case <-redialed: // refused at least once, and resending
+	case err := <-flushed:
+		t.Fatalf("flush against a failing journal ended with %v, want it to keep resending", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client never redialed after the refusal")
+	}
+
+	e.commitMu.Lock()
+	log, _, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
+	if err == nil {
+		e.journal.log = log
+	}
+	e.commitMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-flushed; err != nil {
+		t.Fatalf("flush once the journal recovered: %v", err)
+	}
+	var frames int
+	if err := log.Replay(1, func(uint64, []byte) error { frames++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if e.Flush(); frames != 1 || e.Summary().Events != 1 {
+		t.Fatalf("journal holds %d frames and the engine %d events, want the one frame applied once", frames, e.Summary().Events)
 	}
 }
 

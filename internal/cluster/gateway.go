@@ -140,6 +140,17 @@ type share struct {
 	ops    []ingest.Op
 }
 
+// fanout is one writer's side of the write fan-out: the upstream client
+// each slot's shares ride, and scratch that route fills write after
+// write. The stream front keeps one per connection, so once its buffers
+// have grown to the writer's frame size a routed frame allocates
+// nothing here; the HTTP front's requests take theirs from a pool.
+type fanout struct {
+	clients []*ingest.StreamClient // per slot
+	bySlot  [][]ingest.Op          // per slot: its share's ops, when the write splits
+	shares  []share
+}
+
 // Gateway is the cluster front door. It speaks the same API as a
 // single availd — POST /v1/ingest and the merged read endpoints of
 // ingest.RegisterReadHandlers — over N nodes:
@@ -182,8 +193,9 @@ type Gateway struct {
 
 	// upstreams carry the HTTP front's shares: one client per slot, shared
 	// by every request and replaced when it fails a share (renew); Close
-	// abandons them.
+	// abandons them. fanouts recycles the requests' routing scratch.
 	upstreams []atomic.Pointer[ingest.StreamClient]
+	fanouts   sync.Pool // *fanout
 
 	// streams accepts the stream front's connections (ServeStream) and
 	// cuts them at Close.
@@ -641,46 +653,57 @@ func (g *Gateway) Handler() http.Handler {
 
 // route is the gateway's one router: it splits a write along the ring
 // (whole swarms, never split) into per-slot shares in slot order, each
-// with the key it travels under. A write that arrives keyed keeps its
-// upstream key on every share — slots are independent dedup domains, so
-// the client's retry of a lost gateway ack (or a second gateway's
-// replay) still deduplicates at every node; an unkeyed one gets the
-// slot's own gateway-originated key. whole reports a keyed write owned
-// by a single slot: its one share is the write exactly as it arrived,
-// key and all, so a front holding the encoded frame may forward those
-// bytes verbatim.
-func (g *Gateway) route(source string, seq uint64, ops []ingest.Op) (shares []share, whole bool) {
-	slots := make([]int, len(ops))
-	at := make([]int, len(g.nodes)) // per slot: its op count, then its index in shares
-	owners := 0
-	for i, op := range ops {
-		slots[i] = g.ring.Node(op.SwarmID())
-		if at[slots[i]]++; at[slots[i]] == 1 {
-			owners++
+// with the key it travels under, in fo's scratch: the shares are valid
+// until fo routes again. A write that arrives keyed keeps its upstream
+// key on every share — slots are independent dedup domains, so the
+// client's retry of a lost gateway ack (or a second gateway's replay)
+// still deduplicates at every node; an unkeyed one gets the slot's own
+// gateway-originated key. whole reports a keyed write owned by a single
+// slot: its one share is the write exactly as it arrived, key and all,
+// so a front holding the encoded frame may forward those bytes verbatim.
+//
+// The ring is asked once per run of equal swarm ids — a monitor's frame
+// is runs of one swarm's observations — and ops stay where they are
+// until one belongs to another slot than the first, so a write one slot
+// owns is never copied.
+func (g *Gateway) route(fo *fanout, source string, seq uint64, ops []ingest.Op) (shares []share, whole bool) {
+	if fo.bySlot == nil {
+		fo.bySlot = make([][]ingest.Op, len(g.nodes))
+	}
+	for s := range fo.bySlot {
+		fo.bySlot[s] = fo.bySlot[s][:0]
+	}
+	first, split := -1, false
+	for i, slot, prev := 0, 0, 0; i < len(ops); i++ {
+		if id := ops[i].SwarmID(); i == 0 || id != prev {
+			slot, prev = g.ring.Node(id), id
+		}
+		switch {
+		case i == 0:
+			first = slot
+		case split:
+			fo.bySlot[slot] = append(fo.bySlot[slot], ops[i])
+		case slot != first:
+			split = true
+			fo.bySlot[first] = append(fo.bySlot[first], ops[:i]...)
+			fo.bySlot[slot] = append(fo.bySlot[slot], ops[i])
 		}
 	}
-	shares = make([]share, 0, owners)
-	for slot, n := range at {
-		if n == 0 {
+	fo.shares = fo.shares[:0]
+	for slot, part := range fo.bySlot {
+		if !split && slot == first {
+			part = ops
+		}
+		if len(part) == 0 {
 			continue
 		}
-		sh := share{slot: slot, source: source, seq: seq}
+		sh := share{slot: slot, source: source, seq: seq, ops: part}
 		if source == "" {
 			sh.source, sh.seq = g.nodes[slot].source, g.nodes[slot].seq.Add(1)
 		}
-		if owners == 1 {
-			sh.ops = ops
-			return append(shares, sh), source != ""
-		}
-		sh.ops = make([]ingest.Op, 0, n)
-		at[slot] = len(shares)
-		shares = append(shares, sh)
+		fo.shares = append(fo.shares, sh)
 	}
-	for i, op := range ops {
-		sh := &shares[at[slots[i]]]
-		sh.ops = append(sh.ops, op)
-	}
-	return shares, false
+	return fo.shares, !split && source != ""
 }
 
 // slotTarget is one share's watermark on the upstream client it was
@@ -691,24 +714,26 @@ type slotTarget struct {
 	sent uint64
 }
 
-// push is the gateway's one write fan-out, both fronts': route the ops,
-// give each share one keyed frame — frame itself when the write is keyed
-// and one slot owns it all, else the share encoded under its key — and
-// hand it to client(slot). It returns each share's watermark for the
-// caller to settle.
-func (g *Gateway) push(client func(slot int) *ingest.StreamClient, source string, seq uint64, ops []ingest.Op, frame []byte) ([]slotTarget, error) {
-	shares, whole := g.route(source, seq, ops)
+// push is the gateway's one write fan-out, both fronts': route the ops
+// and hand each share to its slot's client in fo as one keyed frame —
+// frame itself, byte for byte, when the write is keyed and one slot owns
+// it all, else the share encoded under its key, once, into the envelope
+// the client keeps for resend (PushOps). It returns each share's
+// watermark for the caller to settle. Both fronts admit only ops the
+// codec carries (DecodeFrameInto, ReadIngestRequest), so a push error
+// is the upstream's.
+func (g *Gateway) push(fo *fanout, source string, seq uint64, ops []ingest.Op, frame []byte) ([]slotTarget, error) {
+	shares, whole := g.route(fo, source, seq, ops)
 	targets := make([]slotTarget, 0, len(shares))
 	for _, sh := range shares {
-		enc := frame
-		if !whole || frame == nil {
-			var err error
-			if enc, err = ingest.EncodeFrame(nil, sh.source, sh.seq, sh.ops); err != nil {
-				return nil, fmt.Errorf("encoding node %s's share: %w", g.nodes[sh.slot].cfg.name(), err)
-			}
+		c := fo.clients[sh.slot]
+		var sent uint64
+		var err error
+		if whole && frame != nil {
+			sent, err = c.PushFrame(frame)
+		} else {
+			sent, err = c.PushOps(sh.source, sh.seq, sh.ops)
 		}
-		c := client(sh.slot)
-		sent, err := c.PushFrame(enc)
 		if err != nil {
 			return nil, g.renew(sh.slot, c, err)
 		}
@@ -764,9 +789,17 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	fo, _ := g.fanouts.Get().(*fanout)
+	if fo == nil {
+		fo = &fanout{clients: make([]*ingest.StreamClient, len(g.nodes))}
+	}
+	for slot := range fo.clients {
+		fo.clients[slot] = g.upstreams[slot].Load()
+	}
 	res := make(chan error, 1)
 	go func() {
-		targets, err := g.push(func(slot int) *ingest.StreamClient { return g.upstreams[slot].Load() }, source, seq, ops, nil)
+		targets, err := g.push(fo, source, seq, ops, nil)
+		g.fanouts.Put(fo) // the shares are sent; the targets are the caller's
 		if err == nil {
 			err = g.settle(targets)
 		}

@@ -614,6 +614,10 @@ func TestGatewayDeadSlotAnswersEachPushWithinBudget(t *testing.T) {
 		if errs[i] == nil {
 			t.Fatalf("push %d to a dead slot was acknowledged", i)
 		}
+		// The answer names the outage, not a closed engine: no node closed.
+		if strings.Contains(errs[i].Error(), "engine closed") {
+			t.Fatalf("push %d answered %q", i, errs[i])
+		}
 		if took[i] > budget+budget/2 {
 			t.Fatalf("push %d answered after %v, past its %v push budget (all: %v)", i, took[i], budget, took)
 		}
@@ -1133,26 +1137,7 @@ func TestGatewayHTTPFrontCarriesWidestBatch(t *testing.T) {
 // share) — the bytes a lone node's SubmitKeyed journals for that share —
 // so a write's journal bytes do not depend on which front it came in by.
 func TestGatewayHTTPFrontJournalsSubmitKeyedBytes(t *testing.T) {
-	open := func() *ingest.Engine {
-		e, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(e.Close)
-		return e
-	}
-	journal := func(e *ingest.Engine) [][]byte {
-		t.Helper()
-		var frames [][]byte
-		if err := e.WAL().Replay(1, func(_ uint64, payload []byte) error {
-			frames = append(frames, bytes.Clone(payload))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return frames
-	}
-	nodes := []*ingest.Engine{open(), open()}
+	nodes := []*ingest.Engine{openDurable(t), openDurable(t)}
 	cfgs := make([]NodeConfig, len(nodes))
 	for i, e := range nodes {
 		cfgs[i] = NodeConfig{Name: fmt.Sprintf("n%d", i), URL: "http://127.0.0.1:1", BinAddr: serveBin(t, e)} // no HTTP call is made
@@ -1169,27 +1154,65 @@ func TestGatewayHTTPFrontJournalsSubmitKeyedBytes(t *testing.T) {
 	if code, body := postKeyed(t, gw.URL, "mon-journal", 9, recs); code != http.StatusOK {
 		t.Fatalf("keyed POST through the gateway: %d %s", code, body)
 	}
+	ops := make([]ingest.Op, len(recs))
+	for i, rec := range recs {
+		ops[i] = ingest.EventOp(rec)
+	}
+	checkJournaledShares(t, g, nodes, "mon-journal", 9, ops)
+}
+
+// openDurable opens a durable engine in a fresh directory, closed when
+// the test ends.
+func openDurable(t *testing.T) *ingest.Engine {
+	t.Helper()
+	e, _, err := ingest.OpenDurable(ingest.Config{Shards: 2}, ingest.DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// journalFrames returns every frame e's journal holds, in order.
+func journalFrames(t *testing.T, e *ingest.Engine) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	if err := e.WAL().Replay(1, func(_ uint64, payload []byte) error {
+		frames = append(frames, bytes.Clone(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// checkJournaledShares requires that the write ops, keyed (source, seq)
+// and routed by g, left each node's journal holding exactly one frame:
+// EncodeFrame(source, seq, its share), the bytes a lone node's
+// SubmitKeyed journals for that share.
+func checkJournaledShares(t *testing.T, g *Gateway, nodes []*ingest.Engine, source string, seq uint64, ops []ingest.Op) {
+	t.Helper()
 	shares := make([][]ingest.Op, len(nodes))
-	for _, rec := range recs {
-		slot := g.Ring().Node(rec.SwarmID)
-		shares[slot] = append(shares[slot], ingest.EventOp(rec))
+	for _, op := range ops {
+		slot := g.Ring().Node(op.SwarmID())
+		shares[slot] = append(shares[slot], op)
 	}
 	for i, e := range nodes {
 		if len(shares[i]) == 0 {
 			t.Fatalf("node %d owns none of the records: the test needs both slots", i)
 		}
-		want, err := ingest.EncodeFrame(nil, "mon-journal", 9, shares[i])
+		want, err := ingest.EncodeFrame(nil, source, seq, shares[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		lone := open()
-		if _, err := lone.SubmitKeyed("mon-journal", 9, shares[i]); err != nil {
+		lone := openDurable(t)
+		if _, err := lone.SubmitKeyed(source, seq, shares[i]); err != nil {
 			t.Fatal(err)
 		}
-		if got := journal(lone); len(got) != 1 || !bytes.Equal(got[0], want) {
+		if got := journalFrames(t, lone); len(got) != 1 || !bytes.Equal(got[0], want) {
 			t.Fatalf("a lone node's SubmitKeyed journaled %d frames, not EncodeFrame's %d bytes", len(got), len(want))
 		}
-		if got := journal(e); len(got) != 1 || !bytes.Equal(got[0], want) {
+		if got := journalFrames(t, e); len(got) != 1 || !bytes.Equal(got[0], want) {
 			t.Fatalf("node %d journaled %d frames, not the one frame of %d bytes SubmitKeyed journals", i, len(got), len(want))
 		}
 	}

@@ -64,12 +64,14 @@ type streamAckJob struct {
 // streamForwarder is one downstream connection's forwarding state: the
 // node's own stream session (ingest.StreamSession — so the gateway's
 // frame bound and its ERR verdicts are the node's) facing the monitor,
-// and one upstream stream client per slot.
+// and its side of the fan-out: one upstream stream client per slot and
+// the routing scratch, reused frame after frame like the decode buffer.
 type streamForwarder struct {
-	g       *Gateway
-	conn    net.Conn
-	sess    *ingest.StreamSession
-	clients []*ingest.StreamClient
+	g    *Gateway
+	conn net.Conn
+	sess *ingest.StreamSession
+	fanout
+	ops []ingest.Op // the decode buffer: the last frame's ops
 
 	// accepted counts downstream DATA frames fanned out on this
 	// connection; only the serve loop touches it.
@@ -83,19 +85,26 @@ type streamForwarder struct {
 	relayErr error         // the relay's upstream failure; read after done
 }
 
-func (g *Gateway) serveStreamConn(conn net.Conn) error {
-	g.streamConns.Inc()
+// newStreamForwarder builds conn's forwarding state, an upstream client
+// per slot included. Its relay is not running yet.
+func (g *Gateway) newStreamForwarder(conn net.Conn) *streamForwarder {
 	f := &streamForwarder{
-		g:       g,
-		conn:    conn,
-		sess:    ingest.NewStreamSession(conn),
-		clients: make([]*ingest.StreamClient, len(g.nodes)),
-		acks:    make(chan streamAckJob, 128),
-		done:    make(chan struct{}),
+		g:      g,
+		conn:   conn,
+		sess:   ingest.NewStreamSession(conn),
+		fanout: fanout{clients: make([]*ingest.StreamClient, len(g.nodes))},
+		acks:   make(chan streamAckJob, 128),
+		done:   make(chan struct{}),
 	}
 	for slot, n := range g.nodes {
 		f.clients[slot] = g.upstream(n)
 	}
+	return f
+}
+
+func (g *Gateway) serveStreamConn(conn net.Conn) error {
+	g.streamConns.Inc()
+	f := g.newStreamForwarder(conn)
 	// Cut short whatever an upstream client is waiting on when the stream
 	// front closes, serve loop included.
 	defer context.AfterFunc(g.streamsCtx, f.abandon)()
@@ -113,7 +122,7 @@ func (g *Gateway) serveStreamConn(conn net.Conn) error {
 	close(f.acks)
 	<-f.done
 	f.abandon()
-	if f.relayErr != nil && !errors.Is(f.relayErr, ingest.ErrClosed) {
+	if f.relayErr != nil && !errors.Is(f.relayErr, ingest.ErrAbandoned) {
 		// The relay closed the connection under the serve loop; its
 		// error is the cause, the loop's read error the symptom.
 		return f.relayErr
@@ -155,13 +164,17 @@ func (f *streamForwarder) serve() error {
 // forward pushes one DATA frame's ops to their slots and queues the ack
 // watermarks. A refusal comes back as the ERR verdict the monitor is
 // owed: codec for a frame that does not decode, state for an upstream
-// that will not take its share.
+// that will not take its share. The frame is decoded into the
+// connection's buffer and routed in its scratch, so what it allocates is
+// the envelopes the upstream clients keep for resend, one per share,
+// and a constant.
 func (f *streamForwarder) forward(frame []byte) error {
-	source, seq, ops, err := ingest.DecodeFrame(frame)
+	source, seq, ops, err := ingest.DecodeFrameInto(f.ops, frame)
 	if err != nil {
 		return &ingest.StreamError{Code: ingest.StreamErrCodec, Msg: err.Error()}
 	}
-	targets, err := f.g.push(func(slot int) *ingest.StreamClient { return f.clients[slot] }, source, seq, ops, frame)
+	f.ops = ops
+	targets, err := f.g.push(&f.fanout, source, seq, ops, frame)
 	if err != nil {
 		return &ingest.StreamError{Code: ingest.StreamErrState, Msg: err.Error()}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"swarmavail/internal/ingest"
 	"swarmavail/internal/obs"
 	"swarmavail/internal/trace"
+	"swarmavail/internal/wal"
 )
 
 // streamNode is one in-memory availd stand-in: an engine serving both
@@ -548,5 +550,166 @@ func TestGatewayStreamStaleAckAfterFailover(t *testing.T) {
 	}
 	if got, want := follower.e.Summary().Events, uint64(len(recs)); got != want {
 		t.Fatalf("the promoted node holds %d of the %d acknowledged records: the gateway took a retired leader's ACK", got, want)
+	}
+}
+
+// TestGatewayStreamJournalsSubmitKeyedBytes is the stream front's twin
+// of TestGatewayHTTPFrontJournalsSubmitKeyedBytes: a keyed frame split
+// across two durable nodes makes each journal exactly EncodeFrame(source,
+// seq, share), so a share's journal bytes do not depend on which front
+// it came in by, nor on its being encoded straight into an envelope.
+func TestGatewayStreamJournalsSubmitKeyedBytes(t *testing.T) {
+	nodes := []*ingest.Engine{openDurable(t), openDurable(t)}
+	cfgs := make([]NodeConfig, len(nodes))
+	for i, e := range nodes {
+		cfgs[i] = NodeConfig{Name: fmt.Sprintf("n%d", i), URL: "http://127.0.0.1:1", BinAddr: serveBin(t, e)} // no HTTP call is made
+	}
+	g, err := NewGateway(GatewayConfig{Nodes: cfgs, HealthEvery: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = g.ServeStream(ln)
+	}()
+	defer func() { ln.Close(); g.Close(); <-served }()
+
+	recs := mkRecords(200, 61, 3)
+	ops := make([]ingest.Op, len(recs))
+	for i, rec := range recs {
+		ops[i] = ingest.EventOp(rec)
+	}
+	frame, err := ingest.EncodeFrame(nil, "mon-journal", 9, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := ingest.NewStreamClient(ingest.StreamClientConfig{Addr: ln.Addr().String(), Source: "mon-journal"})
+	if _, err := mon.PushFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatalf("keyed frame through the gateway's stream front: %v", err)
+	}
+	checkJournaledShares(t, g, nodes, "mon-journal", 9, ops)
+}
+
+// ackNode is an upstream that acknowledges each DATA frame as it arrives
+// and allocates nothing per frame doing so, so an allocation count taken
+// around the gateway's forwarding is the forwarder's own. It returns its
+// address; it serves until the test ends.
+func ackNode(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				buf := make([]byte, 64<<10)
+				var ack []byte
+				var payload [9]byte
+				payload[0] = ingest.StreamFrameAck
+				for n := uint64(1); ; n++ {
+					if _, err := io.ReadFull(conn, buf[:wal.FrameHeaderSize]); err != nil {
+						return
+					}
+					size := int(binary.LittleEndian.Uint32(buf))
+					if size+1 > len(buf) {
+						buf = make([]byte, size+1)
+					}
+					if _, err := io.ReadFull(conn, buf[:size]); err != nil || buf[0] != ingest.StreamFrameData {
+						return
+					}
+					binary.LittleEndian.PutUint64(payload[1:], n)
+					ack = wal.AppendFrame(ack[:0], payload[:])
+					if _, err := conn.Write(ack); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// gatewayFrame is a keyed frame of n event ops that spans both slots of
+// g's two-node ring: runs of eight observations of one swarm, over
+// swarms enough to reach every slot — a monitor's frame, in shape.
+func gatewayFrame(t testing.TB, g *Gateway, source string, seq uint64, n int) []byte {
+	t.Helper()
+	ops := make([]ingest.Op, n)
+	slots := make(map[int]bool)
+	for i := range ops {
+		swarm := i / 8 * 31 % 2000
+		slots[g.Ring().Node(swarm)] = true
+		ops[i] = ingest.EventOp(ingest.Record{SwarmID: swarm, PeerID: uint64(i%8 + 1), Seed: i%3 == 0, Online: i%4 != 3, Time: float64(i) / 64})
+	}
+	if len(slots) != g.Ring().Nodes() {
+		t.Fatalf("the frame reaches %d of %d slots", len(slots), g.Ring().Nodes())
+	}
+	frame, err := ingest.EncodeFrame(nil, source, seq, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestGatewayStreamForwardAllocs is the stream front's allocation guard:
+// forwarding a 512-op keyed frame that spans two slots allocates the two
+// share envelopes the upstream clients keep for resend and a small
+// constant (the frame's source string, the ack job's targets), whatever
+// the frame's size — the decode buffer and the routing scratch are the
+// connection's. It logs the count per frame.
+func TestGatewayStreamForwardAllocs(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{
+		Nodes: []NodeConfig{
+			{Name: "n0", URL: "http://127.0.0.1:1", BinAddr: ackNode(t)}, // no HTTP call is made
+			{Name: "n1", URL: "http://127.0.0.1:1", BinAddr: ackNode(t)},
+		},
+		HealthEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	down, mon := net.Pipe()
+	defer mon.Close()
+	go func() { _, _ = io.Copy(io.Discard, mon) }() // the monitor reads its ACKs
+	f := g.newStreamForwarder(down)
+	go f.relay()
+	defer func() { close(f.acks); <-f.done; f.abandon() }()
+
+	const shares, slack = 2, 3
+	frames := make([][]byte, 0, 256)
+	for seq := uint64(1); len(frames) < cap(frames); seq++ {
+		frames = append(frames, gatewayFrame(t, g, "mon-allocs", seq, 512))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(cap(frames)-1, func() {
+		if err := f.forward(frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("the forwarder allocates %.1f times per 512-op frame over two slots (bound %d: %d share envelopes + %d)", allocs, shares+slack, shares, slack)
+	if allocs > shares+slack {
+		t.Fatalf("forwarding a frame allocates %.1f times, more than its %d share envelopes + %d", allocs, shares, slack)
 	}
 }

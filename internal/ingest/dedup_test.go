@@ -130,7 +130,7 @@ func TestOpsCodecKeyedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	source, seq, got, err := decodeFrame(frame)
+	source, seq, got, err := DecodeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestOpsCodecKeyedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	source, seq, got, err = decodeFrame(plain)
+	source, seq, got, err = DecodeFrame(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestOpsCodecKeyedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeOpsKeyedRejectsGarbage: decodeFrame is total over corrupt
+// TestDecodeOpsKeyedRejectsGarbage: DecodeFrame is total over corrupt
 // keyed headers.
 func TestDecodeOpsKeyedRejectsGarbage(t *testing.T) {
 	valid, err := encodeKeyedOps(nil, "src", 9, mkEventOps(0, 2))
@@ -188,7 +188,7 @@ func TestDecodeOpsKeyedRejectsGarbage(t *testing.T) {
 		"truncated ops payload": valid[:len(valid)-1],
 	}
 	for name, data := range cases {
-		if _, _, _, err := decodeFrame(data); err == nil {
+		if _, _, _, err := DecodeFrame(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}

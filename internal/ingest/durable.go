@@ -150,7 +150,7 @@ func OpenDurable(cfg Config, d DurabilityConfig) (*Engine, RecoveryStats, error)
 	replayed := reg.Counter("recovery_replayed_total")
 	var badSeq uint64
 	replayErr := log.Replay(ckptSeq+1, func(seq uint64, payload []byte) error {
-		source, batchSeq, ops, derr := decodeFrame(payload)
+		source, batchSeq, ops, derr := DecodeFrame(payload)
 		if errors.Is(derr, errCodecVersion) {
 			// Another build's frame is not a bad frame: it is whole, and
 			// acknowledged. Refuse to boot and leave the journal as found.

@@ -286,16 +286,11 @@ func encodeKeyedOps(dst []byte, source string, seq uint64, ops []Op) ([]byte, er
 	return encodeOps(dst, ops)
 }
 
-// decodeFrame parses one WAL frame, keyed or plain: a keyed frame
-// yields its idempotency key, a plain one source == "". Like decodeOps
-// it is total — corrupt headers return errors, never panics.
-func decodeFrame(data []byte) (source string, seq uint64, ops []Op, err error) {
-	return decodeFrameInto(nil, data)
-}
-
-// decodeFrameInto is decodeFrame decoding into dst's backing array
-// (regrown as needed).
-func decodeFrameInto(dst []Op, data []byte) (source string, seq uint64, ops []Op, err error) {
+// DecodeFrameInto is DecodeFrame decoding into dst's backing array
+// (regrown as needed), so a caller that decodes frame after frame — the
+// cluster gateway's stream forwarder — keeps one []Op, not one per
+// frame.
+func DecodeFrameInto(dst []Op, data []byte) (source string, seq uint64, ops []Op, err error) {
 	source, seq, body, err := splitFrame(data)
 	if err != nil {
 		return "", 0, nil, err
@@ -342,7 +337,7 @@ func splitFrame(data []byte) (source string, seq uint64, body []byte, err error)
 func decodeOps(data []byte) ([]Op, error) { return decodeOpsInto(nil, data) }
 
 // decodeOpsInto appends into dst's backing array when it has the
-// capacity, regrowing otherwise; see decodeFrameInto.
+// capacity, regrowing otherwise; see DecodeFrameInto.
 func decodeOpsInto(dst []Op, data []byte) ([]Op, error) {
 	if len(data) < opsHeaderSize {
 		return nil, fmt.Errorf("ingest: journal frame too short (%d bytes)", len(data))
@@ -559,11 +554,12 @@ func decodeString(data []byte) (string, []byte, error) {
 
 // DecodeFrame parses one journal/wire frame, keyed or plain: a keyed
 // frame yields its idempotency key, a plain one source == "". It is
-// total — corrupt input returns an error, never a panic. Exported for
-// the cluster gateway's binary stream forwarding and for cross-package
-// protocol tests; the engine's own paths use it through SubmitFrame.
+// total — corrupt input returns an error, never a panic. Recovery
+// replays the journal through it; a node's submit and the gateway's
+// stream forwarder decode into buffers they keep (decodeOpsInto,
+// DecodeFrameInto).
 func DecodeFrame(frame []byte) (source string, seq uint64, ops []Op, err error) {
-	return decodeFrame(frame)
+	return DecodeFrameInto(nil, frame)
 }
 
 // EncodeFrame appends the wire form of ops to dst: the keyed layout

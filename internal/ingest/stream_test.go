@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -821,5 +822,115 @@ func TestStreamClientPushFrameManyProducers(t *testing.T) {
 	}
 	if got := c.Acked(); got != producers*frames {
 		t.Fatalf("%d frames acknowledged, want %d", got, producers*frames)
+	}
+}
+
+// TestStreamClientOneBudgetPerOutage: producers sharing one client on a
+// dead upstream wait out one outage together, and its spent budget fails
+// each of them — no producer that waited behind the pumper starts a
+// budget of its own. The next send after the outage starts a new one
+// with a full budget, and once the upstream is back it goes through,
+// the failed producers' frames with it.
+func TestStreamClientOneBudgetPerOutage(t *testing.T) {
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	addr := startStreamServer(t, e)
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close() // every dial is refused
+	var up sync.Mutex
+	target := deadAddr
+	const budget = time.Second
+	c := NewStreamClient(StreamClientConfig{
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			up.Lock()
+			to := target
+			up.Unlock()
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", to)
+		},
+		RetryFor: budget,
+	})
+	defer c.Abandon()
+	push := func(p int) error {
+		frame, err := EncodeFrame(nil, fmt.Sprintf("producer-%d", p), 1, []Op{EventOp(Record{SwarmID: p, PeerID: 1, Online: true})})
+		if err != nil {
+			return err
+		}
+		mark, err := c.PushFrame(frame)
+		if err == nil {
+			err = c.WaitAcked(mark)
+		}
+		return err
+	}
+
+	const producers = 4
+	took := make([]time.Duration, producers)
+	errs := make([]error, producers)
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			errs[p] = push(p)
+			took[p] = time.Since(start)
+		}()
+	}
+	wg.Wait()
+	for p := range producers {
+		if errs[p] == nil {
+			t.Fatalf("producer %d's frame was acknowledged by a dead upstream", p)
+		}
+		if took[p] > budget+budget/2 {
+			t.Fatalf("producer %d returned after %v, past the %v budget of the outage it waited in (all: %v)", p, took[p], budget, took)
+		}
+	}
+	t.Logf("%d producers failed after %v (budget %v): %v", producers, took, budget, errs[0])
+
+	up.Lock()
+	target = addr
+	up.Unlock()
+	if err := push(producers); err != nil {
+		t.Fatalf("a send after the outage, the upstream back: %v", err)
+	}
+	e.Flush()
+	if got, want := e.Summary().Events, uint64(producers+1); got != want {
+		t.Fatalf("the node holds %d events, want %d: every frame left in the window goes once the upstream is back", got, want)
+	}
+}
+
+// TestStreamClientAbandonedSaysSo: a call on an abandoned client, blocked
+// or later, answers ErrAbandoned — not ErrClosed, whose text speaks of a
+// closed engine when no engine closed.
+func TestStreamClientAbandonedSaysSo(t *testing.T) {
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	c := NewStreamClient(StreamClientConfig{Addr: deadAddr, RetryFor: time.Hour})
+	frame, err := EncodeFrame(nil, "abandoned", 1, []Op{EventOp(Record{SwarmID: 1, PeerID: 1, Online: true})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.PushFrame(frame) // redials for an hour
+		blocked <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // usually into the redials; either way it must answer so
+	c.Abandon()
+	for what, err := range map[string]error{"a blocked push": <-blocked, "a later wait": c.WaitAcked(1)} {
+		if !errors.Is(err, ErrAbandoned) || errors.Is(err, ErrClosed) {
+			t.Fatalf("%s on an abandoned client answered %v, want ErrAbandoned", what, err)
+		}
+	}
+	if _, err := c.PushFrame(frame); !errors.Is(err, ErrAbandoned) {
+		t.Fatalf("a later push on an abandoned client answered %v, want ErrAbandoned", err)
 	}
 }

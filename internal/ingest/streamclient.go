@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -56,6 +57,11 @@ const (
 	defaultRetryFor = 4750 * time.Millisecond
 )
 
+// ErrAbandoned is what an abandoned StreamClient answers every blocked
+// and later call with: the client was given up on, whatever the state
+// of the server behind it.
+var ErrAbandoned = errors.New("ingest: stream client abandoned")
+
 // retryWait is the wait after the nth failed attempt: the one retry
 // schedule both ingest clients keep.
 func retryWait(n int) time.Duration { return retryBase << min(n-1, 5) }
@@ -85,15 +91,16 @@ func (c StreamClientConfig) withDefaults() StreamClientConfig {
 // end to end: frames the server had accepted before the cut are
 // acknowledged again from its dedup window without re-applying.
 //
-// Ops for one batch are encoded exactly once — the encoded envelope is
-// what the in-flight window retains, so a retry resends bytes, not
+// Ops for one batch are encoded exactly once, straight into the envelope
+// the in-flight window retains, so a retry resends bytes, not
 // re-encodes structs.
 //
 // Put/Observe/Flush/Close batch ops for a single producer, like Writer:
-// they must come from one goroutine. PushFrame is safe for many
-// producers at once — each gets back its own frame's watermark to wait
-// on — and Acked, WaitAcked and Abandon are safe from any goroutine (the
-// cluster gateway's HTTP handlers, ack relay and shutdown use them so).
+// they must come from one goroutine. PushOps and PushFrame are safe for
+// many producers at once — each gets back its own frame's watermark to
+// wait on — and Acked, WaitAcked and Abandon are safe from any goroutine
+// (the cluster gateway's HTTP handlers, ack relay and shutdown use them
+// so).
 type StreamClient struct {
 	cfg StreamClientConfig
 
@@ -111,8 +118,11 @@ type StreamClient struct {
 	// unacked holds the encoded envelopes of every DATA frame not yet
 	// covered by a cumulative ack, oldest first. The frames at indexes
 	// below sentOnConn−ackedOnConn are on the wire of the current
-	// connection; the rest await (re)send.
+	// connection; the rest await (re)send. Acks shift it down in place,
+	// so its array, at most Window long, is allocated once; toSend is the
+	// pumper's copy of the frames it writes unlocked, reused likewise.
 	unacked     [][]byte
+	toSend      [][]byte
 	sentOnConn  uint64 // DATA frames written on the current connection
 	ackedOnConn uint64
 
@@ -125,7 +135,13 @@ type StreamClient struct {
 	stalled  time.Time // when the first of them began; RetryFor runs from here
 	lastErr  error     // newest transport error, for budget-exhausted reports
 	fatal    error     // server verdict that retrying cannot change
-	closed   bool
+	closed   error     // ErrClosed after Close, ErrAbandoned after Abandon
+	// spent counts the outages that ran out of RetryFor; spentErr is the
+	// last one's report. A call waiting when the count moves was a waiter
+	// of that outage and fails with it: one budget per outage, however
+	// many producers wait it out.
+	spent    uint64
+	spentErr error
 
 	// ackDue is when the current connection, while it has frames in
 	// flight, must next send an ACK (zero while it has none); watch drops
@@ -183,32 +199,51 @@ func (c *StreamClient) Put(op Op) error {
 // Observe appends one monitor record.
 func (c *StreamClient) Observe(rec Record) error { return c.Put(EventOp(rec)) }
 
-// flushBatch encodes the pending ops as one keyed DATA frame and hands
-// it to the window. The whole envelope is built in one buffer — header
-// space reserved up front, payload appended behind it, sealed by
-// FinishFrame — so a frame costs a single allocation.
+// flushBatch sends the pending ops as one DATA frame keyed by the
+// client's own source and next sequence number.
 func (c *StreamClient) flushBatch() error {
 	if len(c.batch) == 0 {
 		return nil
 	}
-	c.seq++
-	// Sized for the largest event ops; meta/census are rare enough that a
-	// regrow on their account is fine.
-	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(c.cfg.Source) + opsHeaderSize + eventWireMax*len(c.batch)
-	env := make([]byte, wal.FrameHeaderSize, hint)
-	env = append(env, StreamFrameData)
-	env, err := encodeKeyedOps(env, c.cfg.Source, c.seq, c.batch)
+	env, err := dataEnvelope(c.cfg.Source, c.seq+1, c.batch)
 	if err != nil {
-		c.seq--
 		return err
 	}
-	if env, err = wal.FinishFrame(env); err != nil {
-		c.seq--
-		return err
-	}
+	c.seq++
 	c.batch = c.batch[:0]
 	_, err = c.sendEnvelope(env)
 	return err
+}
+
+// dataEnvelope encodes ops under the key (source, seq) as one DATA
+// frame's envelope. The whole envelope is built in one buffer — header
+// space reserved up front, payload appended behind it, sealed by
+// FinishFrame — so a frame costs a single allocation.
+func dataEnvelope(source string, seq uint64, ops []Op) ([]byte, error) {
+	// Sized for the largest event ops; meta/census are rare enough that a
+	// regrow on their account is fine.
+	hint := wal.FrameHeaderSize + 1 + keyedHeaderSize(source) + opsHeaderSize + eventWireMax*len(ops)
+	env := make([]byte, wal.FrameHeaderSize, hint)
+	env = append(env, StreamFrameData)
+	env, err := encodeKeyedOps(env, source, seq, ops)
+	if err != nil {
+		return nil, err
+	}
+	return wal.FinishFrame(env)
+}
+
+// PushOps encodes ops as one DATA frame keyed (source, seq) — the bytes
+// EncodeFrame(nil, source, seq, ops) writes, once, straight into the
+// envelope the window keeps — and hands it over like PushFrame,
+// returning its watermark. The cluster gateway sends each slot's share
+// of a write through this, under the key the share travels with; the
+// key space is the caller's, as with PushFrame.
+func (c *StreamClient) PushOps(source string, seq uint64, ops []Op) (uint64, error) {
+	env, err := dataEnvelope(source, seq, ops)
+	if err != nil {
+		return 0, err
+	}
+	return c.sendEnvelope(env)
 }
 
 // PushFrame hands one pre-encoded ops-codec frame (plain or keyed —
@@ -216,8 +251,9 @@ func (c *StreamClient) flushBatch() error {
 // watermark: the frame is settled once WaitAcked of that value returns.
 // The watermark is assigned under the client's lock, so producers
 // sharing one client each wait for their own frame. The cluster gateway
-// forwards frames through this without re-encoding them; callers mixing
-// PushFrame with Put own the coherence of their key space.
+// forwards a keyed frame one slot owns through this, byte for byte;
+// callers mixing PushFrame with Put own the coherence of their key
+// space.
 func (c *StreamClient) PushFrame(frame []byte) (uint64, error) {
 	env := make([]byte, wal.FrameHeaderSize, wal.FrameHeaderSize+1+len(frame))
 	env = append(env, StreamFrameData)
@@ -234,12 +270,12 @@ func (c *StreamClient) PushFrame(frame []byte) (uint64, error) {
 func (c *StreamClient) sendEnvelope(env []byte) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
+	if c.closed != nil {
+		return 0, c.closed
 	}
-	for len(c.unacked) >= c.cfg.Window {
-		if c.fatal != nil {
-			return 0, c.fatal
+	for outage := c.spent; len(c.unacked) >= c.cfg.Window; {
+		if err := c.failedLocked(outage); err != nil {
+			return 0, err
 		}
 		if c.conn == nil {
 			if err := c.pumpLocked(); err != nil {
@@ -270,17 +306,15 @@ func (c *StreamClient) Flush() error {
 }
 
 // WaitAcked blocks until the server's cumulative acks cover the first
-// n DATA frames, redialing and resending as needed. n beyond Sent()
-// never settles; callers pass a value they observed from Sent().
+// n DATA frames, redialing and resending as needed. n beyond the frames
+// handed over never settles; callers pass a watermark PushOps or
+// PushFrame returned.
 func (c *StreamClient) WaitAcked(n uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.totalAcked < n {
-		if c.fatal != nil {
-			return c.fatal
-		}
-		if c.closed {
-			return ErrClosed
+	for outage := c.spent; c.totalAcked < n; {
+		if err := c.failedLocked(outage); err != nil {
+			return err
 		}
 		if c.conn == nil && len(c.unacked) > 0 {
 			if err := c.pumpLocked(); err != nil {
@@ -293,35 +327,53 @@ func (c *StreamClient) WaitAcked(n uint64) error {
 	return nil
 }
 
+// failedLocked is why a call that began waiting at outage count outage
+// must stop: a server verdict, the outage it waited in running out of
+// budget (what the pumper reported, not a fresh budget of its own), or
+// the client closing. nil means wait on.
+func (c *StreamClient) failedLocked(outage uint64) error {
+	switch {
+	case c.fatal != nil:
+		return c.fatal
+	case c.spent != outage:
+		return c.spentErr
+	}
+	return c.closed
+}
+
 // Close flushes, settles the window, sends a CLOSE frame, and tears
 // the connection down. Idempotent; later sends return ErrClosed.
 func (c *StreamClient) Close() error {
 	err := c.Flush()
-	c.shut(true)
+	c.shut(ErrClosed)
 	return err
 }
 
 // Abandon closes the client without settling its window: a dial or a
 // wait in progress ends, the connection is cut with no CLOSE, and every
-// blocked and later call returns ErrClosed. Frames not yet acknowledged
-// stay unacknowledged — whoever handed them over resends them under
-// their keys. Safe from any goroutine; idempotent.
-func (c *StreamClient) Abandon() { c.shut(false) }
+// blocked and later call returns ErrAbandoned. Frames not yet
+// acknowledged stay unacknowledged — whoever handed them over resends
+// them under their keys. Safe from any goroutine; idempotent.
+func (c *StreamClient) Abandon() { c.shut(ErrAbandoned) }
 
-// shut marks the client closed and ends its connection, if it has one,
-// after a CLOSE frame when courtesy is set.
-func (c *StreamClient) shut(courtesy bool) {
+// shut marks the client closed with why, the error later calls return,
+// and ends its connection, if it has one, after a CLOSE frame when the
+// client was closed rather than abandoned.
+func (c *StreamClient) shut(why error) {
 	c.cancel()
 	c.mu.Lock()
 	conn := c.conn
-	c.closed, c.conn = true, nil
+	if c.closed == nil {
+		c.closed = why
+	}
+	c.conn = nil
 	if c.watch != nil {
 		c.watch.Stop()
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if conn != nil {
-		if courtesy {
+		if why == ErrClosed {
 			// Best effort: the window is already settled, so CLOSE is
 			// courtesy, not correctness.
 			_, _ = conn.Write(wal.AppendFrame(nil, []byte{StreamFrameClose}))
@@ -336,10 +388,10 @@ func (c *StreamClient) shut(courtesy bool) {
 // caller pumps at a time; others wait — the pumper writes their frames
 // too. Called with mu held; unlocks around dials and writes.
 func (c *StreamClient) pumpLocked() error {
-	for c.pumping {
+	for outage := c.spent; c.pumping; {
 		c.cond.Wait()
-		if c.fatal != nil {
-			return c.fatal
+		if err := c.failedLocked(outage); err != nil {
+			return err
 		}
 	}
 	c.pumping = true
@@ -351,8 +403,8 @@ func (c *StreamClient) pumpLocked() error {
 		if c.fatal != nil {
 			return c.fatal
 		}
-		if c.closed {
-			return ErrClosed
+		if c.closed != nil {
+			return c.closed
 		}
 		if c.conn == nil {
 			if c.attempts == 0 {
@@ -370,9 +422,13 @@ func (c *StreamClient) pumpLocked() error {
 				c.mu.Lock()
 			}
 			if time.Since(c.stalled) >= c.cfg.RetryFor {
-				err := fmt.Errorf("ingest: stream made no progress in %v (%d connection attempts): %w", c.cfg.RetryFor, c.attempts, c.lastErr)
-				c.attempts = 0 // the next send starts over with a full budget
-				return err
+				// The outage is over for everyone waiting in it (the deferred
+				// broadcast wakes them into failedLocked); the next send starts
+				// a new one with a full budget.
+				c.spentErr = fmt.Errorf("ingest: stream made no progress in %v (%d connection attempts): %w", c.cfg.RetryFor, c.attempts, c.lastErr)
+				c.spent++
+				c.attempts = 0
+				return c.spentErr
 			}
 			c.attempts++
 			ctx, cancel := context.WithDeadline(c.ctx, c.stalled.Add(c.cfg.RetryFor))
@@ -387,7 +443,7 @@ func (c *StreamClient) pumpLocked() error {
 				}
 				continue
 			}
-			if c.closed {
+			if c.closed != nil {
 				conn.Close()
 				continue
 			}
@@ -409,13 +465,12 @@ func (c *StreamClient) pumpLocked() error {
 		// Commit the frames to this connection before writing: the ack
 		// reader validates acks against sentOnConn, and the server may
 		// answer before the write call even returns.
-		toSend := make([][]byte, len(c.unacked)-inflight)
-		copy(toSend, c.unacked[inflight:])
-		c.sentOnConn += uint64(len(toSend))
+		c.toSend = append(c.toSend[:0], c.unacked[inflight:]...)
+		c.sentOnConn += uint64(len(c.toSend))
 		if inflight == 0 {
 			c.awaitAckLocked()
 		}
-		conn, gen := c.conn, c.gen
+		conn, gen, toSend := c.conn, c.gen, c.toSend
 		c.mu.Unlock()
 		var werr error
 		for _, env := range toSend {
@@ -423,6 +478,7 @@ func (c *StreamClient) pumpLocked() error {
 				break
 			}
 		}
+		clear(toSend) // the window holds the envelopes; the copy lets go
 		c.mu.Lock()
 		if werr != nil && gen == c.gen && conn == c.conn {
 			c.dropConnLocked(conn, werr)
@@ -466,7 +522,7 @@ func (c *StreamClient) awaitAckLocked() {
 func (c *StreamClient) checkAcks() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil || c.ackDue.IsZero() || c.closed {
+	if c.conn == nil || c.ackDue.IsZero() || c.closed != nil {
 		return
 	}
 	if wait := time.Until(c.ackDue); wait > 0 {
@@ -548,10 +604,9 @@ func (c *StreamClient) applyAck(conn net.Conn, gen, n uint64) bool {
 	}
 	c.ackedOnConn = n
 	c.totalAcked += delta
-	c.unacked = c.unacked[delta:]
-	if len(c.unacked) == 0 {
-		c.unacked = nil // release the settled backing array
-	}
+	kept := copy(c.unacked, c.unacked[delta:])
+	clear(c.unacked[kept:]) // a settled envelope is not held
+	c.unacked = c.unacked[:kept]
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return true
